@@ -70,15 +70,6 @@ class ShareConfig:
 
 
 @dataclass
-class PgoConfig:
-    depth: int = 2
-    max_iters: int = 10
-    tol: float = 1e-6
-    max_edges_per_node: int = 10
-    max_window_nodes: int = 50
-
-
-@dataclass
 class AlignConfig:
     ransac_iterations: int = 200
     inlier_threshold: float = 0.05
@@ -112,7 +103,6 @@ class ScenarioConfig:
     run: RunConfig = field(default_factory=RunConfig)
     merge: MergeConfig = field(default_factory=MergeConfig)
     share: ShareConfig = field(default_factory=ShareConfig)
-    pgo: PgoConfig = field(default_factory=PgoConfig)
     align: AlignConfig = field(default_factory=AlignConfig)
     track: TrackConfig = field(default_factory=TrackConfig)
 
@@ -180,7 +170,7 @@ def _build(section: dict | None, cls, where: str, **overrides):
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a mapping")
-    known = {"world", "agents", "net", "run", "merge", "share", "pgo", "align", "track"}
+    known = {"world", "agents", "net", "run", "merge", "share", "align", "track"}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"top level: unknown sections {sorted(unknown)}")
@@ -224,7 +214,6 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         run=_build(raw.get("run"), RunConfig, "run"),
         merge=_build(raw.get("merge"), MergeConfig, "merge"),
         share=_build(raw.get("share"), ShareConfig, "share"),
-        pgo=_build(raw.get("pgo"), PgoConfig, "pgo"),
         align=_build(raw.get("align"), AlignConfig, "align"),
         track=_build(raw.get("track"), TrackConfig, "track"),
     )

@@ -4,12 +4,15 @@ Each agent keeps, per merged peer, an outbox of keyframe and map point ids it
 has not sent yet.  Once the outbox reaches the batch threshold it is
 serialized into a keyframe packet and cleared.  Received packets are queued
 and drained when the agent has spare cycles; insertion of one external
-keyframe runs the five-step pipeline: pop, move into the local map (same
-coordinate frame), relink by id, merge duplicate map points by word and
-radius, then locally optimize the pose graph around the new keyframe.
+keyframe runs the four-step pipeline: pop, move into the local map (same
+coordinate frame), relink by id, then merge duplicate map points by word and
+radius.  No pose is refined on insertion: every agent holds the same
+keyframe poses up to a whole-map SIM(3), so a pose graph over the new
+keyframe's covisibility window has zero residual by construction.
 
 Insertion is idempotent: a redelivered packet finds its keyframe ids already
-present and skips them, so at-least-once delivery is safe.
+present and skips them.  Nothing resends a lost packet, so a keyframe whose
+packet was dropped stays missing from the receiver's map.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .map_store import AgentMap, KeyFrame, MapPoint
-from .pose_graph import OptimizerParams, build_local_window, optimize
+# unused here; kept bound so perfbench/layers.py can still wrap them by name
+from .pose_graph import build_local_window, optimize  # noqa: F401
 from .wire import (
     KeyFramePacket,
     KeyFrameRecord,
@@ -156,17 +160,12 @@ class SharingState:
             entries[-1].points.extend(leftovers)
         self.queue.extend(entries)
 
-    def drain(self, m: AgentMap, budget: int, dup_radius: float,
-              pgo_depth: int, pgo_params: OptimizerParams,
-              max_edges_per_node: int = 10, max_window_nodes: int = 50) -> list[int]:
+    def drain(self, m: AgentMap, budget: int, dup_radius: float) -> list[int]:
         """Insert up to `budget` queued keyframes; returns the inserted ids."""
         inserted = []
         for _ in range(min(budget, len(self.queue))):
             entry = self.queue.popleft()
-            kid = insert_external_keyframe(
-                m, entry, dup_radius, pgo_depth, pgo_params,
-                max_edges_per_node, max_window_nodes,
-            )
+            kid = insert_external_keyframe(m, entry, dup_radius)
             if kid is not None:
                 inserted.append(kid)
         return inserted
@@ -200,11 +199,8 @@ def _merge_duplicate_points(m: AgentMap, new_point_ids: list[int],
     return merges
 
 
-def insert_external_keyframe(
-    m: AgentMap, entry: QueueEntry, dup_radius: float,
-    pgo_depth: int, pgo_params: OptimizerParams,
-    max_edges_per_node: int = 10, max_window_nodes: int = 50,
-) -> int | None:
+def insert_external_keyframe(m: AgentMap, entry: QueueEntry,
+                             dup_radius: float) -> int | None:
     """Run the insertion pipeline for one queued external keyframe.
 
     Returns the keyframe id, or None when it was already present (redelivery).
@@ -220,11 +216,4 @@ def insert_external_keyframe(
     m.insert_keyframe(kf, points)
     # step 4: duplicate map point merge by word id and spatial locality
     _merge_duplicate_points(m, new_ids, dup_radius)
-    # step 5: local pose graph optimization around the new keyframe
-    window = build_local_window(m, kf.id, pgo_depth, max_edges_per_node,
-                                max_window_nodes)
-    report = optimize(window, pgo_params)
-    for nid, pose in report.poses.items():
-        if not window.nodes[nid].fixed:
-            m.keyframes[nid].pose = pose
     return kf.id

@@ -92,9 +92,6 @@ class AgentMap:
         self.points: dict[int, MapPoint] = {}
         self.word_index: dict[int, set[int]] = {}
         self.points_by_word: dict[int, set[int]] = {}
-        # relative pose min->max snapshotted when the covisibility edge first
-        # appeared; rescaled with the map on frame changes
-        self.edge_measurements: dict[tuple[int, int], Se3Pose] = {}
         # point id -> keyframes waiting to observe it
         self.pending_point_links: dict[int, set[int]] = {}
         # keyframe id -> points waiting for it as an observer
@@ -251,18 +248,12 @@ class AgentMap:
     def apply_sim3(self, t: Sim3Transform) -> None:
         """Re-express the whole map in a new frame.
 
-        Point positions and camera centers move like points; stored edge
-        measurements keep their rotation and scale their translation, so a
-        consistent graph stays consistent.
+        Point positions and camera centers move like points.
         """
         for p in self.points.values():
             p.position = t.apply(p.position)
         for kf in self.keyframes.values():
             kf.pose = t.transform_pose(kf.pose)
-        for key, meas in self.edge_measurements.items():
-            self.edge_measurements[key] = Se3Pose(
-                meas.rotation, t.scale * meas.translation
-            )
 
     def absorb(self, other: "AgentMap") -> None:
         """Move all contents of `other` into this map (ids never collide)."""
@@ -275,7 +266,6 @@ class AgentMap:
             self.word_index.setdefault(w, set()).update(kids)
         for w, pids in other.points_by_word.items():
             self.points_by_word.setdefault(w, set()).update(pids)
-        self.edge_measurements.update(other.edge_measurements)
         self.merged_into.update(other.merged_into)
         for pid, kids in other.pending_point_links.items():
             self.pending_point_links.setdefault(pid, set()).update(kids)
@@ -321,14 +311,11 @@ class AgentMap:
         w = self._shared_count(lo, hi)
         kfa, kfb = self.keyframes[lo], self.keyframes[hi]
         if w > 0:
-            if (lo, hi) not in self.edge_measurements:
-                self.edge_measurements[(lo, hi)] = kfa.pose.inverse().compose(kfb.pose)
             kfa.covisibility[hi] = w
             kfb.covisibility[lo] = w
         else:
             kfa.covisibility.pop(hi, None)
             kfb.covisibility.pop(lo, None)
-            self.edge_measurements.pop((lo, hi), None)
 
     def _refresh_edges_for(self, kf_id: int) -> None:
         kf = self.keyframes[kf_id]

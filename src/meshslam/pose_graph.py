@@ -1,11 +1,16 @@
 """Local pose graph optimization.
 
-When an external keyframe lands in the map, the covisibility neighborhood
-around it is optimized as a small nonlinear least squares problem: nodes are
-keyframe poses, edges carry the relative pose snapshotted when the
-covisibility link was created, weighted by the shared-point count.  Nodes on
-the window boundary are held fixed so local insertions cannot deform the
-distant map.
+A covisibility neighborhood of keyframes is optimized as a small nonlinear
+least squares problem: nodes are keyframe poses, edges carry the relative
+pose of their endpoints, weighted by the shared-point count.  Nodes on the
+window boundary are held fixed so a local solve cannot deform the distant
+map.
+
+External keyframe insertion does not run this optimizer: keyframe poses in
+this simulator only move through whole-map SIM(3) transforms, so relative
+poses never drift apart and there is nothing to correct.  Accordingly a
+window built by :func:`build_local_window` takes each edge measurement from
+the current poses (``inv(T_a) * T_b``) and starts at zero cost.
 
 The solver is damped Gauss-Newton (Levenberg-Marquardt) on the 6-dof tangent
 with a right-multiplicative retraction ``T <- T * exp(delta)``.  Jacobians
@@ -123,6 +128,8 @@ def build_local_window(
 ) -> PoseGraph:
     """Covisibility window around a keyframe, boundary ring fixed.
 
+    Each edge measures the relative pose of its endpoints as they stand now.
+
     Nodes at the largest BFS distance in the window act as gauge anchors; an
     isolated center is its own anchor.  The window is bounded: breadth-first
     expansion stops at `max_nodes` (in deterministic id order) and each node
@@ -160,9 +167,7 @@ def build_local_window(
         for nid, _ in ranked[:max_edges_per_node]:
             kept.add((min(kid, nid), max(kid, nid)))
     for a, b in sorted(kept):
-        meas = m.edge_measurements.get((a, b))
-        if meas is None:
-            continue
+        meas = m.keyframes[a].pose.inverse().compose(m.keyframes[b].pose)
         weight = float(m.keyframes[a].covisibility[b])
         graph.add_edge(a, b, meas, weight)
     # edge trimming may strand nodes or split the window; anchor every

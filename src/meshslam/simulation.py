@@ -43,7 +43,6 @@ from .map_sharing import SharingState, keyframe_to_record, point_to_record
 from .map_store import MapDatabase, UuidGenerator
 from .merge_detection import detect_merge
 from .net_sim import Envelope, EventQueue, MeshNetwork
-from .pose_graph import OptimizerParams
 from .sim_world import AgentTracker, generate_world
 from .wire import (
     AlignmentRequest,
@@ -104,8 +103,6 @@ class AgentRuntime:
         self.tracker = AgentTracker(cfg, scenario.track, landmarks, run_seed, self.uuids)
         self.db = MapDatabase()
         self.sharing = SharingState()
-        self.pgo_params = OptimizerParams(
-            max_iters=scenario.pgo.max_iters, tol=scenario.pgo.tol)
         self._seq = 0
         self._ransac_calls = 0
         self._run_seed = run_seed
@@ -222,9 +219,7 @@ class AgentRuntime:
     def end_of_tick(self, now: float) -> None:
         self.sharing.drain(
             self.db.shared_map, self.scenario.share.drain_budget,
-            self.scenario.share.dup_radius, self.scenario.pgo.depth,
-            self.pgo_params, self.scenario.pgo.max_edges_per_node,
-            self.scenario.pgo.max_window_nodes,
+            self.scenario.share.dup_radius,
         )
 
     # -- localization loss and recovery ----------------------------------------
@@ -498,9 +493,7 @@ class Simulation:
             while rt.sharing.queue:
                 rt.sharing.drain(
                     rt.db.shared_map, len(rt.sharing.queue),
-                    self.scenario.share.dup_radius, self.scenario.pgo.depth,
-                    rt.pgo_params, self.scenario.pgo.max_edges_per_node,
-                    self.scenario.pgo.max_window_nodes,
+                    self.scenario.share.dup_radius,
                 )
 
     def _estimated_trajectories(self):

@@ -22,11 +22,15 @@ Keyframe packet payload:
 
 Tagged point payload: count u32, then per point uuid 16B + xyz 3*f64.
 Decoding is fail-closed: any structural problem raises WireError naming the
-byte offset; no partially decoded object escapes.
+byte offset (counted from the start of the payload for payload fields); no
+partially decoded object escapes.  Besides the layout, the decoder rejects
+non-finite floats, quaternions of zero or non-finite norm, SIM(3) scales that
+are not positive, and word weights that are negative.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -208,11 +212,40 @@ def _write_pose(w: _Writer, pose: Se3Pose) -> None:
         w.f64(float(v))
 
 
+def _read_finite(r: _Reader, n: int, what: str) -> list[float]:
+    start = r.off
+    vals = [r.f64() for _ in range(n)]
+    for i, v in enumerate(vals):
+        if not math.isfinite(v):
+            raise WireError(f"non-finite {what} {v} at offset {start + 8 * i}")
+    return vals
+
+
+def _read_rotation(r: _Reader) -> Rotation:
+    start = r.off
+    q = _read_finite(r, 4, "quaternion component")
+    try:
+        with np.errstate(over="ignore"):
+            return Rotation.from_quat(*q)
+    except ValueError as exc:
+        raise WireError(f"quaternion at offset {start} has zero or non-finite norm") from exc
+
+
 def _read_pose(r: _Reader) -> Se3Pose:
-    vals = [r.f64() for _ in range(7)]
-    return Se3Pose(
-        Rotation.from_quat(*vals[:4]), np.array(vals[4:], dtype=float)
-    )
+    rotation = _read_rotation(r)
+    return Se3Pose(rotation, np.array(_read_finite(r, 3, "translation"), dtype=float))
+
+
+def _read_words(r: _Reader) -> dict[int, float]:
+    words = {}
+    for _ in range(r.u32()):
+        word = r.u32()
+        start = r.off
+        weight = float(r.f32())
+        if not (math.isfinite(weight) and weight >= 0.0):
+            raise WireError(f"word weight {weight} at offset {start} is negative or not finite")
+        words[word] = weight
+    return words
 
 
 def _write_keyframe(w: _Writer, kf: KeyFrameRecord) -> None:
@@ -232,12 +265,9 @@ def _write_keyframe(w: _Writer, kf: KeyFrameRecord) -> None:
 def _read_keyframe(r: _Reader) -> KeyFrameRecord:
     uuid = r.uuid()
     origin = r.u16()
-    ts = r.f64()
+    ts = _read_finite(r, 1, "timestamp")[0]
     pose = _read_pose(r)
-    words = {}
-    for _ in range(r.u32()):
-        word = r.u32()
-        words[word] = float(r.f32())
+    words = _read_words(r)
     obs = [r.uuid() for _ in range(r.u32())]
     return KeyFrameRecord(uuid, origin, ts, pose, words, obs)
 
@@ -254,7 +284,7 @@ def _write_point(w: _Writer, p: MapPointRecord) -> None:
 
 def _read_point(r: _Reader) -> MapPointRecord:
     uuid = r.uuid()
-    pos = np.array([r.f64() for _ in range(3)])
+    pos = np.array(_read_finite(r, 3, "position"))
     word = r.u32()
     observers = [r.uuid() for _ in range(r.u32())]
     return MapPointRecord(uuid, pos, word, observers)
@@ -285,10 +315,13 @@ def _write_sim3(w: _Writer, t: Sim3Transform) -> None:
 
 
 def _read_sim3(r: _Reader) -> Sim3Transform:
-    scale = r.f64()
-    vals = [r.f64() for _ in range(7)]
+    start = r.off
+    scale = _read_finite(r, 1, "scale")[0]
+    if scale <= 0.0:
+        raise WireError(f"non-positive scale {scale} at offset {start}")
+    rotation = _read_rotation(r)
     return Sim3Transform(
-        scale, Rotation.from_quat(*vals[:4]), np.array(vals[4:], dtype=float)
+        scale, rotation, np.array(_read_finite(r, 3, "translation"), dtype=float)
     )
 
 
@@ -352,10 +385,7 @@ def decode_message(msg_type: int, sender: int, sequence: int, payload: bytes) ->
     r = _Reader(payload)
     if mt == MessageType.BOW_ANNOUNCE:
         kf_id = r.uuid()
-        words = {}
-        for _ in range(r.u32()):
-            word = r.u32()
-            words[word] = float(r.f32())
+        words = _read_words(r)
         r.done()
         return BowAnnounce(sender, kf_id, words)
     if mt == MessageType.FULL_MAP:
@@ -381,7 +411,7 @@ def decode_message(msg_type: int, sender: int, sequence: int, payload: bytes) ->
         pts = []
         for _ in range(r.u32()):
             uuid = r.uuid()
-            pos = np.array([r.f64() for _ in range(3)])
+            pos = np.array(_read_finite(r, 3, "position"))
             pts.append((uuid, pos))
         r.done()
         return TaggedPoints(sender, pts)

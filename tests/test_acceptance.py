@@ -273,13 +273,12 @@ def test_criterion_12_idempotency_and_convergence():
             pose=Se3Pose(Rotation.identity(), np.array([0.5, 0, 0])),
             words=normalize_histogram({7: 1.0}), observed_points=[2500])
         prec = MapPointRecord(2500, np.array([1.01, 0, 0]), 7, [2000])
-        params = OptimizerParams()
-        insert_external_keyframe(m, QueueEntry(1, rec, [prec]), 0.05, 2, params)
+        insert_external_keyframe(m, QueueEntry(1, rec, [prec]), 0.05)
         snap = (sorted(m.keyframes), sorted(m.points),
                 {k: sorted(p.observers) for k, p in m.points.items()},
                 {k: p.position.copy() for k, p in m.points.items()})
         assert insert_external_keyframe(
-            m, QueueEntry(1, rec, [prec]), 0.05, 2, params) is None
+            m, QueueEntry(1, rec, [prec]), 0.05) is None
         assert snap[0] == sorted(m.keyframes)
         assert snap[1] == sorted(m.points)
         assert snap[2] == {k: sorted(p.observers) for k, p in m.points.items()}

@@ -10,15 +10,12 @@ from meshslam.map_sharing import (
     encode_packet,
     insert_external_keyframe,
 )
-from meshslam.pose_graph import OptimizerParams
 from meshslam.wire import (
     KeyFramePacket,
     KeyFrameRecord,
     MapPointRecord,
     WireError,
 )
-
-PGO = OptimizerParams()
 
 
 def kf_record(uid, words, observed, pos=(0, 0, 0), agent=1, ts=0.0):
@@ -167,7 +164,7 @@ class TestInsertExternalKeyframe:
         rec = kf_record(1000, [1, 2], observed=[2000, 2001])
         pts = [pt_record(2000, [1, 0, 0], 1, [1000]),
                pt_record(2001, [0, 1, 0], 2, [1000])]
-        kid = insert_external_keyframe(m, self.entry(rec, pts), 0.05, 2, PGO)
+        kid = insert_external_keyframe(m, self.entry(rec, pts), 0.05)
         assert kid == 1000
         assert set(m.keyframes) == {1000}
         assert set(m.points) == {2000, 2001}
@@ -180,7 +177,7 @@ class TestInsertExternalKeyframe:
                                    normalize_histogram({7: 1.0}), {1500}), [local_pt])
         rec = kf_record(2000, [7], observed=[2500])
         ext_pt = pt_record(2500, [1.02, 0, 0], 7, [2000])  # 0.02 away, same word
-        insert_external_keyframe(m, self.entry(rec, [ext_pt]), 0.05, 2, PGO)
+        insert_external_keyframe(m, self.entry(rec, [ext_pt]), 0.05)
         assert 1500 in m.points and 2500 not in m.points
         assert m.points[1500].observers == {10, 2000}
         assert m.keyframes[10].covisibility[2000] == 1
@@ -193,17 +190,17 @@ class TestInsertExternalKeyframe:
                                    normalize_histogram({7: 1.0}), {1500}), [local_pt])
         rec = kf_record(2000, [7], observed=[2500])
         ext_pt = pt_record(2500, [3.0, 0, 0], 7, [2000])
-        insert_external_keyframe(m, self.entry(rec, [ext_pt]), 0.05, 2, PGO)
+        insert_external_keyframe(m, self.entry(rec, [ext_pt]), 0.05)
         assert {1500, 2500} <= set(m.points)
 
     def test_redelivery_is_noop(self):
         m = AgentMap()
         rec = kf_record(1000, [1], observed=[2000])
         pts = [pt_record(2000, [1, 0, 0], 1, [1000])]
-        insert_external_keyframe(m, self.entry(rec, pts), 0.05, 2, PGO)
+        insert_external_keyframe(m, self.entry(rec, pts), 0.05)
         snapshot = (sorted(m.keyframes), sorted(m.points),
                     {k: sorted(v.observers) for k, v in m.points.items()})
-        out = insert_external_keyframe(m, self.entry(rec, pts), 0.05, 2, PGO)
+        out = insert_external_keyframe(m, self.entry(rec, pts), 0.05)
         assert out is None
         assert snapshot == (sorted(m.keyframes), sorted(m.points),
                             {k: sorted(v.observers) for k, v in m.points.items()})
@@ -213,9 +210,9 @@ class TestInsertExternalKeyframe:
         m = AgentMap()
         first = kf_record(1000, [1], observed=[2000])
         insert_external_keyframe(
-            m, self.entry(first, [pt_record(2000, [0, 0, 0], 1, [1000])]), 0.05, 2, PGO)
+            m, self.entry(first, [pt_record(2000, [0, 0, 0], 1, [1000])]), 0.05)
         second = kf_record(1001, [1], observed=[2000])
-        insert_external_keyframe(m, self.entry(second, []), 0.05, 2, PGO)
+        insert_external_keyframe(m, self.entry(second, []), 0.05)
         assert m.points[2000].observers == {1000, 1001}
         assert m.keyframes[1000].covisibility[1001] == 1
         m.check_integrity()
@@ -223,13 +220,38 @@ class TestInsertExternalKeyframe:
     def test_missing_reference_parked_then_resolved(self):
         m = AgentMap()
         rec = kf_record(1001, [1], observed=[2000])  # 2000 not delivered yet
-        insert_external_keyframe(m, self.entry(rec, []), 0.05, 2, PGO)
+        insert_external_keyframe(m, self.entry(rec, []), 0.05)
         assert 2000 in m.pending_point_links
         late = kf_record(1000, [1], observed=[2000])
         insert_external_keyframe(
-            m, self.entry(late, [pt_record(2000, [0, 0, 0], 1, [1000])]), 0.05, 2, PGO)
+            m, self.entry(late, [pt_record(2000, [0, 0, 0], 1, [1000])]), 0.05)
         assert m.points[2000].observers == {1000, 1001}
         assert not m.pending_point_links
+        m.check_integrity()
+
+    def test_existing_poses_bit_identical(self):
+        rng = np.random.default_rng(3)
+        m = AgentMap()
+        for i in range(4):
+            pid = 1500 + i
+            pose = Se3Pose(Rotation.from_rotvec(rng.uniform(-0.5, 0.5, 3)),
+                           rng.uniform(-2, 2, 3))
+            obs = {pid} | ({pid - 1} if i else set())
+            pt = MapPoint(pid, rng.uniform(-2, 2, 3), word=i, observers={10 + i})
+            m.insert_keyframe(KeyFrame(10 + i, 0, float(i), pose,
+                                       normalize_histogram({i: 1.0}), obs), [pt])
+
+        def pose_bytes():
+            return {k: (kf.pose.rotation.q.tobytes(), kf.pose.translation.tobytes())
+                    for k, kf in m.keyframes.items()}
+
+        before = pose_bytes()
+        rec = kf_record(2000, [3, 9], observed=[1503, 2500], pos=(0.3, 0.1, 0))
+        insert_external_keyframe(
+            m, self.entry(rec, [pt_record(2500, [5, 5, 5], 9, [2000])]), 0.05)
+        assert m.keyframes[2000].covisibility == {13: 1}
+        after = pose_bytes()
+        assert {k: after[k] for k in before} == before
         m.check_integrity()
 
 
@@ -239,13 +261,13 @@ class TestQueue:
         m = AgentMap()
         for i in range(10):
             s.queue.append(QueueEntry(1, kf_record(1000 + i, [i], observed=[]), []))
-        inserted = s.drain(m, budget=3, dup_radius=0.05, pgo_depth=2, pgo_params=PGO)
+        inserted = s.drain(m, budget=3, dup_radius=0.05)
         assert len(inserted) == 3
         assert len(s.queue) == 7
 
     def test_empty_queue_noop(self):
         s = SharingState()
-        assert s.drain(AgentMap(), 3, 0.05, 2, PGO) == []
+        assert s.drain(AgentMap(), 3, 0.05) == []
 
     def test_fifo_order_per_sender(self):
         s = SharingState()
@@ -258,7 +280,7 @@ class TestQueue:
         m = AgentMap()
         got = []
         while s.queue:
-            got += s.drain(m, 1, 0.05, 2, PGO)
+            got += s.drain(m, 1, 0.05)
         assert got == [1000, 1001, 1002, 1003]
 
     def test_points_ride_with_first_observer(self):

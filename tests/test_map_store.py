@@ -14,6 +14,7 @@ from meshslam.map_store import (
     make_uuid,
     normalize_histogram,
 )
+from meshslam.pose_graph import build_local_window, optimize
 
 
 def make_kf(uid, words, observed=(), pose=None, agent=0, ts=0.0):
@@ -241,15 +242,18 @@ class TestApplySim3:
         mask = din > 1e-12
         assert np.all(np.abs(dout[mask] / (2 * din[mask]) - 1) < 1e-12)
 
-    def test_edge_measurements_stay_consistent(self):
+    def test_local_window_has_zero_cost_after_transform(self):
+        # windows measure edges from the current poses, so a whole-map
+        # SIM(3) leaves nothing for the optimizer to correct
         m = self.build()
-        t = Sim3Transform(1.7, Rotation.from_axis_angle(vec3(0, 0, 1), 0.4),
-                          vec3(0.5, -1, 2))
-        m.apply_sim3(t)
-        for (a, b), meas in m.edge_measurements.items():
-            rel = m.keyframes[a].pose.inverse().compose(m.keyframes[b].pose)
-            assert rel.rotation.angle_to(meas.rotation) < 1e-9
-            assert np.allclose(rel.translation, meas.translation, atol=1e-9)
+        m.apply_sim3(Sim3Transform(1.7, Rotation.from_axis_angle(vec3(0, 0, 1), 0.4),
+                                   vec3(0.5, -1, 2)))
+        for kid in sorted(m.keyframes):
+            window = build_local_window(m, kid, 2)
+            assert window.edges
+            report = optimize(window)
+            assert report.initial_cost < 1e-20
+            assert report.iterations == 0
 
 
 class TestPrivateMaps:

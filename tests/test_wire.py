@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from meshslam.wire import (
     BowAnnounce,
     FullMapMsg,
     GroupUpdate,
+    KeyFramePacket,
     KeyFrameRecord,
     LocalizationLost,
     LocalizationRegained,
@@ -106,3 +109,99 @@ class TestMessageRoundTrips:
         padded = data[:17] + (1).to_bytes(4, "little") + b"\x00"
         with pytest.raises(WireError):
             decode_frame(padded)
+
+
+def corrupt(msg, fmt, old, new):
+    """Encode `msg`, overwrite the one packed copy of `old` with `new`.
+
+    Returns the frame and the payload offset of the overwritten bytes.
+    """
+    data = bytearray(encode_frame(msg, 3, 11))
+    packed = struct.pack(fmt, *old)
+    at = data.find(packed, HEADER_SIZE)
+    assert at >= 0 and data.find(packed, at + 1) < 0, "target bytes must be unique"
+    struct.pack_into(fmt, data, at, *new)
+    return bytes(data), at - HEADER_SIZE
+
+
+def kf_packet():
+    kf = KeyFrameRecord(
+        uuid=500, origin_agent=2, timestamp=1.25,
+        pose=Se3Pose(Rotation.from_axis_angle(vec3(0, 0, 1), 0.5), vec3(1.5, 2.5, 3.5)),
+        words={3: 0.375, 9: 0.625},
+        observed_points=[700],
+    )
+    pt = MapPointRecord(700, vec3(0.125, 0.875, 4.75), 3, [500])
+    return KeyFramePacket(sender=3, sequence=11, keyframes=[kf], points=[pt])
+
+
+def merge_notice():
+    t = Sim3Transform(1.75, Rotation.from_axis_angle(vec3(0, 0, 1), 0.7),
+                      vec3(4.5, 5.5, 6.5))
+    return MergeNotify(2, t, roster=[0, 1, 2], transform_roster=[1, 2])
+
+
+def bow_announce():
+    return BowAnnounce(3, 12345, {1: 0.25, 7: 0.75})
+
+
+def tagged_points():
+    return TaggedPoints(1, [(42, vec3(1.5, 2.5, 3.5))])
+
+
+NAN, INF = float("nan"), float("inf")
+KF_Q = tuple(kf_packet().keyframes[0].pose.rotation.q)
+SIM3_Q = tuple(merge_notice().transform.rotation.q)
+NORM = "has zero or non-finite norm"
+WEIGHT = "is negative or not finite"
+
+
+class TestFailClosedValues:
+    """Frames whose layout is valid but whose values are not are rejected."""
+
+    @pytest.mark.parametrize("make, fmt, old, new, message", [
+        pytest.param(kf_packet, "<d", (2.5,), (NAN,), "non-finite translation",
+                     id="pose-translation-nan"),
+        pytest.param(kf_packet, "<d", (1.25,), (INF,), "non-finite timestamp",
+                     id="timestamp-inf"),
+        pytest.param(kf_packet, "<d", KF_Q[:1], (NAN,), "non-finite quaternion",
+                     id="pose-quaternion-nan"),
+        pytest.param(kf_packet, "<4d", KF_Q, (0.0,) * 4, NORM,
+                     id="pose-quaternion-zero"),
+        pytest.param(kf_packet, "<d", (0.875,), (-INF,), "non-finite position",
+                     id="point-position-inf"),
+        pytest.param(kf_packet, "<f", (0.375,), (-0.375,), WEIGHT,
+                     id="kf-weight-negative"),
+        pytest.param(kf_packet, "<f", (0.625,), (NAN,), WEIGHT,
+                     id="kf-weight-nan"),
+        pytest.param(merge_notice, "<d", (5.5,), (NAN,), "non-finite translation",
+                     id="sim3-translation-nan"),
+        pytest.param(merge_notice, "<d", SIM3_Q[:1], (INF,), "non-finite quaternion",
+                     id="sim3-quaternion-inf"),
+        pytest.param(merge_notice, "<4d", SIM3_Q, (0.0,) * 4, NORM,
+                     id="sim3-quaternion-zero"),
+        pytest.param(merge_notice, "<4d", SIM3_Q, (1e200,) * 4, NORM,
+                     id="sim3-quaternion-norm-overflow"),
+        pytest.param(merge_notice, "<d", (1.75,), (0.0,), "non-positive scale",
+                     id="sim3-scale-zero"),
+        pytest.param(merge_notice, "<d", (1.75,), (-1.75,), "non-positive scale",
+                     id="sim3-scale-negative"),
+        pytest.param(merge_notice, "<d", (1.75,), (NAN,), "non-finite scale",
+                     id="sim3-scale-nan"),
+        pytest.param(bow_announce, "<f", (0.75,), (-0.75,), WEIGHT,
+                     id="bow-weight-negative"),
+        pytest.param(bow_announce, "<f", (0.25,), (INF,), WEIGHT,
+                     id="bow-weight-inf"),
+        pytest.param(tagged_points, "<d", (3.5,), (NAN,), "non-finite position",
+                     id="tagged-position-nan"),
+    ])
+    def test_rejects_with_offset(self, make, fmt, old, new, message):
+        decode_frame(encode_frame(make(), 3, 11))  # the untouched frame is valid
+        frame, offset = corrupt(make(), fmt, old, new)
+        with pytest.raises(WireError, match=message) as info:
+            decode_frame(frame)
+        assert f"offset {offset}" in str(info.value)
+
+    def test_zero_weight_is_accepted(self):
+        frame, _ = corrupt(bow_announce(), "<f", (0.25,), (0.0,))
+        assert decode_frame(frame).words[1] == 0.0
