@@ -1,9 +1,11 @@
 """Per-agent map database.
 
 An :class:`AgentMap` holds keyframes, map points, the inverted visual-word
-index used for place recognition, and the covisibility graph (edge weight =
-number of shared map points).  A :class:`MapDatabase` holds one shared map
-plus any private maps created while localization is lost.
+index used for place recognition, and the covisibility graph.  Edge weights
+(shared map points) are counted as observations are linked and unlinked:
+``_link`` adds 1 to the edge with each other observer of the point, and
+``_unlink`` takes it away.  A :class:`MapDatabase` holds one shared map plus
+any private maps created while localization is lost.
 
 Object ids are 128-bit integers derived deterministically from
 (run seed, agent id, per-agent counter) so that reruns are bit-identical.
@@ -120,15 +122,13 @@ class AgentMap:
                               for pid in kf.observed_points}
         for pid in sorted(kf.observed_points):
             if pid in self.points:
-                self.points[pid].observers.add(kf.id)
+                self._link(kf.id, pid)
             else:
                 self.pending_point_links.setdefault(pid, set()).add(kf.id)
         # points that arrived earlier already listing this keyframe
         for pid in sorted(self.pending_kf_links.pop(kf.id, set())):
             if pid in self.points:
-                self.points[pid].observers.add(kf.id)
-                kf.observed_points.add(pid)
-        self._refresh_edges_for(kf.id)
+                self._link(kf.id, pid)
 
     def upsert_point(self, p: MapPoint) -> None:
         """Insert a point record, or union its observers into an existing one.
@@ -138,38 +138,21 @@ class AgentMap:
         """
         claimed = set(p.observers)
         rid = self.resolve_point_id(p.id)
-        if rid in self.points:
-            existing = self.points[rid]
-            for kid in sorted(claimed):
-                if kid in self.keyframes:
-                    existing.observers.add(kid)
-                    self.keyframes[kid].observed_points.add(rid)
-                else:
-                    self.pending_kf_links.setdefault(kid, set()).add(rid)
-            self._refresh_edges_among(sorted(existing.observers))
-            return
-        resolved = {kid for kid in claimed if kid in self.keyframes}
-        p.observers = resolved
-        self.points[p.id] = p
-        self.points_by_word.setdefault(p.word, set()).add(p.id)
-        for kid in sorted(resolved):
-            self.keyframes[kid].observed_points.add(p.id)
-        for kid in sorted(claimed - resolved):
-            self.pending_kf_links.setdefault(kid, set()).add(p.id)
-        # keyframes that listed this point before it arrived
-        for kid in sorted(self.pending_point_links.pop(p.id, set())):
+        waiting: set[int] = set()
+        if rid not in self.points:
+            p.observers = set()
+            self.points[rid] = p
+            self.points_by_word.setdefault(p.word, set()).add(rid)
+            # keyframes that listed this point before it arrived
+            waiting = self.pending_point_links.pop(rid, set())
+        for kid in sorted(claimed):
             if kid in self.keyframes:
-                p.observers.add(kid)
-                self.keyframes[kid].observed_points.add(p.id)
-        self._refresh_edges_among(sorted(p.observers))
-
-    def add_observation(self, kf_id: int, point_id: int) -> None:
-        kf = self.keyframes[kf_id]
-        point_id = self.resolve_point_id(point_id)
-        point = self.points[point_id]
-        kf.observed_points.add(point_id)
-        point.observers.add(kf_id)
-        self._refresh_edges_among(sorted(point.observers))
+                self._link(kid, rid)
+            else:
+                self.pending_kf_links.setdefault(kid, set()).add(rid)
+        for kid in sorted(waiting):
+            if kid in self.keyframes:
+                self._link(kid, rid)
 
     # -- queries ---------------------------------------------------------
 
@@ -219,10 +202,8 @@ class AgentMap:
                 f"cannot merge word {discard.word} into word {keep.word}"
             )
         for kid in sorted(discard.observers):
-            kf = self.keyframes[kid]
-            kf.observed_points.discard(discard_id)
-            kf.observed_points.add(keep_id)
-            keep.observers.add(kid)
+            self._unlink(kid, discard_id)
+            self._link(kid, keep_id)
         waiting = self.pending_point_links.pop(discard_id, set())
         if waiting:
             self.pending_point_links.setdefault(keep_id, set()).update(waiting)
@@ -233,7 +214,6 @@ class AgentMap:
         self.points_by_word[discard.word].discard(discard_id)
         del self.points[discard_id]
         self.merged_into[discard_id] = keep_id
-        self._refresh_edges_among(sorted(keep.observers))
 
     def resolve_point_id(self, pid: int) -> int:
         """Follow duplicate-merge redirects to the surviving point id."""
@@ -250,8 +230,10 @@ class AgentMap:
 
         Point positions and camera centers move like points.
         """
-        for p in self.points.values():
-            p.position = t.apply(p.position)
+        points = list(self.points.values())
+        moved = t.apply(np.array([p.position for p in points]).reshape(-1, 3))
+        for p, row in zip(points, moved):
+            p.position = row
         for kf in self.keyframes.values():
             kf.pose = t.transform_pose(kf.pose)
 
@@ -277,61 +259,48 @@ class AgentMap:
         for pid in sorted(self.pending_point_links):
             if pid not in self.points:
                 continue
-            point = self.points[pid]
             for kid in sorted(self.pending_point_links.pop(pid)):
                 if kid in self.keyframes:
-                    point.observers.add(kid)
-                    self.keyframes[kid].observed_points.add(pid)
-            self._refresh_edges_among(sorted(point.observers))
+                    self._link(kid, pid)
         for kid in sorted(self.pending_kf_links):
             if kid not in self.keyframes:
                 continue
-            kf = self.keyframes[kid]
-            touched = []
             for pid in sorted(self.pending_kf_links.pop(kid)):
                 if pid in self.points:
-                    self.points[pid].observers.add(kid)
-                    kf.observed_points.add(pid)
-                    touched.extend(sorted(self.points[pid].observers))
-            if touched:
-                self._refresh_edges_among(sorted(set(touched)))
+                    self._link(kid, pid)
 
     # -- covisibility maintenance -------------------------------------------
 
-    def _shared_count(self, a: int, b: int) -> int:
-        pa = self.keyframes[a].observed_points
-        pb = self.keyframes[b].observed_points
-        resolved = {p for p in (pa & pb) if p in self.points}
-        return len(resolved)
-
-    def _refresh_edge(self, a: int, b: int) -> None:
-        if a == b:
+    def _link(self, kid: int, pid: int) -> None:
+        """Record that keyframe `kid` observes point `pid`; count new edges."""
+        kf, point = self.keyframes[kid], self.points[pid]
+        kf.observed_points.add(pid)
+        if kid in point.observers:
             return
-        lo, hi = (a, b) if a < b else (b, a)
-        w = self._shared_count(lo, hi)
-        kfa, kfb = self.keyframes[lo], self.keyframes[hi]
-        if w > 0:
-            kfa.covisibility[hi] = w
-            kfb.covisibility[lo] = w
-        else:
-            kfa.covisibility.pop(hi, None)
-            kfb.covisibility.pop(lo, None)
+        for other in point.observers:
+            kf.covisibility[other] = kf.covisibility.get(other, 0) + 1
+            neighbors = self.keyframes[other].covisibility
+            neighbors[kid] = neighbors.get(kid, 0) + 1
+        point.observers.add(kid)
 
-    def _refresh_edges_for(self, kf_id: int) -> None:
-        kf = self.keyframes[kf_id]
-        partners: set[int] = set()
-        for pid in kf.observed_points:
-            if pid in self.points:
-                partners |= self.points[pid].observers
-        partners.discard(kf_id)
-        for other in sorted(partners):
-            self._refresh_edge(kf_id, other)
+    def _unlink(self, kid: int, pid: int) -> None:
+        """Drop the observation of `pid` by `kid`; edges left at 0 vanish."""
+        kf, point = self.keyframes[kid], self.points[pid]
+        kf.observed_points.discard(pid)
+        if kid not in point.observers:
+            return
+        point.observers.discard(kid)
+        for other in point.observers:
+            for edges, nid in ((kf.covisibility, other),
+                               (self.keyframes[other].covisibility, kid)):
+                edges[nid] -= 1
+                if not edges[nid]:
+                    del edges[nid]
 
-    def _refresh_edges_among(self, kf_ids: list[int]) -> None:
-        ids = sorted(set(kf_ids))
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                self._refresh_edge(a, b)
+    def _shared_count(self, a: int, b: int) -> int:
+        """Reference weight for `check_integrity`: shared present points."""
+        shared = self.keyframes[a].observed_points & self.keyframes[b].observed_points
+        return len(shared & self.points.keys())
 
     # -- integrity (used by tests and debug runs) ---------------------------
 
@@ -357,6 +326,9 @@ class AgentMap:
                 assert (
                     pid in self.points or kid in self.pending_point_links.get(pid, set())
                 ), f"dangling observation {pid}"
+                assert pid not in self.points or kid in self.points[pid].observers, (
+                    f"keyframe {kid} lists point {pid} without being its observer"
+                )
 
 
 class MapDatabase:

@@ -490,11 +490,8 @@ class Simulation:
             self._process(kind, item)
         for aid in self.agent_ids:
             rt = self.runtimes[aid]
-            while rt.sharing.queue:
-                rt.sharing.drain(
-                    rt.db.shared_map, len(rt.sharing.queue),
-                    self.scenario.share.dup_radius,
-                )
+            rt.sharing.drain(rt.db.shared_map, len(rt.sharing.queue),
+                             self.scenario.share.dup_radius)
 
     def _estimated_trajectories(self):
         rows = []

@@ -242,6 +242,15 @@ class TestApplySim3:
         mask = din > 1e-12
         assert np.all(np.abs(dout[mask] / (2 * din[mask]) - 1) < 1e-12)
 
+    def test_batched_transform_matches_per_point_apply(self):
+        m = self.build()
+        t = Sim3Transform(1.7, Rotation.from_axis_angle(vec3(0, 0, 1), 0.4),
+                          vec3(0.5, -1, 2))
+        want = {pid: t.apply(p.position) for pid, p in m.points.items()}
+        m.apply_sim3(t)
+        for pid, p in m.points.items():
+            assert np.array_equal(p.position, want[pid])
+
     def test_local_window_has_zero_cost_after_transform(self):
         # windows measure edges from the current poses, so a whole-map
         # SIM(3) leaves nothing for the optimizer to correct
@@ -350,3 +359,112 @@ class TestIndexConsistencyProperty:
                         m.merge_map_points(keep, discard)
                         live_points = sorted(m.points)
             m.check_integrity()
+
+
+def counted_covisibility(m):
+    """Edge weights recounted from scratch: pairs of observers per present point."""
+    want = {kid: {} for kid in m.keyframes}
+    for p in m.points.values():
+        for a in p.observers:
+            for b in p.observers - {a}:
+                want[a][b] = want[a].get(b, 0) + 1
+    return want
+
+
+class TestObservationCounting:
+    """Random operation sequences over every path that links an observation."""
+
+    def test_random_operations_keep_weights_counted(self):
+        rng = np.random.default_rng(4)
+        hits = dict.fromkeys(("point_first", "keyframe_first", "new_observer",
+                              "shared_merge", "absorb"), 0)
+
+        def pick(pool, k):
+            k = min(k, len(pool))
+            return [int(x) for x in rng.choice(sorted(pool), size=k, replace=False)]
+
+        for trial in range(6):
+            m = AgentMap()
+            kgen, pgen = UuidGenerator(trial, 0), UuidGenerator(trial, 1)
+            future_kfs: list[int] = []          # claimed by a point, not inserted
+            future_pts: dict[int, int] = {}     # observed by a keyframe, not sent
+
+            def fresh_points(kid):
+                pts = []
+                for _ in range(rng.integers(1, 3)):
+                    observers = {kid}
+                    if rng.random() < 0.3:
+                        future_kfs.append(kgen.next())
+                        observers.add(future_kfs[-1])
+                    pts.append(make_point(pgen.next(), rng.uniform(-1, 1, 3),
+                                          int(rng.integers(3)), observers))
+                return pts
+
+            def keyframe(kid, pts, observed):
+                words = {p.word for p in pts} | {int(rng.integers(3))}
+                return make_kf(kid, sorted(words),
+                               observed={p.id for p in pts} | set(observed))
+
+            for _ in range(40):
+                op = int(rng.integers(4)) if m.keyframes else 0
+                if op == 0:
+                    if future_kfs and rng.random() < 0.5:
+                        kid = future_kfs.pop(0)
+                        hits["point_first"] += kid in m.pending_kf_links
+                    else:
+                        kid = kgen.next()
+                    observed = pick(m.points, int(rng.integers(0, 4)))
+                    if rng.random() < 0.3:
+                        future_pts[pgen.next()] = int(rng.integers(3))
+                        observed.append(max(future_pts))
+                    pts = fresh_points(kid)
+                    m.insert_keyframe(keyframe(kid, pts, observed), pts)
+                elif op == 1 and future_pts and rng.random() < 0.5:
+                    pid = min(future_pts)
+                    hits["keyframe_first"] += pid in m.pending_point_links
+                    m.upsert_point(make_point(pid, rng.uniform(-1, 1, 3),
+                                              future_pts.pop(pid)))
+                elif op == 1:
+                    pid = pick(m.points, 1)[0]
+                    claimed = set(pick(m.keyframes, 2))
+                    if rng.random() < 0.3:
+                        future_kfs.append(kgen.next())
+                        claimed.add(future_kfs[-1])
+                    hits["new_observer"] += bool(
+                        claimed & set(m.keyframes) - m.points[pid].observers)
+                    m.upsert_point(make_point(pid, rng.uniform(-1, 1, 3),
+                                              m.points[pid].word, claimed))
+                elif op == 2:
+                    pairs = [(a, b) for a in m.points for b in m.points
+                             if a < b and m.points[a].word == m.points[b].word]
+                    shared = [ab for ab in pairs
+                              if m.points[ab[0]].observers & m.points[ab[1]].observers]
+                    pool = shared if shared and rng.random() < 0.7 else pairs
+                    if not pool:
+                        continue
+                    keep, discard = pool[int(rng.integers(len(pool)))]
+                    hits["shared_merge"] += bool(
+                        m.points[keep].observers & m.points[discard].observers)
+                    m.merge_map_points(keep, discard)
+                else:
+                    other = AgentMap()
+                    for _ in range(rng.integers(1, 3)):
+                        kid = future_kfs.pop(0) if future_kfs else kgen.next()
+                        pts = fresh_points(kid)
+                        if future_pts and rng.random() < 0.5:
+                            pid = min(future_pts)
+                            pts.append(make_point(pid, rng.uniform(-1, 1, 3),
+                                                  future_pts.pop(pid), {kid}))
+                        if rng.random() < 0.5:
+                            pts[0].observers.update(pick(m.keyframes, 1))
+                        other.insert_keyframe(
+                            keyframe(kid, pts, pick(m.points, 2)), pts)
+                        other.check_integrity()
+                    m.absorb(other)
+                    hits["absorb"] += 1
+                m.check_integrity()
+                assert not m.pending_kf_links.keys() & m.keyframes.keys()
+                assert not m.pending_point_links.keys() & m.points.keys()
+                assert {kid: kf.covisibility for kid, kf in m.keyframes.items()} \
+                    == counted_covisibility(m)
+        assert all(hits.values()), hits
