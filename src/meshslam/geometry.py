@@ -30,13 +30,15 @@ def vec3(x: float, y: float, z: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Raw quaternion helpers.  These operate on plain (4,) float arrays so that
-# hot paths (pose graph residuals) can avoid wrapper objects.
+# Raw quaternion helpers on plain (4,) float arrays; the value types below
+# are thin wrappers around them.  Scalar kernels unpack their inputs with
+# ``tolist()`` so the arithmetic runs on Python floats, which is the same
+# IEEE double arithmetic at a fraction of the numpy-scalar overhead.
 # ---------------------------------------------------------------------------
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
+    aw, ax, ay, az = a.tolist()
+    bw, bx, by, bz = b.tolist()
     return np.array(
         [
             aw * bw - ax * bx - ay * by - az * bz,
@@ -73,10 +75,11 @@ def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Written out by component: np.cross's axis handling costs more than the
     arithmetic on the small arrays used in residual evaluation.
     """
-    ax, ay, az = a
     if b.ndim == 1:
-        bx, by, bz = b
+        ax, ay, az = a.tolist()
+        bx, by, bz = b.tolist()
         return np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
+    ax, ay, az = a
     bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
     return np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx],
                     axis=-1)
@@ -258,10 +261,6 @@ class Sim3Transform:
     @staticmethod
     def identity() -> "Sim3Transform":
         return Sim3Transform(1.0, Rotation.identity(), np.zeros(3))
-
-    @staticmethod
-    def from_se3(pose: Se3Pose) -> "Sim3Transform":
-        return Sim3Transform(1.0, pose.rotation, pose.translation)
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         return self.scale * self.rotation.apply(np.asarray(p, dtype=float)) + self.translation

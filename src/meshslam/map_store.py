@@ -329,6 +329,17 @@ class AgentMap:
                 assert pid not in self.points or kid in self.points[pid].observers, (
                     f"keyframe {kid} lists point {pid} without being its observer"
                 )
+        for pid, kids in self.pending_point_links.items():
+            assert pid not in self.points, f"pending link to present point {pid}"
+            for kid in kids:
+                kf = self.keyframes.get(kid)
+                assert kf is not None and pid in kf.observed_points, (
+                    f"keyframe {kid} waits on point {pid} without listing it"
+                )
+        for kid, pids in self.pending_kf_links.items():
+            assert kid not in self.keyframes, f"pending link to present keyframe {kid}"
+            for pid in pids:
+                assert pid in self.points, f"absent point {pid} waits on keyframe {kid}"
 
 
 class MapDatabase:
@@ -345,10 +356,6 @@ class MapDatabase:
     @property
     def active_map(self) -> AgentMap:
         return self.maps[self.active]
-
-    @property
-    def has_private_map(self) -> bool:
-        return len(self.maps) > 1
 
     def spawn_private_map(self) -> AgentMap:
         m = AgentMap()

@@ -235,8 +235,5 @@ class EventQueue:
     def pop(self) -> tuple[float, int, object]:
         return heapq.heappop(self._heap)
 
-    def peek_time(self) -> float | None:
-        return self._heap[0][0] if self._heap else None
-
     def __len__(self) -> int:
         return len(self._heap)

@@ -12,10 +12,13 @@ poses never drift apart and there is nothing to correct.  Accordingly a
 window built by :func:`build_local_window` takes each edge measurement from
 the current poses (``inv(T_a) * T_b``) and starts at zero cost.
 
-The solver is damped Gauss-Newton (Levenberg-Marquardt) on the 6-dof tangent
-with a right-multiplicative retraction ``T <- T * exp(delta)``.  Jacobians
-come from central finite differences per edge block; at window sizes of a few
-dozen nodes this is cheap and avoids a hand-derived linearization.
+The solver is damped Gauss-Newton (Levenberg-Marquardt) on ``Se3Pose``
+values.  An edge residual is ``se3_log(inv(M) * inv(T_a) * T_b)``, and a
+node moves by the right-multiplicative retraction ``T <- T * se3_exp(delta)``
+on the 6-dof tangent.  Jacobians come from central finite differences per
+edge block; at window sizes of a few dozen nodes this is cheap and avoids a
+hand-derived linearization.  :func:`graph_cost` is the only cost path: it
+scores the initial state and every trial step.
 """
 
 from __future__ import annotations
@@ -25,32 +28,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    Rotation,
-    Se3Pose,
-    quat_canonical,
-    quat_conjugate,
-    quat_from_rotvec,
-    quat_mul,
-    quat_rotate,
-    quat_to_rotvec,
-)
+from .geometry import Se3Pose, se3_exp, se3_log
 from .map_store import AgentMap, UnknownObjectError
+
+
+DAMPING = 1e-3         # initial LM damping
+DAMPING_UP = 10.0      # factor after a rejected step
+DAMPING_DOWN = 0.1     # factor after an accepted step
+DAMPING_MAX = 1e8      # give up the iteration beyond this damping
+FD_STEP = 1e-6         # central-difference step on the tangent
 
 
 @dataclass
 class OptimizerParams:
     max_iters: int = 10
     tol: float = 1e-6          # stop when an accepted step decreases cost less than this
-    damping: float = 1e-3
-    damping_up: float = 10.0
-    damping_down: float = 0.1
-    damping_max: float = 1e8
-    fd_step: float = 1e-6
 
     def __post_init__(self):
-        for name in ("max_iters", "tol", "damping", "damping_up", "damping_down",
-                     "damping_max", "fd_step"):
+        for name in ("max_iters", "tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -76,7 +71,6 @@ class OptimizeReport:
     final_cost: float
     iterations: int
     cost_history: list[float] = field(default_factory=list)
-    no_progress: bool = False
 
 
 class PoseGraph:
@@ -179,59 +173,10 @@ def build_local_window(
     return graph
 
 
-# ---------------------------------------------------------------------------
-# Residuals on raw (q, t) pairs for speed
-# ---------------------------------------------------------------------------
-
-def _raw_residual(qa, ta, qb, tb, qm, tm) -> np.ndarray:
-    # rel = inv(Ta) * Tb
-    qa_c = quat_conjugate(qa)
-    q_rel = quat_mul(qa_c, qb)
-    t_rel = quat_rotate(qa_c, tb - ta)
-    # d = inv(M) * rel
-    qm_c = quat_conjugate(qm)
-    q_d = quat_canonical(quat_mul(qm_c, q_rel))
-    t_d = quat_rotate(qm_c, t_rel - tm)
-    w = quat_to_rotvec(q_d)
-    angle = math.sqrt(float(np.dot(w, w)))
-    if angle < 1e-5:
-        a2 = angle * angle
-        dcoef = 1.0 / 12.0 + a2 / 720.0
-    else:
-        dcoef = 1.0 / (angle * angle) - (1.0 + math.cos(angle)) / (
-            2.0 * angle * math.sin(angle)
-        )
-    k = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
-    vinv = np.eye(3) - 0.5 * k + dcoef * (k @ k)
-    return np.concatenate([w, vinv @ t_d])
-
-
 def edge_residual(edge: PoseGraphEdge, poses: dict[int, Se3Pose]) -> np.ndarray:
     """log( M^-1 * Ta^-1 * Tb ); zero iff the poses match the measurement."""
-    pa, pb = poses[edge.a], poses[edge.b]
-    return _raw_residual(
-        pa.rotation.q, pa.translation,
-        pb.rotation.q, pb.translation,
-        edge.measurement.rotation.q, edge.measurement.translation,
-    )
-
-
-def _retract(q, t, delta):
-    """Right-multiplicative update of a raw pose by a 6-vector."""
-    dw, dv = delta[:3], delta[3:]
-    angle = math.sqrt(float(np.dot(dw, dw)))
-    if angle < 1e-5:
-        a2 = angle * angle
-        b = 0.5 - a2 / 24.0
-        c = 1.0 / 6.0 - a2 / 120.0
-    else:
-        b = (1.0 - math.cos(angle)) / (angle * angle)
-        c = (angle - math.sin(angle)) / (angle ** 3)
-    k = np.array([[0.0, -dw[2], dw[1]], [dw[2], 0.0, -dw[0]], [-dw[1], dw[0], 0.0]])
-    vmat = np.eye(3) + b * k + c * (k @ k)
-    dq = quat_from_rotvec(dw)
-    dt = vmat @ dv
-    return quat_canonical(quat_mul(q, dq)), quat_rotate(q, dt) + t
+    relative = poses[edge.a].inverse().compose(poses[edge.b])
+    return se3_log(edge.measurement.inverse().compose(relative))
 
 
 def graph_cost(graph: PoseGraph, poses: dict[int, Se3Pose]) -> float:
@@ -242,64 +187,30 @@ def graph_cost(graph: PoseGraph, poses: dict[int, Se3Pose]) -> float:
     return total
 
 
-# -- batched residual norms over all edges (cost checks dominate runtime) ------
-
-def _bq_conj(q):
-    return q * np.array([1.0, -1.0, -1.0, -1.0])
-
-
-def _bq_mul(a, b):
-    aw, ax, ay, az = a[:, 0], a[:, 1], a[:, 2], a[:, 3]
-    bw, bx, by, bz = b[:, 0], b[:, 1], b[:, 2], b[:, 3]
-    return np.stack([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ], axis=1)
-
-
-def _bcross(a, b):
-    ax, ay, az = a[:, 0], a[:, 1], a[:, 2]
-    bx, by, bz = b[:, 0], b[:, 1], b[:, 2]
-    return np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx], axis=1)
-
-
-def _bq_rotate(q, p):
-    qv = q[:, 1:]
-    t = 2.0 * _bcross(qv, p)
-    return p + q[:, :1] * t + _bcross(qv, t)
-
-
-def _batched_cost(q_all, t_all, ia, ib, q_meas_conj, t_meas, weights) -> float:
-    qa, ta = q_all[ia], t_all[ia]
-    qb, tb = q_all[ib], t_all[ib]
-    qa_c = _bq_conj(qa)
-    q_rel = _bq_mul(qa_c, qb)
-    t_rel = _bq_rotate(qa_c, tb - ta)
-    q_d = _bq_mul(q_meas_conj, q_rel)
-    t_d = _bq_rotate(q_meas_conj, t_rel - t_meas)
-    q_d = np.where(q_d[:, :1] < 0, -q_d, q_d)  # canonical w >= 0
-    # rotation vector of q_d
-    vn = np.linalg.norm(q_d[:, 1:], axis=1)
-    angle = 2.0 * np.arctan2(vn, q_d[:, 0])
-    factor = np.where(vn > 1e-12, angle / np.where(vn > 1e-12, vn, 1.0), 2.0)
-    w_vec = q_d[:, 1:] * factor[:, None]
-    # translational part: Vinv(w) @ t_d expanded through cross products
-    a2 = angle * angle
-    small = angle < 1e-5
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dcoef = np.where(
-            small,
-            1.0 / 12.0 + a2 / 720.0,
-            1.0 / np.where(small, 1.0, a2)
-            - (1.0 + np.cos(angle)) / (2.0 * np.where(small, 1.0, angle * np.sin(angle))),
-        )
-    wxt = _bcross(w_vec, t_d)
-    wxwxt = _bcross(w_vec, wxt)
-    v_part = t_d - 0.5 * wxt + dcoef[:, None] * wxwxt
-    sq = np.sum(w_vec ** 2, axis=1) + np.sum(v_part ** 2, axis=1)
-    return float(np.sum(weights * sq))
+def _linearize(
+    graph: PoseGraph, poses: dict[int, Se3Pose], col: dict[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted residual vector and its central-difference Jacobian."""
+    nrows = 6 * len(graph.edges)
+    jac = np.zeros((nrows, 6 * len(col)))
+    rvec = np.zeros(nrows)
+    for ei, e in enumerate(graph.edges):
+        sw = math.sqrt(e.weight)
+        rows = slice(6 * ei, 6 * ei + 6)
+        rvec[rows] = sw * edge_residual(e, poses)
+        for nid in (e.a, e.b):
+            if nid not in col:
+                continue
+            ends = {e.a: poses[e.a], e.b: poses[e.b]}
+            for k in range(6):
+                delta = np.zeros(6)
+                delta[k] = FD_STEP
+                ends[nid] = poses[nid].compose(se3_exp(delta))
+                rp = edge_residual(e, ends)
+                ends[nid] = poses[nid].compose(se3_exp(-delta))
+                rm = edge_residual(e, ends)
+                jac[rows, col[nid] + k] = sw * (rp - rm) / (2 * FD_STEP)
+    return jac, rvec
 
 
 def optimize(graph: PoseGraph, params: OptimizerParams | None = None) -> OptimizeReport:
@@ -307,116 +218,53 @@ def optimize(graph: PoseGraph, params: OptimizerParams | None = None) -> Optimiz
     params = params or OptimizerParams()
     graph.check_gauge()
 
-    raw = {nid: (n.pose.rotation.q.copy(), n.pose.translation.copy())
-           for nid, n in graph.nodes.items()}
+    poses = {nid: n.pose for nid, n in graph.nodes.items()}
     free = [nid for nid in sorted(graph.nodes) if not graph.nodes[nid].fixed]
     col = {nid: 6 * i for i, nid in enumerate(free)}
     n_params = 6 * len(free)
 
-    node_ids = sorted(graph.nodes)
-    node_row = {nid: i for i, nid in enumerate(node_ids)}
-    edge_ia = np.array([node_row[e.a] for e in graph.edges], dtype=int)
-    edge_ib = np.array([node_row[e.b] for e in graph.edges], dtype=int)
-    if graph.edges:
-        q_meas_conj = np.array([quat_conjugate(e.measurement.rotation.q)
-                                for e in graph.edges])
-        t_meas = np.array([e.measurement.translation for e in graph.edges])
-        weights = np.array([e.weight for e in graph.edges])
-
-    def state_arrays(state):
-        q_all = np.array([state[nid][0] for nid in node_ids])
-        t_all = np.array([state[nid][1] for nid in node_ids])
-        return q_all, t_all
-
-    def residual(eidx, state):
-        e = graph.edges[eidx]
-        qa, ta = state[e.a]
-        qb, tb = state[e.b]
-        return _raw_residual(qa, ta, qb, tb,
-                             e.measurement.rotation.q, e.measurement.translation)
-
-    def total_cost(state):
-        if not graph.edges:
-            return 0.0
-        q_all, t_all = state_arrays(state)
-        return _batched_cost(q_all, t_all, edge_ia, edge_ib,
-                             q_meas_conj, t_meas, weights)
-
-    def to_pose_dict(state):
-        return {
-            nid: Se3Pose(Rotation(state[nid][0].copy()), state[nid][1].copy())
-            if nid in col else graph.nodes[nid].pose
-            for nid in graph.nodes
-        }
-
-    cost = total_cost(raw)
+    cost = graph_cost(graph, poses)
     history = [cost]
     report = OptimizeReport(
-        poses=to_pose_dict(raw), initial_cost=cost, final_cost=cost,
+        poses=poses, initial_cost=cost, final_cost=cost,
         iterations=0, cost_history=history,
     )
-    if not graph.edges or n_params == 0 or cost < params.tol:
+    if n_params == 0 or cost < params.tol:
         return report
 
-    h = params.fd_step
-    lam = params.damping
-    accepted_any = False
+    lam = DAMPING
     converged = False
-
     for _ in range(params.max_iters):
-        nrows = 6 * len(graph.edges)
-        jac = np.zeros((nrows, n_params))
-        rvec = np.zeros(nrows)
-        for ei, e in enumerate(graph.edges):
-            sw = math.sqrt(e.weight)
-            rows = slice(6 * ei, 6 * ei + 6)
-            rvec[rows] = sw * residual(ei, raw)
-            for nid in (e.a, e.b):
-                if nid not in col:
-                    continue
-                q0, t0 = raw[nid]
-                for k in range(6):
-                    delta = np.zeros(6)
-                    delta[k] = h
-                    raw[nid] = _retract(q0, t0, delta)
-                    rp = residual(ei, raw)
-                    delta[k] = -h
-                    raw[nid] = _retract(q0, t0, delta)
-                    rm = residual(ei, raw)
-                    raw[nid] = (q0, t0)
-                    jac[rows, col[nid] + k] = sw * (rp - rm) / (2 * h)
+        jac, rvec = _linearize(graph, poses, col)
         grad = jac.T @ rvec
         hess = jac.T @ jac
 
         stepped = False
-        while lam <= params.damping_max:
+        while lam <= DAMPING_MAX:
             try:
                 delta = np.linalg.solve(hess + lam * np.eye(n_params), -grad)
             except np.linalg.LinAlgError:
-                lam *= params.damping_up
+                lam *= DAMPING_UP
                 continue
-            trial = dict(raw)
+            trial = dict(poses)
             for nid in free:
-                q0, t0 = raw[nid]
-                trial[nid] = _retract(q0, t0, delta[col[nid]:col[nid] + 6])
-            new_cost = total_cost(trial)
+                trial[nid] = poses[nid].compose(se3_exp(delta[col[nid]:col[nid] + 6]))
+            new_cost = graph_cost(graph, trial)
             if new_cost < cost:
                 decrease = cost - new_cost
-                raw = trial
+                poses = trial
                 cost = new_cost
                 history.append(cost)
                 report.iterations += 1
-                lam = max(lam * params.damping_down, 1e-12)
+                lam = max(lam * DAMPING_DOWN, 1e-12)
                 stepped = True
-                accepted_any = True
                 if decrease < params.tol:
                     converged = True
                 break
-            lam *= params.damping_up
+            lam *= DAMPING_UP
         if not stepped or converged:
             break
 
-    report.poses = to_pose_dict(raw)
+    report.poses = poses
     report.final_cost = cost
-    report.no_progress = not accepted_any
     return report

@@ -8,6 +8,8 @@ from meshslam.geometry import (
     Rotation,
     Se3Pose,
     Sim3Transform,
+    _cross3,
+    quat_mul,
     se3_exp,
     se3_log,
     vec3,
@@ -167,6 +169,26 @@ class TestRotation:
         for _ in range(50):
             r = random_rotation(rng)
             assert r.compose(r.inverse()).angle() < 1e-12
+
+
+class TestScalarKernels:
+    def test_bit_equal_to_numpy_array_arithmetic(self):
+        # the scalar kernels compute on Python floats; the same formulas on
+        # numpy arrays are the reference and must agree bit for bit
+        rng = np.random.default_rng(9)
+        a, b = rng.normal(size=(2, 1000, 4))
+        aw, ax, ay, az = a.T
+        bw, bx, by, bz = b.T
+        ref_mul = np.stack([
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ], axis=1)
+        for i in range(len(a)):
+            assert np.array_equal(quat_mul(a[i], b[i]), ref_mul[i])
+            u, v = a[i, 1:], b[i, 1:]
+            assert np.array_equal(_cross3(u, v), _cross3(u, v[None])[0])
 
 
 class TestPose:

@@ -326,6 +326,28 @@ class TestPendingLinks:
         assert m.keyframes[1].covisibility[2] == 1
         m.check_integrity()
 
+    def test_integrity_rejects_stale_pending_links(self):
+        def linked_map():
+            m = AgentMap()
+            m.insert_keyframe(make_kf(1, [7], observed={100}), [
+                make_point(100, [0, 0, 0], word=7, observers={1})
+            ])
+            m.check_integrity()
+            return m
+
+        plants = [
+            lambda m: m.pending_kf_links.setdefault(1, set()).add(100),  # present keyframe
+            lambda m: m.pending_kf_links.setdefault(2, set()).add(101),  # absent point
+            lambda m: m.pending_point_links.setdefault(100, set()).add(1),  # present point
+            lambda m: m.pending_point_links.setdefault(101, set()).add(1),  # not listed
+            lambda m: m.pending_point_links.setdefault(101, set()).add(3),  # absent keyframe
+        ]
+        for plant in plants:
+            m = linked_map()
+            plant(m)
+            with pytest.raises(AssertionError):
+                m.check_integrity()
+
 
 class TestIndexConsistencyProperty:
     def test_random_mutation_sequences(self):
