@@ -1,10 +1,13 @@
 """Decentralized system manager: peer states, groups, and the merge handshake.
 
-Every agent keeps a replica of the pair-state table and the group partition,
-updated only through protocol messages and reachability events, so the
-cluster has no shared state.  The closure invariant ties the two views
-together: a pair is in the merged state (or its localization-lost variant)
-exactly when both agents sit in the same group.
+Every agent keeps a replica of the group partition, the set of lost
+agents, the pairs whose maps share a frame and the last reachability
+components, updated only through protocol messages and reachability events,
+so the cluster has no shared state.  Pair states are not stored: they are
+derived from the groups, localization loss, reachability and the agent's own
+in-flight handshakes (`SystemManager.state`).  The closure invariant reads
+through that derivation: a pair is in the merged state (or its
+localization-lost variant) exactly when both agents sit in the same group.
 
 Merge handshake, driven by bag-of-words announcements between group leaders:
 
@@ -26,11 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
 
 from .alignment import NoModelError, RansacParams, ransac_sim3
+from .config import AlignConfig, MergeConfig
 from .geometry import Sim3Transform
 from .map_store import AgentMap
 from .merge_detection import detect_merge
@@ -66,34 +71,6 @@ def leader(group) -> int:
 
 def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
-
-
-class PeerStateTable:
-    """Symmetric pair-state map over all unordered agent pairs."""
-
-    def __init__(self, agents: list[int]):
-        self.agents = sorted(agents)
-        self.states: dict[tuple[int, int], PeerState] = {}
-        self.aligned: dict[tuple[int, int], bool] = {}
-        for i, a in enumerate(self.agents):
-            for b in self.agents[i + 1:]:
-                self.states[(a, b)] = PeerState.UNMERGED
-                self.aligned[(a, b)] = False
-
-    def get(self, a: int, b: int) -> PeerState:
-        return self.states[_pair(a, b)]
-
-    def set(self, a: int, b: int, state: PeerState) -> None:
-        self.states[_pair(a, b)] = state
-
-    def is_aligned(self, a: int, b: int) -> bool:
-        return self.aligned[_pair(a, b)]
-
-    def set_aligned(self, a: int, b: int, flag: bool) -> None:
-        self.aligned[_pair(a, b)] = flag
-
-    def pairs_with(self, agent: int) -> list[tuple[int, int]]:
-        return [p for p in self.states if agent in p]
 
 
 class GroupRegistry:
@@ -140,12 +117,11 @@ class GroupRegistry:
 
 def apply_group_merge(
     registry: GroupRegistry,
-    table: PeerStateTable,
+    aligned: set[tuple[int, int]],
     group_n,
     group_m,
-    lost: frozenset[int] = frozenset(),
 ) -> tuple[list[int], int]:
-    """Union two groups: cross pairs become merged, leader is the minimum id.
+    """Union two groups: cross pairs become frame-aligned, leader is the minimum id.
 
     Returns (sorted roster, leader).  Merging a group with itself is a no-op.
     """
@@ -153,12 +129,7 @@ def apply_group_merge(
     if group_n == group_m:
         roster = sorted(group_n)
         return roster, leader(roster)
-    for a in sorted(group_n):
-        for b in sorted(group_m):
-            state = (PeerState.PEER_LOCALIZATION_LOST
-                     if (a in lost or b in lost) else PeerState.MERGED)
-            table.set(a, b, state)
-            table.set_aligned(a, b, True)
+    aligned.update(_pair(a, b) for a in group_n for b in group_m)
     roster = sorted(group_n | group_m)
     registry.assign_roster(roster)
     return roster, leader(roster)
@@ -267,7 +238,6 @@ def attempt_full_merge(
 class ManagerHooks:
     send: Callable[[int, object], None]      # (dst, message dataclass)
     log: Callable[..., None]                 # (event, **detail)
-    now: Callable[[], float]
     schedule: Callable[[float, Callable[[], None]], None]
     apply_map_transform: Callable[[Sim3Transform], None]
     serialize_shared_map: Callable[[], tuple[list, list]]  # keyframe/point records
@@ -280,33 +250,38 @@ class ManagerHooks:
 
 class SystemManager:
     def __init__(self, agent_id: int, agents: list[int], hooks: ManagerHooks,
-                 acceptance_factor: float, min_inliers: int,
-                 neighborhood_depth: int, handshake_timeout: float,
-                 ransac_iterations: int, ransac_threshold: float,
-                 shared_map: Callable[[], AgentMap],
-                 notify_repeats: int = 3, notify_spacing: float = 0.4,
-                 cluster_tolerance: float = 0.15):
+                 merge: MergeConfig, align: AlignConfig,
+                 shared_map: Callable[[], AgentMap]):
         self.agent_id = agent_id
         self.agents = sorted(agents)
         self.hooks = hooks
-        self.acceptance_factor = acceptance_factor
-        self.min_inliers = min_inliers
-        self.neighborhood_depth = neighborhood_depth
-        self.handshake_timeout = handshake_timeout
-        self.ransac_iterations = ransac_iterations
-        self.ransac_threshold = ransac_threshold
+        self.merge = merge
+        self.align = align
         self.shared_map = shared_map
-        self.notify_repeats = notify_repeats
-        self.notify_spacing = notify_spacing
-        self.cluster_tolerance = cluster_tolerance
         self.registry = GroupRegistry(self.agents)
-        self.table = PeerStateTable(self.agents)
         self.lost_agents: set[int] = set()
-        self._handshake_epoch: dict[tuple[int, int], int] = {}
+        # grow-only: pairs whose maps were brought into one frame
+        self.aligned: set[tuple[int, int]] = set()
+        # reachability component of each agent at the last partition change
+        self._component_of: dict[int, int] = {a: 0 for a in self.agents}
+        # this agent's full map exchanges awaiting a merge, pair -> epoch
+        self._handshakes: dict[tuple[int, int], int] = {}
+        self._handshake_counter = 0
         self._merge_counter = 0
         self._applied_merge_ids: set[int] = set()
 
     # -- views -----------------------------------------------------------
+
+    def state(self, a: int, b: int) -> PeerState:
+        """The pair's state, derived from this agent's replica."""
+        if b in self.registry.group_of(a):
+            lost = a in self.lost_agents or b in self.lost_agents
+            return PeerState.PEER_LOCALIZATION_LOST if lost else PeerState.MERGED
+        if _pair(a, b) in self._handshakes:
+            return PeerState.MERGE_IN_PROGRESS
+        if self._component_of[a] != self._component_of[b]:
+            return PeerState.PEER_UNREACHABLE
+        return PeerState.UNMERGED
 
     @property
     def self_lost(self) -> bool:
@@ -321,26 +296,20 @@ class SystemManager:
 
     def frame_aligned_peers(self) -> list[int]:
         """Peers whose maps share this agent's frame (backlogs keep growing)."""
-        out = []
-        for a, b in sorted(self.table.pairs_with(self.agent_id)):
-            peer = b if a == self.agent_id else a
-            if self.table.is_aligned(a, b):
-                out.append(peer)
-        return sorted(out)
+        return sorted(b if a == self.agent_id else a
+                      for a, b in self.aligned if self.agent_id in (a, b))
 
     def merged_peers(self) -> list[int]:
-        out = []
-        for a, b in sorted(self.table.pairs_with(self.agent_id)):
-            peer = b if a == self.agent_id else a
-            if self.table.get(a, b) == PeerState.MERGED:
-                out.append(peer)
-        return sorted(out)
+        if self.self_lost:
+            return []
+        return sorted(p for p in self.registry.group_of(self.agent_id)
+                      if p != self.agent_id and p not in self.lost_agents)
 
     def _ransac_params(self) -> RansacParams:
         return RansacParams(
-            iterations=self.ransac_iterations,
-            inlier_threshold=self.ransac_threshold,
-            min_inliers=self.min_inliers,
+            iterations=self.align.ransac_iterations,
+            inlier_threshold=self.align.inlier_threshold,
+            min_inliers=self.merge.min_inliers,
             seed=self.hooks.ransac_seed(),
         )
 
@@ -352,10 +321,8 @@ class SystemManager:
         handed to the other peer.  Merge traffic is serialized per agent;
         the rejected side times out and retries on a later announcement.
         """
-        return any(
-            self.table.get(a, b) == PeerState.MERGE_IN_PROGRESS
-            for a, b in self.table.pairs_with(self.agent_id)
-        )
+        return any(self.state(*key) == PeerState.MERGE_IN_PROGRESS
+                   for key in self._handshakes)
 
     # -- announcements ------------------------------------------------------
 
@@ -378,11 +345,11 @@ class SystemManager:
             return
         if sender in self.registry.group_of(self.agent_id):
             return
-        state = self.table.get(self.agent_id, sender)
+        state = self.state(self.agent_id, sender)
         if state != PeerState.UNMERGED or self._merge_busy():
             return  # handshake running, already merged, or peer unavailable
         cand = detect_merge(self.shared_map(), msg.words,
-                            self.acceptance_factor, sender)
+                            self.merge.acceptance_factor, sender)
         if cand is None:
             return
         self.hooks.log("merge_detected", peer=sender, score=cand.score,
@@ -396,18 +363,19 @@ class SystemManager:
             self.hooks.send(sender, BowAnnounce(self.agent_id, best.id, dict(best.words)))
 
     def _start_full_map_exchange(self, peer: int, hint_kf: int) -> None:
-        self.table.set(self.agent_id, peer, PeerState.MERGE_IN_PROGRESS)
         key = _pair(self.agent_id, peer)
-        self._handshake_epoch[key] = self._handshake_epoch.get(key, 0) + 1
-        epoch = self._handshake_epoch[key]
+        self._handshake_counter += 1
+        epoch = self._handshakes[key] = self._handshake_counter
 
         def expire():
-            if (self._handshake_epoch.get(key) == epoch
-                    and self.table.get(*key) == PeerState.MERGE_IN_PROGRESS):
-                self.table.set(*key, PeerState.UNMERGED)
+            if self._handshakes.get(key) != epoch:
+                return  # dropped by a partition change or superseded
+            timed_out = self.state(*key) == PeerState.MERGE_IN_PROGRESS
+            del self._handshakes[key]
+            if timed_out:
                 self.hooks.log("merge_handshake_timeout", peer=peer)
 
-        self.hooks.schedule(self.handshake_timeout, expire)
+        self.hooks.schedule(self.merge.handshake_timeout, expire)
         kfs, points = self.hooks.serialize_shared_map()
         self.hooks.send(peer, FullMapMsg(self.agent_id, hint_kf, kfs, points))
         self.hooks.log("full_map_sent", peer=peer, keyframes=len(kfs))
@@ -420,18 +388,15 @@ class SystemManager:
             return
         if sender in self.registry.group_of(self.agent_id):
             return
-        if self.table.get(self.agent_id, sender) == PeerState.MERGED:
-            return
         if self._merge_busy():
             return  # serialized at the leader; the sender times out and retries
         result = attempt_full_merge(
             self.shared_map(), msg.hint_kf,
             points_by_word_from_records(msg.points),
-            self.neighborhood_depth, self._ransac_params(),
-            self.cluster_tolerance,
+            self.merge.neighborhood_depth, self._ransac_params(),
+            self.merge.cluster_tolerance,
         )
         if result is None:
-            self.table.set(self.agent_id, sender, PeerState.UNMERGED)
             self.hooks.log("merge_attempt_failed", peer=sender)
             return
         transform, inlier_count = result
@@ -443,9 +408,7 @@ class SystemManager:
         other_group = self.registry.group_of(lower_leader)
         self.hooks.apply_map_transform(transform)
         roster, new_leader = apply_group_merge(
-            self.registry, self.table, old_group, other_group,
-            lost=frozenset(self.lost_agents),
-        )
+            self.registry, self.aligned, old_group, other_group)
         self.hooks.on_peers_merged(sorted(set(roster) - set(old_group)))
         self._merge_counter += 1
         merge_id = (self.agent_id << 32) | self._merge_counter
@@ -465,8 +428,8 @@ class SystemManager:
         # a member permanently misaligned, so it is repeated a few times and
         # receivers deduplicate on the merge id
         broadcast()
-        for k in range(1, max(1, self.notify_repeats)):
-            self.hooks.schedule(k * self.notify_spacing, broadcast)
+        for k in range(1, max(1, self.merge.notify_repeats)):
+            self.hooks.schedule(k * self.merge.notify_spacing, broadcast)
         self.hooks.log("group_merged", roster=roster, leader=new_leader,
                        inliers=inlier_count, scale=transform.scale)
 
@@ -494,15 +457,8 @@ class SystemManager:
         for g in self.registry.groups():
             if union & g:
                 union |= g
-        union_sorted = sorted(union)
-        self.registry.assign_roster(union_sorted)
-        for i, a in enumerate(union_sorted):
-            for b in union_sorted[i + 1:]:
-                state = (PeerState.PEER_LOCALIZATION_LOST
-                         if (a in self.lost_agents or b in self.lost_agents)
-                         else PeerState.MERGED)
-                self.table.set(a, b, state)
-                self.table.set_aligned(a, b, True)
+        self.registry.assign_roster(union)
+        self.aligned.update(combinations(sorted(union), 2))
         if self.agent_id in union:
             gained = sorted(union - set(before) - {self.agent_id})
             if gained:
@@ -512,7 +468,6 @@ class SystemManager:
 
     def declare_localization_lost(self) -> None:
         self.lost_agents.add(self.agent_id)
-        self._mark_lost_pairs(self.agent_id)
         for dst in self.agents:
             if dst != self.agent_id:
                 self.hooks.send(dst, LocalizationLost(self.agent_id))
@@ -520,7 +475,6 @@ class SystemManager:
 
     def declare_localization_regained(self) -> None:
         self.lost_agents.discard(self.agent_id)
-        self._mark_regained_pairs(self.agent_id)
         for dst in self.agents:
             if dst != self.agent_id:
                 self.hooks.send(dst, LocalizationRegained(self.agent_id))
@@ -528,22 +482,9 @@ class SystemManager:
 
     def on_loc_lost(self, msg) -> None:
         self.lost_agents.add(msg.sender)
-        self._mark_lost_pairs(msg.sender)
 
     def on_loc_regained(self, msg) -> None:
         self.lost_agents.discard(msg.sender)
-        self._mark_regained_pairs(msg.sender)
-
-    def _mark_lost_pairs(self, agent: int) -> None:
-        for a, b in sorted(self.table.pairs_with(agent)):
-            if self.table.get(a, b) == PeerState.MERGED:
-                self.table.set(a, b, PeerState.PEER_LOCALIZATION_LOST)
-
-    def _mark_regained_pairs(self, agent: int) -> None:
-        for a, b in sorted(self.table.pairs_with(agent)):
-            if (self.table.get(a, b) == PeerState.PEER_LOCALIZATION_LOST
-                    and a not in self.lost_agents and b not in self.lost_agents):
-                self.table.set(a, b, PeerState.MERGED)
 
     # -- partitions ------------------------------------------------------------
 
@@ -553,12 +494,15 @@ class SystemManager:
         Groups are recomputed as the connected components of the
         frame-aligned relation restricted to reachable pairs: fragments of a
         merged group re-form their group the moment they can talk again,
-        with no new handshake.
+        with no new handshake.  Handshakes with peers now in another
+        component are dropped, so those pairs read unreachable and, once the
+        link heals, unmerged.
         """
         comp_of: dict[int, int] = {}
         for i, comp in enumerate(components):
             for a in comp:
                 comp_of[a] = i
+        self._component_of = comp_of
         parent = {a: a for a in self.agents}
 
         def find(x):
@@ -567,8 +511,8 @@ class SystemManager:
                 x = parent[x]
             return x
 
-        for (a, b), aligned in sorted(self.table.aligned.items()):
-            if aligned and comp_of[a] == comp_of[b]:
+        for a, b in sorted(self.aligned):
+            if comp_of[a] == comp_of[b]:
                 ra, rb = find(a), find(b)
                 if ra != rb:
                     parent[max(ra, rb)] = min(ra, rb)
@@ -576,20 +520,8 @@ class SystemManager:
         for a in self.agents:
             groups.setdefault(find(a), set()).add(a)
         self.registry.set_partition(list(groups.values()))
-
-        for (a, b) in sorted(self.table.states):
-            current = self.table.get(a, b)
-            if comp_of[a] != comp_of[b]:
-                self.table.set(a, b, PeerState.PEER_UNREACHABLE)
-            elif find(a) == find(b):
-                lost = a in self.lost_agents or b in self.lost_agents
-                self.table.set(a, b, PeerState.PEER_LOCALIZATION_LOST if lost
-                               else PeerState.MERGED)
-            elif current in (PeerState.PEER_UNREACHABLE,
-                             PeerState.MERGED,
-                             PeerState.PEER_LOCALIZATION_LOST):
-                self.table.set(a, b, PeerState.UNMERGED)
-            # UNMERGED / MERGE_IN_PROGRESS between reachable agents persist
+        self._handshakes = {key: epoch for key, epoch in self._handshakes.items()
+                            if comp_of[key[0]] == comp_of[key[1]]}
 
     # -- invariants (exercised by tests and debug runs) --------------------------
 
@@ -600,7 +532,8 @@ class SystemManager:
             assert not (seen & g), "groups overlap"
             seen |= g
         assert seen == set(self.agents), "groups must cover all agents"
-        for (a, b), state in self.table.states.items():
+        for a, b in combinations(self.agents, 2):
+            state = self.state(a, b)
             same_group = self.registry.group_of(a) == self.registry.group_of(b)
             sharing = state in FRAME_SHARING_STATES
             assert same_group == sharing, (

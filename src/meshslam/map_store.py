@@ -36,9 +36,6 @@ class WordMismatchError(ValueError):
 
 
 # uuid layout: [seed:64][agent:16][counter:48], compared as plain ints
-_UUID_BYTES = 16
-
-
 def make_uuid(seed: int, agent_id: int, counter: int) -> int:
     if not 0 <= agent_id < (1 << 16):
         raise ValueError("agent id out of range")

@@ -114,7 +114,6 @@ class AgentRuntime:
         hooks = ManagerHooks(
             send=lambda dst, msg: sim.send_message(self.id, dst, msg),
             log=lambda event, **detail: sim.log(self.id, event, detail),
-            now=lambda: sim.now,
             schedule=sim.schedule_timer,
             apply_map_transform=self.apply_frame_transform,
             serialize_shared_map=self._serialize_shared_map,
@@ -123,16 +122,8 @@ class AgentRuntime:
         )
         self.manager = SystemManager(
             self.id, [a.id for a in scenario.agents], hooks,
-            acceptance_factor=scenario.merge.acceptance_factor,
-            min_inliers=scenario.merge.min_inliers,
-            neighborhood_depth=scenario.merge.neighborhood_depth,
-            handshake_timeout=scenario.merge.handshake_timeout,
-            ransac_iterations=scenario.align.ransac_iterations,
-            ransac_threshold=scenario.align.inlier_threshold,
+            scenario.merge, scenario.align,
             shared_map=lambda: self.db.shared_map,
-            notify_repeats=scenario.merge.notify_repeats,
-            notify_spacing=scenario.merge.notify_spacing,
-            cluster_tolerance=scenario.merge.cluster_tolerance,
         )
 
     # -- small helpers --------------------------------------------------------

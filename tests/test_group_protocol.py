@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from meshslam.alignment import RansacParams
+from meshslam.config import AlignConfig, MergeConfig
 from meshslam.geometry import Rotation, Se3Pose, Sim3Transform, vec3
 from meshslam.group_protocol import (
     GroupRegistry,
     ManagerHooks,
     PeerState,
-    PeerStateTable,
     SystemManager,
     apply_group_merge,
     attempt_full_merge,
@@ -46,27 +46,28 @@ class TestLeader:
 class TestApplyGroupMerge:
     def test_two_singletons(self):
         reg = GroupRegistry([1, 2])
-        table = PeerStateTable([1, 2])
-        roster, lead = apply_group_merge(reg, table, {1}, {2})
+        aligned = set()
+        roster, lead = apply_group_merge(reg, aligned, {1}, {2})
         assert roster == [1, 2] and lead == 1
-        assert table.get(1, 2) == PeerState.MERGED
+        assert aligned == {(1, 2)}
         assert reg.group_of(1) == frozenset({1, 2})
 
     def test_singleton_with_pair(self):
         reg = GroupRegistry([0, 1, 2])
-        table = PeerStateTable([0, 1, 2])
-        apply_group_merge(reg, table, {1}, {2})
-        roster, lead = apply_group_merge(reg, table, {0}, {1, 2})
+        aligned = set()
+        apply_group_merge(reg, aligned, {1}, {2})
+        roster, lead = apply_group_merge(reg, aligned, {0}, {1, 2})
         assert roster == [0, 1, 2] and lead == 0
-        assert table.get(0, 1) == PeerState.MERGED
-        assert table.get(0, 2) == PeerState.MERGED
+        assert aligned == {(0, 1), (0, 2), (1, 2)}
+        assert reg.group_of(0) == frozenset({0, 1, 2})
 
     def test_same_group_noop(self):
         reg = GroupRegistry([0, 1])
-        table = PeerStateTable([0, 1])
-        apply_group_merge(reg, table, {0}, {1})
-        roster, lead = apply_group_merge(reg, table, {0, 1}, {0, 1})
+        aligned = set()
+        apply_group_merge(reg, aligned, {0}, {1})
+        roster, lead = apply_group_merge(reg, aligned, {0, 1}, {0, 1})
         assert roster == [0, 1] and lead == 0
+        assert aligned == {(0, 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +183,14 @@ class Bus:
         self.trace: list[tuple[int, int, object]] = []
         self.events: list[tuple[int, str, dict]] = []
         self.timers: list = []
+        self.dropped: set[type] = set()  # message types lost in transit
         self._seed = 0
 
     def add_agent(self, aid: int, agents: list[int], m: AgentMap, **cfg):
         def send(dst, msg, src=aid):
             self.trace.append((src, dst, msg))
-            self.deliver(src, dst, msg)
+            if type(msg) not in self.dropped:
+                self.deliver(src, dst, msg)
 
         def log(event, _aid=aid, **detail):
             self.events.append((_aid, event, detail))
@@ -208,15 +211,11 @@ class Bus:
             return self._seed
 
         self.maps[aid] = m
-        hooks = ManagerHooks(send=send, log=log, now=lambda: 0.0,
+        hooks = ManagerHooks(send=send, log=log,
                              schedule=schedule, apply_map_transform=apply_transform,
                              serialize_shared_map=serialize, ransac_seed=ransac_seed)
         mgr = SystemManager(
-            aid, agents, hooks,
-            acceptance_factor=cfg.get("acceptance_factor", 0.75),
-            min_inliers=cfg.get("min_inliers", 12),
-            neighborhood_depth=2, handshake_timeout=5.0,
-            ransac_iterations=200, ransac_threshold=0.05,
+            aid, agents, hooks, MergeConfig(**cfg), AlignConfig(),
             shared_map=lambda _aid=aid: self.maps[_aid],
         )
         self.managers[aid] = mgr
@@ -240,6 +239,14 @@ class Bus:
             raise TypeError(type(msg))
         for m in self.managers.values():
             m.check_invariants()
+
+    def partition(self, components):
+        for m in self.managers.values():
+            m.on_partition_change(components)
+            m.check_invariants()
+
+    def timeouts(self):
+        return [(a, d) for a, e, d in self.events if e == "merge_handshake_timeout"]
 
 
 def three_agent_bus(rng):
@@ -294,8 +301,8 @@ class TestProtocolFlow:
         for mgr in bus.managers.values():
             assert mgr.registry.group_of(0) == frozenset({0, 1, 2})
             assert mgr.registry.leader_of(0) == 0
-            assert mgr.table.get(0, 1) == PeerState.MERGED
-            assert mgr.table.get(0, 2) == PeerState.MERGED
+            assert mgr.state(0, 1) == PeerState.MERGED
+            assert mgr.state(0, 2) == PeerState.MERGED
         merge_events = [(a, d) for a, e, d in bus.events if e == "group_merged"]
         assert [d["roster"] for _, d in merge_events] == [[1, 2], [0, 1, 2]]
 
@@ -341,7 +348,9 @@ class TestProtocolFlow:
         rng = np.random.default_rng(12)
         bus, shared, frames = three_agent_bus(rng)
         mgr1 = bus.managers[1]
-        mgr1.table.set(1, 2, PeerState.MERGE_IN_PROGRESS)
+        bus.dropped.add(FullMapMsg)
+        mgr1._start_full_map_exchange(2, hint_kf=200)
+        assert mgr1.state(1, 2) == PeerState.MERGE_IN_PROGRESS
         kf2 = bus.maps[2].keyframes[200]
         before = len(bus.trace)
         bus.deliver(2, 1, BowAnnounce(2, kf2.id, dict(kf2.words)))
@@ -358,13 +367,47 @@ class TestProtocolFlow:
         rng = np.random.default_rng(14)
         bus, shared, frames = three_agent_bus(rng)
         mgr1 = bus.managers[1]
+        bus.dropped.add(FullMapMsg)  # the full map is lost in transit
         mgr1._start_full_map_exchange(2, hint_kf=200)
-        # undo whatever the synchronous delivery did; simulate a lost full map
-        mgr1.table.set(1, 2, PeerState.MERGE_IN_PROGRESS)
+        assert mgr1.state(1, 2) == PeerState.MERGE_IN_PROGRESS
         timeout_timers = [(d, f) for d, f in bus.timers if d == 5.0]
         assert timeout_timers
         timeout_timers[-1][1]()
-        assert mgr1.table.get(1, 2) == PeerState.UNMERGED
+        assert mgr1.state(1, 2) == PeerState.UNMERGED
+        assert bus.timeouts() == [(1, {"peer": 2})]
+
+
+class TestHandshakeAcrossPartition:
+    def lost_full_map(self, seed):
+        bus, shared, frames = three_agent_bus(np.random.default_rng(seed))
+        bus.dropped.add(FullMapMsg)
+        bus.managers[1]._start_full_map_exchange(2, hint_kf=200)
+        return bus, bus.managers[1]
+
+    def test_unreachable_then_unmerged_and_timer_silent(self):
+        bus, mgr1 = self.lost_full_map(15)
+        first_timer = bus.timers[-1][1]
+        bus.partition([{0, 1}, {2}])
+        assert mgr1.state(1, 2) == PeerState.PEER_UNREACHABLE
+        bus.partition([{0, 1, 2}])
+        assert mgr1.state(1, 2) == PeerState.UNMERGED
+        first_timer()
+        assert mgr1.state(1, 2) == PeerState.UNMERGED
+        assert bus.timeouts() == []
+
+    def test_restarted_handshake_outlives_first_timer(self):
+        bus, mgr1 = self.lost_full_map(16)
+        first_timer = bus.timers[-1][1]
+        bus.partition([{0, 1}, {2}])
+        bus.partition([{0, 1, 2}])
+        mgr1._start_full_map_exchange(2, hint_kf=200)
+        second_timer = bus.timers[-1][1]
+        first_timer()
+        assert mgr1.state(1, 2) == PeerState.MERGE_IN_PROGRESS
+        assert bus.timeouts() == []
+        second_timer()
+        assert mgr1.state(1, 2) == PeerState.UNMERGED
+        assert bus.timeouts() == [(1, {"peer": 2})]
 
 
 class TestAnnounceRecipients:
@@ -422,8 +465,8 @@ class TestPartitionHandling:
             mgr.on_partition_change([{0}, {1, 2}])
             assert mgr.registry.group_of(1) == frozenset({1, 2})
             assert mgr.registry.leader_of(1) == 1
-            assert mgr.table.get(0, 1) == PeerState.PEER_UNREACHABLE
-            assert mgr.table.get(1, 2) == PeerState.MERGED
+            assert mgr.state(0, 1) == PeerState.PEER_UNREACHABLE
+            assert mgr.state(1, 2) == PeerState.MERGED
             mgr.check_invariants()
 
     def test_no_change_is_noop(self):
@@ -439,8 +482,8 @@ class TestPartitionHandling:
             mgr.on_partition_change([{0}, {1, 2}])
             mgr.on_partition_change([{0, 1, 2}])
             assert mgr.registry.group_of(0) == frozenset({0, 1, 2})
-            assert mgr.table.get(0, 1) == PeerState.MERGED
-            assert mgr.table.get(0, 2) == PeerState.MERGED
+            assert mgr.state(0, 1) == PeerState.MERGED
+            assert mgr.state(0, 2) == PeerState.MERGED
             mgr.check_invariants()
 
     def test_unmerged_pairs_stay_unmerged_after_reconnect(self):
@@ -449,9 +492,9 @@ class TestPartitionHandling:
             bus.add_agent(aid, [0, 1], AgentMap())
         mgr = bus.managers[0]
         mgr.on_partition_change([{0}, {1}])
-        assert mgr.table.get(0, 1) == PeerState.PEER_UNREACHABLE
+        assert mgr.state(0, 1) == PeerState.PEER_UNREACHABLE
         mgr.on_partition_change([{0, 1}])
-        assert mgr.table.get(0, 1) == PeerState.UNMERGED
+        assert mgr.state(0, 1) == PeerState.UNMERGED
         mgr.check_invariants()
 
 
@@ -460,14 +503,14 @@ class TestLocalizationMessages:
         bus = TestPartitionHandling().merged_trio()
         bus.managers[1].declare_localization_lost()
         for mgr in bus.managers.values():
-            assert mgr.table.get(0, 1) == PeerState.PEER_LOCALIZATION_LOST
-            assert mgr.table.get(1, 2) == PeerState.PEER_LOCALIZATION_LOST
-            assert mgr.table.get(0, 2) == PeerState.MERGED
+            assert mgr.state(0, 1) == PeerState.PEER_LOCALIZATION_LOST
+            assert mgr.state(1, 2) == PeerState.PEER_LOCALIZATION_LOST
+            assert mgr.state(0, 2) == PeerState.MERGED
             mgr.check_invariants()
         bus.managers[1].declare_localization_regained()
         for mgr in bus.managers.values():
-            assert mgr.table.get(0, 1) == PeerState.MERGED
-            assert mgr.table.get(1, 2) == PeerState.MERGED
+            assert mgr.state(0, 1) == PeerState.MERGED
+            assert mgr.state(1, 2) == PeerState.MERGED
             mgr.check_invariants()
 
     def test_frame_aligned_peers_include_lost(self):

@@ -70,9 +70,9 @@ class TestStagedThreeAgentMerge:
 
     def test_pair_states_merged(self, fig3_result):
         for aid in (0, 1, 2):
-            table = fig3_result.runtimes[aid].manager.table
+            mgr = fig3_result.runtimes[aid].manager
             for a, b in ((0, 1), (0, 2), (1, 2)):
-                assert table.get(a, b) == PeerState.MERGED
+                assert mgr.state(a, b) == PeerState.MERGED
 
 
 class TestBlackoutRecovery:
@@ -107,16 +107,16 @@ class TestBlackoutRecovery:
 
     def test_peer_states_cycle(self, blackout_result):
         res = blackout_result
-        table0 = res.runtimes[0].manager.table
-        assert table0.get(0, 1) == PeerState.MERGED
+        mgr0 = res.runtimes[0].manager
+        assert mgr0.state(0, 1) == PeerState.MERGED
 
     def test_blackout_at_run_end_leaves_private_map(self):
         res = Simulation(blackout_at_end(), seed=3).run()
         rt1 = res.runtimes[1]
         assert len(rt1.db.maps) == 2
         assert not rt1.tracker.localized
-        table0 = res.runtimes[0].manager.table
-        assert table0.get(0, 1) == PeerState.PEER_LOCALIZATION_LOST
+        mgr0 = res.runtimes[0].manager
+        assert mgr0.state(0, 1) == PeerState.PEER_LOCALIZATION_LOST
         assert res.log.named("localization_regained") == []
 
 
@@ -139,9 +139,9 @@ class TestLeaderFailover:
         assert second_merge > part_time
 
     def test_isolated_agent_sees_unreachable_peers(self, failover_result):
-        table = failover_result.runtimes[0].manager.table
-        assert table.get(0, 1) == PeerState.PEER_UNREACHABLE
-        assert table.get(0, 2) == PeerState.PEER_UNREACHABLE
+        mgr = failover_result.runtimes[0].manager
+        assert mgr.state(0, 1) == PeerState.PEER_UNREACHABLE
+        assert mgr.state(0, 2) == PeerState.PEER_UNREACHABLE
 
 
 class TestCooperationEndToEnd:
@@ -186,6 +186,13 @@ class TestCooperationEndToEnd:
         for aid in (0, 1, 2):
             group = res.runtimes[aid].manager.registry.group_of(aid)
             assert group == frozenset({aid})
+
+    def test_lossy_run_keeps_invariants_through_handshake_timeouts(self):
+        # every manager's invariants are checked after every event
+        res = Simulation(coop_loops(True, drop_prob=0.2), seed=3,
+                         check_invariants=True).run()
+        assert res.log.named("merge_handshake_timeout")
+        assert res.log.named("group_merged")
 
 
 class TestAlignmentScheduling:
