@@ -71,28 +71,53 @@ def eval_command(est_path: str, gt_path: str, json_path: str | None) -> int:
     return 0
 
 
+_LEDGER_INTS = ("agent", "bytes_sent", "bytes_received", "bytes_dropped")
+
+
+def _read_ledger(path: str) -> list[dict]:
+    """Ledger rows with typed fields; ValueError names the first bad one."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        columns = ("category", *_LEDGER_INTS, "avg_kbps")
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"missing columns {missing}")
+        rows = []
+        for r in reader:
+            try:
+                row = {c: int(r[c]) for c in _LEDGER_INTS}
+                row["avg_kbps"] = float(r["avg_kbps"])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from exc
+            row["category"] = r["category"]
+            rows.append(row)
+    return rows
+
+
 def report_command(ledger_path: str) -> int:
     try:
-        with open(ledger_path) as fh:
-            rows = list(csv.DictReader(fh))
+        rows = _read_ledger(ledger_path)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    agents = sorted({int(r["agent"]) for r in rows})
+    except ValueError as exc:
+        print(f"error: {ledger_path}: {exc}", file=sys.stderr)
+        return 2
+    agents = sorted({r["agent"] for r in rows})
     print(f"{'category':<16}{'agent':>6}{'sent KB':>12}{'recv KB':>12}"
           f"{'drop KB':>12}{'avg KB/s':>12}")
     totals = {"sent": 0, "recv": 0, "drop": 0, "rate": 0.0}
     for cat in CATEGORIES:
         for agent in agents:
             match = [r for r in rows
-                     if r["category"] == cat and int(r["agent"]) == agent]
+                     if r["category"] == cat and r["agent"] == agent]
             if not match:
                 continue
             r = match[0]
-            sent = int(r["bytes_sent"])
-            recv = int(r["bytes_received"])
-            drop = int(r["bytes_dropped"])
-            rate = float(r["avg_kbps"])
+            sent = r["bytes_sent"]
+            recv = r["bytes_received"]
+            drop = r["bytes_dropped"]
+            rate = r["avg_kbps"]
             totals["sent"] += sent
             totals["recv"] += recv
             totals["drop"] += drop

@@ -30,14 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .alignment import NoModelError, RansacParams, ransac_sim3
 from .config import AlignConfig, MergeConfig
 from .geometry import Sim3Transform
-from .map_store import AgentMap
+from .map_store import AgentMap, MapPoint
 from .merge_detection import detect_merge
 from .wire import (
     BowAnnounce,
@@ -45,7 +45,6 @@ from .wire import (
     GroupUpdate,
     LocalizationLost,
     LocalizationRegained,
-    MapPointRecord,
     MergeNotify,
 )
 
@@ -139,20 +138,11 @@ def apply_group_merge(
 # Geometric merge attempt
 # ---------------------------------------------------------------------------
 
-def points_by_word_from_map(m: AgentMap, point_ids=None) -> dict[int, list[tuple[int, np.ndarray]]]:
+def points_by_word(points: Iterable[MapPoint]) -> dict[int, list[tuple[int, np.ndarray]]]:
+    """Group (id, position) pairs by word id, each list in ascending id order."""
     out: dict[int, list[tuple[int, np.ndarray]]] = {}
-    ids = sorted(point_ids) if point_ids is not None else sorted(m.points)
-    for pid in ids:
-        p = m.points.get(pid)
-        if p is not None:
-            out.setdefault(p.word, []).append((pid, p.position))
-    return out
-
-
-def points_by_word_from_records(records: list[MapPointRecord]) -> dict[int, list[tuple[int, np.ndarray]]]:
-    out: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for rec in sorted(records, key=lambda r: r.uuid):
-        out.setdefault(rec.word, []).append((rec.uuid, np.asarray(rec.position, dtype=float)))
+    for p in sorted(points, key=lambda p: p.id):
+        out.setdefault(p.word, []).append((p.id, p.position))
     return out
 
 
@@ -219,7 +209,8 @@ def attempt_full_merge(
     point_ids: set[int] = set()
     for kid in kf_ids:
         point_ids |= local_map.keyframes[kid].observed_points
-    local_by_word = points_by_word_from_map(local_map, point_ids)
+    local_by_word = points_by_word(
+        local_map.points[pid] for pid in point_ids if pid in local_map.points)
     src, dst = collect_word_correspondences(local_by_word, remote_by_word, cluster_tol)
     if len(src) < 3:
         return None
@@ -236,11 +227,17 @@ def attempt_full_merge(
 
 @dataclass
 class ManagerHooks:
+    """The agent-side services a manager calls.
+
+    A full map message carries the shared map's own keyframes and points,
+    so `send` must encode the message before the map changes again; the
+    receiver decodes fresh objects and never holds the sender's.
+    """
+
     send: Callable[[int, object], None]      # (dst, message dataclass)
     log: Callable[..., None]                 # (event, **detail)
     schedule: Callable[[float, Callable[[], None]], None]
     apply_map_transform: Callable[[Sim3Transform], None]
-    serialize_shared_map: Callable[[], tuple[list, list]]  # keyframe/point records
     ransac_seed: Callable[[], int]
     # called with agents that newly joined this agent's group, so the owner
     # can queue its map history toward them (the full map exchange only
@@ -376,7 +373,10 @@ class SystemManager:
                 self.hooks.log("merge_handshake_timeout", peer=peer)
 
         self.hooks.schedule(self.merge.handshake_timeout, expire)
-        kfs, points = self.hooks.serialize_shared_map()
+        # the map's own objects, in ascending id order; `send` encodes them
+        m = self.shared_map()
+        kfs = [m.keyframes[k] for k in sorted(m.keyframes)]
+        points = [m.points[p] for p in sorted(m.points)]
         self.hooks.send(peer, FullMapMsg(self.agent_id, hint_kf, kfs, points))
         self.hooks.log("full_map_sent", peer=peer, keyframes=len(kfs))
 
@@ -392,7 +392,7 @@ class SystemManager:
             return  # serialized at the leader; the sender times out and retries
         result = attempt_full_merge(
             self.shared_map(), msg.hint_kf,
-            points_by_word_from_records(msg.points),
+            points_by_word(msg.points),
             self.merge.neighborhood_depth, self._ransac_params(),
             self.merge.cluster_tolerance,
         )

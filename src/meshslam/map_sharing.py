@@ -1,8 +1,9 @@
 """Incremental peer-to-peer map sharing.
 
 Each agent keeps, per merged peer, an outbox of keyframe and map point ids it
-has not sent yet.  Once the outbox reaches the batch threshold it is
-serialized into a keyframe packet and cleared.  Received packets are queued
+has not sent yet.  Once the outbox reaches the batch threshold the map's own
+keyframes and points are packed into a keyframe packet, which is encoded the
+moment it is sent, and the outbox is cleared.  Received packets are queued
 and drained when the agent has spare cycles; insertion of one external
 keyframe runs the four-step pipeline: pop, move into the local map (same
 coordinate frame), relink by id, then merge duplicate map points by word and
@@ -25,52 +26,12 @@ import numpy as np
 from .map_store import AgentMap, KeyFrame, MapPoint
 # unused here; kept bound so perfbench/layers.py can still wrap them by name
 from .pose_graph import build_local_window, optimize  # noqa: F401
-from .wire import (
-    KeyFramePacket,
-    KeyFrameRecord,
-    MapPointRecord,
-    decode_frame,
-    encode_frame,
-)
+from .wire import KeyFramePacket, decode_frame, encode_frame
 
 __all__ = [
     "Outbox", "SharingState", "encode_packet", "decode_packet",
-    "keyframe_to_record", "point_to_record", "record_to_keyframe",
-    "record_to_point", "insert_external_keyframe",
+    "insert_external_keyframe",
 ]
-
-
-def keyframe_to_record(kf: KeyFrame) -> KeyFrameRecord:
-    return KeyFrameRecord(
-        uuid=kf.id,
-        origin_agent=kf.origin_agent,
-        timestamp=kf.timestamp,
-        pose=kf.pose.copy(),
-        words=dict(kf.words),
-        observed_points=sorted(kf.observed_points),
-    )
-
-
-def point_to_record(p: MapPoint) -> MapPointRecord:
-    return MapPointRecord(
-        uuid=p.id, position=p.position.copy(), word=p.word,
-        observers=sorted(p.observers),
-    )
-
-
-def record_to_keyframe(rec: KeyFrameRecord) -> KeyFrame:
-    return KeyFrame(
-        id=rec.uuid, origin_agent=rec.origin_agent, timestamp=rec.timestamp,
-        pose=rec.pose, words=dict(rec.words),
-        observed_points=set(rec.observed_points),
-    )
-
-
-def record_to_point(rec: MapPointRecord) -> MapPoint:
-    return MapPoint(
-        id=rec.uuid, position=np.asarray(rec.position, dtype=float).copy(),
-        word=rec.word, observers=set(rec.observers),
-    )
 
 
 def encode_packet(packet: KeyFramePacket) -> bytes:
@@ -104,8 +65,8 @@ class Outbox:
 @dataclass
 class QueueEntry:
     sender: int
-    keyframe: KeyFrameRecord
-    points: list[MapPointRecord]
+    keyframe: KeyFrame
+    points: list[MapPoint]
 
 
 class SharingState:
@@ -130,10 +91,9 @@ class SharingState:
             return None
         if not force and len(box.unsent_keyframes) < batch_size:
             return None
-        kfs = [keyframe_to_record(m.keyframes[k])
-               for k in box.unsent_keyframes if k in m.keyframes]
-        pts = [point_to_record(m.points[p])
-               for p in box.unsent_points if p in m.points]
+        # the map's own objects: the packet is encoded as soon as it is sent
+        kfs = [m.keyframes[k] for k in box.unsent_keyframes if k in m.keyframes]
+        pts = [m.points[p] for p in box.unsent_points if p in m.points]
         box.clear()
         if not kfs:
             return None
@@ -143,19 +103,19 @@ class SharingState:
     def enqueue_packet(self, packet: KeyFramePacket) -> None:
         """Split a packet into per-keyframe entries, preserving sender order.
 
-        Each point record travels with the first packet keyframe that
-        observes it; points observed by no packet keyframe ride with the
-        last entry so nothing is silently dropped.
+        Each point travels with the first packet keyframe that observes it;
+        points observed by no packet keyframe ride with the last entry so
+        nothing is silently dropped.
         """
-        by_id = {p.uuid: p for p in packet.points}
+        by_id = {p.id: p for p in packet.points}
         claimed: set[int] = set()
         entries = []
         for kf in packet.keyframes:
-            mine = [by_id[pid] for pid in kf.observed_points
+            mine = [by_id[pid] for pid in sorted(kf.observed_points)
                     if pid in by_id and pid not in claimed]
-            claimed.update(p.uuid for p in mine)
+            claimed.update(p.id for p in mine)
             entries.append(QueueEntry(packet.sender, kf, mine))
-        leftovers = [p for p in packet.points if p.uuid not in claimed]
+        leftovers = [p for p in packet.points if p.id not in claimed]
         if leftovers and entries:
             entries[-1].points.extend(leftovers)
         self.queue.extend(entries)
@@ -203,17 +163,17 @@ def insert_external_keyframe(m: AgentMap, entry: QueueEntry,
                              dup_radius: float) -> int | None:
     """Run the insertion pipeline for one queued external keyframe.
 
-    Returns the keyframe id, or None when it was already present (redelivery).
+    The entry's objects were decoded for this agent alone, so they move into
+    the map as they are.  Returns the keyframe id, or None when it was
+    already present (redelivery).
     """
-    rec = entry.keyframe
-    if rec.uuid in m.keyframes:
+    kf = entry.keyframe
+    if kf.id in m.keyframes:
         return None
-    kf = record_to_keyframe(rec)
-    points = [record_to_point(p) for p in entry.points]
-    new_ids = [p.id for p in points if p.id not in m.points]
+    new_ids = [p.id for p in entry.points if p.id not in m.points]
     # steps 2 and 3: move into the local frame unchanged, relink by id
     # (insert_keyframe resolves references and parks the rest as pending)
-    m.insert_keyframe(kf, points)
+    m.insert_keyframe(kf, entry.points)
     # step 4: duplicate map point merge by word id and spatial locality
     _merge_duplicate_points(m, new_ids, dup_radius)
     return kf.id

@@ -44,6 +44,11 @@ def make_uuid(seed: int, agent_id: int, counter: int) -> int:
     return ((seed & 0xFFFFFFFFFFFFFFFF) << 64) | (agent_id << 48) | counter
 
 
+def uuid_agent(uid: int) -> int:
+    """The agent id field of a uuid made by `make_uuid`."""
+    return (uid >> 48) & 0xFFFF
+
+
 class UuidGenerator:
     def __init__(self, seed: int, agent_id: int):
         self.seed = seed

@@ -37,10 +37,10 @@ from .group_protocol import (
     ManagerHooks,
     SystemManager,
     attempt_full_merge,
-    points_by_word_from_map,
+    points_by_word,
 )
-from .map_sharing import SharingState, keyframe_to_record, point_to_record
-from .map_store import MapDatabase, UuidGenerator
+from .map_sharing import SharingState
+from .map_store import MapDatabase, UuidGenerator, uuid_agent
 from .merge_detection import detect_merge
 from .net_sim import Envelope, EventQueue, MeshNetwork
 from .sim_world import AgentTracker, generate_world
@@ -116,7 +116,6 @@ class AgentRuntime:
             log=lambda event, **detail: sim.log(self.id, event, detail),
             schedule=sim.schedule_timer,
             apply_map_transform=self.apply_frame_transform,
-            serialize_shared_map=self._serialize_shared_map,
             ransac_seed=self._next_ransac_seed,
             on_peers_merged=self._queue_history_for_new_peers,
         )
@@ -136,13 +135,6 @@ class AgentRuntime:
         self._ransac_calls += 1
         return (self._run_seed * 1_000_003 + self.id * 10_007
                 + self._ransac_calls) % (1 << 63)
-
-    def _serialize_shared_map(self):
-        m = self.db.shared_map
-        return (
-            [keyframe_to_record(m.keyframes[k]) for k in sorted(m.keyframes)],
-            [point_to_record(m.points[p]) for p in sorted(m.points)],
-        )
 
     def _ransac_params(self, min_inliers: int) -> RansacParams:
         return RansacParams(
@@ -172,12 +164,10 @@ class AgentRuntime:
             (kf.timestamp, kf.id) for kf in m.keyframes.values()
             if kf.origin_agent == self.id
         )
-        agent_bits = self.id
         for _, kf_id in own_kfs:
             kf = m.keyframes[kf_id]
             own_points = [pid for pid in sorted(kf.observed_points)
-                          if pid in m.points
-                          and ((pid >> 48) & 0xFFFF) == agent_bits]
+                          if pid in m.points and uuid_agent(pid) == self.id]
             self.sharing.record_new_keyframe(kf_id, own_points, peers)
 
     # -- tick ----------------------------------------------------------------
@@ -231,7 +221,7 @@ class AgentRuntime:
         if cand is None:
             return
         result = attempt_full_merge(
-            self.db.active_map, kf.id, points_by_word_from_map(shared),
+            self.db.active_map, kf.id, points_by_word(shared.points.values()),
             self.scenario.merge.neighborhood_depth,
             self._ransac_params(self.scenario.merge.min_inliers),
             self.scenario.merge.cluster_tolerance,

@@ -20,6 +20,10 @@ Keyframe packet payload:
     mp_count u32
     per point: uuid 16B, xyz 3*f64, word u32, observer_count u32 + uuid*
 
+Keyframes and map points travel as the map store's own KeyFrame and MapPoint
+objects.  Id sets are written in ascending order, and decoding always builds
+fresh objects, so an object never reaches a second agent by reference.
+
 Tagged point payload: count u32, then per point uuid 16B + xyz 3*f64.
 Decoding is fail-closed: any structural problem raises WireError naming the
 byte offset (counted from the start of the payload for payload fields); no
@@ -38,6 +42,7 @@ from enum import IntEnum
 import numpy as np
 
 from .geometry import Rotation, Se3Pose, Sim3Transform
+from .map_store import KeyFrame, MapPoint
 
 MAGIC = b"DVMS"
 VERSION = 1
@@ -62,26 +67,8 @@ class MessageType(IntEnum):
 
 
 # ---------------------------------------------------------------------------
-# Plain records crossing the wire
+# Messages
 # ---------------------------------------------------------------------------
-
-@dataclass
-class KeyFrameRecord:
-    uuid: int
-    origin_agent: int
-    timestamp: float
-    pose: Se3Pose
-    words: dict[int, float]
-    observed_points: list[int]
-
-
-@dataclass
-class MapPointRecord:
-    uuid: int
-    position: np.ndarray
-    word: int
-    observers: list[int]
-
 
 @dataclass
 class BowAnnounce:
@@ -94,8 +81,8 @@ class BowAnnounce:
 class FullMapMsg:
     sender: int
     hint_kf: int
-    keyframes: list[KeyFrameRecord]
-    points: list[MapPointRecord]
+    keyframes: list[KeyFrame]
+    points: list[MapPoint]
 
 
 @dataclass
@@ -111,8 +98,8 @@ class MergeNotify:
 class KeyFramePacket:
     sender: int
     sequence: int
-    keyframes: list[KeyFrameRecord]
-    points: list[MapPointRecord]
+    keyframes: list[KeyFrame]
+    points: list[MapPoint]
 
 
 @dataclass
@@ -201,7 +188,7 @@ class _Reader:
 
 
 # ---------------------------------------------------------------------------
-# Record codecs
+# Map object codecs
 # ---------------------------------------------------------------------------
 
 def _write_pose(w: _Writer, pose: Se3Pose) -> None:
@@ -248,8 +235,8 @@ def _read_words(r: _Reader) -> dict[int, float]:
     return words
 
 
-def _write_keyframe(w: _Writer, kf: KeyFrameRecord) -> None:
-    w.uuid(kf.uuid)
+def _write_keyframe(w: _Writer, kf: KeyFrame) -> None:
+    w.uuid(kf.id)
     w.u16(kf.origin_agent)
     w.f64(kf.timestamp)
     _write_pose(w, kf.pose)
@@ -262,18 +249,18 @@ def _write_keyframe(w: _Writer, kf: KeyFrameRecord) -> None:
         w.uuid(pid)
 
 
-def _read_keyframe(r: _Reader) -> KeyFrameRecord:
+def _read_keyframe(r: _Reader) -> KeyFrame:
     uuid = r.uuid()
     origin = r.u16()
     ts = _read_finite(r, 1, "timestamp")[0]
     pose = _read_pose(r)
     words = _read_words(r)
-    obs = [r.uuid() for _ in range(r.u32())]
-    return KeyFrameRecord(uuid, origin, ts, pose, words, obs)
+    obs = {r.uuid() for _ in range(r.u32())}
+    return KeyFrame(uuid, origin, ts, pose, words, obs)
 
 
-def _write_point(w: _Writer, p: MapPointRecord) -> None:
-    w.uuid(p.uuid)
+def _write_point(w: _Writer, p: MapPoint) -> None:
+    w.uuid(p.id)
     for v in p.position:
         w.f64(float(v))
     w.u32(p.word)
@@ -282,12 +269,12 @@ def _write_point(w: _Writer, p: MapPointRecord) -> None:
         w.uuid(kid)
 
 
-def _read_point(r: _Reader) -> MapPointRecord:
+def _read_point(r: _Reader) -> MapPoint:
     uuid = r.uuid()
     pos = np.array(_read_finite(r, 3, "position"))
     word = r.u32()
-    observers = [r.uuid() for _ in range(r.u32())]
-    return MapPointRecord(uuid, pos, word, observers)
+    observers = {r.uuid() for _ in range(r.u32())}
+    return MapPoint(uuid, pos, word, observers)
 
 
 def _write_map_body(w: _Writer, kfs, points) -> None:

@@ -19,7 +19,6 @@ from meshslam.merge_detection import calculate_merge_score
 from meshslam.net_sim import CATEGORIES
 from meshslam.pose_graph import OptimizerParams, graph_cost, optimize
 from meshslam.simulation import Simulation
-from meshslam.wire import KeyFrameRecord, MapPointRecord
 
 from scenario_defs import (
     blackout_recovery,
@@ -266,17 +265,17 @@ def test_criterion_12_idempotency_and_convergence():
         m.insert_keyframe(
             KeyFrame(10, 0, 0.0, Se3Pose.identity(),
                      normalize_histogram({7: 1.0}), {1500}), [local])
-        rec = KeyFrameRecord(
-            uuid=2000, origin_agent=1, timestamp=1.0,
+        ext_kf = KeyFrame(
+            id=2000, origin_agent=1, timestamp=1.0,
             pose=Se3Pose(Rotation.identity(), np.array([0.5, 0, 0])),
-            words=normalize_histogram({7: 1.0}), observed_points=[2500])
-        prec = MapPointRecord(2500, np.array([1.01, 0, 0]), 7, [2000])
-        insert_external_keyframe(m, QueueEntry(1, rec, [prec]), 0.05)
+            words=normalize_histogram({7: 1.0}), observed_points={2500})
+        ext_pt = MapPoint(2500, np.array([1.01, 0, 0]), 7, {2000})
+        insert_external_keyframe(m, QueueEntry(1, ext_kf, [ext_pt]), 0.05)
         snap = (sorted(m.keyframes), sorted(m.points),
                 {k: sorted(p.observers) for k, p in m.points.items()},
                 {k: p.position.copy() for k, p in m.points.items()})
         assert insert_external_keyframe(
-            m, QueueEntry(1, rec, [prec]), 0.05) is None
+            m, QueueEntry(1, ext_kf, [ext_pt]), 0.05) is None
         assert snap[0] == sorted(m.keyframes)
         assert snap[1] == sorted(m.points)
         assert snap[2] == {k: sorted(p.observers) for k, p in m.points.items()}

@@ -202,3 +202,27 @@ class TestCli:
     def test_report_missing_file(self, tmp_path, capsys):
         code = cli_main(["report", "--ledger", str(tmp_path / "nope.csv")])
         assert code == 2
+
+    def test_report_missing_column(self, tmp_path, capsys):
+        ledger = tmp_path / "ledger.csv"
+        ledger.write_text("agent,category,bytes_sent\n0,Key Frames,10000\n")
+        code = cli_main(["report", "--ledger", str(ledger)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {ledger}: missing columns")
+        assert "bytes_received" in captured.err
+
+    def test_report_non_numeric_field(self, tmp_path, capsys):
+        ledger = tmp_path / "ledger.csv"
+        ledger.write_text(
+            "agent,category,bytes_sent,bytes_received,bytes_dropped,avg_kbps\n"
+            "0,Key Frames,10000,9000,1000,1.0\n"
+            "x,BoWs,500,400,100,0.05\n"
+        )
+        code = cli_main(["report", "--ledger", str(ledger)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {ledger}: line 3:")
+        assert "'x'" in captured.err

@@ -13,11 +13,9 @@ from meshslam.group_protocol import (
     attempt_full_merge,
     collect_word_correspondences,
     leader,
-    points_by_word_from_map,
-    points_by_word_from_records,
+    points_by_word,
 )
 from meshslam.map_store import AgentMap, KeyFrame, MapPoint, normalize_histogram
-from meshslam.map_sharing import keyframe_to_record, point_to_record
 from meshslam.wire import (
     BowAnnounce,
     FullMapMsg,
@@ -115,8 +113,7 @@ class TestAttemptFullMerge:
         frame_remote = Sim3Transform.identity()
         local = build_map_in_frame(frame_local, wp, agent=1)
         remote = build_map_in_frame(frame_remote, wp, agent=0, kf_base=50, pt_base=5000)
-        remote_by_word = points_by_word_from_records(
-            [point_to_record(p) for p in remote.points.values()])
+        remote_by_word = points_by_word(remote.points.values())
         result = attempt_full_merge(local, hint_kf_id=1,
                                     remote_by_word=remote_by_word,
                                     neighborhood_depth=2,
@@ -135,7 +132,7 @@ class TestAttemptFullMerge:
         remote = build_map_in_frame(Sim3Transform.identity(),
                                     world_landmarks(rng, 10, word_base=100),
                                     kf_base=50, pt_base=5000)
-        remote_by_word = points_by_word_from_map(remote)
+        remote_by_word = points_by_word(remote.points.values())
         assert attempt_full_merge(local, 1, remote_by_word, 2,
                                   RansacParams(seed=1)) is None
 
@@ -153,7 +150,7 @@ class TestAttemptFullMerge:
         local = build_map_in_frame(frame_local, local_words, agent=1)
         remote = build_map_in_frame(Sim3Transform.identity(), remote_words,
                                     agent=0, kf_base=50, pt_base=5000)
-        result = attempt_full_merge(local, 1, points_by_word_from_map(remote), 2,
+        result = attempt_full_merge(local, 1, points_by_word(remote.points.values()), 2,
                                     RansacParams(seed=7, min_inliers=12))
         assert result is not None
         t, inliers = result
@@ -201,11 +198,6 @@ class Bus:
         def apply_transform(t, _aid=aid):
             self.maps[_aid].apply_sim3(t)
 
-        def serialize(_aid=aid):
-            mm = self.maps[_aid]
-            return ([keyframe_to_record(k) for _, k in sorted(mm.keyframes.items())],
-                    [point_to_record(p) for _, p in sorted(mm.points.items())])
-
         def ransac_seed():
             self._seed += 1
             return self._seed
@@ -213,7 +205,7 @@ class Bus:
         self.maps[aid] = m
         hooks = ManagerHooks(send=send, log=log,
                              schedule=schedule, apply_map_transform=apply_transform,
-                             serialize_shared_map=serialize, ransac_seed=ransac_seed)
+                             ransac_seed=ransac_seed)
         mgr = SystemManager(
             aid, agents, hooks, MergeConfig(**cfg), AlignConfig(),
             shared_map=lambda _aid=aid: self.maps[_aid],
@@ -355,6 +347,25 @@ class TestProtocolFlow:
         before = len(bus.trace)
         bus.deliver(2, 1, BowAnnounce(2, kf2.id, dict(kf2.words)))
         assert len(bus.trace) == before  # no reaction
+
+    def test_full_map_lists_objects_in_ascending_id_order(self):
+        rng = np.random.default_rng(15)
+        bus, shared, frames = three_agent_bus(rng)
+        m1 = bus.maps[1]
+        # lower ids inserted last, so the map's own order is not ascending
+        late = build_map_in_frame(frames[1], world_landmarks(rng, 6, word_base=300),
+                                  agent=1, kf_base=5, pt_base=500, n_keyframes=2)
+        for kid in sorted(late.keyframes, reverse=True):
+            kf = late.keyframes[kid]
+            m1.insert_keyframe(kf, [late.points[p] for p in sorted(kf.observed_points)
+                                    if p not in m1.points])
+        assert list(m1.keyframes) != sorted(m1.keyframes)
+        assert list(m1.points) != sorted(m1.points)
+        bus.dropped.add(FullMapMsg)
+        bus.managers[1]._start_full_map_exchange(2, hint_kf=200)
+        [msg] = [m for (_, _, m) in bus.trace if isinstance(m, FullMapMsg)]
+        assert [kf.id for kf in msg.keyframes] == sorted(m1.keyframes)
+        assert [p.id for p in msg.points] == sorted(m1.points)
 
     def test_non_leader_announce_is_noop(self):
         rng = np.random.default_rng(13)

@@ -10,26 +10,21 @@ from meshslam.map_sharing import (
     encode_packet,
     insert_external_keyframe,
 )
-from meshslam.wire import (
-    KeyFramePacket,
-    KeyFrameRecord,
-    MapPointRecord,
-    WireError,
-)
+from meshslam.wire import KeyFramePacket, WireError
 
 
-def kf_record(uid, words, observed, pos=(0, 0, 0), agent=1, ts=0.0):
-    return KeyFrameRecord(
-        uuid=uid, origin_agent=agent, timestamp=ts,
+def ext_keyframe(uid, words, observed, pos=(0, 0, 0), agent=1, ts=0.0):
+    return KeyFrame(
+        id=uid, origin_agent=agent, timestamp=ts,
         pose=Se3Pose(Rotation.identity(), np.asarray(pos, dtype=float)),
         words=normalize_histogram({w: 1.0 for w in words}),
-        observed_points=sorted(observed),
+        observed_points=set(observed),
     )
 
 
-def pt_record(uid, pos, word, observers):
-    return MapPointRecord(uuid=uid, position=np.asarray(pos, dtype=float),
-                          word=word, observers=sorted(observers))
+def ext_point(uid, pos, word, observers):
+    return MapPoint(id=uid, position=np.asarray(pos, dtype=float),
+                    word=word, observers=set(observers))
 
 
 def random_packet(rng, sender=3, seq=9):
@@ -37,18 +32,18 @@ def random_packet(rng, sender=3, seq=9):
     for i in range(int(rng.integers(1, 4))):
         uid = 1000 + i
         pids = [2000 + i * 10 + j for j in range(int(rng.integers(1, 4)))]
-        kfs.append(KeyFrameRecord(
-            uuid=uid, origin_agent=sender, timestamp=float(rng.uniform(0, 100)),
+        kfs.append(KeyFrame(
+            id=uid, origin_agent=sender, timestamp=float(rng.uniform(0, 100)),
             pose=Se3Pose(Rotation.from_rotvec(rng.uniform(-1, 1, 3)),
                          rng.uniform(-5, 5, 3)),
             words={int(w): float(np.float32(rng.uniform(0, 1)))
                    for w in rng.choice(50, size=int(rng.integers(1, 5)), replace=False)},
-            observed_points=pids,
+            observed_points=set(pids),
         ))
         for pid in pids:
-            pts.append(MapPointRecord(
-                uuid=pid, position=rng.uniform(-5, 5, 3),
-                word=int(rng.integers(0, 50)), observers=[uid],
+            pts.append(MapPoint(
+                id=pid, position=rng.uniform(-5, 5, 3),
+                word=int(rng.integers(0, 50)), observers={uid},
             ))
     return KeyFramePacket(sender=sender, sequence=seq, keyframes=kfs, points=pts)
 
@@ -62,17 +57,17 @@ class TestWireRoundTrip:
             assert out.sender == pkt.sender and out.sequence == pkt.sequence
             assert len(out.keyframes) == len(pkt.keyframes)
             for a, b in zip(out.keyframes, pkt.keyframes):
-                assert a.uuid == b.uuid
+                assert a.id == b.id
                 assert a.origin_agent == b.origin_agent
                 assert a.timestamp == b.timestamp
                 assert np.array_equal(a.pose.translation, b.pose.translation)
                 assert np.array_equal(a.pose.rotation.q, b.pose.rotation.q)
                 assert a.words == b.words
-                assert a.observed_points == sorted(b.observed_points)
+                assert a.observed_points == b.observed_points
             for a, b in zip(out.points, pkt.points):
-                assert a.uuid == b.uuid and a.word == b.word
+                assert a.id == b.id and a.word == b.word
                 assert np.array_equal(a.position, b.position)
-                assert a.observers == sorted(b.observers)
+                assert a.observers == b.observers
 
     def test_empty_packet_header_only_size(self):
         pkt = KeyFramePacket(sender=1, sequence=0, keyframes=[], points=[])
@@ -161,9 +156,9 @@ class TestInsertExternalKeyframe:
 
     def test_no_overlap_inserts_cleanly(self):
         m = AgentMap()
-        rec = kf_record(1000, [1, 2], observed=[2000, 2001])
-        pts = [pt_record(2000, [1, 0, 0], 1, [1000]),
-               pt_record(2001, [0, 1, 0], 2, [1000])]
+        rec = ext_keyframe(1000, [1, 2], observed=[2000, 2001])
+        pts = [ext_point(2000, [1, 0, 0], 1, [1000]),
+               ext_point(2001, [0, 1, 0], 2, [1000])]
         kid = insert_external_keyframe(m, self.entry(rec, pts), 0.05)
         assert kid == 1000
         assert set(m.keyframes) == {1000}
@@ -175,8 +170,8 @@ class TestInsertExternalKeyframe:
         local_pt = MapPoint(1500, np.array([1.0, 0, 0]), word=7, observers={10})
         m.insert_keyframe(KeyFrame(10, 0, 0.0, Se3Pose.identity(),
                                    normalize_histogram({7: 1.0}), {1500}), [local_pt])
-        rec = kf_record(2000, [7], observed=[2500])
-        ext_pt = pt_record(2500, [1.02, 0, 0], 7, [2000])  # 0.02 away, same word
+        rec = ext_keyframe(2000, [7], observed=[2500])
+        ext_pt = ext_point(2500, [1.02, 0, 0], 7, [2000])  # 0.02 away, same word
         insert_external_keyframe(m, self.entry(rec, [ext_pt]), 0.05)
         assert 1500 in m.points and 2500 not in m.points
         assert m.points[1500].observers == {10, 2000}
@@ -188,15 +183,15 @@ class TestInsertExternalKeyframe:
         local_pt = MapPoint(1500, np.array([1.0, 0, 0]), word=7, observers={10})
         m.insert_keyframe(KeyFrame(10, 0, 0.0, Se3Pose.identity(),
                                    normalize_histogram({7: 1.0}), {1500}), [local_pt])
-        rec = kf_record(2000, [7], observed=[2500])
-        ext_pt = pt_record(2500, [3.0, 0, 0], 7, [2000])
+        rec = ext_keyframe(2000, [7], observed=[2500])
+        ext_pt = ext_point(2500, [3.0, 0, 0], 7, [2000])
         insert_external_keyframe(m, self.entry(rec, [ext_pt]), 0.05)
         assert {1500, 2500} <= set(m.points)
 
     def test_redelivery_is_noop(self):
         m = AgentMap()
-        rec = kf_record(1000, [1], observed=[2000])
-        pts = [pt_record(2000, [1, 0, 0], 1, [1000])]
+        rec = ext_keyframe(1000, [1], observed=[2000])
+        pts = [ext_point(2000, [1, 0, 0], 1, [1000])]
         insert_external_keyframe(m, self.entry(rec, pts), 0.05)
         snapshot = (sorted(m.keyframes), sorted(m.points),
                     {k: sorted(v.observers) for k, v in m.points.items()})
@@ -208,10 +203,10 @@ class TestInsertExternalKeyframe:
     def test_relink_against_previously_sent_point(self):
         # point arrived in an earlier packet; new keyframe references it by id
         m = AgentMap()
-        first = kf_record(1000, [1], observed=[2000])
+        first = ext_keyframe(1000, [1], observed=[2000])
         insert_external_keyframe(
-            m, self.entry(first, [pt_record(2000, [0, 0, 0], 1, [1000])]), 0.05)
-        second = kf_record(1001, [1], observed=[2000])
+            m, self.entry(first, [ext_point(2000, [0, 0, 0], 1, [1000])]), 0.05)
+        second = ext_keyframe(1001, [1], observed=[2000])
         insert_external_keyframe(m, self.entry(second, []), 0.05)
         assert m.points[2000].observers == {1000, 1001}
         assert m.keyframes[1000].covisibility[1001] == 1
@@ -219,12 +214,12 @@ class TestInsertExternalKeyframe:
 
     def test_missing_reference_parked_then_resolved(self):
         m = AgentMap()
-        rec = kf_record(1001, [1], observed=[2000])  # 2000 not delivered yet
+        rec = ext_keyframe(1001, [1], observed=[2000])  # 2000 not delivered yet
         insert_external_keyframe(m, self.entry(rec, []), 0.05)
         assert 2000 in m.pending_point_links
-        late = kf_record(1000, [1], observed=[2000])
+        late = ext_keyframe(1000, [1], observed=[2000])
         insert_external_keyframe(
-            m, self.entry(late, [pt_record(2000, [0, 0, 0], 1, [1000])]), 0.05)
+            m, self.entry(late, [ext_point(2000, [0, 0, 0], 1, [1000])]), 0.05)
         assert m.points[2000].observers == {1000, 1001}
         assert not m.pending_point_links
         m.check_integrity()
@@ -246,9 +241,9 @@ class TestInsertExternalKeyframe:
                     for k, kf in m.keyframes.items()}
 
         before = pose_bytes()
-        rec = kf_record(2000, [3, 9], observed=[1503, 2500], pos=(0.3, 0.1, 0))
+        rec = ext_keyframe(2000, [3, 9], observed=[1503, 2500], pos=(0.3, 0.1, 0))
         insert_external_keyframe(
-            m, self.entry(rec, [pt_record(2500, [5, 5, 5], 9, [2000])]), 0.05)
+            m, self.entry(rec, [ext_point(2500, [5, 5, 5], 9, [2000])]), 0.05)
         assert m.keyframes[2000].covisibility == {13: 1}
         after = pose_bytes()
         assert {k: after[k] for k in before} == before
@@ -260,7 +255,7 @@ class TestQueue:
         s = SharingState()
         m = AgentMap()
         for i in range(10):
-            s.queue.append(QueueEntry(1, kf_record(1000 + i, [i], observed=[]), []))
+            s.queue.append(QueueEntry(1, ext_keyframe(1000 + i, [i], observed=[]), []))
         inserted = s.drain(m, budget=3, dup_radius=0.05)
         assert len(inserted) == 3
         assert len(s.queue) == 7
@@ -273,7 +268,7 @@ class TestQueue:
         s = SharingState()
         pkt = KeyFramePacket(
             sender=1, sequence=0,
-            keyframes=[kf_record(1000 + i, [1], observed=[]) for i in range(4)],
+            keyframes=[ext_keyframe(1000 + i, [1], observed=[]) for i in range(4)],
             points=[],
         )
         s.enqueue_packet(pkt)
@@ -284,14 +279,14 @@ class TestQueue:
         assert got == [1000, 1001, 1002, 1003]
 
     def test_points_ride_with_first_observer(self):
-        shared = pt_record(2000, [0, 0, 0], 1, [1000, 1001])
+        shared = ext_point(2000, [0, 0, 0], 1, [1000, 1001])
         pkt = KeyFramePacket(
             sender=1, sequence=0,
-            keyframes=[kf_record(1000, [1], observed=[2000]),
-                       kf_record(1001, [1], observed=[2000])],
+            keyframes=[ext_keyframe(1000, [1], observed=[2000]),
+                       ext_keyframe(1001, [1], observed=[2000])],
             points=[shared],
         )
         s = SharingState()
         s.enqueue_packet(pkt)
-        assert [p.uuid for p in s.queue[0].points] == [2000]
+        assert [p.id for p in s.queue[0].points] == [2000]
         assert s.queue[1].points == []

@@ -13,6 +13,7 @@ from meshslam.map_store import (
     WordMismatchError,
     make_uuid,
     normalize_histogram,
+    uuid_agent,
 )
 from meshslam.pose_graph import build_local_window, optimize
 
@@ -57,7 +58,7 @@ class TestUuid:
     def test_layout_round_trip(self):
         uid = make_uuid(seed=0xDEAD, agent_id=5, counter=99)
         assert (uid >> 64) == 0xDEAD
-        assert (uid >> 48) & 0xFFFF == 5
+        assert uuid_agent(uid) == 5
         assert uid & 0xFFFFFFFFFFFF == 99
 
 

@@ -26,6 +26,13 @@ def blackout_result():
 
 
 @pytest.fixture(scope="module")
+def lossy_result():
+    # every manager's invariants are checked after every event
+    return Simulation(coop_loops(True, drop_prob=0.2), seed=3,
+                      check_invariants=True).run()
+
+
+@pytest.fixture(scope="module")
 def failover_result():
     return Simulation(leader_failover(), seed=5, check_invariants=True).run()
 
@@ -187,12 +194,26 @@ class TestCooperationEndToEnd:
             group = res.runtimes[aid].manager.registry.group_of(aid)
             assert group == frozenset({aid})
 
-    def test_lossy_run_keeps_invariants_through_handshake_timeouts(self):
-        # every manager's invariants are checked after every event
-        res = Simulation(coop_loops(True, drop_prob=0.2), seed=3,
-                         check_invariants=True).run()
-        assert res.log.named("merge_handshake_timeout")
-        assert res.log.named("group_merged")
+    def test_lossy_run_keeps_invariants_through_handshake_timeouts(self, lossy_result):
+        assert lossy_result.log.named("merge_handshake_timeout")
+        assert lossy_result.log.named("group_merged")
+
+    def test_agents_never_share_map_objects(self, lossy_result):
+        # keyframes and points cross the wire as map objects; every agent
+        # must still hold its own copies of them and of their mutable parts
+        owner: dict[int, int] = {}
+        maps = {aid: rt.db.shared_map for aid, rt in lossy_result.runtimes.items()}
+        for aid, m in maps.items():
+            held = []
+            for kf in m.keyframes.values():
+                held += [kf, kf.pose, kf.words, kf.observed_points, kf.covisibility]
+            for p in m.points.values():
+                held += [p, p.position, p.observers]
+            for obj in held:
+                assert owner.setdefault(id(obj), aid) == aid, (
+                    f"agents {owner[id(obj)]} and {aid} share a {type(obj).__name__}")
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            assert maps[a].keyframes.keys() & maps[b].keyframes.keys()
 
 
 class TestAlignmentScheduling:

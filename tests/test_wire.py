@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from meshslam.geometry import Rotation, Se3Pose, Sim3Transform, vec3
+from meshslam.map_store import KeyFrame, MapPoint
 from meshslam.wire import (
     HEADER_SIZE,
     AlignmentRequest,
@@ -11,11 +12,9 @@ from meshslam.wire import (
     FullMapMsg,
     GroupUpdate,
     KeyFramePacket,
-    KeyFrameRecord,
     LocalizationLost,
     LocalizationRegained,
     MergeNotify,
-    MapPointRecord,
     MessageType,
     TaggedPoints,
     WireError,
@@ -26,12 +25,12 @@ from meshslam.wire import (
 )
 
 
-def sample_kf_record(uid=500):
-    return KeyFrameRecord(
-        uuid=uid, origin_agent=2, timestamp=1.25,
+def sample_keyframe(uid=500):
+    return KeyFrame(
+        id=uid, origin_agent=2, timestamp=1.25,
         pose=Se3Pose(Rotation.from_axis_angle(vec3(0, 0, 1), 0.5), vec3(1, 2, 3)),
         words={3: 0.5, 9: 0.5},
-        observed_points=[700, 701],
+        observed_points={700, 701},
     )
 
 
@@ -70,13 +69,13 @@ class TestMessageRoundTrips:
     def test_full_map(self):
         msg = FullMapMsg(
             sender=3, hint_kf=999,
-            keyframes=[sample_kf_record()],
-            points=[MapPointRecord(700, vec3(0.1, 0.2, 0.3), 3, [500])],
+            keyframes=[sample_keyframe()],
+            points=[MapPoint(700, vec3(0.1, 0.2, 0.3), 3, {500})],
         )
         out = self.roundtrip(msg)
         assert out.hint_kf == 999
-        assert out.keyframes[0].uuid == 500
-        assert out.points[0].observers == [500]
+        assert out.keyframes[0].id == 500
+        assert out.points[0].observers == {500}
 
     def test_merge_notify(self):
         t = Sim3Transform(1.5, Rotation.from_axis_angle(vec3(0, 0, 1), 0.7),
@@ -125,13 +124,13 @@ def corrupt(msg, fmt, old, new):
 
 
 def kf_packet():
-    kf = KeyFrameRecord(
-        uuid=500, origin_agent=2, timestamp=1.25,
+    kf = KeyFrame(
+        id=500, origin_agent=2, timestamp=1.25,
         pose=Se3Pose(Rotation.from_axis_angle(vec3(0, 0, 1), 0.5), vec3(1.5, 2.5, 3.5)),
         words={3: 0.375, 9: 0.625},
-        observed_points=[700],
+        observed_points={700},
     )
-    pt = MapPointRecord(700, vec3(0.125, 0.875, 4.75), 3, [500])
+    pt = MapPoint(700, vec3(0.125, 0.875, 4.75), 3, {500})
     return KeyFramePacket(sender=3, sequence=11, keyframes=[kf], points=[pt])
 
 
