@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,10 +152,15 @@ def trajectory_from_csv(text: str, source: str = "<string>"):
         if len(rec) != len(TRAJECTORY_HEADER):
             raise TrajectoryFormatError(
                 f"{source}: line {i}: expected {len(TRAJECTORY_HEADER)} fields")
-        t = float(rec[0])
-        agent = int(rec[1])
-        pos = np.array([float(v) for v in rec[2:5]])
-        quat = np.array([float(v) for v in rec[5:9]])
+        try:
+            t = float(rec[0])
+            agent = int(rec[1])
+            pos = np.array([float(v) for v in rec[2:5]])
+            quat = np.array([float(v) for v in rec[5:9]])
+        except ValueError as exc:
+            raise TrajectoryFormatError(f"{source}: line {i}: {exc}") from None
+        if not (math.isfinite(t) and np.isfinite(pos).all() and np.isfinite(quat).all()):
+            raise TrajectoryFormatError(f"{source}: line {i}: non-finite field")
         rows.append((t, agent, pos, quat))
     return rows
 

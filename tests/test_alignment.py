@@ -5,6 +5,7 @@ import pytest
 
 from meshslam.alignment import (
     AimdState,
+    _solve_samples,
     DegenerateInputError,
     NoModelError,
     RansacParams,
@@ -200,6 +201,138 @@ class TestRansacSim3:
         t2, _ = ransac_sim3(self.tagged(corrected), dst, RansacParams(seed=5))
         moved = np.linalg.norm(t2.apply(corrected) - corrected, axis=1)
         assert np.max(moved) < 1e-9 + 10 * 0.003
+
+
+def ransac_loop_reference(src, dst, params):
+    """``ransac_sim3`` as one Kabsch fit per loop step, the batch's oracle.
+
+    Returns (transform, inlier ids, degenerate samples skipped).
+    """
+    src_map = {uid: np.asarray(p, dtype=float) for uid, p in src}
+    dst_map = {uid: np.asarray(p, dtype=float) for uid, p in dst}
+    common = sorted(set(src_map) & set(dst_map))
+    if len(common) < 3:
+        raise NoModelError(f"only {len(common)} shared ids, need at least 3")
+    a = np.array([src_map[u] for u in common])
+    b = np.array([dst_map[u] for u in common])
+    rng = np.random.default_rng(params.seed)
+    n = len(common)
+    best_count = 0
+    best_mask = None
+    skipped = 0
+    for _ in range(params.iterations):
+        idx = rng.choice(n, size=3, replace=False)
+        try:
+            model = kabsch_umeyama(a[idx], b[idx])
+        except DegenerateInputError:
+            skipped += 1
+            continue
+        err = np.linalg.norm(b - model.apply(a), axis=1)
+        mask = err < params.inlier_threshold
+        count = int(mask.sum())
+        if count > best_count:
+            best_count = count
+            best_mask = mask
+    if best_mask is None or best_count < params.min_inliers:
+        raise NoModelError(
+            f"best sample had {best_count} inliers, need {params.min_inliers}"
+        )
+    refit = kabsch_umeyama(a[best_mask], b[best_mask])
+    return refit, [u for u, keep in zip(common, best_mask) if keep], skipped
+
+
+def reference_case(kind, seed):
+    """(src points, dst points, min_inliers) for one seeded reference case."""
+    rng = np.random.default_rng(1000 + seed)
+    true = random_sim3(rng)
+    if kind == "outliers":
+        pts = rng.uniform(-3, 3, size=(int(rng.integers(40, 400)), 3))
+        dst = true.apply(pts) + rng.normal(0, 0.01, size=pts.shape)
+        out = rng.random(len(pts)) < 0.3
+        dst[out] += rng.uniform(-3, 3, size=(int(out.sum()), 3))
+        return pts, dst, 12
+    if kind == "degenerate":
+        # a third coincident, a third on one line: many samples are rejected
+        pts = rng.uniform(-3, 3, size=(24, 3))
+        pts[:8] = pts[0]
+        pts[8:16] = pts[8] + np.outer(rng.uniform(-2, 2, 8), rng.normal(size=3))
+        return pts, true.apply(pts) + rng.normal(0, 0.005, size=pts.shape), 6
+    if kind == "clusters":
+        # two equal, separately consistent halves: the first best sample wins
+        pts = rng.uniform(-3, 3, size=(30, 3))
+        dst = true.apply(pts)
+        half = rng.permutation(30)[:15]
+        dst[half] = random_sim3(rng).apply(pts[half])
+        return pts, dst, 12
+    pts = rng.uniform(-3, 3, size=(3, 3))
+    return pts, true.apply(pts), 3
+
+
+# More cluster seeds: in each, the tie-break matters only when the first and
+# the last best sample of a scoring block fit different halves.
+REFERENCE_CASES = [(kind, iterations, seed)
+                   for kind in ("outliers", "degenerate", "clusters", "three_points")
+                   for iterations in (1, 33, 200)
+                   for seed in range(4)]
+REFERENCE_CASES += [("clusters", 200, seed) for seed in range(4, 12)]
+
+
+class TestRansacMatchesLoopReference:
+    @pytest.mark.parametrize("kind,iterations,seed", REFERENCE_CASES,
+                             ids=[f"{k}-{i}-{s}" for k, i, s in REFERENCE_CASES])
+    def test_same_inliers_and_bit_identical_refit(self, kind, iterations, seed):
+        pts, dst_pts, min_inliers = reference_case(kind, seed)
+        src = [(i, p) for i, p in enumerate(pts)]
+        dst = [(i, p) for i, p in enumerate(dst_pts)]
+        params = RansacParams(iterations=iterations, min_inliers=min_inliers, seed=seed)
+        try:
+            ref_t, ref_ids, skipped = ransac_loop_reference(src, dst, params)
+        except NoModelError as exc:
+            with pytest.raises(NoModelError) as got:
+                ransac_sim3(src, dst, params)
+            assert str(got.value) == str(exc)
+            return
+        t, ids = ransac_sim3(src, dst, params)
+        assert ids == ref_ids
+        assert t.scale == ref_t.scale
+        assert np.array_equal(t.rotation.q, ref_t.rotation.q)
+        assert np.array_equal(t.translation, ref_t.translation)
+        if kind == "degenerate" and iterations == 200:
+            assert skipped > 0
+
+    def test_every_case_kind_finds_a_model(self):
+        # the comparison above must not pass only through NoModelError
+        for kind in ("outliers", "degenerate", "clusters", "three_points"):
+            pts, dst_pts, min_inliers = reference_case(kind, 0)
+            tagged = [(i, p) for i, p in enumerate(pts)]
+            _, ids = ransac_sim3(tagged, [(i, p) for i, p in enumerate(dst_pts)],
+                                 RansacParams(min_inliers=min_inliers, seed=0))
+            assert len(ids) >= min_inliers
+
+    def test_degenerate_masks_match_kabsch_rejections(self):
+        rng = np.random.default_rng(13)
+        src = rng.uniform(-3, 3, size=(60, 3, 3))
+        src[:10] = src[:10, :1]  # coincident
+        src[10:20] = src[10:20, :1] + 1e-13 * rng.normal(size=(10, 3, 3))  # nearly
+        src[20:30] = src[20:30, :1] + rng.normal(size=(10, 3, 1)) * rng.normal(size=(10, 1, 3))
+        dst = rng.uniform(-3, 3, size=(60, 3, 3))
+        dst[30:40] = dst[30:40, :1]  # coincident targets
+        *_, ok = _solve_samples(src, dst)
+        for i in range(len(src)):
+            try:
+                kabsch_umeyama(src[i], dst[i])
+                rejected = False
+            except DegenerateInputError:
+                rejected = True
+            assert ok[i] == (not rejected), i
+        assert 0 < ok.sum() < len(src)
+
+    def test_all_collinear_has_no_model(self):
+        line = np.outer(np.linspace(-3, 3, 20), [0.3, -0.5, 0.8])
+        src = [(i, p) for i, p in enumerate(line)]
+        dst = [(i, 2.0 * p + 1.0) for i, p in enumerate(line)]
+        with pytest.raises(NoModelError, match="0 inliers"):
+            ransac_sim3(src, dst, RansacParams(seed=1))
 
 
 class TestAimd:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from meshslam.ate import (
+    TRAJECTORY_HEADER,
     TooFewAssociationsError,
     TrajectoryFormatError,
     compute_ate,
@@ -172,6 +173,35 @@ class TestCli:
         code = cli_main(["eval", "--est", str(bad), "--gt", str(good)])
         assert code == 2
         assert "missing columns" in capsys.readouterr().err
+
+    def bad_field(self, tmp_path, column, value):
+        rows = synthetic_rows(np.random.default_rng(12))
+        lines = trajectory_to_csv(rows).splitlines()
+        fields = lines[3].split(",")
+        fields[TRAJECTORY_HEADER.index(column)] = value
+        lines[3] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        good = tmp_path / "good.csv"
+        good.write_text(trajectory_to_csv(rows))
+        return str(bad), str(good)
+
+    def test_eval_non_numeric_field(self, tmp_path, capsys):
+        bad, good = self.bad_field(tmp_path, "y", "abc")
+        code = cli_main(["eval", "--est", bad, "--gt", good])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: line 4:")
+        assert "'abc'" in captured.err
+
+    def test_eval_non_finite_field(self, tmp_path, capsys):
+        bad, good = self.bad_field(tmp_path, "x", "nan")
+        code = cli_main(["eval", "--est", good, "--gt", bad])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: line 4: non-finite")
 
     def test_sim_rejects_bad_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
