@@ -131,6 +131,10 @@ class ScenarioConfig:
                 raise ConfigError(f"{where}.scale_offset: must be in [0.5, 2]")
             if a.frame_offset not in ("random", "identity"):
                 raise ConfigError(f"{where}.frame_offset: 'random' or 'identity'")
+        for i, window in enumerate(self.net.partitions):
+            for j, link in enumerate(window.down_links):
+                if not all(x in ids for x in link):
+                    raise ConfigError(f"net.partitions[{i}].links[{j}]: unknown agent")
         if self.world.landmarks < 1:
             raise ConfigError("world.landmarks: must be >= 1")
         if self.world.vocab_size < 1:
@@ -148,19 +152,41 @@ class ScenarioConfig:
             raise ConfigError("share: batch_size and drain_budget must be >= 1")
 
 
-def _expect(mapping: dict, key: str, where: str) -> object:
-    if key not in mapping:
-        raise ConfigError(f"{where}.{key}: missing required key")
-    return mapping[key]
+def _mapping(section: object, where: str) -> dict:
+    if not isinstance(section, (dict, type(None))):
+        raise ConfigError(f"{where}: expected a mapping")
+    return dict(section or {})
 
 
-def _build(section: dict | None, cls, where: str, **overrides):
-    section = dict(section or {})
+def _list(value: object, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list")
+    return value
+
+
+def _number(value: object, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    return value
+
+
+def _pair(value: object, where: str, need: str) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{where}: need {need}")
+    return tuple(value)
+
+
+def _build(section: object, cls, where: str, **overrides):
+    section = _mapping(section, where)
     section.update(overrides)
-    fields = {f for f in cls.__dataclass_fields__}
-    unknown = set(section) - fields
+    fields = cls.__dataclass_fields__
+    unknown = set(section) - set(fields)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    for key, value in section.items():
+        kind = fields[key].type  # a string: annotations are postponed in both modules
+        if kind in ("int", "float") or (kind == "float | None" and value is not None):
+            _number(value, f"{where}.{key}")
     try:
         return cls(**section)
     except (TypeError, ValueError) as exc:
@@ -176,35 +202,32 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         raise ConfigError(f"top level: unknown sections {sorted(unknown)}")
 
     agents = []
-    for i, a in enumerate(raw.get("agents") or []):
+    for i, a in enumerate(_list(raw.get("agents") or [], "agents")):
         where = f"agents[{i}]"
-        if not isinstance(a, dict):
-            raise ConfigError(f"{where}: expected a mapping")
-        a = dict(a)
-        _expect(a, "id", where[:-len(f"[{i}]")] + f"[{i}]")
-        _expect(a, "waypoints", where)
-        blackouts = [tuple(b) for b in a.pop("blackouts", [])]
-        for j, b in enumerate(blackouts):
-            if len(b) != 2 or b[0] >= b[1]:
-                raise ConfigError(f"{where}.blackouts[{j}]: need [start, end] with start < end")
+        a = _mapping(a, where)
+        blackouts = []
+        for j, b in enumerate(_list(a.pop("blackouts", []), f"{where}.blackouts")):
+            at, need = f"{where}.blackouts[{j}]", "[start, end] with start < end"
+            blackouts.append(_pair(b, at, need))
+            if _number(b[0], at) >= _number(b[1], at):
+                raise ConfigError(f"{at}: need {need}")
         agents.append(_build(a, AgentConfig, where, blackouts=blackouts))
 
-    net_raw = dict(raw.get("net") or {})
+    net_raw = _mapping(raw.get("net"), "net")
     partitions = []
-    for i, p in enumerate(net_raw.pop("partitions", [])):
+    for i, p in enumerate(_list(net_raw.pop("partitions", []), "net.partitions")):
         where = f"net.partitions[{i}]"
-        if not isinstance(p, dict):
-            raise ConfigError(f"{where}: expected a mapping")
-        links = [tuple(l) for l in p.get("links", [])]
-        for j, l in enumerate(links):
-            if len(l) != 2:
-                raise ConfigError(f"{where}.links[{j}]: need [a, b]")
-        try:
-            partitions.append(PartitionWindow(float(p["start"]), float(p["end"]), links))
-        except KeyError as exc:
-            raise ConfigError(f"{where}.{exc.args[0]}: missing required key") from exc
+        p = _mapping(p, where)
+        unknown = set(p) - {"start", "end", "links"}
+        if unknown:
+            raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        start, end = (float(_number(p.get(key), f"{where}.{key}")) for key in ("start", "end"))
+        links = [_pair(link, f"{where}.links[{j}]", "[a, b]")
+                 for j, link in enumerate(_list(p.get("links", []), f"{where}.links"))]
+        partitions.append(PartitionWindow(start, end, links))
     if "latency_ms" in net_raw:
-        net_raw["latency_ms"] = tuple(net_raw["latency_ms"])
+        latency = _pair(net_raw["latency_ms"], "net.latency_ms", "[lo, hi]")
+        net_raw["latency_ms"] = tuple(_number(v, "net.latency_ms") for v in latency)
     net = _build(net_raw, NetworkConfig, "net", partitions=partitions)
 
     cfg = ScenarioConfig(

@@ -1,11 +1,11 @@
 """Per-agent map database.
 
-An :class:`AgentMap` holds keyframes, map points, the inverted visual-word
-index used for place recognition, and the covisibility graph.  Edge weights
-(shared map points) are counted as observations are linked and unlinked:
-``_link`` adds 1 to the edge with each other observer of the point, and
-``_unlink`` takes it away.  A :class:`MapDatabase` holds one shared map plus
-any private maps created while localization is lost.
+An :class:`AgentMap` holds keyframes, map points and the inverted visual-word
+index used for place recognition.  The covisibility graph is derived, not
+counted: ``KeyFrame.covisibility`` is recomputed on every read from the
+keyframe's observed points and their observers, through a back-reference to
+the map that holds the keyframe.  A :class:`MapDatabase` holds one shared map
+plus any private maps created while localization is lost.
 
 Object ids are 128-bit integers derived deterministically from
 (run seed, agent id, per-agent counter) so that reruns are bit-identical.
@@ -16,7 +16,9 @@ the object shows up.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -77,7 +79,17 @@ class KeyFrame:
     pose: Se3Pose
     words: dict[int, float]
     observed_points: set[int] = field(default_factory=set)
-    covisibility: dict[int, int] = field(default_factory=dict)
+    # the AgentMap holding this keyframe; set on insertion and on absorb
+    owner: AgentMap | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def covisibility(self) -> Counter[int]:
+        """Shared present map points per other keyframe of the owning map."""
+        points = self.owner.points if self.owner is not None else {}
+        counts = Counter(chain.from_iterable(
+            points[pid].observers for pid in self.observed_points if pid in points))
+        del counts[self.id]
+        return counts
 
 
 @dataclass
@@ -109,28 +121,27 @@ class AgentMap:
         """Insert a keyframe together with the point records it carries.
 
         Points already present gain an observer; new points are created.
-        Covisibility edges are created to every keyframe sharing at least one
-        map point.  References to absent objects become pending links.
+        References to absent objects become pending links.
         """
         if kf.id in self.keyframes:
             raise DuplicateObjectError(f"keyframe {kf.id} already present")
         for p in observed:
             self.upsert_point(p)
         self.keyframes[kf.id] = kf
+        kf.owner = self
         for w in kf.words:
             self.word_index.setdefault(w, set()).add(kf.id)
         # references may use ids that were locally folded into another point
         kf.observed_points = {self.resolve_point_id(pid)
                               for pid in kf.observed_points}
-        for pid in sorted(kf.observed_points):
+        for pid in kf.observed_points:
             if pid in self.points:
                 self._link(kf.id, pid)
             else:
                 self.pending_point_links.setdefault(pid, set()).add(kf.id)
         # points that arrived earlier already listing this keyframe
-        for pid in sorted(self.pending_kf_links.pop(kf.id, set())):
-            if pid in self.points:
-                self._link(kf.id, pid)
+        for pid in self.pending_kf_links.pop(kf.id, set()):
+            self._link(kf.id, pid)
 
     def upsert_point(self, p: MapPoint) -> None:
         """Insert a point record, or union its observers into an existing one.
@@ -147,14 +158,11 @@ class AgentMap:
             self.points_by_word.setdefault(p.word, set()).add(rid)
             # keyframes that listed this point before it arrived
             waiting = self.pending_point_links.pop(rid, set())
-        for kid in sorted(claimed):
+        for kid in claimed | waiting:
             if kid in self.keyframes:
                 self._link(kid, rid)
             else:
                 self.pending_kf_links.setdefault(kid, set()).add(rid)
-        for kid in sorted(waiting):
-            if kid in self.keyframes:
-                self._link(kid, rid)
 
     # -- queries ---------------------------------------------------------
 
@@ -203,12 +211,9 @@ class AgentMap:
             raise WordMismatchError(
                 f"cannot merge word {discard.word} into word {keep.word}"
             )
-        for kid in sorted(discard.observers):
+        for kid in list(discard.observers):
             self._unlink(kid, discard_id)
             self._link(kid, keep_id)
-        waiting = self.pending_point_links.pop(discard_id, set())
-        if waiting:
-            self.pending_point_links.setdefault(keep_id, set()).update(waiting)
         for pts in self.pending_kf_links.values():
             if discard_id in pts:
                 pts.discard(discard_id)
@@ -245,64 +250,37 @@ class AgentMap:
         if overlap:
             raise DuplicateObjectError(f"maps share keyframe ids {sorted(overlap)[:3]}")
         self.keyframes.update(other.keyframes)
+        for kf in other.keyframes.values():
+            kf.owner = self
         self.points.update(other.points)
-        for w, kids in other.word_index.items():
-            self.word_index.setdefault(w, set()).update(kids)
-        for w, pids in other.points_by_word.items():
-            self.points_by_word.setdefault(w, set()).update(pids)
         self.merged_into.update(other.merged_into)
-        for pid, kids in other.pending_point_links.items():
-            self.pending_point_links.setdefault(pid, set()).update(kids)
-        for kid, pids in other.pending_kf_links.items():
-            self.pending_kf_links.setdefault(kid, set()).update(pids)
+        for mine, theirs in ((self.word_index, other.word_index),
+                             (self.points_by_word, other.points_by_word),
+                             (self.pending_point_links, other.pending_point_links),
+                             (self.pending_kf_links, other.pending_kf_links)):
+            for key, ids in theirs.items():
+                mine.setdefault(key, set()).update(ids)
         self._resolve_pending()
 
     def _resolve_pending(self) -> None:
-        for pid in sorted(self.pending_point_links):
-            if pid not in self.points:
-                continue
-            for kid in sorted(self.pending_point_links.pop(pid)):
-                if kid in self.keyframes:
-                    self._link(kid, pid)
-        for kid in sorted(self.pending_kf_links):
-            if kid not in self.keyframes:
-                continue
-            for pid in sorted(self.pending_kf_links.pop(kid)):
-                if pid in self.points:
-                    self._link(kid, pid)
+        for pid in self.pending_point_links.keys() & self.points.keys():
+            for kid in self.pending_point_links.pop(pid):
+                self._link(kid, pid)
+        for kid in self.pending_kf_links.keys() & self.keyframes.keys():
+            for pid in self.pending_kf_links.pop(kid):
+                self._link(kid, pid)
 
-    # -- covisibility maintenance -------------------------------------------
+    # -- observations --------------------------------------------------------
 
     def _link(self, kid: int, pid: int) -> None:
-        """Record that keyframe `kid` observes point `pid`; count new edges."""
-        kf, point = self.keyframes[kid], self.points[pid]
-        kf.observed_points.add(pid)
-        if kid in point.observers:
-            return
-        for other in point.observers:
-            kf.covisibility[other] = kf.covisibility.get(other, 0) + 1
-            neighbors = self.keyframes[other].covisibility
-            neighbors[kid] = neighbors.get(kid, 0) + 1
-        point.observers.add(kid)
+        """Record that keyframe `kid` observes point `pid`."""
+        self.keyframes[kid].observed_points.add(pid)
+        self.points[pid].observers.add(kid)
 
     def _unlink(self, kid: int, pid: int) -> None:
-        """Drop the observation of `pid` by `kid`; edges left at 0 vanish."""
-        kf, point = self.keyframes[kid], self.points[pid]
-        kf.observed_points.discard(pid)
-        if kid not in point.observers:
-            return
-        point.observers.discard(kid)
-        for other in point.observers:
-            for edges, nid in ((kf.covisibility, other),
-                               (self.keyframes[other].covisibility, kid)):
-                edges[nid] -= 1
-                if not edges[nid]:
-                    del edges[nid]
-
-    def _shared_count(self, a: int, b: int) -> int:
-        """Reference weight for `check_integrity`: shared present points."""
-        shared = self.keyframes[a].observed_points & self.keyframes[b].observed_points
-        return len(shared & self.points.keys())
+        """Drop the observation of `pid` by `kid`."""
+        self.keyframes[kid].observed_points.discard(pid)
+        self.points[pid].observers.discard(kid)
 
     # -- integrity (used by tests and debug runs) ---------------------------
 
@@ -313,17 +291,13 @@ class AgentMap:
                 rebuilt.setdefault(w, set()).add(kid)
         live_index = {w: s for w, s in self.word_index.items() if s}
         assert rebuilt == live_index, "inverted index out of sync"
+        waiting = set().union(*self.pending_kf_links.values())
         for pid, p in self.points.items():
-            assert p.observers or pid in {
-                x for s in self.pending_kf_links.values() for x in s
-            }, f"point {pid} has no observers"
+            assert p.observers or pid in waiting, f"point {pid} has no observers"
             for kid in p.observers:
                 assert pid in self.keyframes[kid].observed_points
         for kid, kf in self.keyframes.items():
-            for nid, w in kf.covisibility.items():
-                assert self.keyframes[nid].covisibility.get(kid) == w, "asymmetric edge"
-                expected = self._shared_count(kid, nid)
-                assert w == expected, f"edge {kid}-{nid} weight {w} != {expected}"
+            assert kf.owner is self, f"keyframe {kid} points at another map"
             for pid in kf.observed_points:
                 assert (
                     pid in self.points or kid in self.pending_point_links.get(pid, set())

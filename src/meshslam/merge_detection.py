@@ -50,11 +50,13 @@ def calculate_merge_score(
     """
     best_score = 0.0
     best_kf: int | None = None
+    similarity: dict[int, float] = {}
     for kid in sorted(m.query_visual_word_set(words)):
-        kf = m.keyframes[kid]
-        score = bow_similarity(kf.words, words)
-        for cov_id in m.top_covisible(kid, COVISIBLE_COUNT):
-            score += bow_similarity(m.keyframes[cov_id].words, words)
+        score = 0.0
+        for nid in [kid, *m.top_covisible(kid, COVISIBLE_COUNT)]:
+            if nid not in similarity:
+                similarity[nid] = bow_similarity(m.keyframes[nid].words, words)
+            score += similarity[nid]
         if score >= best_score:
             best_score = score
             best_kf = kid

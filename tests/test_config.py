@@ -2,7 +2,9 @@ import glob
 import os
 
 import pytest
+import yaml
 
+from meshslam.cli import main
 from meshslam.config import ConfigError, load_scenario, scenario_from_dict
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -22,3 +24,40 @@ def test_minimal_scenario_builds():
 def test_former_pose_graph_section_is_unknown():
     with pytest.raises(ConfigError, match="unknown sections.*pgo"):
         scenario_from_dict({**MINIMAL, "pgo": {"depth": 2}})
+
+
+def _with(agent=None, net=None, **sections):
+    raw = {**MINIMAL, **sections}
+    if agent:
+        raw["agents"] = [{**MINIMAL["agents"][0], **agent}]
+    if net:
+        raw["net"] = net
+    return raw
+
+
+def _partition(**window):
+    return {"partitions": [{"start": 1.0, "end": 2.0, **window}]}
+
+
+@pytest.mark.parametrize("raw, where", [
+    (_with(agent={"blackouts": 5}), r"agents\[0\]\.blackouts: expected a list"),
+    (_with(agent={"blackouts": [5]}), r"agents\[0\]\.blackouts\[0\]: need"),
+    (_with(net={"latency_ms": 5}), r"net\.latency_ms: need"),
+    (_with(net={"partitions": 3}), r"net\.partitions: expected a list"),
+    (_with(net=_partition(links=[1])), r"net\.partitions\[0\]\.links\[0\]: need"),
+    (_with(net=_partition(start="abc")), r"net\.partitions\[0\]\.start: expected a number"),
+    (_with(world="x"), r"world: expected a mapping"),
+    (_with(agent={"speed": "fast"}), r"agents\[0\]\.speed: expected a number"),
+    (_with(net=_partition(links=[[0, 9]])),
+     r"net\.partitions\[0\]\.links\[0\]: unknown agent"),
+], ids=["blackouts-scalar", "blackouts-item", "latency-scalar", "partitions-scalar",
+        "link-scalar", "partition-start-text", "world-scalar", "speed-text",
+        "link-unknown-agent"])
+def test_malformed_values_fail_closed(raw, where, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=where):
+        scenario_from_dict(raw)
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["sim", "--scenario", str(path), "--seed", "1",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")

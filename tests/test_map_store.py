@@ -291,6 +291,25 @@ class TestPrivateMaps:
         assert len(db.shared_map.points) == pt_in
         db.shared_map.check_integrity()
 
+    def test_moved_keyframe_reads_covisibility_in_destination(self):
+        # keyframe 10 is built in the private map and names shared point 101,
+        # which only the shared map holds
+        db = MapDatabase()
+        pts = [make_point(101, [1, 0, 0], word=1, observers={1}),
+               make_point(102, [2, 0, 0], word=2, observers={1})]
+        db.active_map.insert_keyframe(make_kf(1, [1, 2], observed={101, 102}), pts)
+        private = db.spawn_private_map()
+        pt = make_point(110, [3, 0, 0], word=3, observers={10})
+        private.insert_keyframe(make_kf(10, [1, 3], observed={101, 110}), [pt])
+        moved = private.keyframes[10]
+        assert moved.covisibility == {}
+        db.merge_private_map(Sim3Transform.identity())
+        assert moved.covisibility == {1: 1}
+        assert db.shared_map.keyframes[1].covisibility == {10: 1}
+        assert db.shared_map.top_covisible(10, 5) == [1]
+        assert moved.owner is db.shared_map
+        db.shared_map.check_integrity()
+
     def test_two_sequential_private_maps(self):
         db = MapDatabase()
         db.spawn_private_map()

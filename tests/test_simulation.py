@@ -206,7 +206,8 @@ class TestCooperationEndToEnd:
         for aid, m in maps.items():
             held = []
             for kf in m.keyframes.values():
-                held += [kf, kf.pose, kf.words, kf.observed_points, kf.covisibility]
+                assert kf.owner is m
+                held += [kf, kf.pose, kf.words, kf.observed_points]
             for p in m.points.values():
                 held += [p, p.position, p.observers]
             for obj in held:
