@@ -9,6 +9,7 @@ import os
 import sys
 
 from . import __version__
+from .alignment import DegenerateInputError
 from .ate import (
     TooFewAssociationsError,
     TrajectoryFormatError,
@@ -48,7 +49,7 @@ def run_scenario(scenario_path: str, seed: int, out_dir: str,
             fh.write(report.to_json())
         print(f"rms ate: {report.rms_m:.4f} m over {report.length_m:.1f} m "
               f"combined trajectory ({report.n_pairs} pose pairs)")
-    except TooFewAssociationsError as exc:
+    except (TooFewAssociationsError, DegenerateInputError) as exc:
         print(f"ate skipped: {exc}", file=sys.stderr)
     merges = result.log.named("group_merged")
     print(f"merges: {[e['detail']['roster'] for e in merges]}")
@@ -61,7 +62,8 @@ def eval_command(est_path: str, gt_path: str, json_path: str | None) -> int:
         est = load_trajectory_csv(est_path)
         gt = load_trajectory_csv(gt_path)
         report = compute_ate(est, gt)
-    except (TrajectoryFormatError, TooFewAssociationsError, OSError) as exc:
+    except (TrajectoryFormatError, TooFewAssociationsError, DegenerateInputError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(report.to_json_dict(), indent=2))

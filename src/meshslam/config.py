@@ -187,6 +187,12 @@ def _build(section: object, cls, where: str, **overrides):
         kind = fields[key].type  # a string: annotations are postponed in both modules
         if kind in ("int", "float") or (kind == "float | None" and value is not None):
             _number(value, f"{where}.{key}")
+        elif kind == "bool" and not isinstance(value, bool):
+            raise ConfigError(f"{where}.{key}: expected true or false, got {value!r}")
+        elif kind == "list[list[float]]":
+            for j, row in enumerate(_list(value, f"{where}.{key}")):
+                for x in _list(row, f"{where}.{key}[{j}]"):
+                    _number(x, f"{where}.{key}[{j}]")
     try:
         return cls(**section)
     except (TypeError, ValueError) as exc:

@@ -1,13 +1,17 @@
 """Decentralized system manager: peer states, groups, and the merge handshake.
 
-Every agent keeps a replica of the group partition, the set of lost
-agents, the pairs whose maps share a frame and the last reachability
-components, updated only through protocol messages and reachability events,
-so the cluster has no shared state.  Pair states are not stored: they are
-derived from the groups, localization loss, reachability and the agent's own
-in-flight handshakes (`SystemManager.state`).  The closure invariant reads
-through that derivation: a pair is in the merged state (or its
-localization-lost variant) exactly when both agents sit in the same group.
+Every agent keeps its own replica of the set of lost agents, the pairs whose
+maps share a frame (grow-only) and the last reachability components, updated
+only through protocol messages and reachability events, so the cluster has
+no shared state.  Groups are not stored: after every change to the aligned
+pairs or to reachability, `SystemManager._regroup` rebuilds them as the
+connected components of the aligned pairs whose agents can reach each other,
+and each group's leader is its minimum id.  Pair states are not stored
+either: they are derived from the groups, localization loss, reachability
+and the agent's own in-flight handshakes (`SystemManager.state`).  The
+closure invariant reads through that derivation: a pair is in the merged
+state (or its localization-lost variant) exactly when both agents sit in the
+same group.
 
 Merge handshake, driven by bag-of-words announcements between group leaders:
 
@@ -39,6 +43,7 @@ from .config import AlignConfig, MergeConfig
 from .geometry import Sim3Transform
 from .map_store import AgentMap, MapPoint
 from .merge_detection import detect_merge
+from .net_sim import components
 from .wire import (
     BowAnnounce,
     FullMapMsg,
@@ -61,77 +66,28 @@ class PeerState(Enum):
 FRAME_SHARING_STATES = (PeerState.MERGED, PeerState.PEER_LOCALIZATION_LOST)
 
 
-def leader(group) -> int:
-    """Lowest agent id in the group."""
-    if not group:
-        raise ValueError("empty group has no leader")
-    return min(group)
-
-
 def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
 class GroupRegistry:
-    """Partition of all agents into groups; leaders are minimum ids."""
+    """One snapshot of the partition of all agents into groups; leaders are minimum ids."""
 
-    def __init__(self, agents: list[int]):
-        self.agents = sorted(agents)
-        self._groups: list[set[int]] = [{a} for a in self.agents]
+    def __init__(self, groups: Iterable[set[int]]):
+        self._groups = [frozenset(g) for g in sorted(groups, key=min)]
+        self._group_of = {a: g for g in self._groups for a in g}
 
     def groups(self) -> list[frozenset[int]]:
-        return [frozenset(g) for g in sorted(self._groups, key=min)]
+        return list(self._groups)
 
     def group_of(self, agent: int) -> frozenset[int]:
-        for g in self._groups:
-            if agent in g:
-                return frozenset(g)
-        raise KeyError(f"agent {agent} not in registry")
+        return self._group_of[agent]
 
     def leader_of(self, agent: int) -> int:
-        return leader(self.group_of(agent))
+        return min(self._group_of[agent])
 
     def leaders(self) -> list[int]:
-        return sorted(min(g) for g in self._groups)
-
-    def assign_roster(self, roster) -> None:
-        """Make `roster` a group, pulling its members out of their old groups."""
-        roster = set(roster)
-        kept = []
-        for g in self._groups:
-            remainder = g - roster
-            if remainder:
-                kept.append(remainder)
-        kept.append(roster)
-        self._groups = sorted(kept, key=min)
-
-    def set_partition(self, groups: list[set[int]]) -> None:
-        covered = set()
-        for g in groups:
-            covered |= g
-        if covered != set(self.agents):
-            raise ValueError("partition must cover all agents exactly")
-        self._groups = sorted((set(g) for g in groups), key=min)
-
-
-def apply_group_merge(
-    registry: GroupRegistry,
-    aligned: set[tuple[int, int]],
-    group_n,
-    group_m,
-) -> tuple[list[int], int]:
-    """Union two groups: cross pairs become frame-aligned, leader is the minimum id.
-
-    Returns (sorted roster, leader).  Merging a group with itself is a no-op.
-    """
-    group_n, group_m = set(group_n), set(group_m)
-    if group_n == group_m:
-        roster = sorted(group_n)
-        return roster, leader(roster)
-    aligned.update(_pair(a, b) for a in group_n for b in group_m)
-    roster = sorted(group_n | group_m)
-    registry.assign_roster(roster)
-    return roster, leader(roster)
+        return [min(g) for g in self._groups]
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +211,23 @@ class SystemManager:
         self.merge = merge
         self.align = align
         self.shared_map = shared_map
-        self.registry = GroupRegistry(self.agents)
         self.lost_agents: set[int] = set()
         # grow-only: pairs whose maps were brought into one frame
         self.aligned: set[tuple[int, int]] = set()
         # reachability component of each agent at the last partition change
         self._component_of: dict[int, int] = {a: 0 for a in self.agents}
+        self._regroup()
         # this agent's full map exchanges awaiting a merge, pair -> epoch
         self._handshakes: dict[tuple[int, int], int] = {}
         self._handshake_counter = 0
         self._merge_counter = 0
         self._applied_merge_ids: set[int] = set()
+
+    def _regroup(self) -> None:
+        """Rebuild the groups: components of the aligned pairs within reachability."""
+        comp = self._component_of
+        self.registry = GroupRegistry(components(
+            self.agents, (p for p in self.aligned if comp[p[0]] == comp[p[1]])))
 
     # -- views -----------------------------------------------------------
 
@@ -405,11 +367,10 @@ class SystemManager:
     def complete_group_merge(self, lower_leader: int, transform: Sim3Transform,
                              inlier_count: int) -> None:
         old_group = sorted(self.registry.group_of(self.agent_id))
-        other_group = self.registry.group_of(lower_leader)
+        roster = sorted(self.registry.group_of(lower_leader).union(old_group))
+        new_leader = roster[0]
         self.hooks.apply_map_transform(transform)
-        roster, new_leader = apply_group_merge(
-            self.registry, self.aligned, old_group, other_group)
-        self.hooks.on_peers_merged(sorted(set(roster) - set(old_group)))
+        self._absorb_roster(roster)
         self._merge_counter += 1
         merge_id = (self.agent_id << 32) | self._merge_counter
         self._applied_merge_ids.add(merge_id)
@@ -446,21 +407,23 @@ class SystemManager:
         self._absorb_roster(msg.roster)
 
     def _absorb_roster(self, roster) -> None:
-        """Union the roster with every group it touches.
+        """Align the roster with every group it touches, then regroup.
 
         Merges may race over the same agents; a roster computed from a stale
         replica must never split an already-larger group, so absorption only
-        ever grows groups.  Splits happen exclusively through reachability.
+        ever grows groups.  Splits happen exclusively through reachability,
+        which also keeps members cut off by a partition out of the group
+        until the link heals.
         """
         before = self.registry.group_of(self.agent_id)
         union = set(roster)
         for g in self.registry.groups():
             if union & g:
                 union |= g
-        self.registry.assign_roster(union)
         self.aligned.update(combinations(sorted(union), 2))
+        self._regroup()
         if self.agent_id in union:
-            gained = sorted(union - set(before) - {self.agent_id})
+            gained = sorted(union - before - {self.agent_id})
             if gained:
                 self.hooks.on_peers_merged(gained)
 
@@ -488,38 +451,16 @@ class SystemManager:
 
     # -- partitions ------------------------------------------------------------
 
-    def on_partition_change(self, components: list[set[int]]) -> None:
+    def on_partition_change(self, reachable: list[set[int]]) -> None:
         """Split groups along reachability; restore them when links return.
 
-        Groups are recomputed as the connected components of the
-        frame-aligned relation restricted to reachable pairs: fragments of a
-        merged group re-form their group the moment they can talk again,
-        with no new handshake.  Handshakes with peers now in another
-        component are dropped, so those pairs read unreachable and, once the
-        link heals, unmerged.
+        Fragments of a merged group re-form their group the moment they can
+        talk again, with no new handshake.  Handshakes with peers now in
+        another component are dropped, so those pairs read unreachable and,
+        once the link heals, unmerged.
         """
-        comp_of: dict[int, int] = {}
-        for i, comp in enumerate(components):
-            for a in comp:
-                comp_of[a] = i
-        self._component_of = comp_of
-        parent = {a: a for a in self.agents}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in sorted(self.aligned):
-            if comp_of[a] == comp_of[b]:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-        groups: dict[int, set[int]] = {}
-        for a in self.agents:
-            groups.setdefault(find(a), set()).add(a)
-        self.registry.set_partition(list(groups.values()))
+        comp_of = self._component_of = {a: i for i, c in enumerate(reachable) for a in c}
+        self._regroup()
         self._handshakes = {key: epoch for key, epoch in self._handshakes.items()
                             if comp_of[key[0]] == comp_of[key[1]]}
 
@@ -540,5 +481,3 @@ class SystemManager:
                 f"closure violated at agent {self.agent_id}: pair ({a},{b}) "
                 f"state={state.value} same_group={same_group}"
             )
-        for g in groups:
-            assert leader(g) == min(g)

@@ -24,25 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .map_store import AgentMap, KeyFrame, MapPoint
+from .wire import KeyFramePacket
 # unused here; kept bound so perfbench/layers.py can still wrap them by name
 from .pose_graph import build_local_window, optimize  # noqa: F401
-from .wire import KeyFramePacket, decode_frame, encode_frame
+from .wire import decode_frame  # noqa: F401
 
-__all__ = [
-    "Outbox", "SharingState", "encode_packet", "decode_packet",
-    "insert_external_keyframe",
-]
-
-
-def encode_packet(packet: KeyFramePacket) -> bytes:
-    return encode_frame(packet, packet.sender, packet.sequence)
-
-
-def decode_packet(data: bytes) -> KeyFramePacket:
-    msg = decode_frame(data)
-    if not isinstance(msg, KeyFramePacket):
-        raise TypeError(f"frame decodes to {type(msg).__name__}, not a keyframe packet")
-    return msg
+__all__ = ["Outbox", "SharingState", "insert_external_keyframe"]
 
 
 @dataclass

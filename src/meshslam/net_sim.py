@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import combinations
+from typing import Iterable
 
 import numpy as np
 
@@ -45,6 +47,28 @@ _TYPE_TO_CATEGORY = {
 
 def category_of(msg_type: int) -> str:
     return _TYPE_TO_CATEGORY[MessageType(msg_type)]
+
+
+def components(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[set[int]]:
+    """Connected components of the graph on `nodes` with edges `pairs`, ordered by least member."""
+    adjacent: dict[int, set[int]] = {n: set() for n in nodes}
+    for a, b in pairs:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    comps: list[set[int]] = []
+    seen: set[int] = set()
+    for n in sorted(adjacent):
+        if n in seen:
+            continue
+        comp, stack = {n}, [n]
+        while stack:
+            for nxt in adjacent[stack.pop()]:
+                if nxt not in comp:
+                    comp.add(nxt)
+                    stack.append(nxt)
+        seen |= comp
+        comps.append(comp)
+    return comps
 
 
 class UnknownAgentError(KeyError):
@@ -163,24 +187,8 @@ class MeshNetwork:
     def reachability(self, t: float) -> list[set[int]]:
         """Connected components of the mesh with scheduled-down links removed."""
         down = self.down_links_at(t)
-        parent = {a: a for a in self.agent_ids}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, a in enumerate(self.agent_ids):
-            for b in self.agent_ids[i + 1:]:
-                if (a, b) not in down:
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[rb] = ra
-        comps: dict[int, set[int]] = {}
-        for a in self.agent_ids:
-            comps.setdefault(find(a), set()).add(a)
-        return [comps[k] for k in sorted(comps)]
+        return components(self.agent_ids, (link for link in combinations(self.agent_ids, 2)
+                                           if link not in down))
 
     def partition_boundaries(self) -> list[float]:
         times = set()

@@ -30,6 +30,7 @@ import numpy as np
 
 from .geometry import Se3Pose, se3_exp, se3_log
 from .map_store import AgentMap, UnknownObjectError
+from .net_sim import components
 
 
 DAMPING = 1e-3         # initial LM damping
@@ -86,30 +87,8 @@ class PoseGraph:
             raise UnknownObjectError("edge references missing node")
         self.edges.append(PoseGraphEdge(a, b, measurement, weight))
 
-    def components(self) -> list[set[int]]:
-        adj: dict[int, set[int]] = {n: set() for n in self.nodes}
-        for e in self.edges:
-            adj[e.a].add(e.b)
-            adj[e.b].add(e.a)
-        seen: set[int] = set()
-        comps = []
-        for n in sorted(self.nodes):
-            if n in seen:
-                continue
-            comp = {n}
-            stack = [n]
-            while stack:
-                cur = stack.pop()
-                for nxt in adj[cur]:
-                    if nxt not in comp:
-                        comp.add(nxt)
-                        stack.append(nxt)
-            seen |= comp
-            comps.append(comp)
-        return comps
-
     def check_gauge(self) -> None:
-        for comp in self.components():
+        for comp in components(self.nodes, ((e.a, e.b) for e in self.edges)):
             if not any(self.nodes[n].fixed for n in comp):
                 raise ValueError(
                     f"component {sorted(comp)[:4]}... has no fixed node (gauge unfixed)"
@@ -166,7 +145,7 @@ def build_local_window(
         graph.add_edge(a, b, meas, weight)
     # edge trimming may strand nodes or split the window; anchor every
     # component that lost its boundary ring (farthest node, ties by low id)
-    for comp in graph.components():
+    for comp in components(graph.nodes, kept):
         if not any(graph.nodes[n].fixed for n in comp):
             anchor = max(comp, key=lambda n: (dist[n], -n))
             graph.nodes[anchor].fixed = True

@@ -50,9 +50,16 @@ def _partition(**window):
     (_with(agent={"speed": "fast"}), r"agents\[0\]\.speed: expected a number"),
     (_with(net=_partition(links=[[0, 9]])),
      r"net\.partitions\[0\]\.links\[0\]: unknown agent"),
+    (_with(agent={"waypoints": 5}), r"agents\[0\]\.waypoints: expected a list"),
+    (_with(agent={"waypoints": ["abc"]}), r"agents\[0\]\.waypoints\[0\]: expected a list"),
+    (_with(agent={"waypoints": [[0, 0, "z"]]}),
+     r"agents\[0\]\.waypoints\[0\]: expected a number"),
+    (_with(world={"regions": 5}), r"world\.regions: expected a list"),
+    (_with(run={"cooperative": "maybe"}), r"run\.cooperative: expected true or false"),
 ], ids=["blackouts-scalar", "blackouts-item", "latency-scalar", "partitions-scalar",
         "link-scalar", "partition-start-text", "world-scalar", "speed-text",
-        "link-unknown-agent"])
+        "link-unknown-agent", "waypoints-scalar", "waypoint-text", "waypoint-coordinate-text",
+        "regions-scalar", "cooperative-text"])
 def test_malformed_values_fail_closed(raw, where, tmp_path, capsys):
     with pytest.raises(ConfigError, match=where):
         scenario_from_dict(raw)

@@ -211,6 +211,30 @@ class TestCli:
         assert code == 2
         assert "agents" in capsys.readouterr().err
 
+    def collinear_run(self, tmp_path):
+        scenario = tmp_path / "line.yaml"
+        scenario.write_text("agents:\n  - id: 0\n    waypoints: [[0, 0, 0], [1, 0, 0]]\n")
+        out = tmp_path / "out"
+        code = cli_main(["sim", "--scenario", str(scenario), "--seed", "1",
+                         "--out", str(out)])
+        return code, out
+
+    def test_sim_collinear_trajectory_skips_ate(self, tmp_path, capsys):
+        code, out = self.collinear_run(tmp_path)
+        assert code == 0
+        assert "ate skipped: covariance rank below 2" in capsys.readouterr().err
+        assert (out / "events.jsonl").exists() and not (out / "ate.json").exists()
+
+    def test_eval_collinear_trajectory_error(self, tmp_path, capsys):
+        _, out = self.collinear_run(tmp_path)
+        capsys.readouterr()
+        code = cli_main(["eval", "--est", str(out / "trajectory_est.csv"),
+                         "--gt", str(out / "trajectory_gt.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: covariance rank below 2")
+
     def test_sim_nonexistent_config(self, tmp_path, capsys):
         code = cli_main(["sim", "--scenario", str(tmp_path / "nope.yaml"),
                          "--seed", "1", "--out", str(tmp_path / "out")])

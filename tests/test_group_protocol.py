@@ -5,14 +5,11 @@ from meshslam.alignment import RansacParams
 from meshslam.config import AlignConfig, MergeConfig
 from meshslam.geometry import Rotation, Se3Pose, Sim3Transform, vec3
 from meshslam.group_protocol import (
-    GroupRegistry,
     ManagerHooks,
     PeerState,
     SystemManager,
-    apply_group_merge,
     attempt_full_merge,
     collect_word_correspondences,
-    leader,
     points_by_word,
 )
 from meshslam.map_store import AgentMap, KeyFrame, MapPoint, normalize_histogram
@@ -24,48 +21,6 @@ from meshslam.wire import (
     LocalizationRegained,
     MergeNotify,
 )
-
-
-class TestLeader:
-    def test_singleton(self):
-        assert leader({3}) == 3
-
-    def test_pair(self):
-        assert leader({1, 2}) == 1
-
-    def test_three(self):
-        assert leader({0, 1, 2}) == 0
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            leader(set())
-
-
-class TestApplyGroupMerge:
-    def test_two_singletons(self):
-        reg = GroupRegistry([1, 2])
-        aligned = set()
-        roster, lead = apply_group_merge(reg, aligned, {1}, {2})
-        assert roster == [1, 2] and lead == 1
-        assert aligned == {(1, 2)}
-        assert reg.group_of(1) == frozenset({1, 2})
-
-    def test_singleton_with_pair(self):
-        reg = GroupRegistry([0, 1, 2])
-        aligned = set()
-        apply_group_merge(reg, aligned, {1}, {2})
-        roster, lead = apply_group_merge(reg, aligned, {0}, {1, 2})
-        assert roster == [0, 1, 2] and lead == 0
-        assert aligned == {(0, 1), (0, 2), (1, 2)}
-        assert reg.group_of(0) == frozenset({0, 1, 2})
-
-    def test_same_group_noop(self):
-        reg = GroupRegistry([0, 1])
-        aligned = set()
-        apply_group_merge(reg, aligned, {0}, {1})
-        roster, lead = apply_group_merge(reg, aligned, {0, 1}, {0, 1})
-        assert roster == [0, 1] and lead == 0
-        assert aligned == {(0, 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -529,3 +484,176 @@ class TestLocalizationMessages:
         bus.managers[1].declare_localization_lost()
         assert bus.managers[0].frame_aligned_peers() == [1, 2]
         assert bus.managers[0].merged_peers() == [2]
+
+
+class TestCompleteGroupMerge:
+    """The merging leader's own view of a merge it completes."""
+
+    def bus(self, agents):
+        bus = Bus()
+        for aid in agents:
+            bus.add_agent(aid, agents, AgentMap())
+        return bus
+
+    def test_two_singletons(self):
+        bus = self.bus([1, 2])
+        bus.managers[2].complete_group_merge(1, Sim3Transform.identity(), 12)
+        for mgr in bus.managers.values():
+            assert mgr.registry.group_of(2) == frozenset({1, 2})
+            assert mgr.registry.leader_of(2) == 1
+            assert mgr.aligned == {(1, 2)}
+        [(_, merged)] = [(a, d) for a, e, d in bus.events if e == "group_merged"]
+        assert merged["roster"] == [1, 2] and merged["leader"] == 1
+
+    def test_singleton_with_pair(self):
+        bus = self.bus([0, 1, 2])
+        bus.managers[2].complete_group_merge(1, Sim3Transform.identity(), 12)
+        bus.managers[1].complete_group_merge(0, Sim3Transform.identity(), 12)
+        for mgr in bus.managers.values():
+            assert mgr.registry.groups() == [frozenset({0, 1, 2})]
+            assert mgr.registry.leaders() == [0]
+            assert mgr.aligned == {(0, 1), (0, 2), (1, 2)}
+        rosters = [(d["roster"], d["leader"]) for _, e, d in bus.events if e == "group_merged"]
+        assert rosters == [([1, 2], 1), ([0, 1, 2], 0)]
+
+    def test_merge_with_own_group_changes_nothing(self):
+        bus = self.bus([0, 1])
+        bus.managers[1].complete_group_merge(0, Sim3Transform.identity(), 12)
+        merged = []
+        bus.managers[1].hooks.on_peers_merged = merged.append
+        bus.managers[1].complete_group_merge(0, Sim3Transform.identity(), 12)
+        for mgr in bus.managers.values():
+            assert mgr.registry.groups() == [frozenset({0, 1})]
+            assert mgr.aligned == {(0, 1)}
+        assert merged == []
+        rosters = [(d["roster"], d["leader"]) for _, e, d in bus.events if e == "group_merged"]
+        assert rosters[-1] == ([0, 1], 0)
+
+    def test_on_peers_merged_names_each_new_peer_once(self):
+        bus = self.bus([0, 1, 2])
+        merged = {aid: [] for aid in bus.managers}
+        for aid, mgr in bus.managers.items():
+            mgr.hooks.on_peers_merged = merged[aid].append
+        bus.managers[2].complete_group_merge(1, Sim3Transform.identity(), 12)
+        bus.managers[1].complete_group_merge(0, Sim3Transform.identity(), 12)
+        assert merged == {0: [[1, 2]], 1: [[2], [0]], 2: [[1], [0]]}
+
+
+# ---------------------------------------------------------------------------
+# randomized: groups are always the reachable components of the aligned pairs
+# ---------------------------------------------------------------------------
+
+def expected_groups(agents, aligned, reachable):
+    """Reference partition: merge sets across aligned pairs that can talk."""
+    comp_of = {a: i for i, comp in enumerate(reachable) for a in comp}
+    groups = [{a} for a in agents]
+    for a, b in sorted(aligned):
+        if comp_of[a] != comp_of[b]:
+            continue
+        ga = next(g for g in groups if a in g)
+        gb = next(g for g in groups if b in g)
+        if ga is not gb:
+            ga |= gb
+            groups.remove(gb)
+    return sorted((frozenset(g) for g in groups), key=min)
+
+
+def random_partition(rng, agents):
+    labels = rng.integers(0, 3, len(agents))
+    return [set(np.array(agents)[labels == k].tolist()) for k in sorted(set(labels))]
+
+
+class RandomCluster:
+    """Managers whose control messages reach a random subset of reachable peers.
+
+    Every manager's inputs are logged, so replicas that saw the same inputs
+    can be compared.
+    """
+
+    def __init__(self, rng, n):
+        self.rng = rng
+        self.agents = list(range(n))
+        self.reachable = [set(self.agents)]
+        self.outbox = []
+        self.inputs = {a: [] for a in self.agents}
+        self.managers = {}
+        for aid in self.agents:
+            hooks = ManagerHooks(
+                send=lambda dst, msg, src=aid: self.outbox.append((src, dst, msg)),
+                log=lambda event, **detail: None,
+                schedule=lambda delay, fn: None,
+                apply_map_transform=lambda t: None,
+                ransac_seed=lambda: 0,
+            )
+            self.managers[aid] = SystemManager(aid, self.agents, hooks, MergeConfig(),
+                                               AlignConfig(), shared_map=AgentMap)
+
+    def can_talk(self, a, b):
+        return any(a in comp and b in comp for comp in self.reachable)
+
+    def deliver_some(self):
+        """Deliver each queued roster to a random subset of reachable recipients."""
+        everyone = self.rng.random() < 0.5
+        rosters: dict[int, list] = {}
+        for src, dst, msg in self.outbox:
+            if self.can_talk(src, dst) and (everyone or self.rng.random() < 0.5):
+                if msg.roster not in rosters.setdefault(dst, []):
+                    rosters[dst].append(msg.roster)
+                if isinstance(msg, MergeNotify):
+                    self.managers[dst].on_merge_notify(msg)
+                else:
+                    self.managers[dst].on_group_update(msg)
+        self.outbox = []
+        for dst, seen in rosters.items():
+            self.inputs[dst].extend(("roster", tuple(r)) for r in seen)
+
+    def merge(self):
+        """A leader completes a merge with a lower, reachable leader in its view."""
+        higher = int(self.rng.choice(self.agents))
+        mgr = self.managers[higher]
+        lower = [l for l in mgr.other_leaders()
+                 if l < higher and self.can_talk(l, higher)]
+        if not mgr.is_leader() or not lower:
+            return
+        lower_leader = int(self.rng.choice(lower))
+        roster = sorted(mgr.registry.group_of(higher) | mgr.registry.group_of(lower_leader))
+        mgr.complete_group_merge(lower_leader, Sim3Transform.identity(), 12)
+        self.inputs[higher].append(("roster", tuple(roster)))
+        self.deliver_some()
+
+    def absorb(self):
+        """Some managers receive a roster naming a random set of agents."""
+        size = int(self.rng.integers(2, len(self.agents) + 1))
+        roster = sorted(self.rng.choice(self.agents, size, replace=False).tolist())
+        sender = roster[0]
+        for dst in self.agents:
+            if dst != sender:
+                self.outbox.append((sender, dst, GroupUpdate(sender, roster, sender)))
+        self.deliver_some()
+
+    def partition(self):
+        self.reachable = random_partition(self.rng, self.agents)
+        for aid, mgr in self.managers.items():
+            mgr.on_partition_change(self.reachable)
+            self.inputs[aid].append(
+                ("partition", tuple(tuple(sorted(c)) for c in self.reachable)))
+
+    def check(self):
+        by_inputs: dict[tuple, SystemManager] = {}
+        for aid, mgr in self.managers.items():
+            mgr.check_invariants()
+            assert mgr.registry.groups() == expected_groups(
+                self.agents, mgr.aligned, self.reachable)
+            twin = by_inputs.setdefault(tuple(self.inputs[aid]), mgr)
+            assert twin.registry.groups() == mgr.registry.groups()
+            assert twin.aligned == mgr.aligned
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_events_keep_groups_derived(seed):
+    rng = np.random.default_rng(seed)
+    cluster = RandomCluster(rng, int(rng.integers(3, 6)))
+    steps = (cluster.merge, cluster.merge, cluster.absorb, cluster.partition)
+    for _ in range(40):
+        steps[int(rng.integers(len(steps)))]()
+        cluster.check()

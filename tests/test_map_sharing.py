@@ -6,11 +6,9 @@ from meshslam.map_store import AgentMap, KeyFrame, MapPoint, normalize_histogram
 from meshslam.map_sharing import (
     QueueEntry,
     SharingState,
-    decode_packet,
-    encode_packet,
     insert_external_keyframe,
 )
-from meshslam.wire import KeyFramePacket, WireError
+from meshslam.wire import KeyFramePacket, WireError, decode_frame, encode_frame
 
 
 def ext_keyframe(uid, words, observed, pos=(0, 0, 0), agent=1, ts=0.0):
@@ -48,12 +46,17 @@ def random_packet(rng, sender=3, seq=9):
     return KeyFramePacket(sender=sender, sequence=seq, keyframes=kfs, points=pts)
 
 
+def packet_frame(pkt: KeyFramePacket) -> bytes:
+    return encode_frame(pkt, pkt.sender, pkt.sequence)
+
+
 class TestWireRoundTrip:
     def test_random_packets_round_trip(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             pkt = random_packet(rng)
-            out = decode_packet(encode_packet(pkt))
+            out = decode_frame(packet_frame(pkt))
+            assert isinstance(out, KeyFramePacket)
             assert out.sender == pkt.sender and out.sequence == pkt.sequence
             assert len(out.keyframes) == len(pkt.keyframes)
             for a, b in zip(out.keyframes, pkt.keyframes):
@@ -71,36 +74,36 @@ class TestWireRoundTrip:
 
     def test_empty_packet_header_only_size(self):
         pkt = KeyFramePacket(sender=1, sequence=0, keyframes=[], points=[])
-        data = encode_packet(pkt)
+        data = packet_frame(pkt)
         # 21 byte envelope + kf-count u32 + mp-count u32
         assert len(data) == 21 + 8
-        out = decode_packet(data)
+        out = decode_frame(data)
         assert out.keyframes == [] and out.points == []
 
     def test_corrupted_length_fails_closed(self):
         pkt = random_packet(np.random.default_rng(1))
-        data = bytearray(encode_packet(pkt))
+        data = bytearray(packet_frame(pkt))
         data[17:21] = (2 ** 31).to_bytes(4, "little")  # length field
         with pytest.raises(WireError):
-            decode_packet(bytes(data))
+            decode_frame(bytes(data))
 
     def test_bad_magic(self):
-        data = bytearray(encode_packet(KeyFramePacket(1, 0, [], [])))
+        data = bytearray(packet_frame(KeyFramePacket(1, 0, [], [])))
         data[0] = ord(b"X")
         with pytest.raises(WireError, match="magic"):
-            decode_packet(bytes(data))
+            decode_frame(bytes(data))
 
     def test_truncation_names_offset(self):
-        data = encode_packet(random_packet(np.random.default_rng(2)))
+        data = packet_frame(random_packet(np.random.default_rng(2)))
         with pytest.raises(WireError, match="offset"):
-            decode_packet(data[:40] + b"")  # declared length mismatch
+            decode_frame(data[:40] + b"")  # declared length mismatch
         # payload-internal truncation: rebuild envelope around cut payload
         from meshslam.wire import decode_envelope, encode_envelope, MessageType
         _, _, _, payload = decode_envelope(data)
         cut = payload[:len(payload) // 2]
         refit = encode_envelope(MessageType.KEYFRAME_PACKET, 1, 0, cut)
         with pytest.raises(WireError, match="offset"):
-            decode_packet(refit)
+            decode_frame(refit)
 
 
 class TestOutbox:

@@ -74,6 +74,16 @@ class TestReachability:
         assert net.reachability(5.0) == [{0, 1}, {2}]
         assert net.reachability(10.0) == [{0, 1, 2}]  # window end exclusive
 
+    def test_components_ordered_by_least_member(self):
+        # {0, 5, 9} joins only through 9, and {1, 2} is cut off from it
+        agents = [0, 1, 2, 5, 9]
+        up = {(0, 9), (5, 9), (1, 2)}
+        down = [(a, b) for i, a in enumerate(agents) for b in agents[i + 1:]
+                if (a, b) not in up]
+        cfg = NetworkConfig(partitions=[PartitionWindow(0.0, 10.0, down)])
+        net = MeshNetwork(agents, cfg, seed=1)
+        assert net.reachability(5.0) == [{0, 5, 9}, {1, 2}]
+
     def test_partition_drop_accounted(self):
         cfg = NetworkConfig(partitions=[PartitionWindow(0.0, 10.0, [(0, 2), (1, 2)])])
         net = MeshNetwork([0, 1, 2], cfg, seed=1)
