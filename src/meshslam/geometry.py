@@ -34,18 +34,38 @@ def vec3(x: float, y: float, z: float) -> np.ndarray:
 # are thin wrappers around them.  Scalar kernels unpack their inputs with
 # ``tolist()`` so the arithmetic runs on Python floats, which is the same
 # IEEE double arithmetic at a fraction of the numpy-scalar overhead.
+#
+# ``quat_mul`` and ``quat_canonical`` also take (n, 4) rows, the way
+# ``_cross3`` takes (..., 3), so a whole map's poses move in one call.  The
+# row forms perform the scalar forms' operations in the same order, so each
+# row is bit-identical to the scalar result.  The row norm comes from
+# ``np.vecdot``, which sums each row with the same dot kernel as the scalar
+# path's ``np.dot``; ``(q * q).sum(1)`` and ``einsum`` sum in another order
+# and differ in the last bits.
 # ---------------------------------------------------------------------------
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b for a of shape (4,) and b of shape (4,) or (n, 4)."""
     aw, ax, ay, az = a.tolist()
-    bw, bx, by, bz = b.tolist()
-    return np.array(
+    if b.ndim == 1:
+        bw, bx, by, bz = b.tolist()
+        return np.array(
+            [
+                aw * bw - ax * bx - ay * by - az * bz,
+                aw * bx + ax * bw + ay * bz - az * by,
+                aw * by - ax * bz + ay * bw + az * bx,
+                aw * bz + ax * by - ay * bx + az * bw,
+            ]
+        )
+    bw, bx, by, bz = b.T
+    return np.stack(
         [
             aw * bw - ax * bx - ay * by - az * bz,
             aw * bx + ax * bw + ay * bz - az * by,
             aw * by - ax * bz + ay * bw + az * bx,
             aw * bz + ax * by - ay * bx + az * bw,
-        ]
+        ],
+        axis=-1,
     )
 
 
@@ -54,6 +74,16 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
 
 
 def quat_canonical(q: np.ndarray) -> np.ndarray:
+    """Unit-norm, sign-canonical copy of q of shape (4,) or (n, 4)."""
+    if q.ndim == 2:
+        n = np.sqrt(np.vecdot(q, q))
+        if not (np.isfinite(n).all() and n.all()):
+            raise ValueError("quaternion has zero or non-finite norm")
+        q = q / n[:, None]
+        w, v = q[:, 0], q[:, 1:]
+        first = v[np.arange(len(v)), np.argmax(v != 0.0, axis=1)]
+        flip = (w < 0.0) | ((w == 0.0) & (first < 0.0))
+        return np.where(flip[:, None], -q, q)
     n = math.sqrt(float(np.dot(q, q)))
     if not math.isfinite(n) or n == 0.0:
         raise ValueError("quaternion has zero or non-finite norm")

@@ -22,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from .geometry import Se3Pose, Sim3Transform
+from .geometry import Rotation, Se3Pose, Sim3Transform, quat_canonical, quat_mul
 
 
 class DuplicateObjectError(KeyError):
@@ -235,14 +235,19 @@ class AgentMap:
     def apply_sim3(self, t: Sim3Transform) -> None:
         """Re-express the whole map in a new frame.
 
-        Point positions and camera centers move like points.
+        Point positions and camera centers move like points.  Each pose
+        row equals ``t.transform_pose`` of that pose bit for bit.
         """
         points = list(self.points.values())
         moved = t.apply(np.array([p.position for p in points]).reshape(-1, 3))
         for p, row in zip(points, moved):
             p.position = row
-        for kf in self.keyframes.values():
-            kf.pose = t.transform_pose(kf.pose)
+        kfs = list(self.keyframes.values())
+        quats = quat_canonical(quat_mul(
+            t.rotation.q, np.array([kf.pose.rotation.q for kf in kfs]).reshape(-1, 4)))
+        centers = t.apply(np.array([kf.pose.translation for kf in kfs]).reshape(-1, 3))
+        for kf, q, c in zip(kfs, quats, centers):
+            kf.pose = Se3Pose(Rotation(q), c)
 
     def absorb(self, other: "AgentMap") -> None:
         """Move all contents of `other` into this map (ids never collide)."""

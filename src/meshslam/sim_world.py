@@ -93,7 +93,7 @@ class TrajectoryScript:
                 a, b = self.points[i], self.points[(i + 1) % n]
                 length = float(np.linalg.norm(b - a))
                 if length > 1e-12:
-                    segs.append((a, b, length))
+                    segs.append((a, b, length, _rotation_facing(b - a)))
         self.segments = segs
         self.total_length = sum(s[2] for s in segs)
 
@@ -101,14 +101,14 @@ class TrajectoryScript:
         if not self.segments:
             return Se3Pose(Rotation.identity(), self.points[0].copy())
         s = (self.speed * t) % self.total_length
-        for a, b, length in self.segments:
+        for a, b, length, facing in self.segments:
             if s <= length:
                 alpha = s / length
                 pos = a + alpha * (b - a)
-                return Se3Pose(_rotation_facing(b - a), pos)
+                return Se3Pose(facing, pos)
             s -= length
-        a, b, length = self.segments[-1]
-        return Se3Pose(_rotation_facing(b - a), b.copy())
+        _, b, _, facing = self.segments[-1]
+        return Se3Pose(facing, b.copy())
 
 
 @dataclass
@@ -235,8 +235,8 @@ class AgentTracker:
         new_points: list[MapPoint] = []
         kf_id = self.uuids.next()
         blend = self.track.point_update_blend
-        for lm, cam in zip(frame.visible, frame.cam_positions):
-            measured = self.est_pose.apply(self.frame_scale * cam)
+        measured_rows = self.est_pose.apply(self.frame_scale * frame.cam_positions)
+        for lm, measured in zip(frame.visible, measured_rows):
             pid = self.assoc.get(lm.id)
             if pid is not None and active_map is not None:
                 pid = active_map.resolve_point_id(pid)

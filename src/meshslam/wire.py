@@ -21,15 +21,17 @@ Keyframe packet payload:
     per point: uuid 16B, xyz 3*f64, word u32, observer_count u32 + uuid*
 
 Keyframes and map points travel as the map store's own KeyFrame and MapPoint
-objects.  Id sets are written in ascending order, and decoding always builds
-fresh objects, so an object never reaches a second agent by reference.
+objects.  Decoding always builds fresh objects, so an object never reaches a
+second agent by reference.  Id lists (histogram word ids, observed ids,
+observer ids) are written strictly ascending.
 
 Tagged point payload: count u32, then per point uuid 16B + xyz 3*f64.
 Decoding is fail-closed: any structural problem raises WireError naming the
 byte offset (counted from the start of the payload for payload fields); no
 partially decoded object escapes.  Besides the layout, the decoder rejects
 non-finite floats, quaternions of zero or non-finite norm, SIM(3) scales that
-are not positive, and word weights that are negative.
+are not positive, word weights that are negative, and id lists that are not
+strictly ascending.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import starmap
 
 import numpy as np
 
@@ -138,52 +141,121 @@ Message = (
 
 
 # ---------------------------------------------------------------------------
-# Primitive writer / reader
+# Fixed layouts, writer and reader
 # ---------------------------------------------------------------------------
+
+_M64 = (1 << 64) - 1
+
+
+class _Fields:
+    """A fixed run of little-endian fields, packed and unpacked by one struct.
+
+    A uuid is one ``QQ`` field (low word first).  The per-field sizes let a
+    truncated read name the first field that does not fit, as reading the
+    fields one at a time would.
+    """
+
+    def __init__(self, *codes: str):
+        self.codes = codes
+        self.struct = struct.Struct("<" + "".join(codes))
+        self.size = self.struct.size
+        self.sizes = tuple(struct.calcsize("<" + c) for c in codes)
+
+    def __add__(self, other: "_Fields") -> "_Fields":
+        return _Fields(*self.codes, *other.codes)
+
+
+_U16 = _Fields("H")
+_U32 = _Fields("I")
+_U64 = _Fields("Q")
+_F64 = _Fields("d")
+_UUID = _Fields("QQ")
+_QUAT = _Fields("d", "d", "d", "d")
+_VEC3 = _Fields("d", "d", "d")
+_KF_HEAD = _Fields("QQ", "H", "d")         # id, origin, timestamp
+_UUID_VEC3 = _Fields("QQ", "d", "d", "d")  # point id, position
+_WORD = _Fields("I", "f")                  # word id, weight
+_U32_U32 = _Fields("I", "I")               # point word, observer count
+# The writer packs in one call what the reader reads in parts: the reader
+# checks each part's values before it reads the next part.
+_KF_RECORD = _KF_HEAD + _QUAT + _VEC3 + _U32  # up to the word count
+_POINT_RECORD = _UUID_VEC3 + _U32_U32
+_SIM3 = _F64 + _QUAT + _VEC3
+_BOW_HEAD = _UUID + _U32                      # keyframe id, word count
+
 
 class _Writer:
     def __init__(self):
         self.parts: list[bytes] = []
 
-    def u8(self, v): self.parts.append(struct.pack("<B", v))
-    def u16(self, v): self.parts.append(struct.pack("<H", v))
-    def u32(self, v): self.parts.append(struct.pack("<I", v))
-    def u64(self, v): self.parts.append(struct.pack("<Q", v))
-    def f32(self, v): self.parts.append(struct.pack("<f", v))
-    def f64(self, v): self.parts.append(struct.pack("<d", v))
-    def uuid(self, v): self.parts.append(int(v).to_bytes(16, "little"))
+    def put(self, f: _Fields, *values) -> None:
+        self.parts.append(f.struct.pack(*values))
+
+    def rows(self, f: _Fields, rows) -> None:
+        self.parts.extend(starmap(f.struct.pack, rows))
+
+    def ids(self, ids) -> None:
+        """The uuids in ascending order."""
+        self.parts.extend([v.to_bytes(16, "little") for v in sorted(ids)])
 
     def getvalue(self) -> bytes:
         return b"".join(self.parts)
 
 
 class _Reader:
-    def __init__(self, data: bytes, offset: int = 0):
+    def __init__(self, data: bytes):
         self.data = data
-        self.off = offset
+        self.view = memoryview(data)
+        self.end = len(data)
+        self.off = 0
 
-    def _take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise WireError(
-                f"truncated payload: need {n} bytes at offset {self.off}, "
-                f"have {len(self.data) - self.off}"
-            )
-        out = self.data[self.off:self.off + n]
-        self.off += n
-        return out
+    def _truncated(self, off: int, sizes: tuple[int, ...]) -> WireError:
+        """The error for the first of `sizes`, laid out from `off`, that runs past the end."""
+        for n in sizes:
+            if off + n > self.end:
+                break
+            off += n
+        return WireError(
+            f"truncated payload: need {n} bytes at offset {off}, have {self.end - off}")
 
-    def u8(self): return struct.unpack("<B", self._take(1))[0]
-    def u16(self): return struct.unpack("<H", self._take(2))[0]
-    def u32(self): return struct.unpack("<I", self._take(4))[0]
-    def u64(self): return struct.unpack("<Q", self._take(8))[0]
-    def f32(self): return struct.unpack("<f", self._take(4))[0]
-    def f64(self): return struct.unpack("<d", self._take(8))[0]
-    def uuid(self): return int.from_bytes(self._take(16), "little")
+    def read(self, f: _Fields) -> tuple:
+        off = self.off
+        if off + f.size > self.end:
+            raise self._truncated(off, f.sizes)
+        self.off = off + f.size
+        return f.struct.unpack_from(self.data, off)
+
+    def rows(self, f: _Fields, n: int, check=None) -> list[tuple]:
+        """n back-to-back records of layout `f`.
+
+        When the payload ends first, the records that fit still go through
+        ``check(rows, offset_of_first)`` before the truncation is raised, so
+        errors surface in payload order.
+        """
+        start = self.off
+        k = min(n, (self.end - start) // f.size)
+        self.off = start + k * f.size
+        rows = list(f.struct.iter_unpack(self.view[start:self.off]))
+        if check is not None:
+            check(rows, start)
+        if k < n:
+            raise self._truncated(self.off, f.sizes)
+        return rows
+
+    def ids(self, n: int) -> set[int]:
+        """n uuids, which must be strictly ascending."""
+        start = self.off
+        ids = [lo | hi << 64 for lo, hi in self.rows(_UUID, n)]
+        for i in range(1, len(ids)):
+            if ids[i] <= ids[i - 1]:
+                raise WireError(
+                    f"id {ids[i]} at offset {start + 16 * i} is not above the id before it")
+        return set(ids)
 
     def done(self) -> None:
-        if self.off != len(self.data):
+        if self.off != self.end:
             raise WireError(
-                f"trailing garbage: {len(self.data) - self.off} bytes at offset {self.off}"
+                f"trailing garbage: {self.end - self.off} bytes at offset {self.off}"
             )
 
 
@@ -191,26 +263,22 @@ class _Reader:
 # Map object codecs
 # ---------------------------------------------------------------------------
 
-def _write_pose(w: _Writer, pose: Se3Pose) -> None:
-    q = pose.rotation.q
-    for v in (q[0], q[1], q[2], q[3]):
-        w.f64(float(v))
-    for v in pose.translation:
-        w.f64(float(v))
-
-
-def _read_finite(r: _Reader, n: int, what: str) -> list[float]:
-    start = r.off
-    vals = [r.f64() for _ in range(n)]
-    for i, v in enumerate(vals):
+def _check_finite(values, start: int, what: str) -> None:
+    for i, v in enumerate(values):
         if not math.isfinite(v):
             raise WireError(f"non-finite {what} {v} at offset {start + 8 * i}")
-    return vals
+
+
+def _read_finite(r: _Reader, f: _Fields, what: str) -> tuple:
+    start = r.off
+    values = r.read(f)
+    _check_finite(values, start, what)
+    return values
 
 
 def _read_rotation(r: _Reader) -> Rotation:
     start = r.off
-    q = _read_finite(r, 4, "quaternion component")
+    q = _read_finite(r, _QUAT, "quaternion component")
     try:
         with np.errstate(over="ignore"):
             return Rotation.from_quat(*q)
@@ -220,96 +288,103 @@ def _read_rotation(r: _Reader) -> Rotation:
 
 def _read_pose(r: _Reader) -> Se3Pose:
     rotation = _read_rotation(r)
-    return Se3Pose(rotation, np.array(_read_finite(r, 3, "translation"), dtype=float))
+    return Se3Pose(rotation, np.array(_read_finite(r, _VEC3, "translation"), dtype=float))
+
+
+def _check_words(rows: list[tuple], start: int) -> None:
+    prev = -1
+    for i, (word, weight) in enumerate(rows):
+        at = start + 8 * i
+        if word <= prev:
+            raise WireError(f"word id {word} at offset {at} is not above the word id before it")
+        if not (math.isfinite(weight) and weight >= 0.0):
+            raise WireError(
+                f"word weight {weight} at offset {at + 4} is negative or not finite")
+        prev = word
 
 
 def _read_words(r: _Reader) -> dict[int, float]:
-    words = {}
-    for _ in range(r.u32()):
-        word = r.u32()
-        start = r.off
-        weight = float(r.f32())
-        if not (math.isfinite(weight) and weight >= 0.0):
-            raise WireError(f"word weight {weight} at offset {start} is negative or not finite")
-        words[word] = weight
-    return words
+    (n,) = r.read(_U32)
+    return dict(r.rows(_WORD, n, _check_words))
 
 
 def _write_keyframe(w: _Writer, kf: KeyFrame) -> None:
-    w.uuid(kf.id)
-    w.u16(kf.origin_agent)
-    w.f64(kf.timestamp)
-    _write_pose(w, kf.pose)
-    w.u32(len(kf.words))
-    for word in sorted(kf.words):
-        w.u32(word)
-        w.f32(kf.words[word])
-    w.u32(len(kf.observed_points))
-    for pid in sorted(kf.observed_points):
-        w.uuid(pid)
+    w.put(_KF_RECORD, kf.id & _M64, kf.id >> 64, kf.origin_agent, kf.timestamp,
+          *kf.pose.rotation.q.tolist(), *kf.pose.translation.tolist(), len(kf.words))
+    w.rows(_WORD, sorted(kf.words.items()))
+    w.put(_U32, len(kf.observed_points))
+    w.ids(kf.observed_points)
 
 
 def _read_keyframe(r: _Reader) -> KeyFrame:
-    uuid = r.uuid()
-    origin = r.u16()
-    ts = _read_finite(r, 1, "timestamp")[0]
+    start = r.off
+    lo, hi, origin, ts = r.read(_KF_HEAD)
+    _check_finite((ts,), start + 18, "timestamp")
     pose = _read_pose(r)
     words = _read_words(r)
-    obs = {r.uuid() for _ in range(r.u32())}
-    return KeyFrame(uuid, origin, ts, pose, words, obs)
+    (n,) = r.read(_U32)
+    return KeyFrame(lo | hi << 64, origin, ts, pose, words, r.ids(n))
 
 
 def _write_point(w: _Writer, p: MapPoint) -> None:
-    w.uuid(p.id)
-    for v in p.position:
-        w.f64(float(v))
-    w.u32(p.word)
-    w.u32(len(p.observers))
-    for kid in sorted(p.observers):
-        w.uuid(kid)
+    w.put(_POINT_RECORD, p.id & _M64, p.id >> 64, *p.position.tolist(), p.word,
+          len(p.observers))
+    w.ids(p.observers)
 
 
 def _read_point(r: _Reader) -> MapPoint:
-    uuid = r.uuid()
-    pos = np.array(_read_finite(r, 3, "position"))
-    word = r.u32()
-    observers = {r.uuid() for _ in range(r.u32())}
-    return MapPoint(uuid, pos, word, observers)
+    start = r.off
+    lo, hi, *pos = r.read(_UUID_VEC3)
+    _check_finite(pos, start + 16, "position")
+    word, n = r.read(_U32_U32)
+    return MapPoint(lo | hi << 64, np.array(pos), word, r.ids(n))
 
 
 def _write_map_body(w: _Writer, kfs, points) -> None:
-    w.u32(len(kfs))
+    w.put(_U32, len(kfs))
     for kf in kfs:
         _write_keyframe(w, kf)
-    w.u32(len(points))
+    w.put(_U32, len(points))
     for p in points:
         _write_point(w, p)
 
 
 def _read_map_body(r: _Reader):
-    kfs = [_read_keyframe(r) for _ in range(r.u32())]
-    points = [_read_point(r) for _ in range(r.u32())]
+    (n,) = r.read(_U32)
+    kfs = [_read_keyframe(r) for _ in range(n)]
+    (n,) = r.read(_U32)
+    points = [_read_point(r) for _ in range(n)]
     return kfs, points
 
 
 def _write_sim3(w: _Writer, t: Sim3Transform) -> None:
-    w.f64(t.scale)
-    q = t.rotation.q
-    for v in (q[0], q[1], q[2], q[3]):
-        w.f64(float(v))
-    for v in t.translation:
-        w.f64(float(v))
+    w.put(_SIM3, t.scale, *t.rotation.q.tolist(), *t.translation.tolist())
 
 
 def _read_sim3(r: _Reader) -> Sim3Transform:
     start = r.off
-    scale = _read_finite(r, 1, "scale")[0]
+    (scale,) = _read_finite(r, _F64, "scale")
     if scale <= 0.0:
         raise WireError(f"non-positive scale {scale} at offset {start}")
     rotation = _read_rotation(r)
     return Sim3Transform(
-        scale, rotation, np.array(_read_finite(r, 3, "translation"), dtype=float)
+        scale, rotation, np.array(_read_finite(r, _VEC3, "translation"), dtype=float)
     )
+
+
+def _write_roster(w: _Writer, roster: list[int]) -> None:
+    w.put(_U16, len(roster))
+    w.rows(_U16, [(aid,) for aid in roster])
+
+
+def _read_roster(r: _Reader) -> list[int]:
+    (n,) = r.read(_U16)
+    return [aid for (aid,) in r.rows(_U16, n)]
+
+
+def _check_tagged(rows: list[tuple], start: int) -> None:
+    for i, row in enumerate(rows):
+        _check_finite(row[2:], start + _UUID_VEC3.size * i + 16, "position")
 
 
 # ---------------------------------------------------------------------------
@@ -319,25 +394,18 @@ def _read_sim3(r: _Reader) -> Sim3Transform:
 def encode_message(msg: Message) -> tuple[MessageType, bytes]:
     w = _Writer()
     if isinstance(msg, BowAnnounce):
-        w.uuid(msg.kf_id)
-        w.u32(len(msg.words))
-        for word in sorted(msg.words):
-            w.u32(word)
-            w.f32(msg.words[word])
+        w.put(_BOW_HEAD, msg.kf_id & _M64, msg.kf_id >> 64, len(msg.words))
+        w.rows(_WORD, sorted(msg.words.items()))
         return MessageType.BOW_ANNOUNCE, w.getvalue()
     if isinstance(msg, FullMapMsg):
-        w.uuid(msg.hint_kf)
+        w.put(_UUID, msg.hint_kf & _M64, msg.hint_kf >> 64)
         _write_map_body(w, msg.keyframes, msg.points)
         return MessageType.FULL_MAP, w.getvalue()
     if isinstance(msg, MergeNotify):
         _write_sim3(w, msg.transform)
-        w.u16(len(msg.roster))
-        for aid in msg.roster:
-            w.u16(aid)
-        w.u16(len(msg.transform_roster))
-        for aid in msg.transform_roster:
-            w.u16(aid)
-        w.u64(msg.merge_id)
+        _write_roster(w, msg.roster)
+        _write_roster(w, msg.transform_roster)
+        w.put(_U64, msg.merge_id)
         return MessageType.MERGE_NOTIFY, w.getvalue()
     if isinstance(msg, KeyFramePacket):
         _write_map_body(w, msg.keyframes, msg.points)
@@ -345,17 +413,13 @@ def encode_message(msg: Message) -> tuple[MessageType, bytes]:
     if isinstance(msg, AlignmentRequest):
         return MessageType.ALIGNMENT_REQUEST, b""
     if isinstance(msg, TaggedPoints):
-        w.u32(len(msg.points))
-        for uuid, pos in msg.points:
-            w.uuid(uuid)
-            for v in pos:
-                w.f64(float(v))
+        w.put(_U32, len(msg.points))
+        w.rows(_UUID_VEC3, [(uuid & _M64, uuid >> 64, *pos.tolist())
+                            for uuid, pos in msg.points])
         return MessageType.TAGGED_POINTS, w.getvalue()
     if isinstance(msg, GroupUpdate):
-        w.u16(len(msg.roster))
-        for aid in msg.roster:
-            w.u16(aid)
-        w.u16(msg.leader)
+        _write_roster(w, msg.roster)
+        w.put(_U16, msg.leader)
         return MessageType.GROUP_UPDATE, w.getvalue()
     if isinstance(msg, LocalizationLost):
         return MessageType.LOC_LOST, b""
@@ -371,20 +435,20 @@ def decode_message(msg_type: int, sender: int, sequence: int, payload: bytes) ->
         raise WireError(f"unknown message type {msg_type}") from exc
     r = _Reader(payload)
     if mt == MessageType.BOW_ANNOUNCE:
-        kf_id = r.uuid()
+        lo, hi = r.read(_UUID)
         words = _read_words(r)
         r.done()
-        return BowAnnounce(sender, kf_id, words)
+        return BowAnnounce(sender, lo | hi << 64, words)
     if mt == MessageType.FULL_MAP:
-        hint = r.uuid()
+        lo, hi = r.read(_UUID)
         kfs, points = _read_map_body(r)
         r.done()
-        return FullMapMsg(sender, hint, kfs, points)
+        return FullMapMsg(sender, lo | hi << 64, kfs, points)
     if mt == MessageType.MERGE_NOTIFY:
         t = _read_sim3(r)
-        roster = [r.u16() for _ in range(r.u16())]
-        transform_roster = [r.u16() for _ in range(r.u16())]
-        merge_id = r.u64()
+        roster = _read_roster(r)
+        transform_roster = _read_roster(r)
+        (merge_id,) = r.read(_U64)
         r.done()
         return MergeNotify(sender, t, roster, transform_roster, merge_id)
     if mt == MessageType.KEYFRAME_PACKET:
@@ -395,16 +459,14 @@ def decode_message(msg_type: int, sender: int, sequence: int, payload: bytes) ->
         r.done()
         return AlignmentRequest(sender)
     if mt == MessageType.TAGGED_POINTS:
-        pts = []
-        for _ in range(r.u32()):
-            uuid = r.uuid()
-            pos = np.array(_read_finite(r, 3, "position"))
-            pts.append((uuid, pos))
+        (n,) = r.read(_U32)
+        rows = r.rows(_UUID_VEC3, n, _check_tagged)
         r.done()
-        return TaggedPoints(sender, pts)
+        return TaggedPoints(sender, [(lo | hi << 64, np.array(pos))
+                                     for lo, hi, *pos in rows])
     if mt == MessageType.GROUP_UPDATE:
-        roster = [r.u16() for _ in range(r.u16())]
-        leader = r.u16()
+        roster = _read_roster(r)
+        (leader,) = r.read(_U16)
         r.done()
         return GroupUpdate(sender, roster, leader)
     if mt == MessageType.LOC_LOST:

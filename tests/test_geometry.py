@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from meshslam.geometry import (
     Se3Pose,
     Sim3Transform,
     _cross3,
+    quat_canonical,
     quat_mul,
     se3_exp,
     se3_log,
@@ -189,6 +191,61 @@ class TestScalarKernels:
             assert np.array_equal(quat_mul(a[i], b[i]), ref_mul[i])
             u, v = a[i, 1:], b[i, 1:]
             assert np.array_equal(_cross3(u, v), _cross3(u, v[None])[0])
+
+
+def edge_rows(rng):
+    """Random rows plus rows with w < 0, w == 0 exactly and signed zeros."""
+    rows = rng.normal(size=(500, 4))
+    rows[:100, 0] = -np.abs(rows[:100, 0])
+    rows[100:200, 0] = 0.0
+    rows[150:200, 1] = 0.0                 # w == x == 0: y decides the sign
+    rows[175:200, 2] = 0.0                 # w == x == y == 0: z decides
+    rows[200:220, 0] = -0.0
+    return rows
+
+
+class TestRowKernels:
+    """The (n, 4) row forms equal the scalar forms row by row, bit for bit."""
+
+    def test_quat_mul_rows(self):
+        rng = np.random.default_rng(11)
+        b = edge_rows(rng)
+        for a in (rng.normal(size=4), np.array([0.0, 0.0, 0.0, 1.0]),
+                  np.array([-0.5, 0.5, -0.5, 0.5])):
+            want = np.array([quat_mul(a, row) for row in b])
+            assert np.array_equal(quat_mul(a, b), want)
+
+    def test_quat_canonical_rows(self):
+        rows = edge_rows(np.random.default_rng(12))
+        want = np.array([quat_canonical(row) for row in rows])
+        got = quat_canonical(rows)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_canonical_of_product_rows(self):
+        # the row operation a whole-map transform performs on its poses
+        rng = np.random.default_rng(13)
+        a = quat_canonical(rng.normal(size=4))
+        b = quat_canonical(edge_rows(rng))
+        want = np.array([quat_canonical(quat_mul(a, row)) for row in b])
+        assert np.array_equal(quat_canonical(quat_mul(a, b)), want)
+
+    def test_empty_rows(self):
+        out = quat_canonical(quat_mul(np.array([1.0, 0, 0, 0]), np.zeros((0, 4))))
+        assert out.shape == (0, 4)
+
+    @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+    def test_bad_row_raises_like_scalar_without_warning(self, bad):
+        rows = np.random.default_rng(14).normal(size=(5, 4))
+        rows[3] = 0.0
+        rows[3, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="zero or non-finite norm") as scalar:
+                quat_canonical(rows[3])
+            with pytest.raises(ValueError, match="zero or non-finite norm") as batched:
+                quat_canonical(rows)
+        assert str(batched.value) == str(scalar.value)
 
 
 class TestPose:

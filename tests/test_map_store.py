@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,47 @@ class TestApplySim3:
         m.apply_sim3(t)
         for pid, p in m.points.items():
             assert np.array_equal(p.position, want[pid])
+
+    def test_batched_poses_match_per_keyframe_transform_pose(self):
+        # reference: the per-keyframe loop apply_sim3 ran before it moved
+        # all poses as one row operation
+        rng = np.random.default_rng(21)
+        quats = [rng.normal(size=4) for _ in range(20)] + [
+            np.array([1.0, 0.0, 0.0, 0.0]),
+            np.array([0.0, 1.0, 0.0, 0.0]),
+            np.array([0.0, 0.0, -1.0, 0.0]),    # not canonical
+            np.array([-0.5, 0.5, -0.5, 0.5]),   # not canonical
+        ]
+        for t in (Sim3Transform(1.7, Rotation.from_axis_angle(vec3(0, 0, 1), 0.4),
+                                vec3(0.5, -1, 2)),
+                  # 180 degrees about z: products with w == 0 and w < 0
+                  Sim3Transform(0.6, Rotation(np.array([0.0, 0.0, 0.0, 1.0])),
+                                vec3(-3, 0.25, 1))):
+            m = AgentMap()
+            for i, q in enumerate(quats):
+                q = q / np.linalg.norm(q)
+                pose = Se3Pose(Rotation(q), rng.uniform(-5, 5, 3))
+                m.insert_keyframe(make_kf(100 + i, [i], pose=pose))
+            want = {kid: t.transform_pose(kf.pose) for kid, kf in m.keyframes.items()}
+            assert any(p.rotation.q[0] == 0.0 for p in want.values())
+            m.apply_sim3(t)
+            for kid, kf in m.keyframes.items():
+                assert np.array_equal(kf.pose.rotation.q, want[kid].rotation.q)
+                assert np.array_equal(kf.pose.translation, want[kid].translation)
+
+    def test_zero_norm_pose_raises_like_transform_pose(self):
+        t = Sim3Transform(1.7, Rotation.from_axis_angle(vec3(0, 0, 1), 0.4), vec3(0, 0, 1))
+        bad = Se3Pose(Rotation(np.zeros(4)), vec3(1, 2, 3))
+        m = AgentMap()
+        m.insert_keyframe(make_kf(100, [1]))
+        m.insert_keyframe(make_kf(101, [1], pose=bad))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as per_kf:
+                t.transform_pose(bad)
+            with pytest.raises(ValueError) as batched:
+                m.apply_sim3(t)
+        assert str(batched.value) == str(per_kf.value)
 
     def test_local_window_has_zero_cost_after_transform(self):
         # windows measure edges from the current poses, so a whole-map

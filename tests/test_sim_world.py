@@ -9,6 +9,7 @@ from meshslam.map_store import UuidGenerator
 from meshslam.sim_world import (
     AgentTracker,
     TrajectoryScript,
+    _rotation_facing,
     generate_world,
 )
 
@@ -87,6 +88,44 @@ class TestTrajectoryScript:
         s = TrajectoryScript([[0, 0, 0], [0, 5, 0]], speed=1.0)
         fwd = s.pose_at(1.0).rotation.apply(np.array([1.0, 0, 0]))
         assert np.allclose(fwd, [0, 1, 0], atol=1e-12)
+
+
+def reference_pose_at(script, t):
+    """pose_at as it was, recomputing the segment's facing on every call."""
+    s = (script.speed * t) % script.total_length
+    for a, b, length, _ in script.segments:
+        if s <= length:
+            return Se3Pose(_rotation_facing(b - a), a + (s / length) * (b - a))
+        s -= length
+    a, b, _, _ = script.segments[-1]
+    return Se3Pose(_rotation_facing(b - a), b.copy())
+
+
+class TestCachedFacing:
+    def test_pose_at_matches_per_tick_facing(self):
+        # +x, -x (the pi special case), diagonal and vertical segments
+        s = TrajectoryScript([[0, 0, 0], [4, 0, 0], [4, 3, 1], [4, 3, 5], [-2, 3, 5],
+                              [-2, -1.5, 0.5]], speed=1.3)
+        for t in np.linspace(0.0, 3 * s.total_length / s.speed, 601):
+            got, want = s.pose_at(float(t)), reference_pose_at(s, float(t))
+            assert np.array_equal(got.rotation.q, want.rotation.q)
+            assert np.array_equal(got.translation, want.translation)
+
+
+class TestBatchedMeasurement:
+    def test_spawn_positions_match_per_point_apply(self):
+        # reference: one Se3Pose.apply per visible landmark
+        lms = TestKeyframeSpawning().dense_world()
+        tr = tracker(seed=4, landmarks=lms, frame_offset="random", scale_offset=None,
+                     sigma_t=0.01, sigma_r=0.01, min_word_matches=1)
+        for i in range(5):
+            frame = tr.step(i * 0.1)
+        assert len(frame.visible) > 10
+        want = [tr.est_pose.apply(tr.frame_scale * cam) for cam in frame.cam_positions]
+        _, new_points = tr.spawn_keyframe(0, frame.time, frame)
+        assert len(new_points) == len(want)
+        for p, w in zip(new_points, want):
+            assert np.array_equal(p.position, w)
 
 
 class TestOdometry:

@@ -1,7 +1,15 @@
+import dataclasses
+import math
+import random
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import wire_reference
 
 from meshslam.geometry import Rotation, Se3Pose, Sim3Transform, vec3
 from meshslam.map_store import KeyFrame, MapPoint
@@ -22,6 +30,7 @@ from meshslam.wire import (
     decode_frame,
     encode_envelope,
     encode_frame,
+    encode_message,
 )
 
 
@@ -148,6 +157,14 @@ def tagged_points():
     return TaggedPoints(1, [(42, vec3(1.5, 2.5, 3.5))])
 
 
+def two_id_packet():
+    """kf_packet with two observed ids and two observers."""
+    pkt = kf_packet()
+    pkt.keyframes[0].observed_points = {700, 701}
+    pkt.points[0].observers = {500, 501}
+    return pkt
+
+
 NAN, INF = float("nan"), float("inf")
 KF_Q = tuple(kf_packet().keyframes[0].pose.rotation.q)
 SIM3_Q = tuple(merge_notice().transform.rotation.q)
@@ -201,6 +218,216 @@ class TestFailClosedValues:
             decode_frame(frame)
         assert f"offset {offset}" in str(info.value)
 
+    @pytest.mark.parametrize("make, fmt, old, new", [
+        pytest.param(bow_announce, "<If", (7, 0.75), (1, 0.75), id="bow-word-repeated"),
+        pytest.param(bow_announce, "<If", (7, 0.75), (0, 0.75), id="bow-word-descending"),
+        pytest.param(kf_packet, "<If", (9, 0.625), (3, 0.625), id="kf-word-repeated"),
+        pytest.param(two_id_packet, "<QQ", (701, 0), (700, 0), id="kf-observed-repeated"),
+        pytest.param(two_id_packet, "<QQ", (701, 0), (699, 0), id="kf-observed-descending"),
+        pytest.param(two_id_packet, "<QQ", (501, 0), (500, 0), id="point-observer-repeated"),
+        pytest.param(two_id_packet, "<QQ", (501, 0), (1, 0), id="point-observer-descending"),
+    ])
+    def test_rejects_ids_not_ascending(self, make, fmt, old, new):
+        self.test_rejects_with_offset(make, fmt, old, new, "is not above the")
+
     def test_zero_weight_is_accepted(self):
         frame, _ = corrupt(bow_announce(), "<f", (0.25,), (0.0,))
         assert decode_frame(frame).words[1] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Random messages of every type, and the reference codec
+# ---------------------------------------------------------------------------
+
+def _uuid(rnd):
+    return rnd.getrandbits(128)
+
+
+def _words(rnd):
+    ids = rnd.sample(range(1 << 32), rnd.randint(0, 6))
+    return {w: float(np.float32(rnd.uniform(0.0, 1.0))) for w in ids}
+
+
+def _rotation(rnd):
+    return Rotation.from_quat(*(rnd.gauss(0.0, 1.0) for _ in range(4)))
+
+
+def _vec(rnd):
+    return np.array([rnd.uniform(-50.0, 50.0) for _ in range(3)])
+
+
+def _keyframe(rnd):
+    return KeyFrame(_uuid(rnd), rnd.randrange(1 << 16), rnd.uniform(0.0, 100.0),
+                    Se3Pose(_rotation(rnd), _vec(rnd)), _words(rnd),
+                    {_uuid(rnd) for _ in range(rnd.randint(0, 5))})
+
+
+def _point(rnd):
+    return MapPoint(_uuid(rnd), _vec(rnd), rnd.randrange(1 << 32),
+                    {_uuid(rnd) for _ in range(rnd.randint(0, 4))})
+
+
+def _map(rnd):
+    return ([_keyframe(rnd) for _ in range(rnd.randint(0, 3))],
+            [_point(rnd) for _ in range(rnd.randint(0, 4))])
+
+
+def _roster(rnd):
+    return [rnd.randrange(1 << 16) for _ in range(rnd.randint(0, 5))]
+
+
+MAKERS = {
+    MessageType.BOW_ANNOUNCE: lambda rnd: BowAnnounce(3, _uuid(rnd), _words(rnd)),
+    MessageType.FULL_MAP: lambda rnd: FullMapMsg(3, _uuid(rnd), *_map(rnd)),
+    MessageType.MERGE_NOTIFY: lambda rnd: MergeNotify(
+        3, Sim3Transform(rnd.uniform(0.1, 10.0), _rotation(rnd), _vec(rnd)),
+        _roster(rnd), _roster(rnd), rnd.getrandbits(64)),
+    MessageType.KEYFRAME_PACKET: lambda rnd: KeyFramePacket(3, 11, *_map(rnd)),
+    MessageType.ALIGNMENT_REQUEST: lambda rnd: AlignmentRequest(3),
+    MessageType.TAGGED_POINTS: lambda rnd: TaggedPoints(
+        3, [(_uuid(rnd), _vec(rnd)) for _ in range(rnd.randint(0, 5))]),
+    MessageType.GROUP_UPDATE: lambda rnd: GroupUpdate(3, _roster(rnd), rnd.randrange(1 << 16)),
+    MessageType.LOC_LOST: lambda rnd: LocalizationLost(3),
+    MessageType.LOC_REGAINED: lambda rnd: LocalizationRegained(3),
+}
+assert set(MAKERS) == set(MessageType)
+
+
+def random_message(kind, seed):
+    return MAKERS[kind](random.Random(seed))
+
+
+def plain(x):
+    """A comparable form of a decoded message: floats and arrays by their bits."""
+    if isinstance(x, np.ndarray):
+        return ("ndarray", x.dtype.str, x.shape, x.tobytes())
+    if isinstance(x, float):
+        return ("float", struct.pack("<d", x))
+    if isinstance(x, (list, tuple)):
+        return tuple(plain(v) for v in x)
+    if isinstance(x, (set, frozenset)):
+        return ("set", tuple(sorted(x)))
+    if isinstance(x, dict):
+        return ("dict", tuple((k, plain(v)) for k, v in x.items()))
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__, tuple(plain(getattr(x, f.name))
+                                        for f in dataclasses.fields(x) if f.compare))
+    return x
+
+
+def reference_decode(frame):
+    return wire_reference.decode_message(*decode_envelope(frame))
+
+
+class TestAgainstReferenceCodec:
+    """The batched codec writes and reads exactly what the per-field one did."""
+
+    @pytest.mark.parametrize("kind", list(MessageType), ids=lambda k: k.name)
+    def test_equal_bytes_and_values(self, kind):
+        for seed in range(40):
+            msg = random_message(kind, seed)
+            want = wire_reference.encode_message(msg)
+            assert encode_message(msg) == want
+            frame = encode_frame(msg, 3, 11)
+            assert plain(decode_frame(frame)) == plain(reference_decode(frame))
+
+
+TRUNCATED = re.compile(r"truncated payload: need (\d+) bytes at offset (\d+), have (\d+)")
+
+
+class TestTruncationSweep:
+    @pytest.mark.parametrize("kind", list(MessageType), ids=lambda k: k.name)
+    def test_every_cut_names_an_offset(self, kind):
+        # the largest of a few random messages, so every field kind is cut;
+        # the three types without a payload have nothing to cut
+        msg = max((random_message(kind, seed) for seed in range(8)),
+                  key=lambda m: len(encode_message(m)[1]))
+        mt, payload = encode_message(msg)
+        for cut in range(len(payload)):
+            frame = encode_envelope(mt, 3, 11, payload[:cut])
+            with pytest.raises(WireError) as info:
+                decode_frame(frame)
+            m = TRUNCATED.fullmatch(str(info.value))
+            assert m, str(info.value)
+            need, offset, have = map(int, m.groups())
+            assert offset + have == cut and have < need
+            with pytest.raises(WireError) as ref:
+                reference_decode(frame)
+            assert str(info.value) == str(ref.value)
+        frame = encode_envelope(mt, 3, 11, payload)
+        assert plain(decode_frame(frame)) == plain(reference_decode(frame))
+
+
+# ---------------------------------------------------------------------------
+# Mutated frames fail closed
+# ---------------------------------------------------------------------------
+
+def assert_finite(values):
+    assert all(math.isfinite(v) for v in np.asarray(values, dtype=float).ravel())
+
+
+def assert_rotation(rotation):
+    q = rotation.q
+    assert_finite(q)
+    assert abs(float(np.dot(q, q)) - 1.0) < 1e-9
+    assert next(v for v in q if v != 0.0) > 0.0   # canonical sign
+
+
+def assert_words(words):
+    assert list(words) == sorted(words)
+    assert all(math.isfinite(w) and w >= 0.0 for w in words.values())
+
+
+def assert_well_formed(msg):
+    if isinstance(msg, BowAnnounce):
+        assert_words(msg.words)
+    if isinstance(msg, (FullMapMsg, KeyFramePacket)):
+        for kf in msg.keyframes:
+            assert math.isfinite(kf.timestamp)
+            assert_rotation(kf.pose.rotation)
+            assert_finite(kf.pose.translation)
+            assert_words(kf.words)
+        for p in msg.points:
+            assert_finite(p.position)
+    if isinstance(msg, MergeNotify):
+        t = msg.transform
+        assert math.isfinite(t.scale) and t.scale > 0.0
+        assert_rotation(t.rotation)
+        assert_finite(t.translation)
+    if isinstance(msg, TaggedPoints):
+        for _, pos in msg.points:
+            assert_finite(pos)
+
+
+EDIT = st.tuples(st.sampled_from(["flip", "insert", "cut"]),
+                 st.integers(0, 1 << 16), st.integers(1, 255))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(kind=st.sampled_from(list(MessageType)), seed=st.integers(0, 1 << 32),
+       refit=st.booleans(), edits=st.lists(EDIT, min_size=1, max_size=4))
+def test_mutated_frames_fail_closed(kind, seed, refit, edits):
+    """Byte flips, insertions and cuts either raise WireError or decode to a
+    well-formed message equal to what the reference decoder makes of them.
+
+    With ``refit`` the edits hit the payload and the envelope is rebuilt
+    around it, so they reach the payload parser instead of the length check.
+    """
+    frame = encode_frame(random_message(kind, seed), 3, 11)
+    data = bytearray(frame[HEADER_SIZE:] if refit else frame)
+    for op, pos, byte in edits:
+        at = pos % (len(data) + 1)
+        if op == "flip" and at < len(data):
+            data[at] ^= byte
+        elif op == "insert":
+            data.insert(at, byte)
+        elif op == "cut":
+            del data[at:]
+    if refit:
+        data = encode_envelope(kind, 3, 11, bytes(data))
+    try:
+        out = decode_frame(bytes(data))
+    except WireError:
+        return
+    assert_well_formed(out)
+    assert plain(out) == plain(reference_decode(bytes(data)))
