@@ -127,11 +127,16 @@ class ScenarioConfig:
                 raise ConfigError(f"{where}.fov_deg: must be in (0, 180)")
             if a.range_m <= 0:
                 raise ConfigError(f"{where}.range_m: must be positive")
+            for key in ("sigma_t", "sigma_r"):
+                if not getattr(a, key) >= 0:
+                    raise ConfigError(f"{where}.{key}: must be >= 0")
             if a.scale_offset is not None and not 0.5 <= a.scale_offset <= 2.0:
                 raise ConfigError(f"{where}.scale_offset: must be in [0.5, 2]")
             if a.frame_offset not in ("random", "identity"):
                 raise ConfigError(f"{where}.frame_offset: 'random' or 'identity'")
         for i, window in enumerate(self.net.partitions):
+            if not window.start < window.end:
+                raise ConfigError(f"net.partitions[{i}]: need start < end")
             for j, link in enumerate(window.down_links):
                 if not all(x in ids for x in link):
                     raise ConfigError(f"net.partitions[{i}].links[{j}]: unknown agent")
@@ -141,6 +146,8 @@ class ScenarioConfig:
             raise ConfigError("world.vocab_size: must be >= 1")
         if self.world.cell_size <= 0:
             raise ConfigError("world.cell_size: must be positive")
+        if not self.world.regions:
+            raise ConfigError("world.regions: at least one region is required")
         for i, box in enumerate(self.world.regions):
             if len(box) != 6 or not all(box[k] < box[k + 3] for k in range(3)):
                 raise ConfigError(f"world.regions[{i}]: need [x0,y0,z0,x1,y1,z1] with min < max")
@@ -148,6 +155,13 @@ class ScenarioConfig:
             raise ConfigError("run: duration and dt must be positive")
         if not 0 < self.merge.acceptance_factor <= 1:
             raise ConfigError("merge.acceptance_factor: must be in (0, 1]")
+        # the RANSAC parameters of alignment rounds and of full merges
+        for where, value in (("align.ransac_iterations", self.align.ransac_iterations),
+                             ("align.inlier_threshold", self.align.inlier_threshold),
+                             ("align.min_inliers", self.align.min_inliers),
+                             ("merge.min_inliers", self.merge.min_inliers)):
+            if not value > 0:
+                raise ConfigError(f"{where}: must be positive")
         if self.share.batch_size < 1 or self.share.drain_budget < 1:
             raise ConfigError("share: batch_size and drain_budget must be >= 1")
 

@@ -73,21 +73,27 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
     return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
+# a squared norm below the smallest normal double has lost its precision, so
+# dividing by its root would not give a unit quaternion
+_TINY = np.finfo(float).tiny
+_BAD_NORM = "quaternion has zero, subnormal or non-finite norm"
+
+
 def quat_canonical(q: np.ndarray) -> np.ndarray:
     """Unit-norm, sign-canonical copy of q of shape (4,) or (n, 4)."""
     if q.ndim == 2:
-        n = np.sqrt(np.vecdot(q, q))
-        if not (np.isfinite(n).all() and n.all()):
-            raise ValueError("quaternion has zero or non-finite norm")
-        q = q / n[:, None]
+        n2 = np.vecdot(q, q)
+        if not (np.isfinite(n2).all() and (n2 >= _TINY).all()):
+            raise ValueError(_BAD_NORM)
+        q = q / np.sqrt(n2)[:, None]
         w, v = q[:, 0], q[:, 1:]
         first = v[np.arange(len(v)), np.argmax(v != 0.0, axis=1)]
         flip = (w < 0.0) | ((w == 0.0) & (first < 0.0))
         return np.where(flip[:, None], -q, q)
-    n = math.sqrt(float(np.dot(q, q)))
-    if not math.isfinite(n) or n == 0.0:
-        raise ValueError("quaternion has zero or non-finite norm")
-    q = q / n
+    n2 = float(np.dot(q, q))
+    if not (math.isfinite(n2) and n2 >= _TINY):
+        raise ValueError(_BAD_NORM)
+    q = q / math.sqrt(n2)
     if q[0] < 0.0:
         q = -q
     elif q[0] == 0.0:

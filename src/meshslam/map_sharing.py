@@ -71,7 +71,7 @@ class SharingState:
         for peer in sorted(peers):
             self.outbox(peer).add(kf_id, new_point_ids)
 
-    def flush_outbox(self, agent_id: int, peer: int, sequence: int, m: AgentMap,
+    def flush_outbox(self, agent_id: int, peer: int, m: AgentMap,
                      batch_size: int, force: bool = False) -> KeyFramePacket | None:
         box = self.outboxes.get(peer)
         if box is None or not box.unsent_keyframes:
@@ -84,8 +84,7 @@ class SharingState:
         box.clear()
         if not kfs:
             return None
-        return KeyFramePacket(sender=agent_id, sequence=sequence,
-                              keyframes=kfs, points=pts)
+        return KeyFramePacket(sender=agent_id, keyframes=kfs, points=pts)
 
     def enqueue_packet(self, packet: KeyFramePacket) -> None:
         """Split a packet into per-keyframe entries, preserving sender order.

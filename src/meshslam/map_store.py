@@ -324,34 +324,35 @@ class AgentMap:
 
 
 class MapDatabase:
-    """Shared map plus private maps spawned while localization is lost."""
+    """Shared map plus the private map spawned while localization is lost.
+
+    A loss needs a localized tracker, so at most one private map exists.
+    """
 
     def __init__(self):
-        self.maps: list[AgentMap] = [AgentMap()]
-        self.active: int = 0
+        self.shared_map = AgentMap()
+        self.private_map: AgentMap | None = None
 
     @property
-    def shared_map(self) -> AgentMap:
-        return self.maps[0]
+    def maps(self) -> list[AgentMap]:
+        """Every map held, the shared one first."""
+        return [self.shared_map] + ([] if self.private_map is None else [self.private_map])
 
     @property
     def active_map(self) -> AgentMap:
-        return self.maps[self.active]
+        return self.shared_map if self.private_map is None else self.private_map
 
     def spawn_private_map(self) -> AgentMap:
-        m = AgentMap()
-        self.maps.append(m)
-        self.active = len(self.maps) - 1
-        return m
+        self.private_map = AgentMap()
+        return self.private_map
 
     def merge_private_map(self, t: Sim3Transform) -> None:
-        """Transform the active private map into the shared frame and fold it in."""
-        if self.active == 0:
+        """Transform the private map into the shared frame and fold it in."""
+        if self.private_map is None:
             raise UnknownObjectError("no active private map to merge")
-        private = self.maps.pop(self.active)
+        private, self.private_map = self.private_map, None
         private.apply_sim3(t)
         self.shared_map.absorb(private)
-        self.active = 0
 
     def apply_frame_transform(self, t: Sim3Transform) -> None:
         """Apply a group-frame change to the shared map (private maps keep their own frames)."""

@@ -172,7 +172,6 @@ class MeshNetwork:
             np.random.SeedSequence(entropy=[seed, 0x6E65742D64726F70]))
         self._lat_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=[seed, 0x6E65742D6C6174]))
-        self.in_flight = 0
 
     # -- reachability ----------------------------------------------------
 
@@ -221,11 +220,9 @@ class MeshNetwork:
         lo, hi = self.config.latency_ms
         latency = self._lat_rng.uniform(lo, hi) / 1000.0
         env.deliver_time = env.send_time + latency
-        self.in_flight += 1
         return env
 
     def deliver(self, env: Envelope) -> None:
-        self.in_flight -= 1
         self.ledger.record_received(env.dst, category_of(env.msg_type), env.size)
 
 

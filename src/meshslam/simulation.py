@@ -63,6 +63,9 @@ from .wire import (
 # only localization flips need ordering protection; merge notices carry
 # their own dedupe key and roster absorption is union-idempotent
 _ORDERED_TYPES = (LocalizationLost, LocalizationRegained)
+# bulk data is left out of the event log; every other send is recorded
+_BULK_TYPES = (MessageType.KEYFRAME_PACKET, MessageType.ALIGNMENT_REQUEST,
+               MessageType.TAGGED_POINTS)
 
 
 class EventLog:
@@ -109,7 +112,6 @@ class AgentRuntime:
         self._last_control_seq: dict[int, int] = {}
         self.aimd: AimdState | None = None
         self._align_request_time: float | None = None
-        self.private_backlog: list[tuple[int, list[int]]] = []
 
         hooks = ManagerHooks(
             send=lambda dst, msg: sim.send_message(self.id, dst, msg),
@@ -157,16 +159,18 @@ class AgentRuntime:
         merging leader; everything this agent originated must still reach
         the rest of the newly joined group through regular keyframe sharing.
         """
+        m = self.db.shared_map
+        self._queue_own_keyframes(
+            [kid for kid, kf in m.keyframes.items() if kf.origin_agent == self.id], peers)
+
+    def _queue_own_keyframes(self, kf_ids, peers: list[int]) -> None:
+        """Queue own keyframes of the shared map toward `peers`, in ascending id
+        (spawn) order, each with its own present points in ascending order."""
         if not self.scenario.run.cooperative or not peers:
             return
         m = self.db.shared_map
-        own_kfs = sorted(
-            (kf.timestamp, kf.id) for kf in m.keyframes.values()
-            if kf.origin_agent == self.id
-        )
-        for _, kf_id in own_kfs:
-            kf = m.keyframes[kf_id]
-            own_points = [pid for pid in sorted(kf.observed_points)
+        for kf_id in sorted(kf_ids):
+            own_points = [pid for pid in sorted(m.keyframes[kf_id].observed_points)
                           if pid in m.points and uuid_agent(pid) == self.id]
             self.sharing.record_new_keyframe(kf_id, own_points, peers)
 
@@ -192,10 +196,9 @@ class AgentRuntime:
                     )
                     self.manager.announce_keyframe_bow(kf.id, kf.words)
             else:
-                self.private_backlog.append((kf.id, [p.id for p in new_points]))
                 self._try_private_remerge(kf)
         self._alignment_tick(now)
-        self._flush_outboxes(now)
+        self._flush_outboxes()
 
     def end_of_tick(self, now: float) -> None:
         self.sharing.drain(
@@ -209,7 +212,6 @@ class AgentRuntime:
         self.manager.declare_localization_lost()
         self.db.spawn_private_map()
         self.tracker.enter_private_frame()
-        self.private_backlog = []
         self._align_request_time = None
 
     def _try_private_remerge(self, kf) -> None:
@@ -229,17 +231,13 @@ class AgentRuntime:
         if result is None:
             return
         transform, inliers = result
-        backlog = list(self.private_backlog)
+        private_kfs = list(self.db.private_map.keyframes)
         self.db.merge_private_map(transform)
         self.tracker.rejoin_shared_frame(transform)
         self.manager.declare_localization_regained()
-        if self.scenario.run.cooperative:
-            peers = self.manager.frame_aligned_peers()
-            for kf_id, pids in backlog:
-                self.sharing.record_new_keyframe(kf_id, pids, peers)
-        self.private_backlog = []
+        self._queue_own_keyframes(private_kfs, self.manager.frame_aligned_peers())
         self.sim.log(self.id, "private_map_merged", {
-            "keyframes": len(backlog), "inliers": inliers,
+            "keyframes": len(private_kfs), "inliers": inliers,
             "scale": transform.scale,
         })
 
@@ -318,16 +316,16 @@ class AgentRuntime:
 
     # -- sharing ----------------------------------------------------------------
 
-    def _flush_outboxes(self, now: float, force: bool = False) -> None:
+    def _flush_outboxes(self, force: bool = False) -> None:
         if not self.scenario.run.cooperative:
             return
         for peer in self.manager.merged_peers():
             pkt = self.sharing.flush_outbox(
-                self.id, peer, self.next_seq(), self.db.shared_map,
+                self.id, peer, self.db.shared_map,
                 self.scenario.share.batch_size, force=force,
             )
             if pkt is not None:
-                self.sim.send_message(self.id, peer, pkt, sequence=pkt.sequence)
+                self.sim.send_message(self.id, peer, pkt)
 
     # -- message dispatch -----------------------------------------------------------
 
@@ -387,26 +385,15 @@ class Simulation:
     def reachable(self, a: int, b: int) -> bool:
         return self.net.same_component(a, b, self.now)
 
-    # control-plane sends recorded in the event log; bulk data omitted
-    _LOGGED_SENDS = {
-        int(MessageType.BOW_ANNOUNCE): "bow_announce",
-        int(MessageType.FULL_MAP): "full_map",
-        int(MessageType.MERGE_NOTIFY): "merge_notify",
-        int(MessageType.GROUP_UPDATE): "group_update",
-        int(MessageType.LOC_LOST): "loc_lost",
-        int(MessageType.LOC_REGAINED): "loc_regained",
-    }
-
-    def send_message(self, src: int, dst: int, msg, sequence: int | None = None) -> None:
-        seq = sequence if sequence is not None else self.runtimes[src].next_seq()
+    def send_message(self, src: int, dst: int, msg) -> None:
+        seq = self.runtimes[src].next_seq()
         msg_type, payload = encode_message(msg)
         data = encode_envelope(msg_type, src, seq, payload)
         env = Envelope(src=src, dst=dst, msg_type=int(msg_type), data=data,
                        size=len(data), send_time=self.now, app_seq=seq)
         self.net.send(env)
-        name = self._LOGGED_SENDS.get(int(msg_type))
-        if name is not None:
-            self.log(src, "send", {"type": name, "dst": dst,
+        if msg_type not in _BULK_TYPES:
+            self.log(src, "send", {"type": msg_type.name.lower(), "dst": dst,
                                    "dropped": env.dropped})
         if not env.dropped:
             self.queue.push(env.deliver_time, ("deliver", env))
@@ -464,7 +451,7 @@ class Simulation:
         """Quiescence barrier: flush outstanding shares and run the queue dry."""
         self.now = duration
         for aid in self.agent_ids:
-            self.runtimes[aid]._flush_outboxes(self.now, force=True)
+            self.runtimes[aid]._flush_outboxes(force=True)
         while len(self.queue):
             time, _, (kind, item) = self.queue.pop()
             self.now = max(self.now, time)

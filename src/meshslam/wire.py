@@ -10,35 +10,38 @@ Envelope layout (all multi-byte integers little-endian):
     length  u32      payload byte count
     payload
 
-Keyframe packet payload:
+A payload is the message's dataclass fields after ``sender``, in declaration
+order, each written by its codec in the ``_PAYLOADS`` table; the sequence
+number lives only in the envelope.  Field codecs:
 
-    kf_count u32
-    per keyframe: uuid 16B, origin u16, timestamp f64,
-                  pose 7*f64 (qw qx qy qz tx ty tz),
-                  word_count u32 + (word u32, weight f32)*,
-                  obs_count u32 + uuid*
-    mp_count u32
-    per point: uuid 16B, xyz 3*f64, word u32, observer_count u32 + uuid*
+    uuid       16B, low 64 bits first
+    words      count u32 + (word u32, weight f32)*
+    keyframes  count u32 + per keyframe: uuid 16B, origin u16, timestamp f64,
+               pose 7*f64 (qw qx qy qz tx ty tz), words, obs_count u32 + uuid*
+    points     count u32 + per point: uuid 16B, xyz 3*f64, word u32,
+               observer_count u32 + uuid*
+    sim3       scale f64, quaternion 4*f64, translation 3*f64
+    roster     count u16 + agent id u16*
+    tagged     count u32 + (uuid 16B, xyz 3*f64)*
 
 Keyframes and map points travel as the map store's own KeyFrame and MapPoint
 objects.  Decoding always builds fresh objects, so an object never reaches a
 second agent by reference.  Id lists (histogram word ids, observed ids,
 observer ids) are written strictly ascending.
 
-Tagged point payload: count u32, then per point uuid 16B + xyz 3*f64.
 Decoding is fail-closed: any structural problem raises WireError naming the
 byte offset (counted from the start of the payload for payload fields); no
 partially decoded object escapes.  Besides the layout, the decoder rejects
-non-finite floats, quaternions of zero or non-finite norm, SIM(3) scales that
-are not positive, word weights that are negative, and id lists that are not
-strictly ascending.
+non-finite floats, quaternions of zero, subnormal or non-finite norm, SIM(3)
+scales that are not positive, word weights that are negative, and id lists
+that are not strictly ascending.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from itertools import starmap
 
@@ -100,7 +103,6 @@ class MergeNotify:
 @dataclass
 class KeyFramePacket:
     sender: int
-    sequence: int
     keyframes: list[KeyFrame]
     points: list[MapPoint]
 
@@ -181,7 +183,6 @@ _U32_U32 = _Fields("I", "I")               # point word, observer count
 _KF_RECORD = _KF_HEAD + _QUAT + _VEC3 + _U32  # up to the word count
 _POINT_RECORD = _UUID_VEC3 + _U32_U32
 _SIM3 = _F64 + _QUAT + _VEC3
-_BOW_HEAD = _UUID + _U32                      # keyframe id, word count
 
 
 class _Writer:
@@ -283,7 +284,8 @@ def _read_rotation(r: _Reader) -> Rotation:
         with np.errstate(over="ignore"):
             return Rotation.from_quat(*q)
     except ValueError as exc:
-        raise WireError(f"quaternion at offset {start} has zero or non-finite norm") from exc
+        raise WireError(
+            f"quaternion at offset {start} has zero, subnormal or non-finite norm") from exc
 
 
 def _read_pose(r: _Reader) -> Se3Pose:
@@ -301,6 +303,11 @@ def _check_words(rows: list[tuple], start: int) -> None:
             raise WireError(
                 f"word weight {weight} at offset {at + 4} is negative or not finite")
         prev = word
+
+
+def _write_words(w: _Writer, words: dict[int, float]) -> None:
+    w.put(_U32, len(words))
+    w.rows(_WORD, sorted(words.items()))
 
 
 def _read_words(r: _Reader) -> dict[int, float]:
@@ -340,23 +347,6 @@ def _read_point(r: _Reader) -> MapPoint:
     return MapPoint(lo | hi << 64, np.array(pos), word, r.ids(n))
 
 
-def _write_map_body(w: _Writer, kfs, points) -> None:
-    w.put(_U32, len(kfs))
-    for kf in kfs:
-        _write_keyframe(w, kf)
-    w.put(_U32, len(points))
-    for p in points:
-        _write_point(w, p)
-
-
-def _read_map_body(r: _Reader):
-    (n,) = r.read(_U32)
-    kfs = [_read_keyframe(r) for _ in range(n)]
-    (n,) = r.read(_U32)
-    points = [_read_point(r) for _ in range(n)]
-    return kfs, points
-
-
 def _write_sim3(w: _Writer, t: Sim3Transform) -> None:
     w.put(_SIM3, t.scale, *t.rotation.q.tolist(), *t.translation.tolist())
 
@@ -382,98 +372,97 @@ def _read_roster(r: _Reader) -> list[int]:
     return [aid for (aid,) in r.rows(_U16, n)]
 
 
+# ---------------------------------------------------------------------------
+# Message <-> payload
+# ---------------------------------------------------------------------------
+
+def _scalar(f: _Fields):
+    return (lambda w, v: w.put(f, v)), (lambda r: r.read(f)[0])
+
+
+def _write_uuid(w: _Writer, v: int) -> None:
+    w.put(_UUID, v & _M64, v >> 64)
+
+
+def _read_uuid(r: _Reader) -> int:
+    lo, hi = r.read(_UUID)
+    return lo | hi << 64
+
+
+def _counted(write_one, read_one):
+    """The codec of a u32 count followed by that many items."""
+    def write(w: _Writer, items: list) -> None:
+        w.put(_U32, len(items))
+        for item in items:
+            write_one(w, item)
+
+    def read(r: _Reader) -> list:
+        (n,) = r.read(_U32)
+        return [read_one(r) for _ in range(n)]
+    return write, read
+
+
 def _check_tagged(rows: list[tuple], start: int) -> None:
     for i, row in enumerate(rows):
         _check_finite(row[2:], start + _UUID_VEC3.size * i + 16, "position")
 
 
-# ---------------------------------------------------------------------------
-# Message <-> payload
-# ---------------------------------------------------------------------------
+def _write_tagged(w: _Writer, points: list[tuple[int, np.ndarray]]) -> None:
+    w.put(_U32, len(points))
+    w.rows(_UUID_VEC3, [(uuid & _M64, uuid >> 64, *pos.tolist()) for uuid, pos in points])
+
+
+def _read_tagged(r: _Reader) -> list[tuple[int, np.ndarray]]:
+    (n,) = r.read(_U32)
+    rows = r.rows(_UUID_VEC3, n, _check_tagged)
+    return [(lo | hi << 64, np.array(pos)) for lo, hi, *pos in rows]
+
+
+_ID = (_write_uuid, _read_uuid)
+_KEYFRAMES = _counted(_write_keyframe, _read_keyframe)
+_POINTS = _counted(_write_point, _read_point)
+_ROSTER = (_write_roster, _read_roster)
+
+# Each message's payload: one (write, read) codec per dataclass field after
+# `sender`, in declaration order.  This table is the only place that order is
+# written down.
+_PAYLOADS = {
+    MessageType.BOW_ANNOUNCE: (BowAnnounce, (_ID, (_write_words, _read_words))),
+    MessageType.FULL_MAP: (FullMapMsg, (_ID, _KEYFRAMES, _POINTS)),
+    MessageType.MERGE_NOTIFY: (MergeNotify, ((_write_sim3, _read_sim3), _ROSTER, _ROSTER,
+                                             _scalar(_U64))),
+    MessageType.KEYFRAME_PACKET: (KeyFramePacket, (_KEYFRAMES, _POINTS)),
+    MessageType.ALIGNMENT_REQUEST: (AlignmentRequest, ()),
+    MessageType.TAGGED_POINTS: (TaggedPoints, ((_write_tagged, _read_tagged),)),
+    MessageType.GROUP_UPDATE: (GroupUpdate, (_ROSTER, _scalar(_U16))),
+    MessageType.LOC_LOST: (LocalizationLost, ()),
+    MessageType.LOC_REGAINED: (LocalizationRegained, ()),
+}
+# message class -> (type tag, payload field names)
+_TYPE_OF = {cls: (mt, [f.name for f in fields(cls)[1:]])
+            for mt, (cls, _) in _PAYLOADS.items()}
+
 
 def encode_message(msg: Message) -> tuple[MessageType, bytes]:
-    w = _Writer()
-    if isinstance(msg, BowAnnounce):
-        w.put(_BOW_HEAD, msg.kf_id & _M64, msg.kf_id >> 64, len(msg.words))
-        w.rows(_WORD, sorted(msg.words.items()))
-        return MessageType.BOW_ANNOUNCE, w.getvalue()
-    if isinstance(msg, FullMapMsg):
-        w.put(_UUID, msg.hint_kf & _M64, msg.hint_kf >> 64)
-        _write_map_body(w, msg.keyframes, msg.points)
-        return MessageType.FULL_MAP, w.getvalue()
-    if isinstance(msg, MergeNotify):
-        _write_sim3(w, msg.transform)
-        _write_roster(w, msg.roster)
-        _write_roster(w, msg.transform_roster)
-        w.put(_U64, msg.merge_id)
-        return MessageType.MERGE_NOTIFY, w.getvalue()
-    if isinstance(msg, KeyFramePacket):
-        _write_map_body(w, msg.keyframes, msg.points)
-        return MessageType.KEYFRAME_PACKET, w.getvalue()
-    if isinstance(msg, AlignmentRequest):
-        return MessageType.ALIGNMENT_REQUEST, b""
-    if isinstance(msg, TaggedPoints):
-        w.put(_U32, len(msg.points))
-        w.rows(_UUID_VEC3, [(uuid & _M64, uuid >> 64, *pos.tolist())
-                            for uuid, pos in msg.points])
-        return MessageType.TAGGED_POINTS, w.getvalue()
-    if isinstance(msg, GroupUpdate):
-        _write_roster(w, msg.roster)
-        w.put(_U16, msg.leader)
-        return MessageType.GROUP_UPDATE, w.getvalue()
-    if isinstance(msg, LocalizationLost):
-        return MessageType.LOC_LOST, b""
-    if isinstance(msg, LocalizationRegained):
-        return MessageType.LOC_REGAINED, b""
-    raise TypeError(f"unknown message {type(msg).__name__}")
-
-
-def decode_message(msg_type: int, sender: int, sequence: int, payload: bytes) -> Message:
     try:
-        mt = MessageType(msg_type)
+        mt, names = _TYPE_OF[type(msg)]
+    except KeyError:
+        raise TypeError(f"unknown message {type(msg).__name__}") from None
+    w = _Writer()
+    for name, (write, _) in zip(names, _PAYLOADS[mt][1], strict=True):
+        write(w, getattr(msg, name))
+    return mt, w.getvalue()
+
+
+def decode_message(msg_type: int, sender: int, payload: bytes) -> Message:
+    try:
+        cls, codecs = _PAYLOADS[MessageType(msg_type)]
     except ValueError as exc:
         raise WireError(f"unknown message type {msg_type}") from exc
     r = _Reader(payload)
-    if mt == MessageType.BOW_ANNOUNCE:
-        lo, hi = r.read(_UUID)
-        words = _read_words(r)
-        r.done()
-        return BowAnnounce(sender, lo | hi << 64, words)
-    if mt == MessageType.FULL_MAP:
-        lo, hi = r.read(_UUID)
-        kfs, points = _read_map_body(r)
-        r.done()
-        return FullMapMsg(sender, lo | hi << 64, kfs, points)
-    if mt == MessageType.MERGE_NOTIFY:
-        t = _read_sim3(r)
-        roster = _read_roster(r)
-        transform_roster = _read_roster(r)
-        (merge_id,) = r.read(_U64)
-        r.done()
-        return MergeNotify(sender, t, roster, transform_roster, merge_id)
-    if mt == MessageType.KEYFRAME_PACKET:
-        kfs, points = _read_map_body(r)
-        r.done()
-        return KeyFramePacket(sender, sequence, kfs, points)
-    if mt == MessageType.ALIGNMENT_REQUEST:
-        r.done()
-        return AlignmentRequest(sender)
-    if mt == MessageType.TAGGED_POINTS:
-        (n,) = r.read(_U32)
-        rows = r.rows(_UUID_VEC3, n, _check_tagged)
-        r.done()
-        return TaggedPoints(sender, [(lo | hi << 64, np.array(pos))
-                                     for lo, hi, *pos in rows])
-    if mt == MessageType.GROUP_UPDATE:
-        roster = _read_roster(r)
-        (leader,) = r.read(_U16)
-        r.done()
-        return GroupUpdate(sender, roster, leader)
-    if mt == MessageType.LOC_LOST:
-        r.done()
-        return LocalizationLost(sender)
+    values = [read(r) for _, read in codecs]
     r.done()
-    return LocalizationRegained(sender)
+    return cls(sender, *values)
 
 
 # ---------------------------------------------------------------------------
@@ -511,5 +500,5 @@ def encode_frame(msg: Message, sender: int, sequence: int) -> bytes:
 
 
 def decode_frame(data: bytes) -> Message:
-    msg_type, sender, sequence, payload = decode_envelope(data)
-    return decode_message(msg_type, sender, sequence, payload)
+    msg_type, sender, _, payload = decode_envelope(data)
+    return decode_message(msg_type, sender, payload)

@@ -56,10 +56,22 @@ def _partition(**window):
      r"agents\[0\]\.waypoints\[0\]: expected a number"),
     (_with(world={"regions": 5}), r"world\.regions: expected a list"),
     (_with(run={"cooperative": "maybe"}), r"run\.cooperative: expected true or false"),
+    (_with(world={"regions": []}), r"world\.regions: at least one region"),
+    (_with(agent={"sigma_t": -0.1}), r"agents\[0\]\.sigma_t: must be >= 0"),
+    (_with(agent={"sigma_r": -0.1}), r"agents\[0\]\.sigma_r: must be >= 0"),
+    (_with(align={"ransac_iterations": 0}), r"align\.ransac_iterations: must be positive"),
+    (_with(align={"inlier_threshold": 0}), r"align\.inlier_threshold: must be positive"),
+    (_with(align={"min_inliers": 0}), r"align\.min_inliers: must be positive"),
+    (_with(merge={"min_inliers": 0}), r"merge\.min_inliers: must be positive"),
+    (_with(net=_partition(end=1.0)), r"net\.partitions\[0\]: need start < end"),
+    (_with(net=_partition(end=0.5)), r"net\.partitions\[0\]: need start < end"),
 ], ids=["blackouts-scalar", "blackouts-item", "latency-scalar", "partitions-scalar",
         "link-scalar", "partition-start-text", "world-scalar", "speed-text",
         "link-unknown-agent", "waypoints-scalar", "waypoint-text", "waypoint-coordinate-text",
-        "regions-scalar", "cooperative-text"])
+        "regions-scalar", "cooperative-text", "regions-empty", "sigma-t-negative",
+        "sigma-r-negative", "ransac-iterations-zero", "inlier-threshold-zero",
+        "align-min-inliers-zero", "merge-min-inliers-zero", "partition-empty-window",
+        "partition-reversed-window"])
 def test_malformed_values_fail_closed(raw, where, tmp_path, capsys):
     with pytest.raises(ConfigError, match=where):
         scenario_from_dict(raw)

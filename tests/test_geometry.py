@@ -241,9 +241,9 @@ class TestRowKernels:
         rows[3, 2] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="zero or non-finite norm") as scalar:
+            with pytest.raises(ValueError, match="zero, subnormal or non-finite norm") as scalar:
                 quat_canonical(rows[3])
-            with pytest.raises(ValueError, match="zero or non-finite norm") as batched:
+            with pytest.raises(ValueError, match="zero, subnormal or non-finite norm") as batched:
                 quat_canonical(rows)
         assert str(batched.value) == str(scalar.value)
 

@@ -8,7 +8,7 @@ from meshslam.map_sharing import (
     SharingState,
     insert_external_keyframe,
 )
-from meshslam.wire import KeyFramePacket, WireError, decode_frame, encode_frame
+from meshslam.wire import KeyFramePacket, WireError, decode_envelope, decode_frame, encode_frame
 
 
 def ext_keyframe(uid, words, observed, pos=(0, 0, 0), agent=1, ts=0.0):
@@ -25,7 +25,7 @@ def ext_point(uid, pos, word, observers):
                     word=word, observers=set(observers))
 
 
-def random_packet(rng, sender=3, seq=9):
+def random_packet(rng, sender=3):
     kfs, pts = [], []
     for i in range(int(rng.integers(1, 4))):
         uid = 1000 + i
@@ -43,11 +43,11 @@ def random_packet(rng, sender=3, seq=9):
                 id=pid, position=rng.uniform(-5, 5, 3),
                 word=int(rng.integers(0, 50)), observers={uid},
             ))
-    return KeyFramePacket(sender=sender, sequence=seq, keyframes=kfs, points=pts)
+    return KeyFramePacket(sender=sender, keyframes=kfs, points=pts)
 
 
-def packet_frame(pkt: KeyFramePacket) -> bytes:
-    return encode_frame(pkt, pkt.sender, pkt.sequence)
+def packet_frame(pkt: KeyFramePacket, sequence: int = 9) -> bytes:
+    return encode_frame(pkt, pkt.sender, sequence)
 
 
 class TestWireRoundTrip:
@@ -55,9 +55,10 @@ class TestWireRoundTrip:
         rng = np.random.default_rng(0)
         for _ in range(20):
             pkt = random_packet(rng)
-            out = decode_frame(packet_frame(pkt))
+            frame = packet_frame(pkt)
+            out = decode_frame(frame)
             assert isinstance(out, KeyFramePacket)
-            assert out.sender == pkt.sender and out.sequence == pkt.sequence
+            assert out.sender == pkt.sender and decode_envelope(frame)[2] == 9
             assert len(out.keyframes) == len(pkt.keyframes)
             for a, b in zip(out.keyframes, pkt.keyframes):
                 assert a.id == b.id
@@ -73,7 +74,7 @@ class TestWireRoundTrip:
                 assert a.observers == b.observers
 
     def test_empty_packet_header_only_size(self):
-        pkt = KeyFramePacket(sender=1, sequence=0, keyframes=[], points=[])
+        pkt = KeyFramePacket(sender=1, keyframes=[], points=[])
         data = packet_frame(pkt)
         # 21 byte envelope + kf-count u32 + mp-count u32
         assert len(data) == 21 + 8
@@ -88,7 +89,7 @@ class TestWireRoundTrip:
             decode_frame(bytes(data))
 
     def test_bad_magic(self):
-        data = bytearray(packet_frame(KeyFramePacket(1, 0, [], [])))
+        data = bytearray(packet_frame(KeyFramePacket(1, [], [])))
         data[0] = ord(b"X")
         with pytest.raises(WireError, match="magic"):
             decode_frame(bytes(data))
@@ -98,7 +99,7 @@ class TestWireRoundTrip:
         with pytest.raises(WireError, match="offset"):
             decode_frame(data[:40] + b"")  # declared length mismatch
         # payload-internal truncation: rebuild envelope around cut payload
-        from meshslam.wire import decode_envelope, encode_envelope, MessageType
+        from meshslam.wire import encode_envelope, MessageType
         _, _, _, payload = decode_envelope(data)
         cut = payload[:len(payload) // 2]
         refit = encode_envelope(MessageType.KEYFRAME_PACKET, 1, 0, cut)
@@ -125,7 +126,7 @@ class TestOutbox:
             m.insert_keyframe(KeyFrame(i, 0, float(i), Se3Pose.identity(),
                                        normalize_histogram({i: 1.0}), set()), [])
             s.record_new_keyframe(i, [], peers=[5])
-        assert s.flush_outbox(0, 5, 1, m, batch_size=5) is None
+        assert s.flush_outbox(0, 5, m, batch_size=5) is None
         assert len(s.outbox(5).unsent_keyframes) == 4
 
     def test_flush_at_threshold_clears(self):
@@ -136,10 +137,10 @@ class TestOutbox:
             m.insert_keyframe(KeyFrame(i, 0, float(i), Se3Pose.identity(),
                                        normalize_histogram({i: 1.0}), {100 + i}), [pt])
             s.record_new_keyframe(i, [100 + i], peers=[5])
-        pkt = s.flush_outbox(0, 5, 7, m, batch_size=5)
+        pkt = s.flush_outbox(0, 5, m, batch_size=5)
         assert pkt is not None
         assert len(pkt.keyframes) == 5 and len(pkt.points) == 5
-        assert pkt.sequence == 7
+        assert pkt.sender == 0
         assert s.outbox(5).unsent_keyframes == []
         assert s.outbox(5).unsent_points == []
 
@@ -149,7 +150,7 @@ class TestOutbox:
         m.insert_keyframe(KeyFrame(0, 0, 0.0, Se3Pose.identity(),
                                    normalize_histogram({1: 1.0}), set()), [])
         s.record_new_keyframe(0, [], peers=[5])
-        pkt = s.flush_outbox(0, 5, 1, m, batch_size=5, force=True)
+        pkt = s.flush_outbox(0, 5, m, batch_size=5, force=True)
         assert pkt is not None and len(pkt.keyframes) == 1
 
 
@@ -270,7 +271,7 @@ class TestQueue:
     def test_fifo_order_per_sender(self):
         s = SharingState()
         pkt = KeyFramePacket(
-            sender=1, sequence=0,
+            sender=1,
             keyframes=[ext_keyframe(1000 + i, [1], observed=[]) for i in range(4)],
             points=[],
         )
@@ -284,7 +285,7 @@ class TestQueue:
     def test_points_ride_with_first_observer(self):
         shared = ext_point(2000, [0, 0, 0], 1, [1000, 1001])
         pkt = KeyFramePacket(
-            sender=1, sequence=0,
+            sender=1,
             keyframes=[ext_keyframe(1000, [1], observed=[2000]),
                        ext_keyframe(1001, [1], observed=[2000])],
             points=[shared],

@@ -313,9 +313,9 @@ class TestPrivateMaps:
     def test_spawn_and_merge_empty(self):
         db = MapDatabase()
         db.spawn_private_map()
-        assert db.active == 1
+        assert db.active_map is db.private_map is not None
         db.merge_private_map(Sim3Transform.identity())
-        assert len(db.maps) == 1 and db.active == 0
+        assert len(db.maps) == 1 and db.private_map is None
 
     def test_merge_conserves_counts(self):
         db = MapDatabase()
@@ -358,7 +358,7 @@ class TestPrivateMaps:
         db.spawn_private_map()
         db.merge_private_map(Sim3Transform.identity())
         db.spawn_private_map()
-        assert db.active == 1
+        assert db.active_map is db.private_map is not None
         db.merge_private_map(Sim3Transform.identity())
         assert len(db.maps) == 1
 

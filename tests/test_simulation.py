@@ -112,6 +112,41 @@ class TestBlackoutRecovery:
         assert set(m0.keyframes) == set(res.runtimes[1].db.shared_map.keyframes)
         assert regained_at > 13.0  # only after vision returns
 
+    def test_remerge_queues_private_keyframes_in_spawn_order(self):
+        sim = Simulation(blackout_recovery(), seed=3)
+        rt = sim.runtimes[1]
+        created = []  # (private keyframe id, ids of the points it created), spawn order
+        remerges = []  # the outboxes just before and just after the remerge
+        spawn, remerge = rt.tracker.spawn_keyframe, rt._try_private_remerge
+
+        def outboxes():
+            return {peer: (list(box.unsent_keyframes), list(box.unsent_points))
+                    for peer, box in rt.sharing.outboxes.items()}
+
+        def record_spawn(*args):
+            out = spawn(*args)
+            if out is not None and not rt.tracker.localized:
+                created.append((out[0].id, [p.id for p in out[1]]))
+            return out
+
+        def watch_remerge(kf):
+            before = outboxes()
+            remerge(kf)
+            if rt.db.private_map is None:
+                remerges.append((before, outboxes()))
+
+        rt.tracker.spawn_keyframe = record_spawn
+        rt._try_private_remerge = watch_remerge
+        sim.run()
+        assert len(remerges) == 1 and created
+        before, after = remerges[0]
+        kf_ids = [kid for kid, _ in created]
+        assert kf_ids == sorted(kf_ids)
+        assert set(after) == {0}
+        kfs_before, points_before = before.get(0, ([], []))
+        assert after[0] == (kfs_before + kf_ids,
+                            points_before + [pid for _, pids in created for pid in pids])
+
     def test_peer_states_cycle(self, blackout_result):
         res = blackout_result
         mgr0 = res.runtimes[0].manager

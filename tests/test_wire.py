@@ -140,7 +140,7 @@ def kf_packet():
         observed_points={700},
     )
     pt = MapPoint(700, vec3(0.125, 0.875, 4.75), 3, {500})
-    return KeyFramePacket(sender=3, sequence=11, keyframes=[kf], points=[pt])
+    return KeyFramePacket(sender=3, keyframes=[kf], points=[pt])
 
 
 def merge_notice():
@@ -168,8 +168,11 @@ def two_id_packet():
 NAN, INF = float("nan"), float("inf")
 KF_Q = tuple(kf_packet().keyframes[0].pose.rotation.q)
 SIM3_Q = tuple(merge_notice().transform.rotation.q)
-NORM = "has zero or non-finite norm"
+NORM = "has zero, subnormal or non-finite norm"
 WEIGHT = "is negative or not finite"
+# nonzero quaternions whose squared norms are subnormal doubles
+SUBNORMAL_Q = (3e-162, 1e-161, 2e-162, 0.0)
+SUBNORMAL_Q2 = (1e-160, 1e-160, 0.0, 0.0)
 
 
 class TestFailClosedValues:
@@ -184,6 +187,10 @@ class TestFailClosedValues:
                      id="pose-quaternion-nan"),
         pytest.param(kf_packet, "<4d", KF_Q, (0.0,) * 4, NORM,
                      id="pose-quaternion-zero"),
+        pytest.param(kf_packet, "<4d", KF_Q, SUBNORMAL_Q, NORM,
+                     id="pose-quaternion-subnormal-norm"),
+        pytest.param(kf_packet, "<4d", KF_Q, SUBNORMAL_Q2, NORM,
+                     id="pose-quaternion-subnormal-norm-2"),
         pytest.param(kf_packet, "<d", (0.875,), (-INF,), "non-finite position",
                      id="point-position-inf"),
         pytest.param(kf_packet, "<f", (0.375,), (-0.375,), WEIGHT,
@@ -198,6 +205,10 @@ class TestFailClosedValues:
                      id="sim3-quaternion-zero"),
         pytest.param(merge_notice, "<4d", SIM3_Q, (1e200,) * 4, NORM,
                      id="sim3-quaternion-norm-overflow"),
+        pytest.param(merge_notice, "<4d", SIM3_Q, SUBNORMAL_Q, NORM,
+                     id="sim3-quaternion-subnormal-norm"),
+        pytest.param(merge_notice, "<4d", SIM3_Q, SUBNORMAL_Q2, NORM,
+                     id="sim3-quaternion-subnormal-norm-2"),
         pytest.param(merge_notice, "<d", (1.75,), (0.0,), "non-positive scale",
                      id="sim3-scale-zero"),
         pytest.param(merge_notice, "<d", (1.75,), (-1.75,), "non-positive scale",
@@ -282,7 +293,7 @@ MAKERS = {
     MessageType.MERGE_NOTIFY: lambda rnd: MergeNotify(
         3, Sim3Transform(rnd.uniform(0.1, 10.0), _rotation(rnd), _vec(rnd)),
         _roster(rnd), _roster(rnd), rnd.getrandbits(64)),
-    MessageType.KEYFRAME_PACKET: lambda rnd: KeyFramePacket(3, 11, *_map(rnd)),
+    MessageType.KEYFRAME_PACKET: lambda rnd: KeyFramePacket(3, *_map(rnd)),
     MessageType.ALIGNMENT_REQUEST: lambda rnd: AlignmentRequest(3),
     MessageType.TAGGED_POINTS: lambda rnd: TaggedPoints(
         3, [(_uuid(rnd), _vec(rnd)) for _ in range(rnd.randint(0, 5))]),
@@ -369,7 +380,7 @@ def assert_finite(values):
 def assert_rotation(rotation):
     q = rotation.q
     assert_finite(q)
-    assert abs(float(np.dot(q, q)) - 1.0) < 1e-9
+    assert abs(float(np.dot(q, q)) - 1.0) < 1e-12
     assert next(v for v in q if v != 0.0) > 0.0   # canonical sign
 
 

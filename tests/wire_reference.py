@@ -278,7 +278,7 @@ def decode_message(msg_type: int, sender: int, sequence: int, payload: bytes) ->
     if mt == MessageType.KEYFRAME_PACKET:
         kfs, points = _read_map_body(r)
         r.done()
-        return KeyFramePacket(sender, sequence, kfs, points)
+        return KeyFramePacket(sender, kfs, points)
     if mt == MessageType.ALIGNMENT_REQUEST:
         r.done()
         return AlignmentRequest(sender)
