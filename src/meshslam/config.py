@@ -7,6 +7,8 @@ errors carry the parser's line/column.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -107,6 +109,8 @@ class ScenarioConfig:
     track: TrackConfig = field(default_factory=TrackConfig)
 
     def validate(self) -> None:
+        for section in dataclasses.fields(self):
+            _check_finite(getattr(self, section.name), section.name)
         if not self.agents:
             raise ConfigError("agents: at least one agent is required")
         ids = [a.id for a in self.agents]
@@ -164,6 +168,22 @@ class ScenarioConfig:
                 raise ConfigError(f"{where}: must be positive")
         if self.share.batch_size < 1 or self.share.drain_budget < 1:
             raise ConfigError("share: batch_size and drain_budget must be >= 1")
+
+
+def _check_finite(value: object, where: str) -> None:
+    """Reject NaN and infinities in any float a config holds, naming its key path.
+
+    The range checks compare with ``<`` and ``<=``, which NaN passes.
+    """
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}: must be finite, got {value}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{where}[{i}]")
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            _check_finite(getattr(value, f.name), f"{where}.{f.name}")
 
 
 def _mapping(section: object, where: str) -> dict:

@@ -31,17 +31,25 @@ def vec3(x: float, y: float, z: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Raw quaternion helpers on plain (4,) float arrays; the value types below
-# are thin wrappers around them.  Scalar kernels unpack their inputs with
-# ``tolist()`` so the arithmetic runs on Python floats, which is the same
-# IEEE double arithmetic at a fraction of the numpy-scalar overhead.
+# are thin wrappers around them.  Scalar kernels (``quat_mul``,
+# ``quat_conjugate``, ``quat_canonical``, ``_cross3`` and the single-point
+# ``quat_rotate``) unpack their inputs with ``tolist()`` so the arithmetic
+# runs on Python floats, which is the same IEEE double arithmetic, operation
+# for operation, at a fraction of the numpy-scalar overhead.
+#
+# Calls that sum several products stay numpy: the quaternion norm's
+# ``np.dot``, ``se3_exp``'s ``k @ k`` and ``vmat @ v``, and the visibility
+# test's ``rel @ forward``.  A library may add those terms in another order
+# (pairwise or SIMD lanes), so a Python-float sum would differ in the last
+# bits.
 #
 # ``quat_mul`` and ``quat_canonical`` also take (n, 4) rows, the way
-# ``_cross3`` takes (..., 3), so a whole map's poses move in one call.  The
-# row forms perform the scalar forms' operations in the same order, so each
-# row is bit-identical to the scalar result.  The row norm comes from
-# ``np.vecdot``, which sums each row with the same dot kernel as the scalar
-# path's ``np.dot``; ``(q * q).sum(1)`` and ``einsum`` sum in another order
-# and differ in the last bits.
+# ``_cross3`` and ``quat_rotate`` take (..., 3), so a whole map's poses move
+# in one call.  The row forms perform the scalar forms' operations in the
+# same order, so each row is bit-identical to the scalar result.  The row
+# norm comes from ``np.vecdot``, which sums each row with the same dot kernel
+# as the scalar path's ``np.dot``; ``(q * q).sum(1)`` and ``einsum`` sum in
+# another order and differ in the last bits.
 # ---------------------------------------------------------------------------
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -70,7 +78,8 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def quat_conjugate(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    w, x, y, z = q.tolist()
+    return np.array([w, -x, -y, -z])
 
 
 # a squared norm below the smallest normal double has lost its precision, so
@@ -93,16 +102,13 @@ def quat_canonical(q: np.ndarray) -> np.ndarray:
     n2 = float(np.dot(q, q))
     if not (math.isfinite(n2) and n2 >= _TINY):
         raise ValueError(_BAD_NORM)
-    q = q / math.sqrt(n2)
-    if q[0] < 0.0:
-        q = -q
-    elif q[0] == 0.0:
-        for c in q[1:]:
-            if c != 0.0:
-                if c < 0.0:
-                    q = -q
-                break
-    return q
+    n = math.sqrt(n2)
+    w, x, y, z = q.tolist()
+    w, x, y, z = w / n, x / n, y / n, z / n
+    # with w == 0, the first nonzero vector component decides the sign
+    if w < 0.0 or (w == 0.0 and (x or y or z) < 0.0):
+        return np.array([-w, -x, -y, -z])
+    return np.array([w, x, y, z])
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -122,7 +128,20 @@ def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def quat_rotate(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Rotate point(s) ``p`` (shape (..., 3)) by unit quaternion ``q``."""
+    """Rotate point(s) ``p`` (shape (..., 3)) by unit quaternion ``q``.
+
+    Computes ``p + w * t + qv x t`` with ``t = 2 (qv x p)``; each row of the
+    (..., 3) form is elementwise, so it equals the single-point form.
+    """
+    if p.ndim == 1:
+        w, x, y, z = q.tolist()
+        px, py, pz = p.tolist()
+        tx = 2.0 * (y * pz - z * py)
+        ty = 2.0 * (z * px - x * pz)
+        tz = 2.0 * (x * py - y * px)
+        return np.array([px + w * tx + (y * tz - z * ty),
+                         py + w * ty + (z * tx - x * tz),
+                         pz + w * tz + (x * ty - y * tx)])
     qv = q[1:]
     t = 2.0 * _cross3(qv, p)
     return p + q[0] * t + _cross3(qv, t)
@@ -141,14 +160,12 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
 
 def quat_from_rotvec(v: np.ndarray) -> np.ndarray:
     angle = math.sqrt(float(np.dot(v, v)))
+    x, y, z = v.tolist()
     if angle < 1e-12:
         # First-order expansion keeps exp/log inverses tight near zero.
-        q = np.array([1.0, 0.5 * v[0], 0.5 * v[1], 0.5 * v[2]])
-        return quat_canonical(q)
+        return quat_canonical(np.array([1.0, 0.5 * x, 0.5 * y, 0.5 * z]))
     s = math.sin(0.5 * angle) / angle
-    return quat_canonical(
-        np.array([math.cos(0.5 * angle), s * v[0], s * v[1], s * v[2]])
-    )
+    return quat_canonical(np.array([math.cos(0.5 * angle), s * x, s * y, s * z]))
 
 
 def quat_angle(q: np.ndarray) -> float:
@@ -170,9 +187,8 @@ def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
 
 
 def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]
-    )
+    x, y, z = v.tolist()
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 # ---------------------------------------------------------------------------

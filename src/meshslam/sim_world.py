@@ -12,12 +12,21 @@ looks like to the rest of the system.  Losing sight of enough landmarks for
 several consecutive frames declares localization lost; the caller then
 spawns a private map and the tracker restarts in a fresh frame with a fresh
 scale, exactly the situation the merge machinery has to recover from.
+
+Every pose on one waypoint segment shares that segment's facing rotation, so
+each ``Segment`` carries the facing's inverse and optical axis, and each
+tracker holds the landmark table rotated into every segment's camera
+orientation.  A frame's camera-frame landmarks are rows of that table plus
+the pose's inverse translation, bit-identical to rotating the visible subset
+afresh because the row rotation is elementwise.  The true pose's inverse is
+computed once per tick and reused for the next tick's odometry delta.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +72,9 @@ def generate_world(seed: int, cfg: WorldConfig) -> list[Landmark]:
     ]
 
 
+_X_AXIS = np.array([1.0, 0.0, 0.0])
+
+
 def _rotation_facing(direction: np.ndarray) -> Rotation:
     """Rotation mapping the +x axis onto `direction`."""
     d = np.asarray(direction, dtype=float)
@@ -80,8 +92,27 @@ def _rotation_facing(direction: np.ndarray) -> Rotation:
     return Rotation.from_axis_angle(axis, math.acos(max(-1.0, min(1.0, c))))
 
 
+class Segment(NamedTuple):
+    """One leg of a waypoint script and the view geometry its poses share."""
+
+    start: np.ndarray
+    end: np.ndarray
+    length: float
+    facing: Rotation
+    inverse: Rotation    # facing.inverse()
+    forward: np.ndarray  # facing.apply(+x), the optical axis
+
+    @staticmethod
+    def between(a: np.ndarray, b: np.ndarray, length: float, facing: Rotation) -> "Segment":
+        return Segment(a, b, length, facing, facing.inverse(), facing.apply(_X_AXIS))
+
+
 class TrajectoryScript:
-    """Constant-speed motion along a cyclic waypoint polyline."""
+    """Constant-speed motion along a cyclic waypoint polyline.
+
+    A script whose waypoints all coincide has one segment of length zero: the
+    agent stands there facing +x.
+    """
 
     def __init__(self, waypoints: list[list[float]], speed: float):
         self.points = [np.asarray(w, dtype=float) for w in waypoints]
@@ -93,22 +124,45 @@ class TrajectoryScript:
                 a, b = self.points[i], self.points[(i + 1) % n]
                 length = float(np.linalg.norm(b - a))
                 if length > 1e-12:
-                    segs.append((a, b, length, _rotation_facing(b - a)))
-        self.segments = segs
-        self.total_length = sum(s[2] for s in segs)
+                    segs.append(Segment.between(a, b, length, _rotation_facing(b - a)))
+        self.total_length = sum(seg.length for seg in segs)
+        p0 = self.points[0]
+        self.segments = segs or [Segment.between(p0, p0, 0.0, Rotation.identity())]
 
     def pose_at(self, t: float) -> Se3Pose:
-        if not self.segments:
-            return Se3Pose(Rotation.identity(), self.points[0].copy())
+        """The pose at time t; its rotation is its segment's ``facing`` object."""
+        if self.total_length == 0.0:
+            return Se3Pose(self.segments[0].facing, self.points[0].copy())
         s = (self.speed * t) % self.total_length
-        for a, b, length, facing in self.segments:
-            if s <= length:
-                alpha = s / length
-                pos = a + alpha * (b - a)
-                return Se3Pose(facing, pos)
-            s -= length
-        _, b, _, facing = self.segments[-1]
-        return Se3Pose(facing, b.copy())
+        for seg in self.segments:
+            if s <= seg.length:
+                return Se3Pose(seg.facing, seg.start + (s / seg.length) * (seg.end - seg.start))
+            s -= seg.length
+        seg = self.segments[-1]
+        return Se3Pose(seg.facing, seg.end.copy())
+
+
+def _blend_positions(reobserved: list[tuple[MapPoint, int]], measured: np.ndarray,
+                     blend: float) -> None:
+    """Pull each point toward its measured row: p <- (1 - blend) p + blend m.
+
+    One row operation per pass.  Two landmarks can resolve to one point
+    through ``merged_into``; such a point blends once per landmark, in view
+    order, so each pass takes every point's earliest pending row.
+    """
+    while reobserved:
+        batch, later, taken = [], [], set()
+        for point, row in reobserved:
+            if point.id in taken:
+                later.append((point, row))
+            else:
+                taken.add(point.id)
+                batch.append((point, row))
+        old = np.array([point.position for point, _ in batch])
+        new = (1.0 - blend) * old + blend * measured[[row for _, row in batch]]
+        for (point, _), position in zip(batch, new):
+            point.position = position
+        reobserved = later
 
 
 @dataclass
@@ -127,8 +181,13 @@ class AgentTracker:
         self.cfg = cfg
         self.track = track
         self.landmarks = landmarks
-        self._lm_positions = np.array([lm.position for lm in landmarks])
+        self._lm_positions = np.array([lm.position for lm in landmarks],
+                                      dtype=float).reshape(-1, 3)
         self.script = TrajectoryScript(cfg.waypoints, cfg.speed)
+        # id(segment facing) -> (segment, landmarks rotated by its inverse);
+        # the script keeps every facing alive, so its id stays unique
+        self._tables = {id(seg.facing): (seg, seg.inverse.apply(self._lm_positions))
+                        for seg in self.script.segments}
         self.uuids = uuid_gen
         self._rng = np.random.default_rng(
             np.random.SeedSequence(entropy=[seed, 0x6167656E74, cfg.id]))
@@ -156,6 +215,23 @@ class AgentTracker:
 
     # -- stepping -------------------------------------------------------------
 
+    @property
+    def true_pose(self) -> Se3Pose:
+        return self._true_pose
+
+    @true_pose.setter
+    def true_pose(self, pose: Se3Pose) -> None:
+        """Set the ground-truth pose and the view geometry derived from it."""
+        entry = self._tables.get(id(pose.rotation))
+        if entry is None:
+            # a pose that is not the script's: a zero-length segment of its own
+            seg = Segment.between(pose.translation, pose.translation, 0.0, pose.rotation)
+            entry = seg, seg.inverse.apply(self._lm_positions)
+        self._view, self._cam_table = entry
+        self._true_pose = pose
+        self._true_inverse = Se3Pose(self._view.inverse,
+                                     -self._view.inverse.apply(pose.translation))
+
     def in_blackout(self, t: float) -> bool:
         return any(t0 <= t < t1 for t0, t1 in self.cfg.blackouts)
 
@@ -164,27 +240,20 @@ class AgentTracker:
             return [], np.zeros((0, 3))
         rel = self._lm_positions - self.true_pose.translation
         dist = np.linalg.norm(rel, axis=1)
-        forward = self.true_pose.rotation.apply(np.array([1.0, 0.0, 0.0]))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cosang = (rel @ forward) / np.where(dist > 0, dist, np.inf)
+        cosang = (rel @ self._view.forward) / np.where(dist > 0, dist, np.inf)
         ok = (dist > 1e-9) & (dist <= self.cfg.range_m) & (
             cosang >= math.cos(math.radians(self.cfg.fov_deg) / 2.0)
         )
         idx = np.nonzero(ok)[0]
-        visible = [self.landmarks[i] for i in idx]
-        if len(idx):
-            inv = self.true_pose.inverse()
-            cam = inv.rotation.apply(self._lm_positions[idx]) + inv.translation
-        else:
-            cam = np.zeros((0, 3))
-        return visible, cam
+        visible = [self.landmarks[i] for i in idx.tolist()]
+        return visible, self._cam_table[idx] + self._true_inverse.translation
 
     def step(self, t: float) -> TrackerFrame:
         """Advance to time t, integrating noisy odometry in the agent frame."""
-        prev_true = self.true_pose
+        prev_inverse = self._true_inverse
         self.true_pose = self.script.pose_at(t)
-        delta = prev_true.inverse().compose(self.true_pose)
-        d_step = float(np.linalg.norm(delta.translation))
+        delta = prev_inverse.compose(self.true_pose)
+        d_step = math.sqrt(float(delta.translation.dot(delta.translation)))
         if d_step > 0 and (self.cfg.sigma_t > 0 or self.cfg.sigma_r > 0):
             noise = np.concatenate([
                 self._rng.normal(0.0, self.cfg.sigma_r * math.sqrt(d_step), 3),
@@ -208,7 +277,7 @@ class AgentTracker:
         if self.last_kf_pose is None:
             return True
         rel = self.last_kf_pose.inverse().compose(self.est_pose)
-        dist = float(np.linalg.norm(rel.translation))  # agent-frame units
+        dist = math.sqrt(float(rel.translation.dot(rel.translation)))  # agent-frame units
         angle = rel.rotation.angle()
         return (dist > self.track.spawn_distance
                 or angle > math.radians(self.track.spawn_angle_deg))
@@ -233,10 +302,10 @@ class AgentTracker:
             counts[lm.word] = counts.get(lm.word, 0.0) + 1.0
         observed: set[int] = set()
         new_points: list[MapPoint] = []
+        reobserved: list[tuple[MapPoint, int]] = []  # (point, measured row)
         kf_id = self.uuids.next()
-        blend = self.track.point_update_blend
         measured_rows = self.est_pose.apply(self.frame_scale * frame.cam_positions)
-        for lm, measured in zip(frame.visible, measured_rows):
+        for row, lm in enumerate(frame.visible):
             pid = self.assoc.get(lm.id)
             if pid is not None and active_map is not None:
                 pid = active_map.resolve_point_id(pid)
@@ -244,13 +313,14 @@ class AgentTracker:
                 if point is None:
                     pid = None
                 else:
-                    point.position = (1.0 - blend) * point.position + blend * measured
+                    reobserved.append((point, row))
                     self.assoc[lm.id] = pid
             if pid is None:
                 pid = self.uuids.next()
-                new_points.append(MapPoint(pid, measured, lm.word, {kf_id}))
+                new_points.append(MapPoint(pid, measured_rows[row], lm.word, {kf_id}))
                 self.assoc[lm.id] = pid
             observed.add(pid)
+        _blend_positions(reobserved, measured_rows, self.track.point_update_blend)
         kf = KeyFrame(
             id=kf_id, origin_agent=agent_id, timestamp=t, pose=self.est_pose.copy(),
             words=normalize_histogram(counts), observed_points=observed,

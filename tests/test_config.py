@@ -1,4 +1,5 @@
 import glob
+import math
 import os
 
 import pytest
@@ -35,6 +36,9 @@ def _with(agent=None, net=None, **sections):
     return raw
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
 def _partition(**window):
     return {"partitions": [{"start": 1.0, "end": 2.0, **window}]}
 
@@ -65,13 +69,23 @@ def _partition(**window):
     (_with(merge={"min_inliers": 0}), r"merge\.min_inliers: must be positive"),
     (_with(net=_partition(end=1.0)), r"net\.partitions\[0\]: need start < end"),
     (_with(net=_partition(end=0.5)), r"net\.partitions\[0\]: need start < end"),
+] + [
+    (_with(**{section: {key: value}}), rf"{section}\.{key}: must be finite")
+    for section, key in (("run", "dt"), ("run", "duration"), ("world", "cell_size"))
+    for value in NON_FINITE
+] + [
+    (_with(agent={key: value}), rf"agents\[0\]\.{key}: must be finite")
+    for key in ("speed", "range_m") for value in NON_FINITE
 ], ids=["blackouts-scalar", "blackouts-item", "latency-scalar", "partitions-scalar",
         "link-scalar", "partition-start-text", "world-scalar", "speed-text",
         "link-unknown-agent", "waypoints-scalar", "waypoint-text", "waypoint-coordinate-text",
         "regions-scalar", "cooperative-text", "regions-empty", "sigma-t-negative",
         "sigma-r-negative", "ransac-iterations-zero", "inlier-threshold-zero",
         "align-min-inliers-zero", "merge-min-inliers-zero", "partition-empty-window",
-        "partition-reversed-window"])
+        "partition-reversed-window"] + [
+    f"{key}-{name}" for key in ("dt", "duration", "cell-size", "speed", "range-m")
+    for name in ("nan", "inf", "-inf")
+])
 def test_malformed_values_fail_closed(raw, where, tmp_path, capsys):
     with pytest.raises(ConfigError, match=where):
         scenario_from_dict(raw)

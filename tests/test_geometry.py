@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshslam.geometry import (
     DegenerateRotationError,
@@ -12,6 +14,7 @@ from meshslam.geometry import (
     _cross3,
     quat_canonical,
     quat_mul,
+    quat_rotate,
     se3_exp,
     se3_log,
     vec3,
@@ -191,6 +194,90 @@ class TestScalarKernels:
             assert np.array_equal(quat_mul(a[i], b[i]), ref_mul[i])
             u, v = a[i, 1:], b[i, 1:]
             assert np.array_equal(_cross3(u, v), _cross3(u, v[None])[0])
+
+
+def numpy_cross(a, b):
+    """a x b on numpy arrays, a of shape (3,) and b of shape (n, 3)."""
+    return np.stack([a[1] * b[:, 2] - a[2] * b[:, 1],
+                     a[2] * b[:, 0] - a[0] * b[:, 2],
+                     a[0] * b[:, 1] - a[1] * b[:, 0]], axis=-1)
+
+
+def numpy_rotate(q, p):
+    """The single-point rotation as numpy array arithmetic."""
+    t = 2.0 * numpy_cross(q[1:], p[None])
+    return (p[None] + q[0] * t + numpy_cross(q[1:], t))[0]
+
+
+def numpy_canonical(q):
+    """The single-quaternion canonical form as numpy array arithmetic."""
+    n2 = float(np.dot(q, q))
+    if not (math.isfinite(n2) and n2 >= np.finfo(float).tiny):
+        raise ValueError("quaternion has zero, subnormal or non-finite norm")
+    q = q / math.sqrt(n2)
+    if q[0] < 0.0:
+        q = -q
+    elif q[0] == 0.0:
+        for c in q[1:]:
+            if c != 0.0:
+                if c < 0.0:
+                    q = -q
+                break
+    return q
+
+
+def bits(a):
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+# signed zeros, ordinary values, and magnitudes from subnormal to 1e100
+COMPONENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-2.0, 2.0),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-320, 100)),
+)
+VEC3 = st.tuples(COMPONENT, COMPONENT, COMPONENT).map(np.array)
+
+
+@st.composite
+def quaternions(draw):
+    """w < 0, w == 0 (either sign) with leading zero vector components, and
+    components up to 1e300, whose squared norm overflows, or non-finite."""
+    q = [draw(COMPONENT) for _ in range(4)]
+    kind = draw(st.sampled_from(["any", "negative-w", "zero-w", "huge"]))
+    if kind == "negative-w":
+        q[0] = -abs(q[0]) or -1.0
+    elif kind == "zero-w":
+        q[0] = draw(st.sampled_from([0.0, -0.0]))
+        for i in range(1, 1 + draw(st.integers(0, 3))):
+            q[i] = draw(st.sampled_from([0.0, -0.0]))
+    elif kind == "huge":
+        q[draw(st.integers(0, 3))] = draw(st.sampled_from(
+            [1e155, -1e200, 1e300, math.inf, -math.inf, math.nan]))
+    return np.array(q)
+
+
+class TestFloatKernelsProperty:
+    """The Python-float single-vector kernels equal numpy array arithmetic
+    bit for bit, and reject the same quaternions with the same message."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(q=st.tuples(COMPONENT, COMPONENT, COMPONENT, COMPONENT).map(np.array), p=VEC3)
+    def test_quat_rotate(self, q, p):
+        assert bits(quat_rotate(q, p)) == bits(numpy_rotate(q, p))
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(q=quaternions())
+    def test_quat_canonical(self, q):
+        with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite norms
+            try:
+                want = numpy_canonical(q)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    quat_canonical(q)
+                assert str(got.value) == str(exc)
+                return
+            assert bits(quat_canonical(q)) == bits(want)
 
 
 def edge_rows(rng):

@@ -93,11 +93,12 @@ class TestTrajectoryScript:
 def reference_pose_at(script, t):
     """pose_at as it was, recomputing the segment's facing on every call."""
     s = (script.speed * t) % script.total_length
-    for a, b, length, _ in script.segments:
-        if s <= length:
-            return Se3Pose(_rotation_facing(b - a), a + (s / length) * (b - a))
-        s -= length
-    a, b, _, _ = script.segments[-1]
+    for seg in script.segments:
+        a, b = seg.start, seg.end
+        if s <= seg.length:
+            return Se3Pose(_rotation_facing(b - a), a + (s / seg.length) * (b - a))
+        s -= seg.length
+    a, b = script.segments[-1].start, script.segments[-1].end
     return Se3Pose(_rotation_facing(b - a), b.copy())
 
 
