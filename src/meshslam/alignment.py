@@ -3,11 +3,14 @@
 ``kabsch_umeyama`` solves the closed-form least squares fit of scale,
 rotation and translation between matched point sets (centroids, covariance
 SVD with reflection correction, trace formula for scale).  ``ransac_sim3``
-rejects outliers among id-matched tagged points: it draws its 3-point
-samples one by one from the seeded generator, solves every hypothesis as one
-batch (one SVD call over all samples, with ``kabsch_umeyama``'s degenerate
-cases as masks), scores their inliers in blocks of ``SCORE_BLOCK``
-hypotheses, and refits the best inlier set with ``kabsch_umeyama``.  The
+rejects outliers among id-matched tagged points.  ``sample_triples`` draws
+all of its 3-point samples in one pass over the seeded generator's raw
+output, exactly as per-sample ``rng.choice(n, 3, replace=False)`` calls
+would; every hypothesis is solved as one batch (one SVD call over all
+samples, with ``kabsch_umeyama``'s degenerate cases as masks), scored in
+blocks of ``SCORE_BLOCK`` hypotheses, and the best inlier set is refit with
+``kabsch_umeyama``.  ``match_tagged`` joins two id-tagged point blocks once
+per alignment round, so the fit and its residuals read the same rows.  The
 AIMD schedule decides how often a follower re-aligns against its group
 leader: interval + 1 after a good round, interval / 2 after a bad one.
 """
@@ -15,6 +18,7 @@ leader: interval + 1 after a good round, interval / 2 after a bad one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -24,6 +28,8 @@ from .geometry import Rotation, Sim3Transform
 # Hypotheses scored per array pass in ``ransac_sim3``.  Scoring all of them at
 # once holds (iterations, 3, n) temporaries and raises the peak RSS.
 SCORE_BLOCK = 32
+
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 class DegenerateInputError(ValueError):
@@ -82,28 +88,104 @@ def kabsch_umeyama(src: np.ndarray, dst: np.ndarray) -> Sim3Transform:
     return Sim3Transform(scale, Rotation.from_matrix(rot), trans)
 
 
+def sample_triples(seed: int, n: int, k: int) -> np.ndarray:
+    """(k, 3) int64 rows of distinct indices below n, drawn in one pass.
+
+    Equal, element for element, to ``rng.choice(n, 3, replace=False)``
+    called k times on ``rng = np.random.default_rng(seed)``.  Each such call
+    is Floyd's algorithm (picks below n - 2, n - 1 and n; a pick that repeats
+    an earlier one becomes n - 2 or n - 1) followed by a shuffle that swaps
+    position 2 with a pick below 3, then position 1 with a pick below 2.
+    Every pick below a bound b > 1 is Lemire's method on the next 32-bit word
+    of the PCG64 stream, low half of each 64-bit output first: the pick is
+    (word * b) >> 32, unless the low 32 bits of that product fall below
+    (2**32 - b) % b, in which case the word is skipped and the next one is
+    tried.  A pick below 1 takes no word.
+    """
+    if not 3 <= n <= 1 << 32:
+        raise ValueError(f"need 3 <= n <= 2**32, got {n}")
+    per_sample = np.array([n - 2, n - 1, n, 3, 2], dtype=np.uint64)
+    per_sample = per_sample[per_sample > 1]
+    bounds = np.tile(per_sample, k)
+    reject_below = (np.uint64(1 << 32) - bounds) % bounds
+    bitgen = np.random.default_rng(seed).bit_generator
+    words = np.empty(0, dtype=np.uint64)
+    picks = np.empty(len(bounds), dtype=np.uint64)
+    # Slots before `start` are settled; `skipped` words were rejected there.
+    # Each pass settles everything up to the next rejection, so a draw
+    # without rejections takes one pass.
+    start = skipped = 0
+    while True:
+        need = len(bounds) + skipped
+        if len(words) < need:
+            raw = bitgen.random_raw((need - len(words) + 1) // 2)
+            halves = np.stack([raw & _LOW32, raw >> np.uint64(32)], axis=1)
+            words = np.concatenate([words, halves.ravel()])
+        m = words[start + skipped:need] * bounds[start:]
+        picks[start:] = m >> np.uint64(32)
+        rejected = np.flatnonzero((m & _LOW32) < reject_below[start:])
+        if not len(rejected):
+            break
+        start += int(rejected[0])
+        skipped += 1
+    v = picks.reshape(k, len(per_sample)).astype(np.int64)
+    if len(per_sample) == 4:  # n == 3: the first pick is below 1
+        v = np.hstack([np.zeros((k, 1), dtype=np.int64), v])
+    out = v[:, :3].copy()
+    out[out[:, 1] == out[:, 0], 1] = n - 2
+    out[(out[:, 2] == out[:, 0]) | (out[:, 2] == out[:, 1]), 2] = n - 1
+    rows = np.arange(k)
+    for pos, j in ((2, v[:, 3]), (1, v[:, 4])):
+        swapped = out[rows, j]
+        out[rows, j] = out[:, pos]
+        out[:, pos] = swapped
+    return out
+
+
+def match_tagged(
+    src: tuple[list[int], np.ndarray], dst: tuple[list[int], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of two id-tagged point blocks that share an id.
+
+    A block is (ids, (len(ids), 3) positions).  ``src``'s ids ascend, so the
+    matched rows come in ascending id order, as ``ransac_sim3`` joins lists
+    of pairs.  Returns the matched ``src`` rows and ``dst`` rows.
+    """
+    src_ids, src_pos = src
+    dst_ids, dst_pos = dst
+    row_of = {uid: i for i, uid in enumerate(dst_ids)}
+    src_rows = [i for i, uid in enumerate(src_ids) if uid in row_of]
+    dst_rows = [row_of[src_ids[i]] for i in src_rows]
+    return src_pos[src_rows], dst_pos[dst_rows]
+
+
 def ransac_sim3(
-    src: list[tuple[int, np.ndarray]],
-    dst: list[tuple[int, np.ndarray]],
+    src: list[tuple[int, np.ndarray]] | np.ndarray,
+    dst: list[tuple[int, np.ndarray]] | np.ndarray,
     params: RansacParams,
 ) -> tuple[Sim3Transform, list[int]]:
     """Robust fit between tagged point sets matched by shared ids.
 
-    Returns the refit transform and the ids of its inlier correspondences.
+    ``src`` and ``dst`` are lists of (id, xyz) pairs, joined here on their
+    shared ids, or matched (n, 3) arrays, in which row i has id i.  Returns
+    the refit transform and the ascending ids of its inlier correspondences.
     Deterministic for a fixed seed.  Raises NoModelError when fewer than 3
     ids are shared or no sample reaches ``min_inliers``.
     """
-    src_map = {uid: np.asarray(p, dtype=float) for uid, p in src}
-    dst_map = {uid: np.asarray(p, dtype=float) for uid, p in dst}
-    common = sorted(set(src_map) & set(dst_map))
-    if len(common) < 3:
-        raise NoModelError(f"only {len(common)} shared ids, need at least 3")
-    a = np.array([src_map[u] for u in common])
-    b = np.array([dst_map[u] for u in common])
-    rng = np.random.default_rng(params.seed)
+    if isinstance(src, np.ndarray):
+        if src.shape != np.shape(dst) or src.ndim != 2 or src.shape[1] != 3:
+            raise ValueError("src and dst must be matching (n, 3) arrays")
+        common, a, b = range(len(src)), src, dst
+    else:
+        src_map = {uid: np.asarray(p, dtype=float) for uid, p in src}
+        dst_map = {uid: np.asarray(p, dtype=float) for uid, p in dst}
+        common = sorted(set(src_map) & set(dst_map))
+        a = np.array([src_map[u] for u in common]).reshape(-1, 3)
+        b = np.array([dst_map[u] for u in common]).reshape(-1, 3)
     n = len(common)
-    samples = np.array([rng.choice(n, size=3, replace=False)
-                        for _ in range(params.iterations)])
+    if n < 3:
+        raise NoModelError(f"only {n} shared ids, need at least 3")
+    samples = sample_triples(params.seed, n, params.iterations)
     scale, rot, trans, ok = _solve_samples(a[samples], b[samples])
     a_t, b_t = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
     best_count = 0
@@ -124,8 +206,7 @@ def ransac_sim3(
             f"best sample had {best_count} inliers, need {params.min_inliers}"
         )
     refit = kabsch_umeyama(a[best_mask], b[best_mask])
-    inlier_ids = [u for u, keep in zip(common, best_mask) if keep]
-    return refit, inlier_ids
+    return refit, list(compress(common, best_mask.tolist()))
 
 
 def _solve_samples(src: np.ndarray, dst: np.ndarray):
@@ -171,17 +252,10 @@ def _residuals(scale, rot, trans, a_t: np.ndarray, b_t: np.ndarray) -> np.ndarra
     return np.sqrt(d[:, 0] + d[:, 1] + d[:, 2])
 
 
-def alignment_residuals(
-    transform: Sim3Transform,
-    src: list[tuple[int, np.ndarray]],
-    dst: list[tuple[int, np.ndarray]],
-    ids: list[int],
-) -> np.ndarray:
-    src_map = {uid: np.asarray(p, dtype=float) for uid, p in src}
-    dst_map = {uid: np.asarray(p, dtype=float) for uid, p in dst}
-    pts_s = np.array([src_map[u] for u in ids])
-    pts_d = np.array([dst_map[u] for u in ids])
-    return np.linalg.norm(pts_d - transform.apply(pts_s), axis=1)
+def inlier_rmse(transform: Sim3Transform, src: np.ndarray, dst: np.ndarray) -> float:
+    """Root mean square of |dst - transform(src)| over matched rows."""
+    res = np.linalg.norm(dst - transform.apply(src), axis=1)
+    return float(np.sqrt(np.mean(res ** 2)))
 
 
 def well_aligned(

@@ -65,11 +65,16 @@ def generate_world(seed: int, cfg: WorldConfig) -> list[Landmark]:
         hi = np.array(box[3:])
         positions.append(rng.uniform(lo, hi, size=(n, 3)))
     pos = np.vstack(positions)
-    cells = [tuple(int(c) for c in np.floor(p / cfg.cell_size)) for p in pos]
+    cells = world_cells(pos, cfg.cell_size)
     cell_to_word = {c: i % cfg.vocab_size for i, c in enumerate(sorted(set(cells)))}
     return [
         Landmark(i, pos[i], cell_to_word[cells[i]]) for i in range(len(pos))
     ]
+
+
+def world_cells(pos: np.ndarray, cell_size: float) -> list[tuple[int, int, int]]:
+    """The integer cell of each (n, 3) row: floor(coordinate / cell_size)."""
+    return [tuple(map(int, row)) for row in np.floor(pos / cell_size).tolist()]
 
 
 _X_AXIS = np.array([1.0, 0.0, 0.0])

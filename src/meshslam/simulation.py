@@ -27,7 +27,8 @@ from .alignment import (
     AimdState,
     NoModelError,
     RansacParams,
-    alignment_residuals,
+    inlier_rmse,
+    match_tagged,
     ransac_sim3,
     well_aligned,
 )
@@ -112,6 +113,7 @@ class AgentRuntime:
         self._last_control_seq: dict[int, int] = {}
         self.aimd: AimdState | None = None
         self._align_request_time: float | None = None
+        self._align_leader: int | None = None  # the agent the last request went to
 
         hooks = ManagerHooks(
             send=lambda dst, msg: sim.send_message(self.id, dst, msg),
@@ -271,15 +273,19 @@ class AgentRuntime:
             return
         self.sim.send_message(self.id, lead, AlignmentRequest(self.id))
         self._align_request_time = now
+        self._align_leader = lead
 
     def on_alignment_request(self, msg: AlignmentRequest) -> None:
         m = self.db.shared_map
-        points = [(pid, m.points[pid].position) for pid in sorted(m.points)]
-        self.sim.send_message(self.id, msg.sender, TaggedPoints(self.id, points))
+        ids = sorted(m.points)
+        positions = np.array([m.points[pid].position for pid in ids]).reshape(-1, 3)
+        self.sim.send_message(self.id, msg.sender, TaggedPoints(self.id, (ids, positions)))
 
     def on_tagged_points(self, msg: TaggedPoints, now: float) -> None:
         if self._align_request_time is None or self.aimd is None:
             return  # no round in flight; stale response
+        if msg.sender != self._align_leader:
+            return  # a late answer from an agent this round did not ask
         self._align_request_time = None
         m = self.db.shared_map
         # restrict the local side to points this agent's own keyframes observe:
@@ -290,21 +296,20 @@ class AgentRuntime:
         for kf in m.keyframes.values():
             if kf.origin_agent == self.id:
                 own_ids |= kf.observed_points
-        local = [(pid, m.points[pid].position)
-                 for pid in sorted(own_ids) if pid in m.points]
-        common = len({u for u, _ in local} & {u for u, _ in msg.points})
+        local_ids = [pid for pid in sorted(own_ids) if pid in m.points]
+        local = np.array([m.points[pid].position for pid in local_ids]).reshape(-1, 3)
+        src, dst = match_tagged((local_ids, local), msg.points)
         align = self.scenario.align
         try:
             transform, inliers = ransac_sim3(
-                local, msg.points, self._ransac_params(align.min_inliers))
+                src, dst, self._ransac_params(align.min_inliers))
         except NoModelError:
             self.aimd.record(False, now)
             self.sim.log(self.id, "alignment_round", {
-                "ok": False, "reason": "no_model", "shared_points": common})
+                "ok": False, "reason": "no_model", "shared_points": len(src)})
             return
-        res = alignment_residuals(transform, local, msg.points, inliers)
-        rmse = float(np.sqrt(np.mean(res ** 2)))
-        ratio = len(inliers) / common if common else 0.0
+        rmse = inlier_rmse(transform, src[inliers], dst[inliers])
+        ratio = len(inliers) / len(src)
         verdict = well_aligned(ratio, rmse, align.ok_ratio, align.rmse_limit)
         self.apply_frame_transform(transform)
         self.aimd.record(verdict, now)

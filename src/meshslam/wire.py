@@ -22,19 +22,20 @@ number lives only in the envelope.  Field codecs:
                observer_count u32 + uuid*
     sim3       scale f64, quaternion 4*f64, translation 3*f64
     roster     count u16 + agent id u16*
-    tagged     count u32 + (uuid 16B, xyz 3*f64)*
+    tagged     count u32 + (uuid 16B, xyz 3*f64)*, ids strictly ascending
 
 Keyframes and map points travel as the map store's own KeyFrame and MapPoint
 objects.  Decoding always builds fresh objects, so an object never reaches a
 second agent by reference.  Id lists (histogram word ids, observed ids,
-observer ids) are written strictly ascending.
+observer ids) are written strictly ascending; tagged points carry their ids
+in the order given, which must be strictly ascending too.
 
 Decoding is fail-closed: any structural problem raises WireError naming the
 byte offset (counted from the start of the payload for payload fields); no
 partially decoded object escapes.  Besides the layout, the decoder rejects
 non-finite floats, quaternions of zero, subnormal or non-finite norm, SIM(3)
 scales that are not positive, word weights that are negative, and id lists
-that are not strictly ascending.
+(tagged point ids among them) that are not strictly ascending.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ class AlignmentRequest:
 @dataclass
 class TaggedPoints:
     sender: int
-    points: list[tuple[int, np.ndarray]]
+    # (ids, positions): strictly ascending point ids and their (len(ids), 3) rows
+    points: tuple[list[int], np.ndarray]
 
 
 @dataclass
@@ -183,6 +185,9 @@ _U32_U32 = _Fields("I", "I")               # point word, observer count
 _KF_RECORD = _KF_HEAD + _QUAT + _VEC3 + _U32  # up to the word count
 _POINT_RECORD = _UUID_VEC3 + _U32_U32
 _SIM3 = _F64 + _QUAT + _VEC3
+# _UUID_VEC3 as one numpy record, for tagged points read and written as a block
+_TAGGED_ROW = np.dtype([("lo", "<u8"), ("hi", "<u8"), ("xyz", "<f8", (3,))])
+assert _TAGGED_ROW.itemsize == _UUID_VEC3.size
 
 
 class _Writer:
@@ -226,8 +231,9 @@ class _Reader:
         self.off = off + f.size
         return f.struct.unpack_from(self.data, off)
 
-    def rows(self, f: _Fields, n: int, check=None) -> list[tuple]:
-        """n back-to-back records of layout `f`.
+    def rows(self, f: _Fields, n: int, check=None, dtype: np.dtype | None = None):
+        """n back-to-back records of layout `f`: a list of tuples, or with
+        `dtype` (a numpy record of the same layout) one structured array.
 
         When the payload ends first, the records that fit still go through
         ``check(rows, offset_of_first)`` before the truncation is raised, so
@@ -236,7 +242,10 @@ class _Reader:
         start = self.off
         k = min(n, (self.end - start) // f.size)
         self.off = start + k * f.size
-        rows = list(f.struct.iter_unpack(self.view[start:self.off]))
+        if dtype is None:
+            rows = list(f.struct.iter_unpack(self.view[start:self.off]))
+        else:
+            rows = np.frombuffer(self.data, dtype, k, start)
         if check is not None:
             check(rows, start)
         if k < n:
@@ -402,20 +411,38 @@ def _counted(write_one, read_one):
     return write, read
 
 
-def _check_tagged(rows: list[tuple], start: int) -> None:
-    for i, row in enumerate(rows):
-        _check_finite(row[2:], start + _UUID_VEC3.size * i + 16, "position")
+def _check_tagged(rows: np.ndarray, start: int) -> None:
+    """Ids strictly ascending and positions finite; the first fault in payload order."""
+    lo, hi, xyz = rows["lo"], rows["hi"], rows["xyz"]
+    not_above = 1 + np.flatnonzero(
+        (hi[1:] < hi[:-1]) | ((hi[1:] == hi[:-1]) & (lo[1:] <= lo[:-1])))
+    non_finite = np.flatnonzero(~np.isfinite(xyz))
+    # a row's id comes before its position
+    if len(not_above) and (not len(non_finite) or not_above[0] <= non_finite[0] // 3):
+        i = int(not_above[0])
+        raise WireError(f"id {int(lo[i]) | int(hi[i]) << 64} at offset "
+                        f"{start + _UUID_VEC3.size * i} is not above the id before it")
+    if len(non_finite):
+        i, j = divmod(int(non_finite[0]), 3)
+        raise WireError(f"non-finite position {float(xyz[i, j])} at offset "
+                        f"{start + _UUID_VEC3.size * i + 16 + 8 * j}")
 
 
-def _write_tagged(w: _Writer, points: list[tuple[int, np.ndarray]]) -> None:
-    w.put(_U32, len(points))
-    w.rows(_UUID_VEC3, [(uuid & _M64, uuid >> 64, *pos.tolist()) for uuid, pos in points])
+def _write_tagged(w: _Writer, points: tuple[list[int], np.ndarray]) -> None:
+    ids, positions = points
+    rows = np.empty(len(ids), _TAGGED_ROW)
+    rows["lo"] = [uid & _M64 for uid in ids]
+    rows["hi"] = [uid >> 64 for uid in ids]
+    rows["xyz"] = np.reshape(positions, (len(ids), 3))
+    w.put(_U32, len(ids))
+    w.parts.append(rows.tobytes())
 
 
-def _read_tagged(r: _Reader) -> list[tuple[int, np.ndarray]]:
+def _read_tagged(r: _Reader) -> tuple[list[int], np.ndarray]:
     (n,) = r.read(_U32)
-    rows = r.rows(_UUID_VEC3, n, _check_tagged)
-    return [(lo | hi << 64, np.array(pos)) for lo, hi, *pos in rows]
+    rows = r.rows(_UUID_VEC3, n, _check_tagged, _TAGGED_ROW)
+    ids = [lo | hi << 64 for lo, hi in zip(rows["lo"].tolist(), rows["hi"].tolist())]
+    return ids, rows["xyz"].astype(float)
 
 
 _ID = (_write_uuid, _read_uuid)

@@ -10,9 +10,11 @@ from meshslam.alignment import (
     NoModelError,
     RansacParams,
     aimd_next,
-    alignment_residuals,
+    inlier_rmse,
     kabsch_umeyama,
+    match_tagged,
     ransac_sim3,
+    sample_triples,
     well_aligned,
 )
 from meshslam.geometry import Rotation, Sim3Transform, vec3
@@ -179,14 +181,29 @@ class TestRansacSim3:
             ransac_sim3(self.tagged(pts), self.tagged(dst),
                         RansacParams(min_inliers=6, seed=3))
 
-    def test_residual_helper(self):
+    def test_inlier_rmse(self):
         rng = np.random.default_rng(11)
         true = random_sim3(rng)
         pts = rng.uniform(-2, 2, size=(10, 3))
-        src = self.tagged(pts)
-        dst = self.tagged(true.apply(pts))
-        res = alignment_residuals(true, src, dst, [i for i, _ in src])
-        assert np.all(res < 1e-9)
+        assert inlier_rmse(true, pts, true.apply(pts)) < 1e-9
+        # every row off by (0.3, 0.4, 0): a distance of 0.5 each
+        shifted = true.apply(pts) + np.array([0.3, 0.4, 0.0])
+        assert inlier_rmse(true, pts, shifted) == pytest.approx(0.5)
+
+    def test_matched_arrays_fit_as_enumerated_pairs(self):
+        rng = np.random.default_rng(14)
+        pts = rng.uniform(-3, 3, size=(40, 3))
+        dst_pts = random_sim3(rng).apply(pts) + rng.normal(0, 0.01, size=pts.shape)
+        dst_pts[:10] += 2.0  # outliers
+        params = RansacParams(seed=6)
+        t1, in1 = ransac_sim3(pts, dst_pts, params)
+        t2, in2 = ransac_sim3(self.tagged(pts), self.tagged(dst_pts), params)
+        assert in1 == in2 and in1 == sorted(in1) and min(in1) >= 10
+        assert t1.scale == t2.scale
+        assert np.array_equal(t1.rotation.q, t2.rotation.q)
+        assert np.array_equal(t1.translation, t2.translation)
+        with pytest.raises(ValueError):
+            ransac_sim3(pts, dst_pts[:-1], params)
 
     def test_idempotent_at_fixed_point(self):
         # a second round on an already-corrected map moves it by nearly nothing
@@ -201,6 +218,75 @@ class TestRansacSim3:
         t2, _ = ransac_sim3(self.tagged(corrected), dst, RansacParams(seed=5))
         moved = np.linalg.norm(t2.apply(corrected) - corrected, axis=1)
         assert np.max(moved) < 1e-9 + 10 * 0.003
+
+
+class TestMatchTagged:
+    def test_rows_of_shared_ids_in_ascending_order(self):
+        src_pos = np.arange(15.0).reshape(5, 3)
+        dst_pos = -np.arange(12.0).reshape(4, 3)
+        a, b = match_tagged(([1, 3, 5, 7, 9], src_pos), ([9, 2, 3, 7], dst_pos))
+        assert np.array_equal(a, src_pos[[1, 3, 4]])
+        assert np.array_equal(b, dst_pos[[2, 3, 0]])
+
+    def test_same_rows_as_a_dict_join(self):
+        rng = np.random.default_rng(15)
+        src_ids = sorted(rng.choice(1 << 40, 50, replace=False).tolist())
+        dst_ids = src_ids[::2] + rng.choice(1 << 40, 20).tolist()  # not sorted
+        src_pos, dst_pos = rng.normal(size=(50, 3)), rng.normal(size=(len(dst_ids), 3))
+        a, b = match_tagged((src_ids, src_pos), (dst_ids, dst_pos))
+        src_map, dst_map = dict(zip(src_ids, src_pos)), dict(zip(dst_ids, dst_pos))
+        common = sorted(src_map.keys() & dst_map.keys())
+        assert len(common) == 25
+        assert np.array_equal(a, [src_map[u] for u in common])
+        assert np.array_equal(b, [dst_map[u] for u in common])
+
+    def test_nothing_shared(self):
+        a, b = match_tagged(([1, 2], np.zeros((2, 3))), ([], np.empty((0, 3))))
+        assert a.shape == b.shape == (0, 3)
+
+
+# n = 2**31 + 1 rejects about half of the words of its largest bounds
+SAMPLE_SIZES = (3, 4, 5, 600, 10001, (1 << 31) + 1, (1 << 32) - 1)
+
+
+class TestSampleTriples:
+    """``sample_triples`` replays ``Generator.choice``; if a numpy release
+    changes how ``choice`` draws, this is the test that fails."""
+
+    @pytest.mark.parametrize("n", SAMPLE_SIZES)
+    def test_equals_per_sample_choice(self, n):
+        rejections = 0
+        for k in (1, 2, 199, 200):
+            for seed in range(50):
+                rng = np.random.default_rng(seed)
+                want = np.array([rng.choice(n, 3, replace=False) for _ in range(k)])
+                got = sample_triples(seed, n, k)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (k, seed)
+                rejections += _lemire_rejections(seed, n, k)
+        if n == (1 << 31) + 1:
+            assert rejections > 0
+
+    def test_out_of_range_population(self):
+        for n in (2, (1 << 32) + 1):
+            with pytest.raises(ValueError):
+                sample_triples(0, n, 1)
+
+
+def _lemire_rejections(seed, n, k):
+    """Words a per-sample ``choice`` replay rejects, counted one word at a time."""
+    words = []
+    raw = np.random.default_rng(seed).bit_generator.random_raw(8 * k + 64).tolist()
+    for r in raw:
+        words += [r & 0xFFFFFFFF, r >> 32]
+    it = iter(words)
+    rejected = 0
+    for _ in range(k):
+        for b in (n - 2, n - 1, n, 3, 2):
+            if b == 1:
+                continue
+            while (next(it) * b) & 0xFFFFFFFF < ((1 << 32) - b) % b:
+                rejected += 1
+    return rejected
 
 
 def ransac_loop_reference(src, dst, params):

@@ -11,6 +11,7 @@ from meshslam.sim_world import (
     TrajectoryScript,
     _rotation_facing,
     generate_world,
+    world_cells,
 )
 
 
@@ -68,6 +69,37 @@ class TestGenerateWorld:
         world = generate_world(2, cfg)
         # single cell: every landmark carries the same word
         assert len({lm.word for lm in world}) == 1
+
+
+class TestWorldCells:
+    """``world_cells`` over all rows equals the per-landmark floor it replaced."""
+
+    @staticmethod
+    def per_landmark(pos, cell_size):
+        return [tuple(int(c) for c in np.floor(p / cell_size)) for p in pos]
+
+    @pytest.mark.parametrize("cell_size", [0.3, 0.5, 1.0, 2.0, 7.0])
+    def test_equals_per_landmark_floor(self, cell_size):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            pos = rng.uniform(-20.0, 20.0, size=(300, 3))
+            # coordinates exactly on cell boundaries, either side of zero
+            pos[:40] = cell_size * rng.integers(-6, 7, size=(40, 3))
+            pos[40] = [-0.0, 0.0, -cell_size]
+            assert world_cells(pos, cell_size) == self.per_landmark(pos, cell_size)
+
+    def test_boundary_belongs_to_the_upper_cell(self):
+        pos = np.array([[-2.0, 0.0, 2.0], [-1.5, -0.0, 1.999]])
+        assert world_cells(pos, 1.0) == [(-2, 0, 2), (-2, 0, 1)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_generate_world_words_follow_per_landmark_cells(self, seed):
+        cfg = WorldConfig(landmarks=400, regions=[[-5, -5, -1, 5, 5, 2]],
+                          vocab_size=37, cell_size=0.7)
+        world = generate_world(seed, cfg)
+        cells = self.per_landmark([lm.position for lm in world], cfg.cell_size)
+        word_of = {c: i % cfg.vocab_size for i, c in enumerate(sorted(set(cells)))}
+        assert [lm.word for lm in world] == [word_of[c] for c in cells]
 
 
 class TestTrajectoryScript:

@@ -5,6 +5,7 @@ from meshslam.ate import compute_ate
 from meshslam.group_protocol import PeerState
 from meshslam.net_sim import CATEGORIES
 from meshslam.simulation import Simulation
+from meshslam.wire import TaggedPoints
 
 from scenario_defs import (
     blackout_at_end,
@@ -268,6 +269,29 @@ class TestAlignmentScheduling:
         assert rt.aimd.interval == interval_before
         assert rt.aimd.next_due == 10.0 + interval_before
         assert sim.log_book.named("alignment_skipped")
+
+
+    def test_reply_from_another_agent_leaves_the_round_in_flight(self):
+        sim = Simulation(coop_loops(True, drop_prob=0.0), seed=1)
+        rt = sim.runtimes[1]
+        rt.manager._absorb_roster([0, 1])
+        sim.now = 10.0
+        rt._alignment_tick(10.0)          # first call arms the schedule
+        rt.aimd.next_due = 10.0
+        rt._alignment_tick(10.0)          # the request goes out
+        lead = rt.manager.registry.leader_of(1)
+        assert rt._align_request_time == 10.0 and rt._align_leader == lead
+        interval, due = rt.aimd.interval, rt.aimd.next_due
+        no_points = ([], np.empty((0, 3)))
+        other = next(a for a in sim.agent_ids if a not in (1, lead))
+        rt.on_tagged_points(TaggedPoints(other, no_points), 10.5)
+        assert rt._align_request_time == 10.0
+        assert (rt.aimd.interval, rt.aimd.next_due) == (interval, due)
+        assert not sim.log_book.named("alignment_round")
+        rt.on_tagged_points(TaggedPoints(lead, no_points), 10.5)
+        assert rt._align_request_time is None
+        [round_] = sim.log_book.named("alignment_round")
+        assert round_["detail"] == {"ok": False, "reason": "no_model", "shared_points": 0}
 
 
 class TestDeterminism:

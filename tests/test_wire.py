@@ -98,10 +98,11 @@ class TestMessageRoundTrips:
 
     def test_alignment_request_and_tagged_points(self):
         assert self.roundtrip(AlignmentRequest(5)).sender == 3  # envelope sender wins
-        msg = TaggedPoints(1, [(42, vec3(1, 2, 3)), (43, vec3(-1, 0, 9))])
-        out = self.roundtrip(msg)
-        assert [u for u, _ in out.points] == [42, 43]
-        assert np.allclose(out.points[1][1], [-1, 0, 9])
+        msg = TaggedPoints(1, ([42, 43], np.array([[1.0, 2, 3], [-1, 0, 9]])))
+        ids, positions = self.roundtrip(msg).points
+        assert ids == [42, 43]
+        assert positions.shape == (2, 3) and positions.dtype == np.float64
+        assert np.array_equal(positions, msg.points[1])
 
     def test_group_update(self):
         out = self.roundtrip(GroupUpdate(0, [0, 1, 2], leader=0))
@@ -154,7 +155,11 @@ def bow_announce():
 
 
 def tagged_points():
-    return TaggedPoints(1, [(42, vec3(1.5, 2.5, 3.5))])
+    return TaggedPoints(1, ([42], np.array([[1.5, 2.5, 3.5]])))
+
+
+def two_tagged_points():
+    return TaggedPoints(1, ([42, 43], np.array([[1.5, 2.5, 3.5], [4.5, 5.5, 6.5]])))
 
 
 def two_id_packet():
@@ -237,9 +242,30 @@ class TestFailClosedValues:
         pytest.param(two_id_packet, "<QQ", (701, 0), (699, 0), id="kf-observed-descending"),
         pytest.param(two_id_packet, "<QQ", (501, 0), (500, 0), id="point-observer-repeated"),
         pytest.param(two_id_packet, "<QQ", (501, 0), (1, 0), id="point-observer-descending"),
+        pytest.param(two_tagged_points, "<QQ", (43, 0), (42, 0), id="tagged-repeated"),
+        pytest.param(two_tagged_points, "<QQ", (43, 0), (7, 0), id="tagged-descending"),
     ])
     def test_rejects_ids_not_ascending(self, make, fmt, old, new):
         self.test_rejects_with_offset(make, fmt, old, new, "is not above the")
+
+    def test_tagged_ids_compare_high_word_first(self):
+        # (low 41, high 1) is above (low 43, high 0)
+        frame, at = corrupt(two_tagged_points(), "<QQ", (42, 0), (41, 1))
+        with pytest.raises(WireError, match=f"id 43 at offset {at + 40} is not above"):
+            decode_frame(frame)
+        frame, _ = corrupt(two_tagged_points(), "<QQ", (43, 0), (41, 1))
+        assert decode_frame(frame).points[0] == [42, 41 | 1 << 64]
+
+    def test_tagged_id_fault_before_position_fault(self):
+        # both rows are bad: the repeated id comes first in the payload
+        msg = two_tagged_points()
+        msg.points[1][1, 0] = NAN
+        frame, at = corrupt(msg, "<QQ", (43, 0), (42, 0))
+        with pytest.raises(WireError, match=f"id 42 at offset {at} is not above"):
+            decode_frame(frame)
+        msg.points[1][0, 2] = INF
+        with pytest.raises(WireError, match=f"non-finite position inf at offset {at - 8}"):
+            decode_frame(corrupt(msg, "<QQ", (43, 0), (42, 0))[0])
 
     def test_zero_weight_is_accepted(self):
         frame, _ = corrupt(bow_announce(), "<f", (0.25,), (0.0,))
@@ -283,6 +309,12 @@ def _map(rnd):
             [_point(rnd) for _ in range(rnd.randint(0, 4))])
 
 
+def _tagged(rnd):
+    n = rnd.randint(0, 5)
+    return TaggedPoints(3, (sorted(_uuid(rnd) for _ in range(n)),
+                            np.array([_vec(rnd) for _ in range(n)]).reshape(-1, 3)))
+
+
 def _roster(rnd):
     return [rnd.randrange(1 << 16) for _ in range(rnd.randint(0, 5))]
 
@@ -295,8 +327,7 @@ MAKERS = {
         _roster(rnd), _roster(rnd), rnd.getrandbits(64)),
     MessageType.KEYFRAME_PACKET: lambda rnd: KeyFramePacket(3, *_map(rnd)),
     MessageType.ALIGNMENT_REQUEST: lambda rnd: AlignmentRequest(3),
-    MessageType.TAGGED_POINTS: lambda rnd: TaggedPoints(
-        3, [(_uuid(rnd), _vec(rnd)) for _ in range(rnd.randint(0, 5))]),
+    MessageType.TAGGED_POINTS: _tagged,
     MessageType.GROUP_UPDATE: lambda rnd: GroupUpdate(3, _roster(rnd), rnd.randrange(1 << 16)),
     MessageType.LOC_LOST: lambda rnd: LocalizationLost(3),
     MessageType.LOC_REGAINED: lambda rnd: LocalizationRegained(3),
@@ -406,8 +437,10 @@ def assert_well_formed(msg):
         assert_rotation(t.rotation)
         assert_finite(t.translation)
     if isinstance(msg, TaggedPoints):
-        for _, pos in msg.points:
-            assert_finite(pos)
+        ids, positions = msg.points
+        assert ids == sorted(set(ids))
+        assert positions.shape == (len(ids), 3)
+        assert_finite(positions)
 
 
 EDIT = st.tuples(st.sampled_from(["flip", "insert", "cut"]),

@@ -233,8 +233,9 @@ def encode_message(msg: Message) -> tuple[MessageType, bytes]:
     if isinstance(msg, AlignmentRequest):
         return MessageType.ALIGNMENT_REQUEST, b""
     if isinstance(msg, TaggedPoints):
-        w.u32(len(msg.points))
-        for uuid, pos in msg.points:
+        ids, positions = msg.points
+        w.u32(len(ids))
+        for uuid, pos in zip(ids, positions):
             w.uuid(uuid)
             for v in pos:
                 w.f64(float(v))
@@ -283,13 +284,12 @@ def decode_message(msg_type: int, sender: int, sequence: int, payload: bytes) ->
         r.done()
         return AlignmentRequest(sender)
     if mt == MessageType.TAGGED_POINTS:
-        pts = []
+        ids, rows = [], []
         for _ in range(r.u32()):
-            uuid = r.uuid()
-            pos = np.array(_read_finite(r, 3, "position"))
-            pts.append((uuid, pos))
+            ids.append(r.uuid())
+            rows.append(_read_finite(r, 3, "position"))
         r.done()
-        return TaggedPoints(sender, pts)
+        return TaggedPoints(sender, (ids, np.array(rows).reshape(-1, 3)))
     if mt == MessageType.GROUP_UPDATE:
         roster = [r.u16() for _ in range(r.u16())]
         leader = r.u16()
