@@ -3,7 +3,7 @@
 ``kabsch_umeyama`` solves the closed-form least squares fit of scale,
 rotation and translation between matched point sets (centroids, covariance
 SVD with reflection correction, trace formula for scale).  ``ransac_sim3``
-rejects outliers among id-matched tagged points.  ``sample_triples`` draws
+rejects outliers among matched point rows.  ``sample_triples`` draws
 all of its 3-point samples in one pass over the seeded generator's raw
 output, exactly as per-sample ``rng.choice(n, 3, replace=False)`` calls
 would; every hypothesis is solved as one batch (one SVD call over all
@@ -18,7 +18,6 @@ leader: interval + 1 after a good round, interval / 2 after a bad one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -148,8 +147,8 @@ def match_tagged(
     """The rows of two id-tagged point blocks that share an id.
 
     A block is (ids, (len(ids), 3) positions).  ``src``'s ids ascend, so the
-    matched rows come in ascending id order, as ``ransac_sim3`` joins lists
-    of pairs.  Returns the matched ``src`` rows and ``dst`` rows.
+    matched rows come in ascending id order.  Returns the matched ``src``
+    rows and ``dst`` rows, the input of ``ransac_sim3``.
     """
     src_ids, src_pos = src
     dst_ids, dst_pos = dst
@@ -160,34 +159,23 @@ def match_tagged(
 
 
 def ransac_sim3(
-    src: list[tuple[int, np.ndarray]] | np.ndarray,
-    dst: list[tuple[int, np.ndarray]] | np.ndarray,
-    params: RansacParams,
+    src: np.ndarray, dst: np.ndarray, params: RansacParams
 ) -> tuple[Sim3Transform, list[int]]:
-    """Robust fit between tagged point sets matched by shared ids.
+    """Robust fit between matched (n, 3) point rows: row i of ``src`` and of
+    ``dst`` are the same point in the two frames.
 
-    ``src`` and ``dst`` are lists of (id, xyz) pairs, joined here on their
-    shared ids, or matched (n, 3) arrays, in which row i has id i.  Returns
-    the refit transform and the ascending ids of its inlier correspondences.
-    Deterministic for a fixed seed.  Raises NoModelError when fewer than 3
-    ids are shared or no sample reaches ``min_inliers``.
+    Returns the refit transform and the ascending row indices of its inlier
+    correspondences.  Deterministic for a fixed seed.  Raises NoModelError
+    when there are fewer than 3 rows or no sample reaches ``min_inliers``.
     """
-    if isinstance(src, np.ndarray):
-        if src.shape != np.shape(dst) or src.ndim != 2 or src.shape[1] != 3:
-            raise ValueError("src and dst must be matching (n, 3) arrays")
-        common, a, b = range(len(src)), src, dst
-    else:
-        src_map = {uid: np.asarray(p, dtype=float) for uid, p in src}
-        dst_map = {uid: np.asarray(p, dtype=float) for uid, p in dst}
-        common = sorted(set(src_map) & set(dst_map))
-        a = np.array([src_map[u] for u in common]).reshape(-1, 3)
-        b = np.array([dst_map[u] for u in common]).reshape(-1, 3)
-    n = len(common)
+    if src.shape != np.shape(dst) or src.ndim != 2 or src.shape[1] != 3:
+        raise ValueError("src and dst must be matching (n, 3) arrays")
+    n = len(src)
     if n < 3:
         raise NoModelError(f"only {n} shared ids, need at least 3")
     samples = sample_triples(params.seed, n, params.iterations)
-    scale, rot, trans, ok = _solve_samples(a[samples], b[samples])
-    a_t, b_t = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    scale, rot, trans, ok = _solve_samples(src[samples], dst[samples])
+    a_t, b_t = np.ascontiguousarray(src.T), np.ascontiguousarray(dst.T)
     best_count = 0
     best_mask: np.ndarray | None = None
     good = np.flatnonzero(ok)
@@ -205,8 +193,8 @@ def ransac_sim3(
         raise NoModelError(
             f"best sample had {best_count} inliers, need {params.min_inliers}"
         )
-    refit = kabsch_umeyama(a[best_mask], b[best_mask])
-    return refit, list(compress(common, best_mask.tolist()))
+    refit = kabsch_umeyama(src[best_mask], dst[best_mask])
+    return refit, np.flatnonzero(best_mask).tolist()
 
 
 def _solve_samples(src: np.ndarray, dst: np.ndarray):

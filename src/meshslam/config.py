@@ -159,13 +159,22 @@ class ScenarioConfig:
             raise ConfigError("run: duration and dt must be positive")
         if not 0 < self.merge.acceptance_factor <= 1:
             raise ConfigError("merge.acceptance_factor: must be in (0, 1]")
-        # the RANSAC parameters of alignment rounds and of full merges
+        # the RANSAC parameters of alignment rounds and of full merges, and the
+        # protocol's timer delays, which must lie ahead of the clock
         for where, value in (("align.ransac_iterations", self.align.ransac_iterations),
                              ("align.inlier_threshold", self.align.inlier_threshold),
                              ("align.min_inliers", self.align.min_inliers),
-                             ("merge.min_inliers", self.merge.min_inliers)):
+                             ("merge.min_inliers", self.merge.min_inliers),
+                             ("merge.handshake_timeout", self.merge.handshake_timeout),
+                             ("merge.notify_spacing", self.merge.notify_spacing),
+                             ("align.response_timeout", self.align.response_timeout),
+                             ("align.t_initial", self.align.t_initial),
+                             ("align.t_min", self.align.t_min),
+                             ("align.t_max", self.align.t_max)):
             if not value > 0:
                 raise ConfigError(f"{where}: must be positive")
+        if self.align.t_min > self.align.t_max:
+            raise ConfigError("align.t_min: must not exceed align.t_max")
         if self.share.batch_size < 1 or self.share.drain_budget < 1:
             raise ConfigError("share: batch_size and drain_budget must be >= 1")
 

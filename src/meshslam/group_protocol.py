@@ -125,23 +125,22 @@ def collect_word_correspondences(
     local_by_word: dict[int, list[tuple[int, np.ndarray]]],
     remote_by_word: dict[int, list[tuple[int, np.ndarray]]],
     cluster_tol: float = 0.15,
-) -> tuple[list[tuple[int, np.ndarray]], list[tuple[int, np.ndarray]]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Pair points through word ids that are unambiguous on both sides.
 
-    Ambiguous words (several well-separated points on a side) are skipped:
-    without a transform there is no way to tell them apart, and RANSAC only
-    has to reject what little ambiguity survives.
+    Returns matched (n, 3) local and remote rows, one per such word, in
+    ascending word order.  Ambiguous words (several well-separated points on
+    a side) are skipped: without a transform there is no way to tell them
+    apart, and RANSAC only has to reject what little ambiguity survives.
     """
     src, dst = [], []
-    idx = 0
     for word in sorted(set(local_by_word) & set(remote_by_word)):
         lrep = _word_representative(local_by_word[word], cluster_tol)
         rrep = _word_representative(remote_by_word[word], cluster_tol)
         if lrep is not None and rrep is not None:
-            src.append((idx, lrep))
-            dst.append((idx, rrep))
-            idx += 1
-    return src, dst
+            src.append(lrep)
+            dst.append(rrep)
+    return np.array(src).reshape(-1, 3), np.array(dst).reshape(-1, 3)
 
 
 def attempt_full_merge(

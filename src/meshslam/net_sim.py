@@ -5,9 +5,9 @@ drop stream and a seeded uniform latency; a message sent while its endpoints
 sit in different reachability components is dropped.  Reachability is the
 transitive closure of the up links, which is what a mesh network provides.
 
-Every byte is accounted per agent and per message category in the bandwidth
-ledger; after the network quiesces, ``sent == received + dropped`` holds
-exactly per category.
+Every byte is accounted per agent and per message category (declared with
+each message type in ``wire``) in the bandwidth ledger; after the network
+quiesces, ``sent == received + dropped`` holds exactly per category.
 """
 
 from __future__ import annotations
@@ -19,34 +19,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .wire import MessageType
-
-CATEGORY_BOWS = "BoWs"
-CATEGORY_FULL_MAP = "Full Map"
-CATEGORY_KEYFRAMES = "Key Frames"
-CATEGORY_ALIGNMENT = "Alignment Data"
-CATEGORY_CONTROL = "Control"
-
-CATEGORIES = [
-    CATEGORY_KEYFRAMES, CATEGORY_BOWS, CATEGORY_FULL_MAP,
-    CATEGORY_ALIGNMENT, CATEGORY_CONTROL,
-]
-
-_TYPE_TO_CATEGORY = {
-    MessageType.BOW_ANNOUNCE: CATEGORY_BOWS,
-    MessageType.FULL_MAP: CATEGORY_FULL_MAP,
-    MessageType.MERGE_NOTIFY: CATEGORY_CONTROL,
-    MessageType.KEYFRAME_PACKET: CATEGORY_KEYFRAMES,
-    MessageType.ALIGNMENT_REQUEST: CATEGORY_ALIGNMENT,
-    MessageType.TAGGED_POINTS: CATEGORY_ALIGNMENT,
-    MessageType.GROUP_UPDATE: CATEGORY_CONTROL,
-    MessageType.LOC_LOST: CATEGORY_CONTROL,
-    MessageType.LOC_REGAINED: CATEGORY_CONTROL,
-}
-
-
-def category_of(msg_type: int) -> str:
-    return _TYPE_TO_CATEGORY[MessageType(msg_type)]
+# re-exported: the ledger categories are declared with the message types
+from .wire import (CATEGORIES, CATEGORY_ALIGNMENT, CATEGORY_BOWS,  # noqa: F401
+                   CATEGORY_CONTROL, CATEGORY_FULL_MAP, CATEGORY_KEYFRAMES, category_of)
 
 
 def components(nodes: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[set[int]]:

@@ -1,9 +1,11 @@
 """Deterministic multi-agent simulation.
 
-One global (time, sequence) event queue drives everything: world ticks,
-message deliveries, protocol timers, and partition boundary events.  All
-randomness comes from named streams derived from the run seed, so a rerun
-with the same scenario and seed reproduces the exact event trace.
+One global (time, sequence) queue of callables drives everything: world
+ticks, message deliveries (dispatched through ``_RECEIVERS``), protocol
+timers, and partition boundary events.  One loop, ``_run_queue``, drains it
+for the scripted run and the quiescence barrier alike.  All randomness comes
+from named streams derived from the run seed, so a rerun with the same
+scenario and seed reproduces the exact event trace.
 
 Per tick, in ascending agent id order, each agent advances its tracker,
 handles localization loss, spawns keyframes (into the shared or private
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,6 +49,8 @@ from .merge_detection import detect_merge
 from .net_sim import Envelope, EventQueue, MeshNetwork
 from .sim_world import AgentTracker, generate_world
 from .wire import (
+    CATEGORY_ALIGNMENT,
+    CATEGORY_KEYFRAMES,
     AlignmentRequest,
     BowAnnounce,
     FullMapMsg,
@@ -54,8 +59,8 @@ from .wire import (
     LocalizationLost,
     LocalizationRegained,
     MergeNotify,
-    MessageType,
     TaggedPoints,
+    category_of,
     decode_frame,
     encode_envelope,
     encode_message,
@@ -65,8 +70,7 @@ from .wire import (
 # their own dedupe key and roster absorption is union-idempotent
 _ORDERED_TYPES = (LocalizationLost, LocalizationRegained)
 # bulk data is left out of the event log; every other send is recorded
-_BULK_TYPES = (MessageType.KEYFRAME_PACKET, MessageType.ALIGNMENT_REQUEST,
-               MessageType.TAGGED_POINTS)
+_UNLOGGED_CATEGORIES = (CATEGORY_KEYFRAMES, CATEGORY_ALIGNMENT)
 
 
 class EventLog:
@@ -340,24 +344,22 @@ class AgentRuntime:
             if sequence <= last:
                 return  # duplicate or out-of-date localization flip
             self._last_control_seq[msg.sender] = sequence
-        if isinstance(msg, BowAnnounce):
-            self.manager.on_bow_announce(msg)
-        elif isinstance(msg, FullMapMsg):
-            self.manager.on_full_map(msg)
-        elif isinstance(msg, MergeNotify):
-            self.manager.on_merge_notify(msg)
-        elif isinstance(msg, GroupUpdate):
-            self.manager.on_group_update(msg)
-        elif isinstance(msg, LocalizationLost):
-            self.manager.on_loc_lost(msg)
-        elif isinstance(msg, LocalizationRegained):
-            self.manager.on_loc_regained(msg)
-        elif isinstance(msg, KeyFramePacket):
-            self.sharing.enqueue_packet(msg)
-        elif isinstance(msg, AlignmentRequest):
-            self.on_alignment_request(msg)
-        elif isinstance(msg, TaggedPoints):
-            self.on_tagged_points(msg, now)
+        _RECEIVERS[type(msg)](self, msg, now)  # KeyError for a class with no receiver
+
+
+# What the receiving agent does with each message class.  Handlers are looked
+# up when the message arrives, so one replaced on its class is the one called.
+_RECEIVERS = {
+    BowAnnounce: lambda rt, msg, now: rt.manager.on_bow_announce(msg),
+    FullMapMsg: lambda rt, msg, now: rt.manager.on_full_map(msg),
+    MergeNotify: lambda rt, msg, now: rt.manager.on_merge_notify(msg),
+    GroupUpdate: lambda rt, msg, now: rt.manager.on_group_update(msg),
+    LocalizationLost: lambda rt, msg, now: rt.manager.on_loc_lost(msg),
+    LocalizationRegained: lambda rt, msg, now: rt.manager.on_loc_regained(msg),
+    KeyFramePacket: lambda rt, msg, now: rt.sharing.enqueue_packet(msg),
+    AlignmentRequest: lambda rt, msg, now: rt.on_alignment_request(msg),
+    TaggedPoints: lambda rt, msg, now: rt.on_tagged_points(msg, now),
+}
 
 
 class Simulation:
@@ -385,7 +387,7 @@ class Simulation:
         self.log_book.append(self.now, agent, event, detail)
 
     def schedule_timer(self, delay: float, fn) -> None:
-        self.queue.push(self.now + delay, ("timer", fn))
+        self.queue.push(self.now + delay, fn)
 
     def reachable(self, a: int, b: int) -> bool:
         return self.net.same_component(a, b, self.now)
@@ -397,58 +399,57 @@ class Simulation:
         env = Envelope(src=src, dst=dst, msg_type=int(msg_type), data=data,
                        size=len(data), send_time=self.now, app_seq=seq)
         self.net.send(env)
-        if msg_type not in _BULK_TYPES:
+        if category_of(msg_type) not in _UNLOGGED_CATEGORIES:
             self.log(src, "send", {"type": msg_type.name.lower(), "dst": dst,
                                    "dropped": env.dropped})
         if not env.dropped:
-            self.queue.push(env.deliver_time, ("deliver", env))
+            self.queue.push(env.deliver_time, partial(self._deliver, env))
 
-    # -- main loop -------------------------------------------------------------
+    # -- events and the main loop ----------------------------------------------
 
-    def _process(self, kind: str, item) -> None:
-        if kind == "tick":
-            t = item
-            for aid in self.agent_ids:
-                self.runtimes[aid].on_tick(t)
-            for aid in self.agent_ids:
-                self.runtimes[aid].end_of_tick(t)
-            for aid in self.agent_ids:
-                pose = self.runtimes[aid].tracker.true_pose
-                self.gt_rows.append((t, aid, pose.translation.copy(),
-                                     pose.rotation.q.copy()))
-        elif kind == "deliver":
-            env = item
-            self.net.deliver(env)
-            msg = decode_frame(env.data)
-            self.runtimes[env.dst].on_message(msg, sequence=env.app_seq, now=self.now)
-        elif kind == "timer":
-            item()
-        elif kind == "partition":
-            components = self.net.reachability(self.now)
-            self.log(-1, "partition_change",
-                     {"components": [sorted(c) for c in components]})
-            for aid in self.agent_ids:
-                self.runtimes[aid].manager.on_partition_change(components)
-        if self.check_invariants:
-            for aid in self.agent_ids:
-                self.runtimes[aid].manager.check_invariants()
+    def _tick(self, t: float) -> None:
+        for aid in self.agent_ids:
+            self.runtimes[aid].on_tick(t)
+        for aid in self.agent_ids:
+            self.runtimes[aid].end_of_tick(t)
+        for aid in self.agent_ids:
+            pose = self.runtimes[aid].tracker.true_pose
+            self.gt_rows.append((t, aid, pose.translation.copy(),
+                                 pose.rotation.q.copy()))
+
+    def _deliver(self, env: Envelope) -> None:
+        self.net.deliver(env)
+        msg = decode_frame(env.data)
+        self.runtimes[env.dst].on_message(msg, sequence=env.app_seq, now=self.now)
+
+    def _partition_change(self) -> None:
+        components = self.net.reachability(self.now)
+        self.log(-1, "partition_change",
+                 {"components": [sorted(c) for c in components]})
+        for aid in self.agent_ids:
+            self.runtimes[aid].manager.on_partition_change(components)
+
+    def _run_queue(self) -> None:
+        """Run events in (time, sequence) order until the queue is empty."""
+        while len(self.queue):
+            self.now, _, event = self.queue.pop()
+            event()
+            if self.check_invariants:
+                for aid in self.agent_ids:
+                    self.runtimes[aid].manager.check_invariants()
 
     def run(self) -> SimulationResult:
         run = self.scenario.run
         n_ticks = int(round(run.duration / run.dt))
         for t in self.net.partition_boundaries():
             if 0.0 <= t <= run.duration:
-                self.queue.push(t, ("partition", t))
+                self.queue.push(t, self._partition_change)
         for i in range(1, n_ticks + 1):
-            self.queue.push(i * run.dt, ("tick", i * run.dt))
-        while len(self.queue):
-            time, _, (kind, item) = self.queue.pop()
-            self.now = time
-            self._process(kind, item)
+            self.queue.push(i * run.dt, partial(self._tick, i * run.dt))
+        self._run_queue()
         self._finalize(run.duration)
-        est_rows = self._estimated_trajectories()
         return SimulationResult(
-            est_rows=est_rows, gt_rows=self.gt_rows, log=self.log_book,
+            est_rows=self._estimated_trajectories(), gt_rows=self.gt_rows, log=self.log_book,
             net=self.net, duration=run.duration, runtimes=self.runtimes,
         )
 
@@ -457,10 +458,7 @@ class Simulation:
         self.now = duration
         for aid in self.agent_ids:
             self.runtimes[aid]._flush_outboxes(force=True)
-        while len(self.queue):
-            time, _, (kind, item) = self.queue.pop()
-            self.now = max(self.now, time)
-            self._process(kind, item)
+        self._run_queue()
         for aid in self.agent_ids:
             rt = self.runtimes[aid]
             rt.sharing.drain(rt.db.shared_map, len(rt.sharing.queue),

@@ -10,9 +10,10 @@ Envelope layout (all multi-byte integers little-endian):
     length  u32      payload byte count
     payload
 
-A payload is the message's dataclass fields after ``sender``, in declaration
-order, each written by its codec in the ``_PAYLOADS`` table; the sequence
-number lives only in the envelope.  Field codecs:
+Each message type is one ``_PAYLOADS`` row: its dataclass, its ledger
+category and the codecs of its payload, the dataclass fields after ``sender``
+in declaration order; the sequence number lives only in the envelope.
+Field codecs:
 
     uuid       16B, low 64 bits first
     words      count u32 + (word u32, weight f32)*
@@ -28,7 +29,7 @@ Keyframes and map points travel as the map store's own KeyFrame and MapPoint
 objects.  Decoding always builds fresh objects, so an object never reaches a
 second agent by reference.  Id lists (histogram word ids, observed ids,
 observer ids) are written strictly ascending; tagged points carry their ids
-in the order given, which must be strictly ascending too.
+in the order given, which the encoder requires to be strictly ascending too.
 
 Decoding is fail-closed: any structural problem raises WireError naming the
 byte offset (counted from the start of the payload for payload fields); no
@@ -59,6 +60,17 @@ HEADER_SIZE = _HEADER.size  # 21
 
 class WireError(ValueError):
     pass
+
+
+# Bandwidth ledger categories, the groups of the paper's bandwidth figure
+CATEGORY_BOWS = "BoWs"
+CATEGORY_FULL_MAP = "Full Map"
+CATEGORY_KEYFRAMES = "Key Frames"
+CATEGORY_ALIGNMENT = "Alignment Data"
+CATEGORY_CONTROL = "Control"
+
+CATEGORIES = [CATEGORY_KEYFRAMES, CATEGORY_BOWS, CATEGORY_FULL_MAP,
+              CATEGORY_ALIGNMENT, CATEGORY_CONTROL]
 
 
 class MessageType(IntEnum):
@@ -411,11 +423,16 @@ def _counted(write_one, read_one):
     return write, read
 
 
+def _not_above(rows: np.ndarray) -> np.ndarray:
+    """The indices of tagged rows whose id is not above the id of the row before."""
+    lo, hi = rows["lo"], rows["hi"]
+    return 1 + np.flatnonzero((hi[1:] < hi[:-1]) | ((hi[1:] == hi[:-1]) & (lo[1:] <= lo[:-1])))
+
+
 def _check_tagged(rows: np.ndarray, start: int) -> None:
     """Ids strictly ascending and positions finite; the first fault in payload order."""
     lo, hi, xyz = rows["lo"], rows["hi"], rows["xyz"]
-    not_above = 1 + np.flatnonzero(
-        (hi[1:] < hi[:-1]) | ((hi[1:] == hi[:-1]) & (lo[1:] <= lo[:-1])))
+    not_above = _not_above(rows)
     non_finite = np.flatnonzero(~np.isfinite(xyz))
     # a row's id comes before its position
     if len(not_above) and (not len(non_finite) or not_above[0] <= non_finite[0] // 3):
@@ -434,6 +451,10 @@ def _write_tagged(w: _Writer, points: tuple[list[int], np.ndarray]) -> None:
     rows["lo"] = [uid & _M64 for uid in ids]
     rows["hi"] = [uid >> 64 for uid in ids]
     rows["xyz"] = np.reshape(positions, (len(ids), 3))
+    not_above = _not_above(rows)
+    if len(not_above):
+        i = int(not_above[0])
+        raise ValueError(f"tagged point id {ids[i]} at index {i} is not above the id before it")
     w.put(_U32, len(ids))
     w.parts.append(rows.tobytes())
 
@@ -450,24 +471,31 @@ _KEYFRAMES = _counted(_write_keyframe, _read_keyframe)
 _POINTS = _counted(_write_point, _read_point)
 _ROSTER = (_write_roster, _read_roster)
 
-# Each message's payload: one (write, read) codec per dataclass field after
-# `sender`, in declaration order.  This table is the only place that order is
-# written down.
+# Each message type's dataclass, ledger category, and one (write, read) codec
+# per dataclass field after `sender`, in declaration order.  This table is the
+# only place a message type is declared.
 _PAYLOADS = {
-    MessageType.BOW_ANNOUNCE: (BowAnnounce, (_ID, (_write_words, _read_words))),
-    MessageType.FULL_MAP: (FullMapMsg, (_ID, _KEYFRAMES, _POINTS)),
-    MessageType.MERGE_NOTIFY: (MergeNotify, ((_write_sim3, _read_sim3), _ROSTER, _ROSTER,
-                                             _scalar(_U64))),
-    MessageType.KEYFRAME_PACKET: (KeyFramePacket, (_KEYFRAMES, _POINTS)),
-    MessageType.ALIGNMENT_REQUEST: (AlignmentRequest, ()),
-    MessageType.TAGGED_POINTS: (TaggedPoints, ((_write_tagged, _read_tagged),)),
-    MessageType.GROUP_UPDATE: (GroupUpdate, (_ROSTER, _scalar(_U16))),
-    MessageType.LOC_LOST: (LocalizationLost, ()),
-    MessageType.LOC_REGAINED: (LocalizationRegained, ()),
+    MessageType.BOW_ANNOUNCE: (BowAnnounce, CATEGORY_BOWS,
+                               (_ID, (_write_words, _read_words))),
+    MessageType.FULL_MAP: (FullMapMsg, CATEGORY_FULL_MAP, (_ID, _KEYFRAMES, _POINTS)),
+    MessageType.MERGE_NOTIFY: (MergeNotify, CATEGORY_CONTROL,
+                               ((_write_sim3, _read_sim3), _ROSTER, _ROSTER, _scalar(_U64))),
+    MessageType.KEYFRAME_PACKET: (KeyFramePacket, CATEGORY_KEYFRAMES, (_KEYFRAMES, _POINTS)),
+    MessageType.ALIGNMENT_REQUEST: (AlignmentRequest, CATEGORY_ALIGNMENT, ()),
+    MessageType.TAGGED_POINTS: (TaggedPoints, CATEGORY_ALIGNMENT,
+                                ((_write_tagged, _read_tagged),)),
+    MessageType.GROUP_UPDATE: (GroupUpdate, CATEGORY_CONTROL, (_ROSTER, _scalar(_U16))),
+    MessageType.LOC_LOST: (LocalizationLost, CATEGORY_CONTROL, ()),
+    MessageType.LOC_REGAINED: (LocalizationRegained, CATEGORY_CONTROL, ()),
 }
 # message class -> (type tag, payload field names)
 _TYPE_OF = {cls: (mt, [f.name for f in fields(cls)[1:]])
-            for mt, (cls, _) in _PAYLOADS.items()}
+            for mt, (cls, _, _) in _PAYLOADS.items()}
+
+
+def category_of(msg_type: int) -> str:
+    """The bandwidth ledger category of a message type tag."""
+    return _PAYLOADS[MessageType(msg_type)][1]
 
 
 def encode_message(msg: Message) -> tuple[MessageType, bytes]:
@@ -476,14 +504,14 @@ def encode_message(msg: Message) -> tuple[MessageType, bytes]:
     except KeyError:
         raise TypeError(f"unknown message {type(msg).__name__}") from None
     w = _Writer()
-    for name, (write, _) in zip(names, _PAYLOADS[mt][1], strict=True):
+    for name, (write, _) in zip(names, _PAYLOADS[mt][2], strict=True):
         write(w, getattr(msg, name))
     return mt, w.getvalue()
 
 
 def decode_message(msg_type: int, sender: int, payload: bytes) -> Message:
     try:
-        cls, codecs = _PAYLOADS[MessageType(msg_type)]
+        cls, _, codecs = _PAYLOADS[MessageType(msg_type)]
     except ValueError as exc:
         raise WireError(f"unknown message type {msg_type}") from exc
     r = _Reader(payload)

@@ -77,10 +77,8 @@ def test_criterion_2_ransac_robustness():
             out_idx = rng.choice(n, size=n_out, replace=False)
             dst[out_idx] += (rng.uniform(1.0, 5.0, size=(n_out, 3))
                              * rng.choice([-1.0, 1.0], size=(n_out, 3)))
-            src_tagged = [(i, p) for i, p in enumerate(pts)]
-            dst_tagged = [(i, p) for i, p in enumerate(dst)]
             fit, inliers = ransac_sim3(
-                src_tagged, dst_tagged,
+                pts, dst,
                 RansacParams(iterations=200, inlier_threshold=0.05,
                              min_inliers=12, seed=seed))
             included = len(set(inliers) & {int(i) for i in out_idx})

@@ -39,6 +39,12 @@ def _with(agent=None, net=None, **sections):
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
+# every delay the protocol schedules a timer or a deadline with
+TIMER_DELAYS = (("merge", "handshake_timeout"), ("merge", "notify_spacing"),
+                ("align", "response_timeout"), ("align", "t_initial"),
+                ("align", "t_min"), ("align", "t_max"))
+
+
 def _partition(**window):
     return {"partitions": [{"start": 1.0, "end": 2.0, **window}]}
 
@@ -69,6 +75,10 @@ def _partition(**window):
     (_with(merge={"min_inliers": 0}), r"merge\.min_inliers: must be positive"),
     (_with(net=_partition(end=1.0)), r"net\.partitions\[0\]: need start < end"),
     (_with(net=_partition(end=0.5)), r"net\.partitions\[0\]: need start < end"),
+    (_with(align={"t_min": 8.0, "t_max": 4.0}), r"align\.t_min: must not exceed align\.t_max"),
+] + [
+    (_with(**{section: {key: value}}), rf"{section}\.{key}: must be positive")
+    for section, key in TIMER_DELAYS for value in (0.0, -5.0)
 ] + [
     (_with(**{section: {key: value}}), rf"{section}\.{key}: must be finite")
     for section, key in (("run", "dt"), ("run", "duration"), ("world", "cell_size"))
@@ -82,7 +92,9 @@ def _partition(**window):
         "regions-scalar", "cooperative-text", "regions-empty", "sigma-t-negative",
         "sigma-r-negative", "ransac-iterations-zero", "inlier-threshold-zero",
         "align-min-inliers-zero", "merge-min-inliers-zero", "partition-empty-window",
-        "partition-reversed-window"] + [
+        "partition-reversed-window", "t-min-above-t-max"] + [
+    f"{key}-{value}" for _, key in TIMER_DELAYS for value in ("zero", "negative")
+] + [
     f"{key}-{name}" for key in ("dt", "duration", "cell-size", "speed", "range-m")
     for name in ("nan", "inf", "-inf")
 ])

@@ -119,7 +119,18 @@ class TestAttemptFullMerge:
         local_by_word = {1: [(10, np.zeros(3)), (11, np.ones(3))], 2: [(12, np.ones(3))]}
         remote_by_word = {1: [(20, np.zeros(3))], 2: [(21, np.ones(3))]}
         src, dst = collect_word_correspondences(local_by_word, remote_by_word)
-        assert len(src) == 1  # word 1 ambiguous on the local side
+        # word 1 ambiguous on the local side
+        assert np.array_equal(src, [np.ones(3)]) and np.array_equal(dst, [np.ones(3)])
+
+    def test_correspondences_are_rows_in_word_order(self):
+        local_by_word = {7: [(3, np.full(3, 7.0))], 2: [(1, np.full(3, 2.0))],
+                         5: [(2, np.full(3, 5.0))]}
+        remote_by_word = {5: [(9, -np.full(3, 5.0))], 7: [(8, -np.full(3, 7.0))]}
+        src, dst = collect_word_correspondences(local_by_word, remote_by_word)
+        assert np.array_equal(src, [np.full(3, 5.0), np.full(3, 7.0)])
+        assert np.array_equal(dst, -src)
+        src, dst = collect_word_correspondences({1: [(1, np.zeros(3))]}, {})
+        assert src.shape == dst.shape == (0, 3)
 
 
 # ---------------------------------------------------------------------------

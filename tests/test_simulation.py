@@ -1,10 +1,13 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from meshslam import wire
 from meshslam.ate import compute_ate
 from meshslam.group_protocol import PeerState
 from meshslam.net_sim import CATEGORIES
-from meshslam.simulation import Simulation
+from meshslam.simulation import _RECEIVERS, Simulation
 from meshslam.wire import TaggedPoints
 
 from scenario_defs import (
@@ -292,6 +295,32 @@ class TestAlignmentScheduling:
         assert rt._align_request_time is None
         [round_] = sim.log_book.named("alignment_round")
         assert round_["detail"] == {"ok": False, "reason": "no_model", "shared_points": 0}
+
+
+class TestMessageDispatch:
+    def test_every_message_class_has_one_receiver(self):
+        classes = [cls for cls, _, _ in wire._PAYLOADS.values()]
+        assert len(set(classes)) == len(classes)
+        assert set(_RECEIVERS) == set(classes)
+
+    def test_unknown_message_class_raises(self):
+        @dataclass
+        class Unknown:
+            sender: int
+
+        class Subclassed(wire.BowAnnounce):
+            pass
+
+        rt = Simulation(fig3_replay(), seed=1).runtimes[0]
+        with pytest.raises(KeyError, match="Unknown"):
+            rt.on_message(Unknown(1), sequence=1, now=0.0)
+        with pytest.raises(KeyError, match="Subclassed"):
+            rt.on_message(Subclassed(1, 5, {}), sequence=2, now=0.0)
+
+    @pytest.mark.parametrize("fixture", ["lossy_result", "failover_result"])
+    def test_event_log_never_steps_back_in_time(self, fixture, request):
+        times = [e["time"] for e in request.getfixturevalue(fixture).log.entries]
+        assert times == sorted(times)
 
 
 class TestDeterminism:

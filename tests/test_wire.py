@@ -3,6 +3,7 @@ import math
 import random
 import re
 import struct
+import typing
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ import wire_reference
 from meshslam.geometry import Rotation, Se3Pose, Sim3Transform, vec3
 from meshslam.map_store import KeyFrame, MapPoint
 from meshslam.wire import (
+    _PAYLOADS,
+    CATEGORIES,
     HEADER_SIZE,
     AlignmentRequest,
     BowAnnounce,
@@ -23,9 +26,11 @@ from meshslam.wire import (
     LocalizationLost,
     LocalizationRegained,
     MergeNotify,
+    Message,
     MessageType,
     TaggedPoints,
     WireError,
+    category_of,
     decode_envelope,
     decode_frame,
     encode_envelope,
@@ -41,6 +46,21 @@ def sample_keyframe(uid=500):
         words={3: 0.5, 9: 0.5},
         observed_points={700, 701},
     )
+
+
+class TestMessageTable:
+    def test_one_row_per_message_type(self):
+        assert list(_PAYLOADS) == list(MessageType)
+        classes = [cls for cls, _, _ in _PAYLOADS.values()]
+        assert len(set(classes)) == len(classes)
+        assert set(classes) == set(typing.get_args(Message))
+
+    def test_row_declares_category_and_one_codec_per_field(self):
+        for mt, (cls, category, codecs) in _PAYLOADS.items():
+            assert category in CATEGORIES
+            assert category_of(int(mt)) == category
+            assert len(codecs) == len(dataclasses.fields(cls)) - 1
+        assert set(CATEGORIES) == {category for _, category, _ in _PAYLOADS.values()}
 
 
 class TestEnvelope:
@@ -103,6 +123,17 @@ class TestMessageRoundTrips:
         assert ids == [42, 43]
         assert positions.shape == (2, 3) and positions.dtype == np.float64
         assert np.array_equal(positions, msg.points[1])
+
+    @pytest.mark.parametrize("ids", [[42, 42], [43, 42], [1 << 64, 43], [7, 9, 8]],
+                             ids=["repeated", "descending", "high-word", "third"])
+    def test_encoder_rejects_tagged_ids_not_ascending(self, ids):
+        msg = TaggedPoints(1, (ids, np.zeros((len(ids), 3))))
+        with pytest.raises(ValueError, match=f"id {ids[-1]} at index {len(ids) - 1} is not"):
+            encode_frame(msg, 1, 1)
+
+    def test_encoder_rejects_tagged_positions_of_wrong_shape(self):
+        with pytest.raises(ValueError):
+            encode_frame(TaggedPoints(1, ([1, 2], np.zeros((3, 3)))), 1, 1)
 
     def test_group_update(self):
         out = self.roundtrip(GroupUpdate(0, [0, 1, 2], leader=0))
