@@ -4,8 +4,14 @@ An :class:`AgentMap` holds keyframes, map points and the inverted visual-word
 index used for place recognition.  The covisibility graph is derived, not
 counted: ``KeyFrame.covisibility`` is recomputed on every read from the
 keyframe's observed points and their observers, through a back-reference to
-the map that holds the keyframe.  A :class:`MapDatabase` holds one shared map
-plus any private maps created while localization is lost.
+the map that holds the keyframe.  ``AgentMap.top_covisible`` keeps each
+keyframe's last ranking and reuses it while its validity key is unchanged:
+``(k, unlinks, len(observed_points), sum of observer counts over the present
+observed points)``, where ``unlinks`` counts the map's ``_unlink`` calls.  The
+key is exact because outside ``_unlink`` these sets only grow (``_link`` adds,
+``upsert_point`` creates fresh records, ``absorb`` adds disjoint ids), so
+equal sizes mean equal sets and so the same counts.  A :class:`MapDatabase`
+holds one shared map plus any private maps created while localization is lost.
 
 Object ids are 128-bit integers derived deterministically from
 (run seed, agent id, per-agent counter) so that reruns are bit-identical.
@@ -81,6 +87,15 @@ class KeyFrame:
     observed_points: set[int] = field(default_factory=set)
     # the AgentMap holding this keyframe; set on insertion and on absorb
     owner: AgentMap | None = field(default=None, init=False, repr=False, compare=False)
+    # (validity key, ranking) of the last `AgentMap.top_covisible` read;
+    # cleared wherever `owner` is set
+    ranked: tuple[tuple, list[int]] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    # `words` as (ascending ids, weights / total) arrays, filled by
+    # `merge_detection.bow_similarities`; `words` is never mutated after
+    # construction, so this never goes stale
+    histogram: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def covisibility(self) -> Counter[int]:
@@ -114,6 +129,8 @@ class AgentMap:
         self.pending_kf_links: dict[int, set[int]] = {}
         # duplicate-merge redirects: discarded point id -> surviving id
         self.merged_into: dict[int, int] = {}
+        # `_unlink` calls so far: part of `top_covisible`'s validity key
+        self.unlinks = 0
 
     # -- insertion -----------------------------------------------------
 
@@ -128,7 +145,7 @@ class AgentMap:
         for p in observed:
             self.upsert_point(p)
         self.keyframes[kf.id] = kf
-        kf.owner = self
+        kf.owner, kf.ranked = self, None
         for w in kf.words:
             self.word_index.setdefault(w, set()).add(kf.id)
         # references may use ids that were locally folded into another point
@@ -174,12 +191,26 @@ class AgentMap:
         return out
 
     def top_covisible(self, kf_id: int, k: int) -> list[int]:
-        """Up to k neighbors by descending shared-point count, ties by id."""
+        """Up to k neighbors by descending shared-point count, ties by id.
+
+        The ranking is reused until the keyframe's validity key changes (see
+        the module docstring).
+        """
+        if k < 0:
+            raise ValueError(f"top_covisible needs k >= 0, got k={k}")
         if kf_id not in self.keyframes:
             raise UnknownObjectError(f"keyframe {kf_id} not in map")
-        neighbors = self.keyframes[kf_id].covisibility
-        ranked = sorted(neighbors.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [kid for kid, _ in ranked[:k]]
+        kf = self.keyframes[kf_id]
+        observations = 0
+        for pid in kf.observed_points:
+            p = self.points.get(pid)
+            if p is not None:
+                observations += len(p.observers)
+        key = (k, self.unlinks, len(kf.observed_points), observations)
+        if kf.ranked is None or kf.ranked[0] != key:
+            ranked = sorted(kf.covisibility.items(), key=lambda kv: (-kv[1], kv[0]))
+            kf.ranked = key, [kid for kid, _ in ranked[:k]]
+        return list(kf.ranked[1])
 
     def covisibility_neighborhood(self, kf_id: int, depth: int) -> set[int]:
         """Keyframes within `depth` covisibility hops of kf_id (inclusive)."""
@@ -256,7 +287,7 @@ class AgentMap:
             raise DuplicateObjectError(f"maps share keyframe ids {sorted(overlap)[:3]}")
         self.keyframes.update(other.keyframes)
         for kf in other.keyframes.values():
-            kf.owner = self
+            kf.owner, kf.ranked = self, None
         self.points.update(other.points)
         self.merged_into.update(other.merged_into)
         for mine, theirs in ((self.word_index, other.word_index),
@@ -283,7 +314,12 @@ class AgentMap:
         self.points[pid].observers.add(kid)
 
     def _unlink(self, kid: int, pid: int) -> None:
-        """Drop the observation of `pid` by `kid`."""
+        """Drop the observation of `pid` by `kid`.
+
+        The only place observations shrink, so it invalidates every cached
+        covisible ranking.
+        """
+        self.unlinks += 1
         self.keyframes[kid].observed_points.discard(pid)
         self.points[pid].observers.discard(kid)
 

@@ -13,6 +13,7 @@ quiesces, ``sent == received + dropped`` holds exactly per category.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
@@ -147,6 +148,11 @@ class MeshNetwork:
             np.random.SeedSequence(entropy=[seed, 0x6E65742D64726F70]))
         self._lat_rng = np.random.default_rng(
             np.random.SeedSequence(entropy=[seed, 0x6E65742D6C6174]))
+        # the down links are constant between consecutive partition boundaries,
+        # so reachability is computed once per interval (the windows are read
+        # here, once): interval index -> agent -> component index
+        self._boundaries = self.partition_boundaries()
+        self._component_of: dict[int, dict[int, int]] = {}
 
     # -- reachability ----------------------------------------------------
 
@@ -172,10 +178,12 @@ class MeshNetwork:
         return sorted(times)
 
     def same_component(self, a: int, b: int, t: float) -> bool:
-        for comp in self.reachability(t):
-            if a in comp:
-                return b in comp
-        return False
+        interval = bisect_right(self._boundaries, t)
+        label = self._component_of.get(interval)
+        if label is None:
+            label = self._component_of[interval] = {
+                n: i for i, comp in enumerate(self.reachability(t)) for n in comp}
+        return a in label and label[a] == label.get(b)
 
     # -- transmission ---------------------------------------------------------
 

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshslam.geometry import Rotation, Se3Pose, Sim3Transform, vec3
 from meshslam.map_store import (
@@ -157,6 +159,27 @@ class TestTopCovisible:
         m.insert_keyframe(make_kf(1, [1], observed={100}), [p])
         m.insert_keyframe(make_kf(2, [1], observed={100}), [])
         assert m.top_covisible(1, 50) == [2]
+
+    def two_covisible(self):
+        m = AgentMap()
+        p = make_point(100, [0, 0, 0], word=1, observers={1})
+        m.insert_keyframe(make_kf(1, [1], observed={100}), [p])
+        m.insert_keyframe(make_kf(2, [1], observed={100}), [])
+        return m
+
+    def test_k_zero_is_empty(self):
+        m = self.two_covisible()
+        assert m.top_covisible(1, 0) == []
+        assert m.top_covisible(1, 1) == [2]
+
+    def test_negative_k_raises(self):
+        with pytest.raises(ValueError, match="k=-1"):
+            self.two_covisible().top_covisible(1, -1)
+
+    def test_returned_list_is_a_copy(self):
+        m = self.two_covisible()
+        m.top_covisible(1, 5).append(99)
+        assert m.top_covisible(1, 5) == [2]
 
 
 class TestMergeMapPoints:
@@ -553,3 +576,150 @@ class TestObservationCounting:
                 assert {kid: kf.covisibility for kid, kf in m.keyframes.items()} \
                     == counted_covisibility(m)
         assert all(hits.values()), hits
+
+
+def uncached_top_covisible(m, kid, k):
+    ranked = sorted(m.keyframes[kid].covisibility.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [nid for nid, _ in ranked[:k]]
+
+
+class RandomMapOps:
+    """Map mutations driven by one seed per operation.
+
+    Ids never collide across the shared and the private map: every point id
+    is created in one map only, and the private map's contents move to the
+    shared map by `absorb`.
+    """
+
+    KINDS = ("insert", "late_point", "upsert", "merge", "absorb")
+
+    def __init__(self):
+        self.shared, self.private = AgentMap(), AgentMap()
+        self.next_id = 1
+        self.future_kfs: list[int] = []        # claimed by a point, not inserted
+        self.future_pts: dict[int, int] = {}   # observed by a keyframe, not sent: id -> word
+        self.home: dict[int, AgentMap] = {}    # point id -> the map that created it
+
+    def fresh(self) -> int:
+        self.next_id += 1
+        return self.next_id
+
+    def apply(self, kind: str, rng) -> None:
+        getattr(self, kind)(rng, self.shared if rng.random() < 0.7 else self.private)
+
+    def _pick(self, rng, pool, k):
+        pool = sorted(pool)
+        k = min(k, len(pool))
+        return [int(x) for x in rng.choice(pool, size=k, replace=False)] if k else []
+
+    def insert(self, rng, m):
+        if self.future_kfs and rng.random() < 0.5:
+            kid = self.future_kfs.pop(int(rng.integers(len(self.future_kfs))))
+        else:
+            kid = self.fresh()
+        pts = []
+        for _ in range(int(rng.integers(0, 3))):
+            observers = {kid}
+            if rng.random() < 0.3:
+                self.future_kfs.append(self.fresh())
+                observers.add(self.future_kfs[-1])
+            pts.append(make_point(self.fresh(), rng.uniform(-1, 1, 3),
+                                  int(rng.integers(3)), observers))
+            self.home[pts[-1].id] = m
+        observed = {p.id for p in pts} | set(self._pick(rng, self.home, int(rng.integers(0, 5))))
+        if rng.random() < 0.4:
+            pid = self.fresh()
+            self.future_pts[pid] = int(rng.integers(3))
+            observed.add(pid)
+        words = sorted({p.word for p in pts} | {int(rng.integers(3))})
+        m.insert_keyframe(make_kf(kid, words, observed=observed), pts)
+
+    def late_point(self, rng, m):
+        """A point that keyframes listed before it arrived."""
+        if not self.future_pts:
+            return self.insert(rng, m)
+        pid = self._pick(rng, self.future_pts, 1)[0]
+        # it arrives in the map whose keyframe listed it
+        m = self.shared if pid in self.shared.pending_point_links else self.private
+        self.home[pid] = m
+        m.upsert_point(make_point(pid, rng.uniform(-1, 1, 3), self.future_pts.pop(pid)))
+
+    def upsert(self, rng, m):
+        """A known point record arriving again with more observers."""
+        mine = [pid for pid, where in self.home.items() if where is m and pid in m.points]
+        if not mine or not m.keyframes:
+            return self.insert(rng, m)
+        pid = self._pick(rng, mine, 1)[0]
+        claimed = set(self._pick(rng, m.keyframes, int(rng.integers(1, 3))))
+        if rng.random() < 0.3:
+            self.future_kfs.append(self.fresh())
+            claimed.add(self.future_kfs[-1])
+        m.upsert_point(make_point(pid, rng.uniform(-1, 1, 3), m.points[pid].word, claimed))
+
+    def merge(self, rng, m):
+        pairs = [(a, b) for a in m.points for b in m.points
+                 if a < b and m.points[a].word == m.points[b].word]
+        # prefer duplicates seen together: their merge drops observations
+        shared = [(a, b) for a, b in pairs if m.points[a].observers & m.points[b].observers]
+        pairs = shared if shared and rng.random() < 0.7 else pairs
+        if not pairs:
+            return self.insert(rng, m)
+        keep, discard = pairs[int(rng.integers(len(pairs)))]
+        if rng.random() < 0.5:
+            keep, discard = discard, keep
+        m.merge_map_points(keep, discard)
+
+    def absorb(self, rng, m):
+        self.shared.absorb(self.private)
+        self.home = {pid: self.shared for pid in self.home}
+        self.private = AgentMap()
+
+
+class TestTopCovisibleCache:
+    """The cached ranking equals a fresh one after every kind of mutation."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(ops=st.lists(st.tuples(st.sampled_from(RandomMapOps.KINDS),
+                                  st.integers(0, (1 << 32) - 1),
+                                  st.one_of(st.none(), st.just(5), st.integers(0, 6))),
+                        min_size=1, max_size=40))
+    def test_ranking_matches_uncached(self, ops):
+        # rankings are read with k after some operations only (k None: no
+        # read), so a cached one may survive several mutations before it is
+        # read again; a keyframe keeps only its last k's ranking
+        world = RandomMapOps()
+        for kind, seed, k in ops:
+            world.apply(kind, np.random.default_rng(seed))
+            if k is None:
+                continue
+            for m in (world.shared, world.private):
+                m.check_integrity()
+                for kid in sorted(m.keyframes):
+                    assert m.top_covisible(kid, k) == uncached_top_covisible(m, kid, k)
+
+    @staticmethod
+    def drop_and_refill(m):
+        """Keyframe 1 ranks [2]; a merge then drops one of its observations
+        and a late point seen by 1 and 3 adds one back, so 1 again lists two
+        present points with four observers in all, but now ranks [2, 3]."""
+        m.insert_keyframe(make_kf(1, [1], observed={100, 101}),
+                          [make_point(100, [0, 0, 0], 1, {1}), make_point(101, [0, 0, 0], 1, {1})])
+        m.insert_keyframe(make_kf(2, [1], observed={100, 101}), [])
+        m.insert_keyframe(make_kf(3, [1]), [])
+        assert m.top_covisible(1, 5) == [2]
+        m.merge_map_points(100, 101)
+        m.upsert_point(make_point(102, [0, 0, 0], 1, {1, 3}))
+
+    def test_unlink_invalidates_an_equal_size_ranking(self):
+        m = AgentMap()
+        self.drop_and_refill(m)
+        assert m.top_covisible(1, 5) == uncached_top_covisible(m, 1, 5) == [2, 3]
+
+    def test_absorb_clears_rankings_of_moved_keyframes(self):
+        # the moved keyframe's ranking was keyed on the private map's count
+        # of drops, and the shared map's own count is still 0
+        db = MapDatabase()
+        self.drop_and_refill(db.spawn_private_map())
+        db.merge_private_map(Sim3Transform.identity())
+        assert db.shared_map.unlinks == 0
+        assert db.shared_map.top_covisible(1, 5) == [2, 3]

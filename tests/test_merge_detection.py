@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshslam.map_store import AgentMap, KeyFrame, MapPoint, UnknownObjectError, normalize_histogram
 from meshslam.merge_detection import (
     COVISIBLE_COUNT,
+    bow_similarities,
     bow_similarity,
     calculate_merge_score,
     detect_merge,
@@ -197,3 +200,173 @@ class TestDetectMerge:
             detect_merge(AgentMap(), {}, 0.0)
         with pytest.raises(ValueError):
             detect_merge(AgentMap(), {}, 1.5)
+
+
+def bare_kf(uid, words):
+    """A keyframe holding `words` as given, not normalized."""
+    return KeyFrame(id=uid, origin_agent=0, timestamp=0.0, pose=Se3Pose.identity(),
+                    words=dict(words))
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+TOP_ID = (1 << 32) - 1
+HISTOGRAMS = st.dictionaries(
+    st.one_of(st.integers(0, 40), st.integers(TOP_ID - 40, TOP_ID)),
+    st.one_of(st.just(0.0), st.floats(-1.0, 10.0, allow_nan=False), st.integers(0, 5)),
+    max_size=12)
+
+
+class TestBowSimilarities:
+    """The batch equals the scalar `bow_similarity` bit for bit."""
+
+    def check(self, histograms, query):
+        kfs = [bare_kf(i, h) for i, h in enumerate(histograms)]
+        want = [bow_similarity(h, query) for h in histograms]
+        assert hexes(bow_similarities(kfs, query)) == hexes(want)
+        # a second pass reads the histograms kept on the keyframes
+        assert hexes(bow_similarities(kfs, query)) == hexes(want)
+
+    def test_histogram_kept_on_keyframe(self):
+        kf = bare_kf(1, {9: 2.0, 1: 1.0})
+        assert kf.histogram is None
+        bow_similarities([kf], {1: 1.0})
+        ids, weights = kf.histogram
+        assert ids.tolist() == [1, 9]
+        assert weights.tolist() == [1.0 / 3.0, 2.0 / 3.0]
+        assert bow_similarities([kf], {1: 1.0}) == [bow_similarity(kf.words, {1: 1.0})]
+
+    def test_edge_histograms(self):
+        edge = [{}, {3: 0.0}, {3: 0.0, 4: 0.0}, {1: 1.0}, {7: 1.0}, {1: 0.2, 2: 0.8},
+                {9: 2.0, 1: 1.0, 5: 0.5}, {TOP_ID: 1.0}, {TOP_ID - 1: 0.3, TOP_ID: 0.7},
+                {0: 1.0, TOP_ID: 1.0}, {2: 1.0, 3: -1.0}, {1: 1, 2: 3}]
+        for query in edge:
+            self.check(edge, query)
+
+    def test_no_keyframes(self):
+        assert bow_similarities([], {1: 1.0}) == []
+
+    def test_disjoint_and_single_word(self):
+        self.check([{1: 1.0}, {2: 1.0}, {1: 1.0, 2: 1.0}], {3: 1.0})
+        self.check([{1: 1.0}, {2: 1.0}, {1: 1.0, 2: 1.0}], {2: 1.0})
+
+    def test_random_normalized_histograms(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            hists = [normalize_histogram({int(w): float(rng.integers(1, 6)) for w in
+                                          rng.choice(400, size=int(rng.integers(1, 30)))})
+                     for _ in range(int(rng.integers(1, 40)))]
+            self.check(hists, hists[int(rng.integers(len(hists)))])
+            self.check(hists, {int(w): float(rng.uniform(0, 1))
+                               for w in rng.choice(400, size=10, replace=False)})
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(histograms=st.lists(HISTOGRAMS, max_size=8), query=HISTOGRAMS)
+    def test_property(self, histograms, query):
+        self.check(histograms, query)
+
+
+def exhaustive_detect_merge(m, words, factor):
+    score, best = exhaustive_merge_score(m, words)
+    if best is None:
+        return None
+    baseline, _ = exhaustive_merge_score(m, m.keyframes[best].words)
+    return (score, best, baseline) if score >= factor * baseline else None
+
+
+class TestScoringAcrossMutations:
+    """Scores equal the exhaustive oracle after every map mutation, so no
+    cached ranking or histogram outlives what it was computed from."""
+
+    def assert_scores(self, m, rng):
+        queries = [m.keyframes[kid].words for kid in sorted(m.keyframes)[-3:]]
+        queries += [{int(w): float(rng.uniform(0.1, 1))
+                     for w in rng.choice(30, size=int(rng.integers(1, 6)), replace=False)}
+                    for _ in range(3)]
+        for q in queries:
+            assert calculate_merge_score(m, q) == exhaustive_merge_score(m, q)
+            cand = detect_merge(m, q, acceptance_factor=0.75)
+            got = None if cand is None else (cand.score, cand.best_match_kf, cand.baseline)
+            assert got == exhaustive_detect_merge(m, q, 0.75)
+
+    def test_interleaved_mutations(self):
+        rng = np.random.default_rng(31)
+        hits = dict.fromkeys(("new_keyframe", "late_point", "merge", "absorb"), 0)
+        for trial in range(6):
+            m = random_map(rng, max_kf=25, max_words=30)
+            next_id = 50_000
+            for step in range(12):
+                self.assert_scores(m, rng)
+                kind = ("new_keyframe", "late_point", "merge", "absorb")[step % 4]
+                pool = sorted(m.points)
+                if kind == "new_keyframe":
+                    seen = {int(p) for p in rng.choice(pool, size=min(4, len(pool)), replace=False)}
+                    next_id += 1
+                    words = sorted({m.points[p].word for p in seen})
+                    m.insert_keyframe(make_kf(next_id, words, observed=seen), [])
+                elif kind == "late_point":
+                    # a keyframe lists a point that arrives after it
+                    next_id += 2
+                    kid, pid = next_id - 1, next_id
+                    seen = {int(p) for p in rng.choice(pool, size=min(3, len(pool)), replace=False)}
+                    word = m.points[min(seen)].word
+                    m.insert_keyframe(make_kf(kid, [word], observed=seen | {pid}), [])
+                    assert kid in m.pending_point_links[pid]
+                    self.assert_scores(m, rng)
+                    m.upsert_point(MapPoint(pid, np.zeros(3), word, set()))
+                    assert pid in m.keyframes[kid].observed_points and pid in m.points
+                elif kind == "merge":
+                    pairs = [(a, b) for a in pool for b in pool
+                             if a < b and m.points[a].word == m.points[b].word]
+                    if not pairs:
+                        continue
+                    keep, discard = pairs[int(rng.integers(len(pairs)))]
+                    m.merge_map_points(keep, discard)
+                else:
+                    private = AgentMap()
+                    for _ in range(3):
+                        next_id += 2
+                        kid, pid = next_id - 1, next_id
+                        word = int(rng.integers(0, 30))
+                        shared = {int(p) for p in rng.choice(pool, size=2, replace=False)}
+                        private.insert_keyframe(
+                            make_kf(kid, [word], observed=shared | {pid}),
+                            [MapPoint(pid, np.zeros(3), word, {kid})])
+                    m.absorb(private)
+                hits[kind] += 1
+                m.check_integrity()
+            self.assert_scores(m, rng)
+        assert all(hits.values()), hits
+
+
+class TestTies:
+    """Maps of identical histograms, where every comparison is a tie."""
+
+    def test_isolated_identical_keyframes_later_id_wins(self):
+        m = AgentMap()
+        for uid in (5, 3, 9, 1, 7):
+            m.insert_keyframe(make_kf(uid, [1, 2, 3]), [])
+        q = m.keyframes[1].words
+        assert calculate_merge_score(m, q) == exhaustive_merge_score(m, q) == (1.0, 9)
+
+    def test_identical_covisible_cliques(self):
+        # two cliques of identical keyframes: every candidate scores the same
+        m = AgentMap()
+        for clique, pid in ((range(1, 7), 100), (range(11, 17), 200)):
+            m.insert_keyframe(make_kf(clique[0], [1, 2], observed={pid}),
+                              [MapPoint(pid, np.zeros(3), 1, {clique[0]})])
+            for uid in clique[1:]:
+                m.insert_keyframe(make_kf(uid, [1, 2], observed={pid}), [])
+        q = {1: 0.5, 2: 0.5}
+        assert calculate_merge_score(m, q) == exhaustive_merge_score(m, q) == (6.0, 16)
+        assert dynamic_baseline(m, 16) == 6.0
+
+    def test_random_tie_heavy_maps(self):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            m = random_map(rng, max_kf=30, max_words=3)
+            for q in ({0: 1.0}, {0: 1.0, 1: 1.0}, {0: 1.0, 1: 1.0, 2: 1.0}):
+                q = normalize_histogram(q)
+                assert calculate_merge_score(m, q) == exhaustive_merge_score(m, q)

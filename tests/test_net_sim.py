@@ -126,6 +126,39 @@ class TestReachability:
             assert comps == oracle
 
 
+
+class TestSameComponentCache:
+    """Components are computed once per interval between partition boundaries."""
+
+    def test_matches_recomputation_around_every_boundary(self):
+        rng = np.random.default_rng(5)
+        agents = [0, 1, 2, 3, 4]
+        pairs = [(a, b) for a in agents for b in agents if a < b]
+        for _ in range(20):
+            windows = []
+            for _ in range(int(rng.integers(1, 4))):
+                start = float(rng.integers(0, 6))
+                end = start + float(rng.integers(1, 5))
+                down = [pairs[i] for i in rng.choice(len(pairs), size=int(rng.integers(1, 8)),
+                                                     replace=False)]
+                windows.append(PartitionWindow(start, end, down))
+            net = MeshNetwork(agents, NetworkConfig(partitions=windows), seed=1)
+            times = [-1.0, 100.0]
+            for b in net.partition_boundaries():
+                times += [float(np.nextafter(b, -np.inf)), b, float(np.nextafter(b, np.inf))]
+            for t in rng.permutation(times).tolist():
+                comps = net.reachability(t)
+                for a in agents:
+                    for b in agents:
+                        want = any(a in c and b in c for c in comps)
+                        assert net.same_component(a, b, t) == want, (windows, t, a, b)
+
+    def test_unknown_agent_is_unreachable(self):
+        net = MeshNetwork([0, 1], NetworkConfig(), seed=1)
+        assert not net.same_component(0, 9, 0.0)
+        assert not net.same_component(9, 0, 0.0)
+
+
 class TestLedger:
     def test_no_traffic_all_zero(self):
         led = BandwidthLedger([0, 1])
