@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .net_sim import NetworkConfig, PartitionWindow
+from .wire import MAX_WORD_TOTAL
 
 
 class ConfigError(ValueError):
@@ -144,39 +145,42 @@ class ScenarioConfig:
             for j, link in enumerate(window.down_links):
                 if not all(x in ids for x in link):
                     raise ConfigError(f"net.partitions[{i}].links[{j}]: unknown agent")
-        if self.world.landmarks < 1:
-            raise ConfigError("world.landmarks: must be >= 1")
-        if self.world.vocab_size < 1:
-            raise ConfigError("world.vocab_size: must be >= 1")
-        if self.world.cell_size <= 0:
-            raise ConfigError("world.cell_size: must be positive")
+        for ok, need, paths in _RANGES:
+            for path in paths:
+                section, key = path.split(".")
+                if not ok(getattr(getattr(self, section), key)):
+                    raise ConfigError(f"{path}: {need}")
         if not self.world.regions:
             raise ConfigError("world.regions: at least one region is required")
         for i, box in enumerate(self.world.regions):
             if len(box) != 6 or not all(box[k] < box[k + 3] for k in range(3)):
                 raise ConfigError(f"world.regions[{i}]: need [x0,y0,z0,x1,y1,z1] with min < max")
-        if self.run.duration <= 0 or self.run.dt <= 0:
-            raise ConfigError("run: duration and dt must be positive")
-        if not 0 < self.merge.acceptance_factor <= 1:
-            raise ConfigError("merge.acceptance_factor: must be in (0, 1]")
-        # the RANSAC parameters of alignment rounds and of full merges, and the
-        # protocol's timer delays, which must lie ahead of the clock
-        for where, value in (("align.ransac_iterations", self.align.ransac_iterations),
-                             ("align.inlier_threshold", self.align.inlier_threshold),
-                             ("align.min_inliers", self.align.min_inliers),
-                             ("merge.min_inliers", self.merge.min_inliers),
-                             ("merge.handshake_timeout", self.merge.handshake_timeout),
-                             ("merge.notify_spacing", self.merge.notify_spacing),
-                             ("align.response_timeout", self.align.response_timeout),
-                             ("align.t_initial", self.align.t_initial),
-                             ("align.t_min", self.align.t_min),
-                             ("align.t_max", self.align.t_max)):
-            if not value > 0:
-                raise ConfigError(f"{where}: must be positive")
         if self.align.t_min > self.align.t_max:
             raise ConfigError("align.t_min: must not exceed align.t_max")
-        if self.share.batch_size < 1 or self.share.drain_budget < 1:
-            raise ConfigError("share: batch_size and drain_budget must be >= 1")
+
+
+# (test, the requirement its error names, the key paths it applies to) for
+# every scalar setting with a range; timer delays must lie ahead of the clock
+_RANGES = (
+    (lambda v: v > 0, "must be positive",
+     ("world.cell_size", "run.duration", "run.dt", "merge.min_inliers",
+      "merge.handshake_timeout", "merge.notify_spacing", "align.ransac_iterations",
+      "align.inlier_threshold", "align.min_inliers", "align.t_initial", "align.t_min",
+      "align.t_max", "align.response_timeout")),
+    (lambda v: v >= 1, "must be >= 1",
+     ("world.vocab_size", "merge.notify_repeats", "share.batch_size", "share.drain_budget",
+      "track.lost_frames")),
+    (lambda v: v >= 0, "must be >= 0",
+     ("merge.neighborhood_depth", "merge.cluster_tolerance", "share.dup_radius",
+      "track.spawn_distance", "track.spawn_angle_deg", "track.min_word_matches")),
+    (lambda v: 0 < v <= 1, "must be in (0, 1]", ("merge.acceptance_factor", "align.ok_ratio")),
+    (lambda v: 0 <= v <= 1, "must be in [0, 1]", ("track.point_update_blend",)),
+    (lambda v: v is None or v > 0, "must be positive or null", ("align.ok_rmse",)),
+    # a view counts each landmark at most once, so a keyframe's word counts
+    # add up to at most the landmark count, which the wire bounds
+    (lambda v: 1 <= v <= MAX_WORD_TOTAL, f"must be in [1, {MAX_WORD_TOTAL}]",
+     ("world.landmarks",)),
+)
 
 
 def _check_finite(value: object, where: str) -> None:

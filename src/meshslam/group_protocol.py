@@ -284,7 +284,7 @@ class SystemManager:
 
     # -- announcements ------------------------------------------------------
 
-    def announce_keyframe_bow(self, kf_id: int, words: dict[int, float]) -> list[int]:
+    def announce_keyframe_bow(self, kf_id: int, words: dict[int, int]) -> list[int]:
         """Send the keyframe's word histogram to every other group leader.
 
         Returns the recipients; empty when this agent is not a leader (merge
@@ -306,8 +306,7 @@ class SystemManager:
         state = self.state(self.agent_id, sender)
         if state != PeerState.UNMERGED or self._merge_busy():
             return  # handshake running, already merged, or peer unavailable
-        cand = detect_merge(self.shared_map(), msg.words,
-                            self.merge.acceptance_factor, sender)
+        cand = detect_merge(self.shared_map(), msg.words, self.merge.acceptance_factor)
         if cand is None:
             return
         self.hooks.log("merge_detected", peer=sender, score=cand.score,
@@ -367,7 +366,6 @@ class SystemManager:
                              inlier_count: int) -> None:
         old_group = sorted(self.registry.group_of(self.agent_id))
         roster = sorted(self.registry.group_of(lower_leader).union(old_group))
-        new_leader = roster[0]
         self.hooks.apply_map_transform(transform)
         self._absorb_roster(roster)
         self._merge_counter += 1
@@ -375,7 +373,7 @@ class SystemManager:
         self._applied_merge_ids.add(merge_id)
         notice = MergeNotify(self.agent_id, transform, roster, old_group, merge_id)
         members = sorted(set(old_group) - {self.agent_id}) + [lower_leader]
-        update = GroupUpdate(self.agent_id, roster, new_leader)
+        update = GroupUpdate(self.agent_id, roster)
 
         def broadcast():
             for member in members:
@@ -388,9 +386,9 @@ class SystemManager:
         # a member permanently misaligned, so it is repeated a few times and
         # receivers deduplicate on the merge id
         broadcast()
-        for k in range(1, max(1, self.merge.notify_repeats)):
+        for k in range(1, self.merge.notify_repeats):
             self.hooks.schedule(k * self.merge.notify_spacing, broadcast)
-        self.hooks.log("group_merged", roster=roster, leader=new_leader,
+        self.hooks.log("group_merged", roster=roster, leader=roster[0],
                        inliers=inlier_count, scale=transform.scale)
 
     def on_merge_notify(self, msg: MergeNotify) -> None:

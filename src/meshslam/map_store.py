@@ -69,21 +69,13 @@ class UuidGenerator:
         return uid
 
 
-def normalize_histogram(counts: dict[int, float]) -> dict[int, float]:
-    """Term-frequency normalize word counts to sum 1, dropping zeros."""
-    total = float(sum(counts.values()))
-    if total <= 0:
-        raise ValueError("histogram must have positive total weight")
-    return {w: c / total for w, c in sorted(counts.items()) if c > 0}
-
-
 @dataclass
 class KeyFrame:
     id: int
     origin_agent: int
     timestamp: float
     pose: Se3Pose
-    words: dict[int, float]
+    words: dict[int, int]  # visual word id -> count of landmarks seen with it
     observed_points: set[int] = field(default_factory=set)
     # the AgentMap holding this keyframe; set on insertion and on absorb
     owner: AgentMap | None = field(default=None, init=False, repr=False, compare=False)
@@ -91,7 +83,7 @@ class KeyFrame:
     # cleared wherever `owner` is set
     ranked: tuple[tuple, list[int]] | None = field(
         default=None, init=False, repr=False, compare=False)
-    # `words` as (ascending ids, weights / total) arrays, filled by
+    # `words` as (ascending ids, counts) int64 arrays, filled by
     # `merge_detection.bow_similarities`; `words` is never mutated after
     # construction, so this never goes stale
     histogram: tuple[np.ndarray, np.ndarray] | None = field(
@@ -183,7 +175,7 @@ class AgentMap:
 
     # -- queries ---------------------------------------------------------
 
-    def query_visual_word_set(self, words: dict[int, float]) -> set[int]:
+    def query_visual_word_set(self, words: dict[int, int]) -> set[int]:
         """Keyframes whose histogram shares at least one word id with the query."""
         out: set[int] = set()
         for w in words:

@@ -8,12 +8,14 @@ own histogram as the query.  A merge is plausible when the query scores at
 least ``acceptance_factor`` times what the map scores against itself around
 that location.
 
-A scoring pass first collects every candidate's window (the candidate and
-its top covisible neighbors, a ranking the map reuses until the keyframe's
-observations change), then computes the similarity of every keyframe the
-windows name in one `bow_similarities` batch, equal bit for bit to
-`bow_similarity`.  Each keyframe's histogram arrays are built once and kept
-on the keyframe.
+Histograms are word counts, the same integers on every agent that holds a
+keyframe.  A scoring pass first collects every candidate's window (the
+candidate and its top covisible neighbors, a ranking the map reuses until the
+keyframe's observations change), then computes the similarity of every
+keyframe the windows name in one `bow_similarities` batch.  The score is
+exact integer arithmetic and one division, so the batch equals
+`bow_similarity` bit for bit in any summation order.  Each keyframe's
+histogram arrays are built once and kept on the keyframe.
 """
 
 from __future__ import annotations
@@ -33,85 +35,63 @@ class MergeCandidate:
     score: float
     best_match_kf: int
     baseline: float
-    query_agent: int
 
 
-def bow_similarity(a: dict[int, float], b: dict[int, float]) -> float:
-    """L1 histogram similarity in [0, 1]; empty against anything is 0."""
-    if not a or not b:
-        return 0.0
-    ta = sum(a.values())
-    tb = sum(b.values())
-    if ta <= 0 or tb <= 0:
-        return 0.0
-    dist = 0.0
-    for w in sorted(set(a) | set(b)):
-        dist += abs(a.get(w, 0.0) / ta - b.get(w, 0.0) / tb)
-    return 1.0 - 0.5 * dist
+def bow_similarity(a: dict[int, int], b: dict[int, int]) -> float:
+    """L1 similarity in [0, 1] of two word-count histograms; empty against anything is 0.
 
-
-_NO_WORDS = (np.zeros(0, dtype=np.int64), np.zeros(0))
-
-
-def _histogram(words: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending word ids and their weights divided by the histogram's total.
-
-    The total is the same Python ``sum`` that `bow_similarity` takes.  Empty
-    arrays stand for a histogram that `bow_similarity` scores 0 against
-    anything: one whose total is not positive, which includes an empty one.
+    Equal to ``1 - sum_w |a_w*n_b - b_w*n_a| / (2*n_a*n_b)`` for totals
+    ``n_a`` and ``n_b`` (the absolute differences add up to ``2*n_a*n_b``
+    minus twice the shared minima), computed exactly on integers and rounded
+    once.
     """
-    total = sum(words.values())
-    if total <= 0:
-        return _NO_WORDS
+    na, nb = sum(a.values()), sum(b.values())
+    if not na or not nb:
+        return 0.0
+    return sum(min(c * nb, b[w] * na) for w, c in a.items() if w in b) / (na * nb)
+
+
+def _histogram(words: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending word ids and their counts, as int64 arrays."""
     ids = np.fromiter(words, dtype=np.int64, count=len(words))
-    weights = np.fromiter(words.values(), dtype=np.float64, count=len(words)) / total
+    counts = np.fromiter(words.values(), dtype=np.int64, count=len(words))
     order = np.argsort(ids)
-    return ids[order], weights[order]
+    return ids[order], counts[order]
 
 
-def bow_similarities(keyframes: list[KeyFrame], words: dict[int, float]) -> list[float]:
+def bow_similarities(keyframes: list[KeyFrame], words: dict[int, int]) -> list[float]:
     """``bow_similarity(kf.words, words)`` for every keyframe, equal bit for bit.
 
     A keyframe's histogram arrays are kept in ``kf.histogram``: its ``words``
-    is never mutated after construction.  The rows share one set of columns,
-    the sorted union of the word ids present, so a word id is never used as
-    an index (ids are u32 on the wire).  ``cumsum`` adds strictly left to
-    right, as `bow_similarity`'s loop does over ascending ids (``np.sum``
-    would add pairwise), and a word absent from both sides adds exactly +0.0.
+    is never mutated after construction.  Counts stay below 2**16 per
+    histogram (the wire and the config bound the total), so every product and
+    sum is an exact int64 below 2**53, the same integers in any order, and
+    the one division rounds them as `bow_similarity`'s does.
     """
-    out = [0.0] * len(keyframes)
-    q_ids, q_weights = _histogram(words)
-    if not len(q_ids):
-        return out
-    rows: list[int] = []
-    hists: list[tuple[np.ndarray, np.ndarray]] = []
-    for i, kf in enumerate(keyframes):
+    q_ids, q_counts = _histogram(words)
+    nq = int(q_counts.sum())
+    if not keyframes or not nq:
+        return [0.0] * len(keyframes)
+    for kf in keyframes:
         if kf.histogram is None:
             kf.histogram = _histogram(kf.words)
-        if len(kf.histogram[0]):
-            rows.append(i)
-            hists.append(kf.histogram)
-    if not rows:
-        return out
+    hists = [kf.histogram for kf in keyframes]
     ids = np.concatenate([h[0] for h in hists])
-    # the sorted union of the word ids, by sorting: np.union1d's hash table
-    # adds about 1.7 MB to a simulation's peak memory
-    columns = np.sort(np.concatenate([q_ids, ids]))
-    columns = columns[np.concatenate(([True], columns[1:] != columns[:-1]))]
-    table = np.zeros((len(rows), len(columns)))
-    owners = np.repeat(np.arange(len(rows)), [len(h[0]) for h in hists])
-    table[owners, np.searchsorted(columns, ids)] = np.concatenate([h[1] for h in hists])
-    query = np.zeros(len(columns))
-    query[np.searchsorted(columns, q_ids)] = q_weights
-    dist = np.cumsum(np.abs(table - query), axis=1)[:, -1]
-    for i, sim in zip(rows, (1.0 - 0.5 * dist).tolist()):
-        out[i] = sim
-    return out
+    counts = np.concatenate([h[1] for h in hists])
+    owners = np.repeat(np.arange(len(hists)), [len(h[0]) for h in hists])
+    totals = np.zeros(len(hists), dtype=np.int64)
+    np.add.at(totals, owners, counts)
+    # each keyframe word's slot in the query, where the query has that word
+    at = np.minimum(np.searchsorted(q_ids, ids), len(q_ids) - 1)
+    shared = np.flatnonzero(q_ids[at] == ids)
+    overlap = np.zeros(len(hists), dtype=np.int64)
+    np.add.at(overlap, owners[shared], np.minimum(
+        counts[shared] * nq, q_counts[at[shared]] * totals[owners[shared]]))
+    scale = totals * nq
+    return np.divide(overlap, scale, out=np.zeros(len(hists)), where=scale != 0).tolist()
 
 
-def calculate_merge_score(
-    m: AgentMap, words: dict[int, float]
-) -> tuple[float, int | None]:
+def calculate_merge_score(m: AgentMap, words: dict[int, int]) -> tuple[float, int | None]:
     """Best (score, keyframe id) for a query histogram, (0, None) if no match.
 
     Candidates are visited in ascending id order and a tie on the running
@@ -141,12 +121,8 @@ def dynamic_baseline(m: AgentMap, best_kf: int) -> float:
     return score
 
 
-def detect_merge(
-    m: AgentMap,
-    words: dict[int, float],
-    acceptance_factor: float,
-    query_agent: int = -1,
-) -> MergeCandidate | None:
+def detect_merge(m: AgentMap, words: dict[int, int],
+                 acceptance_factor: float) -> MergeCandidate | None:
     if not 0.0 < acceptance_factor <= 1.0:
         raise ValueError("acceptance_factor must be in (0, 1]")
     score, best_kf = calculate_merge_score(m, words)
@@ -154,5 +130,5 @@ def detect_merge(
         return None
     baseline = dynamic_baseline(m, best_kf)
     if score >= acceptance_factor * baseline:
-        return MergeCandidate(score, best_kf, baseline, query_agent)
+        return MergeCandidate(score, best_kf, baseline)
     return None

@@ -25,6 +25,7 @@ computed once per tick and reused for the next tick's odometry delta.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .config import AgentConfig, TrackConfig, WorldConfig
 from .geometry import Rotation, Se3Pose, Sim3Transform, se3_exp, vec3
-from .map_store import KeyFrame, MapPoint, UuidGenerator, normalize_histogram
+from .map_store import KeyFrame, MapPoint, UuidGenerator
 
 
 @dataclass(frozen=True)
@@ -302,9 +303,7 @@ class AgentTracker:
         """
         if not frame.visible or not self.should_spawn():
             return None
-        counts: dict[int, float] = {}
-        for lm in frame.visible:
-            counts[lm.word] = counts.get(lm.word, 0.0) + 1.0
+        counts = Counter(lm.word for lm in frame.visible)
         observed: set[int] = set()
         new_points: list[MapPoint] = []
         reobserved: list[tuple[MapPoint, int]] = []  # (point, measured row)
@@ -328,7 +327,7 @@ class AgentTracker:
         _blend_positions(reobserved, measured_rows, self.track.point_update_blend)
         kf = KeyFrame(
             id=kf_id, origin_agent=agent_id, timestamp=t, pose=self.est_pose.copy(),
-            words=normalize_histogram(counts), observed_points=observed,
+            words=dict(sorted(counts.items())), observed_points=observed,
         )
         self.last_kf_pose = self.est_pose.copy()
         return kf, new_points

@@ -224,8 +224,7 @@ class AgentRuntime:
         shared = self.db.shared_map
         if not shared.keyframes:
             return
-        cand = detect_merge(shared, kf.words,
-                            self.scenario.merge.acceptance_factor, self.id)
+        cand = detect_merge(shared, kf.words, self.scenario.merge.acceptance_factor)
         if cand is None:
             return
         result = attempt_full_merge(

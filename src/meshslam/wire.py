@@ -16,7 +16,7 @@ in declaration order; the sequence number lives only in the envelope.
 Field codecs:
 
     uuid       16B, low 64 bits first
-    words      count u32 + (word u32, weight f32)*
+    words      count u32 + (word u32, count u16)*
     keyframes  count u32 + per keyframe: uuid 16B, origin u16, timestamp f64,
                pose 7*f64 (qw qx qy qz tx ty tz), words, obs_count u32 + uuid*
     points     count u32 + per point: uuid 16B, xyz 3*f64, word u32,
@@ -27,16 +27,23 @@ Field codecs:
 
 Keyframes and map points travel as the map store's own KeyFrame and MapPoint
 objects.  Decoding always builds fresh objects, so an object never reaches a
-second agent by reference.  Id lists (histogram word ids, observed ids,
-observer ids) are written strictly ascending; tagged points carry their ids
-in the order given, which the encoder requires to be strictly ascending too.
+second agent by reference.  A histogram travels as the word counts its
+keyframe holds, and a quaternion that is canonical up to rounding is kept as
+sent (others are normalized and sign-canonicalized), so a keyframe decodes to
+what its sender held, bit for bit.  Id lists (histogram word ids, observed
+ids, observer ids) are written strictly ascending; tagged points carry their
+ids in the order given, which the encoder requires to be strictly ascending
+too.
 
 Decoding is fail-closed: any structural problem raises WireError naming the
 byte offset (counted from the start of the payload for payload fields); no
 partially decoded object escapes.  Besides the layout, the decoder rejects
 non-finite floats, quaternions of zero, subnormal or non-finite norm, SIM(3)
-scales that are not positive, word weights that are negative, and id lists
-(tagged point ids among them) that are not strictly ascending.
+scales that are not positive, word counts of zero, histograms whose counts add
+up to more than ``MAX_WORD_TOTAL`` (65535; the error names the count that
+crosses it), and id lists (tagged point ids among them) that are not strictly
+ascending.  The encoder raises ValueError on a histogram whose counts are not
+positive or add up to more than ``MAX_WORD_TOTAL``.
 """
 
 from __future__ import annotations
@@ -56,6 +63,8 @@ MAGIC = b"DVMS"
 VERSION = 1
 _HEADER = struct.Struct("<4sHBHQI")
 HEADER_SIZE = _HEADER.size  # 21
+# the largest total of one histogram's word counts, so that any count fits a u16
+MAX_WORD_TOTAL = 0xFFFF
 
 
 class WireError(ValueError):
@@ -93,7 +102,7 @@ class MessageType(IntEnum):
 class BowAnnounce:
     sender: int
     kf_id: int
-    words: dict[int, float]
+    words: dict[int, int]
 
 
 @dataclass
@@ -136,7 +145,6 @@ class TaggedPoints:
 class GroupUpdate:
     sender: int
     roster: list[int]
-    leader: int
 
 
 @dataclass
@@ -190,11 +198,11 @@ _QUAT = _Fields("d", "d", "d", "d")
 _VEC3 = _Fields("d", "d", "d")
 _KF_HEAD = _Fields("QQ", "H", "d")         # id, origin, timestamp
 _UUID_VEC3 = _Fields("QQ", "d", "d", "d")  # point id, position
-_WORD = _Fields("I", "f")                  # word id, weight
+_WORD = _Fields("I", "H")                  # word id, count
 _U32_U32 = _Fields("I", "I")               # point word, observer count
 # The writer packs in one call what the reader reads in parts: the reader
 # checks each part's values before it reads the next part.
-_KF_RECORD = _KF_HEAD + _QUAT + _VEC3 + _U32  # up to the word count
+_KF_RECORD = _KF_HEAD + _QUAT + _VEC3  # up to the histogram
 _POINT_RECORD = _UUID_VEC3 + _U32_U32
 _SIM3 = _F64 + _QUAT + _VEC3
 # _UUID_VEC3 as one numpy record, for tagged points read and written as a block
@@ -303,10 +311,15 @@ def _read_rotation(r: _Reader) -> Rotation:
     q = _read_finite(r, _QUAT, "quaternion component")
     try:
         with np.errstate(over="ignore"):
-            return Rotation.from_quat(*q)
+            rotation = Rotation.from_quat(*q)
     except ValueError as exc:
         raise WireError(
             f"quaternion at offset {start} has zero, subnormal or non-finite norm") from exc
+    # dividing a unit quaternion by its computed norm can move it by an ulp,
+    # so a quaternion within 4 ulp of 1.0 of its canonical form is kept as sent
+    if max(abs(a - b) for a, b in zip(rotation.q.tolist(), q)) <= 2.0 ** -50:
+        return Rotation(np.array(q))
+    return rotation
 
 
 def _read_pose(r: _Reader) -> Se3Pose:
@@ -314,32 +327,49 @@ def _read_pose(r: _Reader) -> Se3Pose:
     return Se3Pose(rotation, np.array(_read_finite(r, _VEC3, "translation"), dtype=float))
 
 
-def _check_words(rows: list[tuple], start: int) -> None:
+def _check_words(rows: list[tuple[int, int]], start: int | None = None) -> None:
+    """Word ids strictly ascending, counts positive and adding up to at most
+    ``MAX_WORD_TOTAL``.
+
+    A fault raises WireError naming its offset in a payload whose rows begin
+    at `start`, or without `start` (the encoder's check) ValueError naming
+    the row's index.
+    """
     prev = -1
-    for i, (word, weight) in enumerate(rows):
-        at = start + 8 * i
+    total = 0
+    for i, (word, count) in enumerate(rows):
+        total += count
         if word <= prev:
-            raise WireError(f"word id {word} at offset {at} is not above the word id before it")
-        if not (math.isfinite(weight) and weight >= 0.0):
-            raise WireError(
-                f"word weight {weight} at offset {at + 4} is negative or not finite")
-        prev = word
+            fault, field = f"word id {word} at {{}} is not above the word id before it", 0
+        elif count < 1:
+            fault, field = f"word count {count} at {{}} is not positive", 4
+        elif total > MAX_WORD_TOTAL:
+            fault, field = (f"word count {count} at {{}} takes the histogram's total "
+                            f"to {total}, above {MAX_WORD_TOTAL}"), 4
+        else:
+            prev = word
+            continue
+        if start is None:
+            raise ValueError(fault.format(f"index {i}"))
+        raise WireError(fault.format(f"offset {start + _WORD.size * i + field}"))
 
 
-def _write_words(w: _Writer, words: dict[int, float]) -> None:
-    w.put(_U32, len(words))
-    w.rows(_WORD, sorted(words.items()))
+def _write_words(w: _Writer, words: dict[int, int]) -> None:
+    rows = sorted(words.items())
+    _check_words(rows)
+    w.put(_U32, len(rows))
+    w.rows(_WORD, rows)
 
 
-def _read_words(r: _Reader) -> dict[int, float]:
+def _read_words(r: _Reader) -> dict[int, int]:
     (n,) = r.read(_U32)
     return dict(r.rows(_WORD, n, _check_words))
 
 
 def _write_keyframe(w: _Writer, kf: KeyFrame) -> None:
     w.put(_KF_RECORD, kf.id & _M64, kf.id >> 64, kf.origin_agent, kf.timestamp,
-          *kf.pose.rotation.q.tolist(), *kf.pose.translation.tolist(), len(kf.words))
-    w.rows(_WORD, sorted(kf.words.items()))
+          *kf.pose.rotation.q.tolist(), *kf.pose.translation.tolist())
+    _write_words(w, kf.words)
     w.put(_U32, len(kf.observed_points))
     w.ids(kf.observed_points)
 
@@ -484,7 +514,7 @@ _PAYLOADS = {
     MessageType.ALIGNMENT_REQUEST: (AlignmentRequest, CATEGORY_ALIGNMENT, ()),
     MessageType.TAGGED_POINTS: (TaggedPoints, CATEGORY_ALIGNMENT,
                                 ((_write_tagged, _read_tagged),)),
-    MessageType.GROUP_UPDATE: (GroupUpdate, CATEGORY_CONTROL, (_ROSTER, _scalar(_U16))),
+    MessageType.GROUP_UPDATE: (GroupUpdate, CATEGORY_CONTROL, (_ROSTER,)),
     MessageType.LOC_LOST: (LocalizationLost, CATEGORY_CONTROL, ()),
     MessageType.LOC_REGAINED: (LocalizationRegained, CATEGORY_CONTROL, ()),
 }

@@ -14,7 +14,7 @@ from meshslam.ate import compute_ate
 from meshslam.cli import run_scenario
 from meshslam.geometry import Rotation, Se3Pose, Sim3Transform, se3_exp
 from meshslam.map_sharing import QueueEntry, insert_external_keyframe
-from meshslam.map_store import AgentMap, KeyFrame, MapPoint, normalize_histogram
+from meshslam.map_store import AgentMap, KeyFrame, MapPoint
 from meshslam.merge_detection import calculate_merge_score
 from meshslam.net_sim import CATEGORIES
 from meshslam.pose_graph import OptimizerParams, graph_cost, optimize
@@ -97,7 +97,7 @@ def test_criterion_3_merge_score_oracle_equivalence():
         rng = np.random.default_rng(7)
         for _ in range(200):
             m = random_map(rng, max_kf=50, max_words=100)
-            words = {int(w): float(rng.uniform(0.1, 1.0))
+            words = {int(w): int(rng.integers(1, 10))
                      for w in rng.choice(100, size=int(rng.integers(1, 7)),
                                          replace=False)}
             got_score, got_kf = calculate_merge_score(m, words)
@@ -262,11 +262,11 @@ def test_criterion_12_idempotency_and_convergence():
         local = MapPoint(1500, np.array([1.0, 0, 0]), word=7, observers={10})
         m.insert_keyframe(
             KeyFrame(10, 0, 0.0, Se3Pose.identity(),
-                     normalize_histogram({7: 1.0}), {1500}), [local])
+                     {7: 1}, {1500}), [local])
         ext_kf = KeyFrame(
             id=2000, origin_agent=1, timestamp=1.0,
             pose=Se3Pose(Rotation.identity(), np.array([0.5, 0, 0])),
-            words=normalize_histogram({7: 1.0}), observed_points={2500})
+            words={7: 1}, observed_points={2500})
         ext_pt = MapPoint(2500, np.array([1.01, 0, 0]), 7, {2000})
         insert_external_keyframe(m, QueueEntry(1, ext_kf, [ext_pt]), 0.05)
         snap = (sorted(m.keyframes), sorted(m.points),

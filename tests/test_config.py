@@ -49,6 +49,27 @@ def _partition(**window):
     return {"partitions": [{"start": 1.0, "end": 2.0, **window}]}
 
 
+# (section, key, value out of range, the bound the error names)
+BOUNDS = (
+    ("world", "landmarks", 0, r"must be in \[1, 65535\]"),
+    ("world", "landmarks", 65536, r"must be in \[1, 65535\]"),
+    ("track", "lost_frames", 0, "must be >= 1"),
+    ("merge", "notify_repeats", 0, "must be >= 1"),
+    ("track", "point_update_blend", -0.1, r"must be in \[0, 1\]"),
+    ("track", "point_update_blend", 1.5, r"must be in \[0, 1\]"),
+    ("align", "ok_ratio", 0.0, r"must be in \(0, 1\]"),
+    ("align", "ok_ratio", 1.01, r"must be in \(0, 1\]"),
+    ("align", "ok_rmse", 0.0, "must be positive or null"),
+    ("align", "ok_rmse", -0.01, "must be positive or null"),
+    ("merge", "neighborhood_depth", -1, "must be >= 0"),
+    ("merge", "cluster_tolerance", -0.1, "must be >= 0"),
+    ("share", "dup_radius", -0.05, "must be >= 0"),
+    ("track", "min_word_matches", -1, "must be >= 0"),
+    ("track", "spawn_distance", -0.3, "must be >= 0"),
+    ("track", "spawn_angle_deg", -15.0, "must be >= 0"),
+)
+
+
 @pytest.mark.parametrize("raw, where", [
     (_with(agent={"blackouts": 5}), r"agents\[0\]\.blackouts: expected a list"),
     (_with(agent={"blackouts": [5]}), r"agents\[0\]\.blackouts\[0\]: need"),
@@ -86,6 +107,9 @@ def _partition(**window):
 ] + [
     (_with(agent={key: value}), rf"agents\[0\]\.{key}: must be finite")
     for key in ("speed", "range_m") for value in NON_FINITE
+] + [
+    (_with(**{section: {key: value}}), rf"{section}\.{key}: {bound}")
+    for section, key, value, bound in BOUNDS
 ], ids=["blackouts-scalar", "blackouts-item", "latency-scalar", "partitions-scalar",
         "link-scalar", "partition-start-text", "world-scalar", "speed-text",
         "link-unknown-agent", "waypoints-scalar", "waypoint-text", "waypoint-coordinate-text",
@@ -97,6 +121,8 @@ def _partition(**window):
 ] + [
     f"{key}-{name}" for key in ("dt", "duration", "cell-size", "speed", "range-m")
     for name in ("nan", "inf", "-inf")
+] + [
+    f"{key}-{value}" for _, key, value, _ in BOUNDS
 ])
 def test_malformed_values_fail_closed(raw, where, tmp_path, capsys):
     with pytest.raises(ConfigError, match=where):
@@ -106,3 +132,16 @@ def test_malformed_values_fail_closed(raw, where, tmp_path, capsys):
     assert main(["sim", "--scenario", str(path), "--seed", "1",
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_bounds_are_inclusive_where_stated():
+    cfg = scenario_from_dict(_with(
+        world={"landmarks": 65535},
+        track={"lost_frames": 1, "point_update_blend": 1.0, "min_word_matches": 0,
+               "spawn_distance": 0.0, "spawn_angle_deg": 0.0},
+        merge={"notify_repeats": 1, "neighborhood_depth": 0, "cluster_tolerance": 0.0},
+        share={"dup_radius": 0.0},
+        align={"ok_ratio": 1.0, "ok_rmse": None}))
+    assert cfg.world.landmarks == 65535 and cfg.align.ok_rmse is None
+    assert scenario_from_dict(_with(track={"point_update_blend": 0.0},
+                                    align={"ok_rmse": 1e-9})).align.ok_rmse == 1e-9

@@ -12,7 +12,7 @@ from meshslam.group_protocol import (
     collect_word_correspondences,
     points_by_word,
 )
-from meshslam.map_store import AgentMap, KeyFrame, MapPoint, normalize_histogram
+from meshslam.map_store import AgentMap, KeyFrame, MapPoint
 from meshslam.wire import (
     BowAnnounce,
     FullMapMsg,
@@ -50,7 +50,7 @@ def build_map_in_frame(frame: Sim3Transform, words_positions, kf_base=1,
         words = sorted({items[k][0] for k in chunk})
         kf = KeyFrame(kf_id, agent, float(ci), Se3Pose(frame.rotation,
                       frame.translation.copy()),
-                      normalize_histogram({w: 1.0 for w in words}), observed)
+                      {w: 1 for w in words}, observed)
         m.insert_keyframe(kf, pts)
     return m
 
@@ -639,7 +639,7 @@ class RandomCluster:
         sender = roster[0]
         for dst in self.agents:
             if dst != sender:
-                self.outbox.append((sender, dst, GroupUpdate(sender, roster, sender)))
+                self.outbox.append((sender, dst, GroupUpdate(sender, roster)))
         self.deliver_some()
 
     def partition(self):

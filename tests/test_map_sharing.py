@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from meshslam.geometry import Rotation, Se3Pose
-from meshslam.map_store import AgentMap, KeyFrame, MapPoint, normalize_histogram
+from meshslam.map_store import AgentMap, KeyFrame, MapPoint
 from meshslam.map_sharing import (
     QueueEntry,
     SharingState,
@@ -15,7 +15,7 @@ def ext_keyframe(uid, words, observed, pos=(0, 0, 0), agent=1, ts=0.0):
     return KeyFrame(
         id=uid, origin_agent=agent, timestamp=ts,
         pose=Se3Pose(Rotation.identity(), np.asarray(pos, dtype=float)),
-        words=normalize_histogram({w: 1.0 for w in words}),
+        words={w: 1 for w in words},
         observed_points=set(observed),
     )
 
@@ -34,7 +34,7 @@ def random_packet(rng, sender=3):
             id=uid, origin_agent=sender, timestamp=float(rng.uniform(0, 100)),
             pose=Se3Pose(Rotation.from_rotvec(rng.uniform(-1, 1, 3)),
                          rng.uniform(-5, 5, 3)),
-            words={int(w): float(np.float32(rng.uniform(0, 1)))
+            words={int(w): int(rng.integers(1, 100))
                    for w in rng.choice(50, size=int(rng.integers(1, 5)), replace=False)},
             observed_points=set(pids),
         ))
@@ -124,7 +124,7 @@ class TestOutbox:
         m = AgentMap()
         for i in range(4):
             m.insert_keyframe(KeyFrame(i, 0, float(i), Se3Pose.identity(),
-                                       normalize_histogram({i: 1.0}), set()), [])
+                                       {i: 1}, set()), [])
             s.record_new_keyframe(i, [], peers=[5])
         assert s.flush_outbox(0, 5, m, batch_size=5) is None
         assert len(s.outbox(5).unsent_keyframes) == 4
@@ -135,7 +135,7 @@ class TestOutbox:
         for i in range(5):
             pt = MapPoint(100 + i, np.zeros(3), word=i, observers={i})
             m.insert_keyframe(KeyFrame(i, 0, float(i), Se3Pose.identity(),
-                                       normalize_histogram({i: 1.0}), {100 + i}), [pt])
+                                       {i: 1}, {100 + i}), [pt])
             s.record_new_keyframe(i, [100 + i], peers=[5])
         pkt = s.flush_outbox(0, 5, m, batch_size=5)
         assert pkt is not None
@@ -148,7 +148,7 @@ class TestOutbox:
         s = SharingState()
         m = AgentMap()
         m.insert_keyframe(KeyFrame(0, 0, 0.0, Se3Pose.identity(),
-                                   normalize_histogram({1: 1.0}), set()), [])
+                                   {1: 1}, set()), [])
         s.record_new_keyframe(0, [], peers=[5])
         pkt = s.flush_outbox(0, 5, m, batch_size=5, force=True)
         assert pkt is not None and len(pkt.keyframes) == 1
@@ -173,7 +173,7 @@ class TestInsertExternalKeyframe:
         m = AgentMap()
         local_pt = MapPoint(1500, np.array([1.0, 0, 0]), word=7, observers={10})
         m.insert_keyframe(KeyFrame(10, 0, 0.0, Se3Pose.identity(),
-                                   normalize_histogram({7: 1.0}), {1500}), [local_pt])
+                                   {7: 1}, {1500}), [local_pt])
         rec = ext_keyframe(2000, [7], observed=[2500])
         ext_pt = ext_point(2500, [1.02, 0, 0], 7, [2000])  # 0.02 away, same word
         insert_external_keyframe(m, self.entry(rec, [ext_pt]), 0.05)
@@ -186,7 +186,7 @@ class TestInsertExternalKeyframe:
         m = AgentMap()
         local_pt = MapPoint(1500, np.array([1.0, 0, 0]), word=7, observers={10})
         m.insert_keyframe(KeyFrame(10, 0, 0.0, Se3Pose.identity(),
-                                   normalize_histogram({7: 1.0}), {1500}), [local_pt])
+                                   {7: 1}, {1500}), [local_pt])
         rec = ext_keyframe(2000, [7], observed=[2500])
         ext_pt = ext_point(2500, [3.0, 0, 0], 7, [2000])
         insert_external_keyframe(m, self.entry(rec, [ext_pt]), 0.05)
@@ -238,7 +238,7 @@ class TestInsertExternalKeyframe:
             obs = {pid} | ({pid - 1} if i else set())
             pt = MapPoint(pid, rng.uniform(-2, 2, 3), word=i, observers={10 + i})
             m.insert_keyframe(KeyFrame(10 + i, 0, float(i), pose,
-                                       normalize_histogram({i: 1.0}), obs), [pt])
+                                       {i: 1}, obs), [pt])
 
         def pose_bytes():
             return {k: (kf.pose.rotation.q.tobytes(), kf.pose.translation.tobytes())

@@ -16,7 +16,6 @@ from meshslam.map_store import (
     UuidGenerator,
     WordMismatchError,
     make_uuid,
-    normalize_histogram,
     uuid_agent,
 )
 from meshslam.pose_graph import build_local_window, optimize
@@ -28,7 +27,7 @@ def make_kf(uid, words, observed=(), pose=None, agent=0, ts=0.0):
         origin_agent=agent,
         timestamp=ts,
         pose=pose or Se3Pose.identity(),
-        words=normalize_histogram({w: 1.0 for w in words}),
+        words={w: 1 for w in words},
         observed_points=set(observed),
     )
 

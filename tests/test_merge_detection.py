@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meshslam.map_store import AgentMap, KeyFrame, MapPoint, UnknownObjectError, normalize_histogram
+from meshslam.map_store import AgentMap, KeyFrame, MapPoint, UnknownObjectError
 from meshslam.merge_detection import (
     COVISIBLE_COUNT,
     bow_similarities,
@@ -18,23 +20,24 @@ from meshslam.geometry import Se3Pose
 def make_kf(uid, words, observed=()):
     return KeyFrame(
         id=uid, origin_agent=0, timestamp=0.0, pose=Se3Pose.identity(),
-        words=normalize_histogram({w: 1.0 for w in words}) if words else {},
+        words={w: 1 for w in words},
         observed_points=set(observed),
     )
 
 
+def exact_similarity(a, b):
+    """``1 - sum_w |a_w/n_a - b_w/n_b| / 2`` as an exact rational, rounded once."""
+    na, nb = sum(a.values()), sum(b.values())
+    if not na or not nb:
+        return 0.0
+    d = sum(abs(a.get(w, 0) * nb - b.get(w, 0) * na) for w in set(a) | set(b))
+    return float(1 - Fraction(d, 2 * na * nb))
+
+
 def exhaustive_merge_score(m, words):
     """Scoring oracle: linear scan instead of the inverted index, covisibility
-    recounted by brute-force set intersection."""
-
-    def sim(a, b):
-        if not a or not b:
-            return 0.0
-        ta, tb = sum(a.values()), sum(b.values())
-        d = sum(abs(a.get(w, 0) / ta - b.get(w, 0) / tb)
-                for w in sorted(set(a) | set(b)))
-        return 1.0 - 0.5 * d
-
+    recounted by brute-force set intersection, similarity as an exact rational."""
+    sim = exact_similarity
     best_score, best_kf = 0.0, None
     for kid in sorted(m.keyframes):
         kf = m.keyframes[kid]
@@ -83,47 +86,52 @@ def random_map(rng, max_kf=50, max_words=100):
 
 class TestBowSimilarity:
     def test_identical(self):
-        h = {1: 0.5, 2: 0.5}
+        h = {1: 1, 2: 1}
         assert bow_similarity(h, h) == 1.0
 
     def test_disjoint(self):
-        assert bow_similarity({1: 1.0}, {2: 1.0}) == 0.0
+        assert bow_similarity({1: 1}, {2: 1}) == 0.0
 
     def test_half_overlap(self):
         # 1 - 0.5 * (|1 - 0.5| + |0 - 0.5|) = 0.5
-        assert bow_similarity({1: 1.0}, {1: 1.0, 2: 1.0}) == pytest.approx(0.5)
+        assert bow_similarity({1: 1}, {1: 1, 2: 1}) == 0.5
 
     def test_empty_is_zero(self):
-        assert bow_similarity({}, {1: 1.0}) == 0.0
+        assert bow_similarity({}, {1: 1}) == 0.0
         assert bow_similarity({}, {}) == 0.0
 
     def test_scale_invariant(self):
-        a = {1: 2.0, 2: 6.0}
-        b = {1: 0.25, 2: 0.75}
-        assert bow_similarity(a, b) == pytest.approx(1.0)
+        a = {1: 2, 2: 6}
+        b = {1: 1, 2: 3}
+        assert bow_similarity(a, b) == 1.0
+
+    def test_exact_where_float_fractions_round(self):
+        # the exact score is 3/5; summing |0.3 - 0.7| + |0.7 - 0.3| in floats
+        # gives 0.6000000000000001
+        assert bow_similarity({1: 3, 2: 7}, {1: 7, 2: 3}) == 0.6
 
 
 class TestCalculateMergeScore:
     def test_empty_map(self):
-        assert calculate_merge_score(AgentMap(), {1: 1.0}) == (0.0, None)
+        assert calculate_merge_score(AgentMap(), {1: 1}) == (0.0, None)
 
     def test_single_isolated_identical(self):
         m = AgentMap()
         m.insert_keyframe(make_kf(1, [1, 2]), [])
-        score, best = calculate_merge_score(m, {1: 0.5, 2: 0.5})
-        assert score == pytest.approx(1.0)
+        score, best = calculate_merge_score(m, {1: 2, 2: 2})
+        assert score == 1.0
         assert best == 1
 
     def test_unseen_words_only(self):
         m = AgentMap()
         m.insert_keyframe(make_kf(1, [1, 2]), [])
-        assert calculate_merge_score(m, {9: 1.0}) == (0.0, None)
+        assert calculate_merge_score(m, {9: 1}) == (0.0, None)
 
     def test_oracle_equivalence_random_maps(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
             m = random_map(rng)
-            q_words = {int(w): float(rng.uniform(0.1, 1))
+            q_words = {int(w): int(rng.integers(1, 10))
                        for w in rng.choice(100, size=int(rng.integers(1, 6)), replace=False)}
             got = calculate_merge_score(m, q_words)
             want = exhaustive_merge_score(m, q_words)
@@ -134,7 +142,7 @@ class TestCalculateMergeScore:
         rng = np.random.default_rng(12)
         for _ in range(20):
             m = random_map(rng, max_kf=20)
-            q = {int(w): 1.0 for w in rng.choice(100, size=3, replace=False)}
+            q = {int(w): 1 for w in rng.choice(100, size=3, replace=False)}
             before, _ = calculate_merge_score(m, q)
             m.insert_keyframe(make_kf(999_999, sorted(q)), [])
             after, _ = calculate_merge_score(m, q)
@@ -144,7 +152,7 @@ class TestCalculateMergeScore:
         rng = np.random.default_rng(13)
         for _ in range(20):
             m = random_map(rng)
-            q = {int(w): 1.0 for w in rng.choice(100, size=4, replace=False)}
+            q = {int(w): 1 for w in rng.choice(100, size=4, replace=False)}
             score, _ = calculate_merge_score(m, q)
             assert score <= COVISIBLE_COUNT + 1.0
 
@@ -153,7 +161,7 @@ class TestDynamicBaseline:
     def test_isolated_keyframe(self):
         m = AgentMap()
         m.insert_keyframe(make_kf(1, [1, 2, 3]), [])
-        assert dynamic_baseline(m, 1) == pytest.approx(1.0)
+        assert dynamic_baseline(m, 1) == 1.0
 
     def test_five_identical_covisible_neighbors(self):
         m = AgentMap()
@@ -162,7 +170,7 @@ class TestDynamicBaseline:
         m.insert_keyframe(make_kf(1, [0, 1, 2], observed=set(pids)), pts)
         for uid in range(2, 7):
             m.insert_keyframe(make_kf(uid, [0, 1, 2], observed=set(pids)), [])
-        assert dynamic_baseline(m, 1) == pytest.approx(6.0)
+        assert dynamic_baseline(m, 1) == 6.0
 
     def test_missing_keyframe_errors(self):
         with pytest.raises(UnknownObjectError):
@@ -173,27 +181,26 @@ class TestDetectMerge:
     def test_equal_histogram_accepted(self):
         m = AgentMap()
         m.insert_keyframe(make_kf(1, [1, 2]), [])
-        cand = detect_merge(m, {1: 0.5, 2: 0.5}, acceptance_factor=0.75, query_agent=7)
+        cand = detect_merge(m, {1: 3, 2: 3}, acceptance_factor=0.75)
         assert cand is not None
         assert cand.best_match_kf == 1
-        assert cand.score == pytest.approx(cand.baseline)
-        assert cand.query_agent == 7
+        assert cand.score == cand.baseline == 1.0
 
     def test_disjoint_rejected(self):
         m = AgentMap()
         m.insert_keyframe(make_kf(1, [1, 2]), [])
-        assert detect_merge(m, {9: 1.0}, 0.75) is None
+        assert detect_merge(m, {9: 1}, 0.75) is None
 
     def test_threshold_arithmetic(self):
-        # single keyframe {w1}; query {w1: .5, w2: .5} scores 0.5, baseline 1.0
+        # single keyframe {w1}; query {w1: 1, w2: 1} scores 0.5, baseline 1.0
         m = AgentMap()
         m.insert_keyframe(make_kf(1, [1]), [])
-        q = {1: 0.5, 2: 0.5}
+        q = {1: 1, 2: 1}
         assert detect_merge(m, q, acceptance_factor=0.75) is None
         cand = detect_merge(m, q, acceptance_factor=0.4)
         assert cand is not None
-        assert cand.score == pytest.approx(0.5)
-        assert cand.baseline == pytest.approx(1.0)
+        assert cand.score == 0.5
+        assert cand.baseline == 1.0
 
     def test_invalid_factor(self):
         with pytest.raises(ValueError):
@@ -203,7 +210,7 @@ class TestDetectMerge:
 
 
 def bare_kf(uid, words):
-    """A keyframe holding `words` as given, not normalized."""
+    """A keyframe holding `words` as given."""
     return KeyFrame(id=uid, origin_agent=0, timestamp=0.0, pose=Se3Pose.identity(),
                     words=dict(words))
 
@@ -213,10 +220,17 @@ def hexes(values):
 
 
 TOP_ID = (1 << 32) - 1
+# word counts as the wire carries them: positive, adding up to at most 65535
 HISTOGRAMS = st.dictionaries(
     st.one_of(st.integers(0, 40), st.integers(TOP_ID - 40, TOP_ID)),
-    st.one_of(st.just(0.0), st.floats(-1.0, 10.0, allow_nan=False), st.integers(0, 5)),
+    st.one_of(st.integers(1, 5), st.integers(1, 65535 // 12)),
     max_size=12)
+
+
+def permuted(words, rnd):
+    items = list(words.items())
+    rnd.shuffle(items)
+    return dict(items)
 
 
 class TestBowSimilarities:
@@ -230,42 +244,54 @@ class TestBowSimilarities:
         assert hexes(bow_similarities(kfs, query)) == hexes(want)
 
     def test_histogram_kept_on_keyframe(self):
-        kf = bare_kf(1, {9: 2.0, 1: 1.0})
+        kf = bare_kf(1, {9: 2, 1: 1})
         assert kf.histogram is None
-        bow_similarities([kf], {1: 1.0})
-        ids, weights = kf.histogram
-        assert ids.tolist() == [1, 9]
-        assert weights.tolist() == [1.0 / 3.0, 2.0 / 3.0]
-        assert bow_similarities([kf], {1: 1.0}) == [bow_similarity(kf.words, {1: 1.0})]
+        bow_similarities([kf], {1: 1})
+        ids, counts = kf.histogram
+        assert ids.tolist() == [1, 9] and ids.dtype == np.int64
+        assert counts.tolist() == [1, 2] and counts.dtype == np.int64
+        assert bow_similarities([kf], {1: 1}) == [bow_similarity(kf.words, {1: 1})]
 
     def test_edge_histograms(self):
-        edge = [{}, {3: 0.0}, {3: 0.0, 4: 0.0}, {1: 1.0}, {7: 1.0}, {1: 0.2, 2: 0.8},
-                {9: 2.0, 1: 1.0, 5: 0.5}, {TOP_ID: 1.0}, {TOP_ID - 1: 0.3, TOP_ID: 0.7},
-                {0: 1.0, TOP_ID: 1.0}, {2: 1.0, 3: -1.0}, {1: 1, 2: 3}]
+        edge = [{}, {3: 0}, {3: 0, 4: 0}, {1: 1}, {7: 1}, {1: 1, 2: 4},
+                {9: 4, 1: 2, 5: 1}, {TOP_ID: 1}, {TOP_ID - 1: 3, TOP_ID: 7},
+                {0: 1, TOP_ID: 1}, {1: 1, 2: 3}, {1: 65535}, {1: 32768, 2: 32767},
+                {2: 1, 3: 65534}, {TOP_ID: 65535}]
         for query in edge:
             self.check(edge, query)
 
     def test_no_keyframes(self):
-        assert bow_similarities([], {1: 1.0}) == []
+        assert bow_similarities([], {1: 1}) == []
 
     def test_disjoint_and_single_word(self):
-        self.check([{1: 1.0}, {2: 1.0}, {1: 1.0, 2: 1.0}], {3: 1.0})
-        self.check([{1: 1.0}, {2: 1.0}, {1: 1.0, 2: 1.0}], {2: 1.0})
+        self.check([{1: 1}, {2: 1}, {1: 1, 2: 1}], {3: 1})
+        self.check([{1: 1}, {2: 1}, {1: 1, 2: 1}], {2: 1})
 
-    def test_random_normalized_histograms(self):
+    def test_random_histograms(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
-            hists = [normalize_histogram({int(w): float(rng.integers(1, 6)) for w in
-                                          rng.choice(400, size=int(rng.integers(1, 30)))})
+            hists = [{int(w): int(rng.integers(1, 6)) for w in
+                      rng.choice(400, size=int(rng.integers(1, 30)))}
                      for _ in range(int(rng.integers(1, 40)))]
             self.check(hists, hists[int(rng.integers(len(hists)))])
-            self.check(hists, {int(w): float(rng.uniform(0, 1))
+            self.check(hists, {int(w): int(rng.integers(1, 2000))
                                for w in rng.choice(400, size=10, replace=False)})
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(histograms=st.lists(HISTOGRAMS, max_size=8), query=HISTOGRAMS)
-    def test_property(self, histograms, query):
+    @given(histograms=st.lists(HISTOGRAMS, max_size=8), query=HISTOGRAMS,
+           rnd=st.randoms(use_true_random=False))
+    def test_property(self, histograms, query, rnd):
+        """Bit-equal to the scalar form and to the exact score rounded once, in
+        whatever order the histograms' dicts hold their words."""
         self.check(histograms, query)
+        want = hexes(exact_similarity(h, query) for h in histograms)
+        assert hexes(bow_similarity(h, query) for h in histograms) == want
+        shuffled = [permuted(h, rnd) for h in histograms]
+        q = permuted(query, rnd)
+        assert hexes(bow_similarity(h, q) for h in shuffled) == want
+        assert hexes(bow_similarities([bare_kf(i, h) for i, h in enumerate(shuffled)], q)) == want
+        for h in histograms:
+            assert bow_similarity(h, permuted(h, rnd)) == (1.0 if h else 0.0)
 
 
 def exhaustive_detect_merge(m, words, factor):
@@ -282,7 +308,7 @@ class TestScoringAcrossMutations:
 
     def assert_scores(self, m, rng):
         queries = [m.keyframes[kid].words for kid in sorted(m.keyframes)[-3:]]
-        queries += [{int(w): float(rng.uniform(0.1, 1))
+        queries += [{int(w): int(rng.integers(1, 10))
                      for w in rng.choice(30, size=int(rng.integers(1, 6)), replace=False)}
                     for _ in range(3)]
         for q in queries:
@@ -359,7 +385,7 @@ class TestTies:
                               [MapPoint(pid, np.zeros(3), 1, {clique[0]})])
             for uid in clique[1:]:
                 m.insert_keyframe(make_kf(uid, [1, 2], observed={pid}), [])
-        q = {1: 0.5, 2: 0.5}
+        q = {1: 1, 2: 1}
         assert calculate_merge_score(m, q) == exhaustive_merge_score(m, q) == (6.0, 16)
         assert dynamic_baseline(m, 16) == 6.0
 
@@ -367,6 +393,5 @@ class TestTies:
         rng = np.random.default_rng(41)
         for _ in range(30):
             m = random_map(rng, max_kf=30, max_words=3)
-            for q in ({0: 1.0}, {0: 1.0, 1: 1.0}, {0: 1.0, 1: 1.0, 2: 1.0}):
-                q = normalize_histogram(q)
+            for q in ({0: 1}, {0: 1, 1: 1}, {0: 1, 1: 1, 2: 1}):
                 assert calculate_merge_score(m, q) == exhaustive_merge_score(m, q)

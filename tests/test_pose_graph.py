@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from meshslam.geometry import Rotation, Se3Pose, se3_exp
-from meshslam.map_store import AgentMap, KeyFrame, MapPoint, normalize_histogram
+from meshslam.map_store import AgentMap, KeyFrame, MapPoint
 from meshslam.pose_graph import (
     OptimizerParams,
     PoseGraph,
@@ -85,7 +85,7 @@ class TestBuildLocalWindow:
             kf = KeyFrame(
                 id=i, origin_agent=0, timestamp=float(i),
                 pose=pose([i, 0, 0]),
-                words=normalize_histogram({i: 1.0}),
+                words={i: 1},
                 observed_points=obs,
             )
             pt.observers.add(i)
@@ -95,7 +95,7 @@ class TestBuildLocalWindow:
     def test_isolated_singleton(self):
         m = AgentMap()
         kf = KeyFrame(id=0, origin_agent=0, timestamp=0.0, pose=Se3Pose.identity(),
-                      words=normalize_histogram({1: 1.0}), observed_points=set())
+                      words={1: 1}, observed_points=set())
         m.insert_keyframe(kf, [])
         g = build_local_window(m, 0, depth=2)
         assert set(g.nodes) == {0}

@@ -310,7 +310,12 @@ class TestKeyframeSpawning:
         frame = tr.step(0.0)
         kf, new_points = tr.spawn_keyframe(7, 0.0, frame)
         assert kf.origin_agent == 7
-        assert abs(sum(kf.words.values()) - 1.0) < 1e-12
+        # one count per visible landmark, by word, in ascending word order
+        want = {}
+        for lm in frame.visible:
+            want[lm.word] = want.get(lm.word, 0) + 1
+        assert list(kf.words.items()) == sorted(want.items())
+        assert all(type(c) is int for c in kf.words.values())
         assert {p.id for p in new_points} == kf.observed_points
         # every new point carries the word of its landmark
         by_id = {lm.id: lm for lm in tr.landmarks}

@@ -1,3 +1,4 @@
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from meshslam import wire
 from meshslam.ate import compute_ate
+from meshslam.config import load_scenario
 from meshslam.group_protocol import PeerState
+from meshslam.merge_detection import bow_similarity
 from meshslam.net_sim import CATEGORIES
 from meshslam.simulation import _RECEIVERS, Simulation
 from meshslam.wire import TaggedPoints
@@ -254,6 +257,20 @@ class TestCooperationEndToEnd:
                     f"agents {owner[id(obj)]} and {aid} share a {type(obj).__name__}")
         for a, b in ((0, 1), (0, 2), (1, 2)):
             assert maps[a].keyframes.keys() & maps[b].keyframes.keys()
+
+    def test_every_copy_of_a_keyframe_holds_its_origin_histogram(self):
+        # word counts cross the wire unchanged, so a copy scores exactly 1
+        # against the keyframe its origin agent made
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "coop_loops.yaml")
+        res = Simulation(load_scenario(path), seed=7).run()
+        held = [(aid, kf) for aid, rt in res.runtimes.items()
+                for m in rt.db.maps for kf in m.keyframes.values()]
+        origin = {kf.id: kf for aid, kf in held if kf.origin_agent == aid}
+        copies = [kf for aid, kf in held if kf.origin_agent != aid]
+        assert len(copies) > 100
+        for kf in copies:
+            assert kf.words == origin[kf.id].words
+            assert bow_similarity(origin[kf.id].words, kf.words) == 1.0
 
 
 class TestAlignmentScheduling:

@@ -43,7 +43,7 @@ def sample_keyframe(uid=500):
     return KeyFrame(
         id=uid, origin_agent=2, timestamp=1.25,
         pose=Se3Pose(Rotation.from_axis_angle(vec3(0, 0, 1), 0.5), vec3(1, 2, 3)),
-        words={3: 0.5, 9: 0.5},
+        words={3: 1, 9: 1},
         observed_points={700, 701},
     )
 
@@ -89,11 +89,11 @@ class TestMessageRoundTrips:
         return decode_frame(encode_frame(msg, sender, seq))
 
     def test_bow_announce(self):
-        msg = BowAnnounce(3, 12345, {1: 0.25, 7: 0.75})
+        msg = BowAnnounce(3, 12345, {7: 3, 1: 1})
         out = self.roundtrip(msg)
         assert out.sender == 3 and out.kf_id == 12345
-        assert set(out.words) == {1, 7}
-        assert out.words[1] == pytest.approx(0.25)
+        assert list(out.words.items()) == [(1, 1), (7, 3)]
+        assert len(encode_message(msg)[1]) == 16 + 4 + 2 * 6  # 6-byte word rows
 
     def test_full_map(self):
         msg = FullMapMsg(
@@ -136,8 +136,26 @@ class TestMessageRoundTrips:
             encode_frame(TaggedPoints(1, ([1, 2], np.zeros((3, 3)))), 1, 1)
 
     def test_group_update(self):
-        out = self.roundtrip(GroupUpdate(0, [0, 1, 2], leader=0))
-        assert out.roster == [0, 1, 2] and out.leader == 0
+        out = self.roundtrip(GroupUpdate(0, [0, 1, 2]))
+        assert out == GroupUpdate(3, [0, 1, 2])
+        assert encode_message(out)[1] == bytes([3, 0, 0, 0, 1, 0, 2, 0])
+
+    def test_pose_quaternions_round_trip_bit_for_bit(self):
+        # renormalizing a unit quaternion moves about 1 in 100 by an ulp
+        rng = np.random.default_rng(0)
+        kfs = [sample_keyframe(uid) for uid in range(2000)]
+        for kf in kfs:
+            kf.pose = Se3Pose(Rotation.from_rotvec(rng.uniform(-1, 1, 3)), vec3(0, 0, 0))
+        out = self.roundtrip(KeyFramePacket(3, kfs, []))
+        assert [kf.pose.rotation.q.tobytes() for kf in out.keyframes] == [
+            kf.pose.rotation.q.tobytes() for kf in kfs]
+
+    @pytest.mark.parametrize("q", [(2.0, 0.0, 0.0, 0.0), (-0.6, 0.8, 0.0, 0.0),
+                                   (0.0, -1.0, 0.0, 0.0)], ids=["long", "negative-w", "w-zero"])
+    def test_non_canonical_quaternion_is_canonicalized(self, q):
+        t = Sim3Transform(1.0, Rotation(np.array(q)), vec3(0, 0, 0))
+        out = self.roundtrip(MergeNotify(2, t, roster=[0], transform_roster=[]))
+        assert out.transform.rotation.q.tolist() == Rotation.from_quat(*q).q.tolist()
 
     def test_loc_messages(self):
         assert isinstance(self.roundtrip(LocalizationLost(1)), LocalizationLost)
@@ -168,7 +186,7 @@ def kf_packet():
     kf = KeyFrame(
         id=500, origin_agent=2, timestamp=1.25,
         pose=Se3Pose(Rotation.from_axis_angle(vec3(0, 0, 1), 0.5), vec3(1.5, 2.5, 3.5)),
-        words={3: 0.375, 9: 0.625},
+        words={3: 3, 9: 5},
         observed_points={700},
     )
     pt = MapPoint(700, vec3(0.125, 0.875, 4.75), 3, {500})
@@ -182,7 +200,7 @@ def merge_notice():
 
 
 def bow_announce():
-    return BowAnnounce(3, 12345, {1: 0.25, 7: 0.75})
+    return BowAnnounce(3, 12345, {1: 1, 7: 3})
 
 
 def tagged_points():
@@ -205,7 +223,6 @@ NAN, INF = float("nan"), float("inf")
 KF_Q = tuple(kf_packet().keyframes[0].pose.rotation.q)
 SIM3_Q = tuple(merge_notice().transform.rotation.q)
 NORM = "has zero, subnormal or non-finite norm"
-WEIGHT = "is negative or not finite"
 # nonzero quaternions whose squared norms are subnormal doubles
 SUBNORMAL_Q = (3e-162, 1e-161, 2e-162, 0.0)
 SUBNORMAL_Q2 = (1e-160, 1e-160, 0.0, 0.0)
@@ -229,10 +246,6 @@ class TestFailClosedValues:
                      id="pose-quaternion-subnormal-norm-2"),
         pytest.param(kf_packet, "<d", (0.875,), (-INF,), "non-finite position",
                      id="point-position-inf"),
-        pytest.param(kf_packet, "<f", (0.375,), (-0.375,), WEIGHT,
-                     id="kf-weight-negative"),
-        pytest.param(kf_packet, "<f", (0.625,), (NAN,), WEIGHT,
-                     id="kf-weight-nan"),
         pytest.param(merge_notice, "<d", (5.5,), (NAN,), "non-finite translation",
                      id="sim3-translation-nan"),
         pytest.param(merge_notice, "<d", SIM3_Q[:1], (INF,), "non-finite quaternion",
@@ -251,10 +264,6 @@ class TestFailClosedValues:
                      id="sim3-scale-negative"),
         pytest.param(merge_notice, "<d", (1.75,), (NAN,), "non-finite scale",
                      id="sim3-scale-nan"),
-        pytest.param(bow_announce, "<f", (0.75,), (-0.75,), WEIGHT,
-                     id="bow-weight-negative"),
-        pytest.param(bow_announce, "<f", (0.25,), (INF,), WEIGHT,
-                     id="bow-weight-inf"),
         pytest.param(tagged_points, "<d", (3.5,), (NAN,), "non-finite position",
                      id="tagged-position-nan"),
     ])
@@ -266,9 +275,9 @@ class TestFailClosedValues:
         assert f"offset {offset}" in str(info.value)
 
     @pytest.mark.parametrize("make, fmt, old, new", [
-        pytest.param(bow_announce, "<If", (7, 0.75), (1, 0.75), id="bow-word-repeated"),
-        pytest.param(bow_announce, "<If", (7, 0.75), (0, 0.75), id="bow-word-descending"),
-        pytest.param(kf_packet, "<If", (9, 0.625), (3, 0.625), id="kf-word-repeated"),
+        pytest.param(bow_announce, "<IH", (7, 3), (1, 3), id="bow-word-repeated"),
+        pytest.param(bow_announce, "<IH", (7, 3), (0, 3), id="bow-word-descending"),
+        pytest.param(kf_packet, "<IH", (9, 5), (3, 5), id="kf-word-repeated"),
         pytest.param(two_id_packet, "<QQ", (701, 0), (700, 0), id="kf-observed-repeated"),
         pytest.param(two_id_packet, "<QQ", (701, 0), (699, 0), id="kf-observed-descending"),
         pytest.param(two_id_packet, "<QQ", (501, 0), (500, 0), id="point-observer-repeated"),
@@ -298,9 +307,63 @@ class TestFailClosedValues:
         with pytest.raises(WireError, match=f"non-finite position inf at offset {at - 8}"):
             decode_frame(corrupt(msg, "<QQ", (43, 0), (42, 0))[0])
 
-    def test_zero_weight_is_accepted(self):
-        frame, _ = corrupt(bow_announce(), "<f", (0.25,), (0.0,))
-        assert decode_frame(frame).words[1] == 0.0
+    # (word row to overwrite, its replacement, word row whose count is named)
+    @pytest.mark.parametrize("make, old, new, named, message", [
+        pytest.param(bow_announce, (1, 1), (1, 0), (1, 1), "word count 0 at offset {} is not",
+                     id="bow-count-zero"),
+        pytest.param(bow_announce, (7, 3), (7, 0), (7, 3), "word count 0 at offset {} is not",
+                     id="bow-count-zero-last"),
+        pytest.param(bow_announce, (1, 1), (1, 65535), (7, 3),
+                     "word count 3 at offset {} takes the histogram's total to 65538, above 65535",
+                     id="bow-count-total"),
+        pytest.param(bow_announce, (7, 3), (7, 65535), (7, 3),
+                     "word count 65535 at offset {} takes the histogram's total to 65536",
+                     id="bow-count-total-last"),
+        pytest.param(kf_packet, (3, 3), (3, 0), (3, 3), "word count 0 at offset {} is not",
+                     id="kf-count-zero"),
+        pytest.param(kf_packet, (9, 5), (9, 65533), (9, 5),
+                     "word count 65533 at offset {} takes the histogram's total to 65536",
+                     id="kf-count-total"),
+    ])
+    def test_rejects_word_counts(self, make, old, new, named, message):
+        frame, at = corrupt(make(), "<IH", old, new)
+        # the named row's count field, 4 bytes into its 6-byte row
+        offset = at + 6 * (named[0] > old[0]) + 4
+        with pytest.raises(WireError, match=message.format(offset)):
+            decode_frame(frame)
+        with pytest.raises(WireError, match=message.format(offset)):
+            reference_decode(frame)
+
+    def test_total_of_65535_is_accepted(self):
+        frame, _ = corrupt(bow_announce(), "<IH", (1, 1), (1, 65532))
+        assert decode_frame(frame).words == {1: 65532, 7: 3}
+        frame, _ = corrupt(kf_packet(), "<IH", (9, 5), (9, 65532))
+        assert decode_frame(frame).keyframes[0].words == {3: 3, 9: 65532}
+
+
+def kf_packet_with(words):
+    pkt = kf_packet()
+    pkt.keyframes[0].words = words
+    return pkt
+
+
+class TestEncoderRejectsWordCounts:
+    @pytest.mark.parametrize("words, message", [
+        ({1: 1, 7: 0}, "word count 0 at index 1 is not positive"),
+        ({7: 2, 1: -1}, "word count -1 at index 0 is not positive"),
+        ({1: 65535, 7: 1}, "word count 1 at index 1 takes the histogram's total to 65536"),
+        ({1: 70000}, "word count 70000 at index 0 takes the histogram's total to 70000"),
+    ], ids=["zero", "negative", "total-above-65535", "count-above-u16"])
+    @pytest.mark.parametrize("make", [lambda words: BowAnnounce(3, 12345, words),
+                                      kf_packet_with], ids=["bow", "keyframe"])
+    def test_raises_value_error(self, make, words, message):
+        with pytest.raises(ValueError, match=message):
+            encode_frame(make(words), 3, 11)
+
+    def test_total_of_65535_encodes(self):
+        words = {1: 65000, 7: 535}
+        assert decode_frame(encode_frame(BowAnnounce(3, 1, words), 3, 11)).words == words
+        assert decode_frame(encode_frame(kf_packet_with(words), 3, 11)).keyframes[0].words == words
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +376,7 @@ def _uuid(rnd):
 
 def _words(rnd):
     ids = rnd.sample(range(1 << 32), rnd.randint(0, 6))
-    return {w: float(np.float32(rnd.uniform(0.0, 1.0))) for w in ids}
+    return {w: rnd.randint(1, 65535 // 6) for w in ids}
 
 
 def _rotation(rnd):
@@ -359,7 +422,7 @@ MAKERS = {
     MessageType.KEYFRAME_PACKET: lambda rnd: KeyFramePacket(3, *_map(rnd)),
     MessageType.ALIGNMENT_REQUEST: lambda rnd: AlignmentRequest(3),
     MessageType.TAGGED_POINTS: _tagged,
-    MessageType.GROUP_UPDATE: lambda rnd: GroupUpdate(3, _roster(rnd), rnd.randrange(1 << 16)),
+    MessageType.GROUP_UPDATE: lambda rnd: GroupUpdate(3, _roster(rnd)),
     MessageType.LOC_LOST: lambda rnd: LocalizationLost(3),
     MessageType.LOC_REGAINED: lambda rnd: LocalizationRegained(3),
 }
@@ -405,6 +468,15 @@ class TestAgainstReferenceCodec:
             assert plain(decode_frame(frame)) == plain(reference_decode(frame))
 
 
+WORD_KINDS = (MessageType.BOW_ANNOUNCE, MessageType.FULL_MAP, MessageType.KEYFRAME_PACKET)
+
+
+def word_rows(msg):
+    if isinstance(msg, BowAnnounce):
+        return len(msg.words)
+    return sum(len(kf.words) for kf in msg.keyframes)
+
+
 TRUNCATED = re.compile(r"truncated payload: need (\d+) bytes at offset (\d+), have (\d+)")
 
 
@@ -415,6 +487,9 @@ class TestTruncationSweep:
         # the three types without a payload have nothing to cut
         msg = max((random_message(kind, seed) for seed in range(8)),
                   key=lambda m: len(encode_message(m)[1]))
+        if kind in WORD_KINDS:
+            # cuts land in several word rows, past the first row's running total
+            assert word_rows(msg) >= 2
         mt, payload = encode_message(msg)
         for cut in range(len(payload)):
             frame = encode_envelope(mt, 3, 11, payload[:cut])
@@ -448,7 +523,8 @@ def assert_rotation(rotation):
 
 def assert_words(words):
     assert list(words) == sorted(words)
-    assert all(math.isfinite(w) and w >= 0.0 for w in words.values())
+    assert all(type(c) is int and c >= 1 for c in words.values())
+    assert sum(words.values()) <= 65535
 
 
 def assert_well_formed(msg):
@@ -484,6 +560,7 @@ EDIT = st.tuples(st.sampled_from(["flip", "insert", "cut"]),
 def test_mutated_frames_fail_closed(kind, seed, refit, edits):
     """Byte flips, insertions and cuts either raise WireError or decode to a
     well-formed message equal to what the reference decoder makes of them.
+    A rejected word count is rejected by the reference with the same message.
 
     With ``refit`` the edits hit the payload and the envelope is rebuilt
     around it, so they reach the payload parser instead of the length check.
@@ -502,7 +579,12 @@ def test_mutated_frames_fail_closed(kind, seed, refit, edits):
         data = encode_envelope(kind, 3, 11, bytes(data))
     try:
         out = decode_frame(bytes(data))
-    except WireError:
+    except WireError as exc:
+        if "word count" in str(exc):
+            # both decoders check a histogram's counts row by row, in payload order
+            with pytest.raises(WireError) as ref:
+                reference_decode(bytes(data))
+            assert str(ref.value) == str(exc)
         return
     assert_well_formed(out)
     assert plain(out) == plain(reference_decode(bytes(data)))

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from meshslam.geometry import Se3Pose, se3_exp
-from meshslam.map_store import KeyFrame, MapPoint, normalize_histogram
+from meshslam.map_store import KeyFrame, MapPoint
 from meshslam.sim_world import TrackerFrame
 
 
@@ -82,7 +82,7 @@ def spawn_keyframe(tr, agent_id, t, frame, active_map=None):
         return None
     counts = {}
     for lm in frame.visible:
-        counts[lm.word] = counts.get(lm.word, 0.0) + 1.0
+        counts[lm.word] = counts.get(lm.word, 0) + 1
     observed = set()
     new_points = []
     kf_id = tr.uuids.next()
@@ -105,7 +105,7 @@ def spawn_keyframe(tr, agent_id, t, frame, active_map=None):
         observed.add(pid)
     kf = KeyFrame(
         id=kf_id, origin_agent=agent_id, timestamp=t, pose=tr.est_pose.copy(),
-        words=normalize_histogram(counts), observed_points=observed,
+        words=dict(sorted(counts.items())), observed_points=observed,
     )
     tr.last_kf_pose = tr.est_pose.copy()
     return kf, new_points

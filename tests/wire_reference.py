@@ -2,7 +2,9 @@
 struct call each: one ``struct`` call and one slice per field.
 
 Kept only as the reference that the batched codec in ``meshslam.wire`` must
-match byte for byte and value for value on valid messages.
+match byte for byte and value for value on valid messages.  It follows the
+current layouts: histograms as (word u32, count u16) rows, group updates as a
+roster alone.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ class _Writer:
     def u16(self, v): self.parts.append(struct.pack("<H", v))
     def u32(self, v): self.parts.append(struct.pack("<I", v))
     def u64(self, v): self.parts.append(struct.pack("<Q", v))
-    def f32(self, v): self.parts.append(struct.pack("<f", v))
     def f64(self, v): self.parts.append(struct.pack("<d", v))
     def uuid(self, v): self.parts.append(int(v).to_bytes(16, "little"))
 
@@ -64,7 +65,6 @@ class _Reader:
     def u16(self): return struct.unpack("<H", self._take(2))[0]
     def u32(self): return struct.unpack("<I", self._take(4))[0]
     def u64(self): return struct.unpack("<Q", self._take(8))[0]
-    def f32(self): return struct.unpack("<f", self._take(4))[0]
     def f64(self): return struct.unpack("<d", self._take(8))[0]
     def uuid(self): return int.from_bytes(self._take(16), "little")
 
@@ -101,9 +101,12 @@ def _read_rotation(r: _Reader) -> Rotation:
     q = _read_finite(r, 4, "quaternion component")
     try:
         with np.errstate(over="ignore"):
-            return Rotation.from_quat(*q)
+            rotation = Rotation.from_quat(*q)
     except ValueError as exc:
         raise WireError(f"quaternion at offset {start} has zero or non-finite norm") from exc
+    if all(abs(a - b) <= 2.0 ** -50 for a, b in zip(rotation.q, q)):
+        return Rotation(np.array(q))
+    return rotation
 
 
 def _read_pose(r: _Reader) -> Se3Pose:
@@ -111,15 +114,27 @@ def _read_pose(r: _Reader) -> Se3Pose:
     return Se3Pose(rotation, np.array(_read_finite(r, 3, "translation"), dtype=float))
 
 
-def _read_words(r: _Reader) -> dict[int, float]:
+def _write_words(w: _Writer, words: dict[int, int]) -> None:
+    w.u32(len(words))
+    for word in sorted(words):
+        w.u32(word)
+        w.u16(words[word])
+
+
+def _read_words(r: _Reader) -> dict[int, int]:
     words = {}
+    total = 0
     for _ in range(r.u32()):
         word = r.u32()
         start = r.off
-        weight = float(r.f32())
-        if not (math.isfinite(weight) and weight >= 0.0):
-            raise WireError(f"word weight {weight} at offset {start} is negative or not finite")
-        words[word] = weight
+        count = r.u16()
+        total += count
+        if count == 0:
+            raise WireError(f"word count 0 at offset {start} is not positive")
+        if total > 65535:
+            raise WireError(f"word count {count} at offset {start} takes the histogram's "
+                            f"total to {total}, above 65535")
+        words[word] = count
     return words
 
 
@@ -128,10 +143,7 @@ def _write_keyframe(w: _Writer, kf: KeyFrame) -> None:
     w.u16(kf.origin_agent)
     w.f64(kf.timestamp)
     _write_pose(w, kf.pose)
-    w.u32(len(kf.words))
-    for word in sorted(kf.words):
-        w.u32(word)
-        w.f32(kf.words[word])
+    _write_words(w, kf.words)
     w.u32(len(kf.observed_points))
     for pid in sorted(kf.observed_points):
         w.uuid(pid)
@@ -208,10 +220,7 @@ def encode_message(msg: Message) -> tuple[MessageType, bytes]:
     w = _Writer()
     if isinstance(msg, BowAnnounce):
         w.uuid(msg.kf_id)
-        w.u32(len(msg.words))
-        for word in sorted(msg.words):
-            w.u32(word)
-            w.f32(msg.words[word])
+        _write_words(w, msg.words)
         return MessageType.BOW_ANNOUNCE, w.getvalue()
     if isinstance(msg, FullMapMsg):
         w.uuid(msg.hint_kf)
@@ -244,7 +253,6 @@ def encode_message(msg: Message) -> tuple[MessageType, bytes]:
         w.u16(len(msg.roster))
         for aid in msg.roster:
             w.u16(aid)
-        w.u16(msg.leader)
         return MessageType.GROUP_UPDATE, w.getvalue()
     if isinstance(msg, LocalizationLost):
         return MessageType.LOC_LOST, b""
@@ -292,9 +300,8 @@ def decode_message(msg_type: int, sender: int, sequence: int, payload: bytes) ->
         return TaggedPoints(sender, (ids, np.array(rows).reshape(-1, 3)))
     if mt == MessageType.GROUP_UPDATE:
         roster = [r.u16() for _ in range(r.u16())]
-        leader = r.u16()
         r.done()
-        return GroupUpdate(sender, roster, leader)
+        return GroupUpdate(sender, roster)
     if mt == MessageType.LOC_LOST:
         r.done()
         return LocalizationLost(sender)
