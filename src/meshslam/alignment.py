@@ -41,6 +41,8 @@ class NoModelError(RuntimeError):
 
 @dataclass
 class RansacParams:
+    """One fit's settings; the defaults are the ones every protocol fit uses."""
+
     iterations: int = 200
     inlier_threshold: float = 0.05
     min_inliers: int = 12
@@ -49,6 +51,18 @@ class RansacParams:
     def __post_init__(self):
         if self.iterations <= 0 or self.inlier_threshold <= 0 or self.min_inliers <= 0:
             raise ValueError("RANSAC parameters must be positive")
+
+
+# An alignment round is judged well aligned when at least OK_RATIO of the
+# matched points are inliers and their RMSE is at most OK_RMSE.
+OK_RATIO = 0.9
+OK_RMSE = RansacParams.inlier_threshold / 2
+
+# The AIMD re-alignment interval starts at AIMD_T_INITIAL seconds and stays
+# within [AIMD_T_MIN, AIMD_T_MAX].
+AIMD_T_INITIAL = 5.0
+AIMD_T_MIN = 1.0
+AIMD_T_MAX = 60.0
 
 
 def kabsch_umeyama(src: np.ndarray, dst: np.ndarray) -> Sim3Transform:
@@ -263,11 +277,9 @@ def aimd_next(interval: float, aligned: bool, t_min: float, t_max: float) -> flo
 class AimdState:
     interval: float
     next_due: float
-    t_min: float = 1.0
-    t_max: float = 60.0
 
     def record(self, aligned: bool, now: float) -> None:
-        self.interval = aimd_next(self.interval, aligned, self.t_min, self.t_max)
+        self.interval = aimd_next(self.interval, aligned, AIMD_T_MIN, AIMD_T_MAX)
         self.next_due = now + self.interval
 
     def skip(self, now: float) -> None:

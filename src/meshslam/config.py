@@ -1,7 +1,9 @@
 """Scenario configuration: dataclasses, defaults, and the YAML loader.
 
-Every tunable in the system lives here so scenarios are reproducible from a
-single file.  Validation errors name the offending key path; YAML syntax
+A scenario file sets what differs between runs: the world, the agents, the
+network and the run.  The protocol's own constants (merge, sharing,
+alignment and tracking thresholds) are declared once, in the module that
+uses them.  Validation errors name the offending key path; YAML syntax
 errors carry the parser's line/column.
 """
 
@@ -54,60 +56,11 @@ class RunConfig:
 
 
 @dataclass
-class MergeConfig:
-    acceptance_factor: float = 0.75
-    min_inliers: int = 12
-    neighborhood_depth: int = 2
-    handshake_timeout: float = 5.0
-    notify_repeats: int = 3      # merge notices re-sent for drop tolerance
-    notify_spacing: float = 0.4  # seconds between repeats
-    cluster_tolerance: float = 0.15  # duplicate copies of one landmark within this
-                                     # spread still give a word correspondence
-
-
-@dataclass
-class ShareConfig:
-    batch_size: int = 5       # outbox keyframes before a packet is cut
-    dup_radius: float = 0.05  # duplicate map point merge radius, map units
-    drain_budget: int = 3     # external keyframes inserted per tick
-
-
-@dataclass
-class AlignConfig:
-    ransac_iterations: int = 200
-    inlier_threshold: float = 0.05
-    min_inliers: int = 12
-    ok_ratio: float = 0.9
-    ok_rmse: float | None = None   # None: inlier_threshold / 2
-    t_initial: float = 5.0
-    t_min: float = 1.0
-    t_max: float = 60.0
-    response_timeout: float = 5.0
-
-    @property
-    def rmse_limit(self) -> float:
-        return self.ok_rmse if self.ok_rmse is not None else self.inlier_threshold / 2
-
-
-@dataclass
-class TrackConfig:
-    spawn_distance: float = 0.3    # keyframe gap in agent-frame units
-    spawn_angle_deg: float = 15.0
-    lost_frames: int = 5           # consecutive weak frames before loss declared
-    min_word_matches: int = 10
-    point_update_blend: float = 0.3  # re-observation pull toward the new estimate
-
-
-@dataclass
 class ScenarioConfig:
     world: WorldConfig = field(default_factory=WorldConfig)
     agents: list[AgentConfig] = field(default_factory=list)
     net: NetworkConfig = field(default_factory=NetworkConfig)
     run: RunConfig = field(default_factory=RunConfig)
-    merge: MergeConfig = field(default_factory=MergeConfig)
-    share: ShareConfig = field(default_factory=ShareConfig)
-    align: AlignConfig = field(default_factory=AlignConfig)
-    track: TrackConfig = field(default_factory=TrackConfig)
 
     def validate(self) -> None:
         for section in dataclasses.fields(self):
@@ -155,27 +108,13 @@ class ScenarioConfig:
         for i, box in enumerate(self.world.regions):
             if len(box) != 6 or not all(box[k] < box[k + 3] for k in range(3)):
                 raise ConfigError(f"world.regions[{i}]: need [x0,y0,z0,x1,y1,z1] with min < max")
-        if self.align.t_min > self.align.t_max:
-            raise ConfigError("align.t_min: must not exceed align.t_max")
 
 
 # (test, the requirement its error names, the key paths it applies to) for
-# every scalar setting with a range; timer delays must lie ahead of the clock
+# every scalar setting with a range
 _RANGES = (
-    (lambda v: v > 0, "must be positive",
-     ("world.cell_size", "run.duration", "run.dt", "merge.min_inliers",
-      "merge.handshake_timeout", "merge.notify_spacing", "align.ransac_iterations",
-      "align.inlier_threshold", "align.min_inliers", "align.t_initial", "align.t_min",
-      "align.t_max", "align.response_timeout")),
-    (lambda v: v >= 1, "must be >= 1",
-     ("world.vocab_size", "merge.notify_repeats", "share.batch_size", "share.drain_budget",
-      "track.lost_frames")),
-    (lambda v: v >= 0, "must be >= 0",
-     ("merge.neighborhood_depth", "merge.cluster_tolerance", "share.dup_radius",
-      "track.spawn_distance", "track.spawn_angle_deg", "track.min_word_matches")),
-    (lambda v: 0 < v <= 1, "must be in (0, 1]", ("merge.acceptance_factor", "align.ok_ratio")),
-    (lambda v: 0 <= v <= 1, "must be in [0, 1]", ("track.point_update_blend",)),
-    (lambda v: v is None or v > 0, "must be positive or null", ("align.ok_rmse",)),
+    (lambda v: v > 0, "must be positive", ("world.cell_size", "run.duration", "run.dt")),
+    (lambda v: v >= 1, "must be >= 1", ("world.vocab_size",)),
     # a view counts each landmark at most once, so a keyframe's word counts
     # add up to at most the landmark count, which the wire bounds
     (lambda v: 1 <= v <= MAX_WORD_TOTAL, f"must be in [1, {MAX_WORD_TOTAL}]",
@@ -232,7 +171,9 @@ def _build(section: object, cls, where: str, **overrides):
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     for key, value in section.items():
         kind = fields[key].type  # a string: annotations are postponed in both modules
-        if kind in ("int", "float") or (kind == "float | None" and value is not None):
+        if kind == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
+        if kind == "float" or (kind == "float | None" and value is not None):
             _number(value, f"{where}.{key}")
         elif kind == "bool" and not isinstance(value, bool):
             raise ConfigError(f"{where}.{key}: expected true or false, got {value!r}")
@@ -249,8 +190,7 @@ def _build(section: object, cls, where: str, **overrides):
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a mapping")
-    known = {"world", "agents", "net", "run", "merge", "share", "align", "track"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {"world", "agents", "net", "run"}
     if unknown:
         raise ConfigError(f"top level: unknown sections {sorted(unknown)}")
 
@@ -288,10 +228,6 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         agents=agents,
         net=net,
         run=_build(raw.get("run"), RunConfig, "run"),
-        merge=_build(raw.get("merge"), MergeConfig, "merge"),
-        share=_build(raw.get("share"), ShareConfig, "share"),
-        align=_build(raw.get("align"), AlignConfig, "align"),
-        track=_build(raw.get("track"), TrackConfig, "track"),
     )
     cfg.validate()
     return cfg

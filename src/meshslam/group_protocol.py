@@ -39,10 +39,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .alignment import NoModelError, RansacParams, ransac_sim3
-from .config import AlignConfig, MergeConfig
 from .geometry import Sim3Transform
 from .map_store import AgentMap, MapPoint
-from .merge_detection import detect_merge
+from .merge_detection import ACCEPTANCE_FACTOR, detect_merge
 from .net_sim import components
 from .wire import (
     BowAnnounce,
@@ -52,6 +51,20 @@ from .wire import (
     LocalizationRegained,
     MergeNotify,
 )
+
+
+# Correspondences come from the covisibility neighborhood of this depth
+# around the hint keyframe.
+NEIGHBORHOOD_DEPTH = 2
+# Duplicate copies of one landmark within this spread still give a word
+# correspondence.
+CLUSTER_TOLERANCE = 0.15
+# A full map exchange that has not merged after this many seconds times out.
+HANDSHAKE_TIMEOUT = 5.0
+# A merge notice is sent NOTIFY_REPEATS times, NOTIFY_SPACING seconds apart,
+# so that losing one copy does not leave a member misaligned.
+NOTIFY_REPEATS = 3
+NOTIFY_SPACING = 0.4
 
 
 class PeerState(Enum):
@@ -102,12 +115,11 @@ def points_by_word(points: Iterable[MapPoint]) -> dict[int, list[tuple[int, np.n
     return out
 
 
-def _word_representative(points: list[tuple[int, np.ndarray]],
-                         cluster_tol: float) -> np.ndarray | None:
+def _word_representative(points: list[tuple[int, np.ndarray]]) -> np.ndarray | None:
     """Single position standing for all of a word's points, or None.
 
     One point is unambiguous.  Several points still qualify when they sit
-    within `cluster_tol` of each other: that is what unmerged duplicate
+    within `CLUSTER_TOLERANCE` of each other: that is what unmerged duplicate
     copies of the same landmark look like, and the lowest-id copy stands in
     deterministically.  Genuinely distinct landmarks sharing a word are
     spread apart and disqualify the word.
@@ -116,7 +128,7 @@ def _word_representative(points: list[tuple[int, np.ndarray]],
         return points[0][1]
     positions = np.array([p for _, p in points])
     spread = np.max(np.linalg.norm(positions - positions[0], axis=1))
-    if spread <= cluster_tol:
+    if spread <= CLUSTER_TOLERANCE:
         return min(points, key=lambda up: up[0])[1]
     return None
 
@@ -124,7 +136,6 @@ def _word_representative(points: list[tuple[int, np.ndarray]],
 def collect_word_correspondences(
     local_by_word: dict[int, list[tuple[int, np.ndarray]]],
     remote_by_word: dict[int, list[tuple[int, np.ndarray]]],
-    cluster_tol: float = 0.15,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pair points through word ids that are unambiguous on both sides.
 
@@ -135,8 +146,8 @@ def collect_word_correspondences(
     """
     src, dst = [], []
     for word in sorted(set(local_by_word) & set(remote_by_word)):
-        lrep = _word_representative(local_by_word[word], cluster_tol)
-        rrep = _word_representative(remote_by_word[word], cluster_tol)
+        lrep = _word_representative(local_by_word[word])
+        rrep = _word_representative(remote_by_word[word])
         if lrep is not None and rrep is not None:
             src.append(lrep)
             dst.append(rrep)
@@ -149,7 +160,6 @@ def attempt_full_merge(
     remote_by_word: dict[int, list[tuple[int, np.ndarray]]],
     neighborhood_depth: int,
     ransac: RansacParams,
-    cluster_tol: float = 0.15,
 ) -> tuple[Sim3Transform, int] | None:
     """Fit the transform taking the local frame onto the remote frame.
 
@@ -166,7 +176,7 @@ def attempt_full_merge(
         point_ids |= local_map.keyframes[kid].observed_points
     local_by_word = points_by_word(
         local_map.points[pid] for pid in point_ids if pid in local_map.points)
-    src, dst = collect_word_correspondences(local_by_word, remote_by_word, cluster_tol)
+    src, dst = collect_word_correspondences(local_by_word, remote_by_word)
     if len(src) < 3:
         return None
     try:
@@ -202,13 +212,10 @@ class ManagerHooks:
 
 class SystemManager:
     def __init__(self, agent_id: int, agents: list[int], hooks: ManagerHooks,
-                 merge: MergeConfig, align: AlignConfig,
                  shared_map: Callable[[], AgentMap]):
         self.agent_id = agent_id
         self.agents = sorted(agents)
         self.hooks = hooks
-        self.merge = merge
-        self.align = align
         self.shared_map = shared_map
         self.lost_agents: set[int] = set()
         # grow-only: pairs whose maps were brought into one frame
@@ -263,14 +270,6 @@ class SystemManager:
         return sorted(p for p in self.registry.group_of(self.agent_id)
                       if p != self.agent_id and p not in self.lost_agents)
 
-    def _ransac_params(self) -> RansacParams:
-        return RansacParams(
-            iterations=self.align.ransac_iterations,
-            inlier_threshold=self.align.inlier_threshold,
-            min_inliers=self.merge.min_inliers,
-            seed=self.hooks.ransac_seed(),
-        )
-
     def _merge_busy(self) -> bool:
         """True while this agent has an outstanding merge handshake.
 
@@ -306,7 +305,7 @@ class SystemManager:
         state = self.state(self.agent_id, sender)
         if state != PeerState.UNMERGED or self._merge_busy():
             return  # handshake running, already merged, or peer unavailable
-        cand = detect_merge(self.shared_map(), msg.words, self.merge.acceptance_factor)
+        cand = detect_merge(self.shared_map(), msg.words, ACCEPTANCE_FACTOR)
         if cand is None:
             return
         self.hooks.log("merge_detected", peer=sender, score=cand.score,
@@ -332,7 +331,7 @@ class SystemManager:
             if timed_out:
                 self.hooks.log("merge_handshake_timeout", peer=peer)
 
-        self.hooks.schedule(self.merge.handshake_timeout, expire)
+        self.hooks.schedule(HANDSHAKE_TIMEOUT, expire)
         # the map's own objects, in ascending id order; `send` encodes them
         m = self.shared_map()
         kfs = [m.keyframes[k] for k in sorted(m.keyframes)]
@@ -352,9 +351,8 @@ class SystemManager:
             return  # serialized at the leader; the sender times out and retries
         result = attempt_full_merge(
             self.shared_map(), msg.hint_kf,
-            points_by_word(msg.points),
-            self.merge.neighborhood_depth, self._ransac_params(),
-            self.merge.cluster_tolerance,
+            points_by_word(msg.points), NEIGHBORHOOD_DEPTH,
+            RansacParams(seed=self.hooks.ransac_seed()),
         )
         if result is None:
             self.hooks.log("merge_attempt_failed", peer=sender)
@@ -386,8 +384,8 @@ class SystemManager:
         # a member permanently misaligned, so it is repeated a few times and
         # receivers deduplicate on the merge id
         broadcast()
-        for k in range(1, self.merge.notify_repeats):
-            self.hooks.schedule(k * self.merge.notify_spacing, broadcast)
+        for k in range(1, NOTIFY_REPEATS):
+            self.hooks.schedule(k * NOTIFY_SPACING, broadcast)
         self.hooks.log("group_merged", roster=roster, leader=roster[0],
                        inliers=inlier_count, scale=transform.scale)
 

@@ -31,6 +31,14 @@ from .wire import decode_frame  # noqa: F401
 
 __all__ = ["Outbox", "SharingState", "insert_external_keyframe"]
 
+# An outbox is cut into a packet once it holds BATCH_SIZE keyframes.
+BATCH_SIZE = 5
+# Arriving map points merge into a local point of the same word within
+# DUP_RADIUS, in map units.
+DUP_RADIUS = 0.05
+# External keyframes an agent inserts per tick.
+DRAIN_BUDGET = 3
+
 
 @dataclass
 class Outbox:

@@ -28,6 +28,9 @@ import numpy as np
 from .map_store import AgentMap, KeyFrame, UnknownObjectError
 
 COVISIBLE_COUNT = 5
+# the share of the dynamic baseline a query must score for the protocol to
+# accept a merge
+ACCEPTANCE_FACTOR = 0.75
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import AgentConfig, TrackConfig, WorldConfig
+from .config import AgentConfig, WorldConfig
 from .geometry import Rotation, Se3Pose, Sim3Transform, se3_exp, vec3
 from .map_store import KeyFrame, MapPoint, UuidGenerator
+
+# A keyframe spawns once the agent-frame pose has moved more than
+# SPAWN_DISTANCE (agent-frame units) or turned more than SPAWN_ANGLE_DEG
+# since the last one.
+SPAWN_DISTANCE = 0.3
+SPAWN_ANGLE_DEG = 15.0
+# A frame that sees fewer than MIN_WORD_MATCHES landmarks is weak; LOST_FRAMES
+# consecutive weak frames declare localization lost.
+MIN_WORD_MATCHES = 10
+LOST_FRAMES = 5
+# How far a re-observation pulls a map point toward the fresh estimate.
+POINT_UPDATE_BLEND = 0.3
 
 
 @dataclass(frozen=True)
@@ -182,10 +194,9 @@ class TrackerFrame:
 class AgentTracker:
     """Scripted motion, noisy scaled odometry, visibility, spawn and loss logic."""
 
-    def __init__(self, cfg: AgentConfig, track: TrackConfig, landmarks: list[Landmark],
-                 seed: int, uuid_gen: UuidGenerator):
+    def __init__(self, cfg: AgentConfig, landmarks: list[Landmark], seed: int,
+                 uuid_gen: UuidGenerator):
         self.cfg = cfg
-        self.track = track
         self.landmarks = landmarks
         self._lm_positions = np.array([lm.position for lm in landmarks],
                                       dtype=float).reshape(-1, 3)
@@ -270,11 +281,11 @@ class AgentTracker:
         self.est_pose = self.est_pose.compose(delta_est)
 
         visible, cam = self.visible_landmarks(t)
-        if len(visible) < self.track.min_word_matches:
+        if len(visible) < MIN_WORD_MATCHES:
             self._weak_frames += 1
         else:
             self._weak_frames = 0
-        lost_transition = self.localized and self._weak_frames >= self.track.lost_frames
+        lost_transition = self.localized and self._weak_frames >= LOST_FRAMES
         return TrackerFrame(t, visible, cam, lost_transition)
 
     # -- keyframe spawning ------------------------------------------------------
@@ -285,8 +296,7 @@ class AgentTracker:
         rel = self.last_kf_pose.inverse().compose(self.est_pose)
         dist = math.sqrt(float(rel.translation.dot(rel.translation)))  # agent-frame units
         angle = rel.rotation.angle()
-        return (dist > self.track.spawn_distance
-                or angle > math.radians(self.track.spawn_angle_deg))
+        return dist > SPAWN_DISTANCE or angle > math.radians(SPAWN_ANGLE_DEG)
 
     def spawn_keyframe(self, agent_id: int, t: float, frame: TrackerFrame,
                        active_map=None) -> tuple[KeyFrame, list[MapPoint]] | None:
@@ -324,7 +334,7 @@ class AgentTracker:
                 new_points.append(MapPoint(pid, measured_rows[row], lm.word, {kf_id}))
                 self.assoc[lm.id] = pid
             observed.add(pid)
-        _blend_positions(reobserved, measured_rows, self.track.point_update_blend)
+        _blend_positions(reobserved, measured_rows, POINT_UPDATE_BLEND)
         kf = KeyFrame(
             id=kf_id, origin_agent=agent_id, timestamp=t, pose=self.est_pose.copy(),
             words=dict(sorted(counts.items())), observed_points=observed,

@@ -27,6 +27,10 @@ from functools import partial
 import numpy as np
 
 from .alignment import (
+    AIMD_T_INITIAL,
+    AIMD_T_MIN,
+    OK_RATIO,
+    OK_RMSE,
     AimdState,
     NoModelError,
     RansacParams,
@@ -38,14 +42,15 @@ from .alignment import (
 from .config import ScenarioConfig
 from .geometry import Sim3Transform
 from .group_protocol import (
+    NEIGHBORHOOD_DEPTH,
     ManagerHooks,
     SystemManager,
     attempt_full_merge,
     points_by_word,
 )
-from .map_sharing import SharingState
+from .map_sharing import BATCH_SIZE, DRAIN_BUDGET, DUP_RADIUS, SharingState
 from .map_store import MapDatabase, UuidGenerator, uuid_agent
-from .merge_detection import detect_merge
+from .merge_detection import ACCEPTANCE_FACTOR, detect_merge
 from .net_sim import Envelope, EventQueue, MeshNetwork
 from .sim_world import AgentTracker, generate_world
 from .wire import (
@@ -71,6 +76,9 @@ from .wire import (
 _ORDERED_TYPES = (LocalizationLost, LocalizationRegained)
 # bulk data is left out of the event log; every other send is recorded
 _UNLOGGED_CATEGORIES = (CATEGORY_KEYFRAMES, CATEGORY_ALIGNMENT)
+# seconds a follower waits for its leader's tagged points before it gives up
+# on an alignment round
+ALIGN_RESPONSE_TIMEOUT = 5.0
 
 
 class EventLog:
@@ -108,7 +116,7 @@ class AgentRuntime:
         self.id = cfg.id
         self.scenario = scenario
         self.uuids = UuidGenerator(run_seed, cfg.id)
-        self.tracker = AgentTracker(cfg, scenario.track, landmarks, run_seed, self.uuids)
+        self.tracker = AgentTracker(cfg, landmarks, run_seed, self.uuids)
         self.db = MapDatabase()
         self.sharing = SharingState()
         self._seq = 0
@@ -129,7 +137,6 @@ class AgentRuntime:
         )
         self.manager = SystemManager(
             self.id, [a.id for a in scenario.agents], hooks,
-            scenario.merge, scenario.align,
             shared_map=lambda: self.db.shared_map,
         )
 
@@ -143,14 +150,6 @@ class AgentRuntime:
         self._ransac_calls += 1
         return (self._run_seed * 1_000_003 + self.id * 10_007
                 + self._ransac_calls) % (1 << 63)
-
-    def _ransac_params(self, min_inliers: int) -> RansacParams:
-        return RansacParams(
-            iterations=self.scenario.align.ransac_iterations,
-            inlier_threshold=self.scenario.align.inlier_threshold,
-            min_inliers=min_inliers,
-            seed=self._next_ransac_seed(),
-        )
 
     def apply_frame_transform(self, t: Sim3Transform) -> None:
         """Shared-map frame change: move the map and, if tracking in it, the tracker."""
@@ -207,10 +206,7 @@ class AgentRuntime:
         self._flush_outboxes()
 
     def end_of_tick(self, now: float) -> None:
-        self.sharing.drain(
-            self.db.shared_map, self.scenario.share.drain_budget,
-            self.scenario.share.dup_radius,
-        )
+        self.sharing.drain(self.db.shared_map, DRAIN_BUDGET, DUP_RADIUS)
 
     # -- localization loss and recovery ----------------------------------------
 
@@ -224,14 +220,12 @@ class AgentRuntime:
         shared = self.db.shared_map
         if not shared.keyframes:
             return
-        cand = detect_merge(shared, kf.words, self.scenario.merge.acceptance_factor)
+        cand = detect_merge(shared, kf.words, ACCEPTANCE_FACTOR)
         if cand is None:
             return
         result = attempt_full_merge(
             self.db.active_map, kf.id, points_by_word(shared.points.values()),
-            self.scenario.merge.neighborhood_depth,
-            self._ransac_params(self.scenario.merge.min_inliers),
-            self.scenario.merge.cluster_tolerance,
+            NEIGHBORHOOD_DEPTH, RansacParams(seed=self._next_ransac_seed()),
         )
         if result is None:
             return
@@ -254,15 +248,13 @@ class AgentRuntime:
         group = self.manager.registry.group_of(self.id)
         if len(group) < 2 or self.manager.is_leader():
             return
-        align = self.scenario.align
         if self.aimd is None:
             # first round soon after merging to catch early-merge error; the
-            # interval itself starts at its configured initial value
-            self.aimd = AimdState(align.t_initial, now + align.t_min,
-                                  align.t_min, align.t_max)
+            # interval itself starts at its initial value
+            self.aimd = AimdState(AIMD_T_INITIAL, now + AIMD_T_MIN)
             return
         if self._align_request_time is not None:
-            if now - self._align_request_time > align.response_timeout:
+            if now - self._align_request_time > ALIGN_RESPONSE_TIMEOUT:
                 self._align_request_time = None
                 self.aimd.skip(now)
                 self.sim.log(self.id, "alignment_timeout", {})
@@ -302,10 +294,8 @@ class AgentRuntime:
         local_ids = [pid for pid in sorted(own_ids) if pid in m.points]
         local = np.array([m.points[pid].position for pid in local_ids]).reshape(-1, 3)
         src, dst = match_tagged((local_ids, local), msg.points)
-        align = self.scenario.align
         try:
-            transform, inliers = ransac_sim3(
-                src, dst, self._ransac_params(align.min_inliers))
+            transform, inliers = ransac_sim3(src, dst, RansacParams(seed=self._next_ransac_seed()))
         except NoModelError:
             self.aimd.record(False, now)
             self.sim.log(self.id, "alignment_round", {
@@ -313,7 +303,7 @@ class AgentRuntime:
             return
         rmse = inlier_rmse(transform, src[inliers], dst[inliers])
         ratio = len(inliers) / len(src)
-        verdict = well_aligned(ratio, rmse, align.ok_ratio, align.rmse_limit)
+        verdict = well_aligned(ratio, rmse, OK_RATIO, OK_RMSE)
         self.apply_frame_transform(transform)
         self.aimd.record(verdict, now)
         self.sim.log(self.id, "alignment_round", {
@@ -329,9 +319,7 @@ class AgentRuntime:
             return
         for peer in self.manager.merged_peers():
             pkt = self.sharing.flush_outbox(
-                self.id, peer, self.db.shared_map,
-                self.scenario.share.batch_size, force=force,
-            )
+                self.id, peer, self.db.shared_map, BATCH_SIZE, force=force)
             if pkt is not None:
                 self.sim.send_message(self.id, peer, pkt)
 
@@ -460,8 +448,7 @@ class Simulation:
         self._run_queue()
         for aid in self.agent_ids:
             rt = self.runtimes[aid]
-            rt.sharing.drain(rt.db.shared_map, len(rt.sharing.queue),
-                             self.scenario.share.dup_radius)
+            rt.sharing.drain(rt.db.shared_map, len(rt.sharing.queue), DUP_RADIUS)
 
     def _estimated_trajectories(self):
         rows = []

@@ -124,6 +124,15 @@ class TestKabschUmeyama:
         assert est_rmse <= grid_best + 1e-6
 
 
+class TestRansacParams:
+    @pytest.mark.parametrize("key, value", [
+        ("iterations", 0), ("iterations", -1), ("inlier_threshold", 0.0),
+        ("inlier_threshold", -0.05), ("min_inliers", 0), ("min_inliers", -1)])
+    def test_rejects_non_positive(self, key, value):
+        with pytest.raises(ValueError, match="must be positive"):
+            RansacParams(**{key: value})
+
+
 class TestRansacSim3:
     def test_exact_correspondences_all_inliers(self):
         rng = np.random.default_rng(7)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from meshslam.alignment import RansacParams
-from meshslam.config import AlignConfig, MergeConfig
 from meshslam.geometry import Rotation, Se3Pose, Sim3Transform, vec3
 from meshslam.group_protocol import (
     ManagerHooks,
@@ -149,7 +148,7 @@ class Bus:
         self.dropped: set[type] = set()  # message types lost in transit
         self._seed = 0
 
-    def add_agent(self, aid: int, agents: list[int], m: AgentMap, **cfg):
+    def add_agent(self, aid: int, agents: list[int], m: AgentMap):
         def send(dst, msg, src=aid):
             self.trace.append((src, dst, msg))
             if type(msg) not in self.dropped:
@@ -172,10 +171,7 @@ class Bus:
         hooks = ManagerHooks(send=send, log=log,
                              schedule=schedule, apply_map_transform=apply_transform,
                              ransac_seed=ransac_seed)
-        mgr = SystemManager(
-            aid, agents, hooks, MergeConfig(**cfg), AlignConfig(),
-            shared_map=lambda _aid=aid: self.maps[_aid],
-        )
+        mgr = SystemManager(aid, agents, hooks, shared_map=lambda _aid=aid: self.maps[_aid])
         self.managers[aid] = mgr
         return mgr
 
@@ -596,8 +592,7 @@ class RandomCluster:
                 apply_map_transform=lambda t: None,
                 ransac_seed=lambda: 0,
             )
-            self.managers[aid] = SystemManager(aid, self.agents, hooks, MergeConfig(),
-                                               AlignConfig(), shared_map=AgentMap)
+            self.managers[aid] = SystemManager(aid, self.agents, hooks, shared_map=AgentMap)
 
     def can_talk(self, a, b):
         return any(a in comp and b in comp for comp in self.reachable)

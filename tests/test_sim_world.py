@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from meshslam.config import AgentConfig, TrackConfig, WorldConfig
+from meshslam import sim_world
+from meshslam.config import AgentConfig, WorldConfig
 from meshslam.geometry import Rotation, Se3Pose, vec3
 from meshslam.map_store import UuidGenerator
 from meshslam.sim_world import (
@@ -16,21 +17,17 @@ from meshslam.sim_world import (
 
 
 def tracker(seed=0, waypoints=None, landmarks=None, **kw):
-    cfg = AgentConfig(
-        id=0,
-        waypoints=waypoints or [[0, 0, 0], [10, 0, 0]],
-        speed=kw.pop("speed", 1.0),
-        fov_deg=kw.pop("fov_deg", 90.0),
-        range_m=kw.pop("range_m", 8.0),
-        sigma_t=kw.pop("sigma_t", 0.0),
-        sigma_r=kw.pop("sigma_r", 0.0),
-        scale_offset=kw.pop("scale_offset", 1.0),
-        frame_offset=kw.pop("frame_offset", "identity"),
-        blackouts=kw.pop("blackouts", []),
-    )
-    track = TrackConfig(**kw)
+    """A tracker at agent id 0; ``kw`` overrides ``AgentConfig`` fields."""
+    cfg = AgentConfig(id=0, waypoints=waypoints or [[0, 0, 0], [10, 0, 0]],
+                      **{"scale_offset": 1.0, "frame_offset": "identity", **kw})
     lms = landmarks if landmarks is not None else []
-    return AgentTracker(cfg, track, lms, seed, UuidGenerator(seed, 0))
+    return AgentTracker(cfg, lms, seed, UuidGenerator(seed, 0))
+
+
+@pytest.fixture
+def one_word_match(monkeypatch):
+    """Any frame that sees a landmark counts as healthy."""
+    monkeypatch.setattr(sim_world, "MIN_WORD_MATCHES", 1)
 
 
 class TestGenerateWorld:
@@ -146,11 +143,12 @@ class TestCachedFacing:
 
 
 class TestBatchedMeasurement:
+    @pytest.mark.usefixtures("one_word_match")
     def test_spawn_positions_match_per_point_apply(self):
         # reference: one Se3Pose.apply per visible landmark
         lms = TestKeyframeSpawning().dense_world()
         tr = tracker(seed=4, landmarks=lms, frame_offset="random", scale_offset=None,
-                     sigma_t=0.01, sigma_r=0.01, min_word_matches=1)
+                     sigma_t=0.01, sigma_r=0.01)
         for i in range(5):
             frame = tr.step(i * 0.1)
         assert len(frame.visible) > 10
@@ -266,9 +264,9 @@ class TestKeyframeSpawning:
                                       rng.uniform(0, 2)]), word=i % 40)
                 for i in range(300)]
 
+    @pytest.mark.usefixtures("one_word_match")
     def test_stationary_agent_single_spawn(self):
-        tr = tracker(landmarks=self.dense_world(), waypoints=[[0, 0, 0]],
-                     min_word_matches=1)
+        tr = tracker(landmarks=self.dense_world(), waypoints=[[0, 0, 0]])
         spawns = 0
         for i in range(50):
             frame = tr.step(i * 0.1)
@@ -276,9 +274,10 @@ class TestKeyframeSpawning:
                 spawns += 1
         assert spawns == 1
 
+    @pytest.mark.usefixtures("one_word_match")
     def test_straight_run_spawn_count(self):
         # 1 m at thresholds of 0.3 -> spawns near 0.3/0.6/0.9 beyond the initial
-        tr = tracker(landmarks=self.dense_world(), min_word_matches=1)
+        tr = tracker(landmarks=self.dense_world())
         spawn_times = []
         for i in range(0, 101):
             frame = tr.step(i * 0.01)  # 1 cm steps
@@ -289,9 +288,9 @@ class TestKeyframeSpawning:
         assert spawn_times[0] == 0.0
         assert spawn_times[1:] == [0.31, 0.62, 0.93]
 
+    @pytest.mark.usefixtures("one_word_match")
     def test_spin_in_place_spawns_at_angle_thresholds(self):
-        tr = tracker(landmarks=self.dense_world(), waypoints=[[0, 0, 0]],
-                     min_word_matches=1)
+        tr = tracker(landmarks=self.dense_world(), waypoints=[[0, 0, 0]])
         frame = tr.step(0.0)
         assert tr.spawn_keyframe(0, 0.0, frame) is not None
         spawns = []
@@ -305,8 +304,9 @@ class TestKeyframeSpawning:
                 spawns.append(deg)
         assert spawns == [16, 32, 48]  # first steps strictly past each 15 deg gap
 
+    @pytest.mark.usefixtures("one_word_match")
     def test_keyframe_contents(self):
-        tr = tracker(landmarks=self.dense_world(), min_word_matches=1)
+        tr = tracker(landmarks=self.dense_world())
         frame = tr.step(0.0)
         kf, new_points = tr.spawn_keyframe(7, 0.0, frame)
         assert kf.origin_agent == 7
@@ -323,8 +323,9 @@ class TestKeyframeSpawning:
             pt = next(p for p in new_points if p.id == pid)
             assert pt.word == by_id[lm_id].word
 
+    @pytest.mark.usefixtures("one_word_match")
     def test_reobservation_extends_not_recreates(self):
-        tr = tracker(landmarks=self.dense_world(), min_word_matches=1)
+        tr = tracker(landmarks=self.dense_world())
         frame = tr.step(0.0)
         kf1, new1 = tr.spawn_keyframe(0, 0.0, frame)
         # move a little and spawn again: most landmarks are re-associated
@@ -346,9 +347,10 @@ class TestLossDetection:
             frame = tr.step(i * 0.1)
             assert not frame.lost_transition
 
-    def test_blackout_triggers_loss_after_l_frames(self):
+    def test_blackout_triggers_loss_after_l_frames(self, monkeypatch):
+        monkeypatch.setattr(sim_world, "LOST_FRAMES", 5)
         lms = TestKeyframeSpawning().dense_world()
-        tr = tracker(landmarks=lms, blackouts=[(1.0, 4.0)], lost_frames=5)
+        tr = tracker(landmarks=lms, blackouts=[(1.0, 4.0)])
         transitions = []
         for i in range(1, 60):
             frame = tr.step(i * 0.1)

@@ -9,7 +9,7 @@ import pytest
 
 import test_sim_world as sw
 import tracker_reference as ref
-from meshslam import simulation
+from meshslam import sim_world, simulation
 from meshslam.config import load_scenario
 from meshslam.geometry import Rotation, Se3Pose
 from meshslam.map_store import AgentMap, MapPoint, UuidGenerator
@@ -120,10 +120,11 @@ def run_side_by_side(tr, times):
         assert_trackers_equal(tr, twin)
 
 
-def test_single_waypoint_script_matches_reference():
+def test_single_waypoint_script_matches_reference(monkeypatch):
+    monkeypatch.setattr(sim_world, "MIN_WORD_MATCHES", 1)
     tr = sw.tracker(seed=3, landmarks=sw.TestKeyframeSpawning().dense_world(),
                     waypoints=[[1.0, 0.5, 0.8]], frame_offset="random", scale_offset=None,
-                    sigma_t=0.01, sigma_r=0.01, min_word_matches=1)
+                    sigma_t=0.01, sigma_r=0.01)
     assert len(tr.script.segments) == 1 and tr.script.segments[0].length == 0.0
     run_side_by_side(tr, [float(t) for t in np.arange(0.1, 6.0, 0.1)])
 
@@ -152,9 +153,10 @@ def test_directly_set_true_pose_drives_the_view():
         assert_trackers_equal(tr, twin)
 
 
-def test_two_landmarks_resolving_to_one_point_blend_in_order():
+def test_two_landmarks_resolving_to_one_point_blend_in_order(monkeypatch):
+    monkeypatch.setattr(sim_world, "MIN_WORD_MATCHES", 1)
     lms = sw.TestKeyframeSpawning().dense_world()
-    tr = sw.tracker(seed=5, landmarks=lms, min_word_matches=1)
+    tr = sw.tracker(seed=5, landmarks=lms)
     frame = tr.step(0.1)
     assert len(frame.visible) >= 4
     a, b, c = (lm.id for lm in frame.visible[1:4])
@@ -176,6 +178,6 @@ def test_two_landmarks_resolving_to_one_point_blend_in_order():
         assert bits(m.points[pid].position) == bits(shadow.points.copies[pid].position)
     # the shared point blends a's row, then b's
     rows = tr.est_pose.apply(tr.frame_scale * frame.cam_positions)
-    k = tr.track.point_update_blend
+    k = sim_world.POINT_UPDATE_BLEND
     first = (1.0 - k) * np.array([1.0, 2.0, 3.0]) + k * rows[1]
     assert bits(m.points[keep].position) == bits((1.0 - k) * first + k * rows[2])

@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from meshslam import sim_world
 from meshslam.geometry import Se3Pose, se3_exp
 from meshslam.map_store import KeyFrame, MapPoint
 from meshslam.sim_world import TrackerFrame
@@ -59,11 +60,11 @@ def step(tr, t):
     tr.est_pose = tr.est_pose.compose(delta_est)
 
     visible, cam = visible_landmarks(tr, t)
-    if len(visible) < tr.track.min_word_matches:
+    if len(visible) < sim_world.MIN_WORD_MATCHES:
         tr._weak_frames += 1
     else:
         tr._weak_frames = 0
-    lost_transition = tr.localized and tr._weak_frames >= tr.track.lost_frames
+    lost_transition = tr.localized and tr._weak_frames >= sim_world.LOST_FRAMES
     return TrackerFrame(t, visible, cam, lost_transition)
 
 
@@ -73,8 +74,8 @@ def should_spawn(tr):
     rel = tr.last_kf_pose.inverse().compose(tr.est_pose)
     dist = float(np.linalg.norm(rel.translation))
     angle = rel.rotation.angle()
-    return (dist > tr.track.spawn_distance
-            or angle > math.radians(tr.track.spawn_angle_deg))
+    return (dist > sim_world.SPAWN_DISTANCE
+            or angle > math.radians(sim_world.SPAWN_ANGLE_DEG))
 
 
 def spawn_keyframe(tr, agent_id, t, frame, active_map=None):
@@ -86,7 +87,7 @@ def spawn_keyframe(tr, agent_id, t, frame, active_map=None):
     observed = set()
     new_points = []
     kf_id = tr.uuids.next()
-    blend = tr.track.point_update_blend
+    blend = sim_world.POINT_UPDATE_BLEND
     measured_rows = tr.est_pose.apply(tr.frame_scale * frame.cam_positions)
     for lm, measured in zip(frame.visible, measured_rows):
         pid = tr.assoc.get(lm.id)
