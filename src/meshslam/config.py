@@ -96,8 +96,13 @@ class ScenarioConfig:
             if not window.start < window.end:
                 raise ConfigError(f"net.partitions[{i}]: need start < end")
             for j, link in enumerate(window.down_links):
+                where = f"net.partitions[{i}].links[{j}]"
+                if any(isinstance(x, bool) or not isinstance(x, int) for x in link):
+                    raise ConfigError(f"{where}: expected two agent ids, got {list(link)!r}")
                 if not all(x in ids for x in link):
-                    raise ConfigError(f"net.partitions[{i}].links[{j}]: unknown agent")
+                    raise ConfigError(f"{where}: unknown agent")
+                if link[0] == link[1]:
+                    raise ConfigError(f"{where}: links agent {link[0]} to itself")
         for ok, need, paths in _RANGES:
             for path in paths:
                 section, key = path.split(".")

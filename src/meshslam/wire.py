@@ -3,7 +3,7 @@
 Envelope layout (all multi-byte integers little-endian):
 
     magic   4 bytes  b"DVMS"
-    version u16      1
+    version u16      2
     type    u8       message type tag
     sender  u16      agent id
     seq     u64      per-sender monotone sequence number
@@ -16,34 +16,46 @@ in declaration order; the sequence number lives only in the envelope.
 Field codecs:
 
     uuid       16B, low 64 bits first
-    words      count u32 + (word u32, count u16)*
+    ids        varint n + varint(id gap - 1)*n
+    words      varint n + (varint(word id gap - 1), varint(count))*n
     keyframes  count u32 + per keyframe: uuid 16B, origin u16, timestamp f64,
-               pose 7*f64 (qw qx qy qz tx ty tz), words, obs_count u32 + uuid*
+               pose 7*f64 (qw qx qy qz tx ty tz), words, observed point ids
     points     count u32 + per point: uuid 16B, xyz 3*f64, word u32,
-               observer_count u32 + uuid*
+               observer ids
     sim3       scale f64, quaternion 4*f64, translation 3*f64
     roster     count u16 + agent id u16*
-    tagged     count u32 + (uuid 16B, xyz 3*f64)*, ids strictly ascending
+    tagged     ids, then their n positions as one n*3 f64 block
+
+A varint is LEB128: an unsigned integer in groups of seven bits, lowest group
+first, one group per byte, the high bit set on every byte but the last.  Id
+lists and histogram word ids are strictly ascending, so each is written as its
+gap to the one before it minus one, the first counted from -1: the ids
+[0, 5, 6] are the varints 3 (the count), 0, 4, 0.  An id list therefore takes
+the length of its count's varint plus the lengths of its gaps' varints.
 
 Keyframes and map points travel as the map store's own KeyFrame and MapPoint
 objects.  Decoding always builds fresh objects, so an object never reaches a
 second agent by reference.  A histogram travels as the word counts its
 keyframe holds, and a quaternion that is canonical up to rounding is kept as
 sent (others are normalized and sign-canonicalized), so a keyframe decodes to
-what its sender held, bit for bit.  Id lists (histogram word ids, observed
-ids, observer ids) are written strictly ascending; tagged points carry their
-ids in the order given, which the encoder requires to be strictly ascending
-too.
+what its sender held, bit for bit.  Observed and observer id sets are written
+in ascending order and decoded into sets built in that order; tagged points
+carry their ids in the order given, which the encoder requires to be strictly
+ascending.
 
 Decoding is fail-closed: any structural problem raises WireError naming the
 byte offset (counted from the start of the payload for payload fields); no
-partially decoded object escapes.  Besides the layout, the decoder rejects
-non-finite floats, quaternions of zero, subnormal or non-finite norm, SIM(3)
-scales that are not positive, word counts of zero, histograms whose counts add
-up to more than ``MAX_WORD_TOTAL`` (65535; the error names the count that
-crosses it), and id lists (tagged point ids among them) that are not strictly
-ascending.  The encoder raises ValueError on a histogram whose counts are not
-positive or add up to more than ``MAX_WORD_TOTAL``.
+partially decoded object escapes.  A field or varint cut off by the end of
+the payload is a truncation naming where it starts.  Besides the layout, the
+decoder rejects, in payload order: non-minimal varints (a last byte 0x00
+after a continuation byte, so that every list has exactly one encoding), ids
+above 2^128 - 1, list counts and word ids above 2^32 - 1, word counts of
+zero, histograms whose counts add up to more than ``MAX_WORD_TOTAL`` (65535;
+the error names the count that crosses it), non-finite floats, quaternions of
+zero, subnormal or non-finite norm, and SIM(3) scales that are not positive.
+The encoder raises ValueError on tagged point ids that are not strictly
+ascending, on ids or word ids outside the ranges above, and on a histogram
+whose counts are not positive or add up to more than ``MAX_WORD_TOTAL``.
 """
 
 from __future__ import annotations
@@ -52,7 +64,9 @@ import math
 import struct
 from dataclasses import dataclass, fields
 from enum import IntEnum
-from itertools import starmap
+from functools import lru_cache
+from itertools import accumulate
+from operator import lt
 
 import numpy as np
 
@@ -60,11 +74,13 @@ from .geometry import Rotation, Se3Pose, Sim3Transform
 from .map_store import KeyFrame, MapPoint
 
 MAGIC = b"DVMS"
-VERSION = 1
+VERSION = 2
 _HEADER = struct.Struct("<4sHBHQI")
 HEADER_SIZE = _HEADER.size  # 21
 # the largest total of one histogram's word counts, so that any count fits a u16
 MAX_WORD_TOTAL = 0xFFFF
+_MAX_ID = (1 << 128) - 1  # ids are 128-bit uuids
+_MAX_U32 = 0xFFFFFFFF     # list counts and word ids
 
 
 class WireError(ValueError):
@@ -165,7 +181,7 @@ Message = (
 
 
 # ---------------------------------------------------------------------------
-# Fixed layouts, writer and reader
+# Fixed layouts, varints and the reader
 # ---------------------------------------------------------------------------
 
 _M64 = (1 << 64) - 1
@@ -198,40 +214,58 @@ _QUAT = _Fields("d", "d", "d", "d")
 _VEC3 = _Fields("d", "d", "d")
 _KF_HEAD = _Fields("QQ", "H", "d")         # id, origin, timestamp
 _UUID_VEC3 = _Fields("QQ", "d", "d", "d")  # point id, position
-_WORD = _Fields("I", "H")                  # word id, count
-_U32_U32 = _Fields("I", "I")               # point word, observer count
 # The writer packs in one call what the reader reads in parts: the reader
 # checks each part's values before it reads the next part.
 _KF_RECORD = _KF_HEAD + _QUAT + _VEC3  # up to the histogram
-_POINT_RECORD = _UUID_VEC3 + _U32_U32
+_POINT_RECORD = _UUID_VEC3 + _U32      # up to the observer ids
 _SIM3 = _F64 + _QUAT + _VEC3
-# _UUID_VEC3 as one numpy record, for tagged points read and written as a block
-_TAGGED_ROW = np.dtype([("lo", "<u8"), ("hi", "<u8"), ("xyz", "<f8", (3,))])
-assert _TAGGED_ROW.itemsize == _UUID_VEC3.size
+_F64_BLOCK = np.dtype("<f8")
+_U16_BLOCK = np.dtype("<u2")
+# bytes.translate table: a one-byte gap g, as the step g + 1 between two ids
+_PLUS_ONE = bytes(range(1, 129)) + bytes(128)
 
 
-class _Writer:
-    def __init__(self):
-        self.parts: list[bytes] = []
+def _put_varint(out: bytearray, v: int) -> None:
+    while v >= 0x80:
+        out.append(v & 0x7F | 0x80)
+        v >>= 7
+    out.append(v)
 
-    def put(self, f: _Fields, *values) -> None:
-        self.parts.append(f.struct.pack(*values))
 
-    def rows(self, f: _Fields, rows) -> None:
-        self.parts.extend(starmap(f.struct.pack, rows))
+@lru_cache(maxsize=256)
+def _first_id(uid: int) -> bytes:
+    """The varint of an id list's first id, its gap to -1 minus one.
 
-    def ids(self, ids) -> None:
-        """The uuids in ascending order."""
-        self.parts.extend([v.to_bytes(16, "little") for v in sorted(ids)])
+    A uuid's varint takes one loop step per byte, and the lists of a message
+    mostly start with a few ids (a packet's new points are observed first by
+    its keyframe): about 9 in 10 are found here.
+    """
+    out = bytearray()
+    _put_varint(out, uid)
+    return bytes(out)
 
-    def getvalue(self) -> bytes:
-        return b"".join(self.parts)
+
+def _write_ids(out: bytearray, ids: list[int]) -> None:
+    """Strictly ascending ids as a varint count and varint gaps."""
+    if ids and (ids[0] < 0 or ids[-1] > _MAX_ID):
+        raise ValueError(f"id {ids[0] if ids[0] < 0 else ids[-1]} is outside [0, 2^128 - 1]")
+    _put_varint(out, len(ids))
+    if not ids:
+        return
+    out += _first_id(ids[0])
+    prev = ids[0]
+    for uid in ids[1:]:
+        gap = uid - prev - 1
+        prev = uid
+        if gap < 0x80:  # the common case: one byte, no call
+            out.append(gap)
+        else:
+            _put_varint(out, gap)
 
 
 class _Reader:
     def __init__(self, data: bytes):
         self.data = data
-        self.view = memoryview(data)
         self.end = len(data)
         self.off = 0
 
@@ -251,36 +285,80 @@ class _Reader:
         self.off = off + f.size
         return f.struct.unpack_from(self.data, off)
 
-    def rows(self, f: _Fields, n: int, check=None, dtype: np.dtype | None = None):
-        """n back-to-back records of layout `f`: a list of tuples, or with
-        `dtype` (a numpy record of the same layout) one structured array.
+    def array(self, dtype: np.dtype, n: int, check=None) -> np.ndarray:
+        """n back-to-back `dtype` values as one array.
 
-        When the payload ends first, the records that fit still go through
-        ``check(rows, offset_of_first)`` before the truncation is raised, so
+        When the payload ends first, the values that fit still go through
+        ``check(values, offset_of_first)`` before the truncation is raised, so
         errors surface in payload order.
         """
         start = self.off
-        k = min(n, (self.end - start) // f.size)
-        self.off = start + k * f.size
-        if dtype is None:
-            rows = list(f.struct.iter_unpack(self.view[start:self.off]))
-        else:
-            rows = np.frombuffer(self.data, dtype, k, start)
+        k = min(n, (self.end - start) // dtype.itemsize)
+        self.off = start + k * dtype.itemsize
+        values = np.frombuffer(self.data, dtype, k, start)
         if check is not None:
-            check(rows, start)
+            check(values, start)
         if k < n:
-            raise self._truncated(self.off, f.sizes)
-        return rows
+            raise self._truncated(self.off, (dtype.itemsize,))
+        return values
 
-    def ids(self, n: int) -> set[int]:
-        """n uuids, which must be strictly ascending."""
+    def varint(self, off: int) -> tuple[int, int]:
+        """The varint at `off` and the offset after it."""
+        data, end, start = self.data, self.end, off
+        value = shift = 0
+        while True:
+            if off == end:
+                raise WireError(f"truncated payload: need {off - start + 1} bytes "
+                                f"at offset {start}, have {off - start}")
+            byte = data[off]
+            off += 1
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                break
+            shift += 7
+        if byte == 0 and off - start > 1:
+            raise WireError(f"non-minimal varint at offset {start}")
+        return value, off
+
+    def count(self) -> int:
+        """A list's varint count."""
         start = self.off
-        ids = [lo | hi << 64 for lo, hi in self.rows(_UUID, n)]
-        for i in range(1, len(ids)):
-            if ids[i] <= ids[i - 1]:
-                raise WireError(
-                    f"id {ids[i]} at offset {start + 16 * i} is not above the id before it")
-        return set(ids)
+        if start < self.end and (n := self.data[start]) < 0x80:
+            self.off = start + 1
+            return n
+        n, self.off = self.varint(start)
+        if n > _MAX_U32:
+            raise WireError(f"list count {n} at offset {start} is above 2^32 - 1")
+        return n
+
+    def ids(self) -> list[int]:
+        """An id list, ascending by construction."""
+        n = self.count()
+        data, end, off = self.data, self.end, self.off
+        if n:
+            # the common case: every gap after the first is one byte
+            first, after = self.varint(off)
+            gaps = data[after:after + n - 1]
+            if len(gaps) == n - 1 and gaps.isascii():
+                ids = list(accumulate(gaps.translate(_PLUS_ONE), initial=first))
+                if ids[-1] <= _MAX_ID:
+                    self.off = after + n - 1
+                    return ids
+        ids = []
+        uid = -1
+        for _ in range(n):
+            start = off
+            if off < end and (byte := data[off]) < 0x80:
+                uid += byte + 1
+                off += 1
+            else:
+                gap, off = self.varint(off)
+                uid += gap + 1
+            if uid > _MAX_ID:
+                raise WireError(f"id {uid} at offset {start} is above 2^128 - 1")
+            ids.append(uid)
+        self.off = off
+        return ids
 
     def done(self) -> None:
         if self.off != self.end:
@@ -327,51 +405,85 @@ def _read_pose(r: _Reader) -> Se3Pose:
     return Se3Pose(rotation, np.array(_read_finite(r, _VEC3, "translation"), dtype=float))
 
 
-def _check_words(rows: list[tuple[int, int]], start: int | None = None) -> None:
-    """Word ids strictly ascending, counts positive and adding up to at most
-    ``MAX_WORD_TOTAL``.
-
-    A fault raises WireError naming its offset in a payload whose rows begin
-    at `start`, or without `start` (the encoder's check) ValueError naming
-    the row's index.
-    """
-    prev = -1
-    total = 0
-    for i, (word, count) in enumerate(rows):
-        total += count
-        if word <= prev:
-            fault, field = f"word id {word} at {{}} is not above the word id before it", 0
-        elif count < 1:
-            fault, field = f"word count {count} at {{}} is not positive", 4
-        elif total > MAX_WORD_TOTAL:
-            fault, field = (f"word count {count} at {{}} takes the histogram's total "
-                            f"to {total}, above {MAX_WORD_TOTAL}"), 4
-        else:
-            prev = word
-            continue
-        if start is None:
-            raise ValueError(fault.format(f"index {i}"))
-        raise WireError(fault.format(f"offset {start + _WORD.size * i + field}"))
+def _word_fault(count: int, total: int, where: str) -> str:
+    if count < 1:
+        return f"word count {count} at {where} is not positive"
+    return (f"word count {count} at {where} takes the histogram's total "
+            f"to {total}, above {MAX_WORD_TOTAL}")
 
 
-def _write_words(w: _Writer, words: dict[int, int]) -> None:
+def _write_words(out: bytearray, words: dict[int, int]) -> None:
+    """Word rows in ascending word order; a count below 1, or one that takes the
+    total above ``MAX_WORD_TOTAL``, raises ValueError naming its row's index."""
     rows = sorted(words.items())
-    _check_words(rows)
-    w.put(_U32, len(rows))
-    w.rows(_WORD, rows)
+    if rows and (rows[0][0] < 0 or rows[-1][0] > _MAX_U32):
+        word = rows[0][0] if rows[0][0] < 0 else rows[-1][0]
+        raise ValueError(f"word id {word} is outside [0, 2^32 - 1]")
+    if rows and (min(words.values()) < 1 or sum(words.values()) > MAX_WORD_TOTAL):
+        total = 0
+        for i, (_, count) in enumerate(rows):
+            total += count
+            if count < 1 or total > MAX_WORD_TOTAL:
+                raise ValueError(_word_fault(count, total, f"index {i}"))
+    _put_varint(out, len(rows))
+    prev = -1
+    for word, count in rows:
+        gap = word - prev - 1
+        prev = word
+        if gap < 0x80 and count < 0x80:  # the common case: two bytes, no call
+            out.append(gap)
+            out.append(count)
+        else:
+            _put_varint(out, gap)
+            _put_varint(out, count)
 
 
 def _read_words(r: _Reader) -> dict[int, int]:
-    (n,) = r.read(_U32)
-    return dict(r.rows(_WORD, n, _check_words))
+    n = r.count()
+    data, end, off = r.data, r.end, r.off
+    # the common case: every field is one byte and every check passes at once
+    # (positive counts within the total allow at most 65535 rows, so one-byte
+    # gaps keep every word id below 2^32)
+    rows = data[off:off + 2 * n]
+    if len(rows) == 2 * n and rows.isascii():
+        counts = rows[1::2]
+        if 0 not in counts and sum(counts) <= MAX_WORD_TOTAL:
+            r.off = off + 2 * n
+            # the first word id is its gap, each later one its gap + 1 above the last
+            return dict(zip(accumulate(rows[:1] + rows[2::2].translate(_PLUS_ONE)), counts))
+    # otherwise one inlined pass: a varint() call per row's two fields doubles the cost
+    words = {}
+    word = -1
+    total = 0
+    for _ in range(n):
+        start = off
+        if off < end and (byte := data[off]) < 0x80:
+            word += byte + 1
+            off += 1
+        else:
+            gap, off = r.varint(off)
+            word += gap + 1
+        if word > _MAX_U32:
+            raise WireError(f"word id {word} at offset {start} is above 2^32 - 1")
+        start = off
+        if off < end and (count := data[off]) < 0x80:
+            off += 1
+        else:
+            count, off = r.varint(off)
+        total += count
+        if count == 0 or total > MAX_WORD_TOTAL:
+            raise WireError(_word_fault(count, total, f"offset {start}"))
+        words[word] = count
+    r.off = off
+    return words
 
 
-def _write_keyframe(w: _Writer, kf: KeyFrame) -> None:
-    w.put(_KF_RECORD, kf.id & _M64, kf.id >> 64, kf.origin_agent, kf.timestamp,
-          *kf.pose.rotation.q.tolist(), *kf.pose.translation.tolist())
-    _write_words(w, kf.words)
-    w.put(_U32, len(kf.observed_points))
-    w.ids(kf.observed_points)
+def _write_keyframe(out: bytearray, kf: KeyFrame) -> None:
+    out += _KF_RECORD.struct.pack(
+        kf.id & _M64, kf.id >> 64, kf.origin_agent, kf.timestamp,
+        *kf.pose.rotation.q.tolist(), *kf.pose.translation.tolist())
+    _write_words(out, kf.words)
+    _write_ids(out, sorted(kf.observed_points))
 
 
 def _read_keyframe(r: _Reader) -> KeyFrame:
@@ -380,26 +492,24 @@ def _read_keyframe(r: _Reader) -> KeyFrame:
     _check_finite((ts,), start + 18, "timestamp")
     pose = _read_pose(r)
     words = _read_words(r)
-    (n,) = r.read(_U32)
-    return KeyFrame(lo | hi << 64, origin, ts, pose, words, r.ids(n))
+    return KeyFrame(lo | hi << 64, origin, ts, pose, words, set(r.ids()))
 
 
-def _write_point(w: _Writer, p: MapPoint) -> None:
-    w.put(_POINT_RECORD, p.id & _M64, p.id >> 64, *p.position.tolist(), p.word,
-          len(p.observers))
-    w.ids(p.observers)
+def _write_point(out: bytearray, p: MapPoint) -> None:
+    out += _POINT_RECORD.struct.pack(p.id & _M64, p.id >> 64, *p.position.tolist(), p.word)
+    _write_ids(out, sorted(p.observers))
 
 
 def _read_point(r: _Reader) -> MapPoint:
     start = r.off
     lo, hi, *pos = r.read(_UUID_VEC3)
     _check_finite(pos, start + 16, "position")
-    word, n = r.read(_U32_U32)
-    return MapPoint(lo | hi << 64, np.array(pos), word, r.ids(n))
+    (word,) = r.read(_U32)
+    return MapPoint(lo | hi << 64, np.array(pos), word, set(r.ids()))
 
 
-def _write_sim3(w: _Writer, t: Sim3Transform) -> None:
-    w.put(_SIM3, t.scale, *t.rotation.q.tolist(), *t.translation.tolist())
+def _write_sim3(out: bytearray, t: Sim3Transform) -> None:
+    out += _SIM3.struct.pack(t.scale, *t.rotation.q.tolist(), *t.translation.tolist())
 
 
 def _read_sim3(r: _Reader) -> Sim3Transform:
@@ -413,14 +523,36 @@ def _read_sim3(r: _Reader) -> Sim3Transform:
     )
 
 
-def _write_roster(w: _Writer, roster: list[int]) -> None:
-    w.put(_U16, len(roster))
-    w.rows(_U16, [(aid,) for aid in roster])
+def _write_roster(out: bytearray, roster: list[int]) -> None:
+    out += struct.pack(f"<H{len(roster)}H", len(roster), *roster)
 
 
 def _read_roster(r: _Reader) -> list[int]:
     (n,) = r.read(_U16)
-    return [aid for (aid,) in r.rows(_U16, n)]
+    return r.array(_U16_BLOCK, n).tolist()
+
+
+def _check_positions(values: np.ndarray, start: int) -> None:
+    non_finite = np.flatnonzero(~np.isfinite(values))
+    if len(non_finite):
+        i = int(non_finite[0])
+        raise WireError(f"non-finite position {float(values[i])} at offset {start + 8 * i}")
+
+
+def _write_tagged(out: bytearray, points: tuple[list[int], np.ndarray]) -> None:
+    ids, positions = points
+    block = np.reshape(np.asarray(positions, _F64_BLOCK), (len(ids), 3))
+    if not all(map(lt, ids, ids[1:])):
+        i = next(i for i in range(1, len(ids)) if ids[i] <= ids[i - 1])
+        raise ValueError(f"tagged point id {ids[i]} at index {i} is not above the id before it")
+    _write_ids(out, ids)
+    out += block.tobytes()
+
+
+def _read_tagged(r: _Reader) -> tuple[list[int], np.ndarray]:
+    ids = r.ids()
+    positions = r.array(_F64_BLOCK, 3 * len(ids), _check_positions)
+    return ids, positions.reshape(-1, 3).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +560,11 @@ def _read_roster(r: _Reader) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _scalar(f: _Fields):
-    return (lambda w, v: w.put(f, v)), (lambda r: r.read(f)[0])
+    return (lambda out, v: out.extend(f.struct.pack(v))), (lambda r: r.read(f)[0])
 
 
-def _write_uuid(w: _Writer, v: int) -> None:
-    w.put(_UUID, v & _M64, v >> 64)
+def _write_uuid(out: bytearray, v: int) -> None:
+    out += _UUID.struct.pack(v & _M64, v >> 64)
 
 
 def _read_uuid(r: _Reader) -> int:
@@ -442,58 +574,16 @@ def _read_uuid(r: _Reader) -> int:
 
 def _counted(write_one, read_one):
     """The codec of a u32 count followed by that many items."""
-    def write(w: _Writer, items: list) -> None:
-        w.put(_U32, len(items))
+    def write(out: bytearray, items: list) -> None:
+        out += _U32.struct.pack(len(items))
         for item in items:
-            write_one(w, item)
+            write_one(out, item)
 
     def read(r: _Reader) -> list:
         (n,) = r.read(_U32)
         return [read_one(r) for _ in range(n)]
     return write, read
 
-
-def _not_above(rows: np.ndarray) -> np.ndarray:
-    """The indices of tagged rows whose id is not above the id of the row before."""
-    lo, hi = rows["lo"], rows["hi"]
-    return 1 + np.flatnonzero((hi[1:] < hi[:-1]) | ((hi[1:] == hi[:-1]) & (lo[1:] <= lo[:-1])))
-
-
-def _check_tagged(rows: np.ndarray, start: int) -> None:
-    """Ids strictly ascending and positions finite; the first fault in payload order."""
-    lo, hi, xyz = rows["lo"], rows["hi"], rows["xyz"]
-    not_above = _not_above(rows)
-    non_finite = np.flatnonzero(~np.isfinite(xyz))
-    # a row's id comes before its position
-    if len(not_above) and (not len(non_finite) or not_above[0] <= non_finite[0] // 3):
-        i = int(not_above[0])
-        raise WireError(f"id {int(lo[i]) | int(hi[i]) << 64} at offset "
-                        f"{start + _UUID_VEC3.size * i} is not above the id before it")
-    if len(non_finite):
-        i, j = divmod(int(non_finite[0]), 3)
-        raise WireError(f"non-finite position {float(xyz[i, j])} at offset "
-                        f"{start + _UUID_VEC3.size * i + 16 + 8 * j}")
-
-
-def _write_tagged(w: _Writer, points: tuple[list[int], np.ndarray]) -> None:
-    ids, positions = points
-    rows = np.empty(len(ids), _TAGGED_ROW)
-    rows["lo"] = [uid & _M64 for uid in ids]
-    rows["hi"] = [uid >> 64 for uid in ids]
-    rows["xyz"] = np.reshape(positions, (len(ids), 3))
-    not_above = _not_above(rows)
-    if len(not_above):
-        i = int(not_above[0])
-        raise ValueError(f"tagged point id {ids[i]} at index {i} is not above the id before it")
-    w.put(_U32, len(ids))
-    w.parts.append(rows.tobytes())
-
-
-def _read_tagged(r: _Reader) -> tuple[list[int], np.ndarray]:
-    (n,) = r.read(_U32)
-    rows = r.rows(_UUID_VEC3, n, _check_tagged, _TAGGED_ROW)
-    ids = [lo | hi << 64 for lo, hi in zip(rows["lo"].tolist(), rows["hi"].tolist())]
-    return ids, rows["xyz"].astype(float)
 
 
 _ID = (_write_uuid, _read_uuid)
@@ -533,10 +623,10 @@ def encode_message(msg: Message) -> tuple[MessageType, bytes]:
         mt, names = _TYPE_OF[type(msg)]
     except KeyError:
         raise TypeError(f"unknown message {type(msg).__name__}") from None
-    w = _Writer()
+    out = bytearray()
     for name, (write, _) in zip(names, _PAYLOADS[mt][2], strict=True):
-        write(w, getattr(msg, name))
-    return mt, w.getvalue()
+        write(out, getattr(msg, name))
+    return mt, bytes(out)
 
 
 def decode_message(msg_type: int, sender: int, payload: bytes) -> Message:

@@ -10,6 +10,7 @@ from meshslam.config import ConfigError, load_scenario, scenario_from_dict
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 MINIMAL = {"agents": [{"id": 0, "waypoints": [[0, 0, 0], [1, 0, 0]]}]}
+THREE_AGENTS = {"agents": [{"id": i, "waypoints": [[0, 0, 0], [1, 0, 0]]} for i in range(3)]}
 
 
 @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SCENARIOS, "*.yaml"))),
@@ -62,6 +63,12 @@ BOUNDS = (
     (_with(agent={"speed": "fast"}), r"agents\[0\]\.speed: expected a number"),
     (_with(net=_partition(links=[[0, 9]])),
      r"net\.partitions\[0\]\.links\[0\]: unknown agent"),
+    ({**THREE_AGENTS, "net": _partition(links=[[0.0, 1.0], [0.0, 2.0]])},
+     r"net\.partitions\[0\]\.links\[0\]: expected two agent ids, got \[0\.0, 1\.0\]"),
+    ({**THREE_AGENTS, "net": _partition(links=[[True, 2]])},
+     r"net\.partitions\[0\]\.links\[0\]: expected two agent ids, got \[True, 2\]"),
+    ({**THREE_AGENTS, "net": _partition(links=[[1, 2], [0, 0]])},
+     r"net\.partitions\[0\]\.links\[1\]: links agent 0 to itself"),
     (_with(agent={"waypoints": 5}), r"agents\[0\]\.waypoints: expected a list"),
     (_with(agent={"waypoints": ["abc"]}), r"agents\[0\]\.waypoints\[0\]: expected a list"),
     (_with(agent={"waypoints": [[0, 0, "z"]]}),
@@ -90,7 +97,8 @@ BOUNDS = (
     for section, key, value, bound in BOUNDS
 ], ids=["blackouts-scalar", "blackouts-item", "latency-scalar", "partitions-scalar",
         "link-scalar", "partition-start-text", "world-scalar", "speed-text",
-        "link-unknown-agent", "waypoints-scalar", "waypoint-text", "waypoint-coordinate-text",
+        "link-unknown-agent", "link-float-ids", "link-bool-id", "link-self",
+        "waypoints-scalar", "waypoint-text", "waypoint-coordinate-text",
         "regions-scalar", "cooperative-text", "regions-empty", "sigma-t-negative",
         "sigma-r-negative", "partition-empty-window", "partition-reversed-window",
         "landmarks-fraction", "landmarks-float", "vocab-size-fraction", "vocab-size-bool",

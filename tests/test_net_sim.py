@@ -54,6 +54,26 @@ class TestSend:
         with pytest.raises(ValueError):
             net.send(env(src=0, dst=0))
 
+    def test_fates_do_not_depend_on_size(self):
+        """Drops and latencies are drawn per message, whatever its size, so a
+        codec that changes sizes changes the ledger and nothing else."""
+        cfg = NetworkConfig(latency_ms=(5.0, 80.0), drop_prob=0.3,
+                            partitions=[PartitionWindow(1.0, 2.0, [(0, 2), (1, 2)])])
+        small, large = (MeshNetwork([0, 1, 2], cfg, seed=11) for _ in range(2))
+        rng = np.random.default_rng(5)
+        fates = ([], [])
+        for i in range(400):
+            src, dst = (int(a) for a in rng.choice(3, size=2, replace=False))
+            mt = MessageType(int(rng.choice(list(MessageType))))
+            size = int(rng.integers(1, 2000))
+            for net, fate, n in zip((small, large), fates, (size, 3 * size + 7)):
+                e = net.send(env(src=src, dst=dst, size=n, t=i * 0.01, mt=mt))
+                fate.append((e.dropped, e.deliver_time))
+        assert fates[0] == fates[1]
+        dropped = [d for d, _ in fates[0]]
+        assert any(dropped) and not all(dropped)
+        assert small.ledger.sent != large.ledger.sent
+
 
 class TestReachability:
     def test_no_partitions_single_component(self):

@@ -7,7 +7,7 @@ import typing
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wire_reference
@@ -93,7 +93,8 @@ class TestMessageRoundTrips:
         out = self.roundtrip(msg)
         assert out.sender == 3 and out.kf_id == 12345
         assert list(out.words.items()) == [(1, 1), (7, 3)]
-        assert len(encode_message(msg)[1]) == 16 + 4 + 2 * 6  # 6-byte word rows
+        # the row count, then per row the word id's gap minus one and the count
+        assert encode_message(msg)[1][16:] == bytes([2, 1, 1, 5, 3])
 
     def test_full_map(self):
         msg = FullMapMsg(
@@ -182,6 +183,28 @@ def corrupt(msg, fmt, old, new):
     return bytes(data), at - HEADER_SIZE
 
 
+def varint(v):
+    """The LEB128 bytes of `v`, as the reference codec writes them."""
+    w = wire_reference._Writer()
+    w.varint(v)
+    return w.getvalue()
+
+
+def varint_len(v):
+    return max(1, (v.bit_length() + 6) // 7)
+
+
+def splice(msg, old: bytes, new: bytes):
+    """Encode `msg` and replace the one copy of `old` in its payload by `new`.
+
+    Returns the frame and the payload offset of the replaced bytes.
+    """
+    mt, payload = encode_message(msg)
+    at = payload.find(old)
+    assert at >= 0 and payload.find(old, at + 1) < 0, "target bytes must be unique"
+    return encode_envelope(mt, 3, 11, payload[:at] + new + payload[at + len(old):]), at
+
+
 def kf_packet():
     kf = KeyFrame(
         id=500, origin_agent=2, timestamp=1.25,
@@ -209,14 +232,6 @@ def tagged_points():
 
 def two_tagged_points():
     return TaggedPoints(1, ([42, 43], np.array([[1.5, 2.5, 3.5], [4.5, 5.5, 6.5]])))
-
-
-def two_id_packet():
-    """kf_packet with two observed ids and two observers."""
-    pkt = kf_packet()
-    pkt.keyframes[0].observed_points = {700, 701}
-    pkt.points[0].observers = {500, 501}
-    return pkt
 
 
 NAN, INF = float("nan"), float("inf")
@@ -274,70 +289,47 @@ class TestFailClosedValues:
             decode_frame(frame)
         assert f"offset {offset}" in str(info.value)
 
-    @pytest.mark.parametrize("make, fmt, old, new", [
-        pytest.param(bow_announce, "<IH", (7, 3), (1, 3), id="bow-word-repeated"),
-        pytest.param(bow_announce, "<IH", (7, 3), (0, 3), id="bow-word-descending"),
-        pytest.param(kf_packet, "<IH", (9, 5), (3, 5), id="kf-word-repeated"),
-        pytest.param(two_id_packet, "<QQ", (701, 0), (700, 0), id="kf-observed-repeated"),
-        pytest.param(two_id_packet, "<QQ", (701, 0), (699, 0), id="kf-observed-descending"),
-        pytest.param(two_id_packet, "<QQ", (501, 0), (500, 0), id="point-observer-repeated"),
-        pytest.param(two_id_packet, "<QQ", (501, 0), (1, 0), id="point-observer-descending"),
-        pytest.param(two_tagged_points, "<QQ", (43, 0), (42, 0), id="tagged-repeated"),
-        pytest.param(two_tagged_points, "<QQ", (43, 0), (7, 0), id="tagged-descending"),
-    ])
-    def test_rejects_ids_not_ascending(self, make, fmt, old, new):
-        self.test_rejects_with_offset(make, fmt, old, new, "is not above the")
-
-    def test_tagged_ids_compare_high_word_first(self):
-        # (low 41, high 1) is above (low 43, high 0)
-        frame, at = corrupt(two_tagged_points(), "<QQ", (42, 0), (41, 1))
-        with pytest.raises(WireError, match=f"id 43 at offset {at + 40} is not above"):
-            decode_frame(frame)
-        frame, _ = corrupt(two_tagged_points(), "<QQ", (43, 0), (41, 1))
-        assert decode_frame(frame).points[0] == [42, 41 | 1 << 64]
-
-    def test_tagged_id_fault_before_position_fault(self):
-        # both rows are bad: the repeated id comes first in the payload
+    def test_non_minimal_gap_before_position_fault(self):
+        # both the id list and a position are bad: the id list comes first
         msg = two_tagged_points()
         msg.points[1][1, 0] = NAN
-        frame, at = corrupt(msg, "<QQ", (43, 0), (42, 0))
-        with pytest.raises(WireError, match=f"id 42 at offset {at} is not above"):
+        frame, at = splice(msg, bytes([2, 42, 0]), bytes([2, 42 | 0x80, 0, 0]))
+        with pytest.raises(WireError, match=f"non-minimal varint at offset {at + 1}$"):
             decode_frame(frame)
-        msg.points[1][0, 2] = INF
-        with pytest.raises(WireError, match=f"non-finite position inf at offset {at - 8}"):
-            decode_frame(corrupt(msg, "<QQ", (43, 0), (42, 0))[0])
+        with pytest.raises(WireError, match=f"non-finite position nan at offset {at + 3 + 24}$"):
+            decode_frame(encode_frame(msg, 3, 11))
 
-    # (word row to overwrite, its replacement, word row whose count is named)
+    # (rows to replace, their replacement, offset of the named count in it)
     @pytest.mark.parametrize("make, old, new, named, message", [
-        pytest.param(bow_announce, (1, 1), (1, 0), (1, 1), "word count 0 at offset {} is not",
-                     id="bow-count-zero"),
-        pytest.param(bow_announce, (7, 3), (7, 0), (7, 3), "word count 0 at offset {} is not",
-                     id="bow-count-zero-last"),
-        pytest.param(bow_announce, (1, 1), (1, 65535), (7, 3),
+        pytest.param(bow_announce, [2, 1, 1, 5, 3], [2, 1, 0, 5, 3], 2,
+                     "word count 0 at offset {} is not", id="bow-count-zero"),
+        pytest.param(bow_announce, [2, 1, 1, 5, 3], [2, 1, 1, 5, 0], 4,
+                     "word count 0 at offset {} is not", id="bow-count-zero-last"),
+        pytest.param(bow_announce, [2, 1, 1, 5, 3], [2, 1, *varint(65535), 5, 3], 6,
                      "word count 3 at offset {} takes the histogram's total to 65538, above 65535",
                      id="bow-count-total"),
-        pytest.param(bow_announce, (7, 3), (7, 65535), (7, 3),
+        pytest.param(bow_announce, [2, 1, 1, 5, 3], [2, 1, 1, 5, *varint(65535)], 4,
                      "word count 65535 at offset {} takes the histogram's total to 65536",
                      id="bow-count-total-last"),
-        pytest.param(kf_packet, (3, 3), (3, 0), (3, 3), "word count 0 at offset {} is not",
-                     id="kf-count-zero"),
-        pytest.param(kf_packet, (9, 5), (9, 65533), (9, 5),
+        pytest.param(kf_packet, [2, 3, 3, 5, 5], [2, 3, 0, 5, 5], 2,
+                     "word count 0 at offset {} is not", id="kf-count-zero"),
+        pytest.param(kf_packet, [2, 3, 3, 5, 5], [2, 3, 3, 5, *varint(65533)], 4,
                      "word count 65533 at offset {} takes the histogram's total to 65536",
                      id="kf-count-total"),
     ])
     def test_rejects_word_counts(self, make, old, new, named, message):
-        frame, at = corrupt(make(), "<IH", old, new)
-        # the named row's count field, 4 bytes into its 6-byte row
-        offset = at + 6 * (named[0] > old[0]) + 4
-        with pytest.raises(WireError, match=message.format(offset)):
+        frame, at = splice(make(), bytes(old), bytes(new))
+        with pytest.raises(WireError, match=message.format(at + named)):
             decode_frame(frame)
-        with pytest.raises(WireError, match=message.format(offset)):
+        with pytest.raises(WireError, match=message.format(at + named)):
             reference_decode(frame)
 
     def test_total_of_65535_is_accepted(self):
-        frame, _ = corrupt(bow_announce(), "<IH", (1, 1), (1, 65532))
+        frame, _ = splice(bow_announce(), bytes([2, 1, 1, 5, 3]),
+                          bytes([2, 1, *varint(65532), 5, 3]))
         assert decode_frame(frame).words == {1: 65532, 7: 3}
-        frame, _ = corrupt(kf_packet(), "<IH", (9, 5), (9, 65532))
+        frame, _ = splice(kf_packet(), bytes([2, 3, 3, 5, 5]),
+                          bytes([2, 3, 3, 5, *varint(65532)]))
         assert decode_frame(frame).keyframes[0].words == {3: 3, 9: 65532}
 
 
@@ -364,6 +356,116 @@ class TestEncoderRejectsWordCounts:
         words = {1: 65000, 7: 535}
         assert decode_frame(encode_frame(BowAnnounce(3, 1, words), 3, 11)).words == words
         assert decode_frame(encode_frame(kf_packet_with(words), 3, 11)).keyframes[0].words == words
+
+
+@pytest.mark.parametrize("msg, message", [
+    (BowAnnounce(3, 1, {1 << 32: 1}), "word id 4294967296 is outside"),
+    (BowAnnounce(3, 1, {-1: 1, 5: 1}), "word id -1 is outside"),
+    (KeyFramePacket(3, [], [MapPoint(1, vec3(0, 0, 0), 0, {7, 1 << 128})]),
+     f"id {1 << 128} is outside"),
+    (TaggedPoints(3, ([-1, 4], np.zeros((2, 3)))), "id -1 is outside"),
+], ids=["word-above", "word-negative", "observer-above", "tagged-negative"])
+def test_encoder_rejects_ids_out_of_range(msg, message):
+    with pytest.raises(ValueError, match=message):
+        encode_frame(msg, 3, 11)
+
+
+# ---------------------------------------------------------------------------
+# Varint id lists
+# ---------------------------------------------------------------------------
+
+U128 = (1 << 128) - 1
+# a random base and small offsets, as the ids of one agent's map are; or ids
+# spread over the whole range, whose gaps reach past 2^64 (the seed field)
+CLUSTERED = st.tuples(st.integers(0, 1 << 100),
+                      st.lists(st.integers(0, 1 << 16), unique=True, max_size=40))
+ID_LISTS = st.one_of(
+    CLUSTERED.map(lambda c: sorted(c[0] + d for d in c[1])),
+    st.lists(st.integers(0, U128), unique=True, max_size=12).map(sorted))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(ids=ID_LISTS)
+@example(ids=[])
+@example(ids=[0])
+@example(ids=[U128])
+@example(ids=[0, 1, U128])
+@example(ids=[7, 7 + (1 << 64), 8 + (5 << 64)])  # gaps of at least 2^64
+def test_id_lists_round_trip(ids):
+    positions = np.arange(3.0 * len(ids)).reshape(-1, 3)
+    msg = TaggedPoints(1, (ids, positions))
+    mt, payload = encode_message(msg)
+    assert payload == wire_reference.encode_message(msg)[1]
+    # the count's varint, one varint per gap minus one (the first from -1), the positions
+    gaps = [b - a - 1 for a, b in zip([-1, *ids], ids)]
+    assert len(payload) == varint_len(len(ids)) + sum(map(varint_len, gaps)) + 24 * len(ids)
+    out = decode_frame(encode_envelope(mt, 3, 11, payload))
+    assert out.points[0] == ids and np.array_equal(out.points[1], positions)
+    # observed and observer sets are built from the ascending list, so their
+    # iteration order is that of a set built from it
+    kf = sample_keyframe()
+    kf.observed_points = set(ids)
+    pkt = KeyFramePacket(3, [kf], [MapPoint(700, vec3(0, 0, 0), 3, set(ids))])
+    frame = encode_frame(pkt, 3, 11)
+    got = decode_frame(frame)
+    assert list(got.keyframes[0].observed_points) == list(set(ids))
+    assert list(got.points[0].observers) == list(set(ids))
+    assert encode_frame(got, 3, 11) == frame
+
+
+def tagged_frame(*parts):
+    return encode_envelope(MessageType.TAGGED_POINTS, 3, 11, b"".join(parts))
+
+
+def bow_frame(*parts):
+    """A BowAnnounce frame: a 16-byte keyframe id, then `parts`."""
+    return encode_envelope(MessageType.BOW_ANNOUNCE, 3, 11, bytes(16) + b"".join(parts))
+
+
+class TestVarintFaults:
+    """Each fault of a varint list names its payload offset, as the reference does."""
+
+    @pytest.mark.parametrize("frame, message", [
+        pytest.param(tagged_frame(varint(1), varint(U128)[:5]),
+                     "truncated payload: need 6 bytes at offset 1, have 5", id="cut-id"),
+        pytest.param(tagged_frame(b"\x80"),
+                     "truncated payload: need 2 bytes at offset 0, have 1", id="cut-count"),
+        pytest.param(bow_frame(varint(1), b"\x85"),
+                     "truncated payload: need 2 bytes at offset 17, have 1", id="cut-word-gap"),
+        pytest.param(tagged_frame(b"\x81\x00", varint(5), bytes(24)),
+                     "non-minimal varint at offset 0", id="non-minimal-count"),
+        pytest.param(tagged_frame(varint(2), varint(5), b"\xff\x80\x00", bytes(48)),
+                     "non-minimal varint at offset 2", id="non-minimal-id-gap"),
+        pytest.param(bow_frame(b"\x81\x00", b"\x01\x01"),
+                     "non-minimal varint at offset 16", id="non-minimal-row-count"),
+        pytest.param(bow_frame(varint(1), b"\x80\x00", b"\x01"),
+                     "non-minimal varint at offset 17", id="non-minimal-word-gap"),
+        pytest.param(bow_frame(varint(1), b"\x01", b"\x82\x00"),
+                     "non-minimal varint at offset 18", id="non-minimal-word-count"),
+        pytest.param(tagged_frame(varint(1), varint(U128 + 1), bytes(24)),
+                     f"id {U128 + 1} at offset 1 is above 2^128 - 1", id="first-id-above"),
+        pytest.param(tagged_frame(varint(2), varint(U128), varint(0), bytes(48)),
+                     f"id {U128 + 1} at offset 20 is above 2^128 - 1", id="later-id-above"),
+        pytest.param(tagged_frame(varint(1 << 32)),
+                     "list count 4294967296 at offset 0 is above 2^32 - 1", id="id-count-above"),
+        pytest.param(bow_frame(varint(1 << 32)),
+                     "list count 4294967296 at offset 16 is above 2^32 - 1", id="row-count-above"),
+        pytest.param(bow_frame(varint(1), varint(1 << 32), varint(1)),
+                     "word id 4294967296 at offset 17 is above 2^32 - 1", id="word-id-above"),
+        pytest.param(bow_frame(varint(2), varint((1 << 32) - 1), varint(1), varint(0), varint(1)),
+                     "word id 4294967296 at offset 23 is above 2^32 - 1", id="later-word-id-above"),
+    ])
+    def test_names_offset(self, frame, message):
+        with pytest.raises(WireError) as info:
+            decode_frame(frame)
+        assert str(info.value) == message
+        with pytest.raises(WireError) as ref:
+            reference_decode(frame)
+        assert str(ref.value) == message
+
+    def test_minimal_multi_byte_varints_are_accepted(self):
+        frame = bow_frame(varint(2), b"\x80\x01", b"\x01", b"\x00", b"\xff\x7f")
+        assert decode_frame(frame).words == {128: 1, 129: 16383}
 
 
 # ---------------------------------------------------------------------------

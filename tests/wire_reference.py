@@ -1,14 +1,18 @@
-"""The wire codec as it was before fixed layouts were read and written in one
-struct call each: one ``struct`` call and one slice per field.
+"""The wire codec written one element at a time: one ``struct`` call and one
+slice per fixed field, one byte per varint step, one id or word row per loop
+step.
 
 Kept only as the reference that the batched codec in ``meshslam.wire`` must
 match byte for byte and value for value on valid messages.  It follows the
-current layouts: histograms as (word u32, count u16) rows, group updates as a
-roster alone.
+current layouts: id lists and histograms as varint counts and varint gaps,
+tagged points as an id list and then a block of positions, group updates as
+a roster alone.  It checks what the codec checks, in payload order and with
+the same messages.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 
@@ -42,6 +46,21 @@ class _Writer:
     def f64(self, v): self.parts.append(struct.pack("<d", v))
     def uuid(self, v): self.parts.append(int(v).to_bytes(16, "little"))
 
+    def varint(self, v):
+        while True:
+            byte, v = v & 0x7F, v >> 7
+            self.parts.append(bytes([byte | 0x80 if v else byte]))
+            if not v:
+                return
+
+    def ids(self, ids):
+        """Ascending ids: a varint count, then each id's gap to the one before minus one."""
+        self.varint(len(ids))
+        prev = -1
+        for uid in ids:
+            self.varint(uid - prev - 1)
+            prev = uid
+
     def getvalue(self) -> bytes:
         return b"".join(self.parts)
 
@@ -67,6 +86,40 @@ class _Reader:
     def u64(self): return struct.unpack("<Q", self._take(8))[0]
     def f64(self): return struct.unpack("<d", self._take(8))[0]
     def uuid(self): return int.from_bytes(self._take(16), "little")
+
+    def varint(self):
+        start = self.off
+        value = 0
+        for shift in itertools.count(0, 7):
+            if self.off == len(self.data):
+                raise WireError(f"truncated payload: need {self.off - start + 1} bytes "
+                                f"at offset {start}, have {self.off - start}")
+            byte = self.data[self.off]
+            self.off += 1
+            value |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                break
+        if byte == 0 and self.off - start > 1:
+            raise WireError(f"non-minimal varint at offset {start}")
+        return value
+
+    def count(self):
+        start = self.off
+        n = self.varint()
+        if n > 0xFFFFFFFF:
+            raise WireError(f"list count {n} at offset {start} is above 2^32 - 1")
+        return n
+
+    def ids(self):
+        ids = []
+        prev = -1
+        for _ in range(self.count()):
+            start = self.off
+            prev += self.varint() + 1
+            if prev >= 1 << 128:
+                raise WireError(f"id {prev} at offset {start} is above 2^128 - 1")
+            ids.append(prev)
+        return ids
 
     def done(self) -> None:
         if self.off != len(self.data):
@@ -115,19 +168,25 @@ def _read_pose(r: _Reader) -> Se3Pose:
 
 
 def _write_words(w: _Writer, words: dict[int, int]) -> None:
-    w.u32(len(words))
+    w.varint(len(words))
+    prev = -1
     for word in sorted(words):
-        w.u32(word)
-        w.u16(words[word])
+        w.varint(word - prev - 1)
+        w.varint(words[word])
+        prev = word
 
 
 def _read_words(r: _Reader) -> dict[int, int]:
     words = {}
     total = 0
-    for _ in range(r.u32()):
-        word = r.u32()
+    word = -1
+    for _ in range(r.count()):
         start = r.off
-        count = r.u16()
+        word += r.varint() + 1
+        if word > 0xFFFFFFFF:
+            raise WireError(f"word id {word} at offset {start} is above 2^32 - 1")
+        start = r.off
+        count = r.varint()
         total += count
         if count == 0:
             raise WireError(f"word count 0 at offset {start} is not positive")
@@ -144,9 +203,7 @@ def _write_keyframe(w: _Writer, kf: KeyFrame) -> None:
     w.f64(kf.timestamp)
     _write_pose(w, kf.pose)
     _write_words(w, kf.words)
-    w.u32(len(kf.observed_points))
-    for pid in sorted(kf.observed_points):
-        w.uuid(pid)
+    w.ids(sorted(kf.observed_points))
 
 
 def _read_keyframe(r: _Reader) -> KeyFrame:
@@ -155,8 +212,7 @@ def _read_keyframe(r: _Reader) -> KeyFrame:
     ts = _read_finite(r, 1, "timestamp")[0]
     pose = _read_pose(r)
     words = _read_words(r)
-    obs = {r.uuid() for _ in range(r.u32())}
-    return KeyFrame(uuid, origin, ts, pose, words, obs)
+    return KeyFrame(uuid, origin, ts, pose, words, set(r.ids()))
 
 
 def _write_point(w: _Writer, p: MapPoint) -> None:
@@ -164,17 +220,14 @@ def _write_point(w: _Writer, p: MapPoint) -> None:
     for v in p.position:
         w.f64(float(v))
     w.u32(p.word)
-    w.u32(len(p.observers))
-    for kid in sorted(p.observers):
-        w.uuid(kid)
+    w.ids(sorted(p.observers))
 
 
 def _read_point(r: _Reader) -> MapPoint:
     uuid = r.uuid()
     pos = np.array(_read_finite(r, 3, "position"))
     word = r.u32()
-    observers = {r.uuid() for _ in range(r.u32())}
-    return MapPoint(uuid, pos, word, observers)
+    return MapPoint(uuid, pos, word, set(r.ids()))
 
 
 def _write_map_body(w: _Writer, kfs, points) -> None:
@@ -243,9 +296,8 @@ def encode_message(msg: Message) -> tuple[MessageType, bytes]:
         return MessageType.ALIGNMENT_REQUEST, b""
     if isinstance(msg, TaggedPoints):
         ids, positions = msg.points
-        w.u32(len(ids))
-        for uuid, pos in zip(ids, positions):
-            w.uuid(uuid)
+        w.ids(ids)
+        for pos in positions:
             for v in pos:
                 w.f64(float(v))
         return MessageType.TAGGED_POINTS, w.getvalue()
@@ -292,12 +344,11 @@ def decode_message(msg_type: int, sender: int, sequence: int, payload: bytes) ->
         r.done()
         return AlignmentRequest(sender)
     if mt == MessageType.TAGGED_POINTS:
-        ids, rows = [], []
-        for _ in range(r.u32()):
-            ids.append(r.uuid())
-            rows.append(_read_finite(r, 3, "position"))
+        ids = r.ids()
+        # one value at a time: a non-finite value is named before a later truncation
+        values = [_read_finite(r, 1, "position")[0] for _ in range(3 * len(ids))]
         r.done()
-        return TaggedPoints(sender, (ids, np.array(rows).reshape(-1, 3)))
+        return TaggedPoints(sender, (ids, np.array(values, dtype=float).reshape(-1, 3)))
     if mt == MessageType.GROUP_UPDATE:
         roster = [r.u16() for _ in range(r.u16())]
         r.done()
