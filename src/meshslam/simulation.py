@@ -13,6 +13,21 @@ map), announces, schedules alignment rounds, and flushes outboxes.  At the
 end of the tick every agent drains a bounded number of queued external
 keyframes, modeling spare compute.
 
+An alignment round is a follower's request, sent from its tick, and its
+leader's reply.  The request names the points the follower's fit may read:
+those its own keyframes observe, and those that tick's drain can make its
+own, namely the points of its queued external keyframes and the present
+points of their words (a duplicate-point merge keeps the lower id of two
+points of one word).  The leader answers with the named points it holds.
+Until the follower's next tick only that drain changes which points its
+keyframes observe (messages queue keyframes, move the whole map or change
+rosters), so a reply that arrives before then gives the fit the same rows
+as the leader's whole map would.  That holds when twice the largest one-way
+latency does not exceed dt (two uniform latency draws add up to it with
+probability zero): every shipped scenario and benchmark workload keeps the
+round trip within 2 x 50 ms, at dt = 100 ms.  A later reply still fits, on
+the points named, without those the follower came to observe meanwhile.
+
 After the scripted duration ends, a quiescence barrier force-flushes the
 remaining outboxes toward merged peers and runs the event queue dry so that
 evaluation sees converged maps.
@@ -266,14 +281,45 @@ class AgentRuntime:
             self.aimd.skip(now)
             self.sim.log(self.id, "alignment_skipped", {"leader": lead})
             return
-        self.sim.send_message(self.id, lead, AlignmentRequest(self.id))
+        self.sim.send_message(self.id, lead,
+                              AlignmentRequest(self.id, self._alignment_request_ids()))
         self._align_request_time = now
         self._align_leader = lead
 
-    def on_alignment_request(self, msg: AlignmentRequest) -> None:
+    def _alignment_request_ids(self) -> list[int]:
+        """The ascending ids of the points the fit may read when the reply arrives.
+
+        These are this agent's own points and those this tick's drain can make
+        its own: a queued point may list this agent's keyframes as observers
+        or absorb one of its points, and the drain may fold it into a present
+        point of its word.
+        """
+        by_word = self.db.shared_map.points_by_word
+        wanted = self._own_points()
+        queued = [p for entry in self.sharing.queue for p in entry.points]
+        wanted.update(p.id for p in queued)
+        for word in {p.word for p in queued}:
+            wanted.update(by_word.get(word, ()))
+        return sorted(wanted)
+
+    def _own_points(self) -> set[int]:
+        """The present points this agent's own keyframes observe.
+
+        Those carry this agent's live position estimates, whereas copies of
+        never-revisited remote points are byte-identical to the leader's and
+        would vote for the identity no matter how misaligned the frames are.
+        """
         m = self.db.shared_map
-        ids = sorted(m.points)
-        positions = np.array([m.points[pid].position for pid in ids]).reshape(-1, 3)
+        own_ids: set[int] = set()
+        for kf in m.keyframes.values():
+            if kf.origin_agent == self.id:
+                own_ids |= kf.observed_points
+        return own_ids & m.points.keys()
+
+    def on_alignment_request(self, msg: AlignmentRequest) -> None:
+        points = self.db.shared_map.points
+        ids = [pid for pid in msg.ids if pid in points]  # ascending, as requested
+        positions = np.array([points[pid].position for pid in ids]).reshape(-1, 3)
         self.sim.send_message(self.id, msg.sender, TaggedPoints(self.id, (ids, positions)))
 
     def on_tagged_points(self, msg: TaggedPoints, now: float) -> None:
@@ -283,15 +329,7 @@ class AgentRuntime:
             return  # a late answer from an agent this round did not ask
         self._align_request_time = None
         m = self.db.shared_map
-        # restrict the local side to points this agent's own keyframes observe:
-        # those carry this agent's live position estimates, whereas copies of
-        # never-revisited remote points are byte-identical to the leader's and
-        # would vote for the identity no matter how misaligned the frames are
-        own_ids: set[int] = set()
-        for kf in m.keyframes.values():
-            if kf.origin_agent == self.id:
-                own_ids |= kf.observed_points
-        local_ids = [pid for pid in sorted(own_ids) if pid in m.points]
+        local_ids = sorted(self._own_points())
         local = np.array([m.points[pid].position for pid in local_ids]).reshape(-1, 3)
         src, dst = match_tagged((local_ids, local), msg.points)
         try:

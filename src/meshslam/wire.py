@@ -3,7 +3,7 @@
 Envelope layout (all multi-byte integers little-endian):
 
     magic   4 bytes  b"DVMS"
-    version u16      2
+    version u16      3
     type    u8       message type tag
     sender  u16      agent id
     seq     u64      per-sender monotone sequence number
@@ -12,7 +12,9 @@ Envelope layout (all multi-byte integers little-endian):
 
 Each message type is one ``_PAYLOADS`` row: its dataclass, its ledger
 category and the codecs of its payload, the dataclass fields after ``sender``
-in declaration order; the sequence number lives only in the envelope.
+in declaration order; the sequence number lives only in the envelope.  An
+alignment request is one id list, the points the follower's fit may read; the
+tagged points that answer it carry only those of them the leader holds.
 Field codecs:
 
     uuid       16B, low 64 bits first
@@ -39,9 +41,9 @@ second agent by reference.  A histogram travels as the word counts its
 keyframe holds, and a quaternion that is canonical up to rounding is kept as
 sent (others are normalized and sign-canonicalized), so a keyframe decodes to
 what its sender held, bit for bit.  Observed and observer id sets are written
-in ascending order and decoded into sets built in that order; tagged points
-carry their ids in the order given, which the encoder requires to be strictly
-ascending.
+in ascending order and decoded into sets built in that order; request and
+tagged point ids travel in the order given, which the encoder requires to be
+strictly ascending.
 
 Decoding is fail-closed: any structural problem raises WireError naming the
 byte offset (counted from the start of the payload for payload fields); no
@@ -53,9 +55,10 @@ above 2^128 - 1, list counts and word ids above 2^32 - 1, word counts of
 zero, histograms whose counts add up to more than ``MAX_WORD_TOTAL`` (65535;
 the error names the count that crosses it), non-finite floats, quaternions of
 zero, subnormal or non-finite norm, and SIM(3) scales that are not positive.
-The encoder raises ValueError on tagged point ids that are not strictly
-ascending, on ids or word ids outside the ranges above, and on a histogram
-whose counts are not positive or add up to more than ``MAX_WORD_TOTAL``.
+The encoder raises ValueError on an id list that is not strictly ascending
+(naming the index of the first id that is not above the one before it), on
+ids or word ids outside the ranges above, and on a histogram whose counts are
+not positive or add up to more than ``MAX_WORD_TOTAL``.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ from dataclasses import dataclass, fields
 from enum import IntEnum
 from functools import lru_cache
 from itertools import accumulate
-from operator import lt
 
 import numpy as np
 
@@ -74,7 +76,7 @@ from .geometry import Rotation, Se3Pose, Sim3Transform
 from .map_store import KeyFrame, MapPoint
 
 MAGIC = b"DVMS"
-VERSION = 2
+VERSION = 3
 _HEADER = struct.Struct("<4sHBHQI")
 HEADER_SIZE = _HEADER.size  # 21
 # the largest total of one histogram's word counts, so that any count fits a u16
@@ -148,6 +150,7 @@ class KeyFramePacket:
 @dataclass
 class AlignmentRequest:
     sender: int
+    ids: list[int]  # strictly ascending ids of the points the follower's fit may read
 
 
 @dataclass
@@ -245,22 +248,39 @@ def _first_id(uid: int) -> bytes:
     return bytes(out)
 
 
+def _id_list_fault(ids: list[int]) -> str:
+    """Why `ids` is not a strictly ascending list of ids in [0, 2^128 - 1]."""
+    for i in range(1, len(ids)):
+        if ids[i] <= ids[i - 1]:
+            return f"id {ids[i]} at index {i} is not above the id before it"
+    return f"id {ids[0] if ids[0] < 0 else ids[-1]} is outside [0, 2^128 - 1]"
+
+
 def _write_ids(out: bytearray, ids: list[int]) -> None:
-    """Strictly ascending ids as a varint count and varint gaps."""
-    if ids and (ids[0] < 0 or ids[-1] > _MAX_ID):
-        raise ValueError(f"id {ids[0] if ids[0] < 0 else ids[-1]} is outside [0, 2^128 - 1]")
+    """Strictly ascending ids as a varint count and varint gaps.
+
+    A list that is not raises ValueError naming the first id that is not above
+    the one before it, or else the id outside [0, 2^128 - 1].
+    """
+    if ids and ids[-1] > _MAX_ID:
+        raise ValueError(_id_list_fault(ids))
     _put_varint(out, len(ids))
     if not ids:
         return
-    out += _first_id(ids[0])
-    prev = ids[0]
-    for uid in ids[1:]:
-        gap = uid - prev - 1
-        prev = uid
-        if gap < 0x80:  # the common case: one byte, no call
-            out.append(gap)
-        else:
-            _put_varint(out, gap)
+    try:
+        out += _first_id(ids[0])
+        prev = ids[0]
+        for uid in ids[1:]:
+            gap = uid - prev - 1
+            prev = uid
+            if gap < 0x80:  # the common case: one byte, no call
+                out.append(gap)
+            else:
+                _put_varint(out, gap)
+    except ValueError:
+        # bytearray.append refuses a negative value: the first id below 0, or
+        # the gap of an id that is not above the one before it
+        raise ValueError(_id_list_fault(ids)) from None
 
 
 class _Reader:
@@ -542,9 +562,6 @@ def _check_positions(values: np.ndarray, start: int) -> None:
 def _write_tagged(out: bytearray, points: tuple[list[int], np.ndarray]) -> None:
     ids, positions = points
     block = np.reshape(np.asarray(positions, _F64_BLOCK), (len(ids), 3))
-    if not all(map(lt, ids, ids[1:])):
-        i = next(i for i in range(1, len(ids)) if ids[i] <= ids[i - 1])
-        raise ValueError(f"tagged point id {ids[i]} at index {i} is not above the id before it")
     _write_ids(out, ids)
     out += block.tobytes()
 
@@ -587,6 +604,7 @@ def _counted(write_one, read_one):
 
 
 _ID = (_write_uuid, _read_uuid)
+_IDS = (_write_ids, _Reader.ids)
 _KEYFRAMES = _counted(_write_keyframe, _read_keyframe)
 _POINTS = _counted(_write_point, _read_point)
 _ROSTER = (_write_roster, _read_roster)
@@ -601,7 +619,7 @@ _PAYLOADS = {
     MessageType.MERGE_NOTIFY: (MergeNotify, CATEGORY_CONTROL,
                                ((_write_sim3, _read_sim3), _ROSTER, _ROSTER, _scalar(_U64))),
     MessageType.KEYFRAME_PACKET: (KeyFramePacket, CATEGORY_KEYFRAMES, (_KEYFRAMES, _POINTS)),
-    MessageType.ALIGNMENT_REQUEST: (AlignmentRequest, CATEGORY_ALIGNMENT, ()),
+    MessageType.ALIGNMENT_REQUEST: (AlignmentRequest, CATEGORY_ALIGNMENT, (_IDS,)),
     MessageType.TAGGED_POINTS: (TaggedPoints, CATEGORY_ALIGNMENT,
                                 ((_write_tagged, _read_tagged),)),
     MessageType.GROUP_UPDATE: (GroupUpdate, CATEGORY_CONTROL, (_ROSTER,)),

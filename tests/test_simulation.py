@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 
 from meshslam import wire
+from meshslam.alignment import match_tagged
 from meshslam.ate import compute_ate
 from meshslam.config import load_scenario
+from meshslam.geometry import Se3Pose
 from meshslam.group_protocol import PeerState
+from meshslam.map_sharing import QueueEntry
+from meshslam.map_store import KeyFrame, MapPoint
 from meshslam.merge_detection import bow_similarity
 from meshslam.net_sim import CATEGORIES
 from meshslam.simulation import _RECEIVERS, Simulation
-from meshslam.wire import TaggedPoints
+from meshslam.wire import AlignmentRequest, TaggedPoints
 
 from scenario_defs import (
     blackout_at_end,
@@ -312,6 +316,203 @@ class TestAlignmentScheduling:
         assert rt._align_request_time is None
         [round_] = sim.log_book.named("alignment_round")
         assert round_["detail"] == {"ok": False, "reason": "no_model", "shared_points": 0}
+
+
+def recording_sends(sim):
+    """Record every (src, dst, msg) `sim` sends, and still send it."""
+    sent = []
+    send = sim.send_message
+
+    def record(src, dst, msg):
+        sent.append((src, dst, msg))
+        send(src, dst, msg)
+    sim.send_message = record
+    return sent
+
+
+def follower_due(sim):
+    """Agent 1 as a follower of a two-agent group whose alignment round is due
+    at t = 10 s, and its leader."""
+    rt = sim.runtimes[1]
+    rt.manager._absorb_roster([0, 1])
+    sim.now = 10.0
+    rt._alignment_tick(10.0)          # first call arms the schedule
+    rt.aimd.next_due = 10.0
+    return rt, sim.runtimes[rt.manager.registry.leader_of(1)]
+
+
+def keyframe(kid, origin, point_ids):
+    return KeyFrame(kid, origin, 0.0, Se3Pose.identity(), {7: 1}, set(point_ids))
+
+
+def point(pid, x, observers, word=7):
+    return MapPoint(pid, np.array([x, 0.0, 0.0]), word, set(observers))
+
+
+class TestAlignmentExchange:
+    """A follower names the points its fit may read; its leader ships only those."""
+
+    def test_reply_holds_the_requested_points_the_leader_has(self):
+        sim = Simulation(coop_loops(True, drop_prob=0.0), seed=1)
+        sent = recording_sends(sim)
+        leader = sim.runtimes[0]
+        leader.db.shared_map.insert_keyframe(
+            keyframe(9, 0, [100, 200, 300]),
+            [point(100, 1.0, [9]), point(200, 2.0, [9]), point(300, 3.0, [9])])
+        leader.on_alignment_request(AlignmentRequest(1, [50, 100, 300, 400]))
+        [(src, dst, reply)] = sent
+        assert (src, dst) == (0, 1) and isinstance(reply, TaggedPoints)
+        ids, positions = reply.points
+        assert ids == [100, 300]  # 50 and 400 are not held, 200 was not asked for
+        assert positions.tolist() == [[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]]
+
+    def test_empty_request_gets_an_empty_reply_and_no_model(self):
+        sim = Simulation(coop_loops(True, drop_prob=0.0), seed=1)
+        rt, leader = follower_due(sim)
+        leader.db.shared_map.insert_keyframe(keyframe(9, 0, [100]), [point(100, 1.0, [9])])
+        sent = recording_sends(sim)
+        rt._alignment_tick(10.0)          # the follower holds no point: it asks for none
+        sim._run_queue()
+        request, reply = (msg for _, _, msg in sent)
+        assert request == AlignmentRequest(1, [])
+        assert reply.points[0] == [] and reply.points[1].shape == (0, 3)
+        [round_] = sim.log_book.named("alignment_round")
+        assert round_["detail"] == {"ok": False, "reason": "no_model", "shared_points": 0}
+
+    def test_request_names_own_queued_and_queued_word_points(self):
+        sim = Simulation(coop_loops(True, drop_prob=0.0), seed=1)
+        rt, leader = follower_due(sim)
+        m = rt.db.shared_map
+        m.insert_keyframe(keyframe(11, 1, [100, 101, 999]),   # 999 is not present
+                          [point(100, 1.0, [11], word=1), point(101, 1.5, [11], word=2)])
+        m.insert_keyframe(keyframe(12, 0, [100, 102, 106]),
+                          [point(102, 2.0, [12], word=4), point(106, 6.0, [12], word=5)])
+        m.insert_keyframe(keyframe(13, 1, [103]), [point(103, 3.0, [13], word=3)])
+        rt.sharing.queue.append(QueueEntry(2, keyframe(14, 2, [90, 104]), [
+            point(90, 0.5, [14], word=6), point(104, 4.0, [14], word=5)]))
+        rt.sharing.queue.append(QueueEntry(2, keyframe(15, 2, [105]),
+                                           [point(105, 5.0, [15], word=7)]))
+        sent = recording_sends(sim)
+        rt._alignment_tick(10.0)
+        # own keyframes 11 and 13 observe 100, 101 and 103; the queue holds 90,
+        # 104 and 105; 106 is another agent's point of queued point 104's word;
+        # 102 is another agent's point of no queued point's word
+        assert sent == [(1, leader.id, AlignmentRequest(1, [90, 100, 101, 103, 104, 105, 106]))]
+
+    def test_queued_point_an_own_point_folds_into_is_requested(self):
+        # between request and reply the drain inserts a queued keyframe whose
+        # point 100 lies within DUP_RADIUS of own point 200: the lower id
+        # survives, so the follower's own keyframe observes 100 when the reply
+        # arrives, and the reply must carry it
+        sim = Simulation(coop_loops(True, drop_prob=0.0), seed=1)
+        rt, leader = follower_due(sim)
+        rt.db.shared_map.insert_keyframe(keyframe(11, 1, [200]), [point(200, 1.0, [11])])
+        rt.sharing.queue.append(QueueEntry(0, keyframe(9, 0, [100]), [point(100, 1.01, [9])]))
+        leader.db.shared_map.insert_keyframe(
+            keyframe(9, 0, [100]), [point(100, 1.0, [9])])
+        leader.db.shared_map.insert_keyframe(
+            keyframe(11, 1, [200]), [point(200, 1.02, [11])])
+        sent = recording_sends(sim)
+        rt._alignment_tick(10.0)
+        rt.end_of_tick(10.0)              # the drain folds 200 into 100
+        assert rt.db.shared_map.keyframes[11].observed_points == {100}
+        sim._run_queue()
+        request, reply = (msg for _, _, msg in sent)
+        assert request.ids == [100, 200] and reply.points[0] == [100, 200]
+        [round_] = sim.log_book.named("alignment_round")
+        assert round_["detail"]["shared_points"] == 1
+
+    def test_present_point_a_queued_point_folds_into_is_requested(self):
+        # queued point 200 lists own keyframe 11 as an observer, and the drain
+        # folds it into present point 100 of its word, which no own keyframe
+        # observed when the request went out
+        sim = Simulation(coop_loops(True, drop_prob=0.0), seed=1)
+        rt, leader = follower_due(sim)
+        m = rt.db.shared_map
+        m.insert_keyframe(keyframe(9, 0, [100]), [point(100, 1.0, [9])])
+        m.insert_keyframe(keyframe(11, 1, [300]), [point(300, 5.0, [11], word=8)])
+        rt.sharing.queue.append(QueueEntry(2, keyframe(12, 2, [200]),
+                                           [point(200, 1.01, [12, 11])]))
+        for kid, pid, x in ((9, 100, 1.0), (12, 200, 1.02)):
+            leader.db.shared_map.insert_keyframe(keyframe(kid, 0, [pid]), [point(pid, x, [kid])])
+        sent = recording_sends(sim)
+        rt._alignment_tick(10.0)
+        rt.end_of_tick(10.0)              # the drain folds 200 into 100
+        assert m.keyframes[11].observed_points == {100, 300}
+        sim._run_queue()
+        request, reply = (msg for _, _, msg in sent)
+        assert request.ids == [100, 200, 300] and reply.points[0] == [100, 200]
+        [round_] = sim.log_book.named("alignment_round")
+        assert round_["detail"]["shared_points"] == 1
+
+
+def own_present_points(rt):
+    """The present points `rt`'s own keyframes observe, ascending."""
+    m = rt.db.shared_map
+    return sorted({pid for kf in m.keyframes.values() if kf.origin_agent == rt.id
+                   for pid in kf.observed_points if pid in m.points})
+
+
+@pytest.fixture(scope="module")
+def coop_rounds():
+    """The shipped 25 s `coop_loops` run at seed 7, recording for each request
+    the points its follower's own keyframes observed and those its queue held
+    or shared a word with, and for each round the rows `match_tagged` joins
+    from the reply and from a reply with every leader point, as leaders sent
+    before requests named their ids."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "coop_loops.yaml")
+    sim = Simulation(load_scenario(path), seed=7)
+    requests, rounds, full_replies = [], [], {}
+    send = sim.send_message
+
+    def record_send(src, dst, msg):
+        if isinstance(msg, AlignmentRequest):
+            m = sim.runtimes[src].db.shared_map
+            own = set(own_present_points(sim.runtimes[src]))
+            drainable = {pid for entry in sim.runtimes[src].sharing.queue for p in entry.points
+                      for pid in (p.id, *m.points_by_word.get(p.word, ()))}
+            requests.append((msg, own, drainable))
+        send(src, dst, msg)
+    sim.send_message = record_send
+
+    for rt in sim.runtimes.values():
+        def answer(msg, rt=rt, reply=rt.on_alignment_request):
+            points = rt.db.shared_map.points
+            ids = sorted(points)
+            full_replies[msg.sender] = (
+                ids, np.array([points[pid].position for pid in ids]).reshape(-1, 3))
+            reply(msg)
+
+        def fit(msg, now, rt=rt, fit_=rt.on_tagged_points):
+            if rt._align_request_time is not None and msg.sender == rt._align_leader:
+                m = rt.db.shared_map
+                local_ids = own_present_points(rt)
+                local = (local_ids, np.array([m.points[pid].position
+                                              for pid in local_ids]).reshape(-1, 3))
+                rounds.append((match_tagged(local, msg.points),
+                               match_tagged(local, full_replies[rt.id])))
+            fit_(msg, now)
+        rt.on_alignment_request, rt.on_tagged_points = answer, fit
+    result = sim.run()
+    return requests, rounds, result
+
+
+class TestAlignmentRoundsAgainstFullReplies:
+    def test_every_request_names_own_and_queued_points(self, coop_rounds):
+        requests, _, _ = coop_rounds
+        assert len(requests) >= 10
+        for msg, own, drainable in requests:
+            assert msg.ids == sorted(own | drainable)
+        assert any(drainable - own for _, own, drainable in requests)
+
+    def test_every_round_matches_the_rows_of_the_full_reply(self, coop_rounds):
+        _, rounds, result = coop_rounds
+        assert len(rounds) == len(result.log.named("alignment_round")) >= 10
+        for (src, dst), (full_src, full_dst) in rounds:
+            assert src.shape == full_src.shape and dst.shape == full_dst.shape
+            assert src.tobytes() == full_src.tobytes()
+            assert dst.tobytes() == full_dst.tobytes()
+        assert sum(len(src) > 0 for (src, _), _ in rounds) >= 10
 
 
 class TestMessageDispatch:

@@ -39,6 +39,9 @@ from meshslam.wire import (
 )
 
 
+U128 = (1 << 128) - 1  # the largest id
+
+
 def sample_keyframe(uid=500):
     return KeyFrame(
         id=uid, origin_agent=2, timestamp=1.25,
@@ -118,19 +121,30 @@ class TestMessageRoundTrips:
         assert np.allclose(out.transform.translation, [4, 5, 6])
 
     def test_alignment_request_and_tagged_points(self):
-        assert self.roundtrip(AlignmentRequest(5)).sender == 3  # envelope sender wins
+        assert self.roundtrip(AlignmentRequest(5, [])).sender == 3  # envelope sender wins
         msg = TaggedPoints(1, ([42, 43], np.array([[1.0, 2, 3], [-1, 0, 9]])))
         ids, positions = self.roundtrip(msg).points
         assert ids == [42, 43]
         assert positions.shape == (2, 3) and positions.dtype == np.float64
         assert np.array_equal(positions, msg.points[1])
 
-    @pytest.mark.parametrize("ids", [[42, 42], [43, 42], [1 << 64, 43], [7, 9, 8]],
-                             ids=["repeated", "descending", "high-word", "third"])
+    @pytest.mark.parametrize("ids", [[42, 42], [43, 42], [1 << 64, 43], [7, 9, 8], [1, 300, 200]],
+                             ids=["repeated", "descending", "high-word", "third",
+                                  "after-a-long-gap"])
     def test_encoder_rejects_tagged_ids_not_ascending(self, ids):
         msg = TaggedPoints(1, (ids, np.zeros((len(ids), 3))))
         with pytest.raises(ValueError, match=f"id {ids[-1]} at index {len(ids) - 1} is not"):
             encode_frame(msg, 1, 1)
+
+    @pytest.mark.parametrize("ids", [[], [0], [42, 43, 300], [U128 - 2, U128 - 1, U128],
+                                     [5, (1 << 127) + 9, U128]],
+                             ids=["empty", "zero", "clustered", "top-of-range", "spread"])
+    def test_alignment_request(self, ids):
+        out = self.roundtrip(AlignmentRequest(5, ids))
+        assert out == AlignmentRequest(3, ids)
+        # the id list alone: a varint count, then each id's gap minus one
+        assert encode_message(out)[1] == varint(len(ids)) + b"".join(
+            varint(b - a - 1) for a, b in zip([-1, *ids], ids))
 
     def test_encoder_rejects_tagged_positions_of_wrong_shape(self):
         with pytest.raises(ValueError):
@@ -364,17 +378,50 @@ class TestEncoderRejectsWordCounts:
     (KeyFramePacket(3, [], [MapPoint(1, vec3(0, 0, 0), 0, {7, 1 << 128})]),
      f"id {1 << 128} is outside"),
     (TaggedPoints(3, ([-1, 4], np.zeros((2, 3)))), "id -1 is outside"),
-], ids=["word-above", "word-negative", "observer-above", "tagged-negative"])
+    (AlignmentRequest(3, [4, 1 << 128]), f"id {1 << 128} is outside"),
+    (AlignmentRequest(3, [-1, 1 << 128]), "id -1 is outside"),
+], ids=["word-above", "word-negative", "observer-above", "tagged-negative", "request-above",
+        "request-both-ends"])
 def test_encoder_rejects_ids_out_of_range(msg, message):
     with pytest.raises(ValueError, match=message):
         encode_frame(msg, 3, 11)
+
+
+NOT_ASCENDING = pytest.mark.parametrize("ids, bad", [
+    ([5, 3], 1), ([5, 5], 1), ([1, 300, 200], 2), ([1 << 64, 43], 1),
+    ([0, 1, 1 << 129, 7], 3), ([9, 3, 1 << 128], 1),
+], ids=["descending", "repeated", "after-a-long-gap", "high-word", "after-an-id-above-range",
+        "before-an-id-above-range"])
+
+
+class TestEncoderRejectsIdsNotAscending:
+    """Every id list is written by one codec, which names the first id that is
+    not above the one before it, ahead of any id outside the range (tagged
+    ids: ``TestMessageRoundTrips``)."""
+
+    @NOT_ASCENDING
+    def test_request_ids(self, ids, bad):
+        with pytest.raises(ValueError, match=f"^id {ids[bad]} at index {bad} is not above"):
+            encode_frame(AlignmentRequest(3, ids), 3, 11)
+
+    # observed and observer ids are written from a set in sorted order, so
+    # only a container that repeats an id reaches the check through a message
+    def test_observed_ids(self):
+        kf = sample_keyframe()
+        kf.observed_points = [7, 5, 7]
+        with pytest.raises(ValueError, match="^id 7 at index 2 is not above"):
+            encode_frame(KeyFramePacket(3, [kf], []), 3, 11)
+
+    def test_observer_ids(self):
+        point = MapPoint(700, vec3(0, 0, 0), 3, [7, 5, 5])
+        with pytest.raises(ValueError, match="^id 5 at index 1 is not above"):
+            encode_frame(KeyFramePacket(3, [], [point]), 3, 11)
 
 
 # ---------------------------------------------------------------------------
 # Varint id lists
 # ---------------------------------------------------------------------------
 
-U128 = (1 << 128) - 1
 # a random base and small offsets, as the ids of one agent's map are; or ids
 # spread over the whole range, whose gaps reach past 2^64 (the seed field)
 CLUSTERED = st.tuples(st.integers(0, 1 << 100),
@@ -515,6 +562,16 @@ def _roster(rnd):
     return [rnd.randrange(1 << 16) for _ in range(rnd.randint(0, 5))]
 
 
+def _request(rnd):
+    """A request's strictly ascending ids: clustered above a random base, as
+    one agent's points are, or spread over the whole range."""
+    n = rnd.randint(0, 6)
+    if rnd.random() < 0.5:
+        base = _uuid(rnd) >> 16
+        return AlignmentRequest(3, sorted({base + rnd.randrange(400) for _ in range(n)}))
+    return AlignmentRequest(3, sorted({_uuid(rnd) for _ in range(n)}))
+
+
 MAKERS = {
     MessageType.BOW_ANNOUNCE: lambda rnd: BowAnnounce(3, _uuid(rnd), _words(rnd)),
     MessageType.FULL_MAP: lambda rnd: FullMapMsg(3, _uuid(rnd), *_map(rnd)),
@@ -522,7 +579,7 @@ MAKERS = {
         3, Sim3Transform(rnd.uniform(0.1, 10.0), _rotation(rnd), _vec(rnd)),
         _roster(rnd), _roster(rnd), rnd.getrandbits(64)),
     MessageType.KEYFRAME_PACKET: lambda rnd: KeyFramePacket(3, *_map(rnd)),
-    MessageType.ALIGNMENT_REQUEST: lambda rnd: AlignmentRequest(3),
+    MessageType.ALIGNMENT_REQUEST: _request,
     MessageType.TAGGED_POINTS: _tagged,
     MessageType.GROUP_UPDATE: lambda rnd: GroupUpdate(3, _roster(rnd)),
     MessageType.LOC_LOST: lambda rnd: LocalizationLost(3),
@@ -586,7 +643,7 @@ class TestTruncationSweep:
     @pytest.mark.parametrize("kind", list(MessageType), ids=lambda k: k.name)
     def test_every_cut_names_an_offset(self, kind):
         # the largest of a few random messages, so every field kind is cut;
-        # the three types without a payload have nothing to cut
+        # the two types without a payload have nothing to cut
         msg = max((random_message(kind, seed) for seed in range(8)),
                   key=lambda m: len(encode_message(m)[1]))
         if kind in WORD_KINDS:
@@ -647,9 +704,11 @@ def assert_well_formed(msg):
         assert_finite(t.translation)
     if isinstance(msg, TaggedPoints):
         ids, positions = msg.points
-        assert ids == sorted(set(ids))
+        assert ids == sorted(set(ids)) and all(0 <= i <= U128 for i in ids)
         assert positions.shape == (len(ids), 3)
         assert_finite(positions)
+    if isinstance(msg, AlignmentRequest):
+        assert msg.ids == sorted(set(msg.ids)) and all(0 <= i <= U128 for i in msg.ids)
 
 
 EDIT = st.tuples(st.sampled_from(["flip", "insert", "cut"]),

@@ -5,9 +5,9 @@ step.
 Kept only as the reference that the batched codec in ``meshslam.wire`` must
 match byte for byte and value for value on valid messages.  It follows the
 current layouts: id lists and histograms as varint counts and varint gaps,
-tagged points as an id list and then a block of positions, group updates as
-a roster alone.  It checks what the codec checks, in payload order and with
-the same messages.
+alignment requests as an id list, tagged points as an id list and then a
+block of positions, group updates as a roster alone.  It checks what the
+codec checks, in payload order and with the same messages.
 """
 
 from __future__ import annotations
@@ -293,7 +293,8 @@ def encode_message(msg: Message) -> tuple[MessageType, bytes]:
         _write_map_body(w, msg.keyframes, msg.points)
         return MessageType.KEYFRAME_PACKET, w.getvalue()
     if isinstance(msg, AlignmentRequest):
-        return MessageType.ALIGNMENT_REQUEST, b""
+        w.ids(msg.ids)
+        return MessageType.ALIGNMENT_REQUEST, w.getvalue()
     if isinstance(msg, TaggedPoints):
         ids, positions = msg.points
         w.ids(ids)
@@ -341,8 +342,9 @@ def decode_message(msg_type: int, sender: int, sequence: int, payload: bytes) ->
         r.done()
         return KeyFramePacket(sender, kfs, points)
     if mt == MessageType.ALIGNMENT_REQUEST:
+        ids = r.ids()
         r.done()
-        return AlignmentRequest(sender)
+        return AlignmentRequest(sender, ids)
     if mt == MessageType.TAGGED_POINTS:
         ids = r.ids()
         # one value at a time: a non-finite value is named before a later truncation
