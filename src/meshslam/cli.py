@@ -25,6 +25,9 @@ from .simulation import Simulation
 def run_scenario(scenario_path: str, seed: int, out_dir: str,
                  check_invariants: bool = False) -> int:
     """Run one scenario and write trajectories, ledger, event log and ATE report."""
+    if not 0 <= seed < 1 << 64:  # uuids hold the seed's low 64 bits
+        print(f"error: seed {seed} is outside [0, 2^64 - 1]", file=sys.stderr)
+        return 2
     try:
         scenario = load_scenario(scenario_path)
     except ConfigError as exc:
@@ -142,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_sim = sub.add_parser("sim", help="run a scenario")
     p_sim.add_argument("--scenario", required=True, help="scenario YAML path")
-    p_sim.add_argument("--seed", type=int, required=True, help="run seed (u64)")
+    p_sim.add_argument("--seed", type=int, required=True, help="run seed in [0, 2^64 - 1]")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--check-invariants", action="store_true",
                        help="assert protocol invariants after every event (slow)")

@@ -27,6 +27,13 @@ Merge handshake, driven by bag-of-words announcements between group leaders:
 
 A handshake that loses its full map to the network times out and the pair
 returns to unmerged; the next announcement retries it.
+
+Localization is an epoch per agent that counts the losses and recoveries the
+agent has declared; the agent is lost while its epoch is odd.  Only the owner
+bumps its epoch, and each replica keeps the highest epoch it has seen for
+every agent (a max-register), so states that arrive late, twice or out of
+order leave the replica where the newest one put it.  `lost_agents` is
+written by that merge alone.
 """
 
 from __future__ import annotations
@@ -47,8 +54,7 @@ from .wire import (
     BowAnnounce,
     FullMapMsg,
     GroupUpdate,
-    LocalizationLost,
-    LocalizationRegained,
+    LocalizationState,
     MergeNotify,
 )
 
@@ -218,6 +224,8 @@ class SystemManager:
         self.hooks = hooks
         self.shared_map = shared_map
         self.lost_agents: set[int] = set()
+        # the highest localization epoch known per agent, this one's included
+        self._epochs: dict[int, int] = {a: 0 for a in self.agents}
         # grow-only: pairs whose maps were brought into one frame
         self.aligned: set[tuple[int, int]] = set()
         # reachability component of each agent at the last partition change
@@ -425,24 +433,30 @@ class SystemManager:
     # -- localization loss ------------------------------------------------------
 
     def declare_localization_lost(self) -> None:
-        self.lost_agents.add(self.agent_id)
-        for dst in self.agents:
-            if dst != self.agent_id:
-                self.hooks.send(dst, LocalizationLost(self.agent_id))
-        self.hooks.log("localization_lost")
+        self._declare_localization("localization_lost")
 
     def declare_localization_regained(self) -> None:
-        self.lost_agents.discard(self.agent_id)
+        self._declare_localization("localization_regained")
+
+    def _declare_localization(self, event: str) -> None:
+        """Bump this agent's epoch (losses and recoveries alternate, so a loss
+        makes it odd) and send the new state to every other agent."""
+        state = LocalizationState(self.agent_id, self._epochs[self.agent_id] + 1)
+        self.on_localization_state(state)
         for dst in self.agents:
             if dst != self.agent_id:
-                self.hooks.send(dst, LocalizationRegained(self.agent_id))
-        self.hooks.log("localization_regained")
+                self.hooks.send(dst, state)
+        self.hooks.log(event)
 
-    def on_loc_lost(self, msg) -> None:
-        self.lost_agents.add(msg.sender)
-
-    def on_loc_regained(self, msg) -> None:
-        self.lost_agents.discard(msg.sender)
+    def on_localization_state(self, msg: LocalizationState) -> None:
+        """Keep the higher epoch; a state not above the known one is ignored."""
+        if msg.epoch <= self._epochs[msg.sender]:
+            return
+        self._epochs[msg.sender] = msg.epoch
+        if msg.epoch % 2:
+            self.lost_agents.add(msg.sender)
+        else:
+            self.lost_agents.discard(msg.sender)
 
     # -- partitions ------------------------------------------------------------
 

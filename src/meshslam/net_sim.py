@@ -57,9 +57,7 @@ class Envelope:
     dst: int
     msg_type: int
     data: bytes
-    size: int
     send_time: float
-    app_seq: int = 0
     deliver_time: float | None = None
     dropped: bool = False
 
@@ -193,12 +191,12 @@ class MeshNetwork:
             raise ValueError("src and dst must differ")
         if env.src not in self.ledger.sent or env.dst not in self.ledger.sent:
             raise UnknownAgentError(f"unknown agent in {env.src}->{env.dst}")
-        cat = category_of(env.msg_type)
-        self.ledger.record_sent(env.src, cat, env.size)
+        cat, size = category_of(env.msg_type), len(env.data)
+        self.ledger.record_sent(env.src, cat, size)
         partitioned = not self.same_component(env.src, env.dst, env.send_time)
         if partitioned or self._drop_rng.random() < self.config.drop_prob:
             env.dropped = True
-            self.ledger.record_dropped(env.src, cat, env.size)
+            self.ledger.record_dropped(env.src, cat, size)
             return env
         lo, hi = self.config.latency_ms
         latency = self._lat_rng.uniform(lo, hi) / 1000.0
@@ -206,7 +204,7 @@ class MeshNetwork:
         return env
 
     def deliver(self, env: Envelope) -> None:
-        self.ledger.record_received(env.dst, category_of(env.msg_type), env.size)
+        self.ledger.record_received(env.dst, category_of(env.msg_type), len(env.data))
 
 
 class EventQueue:

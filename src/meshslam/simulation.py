@@ -28,6 +28,11 @@ probability zero): every shipped scenario and benchmark workload keeps the
 round trip within 2 x 50 ms, at dt = 100 ms.  A later reply still fits, on
 the points named, without those the follower came to observe meanwhile.
 
+Messages carry no sequence number, and each is handled as it arrives.  A
+late or repeated message cannot undo a newer one: merge notices are applied
+once per merge id, rosters only grow groups, and an agent's localization
+travels as an epoch that every manager keeps as a max-register.
+
 After the scripted duration ends, a quiescence barrier force-flushes the
 remaining outboxes toward merged peers and runs the event queue dry so that
 evaluation sees converged maps.
@@ -76,8 +81,7 @@ from .wire import (
     FullMapMsg,
     GroupUpdate,
     KeyFramePacket,
-    LocalizationLost,
-    LocalizationRegained,
+    LocalizationState,
     MergeNotify,
     TaggedPoints,
     category_of,
@@ -86,9 +90,6 @@ from .wire import (
     encode_message,
 )
 
-# only localization flips need ordering protection; merge notices carry
-# their own dedupe key and roster absorption is union-idempotent
-_ORDERED_TYPES = (LocalizationLost, LocalizationRegained)
 # bulk data is left out of the event log; every other send is recorded
 _UNLOGGED_CATEGORIES = (CATEGORY_KEYFRAMES, CATEGORY_ALIGNMENT)
 # seconds a follower waits for its leader's tagged points before it gives up
@@ -134,10 +135,8 @@ class AgentRuntime:
         self.tracker = AgentTracker(cfg, landmarks, run_seed, self.uuids)
         self.db = MapDatabase()
         self.sharing = SharingState()
-        self._seq = 0
         self._ransac_calls = 0
         self._run_seed = run_seed
-        self._last_control_seq: dict[int, int] = {}
         self.aimd: AimdState | None = None
         self._align_request_time: float | None = None
         self._align_leader: int | None = None  # the agent the last request went to
@@ -156,10 +155,6 @@ class AgentRuntime:
         )
 
     # -- small helpers --------------------------------------------------------
-
-    def next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
 
     def _next_ransac_seed(self) -> int:
         self._ransac_calls += 1
@@ -363,12 +358,7 @@ class AgentRuntime:
 
     # -- message dispatch -----------------------------------------------------------
 
-    def on_message(self, msg, sequence: int, now: float) -> None:
-        if isinstance(msg, _ORDERED_TYPES):
-            last = self._last_control_seq.get(msg.sender, -1)
-            if sequence <= last:
-                return  # duplicate or out-of-date localization flip
-            self._last_control_seq[msg.sender] = sequence
+    def on_message(self, msg, now: float) -> None:
         _RECEIVERS[type(msg)](self, msg, now)  # KeyError for a class with no receiver
 
 
@@ -379,8 +369,7 @@ _RECEIVERS = {
     FullMapMsg: lambda rt, msg, now: rt.manager.on_full_map(msg),
     MergeNotify: lambda rt, msg, now: rt.manager.on_merge_notify(msg),
     GroupUpdate: lambda rt, msg, now: rt.manager.on_group_update(msg),
-    LocalizationLost: lambda rt, msg, now: rt.manager.on_loc_lost(msg),
-    LocalizationRegained: lambda rt, msg, now: rt.manager.on_loc_regained(msg),
+    LocalizationState: lambda rt, msg, now: rt.manager.on_localization_state(msg),
     KeyFramePacket: lambda rt, msg, now: rt.sharing.enqueue_packet(msg),
     AlignmentRequest: lambda rt, msg, now: rt.on_alignment_request(msg),
     TaggedPoints: lambda rt, msg, now: rt.on_tagged_points(msg, now),
@@ -418,11 +407,9 @@ class Simulation:
         return self.net.same_component(a, b, self.now)
 
     def send_message(self, src: int, dst: int, msg) -> None:
-        seq = self.runtimes[src].next_seq()
         msg_type, payload = encode_message(msg)
-        data = encode_envelope(msg_type, src, seq, payload)
-        env = Envelope(src=src, dst=dst, msg_type=int(msg_type), data=data,
-                       size=len(data), send_time=self.now, app_seq=seq)
+        env = Envelope(src=src, dst=dst, msg_type=int(msg_type),
+                       data=encode_envelope(msg_type, src, payload), send_time=self.now)
         self.net.send(env)
         if category_of(msg_type) not in _UNLOGGED_CATEGORIES:
             self.log(src, "send", {"type": msg_type.name.lower(), "dst": dst,
@@ -445,7 +432,7 @@ class Simulation:
     def _deliver(self, env: Envelope) -> None:
         self.net.deliver(env)
         msg = decode_frame(env.data)
-        self.runtimes[env.dst].on_message(msg, sequence=env.app_seq, now=self.now)
+        self.runtimes[env.dst].on_message(msg, now=self.now)
 
     def _partition_change(self) -> None:
         components = self.net.reachability(self.now)

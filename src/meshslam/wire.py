@@ -3,18 +3,21 @@
 Envelope layout (all multi-byte integers little-endian):
 
     magic   4 bytes  b"DVMS"
-    version u16      3
+    version u16      4
     type    u8       message type tag
     sender  u16      agent id
-    seq     u64      per-sender monotone sequence number
     length  u32      payload byte count
     payload
 
-Each message type is one ``_PAYLOADS`` row: its dataclass, its ledger
-category and the codecs of its payload, the dataclass fields after ``sender``
-in declaration order; the sequence number lives only in the envelope.  An
-alignment request is one id list, the points the follower's fit may read; the
-tagged points that answer it carry only those of them the leader holds.
+The 13-byte header carries no sequence number: the one message whose order
+matters, a localization state, orders itself by its epoch.  Each message type
+is one ``_PAYLOADS`` row: its dataclass, its ledger category and the codecs
+of its payload, the dataclass fields after ``sender`` in declaration order.
+An alignment request is one id list, the points the follower's fit may read;
+the tagged points that answer it carry only those of them the leader holds.
+A localization state is its sender's epoch, a u32 counting the losses and
+recoveries it has declared (odd while it is lost); receivers keep the highest
+epoch per agent, so a late or repeated state changes nothing.
 Field codecs:
 
     uuid       16B, low 64 bits first
@@ -76,9 +79,9 @@ from .geometry import Rotation, Se3Pose, Sim3Transform
 from .map_store import KeyFrame, MapPoint
 
 MAGIC = b"DVMS"
-VERSION = 3
-_HEADER = struct.Struct("<4sHBHQI")
-HEADER_SIZE = _HEADER.size  # 21
+VERSION = 4
+_HEADER = struct.Struct("<4sHBHI")
+HEADER_SIZE = _HEADER.size  # 13
 # the largest total of one histogram's word counts, so that any count fits a u16
 MAX_WORD_TOTAL = 0xFFFF
 _MAX_ID = (1 << 128) - 1  # ids are 128-bit uuids
@@ -108,8 +111,7 @@ class MessageType(IntEnum):
     ALIGNMENT_REQUEST = 5
     TAGGED_POINTS = 6
     GROUP_UPDATE = 7
-    LOC_LOST = 8
-    LOC_REGAINED = 9
+    LOCALIZATION_STATE = 8
 
 
 # ---------------------------------------------------------------------------
@@ -167,19 +169,14 @@ class GroupUpdate:
 
 
 @dataclass
-class LocalizationLost:
+class LocalizationState:
     sender: int
-
-
-@dataclass
-class LocalizationRegained:
-    sender: int
+    epoch: int  # the sender's declared losses and recoveries; odd while it is lost
 
 
 Message = (
     BowAnnounce | FullMapMsg | MergeNotify | KeyFramePacket
-    | AlignmentRequest | TaggedPoints | GroupUpdate
-    | LocalizationLost | LocalizationRegained
+    | AlignmentRequest | TaggedPoints | GroupUpdate | LocalizationState
 )
 
 
@@ -623,8 +620,7 @@ _PAYLOADS = {
     MessageType.TAGGED_POINTS: (TaggedPoints, CATEGORY_ALIGNMENT,
                                 ((_write_tagged, _read_tagged),)),
     MessageType.GROUP_UPDATE: (GroupUpdate, CATEGORY_CONTROL, (_ROSTER,)),
-    MessageType.LOC_LOST: (LocalizationLost, CATEGORY_CONTROL, ()),
-    MessageType.LOC_REGAINED: (LocalizationRegained, CATEGORY_CONTROL, ()),
+    MessageType.LOCALIZATION_STATE: (LocalizationState, CATEGORY_CONTROL, (_scalar(_U32),)),
 }
 # message class -> (type tag, payload field names)
 _TYPE_OF = {cls: (mt, [f.name for f in fields(cls)[1:]])
@@ -662,19 +658,17 @@ def decode_message(msg_type: int, sender: int, payload: bytes) -> Message:
 # Envelope
 # ---------------------------------------------------------------------------
 
-def encode_envelope(msg_type: MessageType, sender: int, sequence: int,
-                    payload: bytes) -> bytes:
-    return _HEADER.pack(MAGIC, VERSION, int(msg_type), sender, sequence,
-                        len(payload)) + payload
+def encode_envelope(msg_type: MessageType, sender: int, payload: bytes) -> bytes:
+    return _HEADER.pack(MAGIC, VERSION, int(msg_type), sender, len(payload)) + payload
 
 
-def decode_envelope(data: bytes) -> tuple[int, int, int, bytes]:
-    """Returns (msg_type, sender, sequence, payload)."""
+def decode_envelope(data: bytes) -> tuple[int, int, bytes]:
+    """Returns (msg_type, sender, payload)."""
     if len(data) < HEADER_SIZE:
         raise WireError(
             f"truncated header: {len(data)} bytes, need {HEADER_SIZE} at offset 0"
         )
-    magic, version, msg_type, sender, sequence, length = _HEADER.unpack_from(data)
+    magic, version, msg_type, sender, length = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise WireError(f"bad magic {magic!r} at offset 0")
     if version != VERSION:
@@ -682,16 +676,16 @@ def decode_envelope(data: bytes) -> tuple[int, int, int, bytes]:
     if len(data) != HEADER_SIZE + length:
         raise WireError(
             f"payload length field {length} does not match "
-            f"{len(data) - HEADER_SIZE} bytes present (offset 17)"
+            f"{len(data) - HEADER_SIZE} bytes present (offset 9)"
         )
-    return msg_type, sender, sequence, data[HEADER_SIZE:]
+    return msg_type, sender, data[HEADER_SIZE:]
 
 
-def encode_frame(msg: Message, sender: int, sequence: int) -> bytes:
+def encode_frame(msg: Message, sender: int) -> bytes:
     msg_type, payload = encode_message(msg)
-    return encode_envelope(msg_type, sender, sequence, payload)
+    return encode_envelope(msg_type, sender, payload)
 
 
 def decode_frame(data: bytes) -> Message:
-    msg_type, sender, _, payload = decode_envelope(data)
+    msg_type, sender, payload = decode_envelope(data)
     return decode_message(msg_type, sender, payload)

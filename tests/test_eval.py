@@ -211,6 +211,27 @@ class TestCli:
         assert code == 2
         assert "agents" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_sim_rejects_seed_outside_u64(self, tmp_path, capsys, seed):
+        out = tmp_path / "out"
+        code = cli_main(["sim", "--scenario", "unread.yaml", "--seed", str(seed),
+                         "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: seed {seed} is outside [0, 2^64 - 1]\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+    def test_sim_accepts_seed_bounds(self, tmp_path, seed):
+        scenario = tmp_path / "line.yaml"
+        scenario.write_text("agents:\n  - id: 0\n    waypoints: [[0, 0, 0], [1, 0, 0]]\n"
+                            "run: {duration: 1.0}\n")
+        out = tmp_path / "out"
+        code = cli_main(["sim", "--scenario", str(scenario), "--seed", str(seed),
+                         "--out", str(out)])
+        assert code == 0 and (out / "events.jsonl").exists()
+
     def collinear_run(self, tmp_path):
         scenario = tmp_path / "line.yaml"
         scenario.write_text("agents:\n  - id: 0\n    waypoints: [[0, 0, 0], [1, 0, 0]]\n")

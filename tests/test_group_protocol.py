@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,7 @@ from meshslam.wire import (
     BowAnnounce,
     FullMapMsg,
     GroupUpdate,
-    LocalizationLost,
-    LocalizationRegained,
+    LocalizationState,
     MergeNotify,
 )
 
@@ -185,10 +186,8 @@ class Bus:
             mgr.on_merge_notify(msg)
         elif isinstance(msg, GroupUpdate):
             mgr.on_group_update(msg)
-        elif isinstance(msg, LocalizationLost):
-            mgr.on_loc_lost(msg)
-        elif isinstance(msg, LocalizationRegained):
-            mgr.on_loc_regained(msg)
+        elif isinstance(msg, LocalizationState):
+            mgr.on_localization_state(msg)
         else:
             raise TypeError(type(msg))
         for m in self.managers.values():
@@ -290,9 +289,9 @@ class TestProtocolFlow:
         bus.managers[2].announce_keyframe_bow(kf2.id, kf2.words)
         notices = [m for (_, d, m) in bus.trace if isinstance(m, MergeNotify)]
         assert notices
-        # replaying the notice at its recipient must not move the map again;
-        # the runtime drops duplicate control sequence numbers before dispatch,
-        # and the transform roster guard keeps non-members safe regardless
+        # replaying the notice at its recipient must not move the map again:
+        # receivers apply a notice once per merge id, and the transform
+        # roster guard keeps non-members safe regardless
         before = {pid: p.position.copy() for pid, p in bus.maps[1].points.items()}
         bus.managers[1].on_merge_notify(notices[0])  # agent 1 not in transform roster
         for pid, p in bus.maps[1].points.items():
@@ -486,6 +485,32 @@ class TestLocalizationMessages:
             assert mgr.state(1, 2) == PeerState.MERGED
             mgr.check_invariants()
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reordered_and_repeated_states_keep_the_newest(self, seed):
+        bus = TestPartitionHandling().merged_trio()
+        bus.dropped.add(LocalizationState)  # held back, then delivered below
+        flips = {1: 5, 2: 4}  # agent 1 ends lost, agent 2 localized
+        for owner, n in flips.items():
+            declare = (bus.managers[owner].declare_localization_lost,
+                       bus.managers[owner].declare_localization_regained)
+            for k in range(n):
+                declare[k % 2]()
+        sent = [(s, d, m) for s, d, m in bus.trace if isinstance(m, LocalizationState)]
+        assert len(sent) == 2 * (5 + 4)  # each flip goes to both other agents
+        rng = random.Random(seed)
+        deliveries = sent + rng.sample(sent, len(sent) // 2)  # some twice
+        rng.shuffle(deliveries)
+        # the highest epoch each agent has seen of each flipping agent
+        newest = {(a, b): flips[b] if a == b else 0 for a in bus.managers for b in flips}
+        for src, dst, msg in deliveries:
+            bus.deliver(src, dst, msg)  # checks every manager's invariants
+            newest[dst, src] = max(newest[dst, src], msg.epoch)
+            assert bus.managers[dst].lost_agents == {b for b in flips if newest[dst, b] % 2}
+        for mgr in bus.managers.values():
+            assert mgr.lost_agents == {1}
+            assert mgr.state(0, 1) == PeerState.PEER_LOCALIZATION_LOST
+            assert mgr.state(0, 2) == PeerState.MERGED
+
     def test_frame_aligned_peers_include_lost(self):
         bus = TestPartitionHandling().merged_trio()
         bus.managers[1].declare_localization_lost()
@@ -522,6 +547,23 @@ class TestCompleteGroupMerge:
             assert mgr.aligned == {(0, 1), (0, 2), (1, 2)}
         rosters = [(d["roster"], d["leader"]) for _, e, d in bus.events if e == "group_merged"]
         assert rosters == [([1, 2], 1), ([0, 1, 2], 0)]
+
+    def test_repeated_notice_moves_a_member_once(self):
+        bus = self.bus([0, 1, 2])
+        bus.managers[2].complete_group_merge(1, Sim3Transform.identity(), 12)
+        bus.managers[1].complete_group_merge(0, Sim3Transform.identity(), 12)
+
+        def applied_at_2():
+            return [d for a, e, d in bus.events if a == 2 and e == "merge_transform_applied"]
+
+        # agent 2 was in agent 1's old group, so it moves its map once
+        assert [d["source"] for d in applied_at_2()] == [1]
+        [notice] = [m for s, d, m in bus.trace
+                    if isinstance(m, MergeNotify) and (s, d) == (1, 2)]
+        bus.deliver(1, 2, notice)  # a duplicate in transit
+        for _, resend in bus.timers:  # the scheduled repeats of both merges
+            resend()
+        assert len(applied_at_2()) == 1
 
     def test_merge_with_own_group_changes_nothing(self):
         bus = self.bus([0, 1])

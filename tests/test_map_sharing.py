@@ -8,7 +8,15 @@ from meshslam.map_sharing import (
     SharingState,
     insert_external_keyframe,
 )
-from meshslam.wire import KeyFramePacket, WireError, decode_envelope, decode_frame, encode_frame
+from meshslam.wire import (
+    KeyFramePacket,
+    MessageType,
+    WireError,
+    decode_envelope,
+    decode_frame,
+    encode_envelope,
+    encode_frame,
+)
 
 
 def ext_keyframe(uid, words, observed, pos=(0, 0, 0), agent=1, ts=0.0):
@@ -46,8 +54,8 @@ def random_packet(rng, sender=3):
     return KeyFramePacket(sender=sender, keyframes=kfs, points=pts)
 
 
-def packet_frame(pkt: KeyFramePacket, sequence: int = 9) -> bytes:
-    return encode_frame(pkt, pkt.sender, sequence)
+def packet_frame(pkt: KeyFramePacket) -> bytes:
+    return encode_frame(pkt, pkt.sender)
 
 
 class TestWireRoundTrip:
@@ -58,7 +66,8 @@ class TestWireRoundTrip:
             frame = packet_frame(pkt)
             out = decode_frame(frame)
             assert isinstance(out, KeyFramePacket)
-            assert out.sender == pkt.sender and decode_envelope(frame)[2] == 9
+            assert out.sender == pkt.sender
+            assert decode_envelope(frame)[:2] == (MessageType.KEYFRAME_PACKET, pkt.sender)
             assert len(out.keyframes) == len(pkt.keyframes)
             for a, b in zip(out.keyframes, pkt.keyframes):
                 assert a.id == b.id
@@ -76,16 +85,16 @@ class TestWireRoundTrip:
     def test_empty_packet_header_only_size(self):
         pkt = KeyFramePacket(sender=1, keyframes=[], points=[])
         data = packet_frame(pkt)
-        # 21 byte envelope + kf-count u32 + mp-count u32
-        assert len(data) == 21 + 8
+        # 13 byte envelope + kf-count u32 + mp-count u32
+        assert len(data) == 13 + 8
         out = decode_frame(data)
         assert out.keyframes == [] and out.points == []
 
     def test_corrupted_length_fails_closed(self):
         pkt = random_packet(np.random.default_rng(1))
         data = bytearray(packet_frame(pkt))
-        data[17:21] = (2 ** 31).to_bytes(4, "little")  # length field
-        with pytest.raises(WireError):
+        data[9:13] = (2 ** 31).to_bytes(4, "little")  # length field
+        with pytest.raises(WireError, match=r"^payload length field 2147483648 .* \(offset 9\)$"):
             decode_frame(bytes(data))
 
     def test_bad_magic(self):
@@ -99,10 +108,9 @@ class TestWireRoundTrip:
         with pytest.raises(WireError, match="offset"):
             decode_frame(data[:40] + b"")  # declared length mismatch
         # payload-internal truncation: rebuild envelope around cut payload
-        from meshslam.wire import encode_envelope, MessageType
-        _, _, _, payload = decode_envelope(data)
+        _, _, payload = decode_envelope(data)
         cut = payload[:len(payload) // 2]
-        refit = encode_envelope(MessageType.KEYFRAME_PACKET, 1, 0, cut)
+        refit = encode_envelope(MessageType.KEYFRAME_PACKET, 1, cut)
         with pytest.raises(WireError, match="offset"):
             decode_frame(refit)
 

@@ -20,8 +20,7 @@ from meshslam.wire import MessageType
 
 
 def env(src=0, dst=1, size=100, t=0.0, mt=MessageType.KEYFRAME_PACKET):
-    return Envelope(src=src, dst=dst, msg_type=int(mt), data=b"x" * size,
-                    size=size, send_time=t)
+    return Envelope(src=src, dst=dst, msg_type=int(mt), data=b"x" * size, send_time=t)
 
 
 class TestSend:

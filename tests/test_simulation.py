@@ -1,4 +1,6 @@
+import glob
 import os
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +17,7 @@ from meshslam.map_store import KeyFrame, MapPoint
 from meshslam.merge_detection import bow_similarity
 from meshslam.net_sim import CATEGORIES
 from meshslam.simulation import _RECEIVERS, Simulation
-from meshslam.wire import AlignmentRequest, TaggedPoints
+from meshslam.wire import AlignmentRequest, LocalizationState, TaggedPoints
 
 from scenario_defs import (
     blackout_at_end,
@@ -497,6 +499,16 @@ def coop_rounds():
     return requests, rounds, result
 
 
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(
+    os.path.dirname(__file__), os.pardir, "scenarios", "*.yaml"))), ids=os.path.basename)
+def test_shipped_round_trip_fits_in_one_tick(path):
+    """A reply reaches the follower before its next tick (what the exactness of
+    alignment requests rests on) when twice the largest one-way latency is at
+    most dt."""
+    cfg = load_scenario(path)
+    assert 2 * cfg.net.latency_ms[1] <= 1000 * cfg.run.dt
+
+
 class TestAlignmentRoundsAgainstFullReplies:
     def test_every_request_names_own_and_queued_points(self, coop_rounds):
         requests, _, _ = coop_rounds
@@ -531,9 +543,31 @@ class TestMessageDispatch:
 
         rt = Simulation(fig3_replay(), seed=1).runtimes[0]
         with pytest.raises(KeyError, match="Unknown"):
-            rt.on_message(Unknown(1), sequence=1, now=0.0)
+            rt.on_message(Unknown(1), now=0.0)
         with pytest.raises(KeyError, match="Subclassed"):
-            rt.on_message(Subclassed(1, 5, {}), sequence=2, now=0.0)
+            rt.on_message(Subclassed(1, 5, {}), now=0.0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reordered_and_repeated_localization_states(self, seed):
+        """The runtime hands every state to the manager, which keeps the newest."""
+        sim = Simulation(fig3_replay(), seed=1)
+        rt = sim.runtimes[0]
+        states = [LocalizationState(a, epoch) for a in (1, 2) for epoch in range(1, 7)]
+        rng = random.Random(seed)
+        deliveries = states + rng.sample(states, len(states) // 2)  # some twice
+        rng.shuffle(deliveries)
+        newest = {1: 0, 2: 0}
+        for msg in deliveries:
+            rt.on_message(msg, now=0.0)
+            newest[msg.sender] = max(newest[msg.sender], msg.epoch)
+            assert rt.manager.lost_agents == {a for a, e in newest.items() if e % 2}
+            for other in sim.runtimes.values():
+                other.manager.check_invariants()
+        assert rt.manager.lost_agents == set()
+        rt.on_message(LocalizationState(2, 5), now=0.0)  # stale: 6 is known
+        assert rt.manager.lost_agents == set()
+        rt.on_message(LocalizationState(2, 7), now=0.0)
+        assert rt.manager.lost_agents == {2}
 
     @pytest.mark.parametrize("fixture", ["lossy_result", "failover_result"])
     def test_event_log_never_steps_back_in_time(self, fixture, request):

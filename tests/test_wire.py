@@ -23,8 +23,7 @@ from meshslam.wire import (
     FullMapMsg,
     GroupUpdate,
     KeyFramePacket,
-    LocalizationLost,
-    LocalizationRegained,
+    LocalizationState,
     MergeNotify,
     Message,
     MessageType,
@@ -68,28 +67,43 @@ class TestMessageTable:
 
 class TestEnvelope:
     def test_header_fields(self):
-        data = encode_envelope(MessageType.LOC_LOST, sender=4, sequence=77, payload=b"")
-        assert data[:4] == b"DVMS"
-        mt, sender, seq, payload = decode_envelope(data)
-        assert (mt, sender, seq, payload) == (int(MessageType.LOC_LOST), 4, 77, b"")
-        assert len(data) == HEADER_SIZE
+        data = encode_envelope(MessageType.LOCALIZATION_STATE, sender=4, payload=b"\x07")
+        # magic, version 4, type 8, sender 4, payload length 1: 13 bytes, no sequence
+        assert data == b"DVMS" + bytes([4, 0, 8, 4, 0, 1, 0, 0, 0, 7])
+        assert HEADER_SIZE == 13
+        assert decode_envelope(data) == (int(MessageType.LOCALIZATION_STATE), 4, b"\x07")
 
     def test_version_check(self):
-        data = bytearray(encode_envelope(MessageType.LOC_LOST, 0, 0, b""))
-        data[4] = 9
-        with pytest.raises(WireError, match="version"):
+        data = bytearray(encode_envelope(MessageType.GROUP_UPDATE, 0, b""))
+        data[4] = 3
+        with pytest.raises(WireError, match="^unsupported version 3 at offset 4$"):
             decode_envelope(bytes(data))
 
     def test_unknown_type_rejected(self):
-        data = encode_envelope(MessageType.LOC_LOST, 0, 0, b"")
-        data = data[:6] + bytes([99]) + data[7:]
-        with pytest.raises(WireError, match="unknown message type"):
-            decode_frame(data)
+        data = encode_envelope(MessageType.GROUP_UPDATE, 0, b"")
+        for tag in (0, 9, 99):  # no type has these tags; 9 is one above the last
+            frame = data[:6] + bytes([tag]) + data[7:]
+            with pytest.raises(WireError, match=f"^unknown message type {tag}$"):
+                decode_frame(frame)
+            with pytest.raises(WireError, match=f"^unknown message type {tag}$"):
+                wire_reference.decode_frame(frame)
+
+    def test_length_field_names_its_offset(self):
+        data = encode_frame(LocalizationState(1, 2), 1)
+        for frame in (data[:-1], data + b"\x00"):
+            message = (f"payload length field 4 does not match {len(frame) - 13} "
+                       "bytes present (offset 9)")
+            with pytest.raises(WireError) as info:
+                decode_frame(frame)
+            assert str(info.value) == message
+            with pytest.raises(WireError) as ref:
+                wire_reference.decode_frame(frame)
+            assert str(ref.value) == message
 
 
 class TestMessageRoundTrips:
-    def roundtrip(self, msg, sender=3, seq=11):
-        return decode_frame(encode_frame(msg, sender, seq))
+    def roundtrip(self, msg, sender=3):
+        return decode_frame(encode_frame(msg, sender))
 
     def test_bow_announce(self):
         msg = BowAnnounce(3, 12345, {7: 3, 1: 1})
@@ -134,7 +148,7 @@ class TestMessageRoundTrips:
     def test_encoder_rejects_tagged_ids_not_ascending(self, ids):
         msg = TaggedPoints(1, (ids, np.zeros((len(ids), 3))))
         with pytest.raises(ValueError, match=f"id {ids[-1]} at index {len(ids) - 1} is not"):
-            encode_frame(msg, 1, 1)
+            encode_frame(msg, 1)
 
     @pytest.mark.parametrize("ids", [[], [0], [42, 43, 300], [U128 - 2, U128 - 1, U128],
                                      [5, (1 << 127) + 9, U128]],
@@ -148,7 +162,7 @@ class TestMessageRoundTrips:
 
     def test_encoder_rejects_tagged_positions_of_wrong_shape(self):
         with pytest.raises(ValueError):
-            encode_frame(TaggedPoints(1, ([1, 2], np.zeros((3, 3)))), 1, 1)
+            encode_frame(TaggedPoints(1, ([1, 2], np.zeros((3, 3)))), 1)
 
     def test_group_update(self):
         out = self.roundtrip(GroupUpdate(0, [0, 1, 2]))
@@ -173,15 +187,25 @@ class TestMessageRoundTrips:
         assert out.transform.rotation.q.tolist() == Rotation.from_quat(*q).q.tolist()
 
     def test_loc_messages(self):
-        assert isinstance(self.roundtrip(LocalizationLost(1)), LocalizationLost)
-        assert isinstance(self.roundtrip(LocalizationRegained(1)), LocalizationRegained)
+        for epoch in (0, 1, 2, 0xFFFFFFFF):
+            assert self.roundtrip(LocalizationState(1, epoch)) == LocalizationState(3, epoch)
+            # the epoch alone, as a u32
+            assert encode_message(LocalizationState(1, epoch)) == (
+                MessageType.LOCALIZATION_STATE, epoch.to_bytes(4, "little"))
+
+    @pytest.mark.parametrize("epoch", [-1, 1 << 32])
+    def test_encoder_rejects_epoch_outside_u32(self, epoch):
+        with pytest.raises(struct.error):
+            encode_frame(LocalizationState(1, epoch), 1)
 
     def test_trailing_garbage_rejected(self):
-        data = encode_frame(LocalizationLost(1), 1, 0)
+        data = encode_frame(LocalizationState(1, 5), 1)
         # append a byte and fix the length field so only payload parsing trips
-        padded = data[:17] + (1).to_bytes(4, "little") + b"\x00"
-        with pytest.raises(WireError):
+        padded = data[:9] + (5).to_bytes(4, "little") + data[13:] + b"\x00"
+        with pytest.raises(WireError, match="^trailing garbage: 1 bytes at offset 4$"):
             decode_frame(padded)
+        with pytest.raises(WireError, match="^trailing garbage: 1 bytes at offset 4$"):
+            wire_reference.decode_frame(padded)
 
 
 def corrupt(msg, fmt, old, new):
@@ -189,7 +213,7 @@ def corrupt(msg, fmt, old, new):
 
     Returns the frame and the payload offset of the overwritten bytes.
     """
-    data = bytearray(encode_frame(msg, 3, 11))
+    data = bytearray(encode_frame(msg, 3))
     packed = struct.pack(fmt, *old)
     at = data.find(packed, HEADER_SIZE)
     assert at >= 0 and data.find(packed, at + 1) < 0, "target bytes must be unique"
@@ -216,7 +240,7 @@ def splice(msg, old: bytes, new: bytes):
     mt, payload = encode_message(msg)
     at = payload.find(old)
     assert at >= 0 and payload.find(old, at + 1) < 0, "target bytes must be unique"
-    return encode_envelope(mt, 3, 11, payload[:at] + new + payload[at + len(old):]), at
+    return encode_envelope(mt, 3, payload[:at] + new + payload[at + len(old):]), at
 
 
 def kf_packet():
@@ -297,7 +321,7 @@ class TestFailClosedValues:
                      id="tagged-position-nan"),
     ])
     def test_rejects_with_offset(self, make, fmt, old, new, message):
-        decode_frame(encode_frame(make(), 3, 11))  # the untouched frame is valid
+        decode_frame(encode_frame(make(), 3))  # the untouched frame is valid
         frame, offset = corrupt(make(), fmt, old, new)
         with pytest.raises(WireError, match=message) as info:
             decode_frame(frame)
@@ -311,7 +335,7 @@ class TestFailClosedValues:
         with pytest.raises(WireError, match=f"non-minimal varint at offset {at + 1}$"):
             decode_frame(frame)
         with pytest.raises(WireError, match=f"non-finite position nan at offset {at + 3 + 24}$"):
-            decode_frame(encode_frame(msg, 3, 11))
+            decode_frame(encode_frame(msg, 3))
 
     # (rows to replace, their replacement, offset of the named count in it)
     @pytest.mark.parametrize("make, old, new, named, message", [
@@ -364,12 +388,12 @@ class TestEncoderRejectsWordCounts:
                                       kf_packet_with], ids=["bow", "keyframe"])
     def test_raises_value_error(self, make, words, message):
         with pytest.raises(ValueError, match=message):
-            encode_frame(make(words), 3, 11)
+            encode_frame(make(words), 3)
 
     def test_total_of_65535_encodes(self):
         words = {1: 65000, 7: 535}
-        assert decode_frame(encode_frame(BowAnnounce(3, 1, words), 3, 11)).words == words
-        assert decode_frame(encode_frame(kf_packet_with(words), 3, 11)).keyframes[0].words == words
+        assert decode_frame(encode_frame(BowAnnounce(3, 1, words), 3)).words == words
+        assert decode_frame(encode_frame(kf_packet_with(words), 3)).keyframes[0].words == words
 
 
 @pytest.mark.parametrize("msg, message", [
@@ -384,7 +408,7 @@ class TestEncoderRejectsWordCounts:
         "request-both-ends"])
 def test_encoder_rejects_ids_out_of_range(msg, message):
     with pytest.raises(ValueError, match=message):
-        encode_frame(msg, 3, 11)
+        encode_frame(msg, 3)
 
 
 NOT_ASCENDING = pytest.mark.parametrize("ids, bad", [
@@ -402,7 +426,7 @@ class TestEncoderRejectsIdsNotAscending:
     @NOT_ASCENDING
     def test_request_ids(self, ids, bad):
         with pytest.raises(ValueError, match=f"^id {ids[bad]} at index {bad} is not above"):
-            encode_frame(AlignmentRequest(3, ids), 3, 11)
+            encode_frame(AlignmentRequest(3, ids), 3)
 
     # observed and observer ids are written from a set in sorted order, so
     # only a container that repeats an id reaches the check through a message
@@ -410,12 +434,12 @@ class TestEncoderRejectsIdsNotAscending:
         kf = sample_keyframe()
         kf.observed_points = [7, 5, 7]
         with pytest.raises(ValueError, match="^id 7 at index 2 is not above"):
-            encode_frame(KeyFramePacket(3, [kf], []), 3, 11)
+            encode_frame(KeyFramePacket(3, [kf], []), 3)
 
     def test_observer_ids(self):
         point = MapPoint(700, vec3(0, 0, 0), 3, [7, 5, 5])
         with pytest.raises(ValueError, match="^id 5 at index 1 is not above"):
-            encode_frame(KeyFramePacket(3, [], [point]), 3, 11)
+            encode_frame(KeyFramePacket(3, [], [point]), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -446,27 +470,27 @@ def test_id_lists_round_trip(ids):
     # the count's varint, one varint per gap minus one (the first from -1), the positions
     gaps = [b - a - 1 for a, b in zip([-1, *ids], ids)]
     assert len(payload) == varint_len(len(ids)) + sum(map(varint_len, gaps)) + 24 * len(ids)
-    out = decode_frame(encode_envelope(mt, 3, 11, payload))
+    out = decode_frame(encode_envelope(mt, 3, payload))
     assert out.points[0] == ids and np.array_equal(out.points[1], positions)
     # observed and observer sets are built from the ascending list, so their
     # iteration order is that of a set built from it
     kf = sample_keyframe()
     kf.observed_points = set(ids)
     pkt = KeyFramePacket(3, [kf], [MapPoint(700, vec3(0, 0, 0), 3, set(ids))])
-    frame = encode_frame(pkt, 3, 11)
+    frame = encode_frame(pkt, 3)
     got = decode_frame(frame)
     assert list(got.keyframes[0].observed_points) == list(set(ids))
     assert list(got.points[0].observers) == list(set(ids))
-    assert encode_frame(got, 3, 11) == frame
+    assert encode_frame(got, 3) == frame
 
 
 def tagged_frame(*parts):
-    return encode_envelope(MessageType.TAGGED_POINTS, 3, 11, b"".join(parts))
+    return encode_envelope(MessageType.TAGGED_POINTS, 3, b"".join(parts))
 
 
 def bow_frame(*parts):
     """A BowAnnounce frame: a 16-byte keyframe id, then `parts`."""
-    return encode_envelope(MessageType.BOW_ANNOUNCE, 3, 11, bytes(16) + b"".join(parts))
+    return encode_envelope(MessageType.BOW_ANNOUNCE, 3, bytes(16) + b"".join(parts))
 
 
 class TestVarintFaults:
@@ -582,8 +606,7 @@ MAKERS = {
     MessageType.ALIGNMENT_REQUEST: _request,
     MessageType.TAGGED_POINTS: _tagged,
     MessageType.GROUP_UPDATE: lambda rnd: GroupUpdate(3, _roster(rnd)),
-    MessageType.LOC_LOST: lambda rnd: LocalizationLost(3),
-    MessageType.LOC_REGAINED: lambda rnd: LocalizationRegained(3),
+    MessageType.LOCALIZATION_STATE: lambda rnd: LocalizationState(3, rnd.getrandbits(32)),
 }
 assert set(MAKERS) == set(MessageType)
 
@@ -611,7 +634,7 @@ def plain(x):
 
 
 def reference_decode(frame):
-    return wire_reference.decode_message(*decode_envelope(frame))
+    return wire_reference.decode_frame(frame)
 
 
 class TestAgainstReferenceCodec:
@@ -623,7 +646,8 @@ class TestAgainstReferenceCodec:
             msg = random_message(kind, seed)
             want = wire_reference.encode_message(msg)
             assert encode_message(msg) == want
-            frame = encode_frame(msg, 3, 11)
+            frame = encode_frame(msg, 3)
+            assert frame == wire_reference.encode_frame(msg, 3)
             assert plain(decode_frame(frame)) == plain(reference_decode(frame))
 
 
@@ -642,8 +666,7 @@ TRUNCATED = re.compile(r"truncated payload: need (\d+) bytes at offset (\d+), ha
 class TestTruncationSweep:
     @pytest.mark.parametrize("kind", list(MessageType), ids=lambda k: k.name)
     def test_every_cut_names_an_offset(self, kind):
-        # the largest of a few random messages, so every field kind is cut;
-        # the two types without a payload have nothing to cut
+        # the largest of a few random messages, so every field kind is cut
         msg = max((random_message(kind, seed) for seed in range(8)),
                   key=lambda m: len(encode_message(m)[1]))
         if kind in WORD_KINDS:
@@ -651,7 +674,7 @@ class TestTruncationSweep:
             assert word_rows(msg) >= 2
         mt, payload = encode_message(msg)
         for cut in range(len(payload)):
-            frame = encode_envelope(mt, 3, 11, payload[:cut])
+            frame = encode_envelope(mt, 3, payload[:cut])
             with pytest.raises(WireError) as info:
                 decode_frame(frame)
             m = TRUNCATED.fullmatch(str(info.value))
@@ -661,7 +684,7 @@ class TestTruncationSweep:
             with pytest.raises(WireError) as ref:
                 reference_decode(frame)
             assert str(info.value) == str(ref.value)
-        frame = encode_envelope(mt, 3, 11, payload)
+        frame = encode_envelope(mt, 3, payload)
         assert plain(decode_frame(frame)) == plain(reference_decode(frame))
 
 
@@ -709,6 +732,8 @@ def assert_well_formed(msg):
         assert_finite(positions)
     if isinstance(msg, AlignmentRequest):
         assert msg.ids == sorted(set(msg.ids)) and all(0 <= i <= U128 for i in msg.ids)
+    if isinstance(msg, LocalizationState):
+        assert 0 <= msg.epoch <= 0xFFFFFFFF
 
 
 EDIT = st.tuples(st.sampled_from(["flip", "insert", "cut"]),
@@ -726,7 +751,7 @@ def test_mutated_frames_fail_closed(kind, seed, refit, edits):
     With ``refit`` the edits hit the payload and the envelope is rebuilt
     around it, so they reach the payload parser instead of the length check.
     """
-    frame = encode_frame(random_message(kind, seed), 3, 11)
+    frame = encode_frame(random_message(kind, seed), 3)
     data = bytearray(frame[HEADER_SIZE:] if refit else frame)
     for op, pos, byte in edits:
         at = pos % (len(data) + 1)
@@ -737,7 +762,7 @@ def test_mutated_frames_fail_closed(kind, seed, refit, edits):
         elif op == "cut":
             del data[at:]
     if refit:
-        data = encode_envelope(kind, 3, 11, bytes(data))
+        data = encode_envelope(kind, 3, bytes(data))
     try:
         out = decode_frame(bytes(data))
     except WireError as exc:

@@ -4,10 +4,12 @@ step.
 
 Kept only as the reference that the batched codec in ``meshslam.wire`` must
 match byte for byte and value for value on valid messages.  It follows the
-current layouts: id lists and histograms as varint counts and varint gaps,
-alignment requests as an id list, tagged points as an id list and then a
-block of positions, group updates as a roster alone.  It checks what the
-codec checks, in payload order and with the same messages.
+current layouts: a 13-byte version 4 header with no sequence number, id lists
+and histograms as varint counts and varint gaps, alignment requests as an id
+list, tagged points as an id list and then a block of positions, group
+updates as a roster alone, localization states as a u32 epoch.  It checks
+what the codec checks, in header and payload order and with the same
+messages.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from meshslam.wire import (
     FullMapMsg,
     GroupUpdate,
     KeyFramePacket,
-    LocalizationLost,
-    LocalizationRegained,
+    LocalizationState,
     MergeNotify,
     MessageType,
     TaggedPoints,
@@ -307,14 +308,13 @@ def encode_message(msg: Message) -> tuple[MessageType, bytes]:
         for aid in msg.roster:
             w.u16(aid)
         return MessageType.GROUP_UPDATE, w.getvalue()
-    if isinstance(msg, LocalizationLost):
-        return MessageType.LOC_LOST, b""
-    if isinstance(msg, LocalizationRegained):
-        return MessageType.LOC_REGAINED, b""
+    if isinstance(msg, LocalizationState):
+        w.u32(msg.epoch)
+        return MessageType.LOCALIZATION_STATE, w.getvalue()
     raise TypeError(f"unknown message {type(msg).__name__}")
 
 
-def decode_message(msg_type: int, sender: int, sequence: int, payload: bytes) -> Message:
+def decode_message(msg_type: int, sender: int, payload: bytes) -> Message:
     try:
         mt = MessageType(msg_type)
     except ValueError as exc:
@@ -355,10 +355,41 @@ def decode_message(msg_type: int, sender: int, sequence: int, payload: bytes) ->
         roster = [r.u16() for _ in range(r.u16())]
         r.done()
         return GroupUpdate(sender, roster)
-    if mt == MessageType.LOC_LOST:
-        r.done()
-        return LocalizationLost(sender)
+    epoch = r.u32()
     r.done()
-    return LocalizationRegained(sender)
+    return LocalizationState(sender, epoch)
+
+
+# ---------------------------------------------------------------------------
+# Envelope
+# ---------------------------------------------------------------------------
+
+def encode_frame(msg: Message, sender: int) -> bytes:
+    """Magic, version u16, type u8, sender u16, payload length u32, payload."""
+    mt, payload = encode_message(msg)
+    w = _Writer()
+    w.parts.append(b"DVMS")
+    w.u16(4)
+    w.u8(mt)
+    w.u16(sender)
+    w.u32(len(payload))
+    return w.getvalue() + payload
+
+
+def decode_frame(data: bytes) -> Message:
+    if len(data) < 13:
+        raise WireError(f"truncated header: {len(data)} bytes, need 13 at offset 0")
+    r = _Reader(data)
+    magic = r._take(4)
+    if magic != b"DVMS":
+        raise WireError(f"bad magic {magic!r} at offset 0")
+    version = r.u16()
+    if version != 4:
+        raise WireError(f"unsupported version {version} at offset 4")
+    msg_type, sender, length = r.u8(), r.u16(), r.u32()
+    if len(data) != 13 + length:
+        raise WireError(f"payload length field {length} does not match "
+                        f"{len(data) - 13} bytes present (offset 9)")
+    return decode_message(msg_type, sender, data[13:])
 
 
