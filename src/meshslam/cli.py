@@ -79,23 +79,30 @@ def eval_command(est_path: str, gt_path: str, json_path: str | None) -> int:
 _LEDGER_INTS = ("agent", "bytes_sent", "bytes_received", "bytes_dropped")
 
 
-def _read_ledger(path: str) -> list[dict]:
-    """Ledger rows with typed fields; ValueError names the first bad one."""
+def _read_ledger(path: str) -> dict[tuple[str, int], dict]:
+    """Ledger rows with typed fields, by (category, agent); ValueError names
+    the first bad row: a bad field, an unknown category or a repeated
+    (agent, category) pair."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         columns = ("category", *_LEDGER_INTS, "avg_kbps")
         missing = [c for c in columns if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"missing columns {missing}")
-        rows = []
+        rows = {}
         for r in reader:
             try:
                 row = {c: int(r[c]) for c in _LEDGER_INTS}
                 row["avg_kbps"] = float(r["avg_kbps"])
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"line {reader.line_num}: {exc}") from exc
-            row["category"] = r["category"]
-            rows.append(row)
+            key = (r["category"], row["agent"])
+            if key[0] not in CATEGORIES:
+                raise ValueError(f"line {reader.line_num}: unknown category {key[0]!r}")
+            if key in rows:
+                raise ValueError(f"line {reader.line_num}: a second row for agent "
+                                 f"{key[1]}, category {key[0]!r}")
+            rows[key] = row
     return rows
 
 
@@ -108,17 +115,15 @@ def report_command(ledger_path: str) -> int:
     except ValueError as exc:
         print(f"error: {ledger_path}: {exc}", file=sys.stderr)
         return 2
-    agents = sorted({r["agent"] for r in rows})
+    agents = sorted({agent for _, agent in rows})
     print(f"{'category':<16}{'agent':>6}{'sent KB':>12}{'recv KB':>12}"
           f"{'drop KB':>12}{'avg KB/s':>12}")
     totals = {"sent": 0, "recv": 0, "drop": 0, "rate": 0.0}
     for cat in CATEGORIES:
         for agent in agents:
-            match = [r for r in rows
-                     if r["category"] == cat and r["agent"] == agent]
-            if not match:
+            r = rows.get((cat, agent))
+            if r is None:
                 continue
-            r = match[0]
             sent = r["bytes_sent"]
             recv = r["bytes_received"]
             drop = r["bytes_dropped"]

@@ -31,7 +31,10 @@ the points named, without those the follower came to observe meanwhile.
 Messages carry no sequence number, and each is handled as it arrives.  A
 late or repeated message cannot undo a newer one: merge notices are applied
 once per merge id, rosters only grow groups, and an agent's localization
-travels as an epoch that every manager keeps as a max-register.
+travels as an epoch that every manager keeps as a max-register.  A frame that
+fails to decode is dropped by its receiver and logged as ``frame_rejected``
+(its sender, its header's type tag or null when the header itself fails, and
+the error); the ledger has already counted it as received.
 
 After the scripted duration ends, a quiescence barrier force-flushes the
 remaining outboxes toward merged peers and runs the event queue dry so that
@@ -84,7 +87,9 @@ from .wire import (
     LocalizationState,
     MergeNotify,
     TaggedPoints,
+    WireError,
     category_of,
+    decode_envelope,
     decode_frame,
     encode_envelope,
     encode_message,
@@ -431,7 +436,18 @@ class Simulation:
 
     def _deliver(self, env: Envelope) -> None:
         self.net.deliver(env)
-        msg = decode_frame(env.data)
+        try:
+            msg = decode_frame(env.data)
+        except WireError as exc:
+            # the receiver drops a frame it cannot decode; the ledger has
+            # already counted it as received
+            try:
+                tag = decode_envelope(env.data)[0]
+            except WireError:
+                tag = None
+            self.log(env.dst, "frame_rejected",
+                     {"sender": env.src, "type": tag, "error": str(exc)})
+            return
         self.runtimes[env.dst].on_message(msg, now=self.now)
 
     def _partition_change(self) -> None:

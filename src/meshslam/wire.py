@@ -3,7 +3,7 @@
 Envelope layout (all multi-byte integers little-endian):
 
     magic   4 bytes  b"DVMS"
-    version u16      4
+    version u16      5
     type    u8       message type tag
     sender  u16      agent id
     length  u32      payload byte count
@@ -20,23 +20,32 @@ recoveries it has declared (odd while it is lost); receivers keep the highest
 epoch per agent, so a late or repeated state changes nothing.
 Field codecs:
 
-    uuid       16B, low 64 bits first
-    ids        varint n + varint(id gap - 1)*n
+    id         zigzag varint of its difference from the payload's last id
+    ids        varint n + id (the first) + varint(id gap - 1)*(n - 1)
     words      varint n + (varint(word id gap - 1), varint(count))*n
-    keyframes  count u32 + per keyframe: uuid 16B, origin u16, timestamp f64,
+    keyframes  varint count + per keyframe: id, origin u16, timestamp f64,
                pose 7*f64 (qw qx qy qz tx ty tz), words, observed point ids
-    points     count u32 + per point: uuid 16B, xyz 3*f64, word u32,
+    points     varint count + per point: id, xyz 3*f64, varint word,
                observer ids
     sim3       scale f64, quaternion 4*f64, translation 3*f64
     roster     count u16 + agent id u16*
     tagged     ids, then their n positions as one n*3 f64 block
 
 A varint is LEB128: an unsigned integer in groups of seven bits, lowest group
-first, one group per byte, the high bit set on every byte but the last.  Id
-lists and histogram word ids are strictly ascending, so each is written as its
-gap to the one before it minus one, the first counted from -1: the ids
-[0, 5, 6] are the varints 3 (the count), 0, 4, 0.  An id list therefore takes
-the length of its count's varint plus the lengths of its gaps' varints.
+first, one group per byte, the high bit set on every byte but the last.
+
+The ids one payload names sit within a few counters of each other, so every
+id is written against the one the payload wrote before it.  A single id
+(``BowAnnounce.kf_id``, ``FullMapMsg.hint_kf``), a keyframe's or a point's
+own id and the first id of an id list are the zigzag varint of their signed
+difference d from the payload's last id: 2d for d >= 0, -2d - 1 below.  The
+last id is 0 at the payload's start, and after an id list it is that list's
+last id.  Id lists and histogram word ids are strictly ascending, so every
+later id of a list is its gap to the one before it minus one, and a word id
+its gap to the word before it minus one, the first counted from -1.  The
+request ids [5, 6, 10] are the varints 3 (the count), 10 (5 - 0, zigzagged),
+0 and 3; a keyframe record whose id is K, and whose first observed point is
+K - 2, writes that point as the varint 3.
 
 Keyframes and map points travel as the map store's own KeyFrame and MapPoint
 objects.  Decoding always builds fresh objects, so an object never reaches a
@@ -46,22 +55,23 @@ sent (others are normalized and sign-canonicalized), so a keyframe decodes to
 what its sender held, bit for bit.  Observed and observer id sets are written
 in ascending order and decoded into sets built in that order; request and
 tagged point ids travel in the order given, which the encoder requires to be
-strictly ascending.
+strictly ascending.  Keyframe and point records travel in the sender's order.
 
 Decoding is fail-closed: any structural problem raises WireError naming the
 byte offset (counted from the start of the payload for payload fields); no
 partially decoded object escapes.  A field or varint cut off by the end of
 the payload is a truncation naming where it starts.  Besides the layout, the
 decoder rejects, in payload order: non-minimal varints (a last byte 0x00
-after a continuation byte, so that every list has exactly one encoding), ids
-above 2^128 - 1, list counts and word ids above 2^32 - 1, word counts of
-zero, histograms whose counts add up to more than ``MAX_WORD_TOTAL`` (65535;
-the error names the count that crosses it), non-finite floats, quaternions of
-zero, subnormal or non-finite norm, and SIM(3) scales that are not positive.
-The encoder raises ValueError on an id list that is not strictly ascending
-(naming the index of the first id that is not above the one before it), on
-ids or word ids outside the ranges above, and on a histogram whose counts are
-not positive or add up to more than ``MAX_WORD_TOTAL``.
+after a continuation byte, so that every message has exactly one encoding),
+ids that a difference or a gap takes below 0 or above 2^128 - 1, list counts
+and word ids above 2^32 - 1, word counts of zero, histograms whose counts add
+up to more than ``MAX_WORD_TOTAL`` (65535; the error names the count that
+crosses it), non-finite floats, quaternions of zero, subnormal or non-finite
+norm, and SIM(3) scales that are not positive.  The encoder raises ValueError
+on an id list that is not strictly ascending (naming the index of the first
+id that is not above the one before it), on ids or word ids outside the
+ranges above, and on a histogram whose counts are not positive or add up to
+more than ``MAX_WORD_TOTAL``.
 """
 
 from __future__ import annotations
@@ -70,7 +80,6 @@ import math
 import struct
 from dataclasses import dataclass, fields
 from enum import IntEnum
-from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -79,7 +88,7 @@ from .geometry import Rotation, Se3Pose, Sim3Transform
 from .map_store import KeyFrame, MapPoint
 
 MAGIC = b"DVMS"
-VERSION = 4
+VERSION = 5
 _HEADER = struct.Struct("<4sHBHI")
 HEADER_SIZE = _HEADER.size  # 13
 # the largest total of one histogram's word counts, so that any count fits a u16
@@ -184,15 +193,11 @@ Message = (
 # Fixed layouts, varints and the reader
 # ---------------------------------------------------------------------------
 
-_M64 = (1 << 64) - 1
-
-
 class _Fields:
     """A fixed run of little-endian fields, packed and unpacked by one struct.
 
-    A uuid is one ``QQ`` field (low word first).  The per-field sizes let a
-    truncated read name the first field that does not fit, as reading the
-    fields one at a time would.
+    The per-field sizes let a truncated read name the first field that does
+    not fit, as reading the fields one at a time would.
     """
 
     def __init__(self, *codes: str):
@@ -209,15 +214,12 @@ _U16 = _Fields("H")
 _U32 = _Fields("I")
 _U64 = _Fields("Q")
 _F64 = _Fields("d")
-_UUID = _Fields("QQ")
 _QUAT = _Fields("d", "d", "d", "d")
 _VEC3 = _Fields("d", "d", "d")
-_KF_HEAD = _Fields("QQ", "H", "d")         # id, origin, timestamp
-_UUID_VEC3 = _Fields("QQ", "d", "d", "d")  # point id, position
+_KF_HEAD = _Fields("H", "d")  # origin, timestamp
 # The writer packs in one call what the reader reads in parts: the reader
 # checks each part's values before it reads the next part.
-_KF_RECORD = _KF_HEAD + _QUAT + _VEC3  # up to the histogram
-_POINT_RECORD = _UUID_VEC3 + _U32      # up to the observer ids
+_KF_RECORD = _KF_HEAD + _QUAT + _VEC3  # after the id, up to the histogram
 _SIM3 = _F64 + _QUAT + _VEC3
 _F64_BLOCK = np.dtype("<f8")
 _U16_BLOCK = np.dtype("<u2")
@@ -232,17 +234,31 @@ def _put_varint(out: bytearray, v: int) -> None:
     out.append(v)
 
 
-@lru_cache(maxsize=256)
-def _first_id(uid: int) -> bytes:
-    """The varint of an id list's first id, its gap to -1 minus one.
+class _Writer(bytearray):
+    """A payload being written, and the last id it wrote (0 before the first).
 
-    A uuid's varint takes one loop step per byte, and the lists of a message
-    mostly start with a few ids (a packet's new points are observed first by
-    its keyframe): about 9 in 10 are found here.
+    A method looked up on a bytearray subclass costs more than on a bytearray,
+    so the loops below bind ``out.append`` once.
     """
-    out = bytearray()
-    _put_varint(out, uid)
-    return bytes(out)
+
+    __slots__ = ("prev",)
+
+    def __init__(self):
+        super().__init__()
+        self.prev = 0
+
+
+def _write_id(out: _Writer, uid: int) -> None:
+    """`uid` as the zigzag varint of its difference from the last id written."""
+    if not 0 <= uid <= _MAX_ID:
+        raise ValueError(f"id {uid} is outside [0, 2^128 - 1]")
+    d = uid - out.prev
+    out.prev = uid
+    z = d << 1 if d >= 0 else ~d << 1 | 1
+    if z < 0x80:  # the common case: one byte, no call
+        out.append(z)
+    else:
+        _put_varint(out, z)
 
 
 def _id_list_fault(ids: list[int]) -> str:
@@ -253,8 +269,9 @@ def _id_list_fault(ids: list[int]) -> str:
     return f"id {ids[0] if ids[0] < 0 else ids[-1]} is outside [0, 2^128 - 1]"
 
 
-def _write_ids(out: bytearray, ids: list[int]) -> None:
-    """Strictly ascending ids as a varint count and varint gaps.
+def _write_ids(out: _Writer, ids: list[int]) -> None:
+    """Strictly ascending ids: a varint count, the first id against the last
+    id written, then varint gaps.
 
     A list that is not raises ValueError naming the first id that is not above
     the one before it, or else the id outside [0, 2^128 - 1].
@@ -264,20 +281,22 @@ def _write_ids(out: bytearray, ids: list[int]) -> None:
     _put_varint(out, len(ids))
     if not ids:
         return
+    append = out.append
     try:
-        out += _first_id(ids[0])
+        _write_id(out, ids[0])
         prev = ids[0]
         for uid in ids[1:]:
             gap = uid - prev - 1
             prev = uid
             if gap < 0x80:  # the common case: one byte, no call
-                out.append(gap)
+                append(gap)
             else:
                 _put_varint(out, gap)
     except ValueError:
-        # bytearray.append refuses a negative value: the first id below 0, or
-        # the gap of an id that is not above the one before it
+        # _write_id refuses a first id below 0, and bytearray.append the
+        # negative gap of an id that is not above the one before it
         raise ValueError(_id_list_fault(ids)) from None
+    out.prev = prev
 
 
 class _Reader:
@@ -285,6 +304,7 @@ class _Reader:
         self.data = data
         self.end = len(data)
         self.off = 0
+        self.prev = 0  # the last id read
 
     def _truncated(self, off: int, sizes: tuple[int, ...]) -> WireError:
         """The error for the first of `sizes`, laid out from `off`, that runs past the end."""
@@ -348,22 +368,38 @@ class _Reader:
             raise WireError(f"list count {n} at offset {start} is above 2^32 - 1")
         return n
 
+    def id(self) -> int:
+        """The id whose zigzag difference from the last id read comes next."""
+        off = self.off
+        if off < self.end and (z := self.data[off]) < 0x80:
+            self.off = off + 1
+        else:
+            z, self.off = self.varint(off)
+        uid = self.prev + (z >> 1 ^ -(z & 1))
+        if uid < 0:
+            raise WireError(f"id {uid} at offset {off} is below 0")
+        if uid > _MAX_ID:
+            raise WireError(f"id {uid} at offset {off} is above 2^128 - 1")
+        self.prev = uid
+        return uid
+
     def ids(self) -> list[int]:
         """An id list, ascending by construction."""
         n = self.count()
+        if not n:
+            return []
+        uid = self.id()
         data, end, off = self.data, self.end, self.off
-        if n:
-            # the common case: every gap after the first is one byte
-            first, after = self.varint(off)
-            gaps = data[after:after + n - 1]
-            if len(gaps) == n - 1 and gaps.isascii():
-                ids = list(accumulate(gaps.translate(_PLUS_ONE), initial=first))
-                if ids[-1] <= _MAX_ID:
-                    self.off = after + n - 1
-                    return ids
-        ids = []
-        uid = -1
-        for _ in range(n):
+        # the common case: every gap after the first id is one byte
+        gaps = data[off:off + n - 1]
+        if len(gaps) == n - 1 and gaps.isascii():
+            ids = list(accumulate(gaps.translate(_PLUS_ONE), initial=uid))
+            if ids[-1] <= _MAX_ID:
+                self.off = off + n - 1
+                self.prev = ids[-1]
+                return ids
+        ids = [uid]
+        for _ in range(n - 1):
             start = off
             if off < end and (byte := data[off]) < 0x80:
                 uid += byte + 1
@@ -375,6 +411,7 @@ class _Reader:
                 raise WireError(f"id {uid} at offset {start} is above 2^128 - 1")
             ids.append(uid)
         self.off = off
+        self.prev = uid
         return ids
 
     def done(self) -> None:
@@ -444,12 +481,13 @@ def _write_words(out: bytearray, words: dict[int, int]) -> None:
                 raise ValueError(_word_fault(count, total, f"index {i}"))
     _put_varint(out, len(rows))
     prev = -1
+    append = out.append
     for word, count in rows:
         gap = word - prev - 1
         prev = word
         if gap < 0x80 and count < 0x80:  # the common case: two bytes, no call
-            out.append(gap)
-            out.append(count)
+            append(gap)
+            append(count)
         else:
             _put_varint(out, gap)
             _put_varint(out, count)
@@ -495,34 +533,42 @@ def _read_words(r: _Reader) -> dict[int, int]:
     return words
 
 
-def _write_keyframe(out: bytearray, kf: KeyFrame) -> None:
+def _write_keyframe(out: _Writer, kf: KeyFrame) -> None:
+    _write_id(out, kf.id)
     out += _KF_RECORD.struct.pack(
-        kf.id & _M64, kf.id >> 64, kf.origin_agent, kf.timestamp,
+        kf.origin_agent, kf.timestamp,
         *kf.pose.rotation.q.tolist(), *kf.pose.translation.tolist())
     _write_words(out, kf.words)
     _write_ids(out, sorted(kf.observed_points))
 
 
 def _read_keyframe(r: _Reader) -> KeyFrame:
+    uid = r.id()
     start = r.off
-    lo, hi, origin, ts = r.read(_KF_HEAD)
-    _check_finite((ts,), start + 18, "timestamp")
+    origin, ts = r.read(_KF_HEAD)
+    _check_finite((ts,), start + 2, "timestamp")
     pose = _read_pose(r)
     words = _read_words(r)
-    return KeyFrame(lo | hi << 64, origin, ts, pose, words, set(r.ids()))
+    return KeyFrame(uid, origin, ts, pose, words, set(r.ids()))
 
 
-def _write_point(out: bytearray, p: MapPoint) -> None:
-    out += _POINT_RECORD.struct.pack(p.id & _M64, p.id >> 64, *p.position.tolist(), p.word)
+def _write_point(out: _Writer, p: MapPoint) -> None:
+    _write_id(out, p.id)
+    out += _VEC3.struct.pack(*p.position.tolist())
+    if not 0 <= p.word <= _MAX_U32:
+        raise ValueError(f"word id {p.word} is outside [0, 2^32 - 1]")
+    _put_varint(out, p.word)
     _write_ids(out, sorted(p.observers))
 
 
 def _read_point(r: _Reader) -> MapPoint:
+    uid = r.id()
+    pos = _read_finite(r, _VEC3, "position")
     start = r.off
-    lo, hi, *pos = r.read(_UUID_VEC3)
-    _check_finite(pos, start + 16, "position")
-    (word,) = r.read(_U32)
-    return MapPoint(lo | hi << 64, np.array(pos), word, set(r.ids()))
+    word, r.off = r.varint(start)
+    if word > _MAX_U32:
+        raise WireError(f"word id {word} at offset {start} is above 2^32 - 1")
+    return MapPoint(uid, np.array(pos), word, set(r.ids()))
 
 
 def _write_sim3(out: bytearray, t: Sim3Transform) -> None:
@@ -556,7 +602,7 @@ def _check_positions(values: np.ndarray, start: int) -> None:
         raise WireError(f"non-finite position {float(values[i])} at offset {start + 8 * i}")
 
 
-def _write_tagged(out: bytearray, points: tuple[list[int], np.ndarray]) -> None:
+def _write_tagged(out: _Writer, points: tuple[list[int], np.ndarray]) -> None:
     ids, positions = points
     block = np.reshape(np.asarray(positions, _F64_BLOCK), (len(ids), 3))
     _write_ids(out, ids)
@@ -577,30 +623,19 @@ def _scalar(f: _Fields):
     return (lambda out, v: out.extend(f.struct.pack(v))), (lambda r: r.read(f)[0])
 
 
-def _write_uuid(out: bytearray, v: int) -> None:
-    out += _UUID.struct.pack(v & _M64, v >> 64)
-
-
-def _read_uuid(r: _Reader) -> int:
-    lo, hi = r.read(_UUID)
-    return lo | hi << 64
-
-
 def _counted(write_one, read_one):
-    """The codec of a u32 count followed by that many items."""
-    def write(out: bytearray, items: list) -> None:
-        out += _U32.struct.pack(len(items))
+    """The codec of a varint count followed by that many items."""
+    def write(out: _Writer, items: list) -> None:
+        _put_varint(out, len(items))
         for item in items:
             write_one(out, item)
 
     def read(r: _Reader) -> list:
-        (n,) = r.read(_U32)
-        return [read_one(r) for _ in range(n)]
+        return [read_one(r) for _ in range(r.count())]
     return write, read
 
 
-
-_ID = (_write_uuid, _read_uuid)
+_ID = (_write_id, _Reader.id)
 _IDS = (_write_ids, _Reader.ids)
 _KEYFRAMES = _counted(_write_keyframe, _read_keyframe)
 _POINTS = _counted(_write_point, _read_point)
@@ -637,7 +672,7 @@ def encode_message(msg: Message) -> tuple[MessageType, bytes]:
         mt, names = _TYPE_OF[type(msg)]
     except KeyError:
         raise TypeError(f"unknown message {type(msg).__name__}") from None
-    out = bytearray()
+    out = _Writer()
     for name, (write, _) in zip(names, _PAYLOADS[mt][2], strict=True):
         write(out, getattr(msg, name))
     return mt, bytes(out)

@@ -301,3 +301,22 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {ledger}: line 3:")
         assert "'x'" in captured.err
+
+    @pytest.mark.parametrize("row, message", [
+        ("0,Bogus,12000,12000,0,1.2", "line 3: unknown category 'Bogus'"),
+        ("0,Key Frames,12000,12000,0,1.2",
+         "line 3: a second row for agent 0, category 'Key Frames'"),
+    ], ids=["unknown-category", "repeated-row"])
+    def test_report_rejects_a_row_it_cannot_place(self, tmp_path, capsys, row, message):
+        # the totals would leave the row's bytes out
+        ledger = tmp_path / "ledger.csv"
+        ledger.write_text(
+            "agent,category,bytes_sent,bytes_received,bytes_dropped,avg_kbps\n"
+            "0,Key Frames,1000,1000,0,0.1\n"
+            f"{row}\n"
+        )
+        code = cli_main(["report", "--ledger", str(ledger)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {ledger}: {message}\n"

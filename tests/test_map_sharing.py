@@ -85,8 +85,8 @@ class TestWireRoundTrip:
     def test_empty_packet_header_only_size(self):
         pkt = KeyFramePacket(sender=1, keyframes=[], points=[])
         data = packet_frame(pkt)
-        # 13 byte envelope + kf-count u32 + mp-count u32
-        assert len(data) == 13 + 8
+        # 13 byte envelope + keyframe count varint + point count varint
+        assert len(data) == 13 + 2
         out = decode_frame(data)
         assert out.keyframes == [] and out.points == []
 

@@ -547,6 +547,53 @@ class TestMessageDispatch:
         with pytest.raises(KeyError, match="Subclassed"):
             rt.on_message(Subclassed(1, 5, {}), now=0.0)
 
+    def test_undecodable_frames_are_dropped_and_logged(self, monkeypatch):
+        """A cut frame and a frame with a flipped bit reach their receiver,
+        which logs and drops them: no handler runs, the run goes on, and the
+        ledger still balances."""
+        cfg = blackout_recovery()  # a lossless network: both frames arrive
+        cfg.run.duration = 5.0
+        sim = Simulation(cfg, seed=7)
+        real_send = sim.net.send
+        bows, tampered = [], []
+
+        def send(env):
+            if env.msg_type == wire.MessageType.BOW_ANNOUNCE:
+                bows.append(env)
+                if len(tampered) < 2:
+                    data = bytearray(env.data)
+                    if tampered:
+                        data[-1] ^= 0x80  # the payload's last varint now runs past its end
+                    else:
+                        del data[-1]  # the header's length no longer matches
+                    env.data = bytes(data)
+                    tampered.append(env)
+            return real_send(env)
+
+        handled = []
+        receive = _RECEIVERS[wire.BowAnnounce]
+        monkeypatch.setattr(sim.net, "send", send)
+        monkeypatch.setitem(_RECEIVERS, wire.BowAnnounce,
+                            lambda rt, msg, now: (handled.append(msg), receive(rt, msg, now)))
+        res = sim.run()
+
+        cut, flipped = tampered
+        length = len(cut.data) - 13 + 1
+        rejected = sorted(res.log.named("frame_rejected"), key=lambda e: e["detail"]["type"] or 0)
+        assert [(e["agent"], e["detail"]["sender"], e["detail"]["type"]) for e in rejected] == [
+            (cut.dst, cut.src, None),
+            (flipped.dst, flipped.src, int(wire.MessageType.BOW_ANNOUNCE))]
+        assert rejected[0]["detail"]["error"] == (
+            f"payload length field {length} does not match {length - 1} bytes present (offset 9)")
+        assert rejected[1]["detail"]["error"].startswith("truncated payload: ")
+        assert not any(env.dropped for env in bows)
+        assert len(handled) == len(bows) - 2
+        assert res.log.named("group_merged")
+        assert res.log.entries[-1]["time"] > max(e["time"] for e in rejected)
+        led = res.net.ledger
+        sent, received, dropped = (led.totals(t) for t in (led.sent, led.received, led.dropped))
+        assert all(sent[c] == received[c] + dropped[c] for c in CATEGORIES)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_reordered_and_repeated_localization_states(self, seed):
         """The runtime hands every state to the manager, which keeps the newest."""

@@ -10,10 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import scenario_defs
 import wire_reference
 
+from meshslam import simulation
 from meshslam.geometry import Rotation, Se3Pose, Sim3Transform, vec3
-from meshslam.map_store import KeyFrame, MapPoint
+from meshslam.map_store import KeyFrame, MapPoint, make_uuid, uuid_agent
+from meshslam.simulation import Simulation
 from meshslam.wire import (
     _PAYLOADS,
     CATEGORIES,
@@ -32,6 +35,7 @@ from meshslam.wire import (
     category_of,
     decode_envelope,
     decode_frame,
+    decode_message,
     encode_envelope,
     encode_frame,
     encode_message,
@@ -68,15 +72,15 @@ class TestMessageTable:
 class TestEnvelope:
     def test_header_fields(self):
         data = encode_envelope(MessageType.LOCALIZATION_STATE, sender=4, payload=b"\x07")
-        # magic, version 4, type 8, sender 4, payload length 1: 13 bytes, no sequence
-        assert data == b"DVMS" + bytes([4, 0, 8, 4, 0, 1, 0, 0, 0, 7])
+        # magic, version 5, type 8, sender 4, payload length 1: 13 bytes, no sequence
+        assert data == b"DVMS" + bytes([5, 0, 8, 4, 0, 1, 0, 0, 0, 7])
         assert HEADER_SIZE == 13
         assert decode_envelope(data) == (int(MessageType.LOCALIZATION_STATE), 4, b"\x07")
 
     def test_version_check(self):
         data = bytearray(encode_envelope(MessageType.GROUP_UPDATE, 0, b""))
-        data[4] = 3
-        with pytest.raises(WireError, match="^unsupported version 3 at offset 4$"):
+        data[4] = 4  # the layout before ids travelled as differences
+        with pytest.raises(WireError, match="^unsupported version 4 at offset 4$"):
             decode_envelope(bytes(data))
 
     def test_unknown_type_rejected(self):
@@ -110,8 +114,9 @@ class TestMessageRoundTrips:
         out = self.roundtrip(msg)
         assert out.sender == 3 and out.kf_id == 12345
         assert list(out.words.items()) == [(1, 1), (7, 3)]
-        # the row count, then per row the word id's gap minus one and the count
-        assert encode_message(msg)[1][16:] == bytes([2, 1, 1, 5, 3])
+        # the id's difference from 0, zigzagged; the row count, then per row
+        # the word id's gap minus one and the count
+        assert encode_message(msg)[1] == varint(2 * 12345) + bytes([2, 1, 1, 5, 3])
 
     def test_full_map(self):
         msg = FullMapMsg(
@@ -123,6 +128,16 @@ class TestMessageRoundTrips:
         assert out.hint_kf == 999
         assert out.keyframes[0].id == 500
         assert out.points[0].observers == {500}
+
+    def test_ids_travel_as_differences(self):
+        """The worked example of README "Wire format"."""
+        kf = KeyFrame(40, 0, 0.0, Se3Pose.identity(), {}, {38, 41})
+        msg = KeyFramePacket(3, [kf], [MapPoint(41, vec3(0, 0, 0), 3, {40})])
+        record = struct.pack("<Hd7d", 0, 0.0, 1.0, *[0.0] * 6)
+        assert encode_message(msg)[1] == (
+            bytes([1, 0x50]) + record + bytes([0, 2, 3, 2])  # keyframe 40 observes 38 and 41
+            + bytes([1, 0]) + bytes(24) + bytes([3, 1, 1]))  # point 41 is observed by 40
+        assert plain(self.roundtrip(msg)) == plain(msg)
 
     def test_merge_notify(self):
         t = Sim3Transform(1.5, Rotation.from_axis_angle(vec3(0, 0, 1), 0.7),
@@ -156,9 +171,10 @@ class TestMessageRoundTrips:
     def test_alignment_request(self, ids):
         out = self.roundtrip(AlignmentRequest(5, ids))
         assert out == AlignmentRequest(3, ids)
-        # the id list alone: a varint count, then each id's gap minus one
+        # the id list alone: a varint count, the first id's difference from 0
+        # zigzagged, then each later id's gap minus one
         assert encode_message(out)[1] == varint(len(ids)) + b"".join(
-            varint(b - a - 1) for a, b in zip([-1, *ids], ids))
+            [varint(2 * i) for i in ids[:1]] + [varint(b - a - 1) for a, b in zip(ids, ids[1:])])
 
     def test_encoder_rejects_tagged_positions_of_wrong_shape(self):
         with pytest.raises(ValueError):
@@ -230,6 +246,19 @@ def varint(v):
 
 def varint_len(v):
     return max(1, (v.bit_length() + 6) // 7)
+
+
+def zigzag(d):
+    """The unsigned integer a signed id difference travels as."""
+    return 2 * d if d >= 0 else -2 * d - 1
+
+
+def ids_len(ids, prev):
+    """The documented length of an ascending id list written after id `prev`."""
+    if not ids:
+        return 1
+    return (varint_len(len(ids)) + varint_len(zigzag(ids[0] - prev))
+            + sum(varint_len(b - a - 1) for a, b in zip(ids, ids[1:])))
 
 
 def splice(msg, old: bytes, new: bytes):
@@ -331,7 +360,7 @@ class TestFailClosedValues:
         # both the id list and a position are bad: the id list comes first
         msg = two_tagged_points()
         msg.points[1][1, 0] = NAN
-        frame, at = splice(msg, bytes([2, 42, 0]), bytes([2, 42 | 0x80, 0, 0]))
+        frame, at = splice(msg, bytes([2, 84, 0]), bytes([2, 84 | 0x80, 0, 0]))
         with pytest.raises(WireError, match=f"non-minimal varint at offset {at + 1}$"):
             decode_frame(frame)
         with pytest.raises(WireError, match=f"non-finite position nan at offset {at + 3 + 24}$"):
@@ -404,8 +433,17 @@ class TestEncoderRejectsWordCounts:
     (TaggedPoints(3, ([-1, 4], np.zeros((2, 3)))), "id -1 is outside"),
     (AlignmentRequest(3, [4, 1 << 128]), f"id {1 << 128} is outside"),
     (AlignmentRequest(3, [-1, 1 << 128]), "id -1 is outside"),
+    (BowAnnounce(3, -1, {}), "id -1 is outside"),
+    (FullMapMsg(3, 1 << 128, [], []), f"id {1 << 128} is outside"),
+    (KeyFramePacket(3, [sample_keyframe(-5)], []), "id -5 is outside"),
+    (KeyFramePacket(3, [], [MapPoint(1 << 128, vec3(0, 0, 0), 0, set())]),
+     f"id {1 << 128} is outside"),
+    (KeyFramePacket(3, [], [MapPoint(1, vec3(0, 0, 0), 1 << 32, set())]),
+     "word id 4294967296 is outside"),
+    (KeyFramePacket(3, [], [MapPoint(1, vec3(0, 0, 0), -1, set())]), "word id -1 is outside"),
 ], ids=["word-above", "word-negative", "observer-above", "tagged-negative", "request-above",
-        "request-both-ends"])
+        "request-both-ends", "bow-id-negative", "hint-above", "keyframe-id-negative",
+        "point-id-above", "point-word-above", "point-word-negative"])
 def test_encoder_rejects_ids_out_of_range(msg, message):
     with pytest.raises(ValueError, match=message):
         encode_frame(msg, 3)
@@ -467,9 +505,9 @@ def test_id_lists_round_trip(ids):
     msg = TaggedPoints(1, (ids, positions))
     mt, payload = encode_message(msg)
     assert payload == wire_reference.encode_message(msg)[1]
-    # the count's varint, one varint per gap minus one (the first from -1), the positions
-    gaps = [b - a - 1 for a, b in zip([-1, *ids], ids)]
-    assert len(payload) == varint_len(len(ids)) + sum(map(varint_len, gaps)) + 24 * len(ids)
+    # the count's varint, the first id's zigzag difference from 0, one varint
+    # per later gap minus one, the positions
+    assert len(payload) == ids_len(ids, 0) + 24 * len(ids)
     out = decode_frame(encode_envelope(mt, 3, payload))
     assert out.points[0] == ids and np.array_equal(out.points[1], positions)
     # observed and observer sets are built from the ascending list, so their
@@ -488,13 +526,86 @@ def tagged_frame(*parts):
     return encode_envelope(MessageType.TAGGED_POINTS, 3, b"".join(parts))
 
 
-def bow_frame(*parts):
-    """A BowAnnounce frame: a 16-byte keyframe id, then `parts`."""
-    return encode_envelope(MessageType.BOW_ANNOUNCE, 3, bytes(16) + b"".join(parts))
+def bow_frame(*parts, kf=b"\x00"):
+    """A BowAnnounce frame: a keyframe id (0 by default, one byte), then `parts`."""
+    return encode_envelope(MessageType.BOW_ANNOUNCE, 3, kf + b"".join(parts))
+
+
+def zz(d):
+    """The varint bytes of the signed id difference `d`."""
+    return varint(zigzag(d))
+
+
+def kf_record(uid, *observed):
+    """A keyframe record: id bytes `uid`, origin 0, timestamp 0, the identity
+    pose, no words, then the observed id list `observed`."""
+    return uid + struct.pack("<Hd7d", 0, 0.0, 1.0, *[0.0] * 6) + varint(0) + b"".join(observed)
+
+
+def point_record(uid, *observers):
+    """A point record: id bytes `uid`, position 0, word 0, then `observers`."""
+    return uid + bytes(24) + varint(0) + b"".join(observers)
+
+
+def map_frame(kfs=(), points=(), hint=None):
+    """A keyframe packet, or with `hint` a full map, of the given records."""
+    body = (varint(len(kfs)) + b"".join(kfs) + varint(len(points)) + b"".join(points))
+    if hint is None:
+        return encode_envelope(MessageType.KEYFRAME_PACKET, 3, body)
+    return encode_envelope(MessageType.FULL_MAP, 3, hint + body)
+
+
+def ids_frame(kind, *parts):
+    return encode_envelope(kind, 3, b"".join(parts))
+
+
+BIG = 2 * U128  # the zigzag of the difference from 0 to the largest id
+# a decoded id below 0 or above 2^128 - 1 at each position an id is written;
+# every difference but the first of a payload is taken from an id before it
+ID_POSITIONS = [
+    pytest.param(bow_frame(varint(0), kf=zz(-1)), "id -1 at offset 0 is below 0",
+                 id="bow-id-below"),
+    pytest.param(bow_frame(varint(0), kf=zz(U128 + 1)),
+                 f"id {U128 + 1} at offset 0 is above 2^128 - 1", id="bow-id-above"),
+    pytest.param(map_frame(hint=zz(-1)), "id -1 at offset 0 is below 0", id="hint-below"),
+    pytest.param(map_frame(hint=zz(U128 + 1)), f"id {U128 + 1} at offset 0 is above 2^128 - 1",
+                 id="hint-above"),
+    pytest.param(map_frame([kf_record(zz(-6), varint(0))], hint=zz(5)),
+                 "id -1 at offset 2 is below 0", id="keyframe-id-below"),
+    pytest.param(map_frame([kf_record(zz(1), varint(0))], hint=zz(U128)),
+                 f"id {U128 + 1} at offset 20 is above 2^128 - 1", id="keyframe-id-above"),
+    pytest.param(map_frame([kf_record(zz(U128), varint(0)), kf_record(zz(-U128 - 1), varint(0))]),
+                 "id -1 at offset 88 is below 0", id="second-keyframe-id-below"),
+    pytest.param(map_frame(points=[point_record(zz(-1), varint(0))]),
+                 "id -1 at offset 2 is below 0", id="point-id-below"),
+    pytest.param(map_frame(points=[point_record(zz(U128), varint(0)),
+                                   point_record(zz(1), varint(0))]),
+                 f"id {U128 + 1} at offset 47 is above 2^128 - 1", id="point-id-above"),
+    pytest.param(map_frame([kf_record(zz(3), varint(1), zz(-4))]),
+                 "id -1 at offset 70 is below 0", id="observed-first-below"),
+    pytest.param(map_frame([kf_record(zz(U128), varint(1), zz(1))]),
+                 f"id {U128 + 1} at offset 88 is above 2^128 - 1", id="observed-first-above"),
+    pytest.param(map_frame([kf_record(zz(U128 - 9), varint(2), zz(0), varint(8))],
+                           [point_record(zz(1), varint(0))]),
+                 f"id {U128 + 1} at offset 91 is above 2^128 - 1",
+                 id="point-id-above-after-a-list"),
+    pytest.param(map_frame(points=[point_record(zz(2), varint(1), zz(-3))]),
+                 "id -1 at offset 29 is below 0", id="observer-first-below"),
+    pytest.param(map_frame(points=[point_record(zz(U128), varint(1), zz(1))]),
+                 f"id {U128 + 1} at offset 47 is above 2^128 - 1", id="observer-first-above"),
+    pytest.param(ids_frame(MessageType.ALIGNMENT_REQUEST, varint(1), zz(-1)),
+                 "id -1 at offset 1 is below 0", id="request-first-below"),
+    pytest.param(ids_frame(MessageType.ALIGNMENT_REQUEST, varint(1), zz(U128 + 1)),
+                 f"id {U128 + 1} at offset 1 is above 2^128 - 1", id="request-first-above"),
+    pytest.param(tagged_frame(varint(1), zz(-1), bytes(24)),
+                 "id -1 at offset 1 is below 0", id="tagged-first-below"),
+    pytest.param(tagged_frame(varint(1), zz(U128 + 1), bytes(24)),
+                 f"id {U128 + 1} at offset 1 is above 2^128 - 1", id="first-id-above"),
+]
 
 
 class TestVarintFaults:
-    """Each fault of a varint list names its payload offset, as the reference does."""
+    """Each fault of a varint field names its payload offset, as the reference does."""
 
     @pytest.mark.parametrize("frame, message", [
         pytest.param(tagged_frame(varint(1), varint(U128)[:5]),
@@ -502,29 +613,47 @@ class TestVarintFaults:
         pytest.param(tagged_frame(b"\x80"),
                      "truncated payload: need 2 bytes at offset 0, have 1", id="cut-count"),
         pytest.param(bow_frame(varint(1), b"\x85"),
-                     "truncated payload: need 2 bytes at offset 17, have 1", id="cut-word-gap"),
-        pytest.param(tagged_frame(b"\x81\x00", varint(5), bytes(24)),
+                     "truncated payload: need 2 bytes at offset 2, have 1", id="cut-word-gap"),
+        pytest.param(bow_frame(kf=b"\x80"),
+                     "truncated payload: need 2 bytes at offset 0, have 1", id="cut-bow-id"),
+        pytest.param(map_frame(points=[point_record(zz(0))[:-1] + b"\x80"]),
+                     "truncated payload: need 2 bytes at offset 27, have 1", id="cut-point-word"),
+        pytest.param(tagged_frame(b"\x81\x00", varint(10), bytes(24)),
                      "non-minimal varint at offset 0", id="non-minimal-count"),
-        pytest.param(tagged_frame(varint(2), varint(5), b"\xff\x80\x00", bytes(48)),
+        pytest.param(tagged_frame(varint(2), varint(10), b"\xff\x80\x00", bytes(48)),
                      "non-minimal varint at offset 2", id="non-minimal-id-gap"),
+        pytest.param(tagged_frame(varint(1), b"\x8a\x00", bytes(24)),
+                     "non-minimal varint at offset 1", id="non-minimal-first-id"),
+        pytest.param(bow_frame(varint(0), kf=b"\x82\x80\x00"),
+                     "non-minimal varint at offset 0", id="non-minimal-bow-id"),
+        pytest.param(map_frame(points=[point_record(zz(0))[:-1] + b"\x81\x00"]),
+                     "non-minimal varint at offset 27", id="non-minimal-point-word"),
+        pytest.param(map_frame([b"\x80\x00"]),
+                     "non-minimal varint at offset 1", id="non-minimal-keyframe-id"),
+        pytest.param(encode_envelope(MessageType.KEYFRAME_PACKET, 3, b"\x80\x00\x00"),
+                     "non-minimal varint at offset 0", id="non-minimal-keyframe-count"),
         pytest.param(bow_frame(b"\x81\x00", b"\x01\x01"),
-                     "non-minimal varint at offset 16", id="non-minimal-row-count"),
+                     "non-minimal varint at offset 1", id="non-minimal-row-count"),
         pytest.param(bow_frame(varint(1), b"\x80\x00", b"\x01"),
-                     "non-minimal varint at offset 17", id="non-minimal-word-gap"),
+                     "non-minimal varint at offset 2", id="non-minimal-word-gap"),
         pytest.param(bow_frame(varint(1), b"\x01", b"\x82\x00"),
-                     "non-minimal varint at offset 18", id="non-minimal-word-count"),
-        pytest.param(tagged_frame(varint(1), varint(U128 + 1), bytes(24)),
-                     f"id {U128 + 1} at offset 1 is above 2^128 - 1", id="first-id-above"),
-        pytest.param(tagged_frame(varint(2), varint(U128), varint(0), bytes(48)),
+                     "non-minimal varint at offset 3", id="non-minimal-word-count"),
+        pytest.param(tagged_frame(varint(2), varint(BIG), varint(0), bytes(48)),
                      f"id {U128 + 1} at offset 20 is above 2^128 - 1", id="later-id-above"),
         pytest.param(tagged_frame(varint(1 << 32)),
                      "list count 4294967296 at offset 0 is above 2^32 - 1", id="id-count-above"),
         pytest.param(bow_frame(varint(1 << 32)),
-                     "list count 4294967296 at offset 16 is above 2^32 - 1", id="row-count-above"),
+                     "list count 4294967296 at offset 1 is above 2^32 - 1", id="row-count-above"),
+        pytest.param(map_frame(points=[point_record(zz(0))[:-1] + varint(1 << 32) + varint(0)]),
+                     "word id 4294967296 at offset 27 is above 2^32 - 1", id="point-word-above"),
+        pytest.param(encode_envelope(MessageType.FULL_MAP, 3, zz(0) + varint(0) + varint(1 << 32)),
+                     "list count 4294967296 at offset 2 is above 2^32 - 1",
+                     id="point-count-above"),
         pytest.param(bow_frame(varint(1), varint(1 << 32), varint(1)),
-                     "word id 4294967296 at offset 17 is above 2^32 - 1", id="word-id-above"),
+                     "word id 4294967296 at offset 2 is above 2^32 - 1", id="word-id-above"),
         pytest.param(bow_frame(varint(2), varint((1 << 32) - 1), varint(1), varint(0), varint(1)),
-                     "word id 4294967296 at offset 23 is above 2^32 - 1", id="later-word-id-above"),
+                     "word id 4294967296 at offset 8 is above 2^32 - 1", id="later-word-id-above"),
+        *ID_POSITIONS,
     ])
     def test_names_offset(self, frame, message):
         with pytest.raises(WireError) as info:
@@ -538,12 +667,40 @@ class TestVarintFaults:
         frame = bow_frame(varint(2), b"\x80\x01", b"\x01", b"\x00", b"\xff\x7f")
         assert decode_frame(frame).words == {128: 1, 129: 16383}
 
+    @pytest.mark.parametrize("frame, message", ID_POSITIONS)
+    def test_ids_at_the_range_ends_are_accepted(self, frame, message):
+        """Each id fault above, moved one step back into the range, decodes,
+        and re-encodes to the same payload."""
+        uid, at = map(int, re.match(r"id (-?\d+) at offset (\d+)", message).groups())
+        r = wire_reference._Reader(frame, HEADER_SIZE + at)
+        z = r.varint()
+        d = z // 2 if z % 2 == 0 else -(z + 1) // 2
+        payload = (frame[HEADER_SIZE:HEADER_SIZE + at] + zz(d + 1 if uid < 0 else d - 1)
+                   + frame[r.off:])
+        mt = frame[6]
+        out = decode_frame(encode_envelope(mt, 3, payload))
+        assert plain(out) == plain(reference_decode(encode_envelope(mt, 3, payload)))
+        assert encode_message(out) == (mt, payload)
+
 
 # ---------------------------------------------------------------------------
 # Random messages of every type, and the reference codec
 # ---------------------------------------------------------------------------
 
+# the first ids of three agents' maps under one run seed
+AGENT_BASES = [make_uuid(7, agent, 0) for agent in range(3)]
+
+
 def _uuid(rnd):
+    """An id as a run makes them (a few counters into one of several agents'
+    maps), or at either end of the range, or anywhere in it: the ids of one
+    message are in no order, and their differences take either sign, up to
+    2^128 - 1 wide."""
+    r = rnd.random()
+    if r < 0.4:
+        return rnd.choice(AGENT_BASES) + rnd.randrange(300)
+    if r < 0.6:
+        return rnd.choice((0, U128))
     return rnd.getrandbits(128)
 
 
@@ -577,9 +734,8 @@ def _map(rnd):
 
 
 def _tagged(rnd):
-    n = rnd.randint(0, 5)
-    return TaggedPoints(3, (sorted(_uuid(rnd) for _ in range(n)),
-                            np.array([_vec(rnd) for _ in range(n)]).reshape(-1, 3)))
+    ids = sorted({_uuid(rnd) for _ in range(rnd.randint(0, 5))})
+    return TaggedPoints(3, (ids, np.array([_vec(rnd) for _ in ids]).reshape(-1, 3)))
 
 
 def _roster(rnd):
@@ -615,22 +771,71 @@ def random_message(kind, seed):
     return MAKERS[kind](random.Random(seed))
 
 
-def plain(x):
-    """A comparable form of a decoded message: floats and arrays by their bits."""
+def plain(x, sort_dicts=False):
+    """A comparable form of a decoded message: floats and arrays by their bits.
+
+    Dicts keep their order unless `sort_dicts`; a decoded histogram is
+    ascending, its sender's need not be.
+    """
     if isinstance(x, np.ndarray):
         return ("ndarray", x.dtype.str, x.shape, x.tobytes())
     if isinstance(x, float):
         return ("float", struct.pack("<d", x))
     if isinstance(x, (list, tuple)):
-        return tuple(plain(v) for v in x)
+        return tuple(plain(v, sort_dicts) for v in x)
     if isinstance(x, (set, frozenset)):
         return ("set", tuple(sorted(x)))
     if isinstance(x, dict):
-        return ("dict", tuple((k, plain(v)) for k, v in x.items()))
+        items = sorted(x.items()) if sort_dicts else x.items()
+        return ("dict", tuple((k, plain(v, sort_dicts)) for k, v in items))
     if dataclasses.is_dataclass(x):
-        return (type(x).__name__, tuple(plain(getattr(x, f.name))
+        return (type(x).__name__, tuple(plain(getattr(x, f.name), sort_dicts)
                                         for f in dataclasses.fields(x) if f.compare))
     return x
+
+
+def documented_length(msg):
+    """A message's payload length by the layout the ``wire`` docstring gives."""
+    last = 0  # the last id written
+
+    def one(uid):
+        nonlocal last
+        d, last = uid - last, uid
+        return varint_len(zigzag(d))
+
+    def id_list(ids):
+        nonlocal last
+        ids = sorted(ids)
+        n = ids_len(ids, last)
+        last = ids[-1] if ids else last
+        return n
+
+    def words(hist):
+        rows = sorted(hist)
+        return varint_len(len(rows)) + sum(
+            varint_len(b - a - 1) + varint_len(hist[b]) for a, b in zip([-1, *rows], rows))
+
+    if isinstance(msg, BowAnnounce):
+        return one(msg.kf_id) + words(msg.words)
+    if isinstance(msg, (FullMapMsg, KeyFramePacket)):
+        n = one(msg.hint_kf) if isinstance(msg, FullMapMsg) else 0
+        n += varint_len(len(msg.keyframes))
+        for kf in msg.keyframes:
+            # id, origin u16, timestamp f64, pose 7 f64, words, observed ids
+            n += one(kf.id) + 2 + 8 + 56 + words(kf.words) + id_list(kf.observed_points)
+        n += varint_len(len(msg.points))
+        for p in msg.points:
+            n += one(p.id) + 24 + varint_len(p.word) + id_list(p.observers)
+        return n
+    if isinstance(msg, MergeNotify):
+        return 64 + 2 + 2 * len(msg.roster) + 2 + 2 * len(msg.transform_roster) + 8
+    if isinstance(msg, AlignmentRequest):
+        return id_list(msg.ids)
+    if isinstance(msg, TaggedPoints):
+        return id_list(msg.points[0]) + 24 * len(msg.points[0])
+    if isinstance(msg, GroupUpdate):
+        return 2 + 2 * len(msg.roster)
+    return 4  # LocalizationState
 
 
 def reference_decode(frame):
@@ -646,9 +851,57 @@ class TestAgainstReferenceCodec:
             msg = random_message(kind, seed)
             want = wire_reference.encode_message(msg)
             assert encode_message(msg) == want
+            assert len(want[1]) == documented_length(msg)
             frame = encode_frame(msg, 3)
             assert frame == wire_reference.encode_frame(msg, 3)
             assert plain(decode_frame(frame)) == plain(reference_decode(frame))
+
+
+def ascending_sets(msg):
+    """Whether each id set of a decoded message was built in ascending order."""
+    if not isinstance(msg, (FullMapMsg, KeyFramePacket)):
+        return True
+    sets = [kf.observed_points for kf in msg.keyframes] + [p.observers for p in msg.points]
+    return all(list(ids) == list(set(sorted(ids))) for ids in sets)
+
+
+def test_shipped_traffic_round_trips(monkeypatch):
+    """Every message of a short seed-7 run of two shipped scenarios survives
+    the codec: it decodes to what was sent (histograms and sets compared as
+    contents, sets built in ascending order, poses and positions bit for bit),
+    re-encodes to its bytes, is what the reference codec writes, and has the
+    documented length.  ``coop_loops`` merges three agents and runs alignment
+    rounds; ``blackout_recovery`` runs past its private map's re-merge, whose
+    re-queued history carries the ids of both agents."""
+    real = simulation.encode_message
+    sent = []
+
+    def capture(msg):
+        mt, payload = real(msg)
+        # the sender's map moves on after a send, so its objects are compared as sent
+        sent.append((mt, msg.sender, payload, plain(msg, sort_dicts=True),
+                     wire_reference.encode_message(msg), documented_length(msg)))
+        return mt, payload
+
+    monkeypatch.setattr(simulation, "encode_message", capture)
+    blackout = scenario_defs.blackout_recovery()
+    blackout.run.duration = 23.0  # the private map re-merges at 22.1 s
+    for cfg in (scenario_defs.coop_loops(duration=8.0), blackout):
+        Simulation(cfg, 7).run()
+    assert {mt for mt, *_ in sent} == set(MessageType)
+    agents_named = set()
+    for mt, sender, payload, want, ref, length in sent:
+        out = decode_message(mt, sender, payload)
+        assert plain(out, sort_dicts=True) == want
+        assert ascending_sets(out)
+        assert encode_message(out) == (mt, payload)
+        assert ref == (mt, payload)
+        assert len(payload) == length
+        if isinstance(out, KeyFramePacket):
+            ids = [kf.id for kf in out.keyframes] + [p.id for p in out.points]
+            ids += [i for kf in out.keyframes for i in kf.observed_points]
+            agents_named.add(frozenset(map(uuid_agent, ids)))
+    assert frozenset({0, 1}) in agents_named  # a packet names ids of both agents
 
 
 WORD_KINDS = (MessageType.BOW_ANNOUNCE, MessageType.FULL_MAP, MessageType.KEYFRAME_PACKET)

@@ -4,12 +4,14 @@ step.
 
 Kept only as the reference that the batched codec in ``meshslam.wire`` must
 match byte for byte and value for value on valid messages.  It follows the
-current layouts: a 13-byte version 4 header with no sequence number, id lists
-and histograms as varint counts and varint gaps, alignment requests as an id
-list, tagged points as an id list and then a block of positions, group
-updates as a roster alone, localization states as a u32 epoch.  It checks
-what the codec checks, in header and payload order and with the same
-messages.
+current layouts: a 13-byte version 5 header with no sequence number; every
+single id, record id and first id of a list as the zigzag varint of its
+difference from the last id the payload wrote; id lists and histograms as
+varint counts and varint gaps; keyframe and point counts and a point's word
+as varints; alignment requests as an id list, tagged points as an id list and
+then a block of positions, group updates as a roster alone, localization
+states as a u32 epoch.  It checks what the codec checks, in header and
+payload order and with the same messages.
 """
 
 from __future__ import annotations
@@ -39,13 +41,13 @@ from meshslam.wire import (
 class _Writer:
     def __init__(self):
         self.parts: list[bytes] = []
+        self.prev = 0  # the last id written
 
     def u8(self, v): self.parts.append(struct.pack("<B", v))
     def u16(self, v): self.parts.append(struct.pack("<H", v))
     def u32(self, v): self.parts.append(struct.pack("<I", v))
     def u64(self, v): self.parts.append(struct.pack("<Q", v))
     def f64(self, v): self.parts.append(struct.pack("<d", v))
-    def uuid(self, v): self.parts.append(int(v).to_bytes(16, "little"))
 
     def varint(self, v):
         while True:
@@ -54,13 +56,25 @@ class _Writer:
             if not v:
                 return
 
+    def id(self, v):
+        """The zigzag varint of `v`'s difference from the last id written."""
+        if not 0 <= v < 1 << 128:
+            raise ValueError(f"id {v} is outside [0, 2^128 - 1]")
+        d = v - self.prev
+        self.varint(2 * d if d >= 0 else -2 * d - 1)
+        self.prev = v
+
     def ids(self, ids):
-        """Ascending ids: a varint count, then each id's gap to the one before minus one."""
+        """Ascending ids: a varint count, the first id as `id` writes it, then
+        each later id's gap to the one before minus one."""
         self.varint(len(ids))
-        prev = -1
-        for uid in ids:
-            self.varint(uid - prev - 1)
-            prev = uid
+        for i, uid in enumerate(ids):
+            if i == 0:
+                self.id(uid)
+            else:
+                self.varint(uid - ids[i - 1] - 1)
+        if ids:
+            self.prev = ids[-1]
 
     def getvalue(self) -> bytes:
         return b"".join(self.parts)
@@ -70,6 +84,7 @@ class _Reader:
     def __init__(self, data: bytes, offset: int = 0):
         self.data = data
         self.off = offset
+        self.prev = 0  # the last id read
 
     def _take(self, n: int) -> bytes:
         if self.off + n > len(self.data):
@@ -86,7 +101,6 @@ class _Reader:
     def u32(self): return struct.unpack("<I", self._take(4))[0]
     def u64(self): return struct.unpack("<Q", self._take(8))[0]
     def f64(self): return struct.unpack("<d", self._take(8))[0]
-    def uuid(self): return int.from_bytes(self._take(16), "little")
 
     def varint(self):
         start = self.off
@@ -111,15 +125,29 @@ class _Reader:
             raise WireError(f"list count {n} at offset {start} is above 2^32 - 1")
         return n
 
+    def _checked(self, uid, start):
+        if uid < 0:
+            raise WireError(f"id {uid} at offset {start} is below 0")
+        if uid >= 1 << 128:
+            raise WireError(f"id {uid} at offset {start} is above 2^128 - 1")
+        return uid
+
+    def id(self):
+        start = self.off
+        z = self.varint()
+        self.prev = self._checked(self.prev + (z // 2 if z % 2 == 0 else -(z + 1) // 2), start)
+        return self.prev
+
     def ids(self):
         ids = []
-        prev = -1
-        for _ in range(self.count()):
+        for i in range(self.count()):
             start = self.off
-            prev += self.varint() + 1
-            if prev >= 1 << 128:
-                raise WireError(f"id {prev} at offset {start} is above 2^128 - 1")
-            ids.append(prev)
+            if i == 0:
+                ids.append(self.id())
+            else:
+                ids.append(self._checked(ids[-1] + self.varint() + 1, start))
+        if ids:
+            self.prev = ids[-1]
         return ids
 
     def done(self) -> None:
@@ -199,7 +227,7 @@ def _read_words(r: _Reader) -> dict[int, int]:
 
 
 def _write_keyframe(w: _Writer, kf: KeyFrame) -> None:
-    w.uuid(kf.id)
+    w.id(kf.id)
     w.u16(kf.origin_agent)
     w.f64(kf.timestamp)
     _write_pose(w, kf.pose)
@@ -208,41 +236,46 @@ def _write_keyframe(w: _Writer, kf: KeyFrame) -> None:
 
 
 def _read_keyframe(r: _Reader) -> KeyFrame:
-    uuid = r.uuid()
+    uid = r.id()
     origin = r.u16()
     ts = _read_finite(r, 1, "timestamp")[0]
     pose = _read_pose(r)
     words = _read_words(r)
-    return KeyFrame(uuid, origin, ts, pose, words, set(r.ids()))
+    return KeyFrame(uid, origin, ts, pose, words, set(r.ids()))
 
 
 def _write_point(w: _Writer, p: MapPoint) -> None:
-    w.uuid(p.id)
+    w.id(p.id)
     for v in p.position:
         w.f64(float(v))
-    w.u32(p.word)
+    if not 0 <= p.word <= 0xFFFFFFFF:
+        raise ValueError(f"word id {p.word} is outside [0, 2^32 - 1]")
+    w.varint(p.word)
     w.ids(sorted(p.observers))
 
 
 def _read_point(r: _Reader) -> MapPoint:
-    uuid = r.uuid()
+    uid = r.id()
     pos = np.array(_read_finite(r, 3, "position"))
-    word = r.u32()
-    return MapPoint(uuid, pos, word, set(r.ids()))
+    start = r.off
+    word = r.varint()
+    if word > 0xFFFFFFFF:
+        raise WireError(f"word id {word} at offset {start} is above 2^32 - 1")
+    return MapPoint(uid, pos, word, set(r.ids()))
 
 
 def _write_map_body(w: _Writer, kfs, points) -> None:
-    w.u32(len(kfs))
+    w.varint(len(kfs))
     for kf in kfs:
         _write_keyframe(w, kf)
-    w.u32(len(points))
+    w.varint(len(points))
     for p in points:
         _write_point(w, p)
 
 
 def _read_map_body(r: _Reader):
-    kfs = [_read_keyframe(r) for _ in range(r.u32())]
-    points = [_read_point(r) for _ in range(r.u32())]
+    kfs = [_read_keyframe(r) for _ in range(r.count())]
+    points = [_read_point(r) for _ in range(r.count())]
     return kfs, points
 
 
@@ -273,11 +306,11 @@ def _read_sim3(r: _Reader) -> Sim3Transform:
 def encode_message(msg: Message) -> tuple[MessageType, bytes]:
     w = _Writer()
     if isinstance(msg, BowAnnounce):
-        w.uuid(msg.kf_id)
+        w.id(msg.kf_id)
         _write_words(w, msg.words)
         return MessageType.BOW_ANNOUNCE, w.getvalue()
     if isinstance(msg, FullMapMsg):
-        w.uuid(msg.hint_kf)
+        w.id(msg.hint_kf)
         _write_map_body(w, msg.keyframes, msg.points)
         return MessageType.FULL_MAP, w.getvalue()
     if isinstance(msg, MergeNotify):
@@ -321,12 +354,12 @@ def decode_message(msg_type: int, sender: int, payload: bytes) -> Message:
         raise WireError(f"unknown message type {msg_type}") from exc
     r = _Reader(payload)
     if mt == MessageType.BOW_ANNOUNCE:
-        kf_id = r.uuid()
+        kf_id = r.id()
         words = _read_words(r)
         r.done()
         return BowAnnounce(sender, kf_id, words)
     if mt == MessageType.FULL_MAP:
-        hint = r.uuid()
+        hint = r.id()
         kfs, points = _read_map_body(r)
         r.done()
         return FullMapMsg(sender, hint, kfs, points)
@@ -369,7 +402,7 @@ def encode_frame(msg: Message, sender: int) -> bytes:
     mt, payload = encode_message(msg)
     w = _Writer()
     w.parts.append(b"DVMS")
-    w.u16(4)
+    w.u16(5)
     w.u8(mt)
     w.u16(sender)
     w.u32(len(payload))
@@ -384,7 +417,7 @@ def decode_frame(data: bytes) -> Message:
     if magic != b"DVMS":
         raise WireError(f"bad magic {magic!r} at offset 0")
     version = r.u16()
-    if version != 4:
+    if version != 5:
         raise WireError(f"unsupported version {version} at offset 4")
     msg_type, sender, length = r.u8(), r.u16(), r.u32()
     if len(data) != 13 + length:
