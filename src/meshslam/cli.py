@@ -33,7 +33,11 @@ def run_scenario(scenario_path: str, seed: int, out_dir: str,
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     sim = Simulation(scenario, seed, check_invariants=check_invariants)
     result = sim.run()
 
@@ -69,10 +73,14 @@ def eval_command(est_path: str, gt_path: str, json_path: str | None) -> int:
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(report.to_json_dict(), indent=2))
     if json_path:
-        with open(json_path, "w") as fh:
-            fh.write(report.to_json())
+        try:
+            with open(json_path, "w") as fh:
+                fh.write(report.to_json())
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    print(json.dumps(report.to_json_dict(), indent=2))
     return 0
 
 

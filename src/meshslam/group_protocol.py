@@ -202,10 +202,11 @@ class ManagerHooks:
 
     A full map message carries the shared map's own keyframes and points,
     so `send` must encode the message before the map changes again; the
-    receiver decodes fresh objects and never holds the sender's.
+    receiver decodes fresh objects and never holds the sender's.  `send`
+    delivers one message to each recipient in turn, so it encodes it once.
     """
 
-    send: Callable[[int, object], None]      # (dst, message dataclass)
+    send: Callable[[list[int], object], None]  # (recipients, message dataclass)
     log: Callable[..., None]                 # (event, **detail)
     schedule: Callable[[float, Callable[[], None]], None]
     apply_map_transform: Callable[[Sim3Transform], None]
@@ -300,8 +301,7 @@ class SystemManager:
         if not self.is_leader() or self.self_lost:
             return []
         recipients = self.other_leaders()
-        for dst in recipients:
-            self.hooks.send(dst, BowAnnounce(self.agent_id, kf_id, dict(words)))
+        self.hooks.send(recipients, BowAnnounce(self.agent_id, kf_id, dict(words)))
         return recipients
 
     def on_bow_announce(self, msg: BowAnnounce) -> None:
@@ -324,7 +324,7 @@ class SystemManager:
             # cannot push a full map uphill; answer with the overlapping
             # keyframe so the lower leader can detect and initiate
             best = self.shared_map().keyframes[cand.best_match_kf]
-            self.hooks.send(sender, BowAnnounce(self.agent_id, best.id, dict(best.words)))
+            self.hooks.send([sender], BowAnnounce(self.agent_id, best.id, dict(best.words)))
 
     def _start_full_map_exchange(self, peer: int, hint_kf: int) -> None:
         key = _pair(self.agent_id, peer)
@@ -344,7 +344,7 @@ class SystemManager:
         m = self.shared_map()
         kfs = [m.keyframes[k] for k in sorted(m.keyframes)]
         points = [m.points[p] for p in sorted(m.points)]
-        self.hooks.send(peer, FullMapMsg(self.agent_id, hint_kf, kfs, points))
+        self.hooks.send([peer], FullMapMsg(self.agent_id, hint_kf, kfs, points))
         self.hooks.log("full_map_sent", peer=peer, keyframes=len(kfs))
 
     # -- full map reception (the higher-id leader merges) ---------------------
@@ -380,13 +380,11 @@ class SystemManager:
         notice = MergeNotify(self.agent_id, transform, roster, old_group, merge_id)
         members = sorted(set(old_group) - {self.agent_id}) + [lower_leader]
         update = GroupUpdate(self.agent_id, roster)
+        others = [a for a in self.agents if a != self.agent_id]
 
         def broadcast():
-            for member in members:
-                self.hooks.send(member, notice)
-            for dst in self.agents:
-                if dst != self.agent_id:
-                    self.hooks.send(dst, update)
+            self.hooks.send(members, notice)
+            self.hooks.send(others, update)
 
         # the notice carries the frame change; losing every copy would leave
         # a member permanently misaligned, so it is repeated a few times and
@@ -443,9 +441,7 @@ class SystemManager:
         makes it odd) and send the new state to every other agent."""
         state = LocalizationState(self.agent_id, self._epochs[self.agent_id] + 1)
         self.on_localization_state(state)
-        for dst in self.agents:
-            if dst != self.agent_id:
-                self.hooks.send(dst, state)
+        self.hooks.send([a for a in self.agents if a != self.agent_id], state)
         self.hooks.log(event)
 
     def on_localization_state(self, msg: LocalizationState) -> None:

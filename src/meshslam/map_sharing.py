@@ -42,19 +42,19 @@ DRAIN_BUDGET = 3
 
 @dataclass
 class Outbox:
-    unsent_keyframes: list[int] = field(default_factory=list)
-    unsent_points: list[int] = field(default_factory=list)
+    """Unsent ids in the order first recorded: dict keys, so a repeat is found
+    without a scan and keeps its place."""
+
+    unsent_keyframes: dict[int, None] = field(default_factory=dict)
+    unsent_points: dict[int, None] = field(default_factory=dict)
 
     def add(self, kf_id: int, point_ids: list[int]) -> None:
-        if kf_id not in self.unsent_keyframes:
-            self.unsent_keyframes.append(kf_id)
-        for pid in point_ids:
-            if pid not in self.unsent_points:
-                self.unsent_points.append(pid)
+        self.unsent_keyframes[kf_id] = None
+        self.unsent_points.update(dict.fromkeys(point_ids))
 
     def clear(self) -> None:
-        self.unsent_keyframes = []
-        self.unsent_points = []
+        self.unsent_keyframes = {}
+        self.unsent_points = {}
 
 
 @dataclass

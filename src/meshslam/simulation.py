@@ -147,7 +147,7 @@ class AgentRuntime:
         self._align_leader: int | None = None  # the agent the last request went to
 
         hooks = ManagerHooks(
-            send=lambda dst, msg: sim.send_message(self.id, dst, msg),
+            send=lambda dsts, msg: sim.send_to_each(self.id, dsts, msg),
             log=lambda event, **detail: sim.log(self.id, event, detail),
             schedule=sim.schedule_timer,
             apply_map_transform=self.apply_frame_transform,
@@ -355,11 +355,18 @@ class AgentRuntime:
     def _flush_outboxes(self, force: bool = False) -> None:
         if not self.scenario.run.cooperative:
             return
+        last = None  # (keyframe and point ids, encoding) of the last packet sent
         for peer in self.manager.merged_peers():
             pkt = self.sharing.flush_outbox(
                 self.id, peer, self.db.shared_map, BATCH_SIZE, force=force)
-            if pkt is not None:
-                self.sim.send_message(self.id, peer, pkt)
+            if pkt is None:
+                continue
+            # outboxes often hold the same ids, and nothing changes the map
+            # between these sends, so an equal packet reuses the encoding
+            ids = ([kf.id for kf in pkt.keyframes], [p.id for p in pkt.points])
+            if last is None or last[0] != ids:
+                last = ids, encode_message(pkt)
+            self.sim.send_message(self.id, peer, pkt, last[1])
 
     # -- message dispatch -----------------------------------------------------------
 
@@ -411,8 +418,17 @@ class Simulation:
     def reachable(self, a: int, b: int) -> bool:
         return self.net.same_component(a, b, self.now)
 
-    def send_message(self, src: int, dst: int, msg) -> None:
-        msg_type, payload = encode_message(msg)
+    def send_to_each(self, src: int, dsts: list[int], msg) -> None:
+        """Send `msg` to each of `dsts` in turn, encoded once."""
+        if dsts:
+            encoded = encode_message(msg)
+            for dst in dsts:
+                self.send_message(src, dst, msg, encoded)
+
+    def send_message(self, src: int, dst: int, msg, encoded=None) -> None:
+        """Send `msg` to `dst` in an envelope of its own; `encoded` is
+        ``encode_message(msg)`` when the caller already made it."""
+        msg_type, payload = encoded or encode_message(msg)
         env = Envelope(src=src, dst=dst, msg_type=int(msg_type),
                        data=encode_envelope(msg_type, src, payload), send_time=self.now)
         self.net.send(env)

@@ -3,7 +3,7 @@
 Envelope layout (all multi-byte integers little-endian):
 
     magic   4 bytes  b"DVMS"
-    version u16      5
+    version u16      6
     type    u8       message type tag
     sender  u16      agent id
     length  u32      payload byte count
@@ -23,10 +23,13 @@ Field codecs:
     id         zigzag varint of its difference from the payload's last id
     ids        varint n + id (the first) + varint(id gap - 1)*(n - 1)
     words      varint n + (varint(word id gap - 1), varint(count))*n
+    word ids   varint n + varint(word id gap - 1)*n
     keyframes  varint count + per keyframe: id, origin u16, timestamp f64,
-               pose 7*f64 (qw qx qy qz tx ty tz), words, observed point ids
+               pose 7*f64 (qw qx qy qz tx ty tz), then against the record
+               before it: word ids removed, words new or changed, ids of
+               observed points removed, ids added
     points     varint count + per point: id, xyz 3*f64, varint word,
-               observer ids
+               ids of the observers the payload's keyframes do not imply
     sim3       scale f64, quaternion 4*f64, translation 3*f64
     roster     count u16 + agent id u16*
     tagged     ids, then their n positions as one n*3 f64 block
@@ -47,12 +50,26 @@ request ids [5, 6, 10] are the varints 3 (the count), 10 (5 - 0, zigzagged),
 0 and 3; a keyframe record whose id is K, and whose first observed point is
 K - 2, writes that point as the varint 3.
 
+A payload's keyframes are consecutive spawns that see mostly the same words
+and points, so each keyframe record writes its histogram and its observed
+ids as differences from the record before it, the first from an empty
+histogram and an empty set.  The histogram is the word ids it no longer
+holds, then rows only for the words whose count is new or changed; the
+observed ids are one id list of those removed, then one of those added.
+A point record leaves out of its observer ids every keyframe of the same
+payload that observes the point: the decoder adds those back from the
+keyframe records it has read.  The encoder therefore requires each payload
+keyframe that observes a payload point to be among that point's observers,
+which the map a payload is cut from guarantees.  The decoder rebuilds each
+full ascending histogram and id list before it builds the dicts and sets,
+so a decoded object is what a self-contained record would have given.
+
 Keyframes and map points travel as the map store's own KeyFrame and MapPoint
 objects.  Decoding always builds fresh objects, so an object never reaches a
 second agent by reference.  A histogram travels as the word counts its
 keyframe holds, and a quaternion that is canonical up to rounding is kept as
 sent (others are normalized and sign-canonicalized), so a keyframe decodes to
-what its sender held, bit for bit.  Observed and observer id sets are written
+what its sender held, bit for bit.  Observed and observer id sets are rebuilt
 in ascending order and decoded into sets built in that order; request and
 tagged point ids travel in the order given, which the encoder requires to be
 strictly ascending.  Keyframe and point records travel in the sender's order.
@@ -65,13 +82,18 @@ decoder rejects, in payload order: non-minimal varints (a last byte 0x00
 after a continuation byte, so that every message has exactly one encoding),
 ids that a difference or a gap takes below 0 or above 2^128 - 1, list counts
 and word ids above 2^32 - 1, word counts of zero, histograms whose counts add
-up to more than ``MAX_WORD_TOTAL`` (65535; the error names the count that
-crosses it), non-finite floats, quaternions of zero, subnormal or non-finite
-norm, and SIM(3) scales that are not positive.  The encoder raises ValueError
-on an id list that is not strictly ascending (naming the index of the first
-id that is not above the one before it), on ids or word ids outside the
-ranges above, and on a histogram whose counts are not positive or add up to
-more than ``MAX_WORD_TOTAL``.
+up to more than ``MAX_WORD_TOTAL`` (65535; in a BowAnnounce the error names
+the count that crosses it, in a keyframe record the first byte of its
+histogram), removed word ids or ids that the record before does not hold,
+added ids that it does, rows whose count equals the record before's, words
+both removed and in a row, observers that the payload's keyframes imply,
+non-finite floats, quaternions of zero, subnormal or non-finite norm, and
+SIM(3) scales that are not positive.  The encoder raises ValueError on an id
+list that is not strictly ascending (naming the index of the first id that
+is not above the one before it), on ids or word ids outside the ranges
+above, on a histogram whose counts are not positive or add up to more than
+``MAX_WORD_TOTAL``, and on a payload keyframe that observes a payload point
+that does not list it.
 """
 
 from __future__ import annotations
@@ -88,7 +110,7 @@ from .geometry import Rotation, Se3Pose, Sim3Transform
 from .map_store import KeyFrame, MapPoint
 
 MAGIC = b"DVMS"
-VERSION = 5
+VERSION = 6
 _HEADER = struct.Struct("<4sHBHI")
 HEADER_SIZE = _HEADER.size  # 13
 # the largest total of one histogram's word counts, so that any count fits a u16
@@ -235,17 +257,20 @@ def _put_varint(out: bytearray, v: int) -> None:
 
 
 class _Writer(bytearray):
-    """A payload being written, and the last id it wrote (0 before the first).
+    """A payload being written, the last id it wrote (0 before the first) and
+    the keyframe records it carries (their points' records leave out the links
+    they imply).
 
     A method looked up on a bytearray subclass costs more than on a bytearray,
     so the loops below bind ``out.append`` once.
     """
 
-    __slots__ = ("prev",)
+    __slots__ = ("prev", "keyframes")
 
     def __init__(self):
         super().__init__()
         self.prev = 0
+        self.keyframes: list[KeyFrame] = []
 
 
 def _write_id(out: _Writer, uid: int) -> None:
@@ -305,6 +330,7 @@ class _Reader:
         self.end = len(data)
         self.off = 0
         self.prev = 0  # the last id read
+        self.keyframes: list[KeyFrame] = []  # the keyframe records read
 
     def _truncated(self, off: int, sizes: tuple[int, ...]) -> WireError:
         """The error for the first of `sizes`, laid out from `off`, that runs past the end."""
@@ -383,21 +409,30 @@ class _Reader:
         self.prev = uid
         return uid
 
-    def ids(self) -> list[int]:
-        """An id list, ascending by construction."""
+    def ids(self, bad=None, what: str = "") -> list[int]:
+        """An id list, ascending by construction.
+
+        With `bad`, the first id for which ``bad(id)`` is true raises
+        WireError(``what.format(id, offset)``), in payload order with the
+        list's other faults.
+        """
         n = self.count()
         if not n:
             return []
+        first = self.off
         uid = self.id()
         data, end, off = self.data, self.end, self.off
         # the common case: every gap after the first id is one byte
         gaps = data[off:off + n - 1]
         if len(gaps) == n - 1 and gaps.isascii():
             ids = list(accumulate(gaps.translate(_PLUS_ONE), initial=uid))
-            if ids[-1] <= _MAX_ID:
+            if ids[-1] <= _MAX_ID and (bad is None or not any(map(bad, ids))):
                 self.off = off + n - 1
                 self.prev = ids[-1]
                 return ids
+        # otherwise one id at a time, so the first fault is the one raised
+        if bad is not None and bad(uid):
+            raise WireError(what.format(uid, first))
         ids = [uid]
         for _ in range(n - 1):
             start = off
@@ -409,6 +444,8 @@ class _Reader:
                 uid += gap + 1
             if uid > _MAX_ID:
                 raise WireError(f"id {uid} at offset {start} is above 2^128 - 1")
+            if bad is not None and bad(uid):
+                raise WireError(what.format(uid, start))
             ids.append(uid)
         self.off = off
         self.prev = uid
@@ -466,19 +503,24 @@ def _word_fault(count: int, total: int, where: str) -> str:
             f"to {total}, above {MAX_WORD_TOTAL}")
 
 
-def _write_words(out: bytearray, words: dict[int, int]) -> None:
-    """Word rows in ascending word order; a count below 1, or one that takes the
-    total above ``MAX_WORD_TOTAL``, raises ValueError naming its row's index."""
-    rows = sorted(words.items())
-    if rows and (rows[0][0] < 0 or rows[-1][0] > _MAX_U32):
-        word = rows[0][0] if rows[0][0] < 0 else rows[-1][0]
+def _check_words(words: dict[int, int]) -> None:
+    """A word id outside [0, 2^32 - 1], a count below 1, or one that takes the
+    total above ``MAX_WORD_TOTAL`` raises ValueError, a count naming its row's
+    index in ascending word order."""
+    if not words:
+        return
+    if min(words) < 0 or max(words) > _MAX_U32:
+        word = min(words) if min(words) < 0 else max(words)
         raise ValueError(f"word id {word} is outside [0, 2^32 - 1]")
-    if rows and (min(words.values()) < 1 or sum(words.values()) > MAX_WORD_TOTAL):
+    if min(words.values()) < 1 or sum(words.values()) > MAX_WORD_TOTAL:
         total = 0
-        for i, (_, count) in enumerate(rows):
+        for i, (_, count) in enumerate(sorted(words.items())):
             total += count
             if count < 1 or total > MAX_WORD_TOTAL:
                 raise ValueError(_word_fault(count, total, f"index {i}"))
+
+
+def _put_rows(out: bytearray, rows: list[tuple[int, int]]) -> None:
     _put_varint(out, len(rows))
     prev = -1
     append = out.append
@@ -491,6 +533,11 @@ def _write_words(out: bytearray, words: dict[int, int]) -> None:
         else:
             _put_varint(out, gap)
             _put_varint(out, count)
+
+
+def _write_words(out: bytearray, words: dict[int, int]) -> None:
+    _check_words(words)
+    _put_rows(out, sorted(words.items()))
 
 
 def _read_words(r: _Reader) -> dict[int, int]:
@@ -533,42 +580,226 @@ def _read_words(r: _Reader) -> dict[int, int]:
     return words
 
 
-def _write_keyframe(out: _Writer, kf: KeyFrame) -> None:
-    _write_id(out, kf.id)
-    out += _KF_RECORD.struct.pack(
-        kf.origin_agent, kf.timestamp,
-        *kf.pose.rotation.q.tolist(), *kf.pose.translation.tolist())
-    _write_words(out, kf.words)
-    _write_ids(out, sorted(kf.observed_points))
+def _write_word_delta(out: bytearray, old: dict[int, int], words: dict[int, int]) -> None:
+    """`words` against the histogram `old`: the word ids it drops, then the
+    rows whose count is new or changed.
+
+    The rows `old` holds were checked when it was written, so only the new
+    and changed rows and the total are checked here.
+    """
+    get = old.get
+    rows = sorted([(w, c) for w, c in words.items() if get(w) != c])
+    if (rows and (rows[0][0] < 0 or rows[-1][0] > _MAX_U32 or min(c for _, c in rows) < 1)
+            or sum(words.values()) > MAX_WORD_TOTAL):
+        _check_words(words)  # raises, naming the row in the whole histogram
+    removed = sorted([w for w in old if w not in words])
+    _put_varint(out, len(removed))
+    prev = -1
+    append = out.append
+    for word in removed:
+        gap = word - prev - 1
+        prev = word
+        if gap < 0x80:  # the common case: one byte, no call
+            append(gap)
+        else:
+            _put_varint(out, gap)
+    _put_rows(out, rows)
 
 
-def _read_keyframe(r: _Reader) -> KeyFrame:
-    uid = r.id()
+def _read_removed_words(r: _Reader, old: dict[int, int]) -> list[int]:
+    """Ascending word ids that each name a word of `old`."""
+    n = r.count()
+    data, off = r.data, r.off
+    # the common case: every gap is one byte and names a word of `old`
+    gaps = data[off:off + n]
+    if len(gaps) == n and gaps.isascii():
+        removed = list(accumulate(gaps[:1] + gaps[1:].translate(_PLUS_ONE)))
+        if all(map(old.__contains__, removed)):
+            r.off = off + n
+            return removed
+    removed = []
+    word = -1
+    end = r.end
+    for _ in range(n):
+        start = off
+        if off < end and (byte := data[off]) < 0x80:
+            word += byte + 1
+            off += 1
+        else:
+            gap, off = r.varint(off)
+            word += gap + 1
+        if word not in old:
+            raise WireError(f"removed word {word} at offset {start} is not in the previous "
+                            "histogram")
+        removed.append(word)
+    r.off = off
+    return removed
+
+
+def _read_changed_rows(r: _Reader, old: dict[int, int], removed: list[int]) -> dict[int, int]:
+    """Rows of words not in `removed` whose counts are positive and differ from `old`'s."""
+    n = r.count()
+    data, end, off = r.data, r.end, r.off
+    # the common case: every field is one byte and every check passes at once
+    rows = data[off:off + 2 * n]
+    if len(rows) == 2 * n and rows.isascii():
+        counts = rows[1::2]
+        changed = dict(zip(accumulate(rows[:1] + rows[2::2].translate(_PLUS_ONE)), counts))
+        if (0 not in counts and (not n or next(reversed(changed)) <= _MAX_U32)
+                and changed.keys().isdisjoint(removed)
+                and changed.items().isdisjoint(old.items())):
+            r.off = off + 2 * n
+            return changed
+    # otherwise one row at a time, so the first fault is the one raised
+    changed = {}
+    word = -1
+    for _ in range(n):
+        start = off
+        if off < end and (byte := data[off]) < 0x80:
+            word += byte + 1
+            off += 1
+        else:
+            gap, off = r.varint(off)
+            word += gap + 1
+        if word > _MAX_U32:
+            raise WireError(f"word id {word} at offset {start} is above 2^32 - 1")
+        if word in removed:
+            raise WireError(f"word {word} at offset {start} is both removed and counted")
+        start = off
+        if off < end and (count := data[off]) < 0x80:
+            off += 1
+        else:
+            count, off = r.varint(off)
+        if count == 0:
+            raise WireError(f"word count 0 at offset {start} is not positive")
+        if count == old.get(word):
+            raise WireError(f"word count {count} at offset {start} equals the previous "
+                            "histogram's")
+        changed[word] = count
+    r.off = off
+    return changed
+
+
+def _read_word_delta(r: _Reader, old: dict[int, int]) -> dict[int, int]:
+    """The histogram a word delta makes of `old`, in ascending word order."""
     start = r.off
-    origin, ts = r.read(_KF_HEAD)
-    _check_finite((ts,), start + 2, "timestamp")
-    pose = _read_pose(r)
-    words = _read_words(r)
-    return KeyFrame(uid, origin, ts, pose, words, set(r.ids()))
+    removed = _read_removed_words(r, old)
+    changed = _read_changed_rows(r, old, removed)
+    words = dict(old)
+    for word in removed:
+        del words[word]
+    if not changed:
+        return words
+    added = not changed.keys() <= words.keys()
+    words.update(changed)
+    if added:  # new words were appended: put them in their place
+        words = dict(sorted(words.items()))
+    total = sum(words.values())
+    if total > MAX_WORD_TOTAL:
+        raise WireError(f"histogram at offset {start} adds up to {total}, "
+                        f"above {MAX_WORD_TOTAL}")
+    return words
 
 
-def _write_point(out: _Writer, p: MapPoint) -> None:
-    _write_id(out, p.id)
-    out += _VEC3.struct.pack(*p.position.tolist())
-    if not 0 <= p.word <= _MAX_U32:
-        raise ValueError(f"word id {p.word} is outside [0, 2^32 - 1]")
-    _put_varint(out, p.word)
-    _write_ids(out, sorted(p.observers))
+def _write_keyframes(out: _Writer, kfs: list[KeyFrame]) -> None:
+    """Keyframe records, each histogram and observed id set written against
+    the record before it (an empty one before the first)."""
+    _put_varint(out, len(kfs))
+    out.keyframes = kfs
+    words: dict[int, int] = {}
+    observed: set[int] = set()
+    for kf in kfs:
+        _write_id(out, kf.id)
+        out += _KF_RECORD.struct.pack(
+            kf.origin_agent, kf.timestamp,
+            *kf.pose.rotation.q.tolist(), *kf.pose.translation.tolist())
+        _write_word_delta(out, words, kf.words)
+        now = set(kf.observed_points)
+        if len(now) != len(kf.observed_points):
+            raise ValueError(_id_list_fault(sorted(kf.observed_points)))
+        _write_ids(out, sorted(observed - now))
+        _write_ids(out, sorted(now - observed))
+        words, observed = kf.words, now
 
 
-def _read_point(r: _Reader) -> MapPoint:
-    uid = r.id()
-    pos = _read_finite(r, _VEC3, "position")
-    start = r.off
-    word, r.off = r.varint(start)
-    if word > _MAX_U32:
-        raise WireError(f"word id {word} at offset {start} is above 2^32 - 1")
-    return MapPoint(uid, np.array(pos), word, set(r.ids()))
+def _read_keyframes(r: _Reader) -> list[KeyFrame]:
+    """Keyframe records, each rebuilt from the record before it."""
+    kfs = r.keyframes = []
+    words: dict[int, int] = {}
+    ascending: list[int] = []  # the previous record's observed ids
+    observed: set[int] = set()
+    for _ in range(r.count()):
+        uid = r.id()
+        start = r.off
+        origin, ts = r.read(_KF_HEAD)
+        _check_finite((ts,), start + 2, "timestamp")
+        pose = _read_pose(r)
+        words = _read_word_delta(r, words)
+        removed = r.ids(lambda i, held=observed: i not in held,
+                        "removed id {} at offset {} is not in the previous keyframe's observed ids")
+        added = r.ids(observed.__contains__,
+                      "added id {} at offset {} is already in the previous keyframe's "
+                      "observed ids")
+        if removed:
+            gone = set(removed)
+            ascending = [i for i in ascending if i not in gone]
+        if added:
+            ascending = sorted(ascending + added)  # two ascending runs: one merge
+        observed = set(ascending)
+        kfs.append(KeyFrame(uid, origin, ts, pose, words, observed))
+    return kfs
+
+
+def _write_points(out: _Writer, points: list[MapPoint]) -> None:
+    """Point records; an observer list leaves out the payload's keyframes
+    that observe the point, which must be among its observers."""
+    _put_varint(out, len(points))
+    ids = {p.id for p in points}
+    implied: dict[int, set[int]] = {}  # point id -> payload keyframes observing it
+    for kf in out.keyframes:
+        for pid in ids.intersection(kf.observed_points):
+            implied.setdefault(pid, set()).add(kf.id)
+    for p in points:
+        _write_id(out, p.id)
+        out += _VEC3.struct.pack(*p.position.tolist())
+        if not 0 <= p.word <= _MAX_U32:
+            raise ValueError(f"word id {p.word} is outside [0, 2^32 - 1]")
+        _put_varint(out, p.word)
+        mine = implied.get(p.id)
+        if mine:
+            explicit = sorted(set(p.observers) - mine)
+            if len(explicit) + len(mine) != len(p.observers):
+                missing = mine.difference(p.observers)
+                if missing:
+                    raise ValueError(f"keyframe {min(missing)} of the payload observes point "
+                                     f"{p.id}, which does not list it as an observer")
+                raise ValueError(_id_list_fault(sorted(p.observers)))  # an id repeats
+            _write_ids(out, explicit)
+        else:
+            _write_ids(out, sorted(p.observers))
+
+
+def _read_points(r: _Reader) -> list[MapPoint]:
+    kfs = [(kf.id, kf.observed_points) for kf in r.keyframes]
+    points = []
+    for _ in range(r.count()):
+        uid = r.id()
+        pos = _read_finite(r, _VEC3, "position")
+        start = r.off
+        word, r.off = r.varint(start)
+        if word > _MAX_U32:
+            raise WireError(f"word id {word} at offset {start} is above 2^32 - 1")
+        # the payload's keyframes that observe the point
+        mine = [kid for kid, observed in kfs if uid in observed]
+        if mine:
+            explicit = r.ids(mine.__contains__,
+                             "observer {} at offset {} is implied by a keyframe of the payload")
+            # a repeated keyframe id repeats here, and adds nothing to the set
+            observers = set(sorted(mine + explicit))
+        else:
+            observers = set(r.ids())
+        points.append(MapPoint(uid, np.array(pos), word, observers))
+    return points
 
 
 def _write_sim3(out: bytearray, t: Sim3Transform) -> None:
@@ -623,22 +854,10 @@ def _scalar(f: _Fields):
     return (lambda out, v: out.extend(f.struct.pack(v))), (lambda r: r.read(f)[0])
 
 
-def _counted(write_one, read_one):
-    """The codec of a varint count followed by that many items."""
-    def write(out: _Writer, items: list) -> None:
-        _put_varint(out, len(items))
-        for item in items:
-            write_one(out, item)
-
-    def read(r: _Reader) -> list:
-        return [read_one(r) for _ in range(r.count())]
-    return write, read
-
-
 _ID = (_write_id, _Reader.id)
 _IDS = (_write_ids, _Reader.ids)
-_KEYFRAMES = _counted(_write_keyframe, _read_keyframe)
-_POINTS = _counted(_write_point, _read_point)
+_KEYFRAMES = (_write_keyframes, _read_keyframes)
+_POINTS = (_write_points, _read_points)
 _ROSTER = (_write_roster, _read_roster)
 
 # Each message type's dataclass, ledger category, and one (write, read) codec

@@ -232,6 +232,30 @@ class TestCli:
                          "--out", str(out)])
         assert code == 0 and (out / "events.jsonl").exists()
 
+    def test_sim_rejects_out_that_is_a_file(self, tmp_path, capsys):
+        scenario = tmp_path / "line.yaml"
+        scenario.write_text("agents:\n  - id: 0\n    waypoints: [[0, 0, 0], [1, 0, 0]]\n"
+                            "run: {duration: 1.0}\n")
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        code = cli_main(["sim", "--scenario", str(scenario), "--seed", "1",
+                         "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(out) in captured.err
+        assert out.read_text() == "kept\n"
+
+    def test_eval_rejects_json_in_missing_dir(self, tmp_path, capsys):
+        est_p, gt_p = self.write_pair(tmp_path, np.random.default_rng(13))
+        json_p = tmp_path / "missing" / "report.json"
+        code = cli_main(["eval", "--est", est_p, "--gt", gt_p, "--json", str(json_p)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(json_p) in captured.err
+        assert not json_p.parent.exists()
+
     def collinear_run(self, tmp_path):
         scenario = tmp_path / "line.yaml"
         scenario.write_text("agents:\n  - id: 0\n    waypoints: [[0, 0, 0], [1, 0, 0]]\n")

@@ -150,10 +150,11 @@ class Bus:
         self._seed = 0
 
     def add_agent(self, aid: int, agents: list[int], m: AgentMap):
-        def send(dst, msg, src=aid):
-            self.trace.append((src, dst, msg))
-            if type(msg) not in self.dropped:
-                self.deliver(src, dst, msg)
+        def send(dsts, msg, src=aid):
+            for dst in dsts:
+                self.trace.append((src, dst, msg))
+                if type(msg) not in self.dropped:
+                    self.deliver(src, dst, msg)
 
         def log(event, _aid=aid, **detail):
             self.events.append((_aid, event, detail))
@@ -628,7 +629,7 @@ class RandomCluster:
         self.managers = {}
         for aid in self.agents:
             hooks = ManagerHooks(
-                send=lambda dst, msg, src=aid: self.outbox.append((src, dst, msg)),
+                send=lambda dsts, msg, src=aid: self.outbox.extend((src, d, msg) for d in dsts),
                 log=lambda event, **detail: None,
                 schedule=lambda delay, fn: None,
                 apply_map_transform=lambda t: None,

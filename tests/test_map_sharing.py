@@ -124,8 +124,8 @@ class TestOutbox:
     def test_record_to_two_peers(self):
         s = SharingState()
         s.record_new_keyframe(1, [10, 11], peers=[2, 3])
-        assert s.outbox(2).unsent_keyframes == [1]
-        assert s.outbox(3).unsent_points == [10, 11]
+        assert list(s.outbox(2).unsent_keyframes) == [1]
+        assert list(s.outbox(3).unsent_points) == [10, 11]
 
     def test_flush_below_threshold(self):
         s = SharingState()
@@ -149,8 +149,8 @@ class TestOutbox:
         assert pkt is not None
         assert len(pkt.keyframes) == 5 and len(pkt.points) == 5
         assert pkt.sender == 0
-        assert s.outbox(5).unsent_keyframes == []
-        assert s.outbox(5).unsent_points == []
+        assert not s.outbox(5).unsent_keyframes
+        assert not s.outbox(5).unsent_points
 
     def test_force_flush_ignores_threshold(self):
         s = SharingState()
@@ -160,6 +160,20 @@ class TestOutbox:
         s.record_new_keyframe(0, [], peers=[5])
         pkt = s.flush_outbox(0, 5, m, batch_size=5, force=True)
         assert pkt is not None and len(pkt.keyframes) == 1
+
+    def test_packet_lists_ids_in_first_recorded_order(self):
+        s = SharingState()
+        m = AgentMap()
+        for kid, pids in ((3, [31, 30]), (1, [10])):
+            pts = [MapPoint(pid, np.zeros(3), word=pid, observers={kid}) for pid in pids]
+            m.insert_keyframe(KeyFrame(kid, 0, 0.0, Se3Pose.identity(),
+                                       {kid: 1}, set(pids)), pts)
+        s.record_new_keyframe(3, [31, 30], peers=[5])
+        s.record_new_keyframe(1, [10, 31], peers=[5])
+        s.record_new_keyframe(3, [30], peers=[5])  # repeats keep their first place
+        pkt = s.flush_outbox(0, 5, m, batch_size=5, force=True)
+        assert [kf.id for kf in pkt.keyframes] == [3, 1]
+        assert [p.id for p in pkt.points] == [31, 30, 10]
 
 
 class TestInsertExternalKeyframe:

@@ -325,9 +325,9 @@ def recording_sends(sim):
     sent = []
     send = sim.send_message
 
-    def record(src, dst, msg):
+    def record(src, dst, msg, encoded=None):
         sent.append((src, dst, msg))
-        send(src, dst, msg)
+        send(src, dst, msg, encoded)
     sim.send_message = record
     return sent
 
@@ -467,14 +467,14 @@ def coop_rounds():
     requests, rounds, full_replies = [], [], {}
     send = sim.send_message
 
-    def record_send(src, dst, msg):
+    def record_send(src, dst, msg, encoded=None):
         if isinstance(msg, AlignmentRequest):
             m = sim.runtimes[src].db.shared_map
             own = set(own_present_points(sim.runtimes[src]))
             drainable = {pid for entry in sim.runtimes[src].sharing.queue for p in entry.points
                       for pid in (p.id, *m.points_by_word.get(p.word, ()))}
             requests.append((msg, own, drainable))
-        send(src, dst, msg)
+        send(src, dst, msg, encoded)
     sim.send_message = record_send
 
     for rt in sim.runtimes.values():

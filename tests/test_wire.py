@@ -72,15 +72,15 @@ class TestMessageTable:
 class TestEnvelope:
     def test_header_fields(self):
         data = encode_envelope(MessageType.LOCALIZATION_STATE, sender=4, payload=b"\x07")
-        # magic, version 5, type 8, sender 4, payload length 1: 13 bytes, no sequence
-        assert data == b"DVMS" + bytes([5, 0, 8, 4, 0, 1, 0, 0, 0, 7])
+        # magic, version 6, type 8, sender 4, payload length 1: 13 bytes, no sequence
+        assert data == b"DVMS" + bytes([6, 0, 8, 4, 0, 1, 0, 0, 0, 7])
         assert HEADER_SIZE == 13
         assert decode_envelope(data) == (int(MessageType.LOCALIZATION_STATE), 4, b"\x07")
 
     def test_version_check(self):
         data = bytearray(encode_envelope(MessageType.GROUP_UPDATE, 0, b""))
-        data[4] = 4  # the layout before ids travelled as differences
-        with pytest.raises(WireError, match="^unsupported version 4 at offset 4$"):
+        data[4] = 5  # the layout before keyframe records travelled as differences
+        with pytest.raises(WireError, match="^unsupported version 5 at offset 4$"):
             decode_envelope(bytes(data))
 
     def test_unknown_type_rejected(self):
@@ -131,12 +131,19 @@ class TestMessageRoundTrips:
 
     def test_ids_travel_as_differences(self):
         """The worked example of README "Wire format"."""
-        kf = KeyFrame(40, 0, 0.0, Se3Pose.identity(), {}, {38, 41})
-        msg = KeyFramePacket(3, [kf], [MapPoint(41, vec3(0, 0, 0), 3, {40})])
+        kfs = [KeyFrame(40, 0, 0.0, Se3Pose.identity(), {3: 1}, {38, 41}),
+               KeyFrame(42, 0, 0.0, Se3Pose.identity(), {3: 2}, {41, 43})]
+        msg = KeyFramePacket(3, kfs, [MapPoint(41, vec3(0, 0, 0), 5, {40, 42})])
         record = struct.pack("<Hd7d", 0, 0.0, 1.0, *[0.0] * 6)
         assert encode_message(msg)[1] == (
-            bytes([1, 0x50]) + record + bytes([0, 2, 3, 2])  # keyframe 40 observes 38 and 41
-            + bytes([1, 0]) + bytes(24) + bytes([3, 1, 1]))  # point 41 is observed by 40
+            bytes([2, 0x50]) + record      # keyframe 40
+            + bytes([0, 1, 3, 1])          # no word removed; word 3 counts 1
+            + bytes([0, 2, 3, 2])          # no id removed; 38 and 41 added
+            + bytes([0x02]) + record       # keyframe 42
+            + bytes([0, 1, 3, 2])          # no word removed; word 3 counts 2
+            + bytes([1, 7, 1, 10])         # 38 removed, 43 added
+            + bytes([1, 3]) + bytes(24)    # point 41
+            + bytes([5, 0]))               # word 5; observers 40 and 42 are implied
         assert plain(self.roundtrip(msg)) == plain(msg)
 
     def test_merge_notify(self):
@@ -380,8 +387,10 @@ class TestFailClosedValues:
                      id="bow-count-total-last"),
         pytest.param(kf_packet, [2, 3, 3, 5, 5], [2, 3, 0, 5, 5], 2,
                      "word count 0 at offset {} is not", id="kf-count-zero"),
-        pytest.param(kf_packet, [2, 3, 3, 5, 5], [2, 3, 3, 5, *varint(65533)], 4,
-                     "word count 65533 at offset {} takes the histogram's total to 65536",
+        # a keyframe's histogram, a delta, is checked once it is rebuilt: the
+        # error names the delta's first byte, its count of removed words
+        pytest.param(kf_packet, [0, 2, 3, 3, 5, 5], [0, 2, 3, 3, 5, *varint(65533)], 0,
+                     "histogram at offset {} adds up to 65536, above 65535",
                      id="kf-count-total"),
     ])
     def test_rejects_word_counts(self, make, old, new, named, message):
@@ -390,6 +399,48 @@ class TestFailClosedValues:
             decode_frame(frame)
         with pytest.raises(WireError, match=message.format(at + named)):
             reference_decode(frame)
+
+    # keyframe records after the first are written against the record before
+    # them, and a point leaves out the observers the payload's keyframes imply
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda: map_frame([kf_record(zz(0), varint(0), words=bytes([0, 1, 3, 1])),
+                                        kf_record(zz(1), varint(0), words=bytes([1, 5, 0]))]),
+                     "removed word 5 at offset 142 is not in the previous histogram",
+                     id="removed-word-absent"),
+        pytest.param(lambda: map_frame([kf_record(zz(0), varint(1), zz(5)),
+                                        kf_record(zz(-4), varint(0), removed=varint(1) + zz(5))]),
+                     "removed id 6 at offset 143 is not in the previous keyframe's observed ids",
+                     id="removed-id-absent"),
+        pytest.param(lambda: map_frame([kf_record(zz(0), varint(1), zz(5)),
+                                        kf_record(zz(-4), varint(1), zz(4))]),
+                     "added id 5 at offset 144 is already in the previous keyframe's observed ids",
+                     id="added-id-present"),
+        pytest.param(lambda: map_frame([kf_record(zz(0), varint(0), words=bytes([0, 1, 3, 1])),
+                                        kf_record(zz(1), varint(0), words=bytes([0, 1, 3, 1]))]),
+                     "word count 1 at offset 144 equals the previous histogram's",
+                     id="count-unchanged"),
+        pytest.param(lambda: map_frame([kf_record(zz(0), varint(0), words=bytes([0, 1, 3, 1])),
+                                        kf_record(zz(1), varint(0), words=bytes([1, 3, 1, 3, 2]))]),
+                     "word 3 at offset 144 is both removed and counted",
+                     id="word-removed-and-counted"),
+        pytest.param(lambda: map_frame([
+            kf_record(zz(0), varint(0), words=bytes([0, 1, 3]) + varint(65000)),
+            kf_record(zz(1), varint(0), words=bytes([0, 1, 4]) + varint(600))]),
+                     "histogram at offset 143 adds up to 65600, above 65535",
+                     id="rebuilt-total-above"),
+        pytest.param(lambda: map_frame([kf_record(zz(0), varint(1), zz(5))],
+                                       [point_record(zz(0), varint(1), zz(-5))]),
+                     "observer 0 at offset 101 is implied by a keyframe of the payload",
+                     id="observer-implied"),
+    ])
+    def test_rejects_deltas_with_offset(self, make, message):
+        frame = make()
+        with pytest.raises(WireError) as info:
+            decode_frame(frame)
+        assert str(info.value) == message
+        with pytest.raises(WireError) as ref:
+            reference_decode(frame)
+        assert str(ref.value) == message
 
     def test_total_of_65535_is_accepted(self):
         frame, _ = splice(bow_announce(), bytes([2, 1, 1, 5, 3]),
@@ -480,6 +531,17 @@ class TestEncoderRejectsIdsNotAscending:
             encode_frame(KeyFramePacket(3, [], [point]), 3)
 
 
+def test_encoder_rejects_point_that_misses_an_observing_keyframe():
+    """A point's record leaves out the payload keyframes that observe it, so
+    the point must list each of them."""
+    kf = sample_keyframe()  # 500, observing 700 and 701
+    points = [MapPoint(700, vec3(0, 0, 0), 3, {500}), MapPoint(701, vec3(0, 0, 0), 3, {9})]
+    for msg in (KeyFramePacket(3, [kf], points), FullMapMsg(3, 500, [kf], points)):
+        with pytest.raises(ValueError, match="^keyframe 500 of the payload observes point 701, "
+                                             "which does not list it as an observer$"):
+            encode_frame(msg, 3)
+
+
 # ---------------------------------------------------------------------------
 # Varint id lists
 # ---------------------------------------------------------------------------
@@ -514,12 +576,15 @@ def test_id_lists_round_trip(ids):
     # iteration order is that of a set built from it
     kf = sample_keyframe()
     kf.observed_points = set(ids)
-    pkt = KeyFramePacket(3, [kf], [MapPoint(700, vec3(0, 0, 0), 3, set(ids))])
-    frame = encode_frame(pkt, 3)
-    got = decode_frame(frame)
-    assert list(got.keyframes[0].observed_points) == list(set(ids))
-    assert list(got.points[0].observers) == list(set(ids))
-    assert encode_frame(got, 3) == frame
+    point = MapPoint(700, vec3(0, 0, 0), 3, set(ids))
+    # apart, so that no observer is implied by the payload's keyframe
+    for pkt in (KeyFramePacket(3, [kf], []), KeyFramePacket(3, [], [point])):
+        frame = encode_frame(pkt, 3)
+        got = decode_frame(frame)
+        assert [list(k.observed_points) for k in got.keyframes] == [list(set(ids))] * len(
+            pkt.keyframes)
+        assert [list(p.observers) for p in got.points] == [list(set(ids))] * len(pkt.points)
+        assert encode_frame(got, 3) == frame
 
 
 def tagged_frame(*parts):
@@ -536,10 +601,12 @@ def zz(d):
     return varint(zigzag(d))
 
 
-def kf_record(uid, *observed):
+def kf_record(uid, *added, words=b"\x00\x00", removed=b"\x00"):
     """A keyframe record: id bytes `uid`, origin 0, timestamp 0, the identity
-    pose, no words, then the observed id list `observed`."""
-    return uid + struct.pack("<Hd7d", 0, 0.0, 1.0, *[0.0] * 6) + varint(0) + b"".join(observed)
+    pose, the histogram delta `words` (none by default), then the observed id
+    lists `removed` (none by default) and `added`."""
+    return (uid + struct.pack("<Hd7d", 0, 0.0, 1.0, *[0.0] * 6) + words + removed
+            + b"".join(added))
 
 
 def point_record(uid, *observers):
@@ -575,19 +642,19 @@ ID_POSITIONS = [
     pytest.param(map_frame([kf_record(zz(1), varint(0))], hint=zz(U128)),
                  f"id {U128 + 1} at offset 20 is above 2^128 - 1", id="keyframe-id-above"),
     pytest.param(map_frame([kf_record(zz(U128), varint(0)), kf_record(zz(-U128 - 1), varint(0))]),
-                 "id -1 at offset 88 is below 0", id="second-keyframe-id-below"),
+                 "id -1 at offset 90 is below 0", id="second-keyframe-id-below"),
     pytest.param(map_frame(points=[point_record(zz(-1), varint(0))]),
                  "id -1 at offset 2 is below 0", id="point-id-below"),
     pytest.param(map_frame(points=[point_record(zz(U128), varint(0)),
                                    point_record(zz(1), varint(0))]),
                  f"id {U128 + 1} at offset 47 is above 2^128 - 1", id="point-id-above"),
     pytest.param(map_frame([kf_record(zz(3), varint(1), zz(-4))]),
-                 "id -1 at offset 70 is below 0", id="observed-first-below"),
+                 "id -1 at offset 72 is below 0", id="observed-first-below"),
     pytest.param(map_frame([kf_record(zz(U128), varint(1), zz(1))]),
-                 f"id {U128 + 1} at offset 88 is above 2^128 - 1", id="observed-first-above"),
+                 f"id {U128 + 1} at offset 90 is above 2^128 - 1", id="observed-first-above"),
     pytest.param(map_frame([kf_record(zz(U128 - 9), varint(2), zz(0), varint(8))],
                            [point_record(zz(1), varint(0))]),
-                 f"id {U128 + 1} at offset 91 is above 2^128 - 1",
+                 f"id {U128 + 1} at offset 93 is above 2^128 - 1",
                  id="point-id-above-after-a-list"),
     pytest.param(map_frame(points=[point_record(zz(2), varint(1), zz(-3))]),
                  "id -1 at offset 29 is below 0", id="observer-first-below"),
@@ -728,9 +795,36 @@ def _point(rnd):
                     {_uuid(rnd) for _ in range(rnd.randint(0, 4))})
 
 
+def _follow(rnd, kf, prev):
+    """Give `kf` most of `prev`'s words, some with new counts, and most of its
+    observed ids, as a keyframe spawned after another has."""
+    kf.words = {w: c if rnd.random() < 0.7 else rnd.randint(1, 65535 // 6)
+                for w, c in prev.words.items() if rnd.random() < 0.8}
+    while len(kf.words) < 6 and rnd.random() < 0.7:
+        kf.words[rnd.randrange(1 << 32)] = rnd.randint(1, 65535 // 6)
+    kf.observed_points = ({i for i in prev.observed_points if rnd.random() < 0.8}
+                          | {_uuid(rnd) for _ in range(rnd.randint(0, 3))})
+
+
 def _map(rnd):
-    return ([_keyframe(rnd) for _ in range(rnd.randint(0, 3))],
-            [_point(rnd) for _ in range(rnd.randint(0, 4))])
+    """Keyframes, most of them overlapping the one before, and points, some
+    of them observed by those keyframes; a point lists every keyframe that
+    observes it, as in the map the sender cuts its payload from."""
+    kfs = []
+    for _ in range(rnd.randint(1, 3)):
+        kf = _keyframe(rnd)
+        if kfs and rnd.random() < 0.7:
+            _follow(rnd, kf, kfs[-1])
+        kfs.append(kf)
+    observed = sorted(set().union(*(kf.observed_points for kf in kfs)))
+    points = []
+    for _ in range(rnd.randint(0, 4)):
+        p = _point(rnd)
+        if observed and rnd.random() < 0.6:
+            p.id = rnd.choice(observed)
+        p.observers |= {kf.id for kf in kfs if p.id in kf.observed_points}
+        points.append(p)
+    return kfs, points
 
 
 def _tagged(rnd):
@@ -810,22 +904,32 @@ def documented_length(msg):
         last = ids[-1] if ids else last
         return n
 
-    def words(hist):
-        rows = sorted(hist)
+    def word_ids(rows):
         return varint_len(len(rows)) + sum(
-            varint_len(b - a - 1) + varint_len(hist[b]) for a, b in zip([-1, *rows], rows))
+            varint_len(b - a - 1) for a, b in zip([-1, *rows], rows))
+
+    def words(hist):
+        return word_ids(sorted(hist)) + sum(varint_len(c) for c in hist.values())
 
     if isinstance(msg, BowAnnounce):
         return one(msg.kf_id) + words(msg.words)
     if isinstance(msg, (FullMapMsg, KeyFramePacket)):
         n = one(msg.hint_kf) if isinstance(msg, FullMapMsg) else 0
         n += varint_len(len(msg.keyframes))
+        old_words, old_ids = {}, set()  # the record before's
         for kf in msg.keyframes:
-            # id, origin u16, timestamp f64, pose 7 f64, words, observed ids
-            n += one(kf.id) + 2 + 8 + 56 + words(kf.words) + id_list(kf.observed_points)
+            now = set(kf.observed_points)
+            # id, origin u16, timestamp f64, pose 7 f64, the words removed and
+            # the rows new or changed, the observed ids removed and added
+            n += (one(kf.id) + 2 + 8 + 56
+                  + word_ids(sorted(w for w in old_words if w not in kf.words))
+                  + words({w: c for w, c in kf.words.items() if old_words.get(w) != c})
+                  + id_list(old_ids - now) + id_list(now - old_ids))
+            old_words, old_ids = kf.words, now
         n += varint_len(len(msg.points))
         for p in msg.points:
-            n += one(p.id) + 24 + varint_len(p.word) + id_list(p.observers)
+            implied = {kf.id for kf in msg.keyframes if p.id in kf.observed_points}
+            n += one(p.id) + 24 + varint_len(p.word) + id_list(set(p.observers) - implied)
         return n
     if isinstance(msg, MergeNotify):
         return 64 + 2 + 2 * len(msg.roster) + 2 + 2 * len(msg.transform_roster) + 8
@@ -913,6 +1017,19 @@ def word_rows(msg):
     return sum(len(kf.words) for kf in msg.keyframes)
 
 
+def delta_fields(msg):
+    """The words removed, the observed ids removed and the observers implied
+    that a keyframe packet or full map writes or leaves out."""
+    words, observed = {}, set()
+    removed_words = removed_ids = 0
+    for kf in msg.keyframes:
+        removed_words += len(words.keys() - kf.words.keys())
+        removed_ids += len(observed - kf.observed_points)
+        words, observed = kf.words, kf.observed_points
+    implied = sum(p.id in kf.observed_points for p in msg.points for kf in msg.keyframes)
+    return removed_words, removed_ids, implied
+
+
 TRUNCATED = re.compile(r"truncated payload: need (\d+) bytes at offset (\d+), have (\d+)")
 
 
@@ -925,6 +1042,10 @@ class TestTruncationSweep:
         if kind in WORD_KINDS:
             # cuts land in several word rows, past the first row's running total
             assert word_rows(msg) >= 2
+        if kind in (MessageType.FULL_MAP, MessageType.KEYFRAME_PACKET):
+            # and in removed word and id lists, and in a point that leaves out
+            # an implied observer
+            assert all(delta_fields(msg))
         mt, payload = encode_message(msg)
         for cut in range(len(payload)):
             frame = encode_envelope(mt, 3, payload[:cut])

@@ -4,14 +4,16 @@ step.
 
 Kept only as the reference that the batched codec in ``meshslam.wire`` must
 match byte for byte and value for value on valid messages.  It follows the
-current layouts: a 13-byte version 5 header with no sequence number; every
+current layouts: a 13-byte version 6 header with no sequence number; every
 single id, record id and first id of a list as the zigzag varint of its
 difference from the last id the payload wrote; id lists and histograms as
 varint counts and varint gaps; keyframe and point counts and a point's word
-as varints; alignment requests as an id list, tagged points as an id list and
-then a block of positions, group updates as a roster alone, localization
-states as a u32 epoch.  It checks what the codec checks, in header and
-payload order and with the same messages.
+as varints; a keyframe record's histogram and observed ids written against
+the record before it, and a point record's observers without the payload's
+keyframes that observe it; alignment requests as an id list, tagged points
+as an id list and then a block of positions, group updates as a roster
+alone, localization states as a u32 epoch.  It checks what the codec checks,
+in header and payload order and with the same messages.
 """
 
 from __future__ import annotations
@@ -138,7 +140,9 @@ class _Reader:
         self.prev = self._checked(self.prev + (z // 2 if z % 2 == 0 else -(z + 1) // 2), start)
         return self.prev
 
-    def ids(self):
+    def ids(self, bad=lambda uid: False, what=""):
+        """An id list; the first id for which `bad` is true raises
+        WireError(``what.format(id, offset)``)."""
         ids = []
         for i in range(self.count()):
             start = self.off
@@ -146,6 +150,8 @@ class _Reader:
                 ids.append(self.id())
             else:
                 ids.append(self._checked(ids[-1] + self.varint() + 1, start))
+            if bad(ids[-1]):
+                raise WireError(what.format(ids[-1], start))
         if ids:
             self.prev = ids[-1]
         return ids
@@ -226,57 +232,124 @@ def _read_words(r: _Reader) -> dict[int, int]:
     return words
 
 
-def _write_keyframe(w: _Writer, kf: KeyFrame) -> None:
-    w.id(kf.id)
-    w.u16(kf.origin_agent)
-    w.f64(kf.timestamp)
-    _write_pose(w, kf.pose)
-    _write_words(w, kf.words)
-    w.ids(sorted(kf.observed_points))
+def _write_word_delta(w: _Writer, old: dict[int, int], words: dict[int, int]) -> None:
+    """The word ids `words` drops from `old`, then the rows whose count is new
+    or changed."""
+    removed = sorted(word for word in old if word not in words)
+    w.varint(len(removed))
+    for i, word in enumerate(removed):
+        w.varint(word - (removed[i - 1] if i else -1) - 1)
+    _write_words(w, {word: c for word, c in words.items() if old.get(word) != c})
 
 
-def _read_keyframe(r: _Reader) -> KeyFrame:
-    uid = r.id()
-    origin = r.u16()
-    ts = _read_finite(r, 1, "timestamp")[0]
-    pose = _read_pose(r)
-    words = _read_words(r)
-    return KeyFrame(uid, origin, ts, pose, words, set(r.ids()))
-
-
-def _write_point(w: _Writer, p: MapPoint) -> None:
-    w.id(p.id)
-    for v in p.position:
-        w.f64(float(v))
-    if not 0 <= p.word <= 0xFFFFFFFF:
-        raise ValueError(f"word id {p.word} is outside [0, 2^32 - 1]")
-    w.varint(p.word)
-    w.ids(sorted(p.observers))
-
-
-def _read_point(r: _Reader) -> MapPoint:
-    uid = r.id()
-    pos = np.array(_read_finite(r, 3, "position"))
+def _read_word_delta(r: _Reader, old: dict[int, int]) -> dict[int, int]:
     start = r.off
-    word = r.varint()
-    if word > 0xFFFFFFFF:
-        raise WireError(f"word id {word} at offset {start} is above 2^32 - 1")
-    return MapPoint(uid, pos, word, set(r.ids()))
+    removed = set()
+    word = -1
+    for _ in range(r.count()):
+        at = r.off
+        word += r.varint() + 1
+        if word not in old:
+            raise WireError(f"removed word {word} at offset {at} is not in the previous histogram")
+        removed.add(word)
+    changed = {}
+    word = -1
+    for _ in range(r.count()):
+        at = r.off
+        word += r.varint() + 1
+        if word > 0xFFFFFFFF:
+            raise WireError(f"word id {word} at offset {at} is above 2^32 - 1")
+        if word in removed:
+            raise WireError(f"word {word} at offset {at} is both removed and counted")
+        at = r.off
+        count = r.varint()
+        if count == 0:
+            raise WireError(f"word count 0 at offset {at} is not positive")
+        if count == old.get(word):
+            raise WireError(f"word count {count} at offset {at} equals the previous histogram's")
+        changed[word] = count
+    words = {word: c for word, c in old.items() if word not in removed}
+    words.update(changed)
+    total = sum(words.values())
+    if total > 65535:
+        raise WireError(f"histogram at offset {start} adds up to {total}, above 65535")
+    return dict(sorted(words.items()))
+
+
+def _write_keyframes(w: _Writer, kfs) -> None:
+    w.varint(len(kfs))
+    words, observed = {}, set()
+    for kf in kfs:
+        w.id(kf.id)
+        w.u16(kf.origin_agent)
+        w.f64(kf.timestamp)
+        _write_pose(w, kf.pose)
+        _write_word_delta(w, words, kf.words)
+        now = set(kf.observed_points)
+        w.ids(sorted(observed - now))
+        w.ids(sorted(now - observed))
+        words, observed = kf.words, now
+
+
+def _read_keyframes(r: _Reader) -> list[KeyFrame]:
+    kfs = []
+    words, observed = {}, set()
+    for _ in range(r.count()):
+        uid = r.id()
+        origin = r.u16()
+        ts = _read_finite(r, 1, "timestamp")[0]
+        pose = _read_pose(r)
+        words = _read_word_delta(r, words)
+        removed = r.ids(lambda i: i not in observed,
+                        "removed id {} at offset {} is not in the previous keyframe's observed ids")
+        added = r.ids(lambda i: i in observed,
+                      "added id {} at offset {} is already in the previous keyframe's observed ids")
+        observed = set(sorted(observed.difference(removed).union(added)))
+        kfs.append(KeyFrame(uid, origin, ts, pose, words, observed))
+    return kfs
+
+
+def _observing(kfs, pid) -> set[int]:
+    """The ids of the keyframe records of `kfs` that observe point `pid`."""
+    return {kf.id for kf in kfs if pid in kf.observed_points}
+
+
+def _write_points(w: _Writer, points, kfs) -> None:
+    w.varint(len(points))
+    for p in points:
+        w.id(p.id)
+        for v in p.position:
+            w.f64(float(v))
+        if not 0 <= p.word <= 0xFFFFFFFF:
+            raise ValueError(f"word id {p.word} is outside [0, 2^32 - 1]")
+        w.varint(p.word)
+        w.ids(sorted(set(p.observers) - _observing(kfs, p.id)))
+
+
+def _read_points(r: _Reader, kfs) -> list[MapPoint]:
+    points = []
+    for _ in range(r.count()):
+        uid = r.id()
+        pos = np.array(_read_finite(r, 3, "position"))
+        start = r.off
+        word = r.varint()
+        if word > 0xFFFFFFFF:
+            raise WireError(f"word id {word} at offset {start} is above 2^32 - 1")
+        implied = _observing(kfs, uid)
+        explicit = r.ids(lambda i: i in implied,
+                         "observer {} at offset {} is implied by a keyframe of the payload")
+        points.append(MapPoint(uid, pos, word, set(sorted(implied.union(explicit)))))
+    return points
 
 
 def _write_map_body(w: _Writer, kfs, points) -> None:
-    w.varint(len(kfs))
-    for kf in kfs:
-        _write_keyframe(w, kf)
-    w.varint(len(points))
-    for p in points:
-        _write_point(w, p)
+    _write_keyframes(w, kfs)
+    _write_points(w, points, kfs)
 
 
 def _read_map_body(r: _Reader):
-    kfs = [_read_keyframe(r) for _ in range(r.count())]
-    points = [_read_point(r) for _ in range(r.count())]
-    return kfs, points
+    kfs = _read_keyframes(r)
+    return kfs, _read_points(r, kfs)
 
 
 def _write_sim3(w: _Writer, t: Sim3Transform) -> None:
@@ -402,7 +475,7 @@ def encode_frame(msg: Message, sender: int) -> bytes:
     mt, payload = encode_message(msg)
     w = _Writer()
     w.parts.append(b"DVMS")
-    w.u16(5)
+    w.u16(6)
     w.u8(mt)
     w.u16(sender)
     w.u32(len(payload))
@@ -417,7 +490,7 @@ def decode_frame(data: bytes) -> Message:
     if magic != b"DVMS":
         raise WireError(f"bad magic {magic!r} at offset 0")
     version = r.u16()
-    if version != 5:
+    if version != 6:
         raise WireError(f"unsupported version {version} at offset 4")
     msg_type, sender, length = r.u8(), r.u16(), r.u32()
     if len(data) != 13 + length:
