@@ -30,62 +30,118 @@ def vec3(x: float, y: float, z: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Raw quaternion helpers on plain (4,) float arrays; the value types below
-# are thin wrappers around them.  Scalar kernels (``quat_mul``,
-# ``quat_conjugate``, ``quat_canonical``, ``_cross3`` and the single-point
-# ``quat_rotate``) unpack their inputs with ``tolist()`` so the arithmetic
-# runs on Python floats, which is the same IEEE double arithmetic, operation
-# for operation, at a fraction of the numpy-scalar overhead.
+# Float kernels.  A quaternion is a sequence (w, x, y, z) and a vector a
+# sequence (x, y, z) of Python floats; each kernel returns tuples.  Python
+# floats are the same IEEE doubles as numpy's, operation for operation, at a
+# fraction of numpy's per-call dispatch cost, so the array helpers below and
+# the value types wrap these kernels, and the tracker chains them through a
+# whole tick without building an array in between.
 #
 # Calls that sum several products stay numpy: the quaternion norm's
-# ``np.dot``, ``se3_exp``'s ``k @ k`` and ``vmat @ v``, and the visibility
-# test's ``rel @ forward``.  A library may add those terms in another order
-# (pairwise or SIMD lanes), so a Python-float sum would differ in the last
-# bits.
+# ``np.dot``, ``se3_exp``'s ``k @ k`` and ``vmat @ v``, ``quat_angle``'s dot,
+# the tracker's step length and spawn distance, and the visibility test's
+# ``rel @ forward``.  A library may add those terms in another order or fuse
+# them (pairwise, SIMD lanes, FMA), so a Python-float sum would differ in the
+# last bits.
 #
-# ``quat_mul`` and ``quat_canonical`` also take (n, 4) rows, the way
-# ``_cross3`` and ``quat_rotate`` take (..., 3), so a whole map's poses move
-# in one call.  The row forms perform the scalar forms' operations in the
-# same order, so each row is bit-identical to the scalar result.  The row
-# norm comes from ``np.vecdot``, which sums each row with the same dot kernel
-# as the scalar path's ``np.dot``; ``(q * q).sum(1)`` and ``einsum`` sum in
-# another order and differ in the last bits.
+# ``quat_mul`` and ``quat_rotate`` also take rows, (n, 4) and (..., 3): the
+# same kernel runs on the columns, so each row is bit-identical to the
+# single form.  ``quat_canonical`` has its own row form, whose norm comes
+# from ``np.vecdot``, which sums each row with the same dot kernel as the
+# single form's ``np.dot``; ``(q * q).sum(1)`` and ``einsum`` sum in another
+# order and differ in the last bits.
 # ---------------------------------------------------------------------------
 
-def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b for a of shape (4,) and b of shape (4,) or (n, 4)."""
-    aw, ax, ay, az = a.tolist()
-    if b.ndim == 1:
-        bw, bx, by, bz = b.tolist()
-        return np.array(
-            [
-                aw * bw - ax * bx - ay * by - az * bz,
-                aw * bx + ax * bw + ay * bz - az * by,
-                aw * by - ax * bz + ay * bw + az * bx,
-                aw * bz + ax * by - ay * bx + az * bw,
-            ]
-        )
-    bw, bx, by, bz = b.T
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
+def quat_mul_f(a, b) -> tuple:
+    """a * b."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (aw * bw - ax * bx - ay * by - az * bz,
             aw * bx + ax * bw + ay * bz - az * by,
             aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+            aw * bz + ax * by - ay * bx + az * bw)
 
 
-def quat_conjugate(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q.tolist()
-    return np.array([w, -x, -y, -z])
+def quat_conjugate_f(q) -> tuple:
+    w, x, y, z = q
+    return w, -x, -y, -z
 
 
 # a squared norm below the smallest normal double has lost its precision, so
 # dividing by its root would not give a unit quaternion
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
 _BAD_NORM = "quaternion has zero, subnormal or non-finite norm"
+
+
+def _unit_f(q, n2: float) -> tuple:
+    """q / sqrt(n2), sign-canonical, where n2 is q's squared norm."""
+    if not (math.isfinite(n2) and n2 >= _TINY):
+        raise ValueError(_BAD_NORM)
+    n = math.sqrt(n2)
+    w, x, y, z = q
+    w, x, y, z = w / n, x / n, y / n, z / n
+    # with w == 0, the first nonzero vector component decides the sign
+    if w < 0.0 or (w == 0.0 and (x or y or z) < 0.0):
+        return -w, -x, -y, -z
+    return w, x, y, z
+
+
+def quat_canonical_f(q) -> tuple:
+    """Unit-norm, sign-canonical q; the squared norm is numpy's dot."""
+    a = np.array(q)
+    return _unit_f(q, float(a.dot(a)))
+
+
+def quat_rotate_f(q, p) -> tuple:
+    """Rotate point p by unit quaternion q: ``p + w t + qv x t``, ``t = 2 qv x p``."""
+    w, x, y, z = q
+    px, py, pz = p
+    tx = 2.0 * (y * pz - z * py)
+    ty = 2.0 * (z * px - x * pz)
+    tz = 2.0 * (x * py - y * px)
+    return (px + w * tx + (y * tz - z * ty),
+            py + w * ty + (z * tx - x * tz),
+            pz + w * tz + (x * ty - y * tx))
+
+
+def pose_compose_f(aq, at, bq, bt) -> tuple[tuple, tuple]:
+    """The pose product (aq, at) * (bq, bt) as (quaternion, translation)."""
+    rx, ry, rz = quat_rotate_f(aq, bt)
+    tx, ty, tz = at
+    return quat_canonical_f(quat_mul_f(aq, bq)), (rx + tx, ry + ty, rz + tz)
+
+
+def pose_inverse_f(q, t) -> tuple[tuple, tuple]:
+    """The inverse of pose (q, t) as (quaternion, translation)."""
+    qi = quat_canonical_f(quat_conjugate_f(q))
+    x, y, z = quat_rotate_f(qi, t)
+    return qi, (-x, -y, -z)
+
+
+def _rotvec_quat_f(v, angle: float) -> tuple:
+    """The quaternion of rotation vector v, whose norm is ``angle``."""
+    x, y, z = v
+    if angle < 1e-12:
+        # First-order expansion keeps exp/log inverses tight near zero.
+        return quat_canonical_f((1.0, 0.5 * x, 0.5 * y, 0.5 * z))
+    s = math.sin(0.5 * angle) / angle
+    return quat_canonical_f((math.cos(0.5 * angle), s * x, s * y, s * z))
+
+
+# ---------------------------------------------------------------------------
+# Array helpers on (4,) quaternions and (3,) vectors; the value types below
+# are thin wrappers around them.
+# ---------------------------------------------------------------------------
+
+def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b for a of shape (4,) and b of shape (4,) or (n, 4)."""
+    if b.ndim == 1:
+        return np.array(quat_mul_f(a.tolist(), b.tolist()))
+    return np.stack(quat_mul_f(a.tolist(), b.T), axis=-1)
+
+
+def quat_conjugate(q: np.ndarray) -> np.ndarray:
+    return np.array(quat_conjugate_f(q.tolist()))
 
 
 def quat_canonical(q: np.ndarray) -> np.ndarray:
@@ -99,52 +155,14 @@ def quat_canonical(q: np.ndarray) -> np.ndarray:
         first = v[np.arange(len(v)), np.argmax(v != 0.0, axis=1)]
         flip = (w < 0.0) | ((w == 0.0) & (first < 0.0))
         return np.where(flip[:, None], -q, q)
-    n2 = float(np.dot(q, q))
-    if not (math.isfinite(n2) and n2 >= _TINY):
-        raise ValueError(_BAD_NORM)
-    n = math.sqrt(n2)
-    w, x, y, z = q.tolist()
-    w, x, y, z = w / n, x / n, y / n, z / n
-    # with w == 0, the first nonzero vector component decides the sign
-    if w < 0.0 or (w == 0.0 and (x or y or z) < 0.0):
-        return np.array([-w, -x, -y, -z])
-    return np.array([w, x, y, z])
-
-
-def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b for a of shape (3,) and b of shape (..., 3).
-
-    Written out by component: np.cross's axis handling costs more than the
-    arithmetic on the small arrays used in residual evaluation.
-    """
-    if b.ndim == 1:
-        ax, ay, az = a.tolist()
-        bx, by, bz = b.tolist()
-        return np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
-    ax, ay, az = a
-    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx],
-                    axis=-1)
+    return np.array(_unit_f(q.tolist(), float(np.dot(q, q))))
 
 
 def quat_rotate(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Rotate point(s) ``p`` (shape (..., 3)) by unit quaternion ``q``.
-
-    Computes ``p + w * t + qv x t`` with ``t = 2 (qv x p)``; each row of the
-    (..., 3) form is elementwise, so it equals the single-point form.
-    """
+    """Rotate point(s) ``p`` (shape (..., 3)) by unit quaternion ``q``."""
     if p.ndim == 1:
-        w, x, y, z = q.tolist()
-        px, py, pz = p.tolist()
-        tx = 2.0 * (y * pz - z * py)
-        ty = 2.0 * (z * px - x * pz)
-        tz = 2.0 * (x * py - y * px)
-        return np.array([px + w * tx + (y * tz - z * ty),
-                         py + w * ty + (z * tx - x * tz),
-                         pz + w * tz + (x * ty - y * tx)])
-    qv = q[1:]
-    t = 2.0 * _cross3(qv, p)
-    return p + q[0] * t + _cross3(qv, t)
+        return np.array(quat_rotate_f(q.tolist(), p.tolist()))
+    return np.stack(quat_rotate_f(q.tolist(), np.moveaxis(p, -1, 0)), axis=-1)
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
@@ -159,13 +177,7 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
 
 
 def quat_from_rotvec(v: np.ndarray) -> np.ndarray:
-    angle = math.sqrt(float(np.dot(v, v)))
-    x, y, z = v.tolist()
-    if angle < 1e-12:
-        # First-order expansion keeps exp/log inverses tight near zero.
-        return quat_canonical(np.array([1.0, 0.5 * x, 0.5 * y, 0.5 * z]))
-    s = math.sin(0.5 * angle) / angle
-    return quat_canonical(np.array([math.cos(0.5 * angle), s * x, s * y, s * z]))
+    return np.array(_rotvec_quat_f(v.tolist(), math.sqrt(float(np.dot(v, v)))))
 
 
 def quat_angle(q: np.ndarray) -> float:
@@ -186,8 +198,8 @@ def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
     return np.asarray(q[1:], dtype=float) * (angle / n)
 
 
-def _skew(v: np.ndarray) -> np.ndarray:
-    x, y, z = v.tolist()
+def _skew(v) -> np.ndarray:
+    x, y, z = v
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
@@ -281,15 +293,20 @@ class Se3Pose:
     def identity() -> "Se3Pose":
         return Se3Pose(Rotation.identity(), np.zeros(3))
 
+    @staticmethod
+    def of_floats(q, t) -> "Se3Pose":
+        """The pose with quaternion q and translation t, float sequences."""
+        return Se3Pose(Rotation(np.array(q)), np.array(t))
+
+    def floats(self) -> tuple[list[float], list[float]]:
+        """(quaternion, translation) as Python floats, for the float kernels."""
+        return self.rotation.q.tolist(), self.translation.tolist()
+
     def compose(self, other: "Se3Pose") -> "Se3Pose":
-        return Se3Pose(
-            self.rotation.compose(other.rotation),
-            self.rotation.apply(other.translation) + self.translation,
-        )
+        return Se3Pose.of_floats(*pose_compose_f(*self.floats(), *other.floats()))
 
     def inverse(self) -> "Se3Pose":
-        rinv = self.rotation.inverse()
-        return Se3Pose(rinv, -rinv.apply(self.translation))
+        return Se3Pose.of_floats(*pose_inverse_f(*self.floats()))
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         return self.rotation.apply(p) + self.translation
@@ -354,14 +371,19 @@ def _so3_coeffs(angle: float) -> tuple[float, float, float]:
     )
 
 
-def se3_exp(twist: np.ndarray) -> Se3Pose:
-    twist = np.asarray(twist, dtype=float)
-    w, v = twist[:3], twist[3:]
-    angle = math.sqrt(float(np.dot(w, w)))
+def se3_exp_f(w, v) -> tuple[tuple, tuple]:
+    """exp of the twist (w, v) as (quaternion, translation) floats."""
+    wa = np.array(w)
+    angle = math.sqrt(float(wa.dot(wa)))
     _, b, c = _so3_coeffs(angle)
     k = _skew(w)
     vmat = np.eye(3) + b * k + c * (k @ k)
-    return Se3Pose(Rotation.from_rotvec(w), vmat @ v)
+    return _rotvec_quat_f(w, angle), tuple((vmat @ np.array(v)).tolist())
+
+
+def se3_exp(twist: np.ndarray) -> Se3Pose:
+    twist = np.asarray(twist, dtype=float).tolist()
+    return Se3Pose.of_floats(*se3_exp_f(twist[:3], twist[3:]))
 
 
 def se3_log(pose: Se3Pose) -> np.ndarray:

@@ -20,6 +20,22 @@ orientation.  A frame's camera-frame landmarks are rows of that table plus
 the pose's inverse translation, bit-identical to rotating the visible subset
 afresh because the row rotation is elementwise.  The true pose's inverse is
 computed once per tick and reused for the next tick's odometry delta.
+
+The per-tick work is kept to what every tick needs:
+
+* The odometry delta, the noise composition, the estimated pose update and
+  the spawn test's relative pose run on ``geometry``'s float kernels, with
+  the operations, in the order, of ``Se3Pose.compose``/``inverse`` and
+  ``se3_exp``.  Each sum of products stays the numpy call it was: the
+  quaternion norms' dot, the step length's and spawn distance's dot,
+  ``se3_exp``'s matrix products, ``quat_angle``'s dot and the visibility
+  test's ``rel @ forward``; a library may order or fuse those terms
+  differently from a Python sum, which would move the last bits.  The
+  distance norm's row sum is written as the column adds numpy's reduction
+  performs, in its order.
+* Every tick computes the visibility mask, because the weak-frame count
+  needs it.  The visible ``Landmark`` list and the camera rows are built
+  only when read, which ``spawn_keyframe`` does once a keyframe is due.
 """
 
 from __future__ import annotations
@@ -32,7 +48,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import AgentConfig, WorldConfig
-from .geometry import Rotation, Se3Pose, Sim3Transform, se3_exp, vec3
+from .geometry import (Rotation, Se3Pose, Sim3Transform, pose_compose_f, pose_inverse_f,
+                       quat_angle, quat_rotate_f, se3_exp_f, vec3)
 from .map_store import KeyFrame, MapPoint, UuidGenerator
 
 # A keyframe spawns once the agent-frame pose has moved more than
@@ -91,6 +108,7 @@ def world_cells(pos: np.ndarray, cell_size: float) -> list[tuple[int, int, int]]
 
 
 _X_AXIS = np.array([1.0, 0.0, 0.0])
+_NO_ROWS = np.zeros(0, dtype=np.intp)
 
 
 def _rotation_facing(direction: np.ndarray) -> Rotation:
@@ -183,12 +201,54 @@ def _blend_positions(reobserved: list[tuple[MapPoint, int]], measured: np.ndarra
         reobserved = later
 
 
-@dataclass
 class TrackerFrame:
-    time: float
-    visible: list[Landmark]
-    cam_positions: np.ndarray  # (n, 3) camera-frame positions, meters
-    lost_transition: bool      # tracking was healthy and just crossed the loss gate
+    """One tick's view: what the camera sees and whether tracking just broke.
+
+    ``visible`` lists the landmarks in view in table order, ``count`` how
+    many there are, and ``cam_positions`` holds their (n, 3) camera-frame
+    positions, meters.  ``lost_transition`` is true when tracking was healthy
+    and just crossed the loss gate.  A tracker's frame builds ``visible`` and
+    ``cam_positions`` on first read from its tick's row indices, landmark
+    table and inverse translation, which later ticks replace but never
+    change; most ticks spawn no keyframe and never read them.
+    """
+
+    __slots__ = ("time", "count", "lost_transition", "_visible", "_cam", "_rows")
+
+    def __init__(self, time: float, visible: list[Landmark], cam_positions: np.ndarray,
+                 lost_transition: bool):
+        self.time = time
+        self.count = len(visible)
+        self.lost_transition = lost_transition
+        self._visible, self._cam, self._rows = visible, cam_positions, None
+
+    @classmethod
+    def of_rows(cls, time: float, landmarks: list[Landmark], rows: np.ndarray,
+                table: np.ndarray, shift: tuple, lost_transition: bool) -> "TrackerFrame":
+        """The frame seeing ``landmarks[rows]`` at ``table[rows] + shift``."""
+        frame = cls.__new__(cls)
+        frame.time, frame.count, frame.lost_transition = time, len(rows), lost_transition
+        frame._visible = frame._cam = None
+        frame._rows = landmarks, rows, table, shift
+        return frame
+
+    def _build(self) -> None:
+        landmarks, rows, table, shift = self._rows
+        self._visible = [landmarks[i] for i in rows.tolist()]
+        self._cam = table[rows] + shift
+        self._rows = None
+
+    @property
+    def visible(self) -> list[Landmark]:
+        if self._rows is not None:
+            self._build()
+        return self._visible
+
+    @property
+    def cam_positions(self) -> np.ndarray:
+        if self._rows is not None:
+            self._build()
+        return self._cam
 
 
 class AgentTracker:
@@ -246,57 +306,74 @@ class AgentTracker:
             entry = seg, seg.inverse.apply(self._lm_positions)
         self._view, self._cam_table = entry
         self._true_pose = pose
-        self._true_inverse = Se3Pose(self._view.inverse,
-                                     -self._view.inverse.apply(pose.translation))
+        # the pose's inverse as floats: (segment inverse, -inverse(translation))
+        q = self._view.inverse.q.tolist()
+        x, y, z = quat_rotate_f(q, pose.translation.tolist())
+        self._true_inverse = q, (-x, -y, -z)
 
     def in_blackout(self, t: float) -> bool:
         return any(t0 <= t < t1 for t0, t1 in self.cfg.blackouts)
 
-    def visible_landmarks(self, t: float) -> tuple[list[Landmark], np.ndarray]:
+    def _visible_rows(self, t: float) -> np.ndarray:
+        """Ascending indices of the landmarks in view at time t."""
         if self.in_blackout(t) or len(self.landmarks) == 0:
-            return [], np.zeros((0, 3))
+            return _NO_ROWS
         rel = self._lm_positions - self.true_pose.translation
-        dist = np.linalg.norm(rel, axis=1)
+        sq = rel * rel
+        # np.linalg.norm(rel, axis=1): its row sum adds the columns in order
+        dist = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
         cosang = (rel @ self._view.forward) / np.where(dist > 0, dist, np.inf)
         ok = (dist > 1e-9) & (dist <= self.cfg.range_m) & (
             cosang >= math.cos(math.radians(self.cfg.fov_deg) / 2.0)
         )
-        idx = np.nonzero(ok)[0]
-        visible = [self.landmarks[i] for i in idx.tolist()]
-        return visible, self._cam_table[idx] + self._true_inverse.translation
+        return np.flatnonzero(ok)
+
+    def _frame(self, t: float, rows: np.ndarray, lost_transition: bool) -> TrackerFrame:
+        return TrackerFrame.of_rows(t, self.landmarks, rows, self._cam_table,
+                                    self._true_inverse[1], lost_transition)
+
+    def visible_landmarks(self, t: float) -> tuple[list[Landmark], np.ndarray]:
+        frame = self._frame(t, self._visible_rows(t), False)
+        return frame.visible, frame.cam_positions
 
     def step(self, t: float) -> TrackerFrame:
-        """Advance to time t, integrating noisy odometry in the agent frame."""
-        prev_inverse = self._true_inverse
-        self.true_pose = self.script.pose_at(t)
-        delta = prev_inverse.compose(self.true_pose)
-        d_step = math.sqrt(float(delta.translation.dot(delta.translation)))
-        if d_step > 0 and (self.cfg.sigma_t > 0 or self.cfg.sigma_r > 0):
-            noise = np.concatenate([
-                self._rng.normal(0.0, self.cfg.sigma_r * math.sqrt(d_step), 3),
-                self._rng.normal(0.0, self.cfg.sigma_t * math.sqrt(d_step), 3),
-            ])
-            delta = delta.compose(se3_exp(noise))
-        delta_est = Se3Pose(delta.rotation, self.frame_scale * delta.translation)
-        self.est_pose = self.est_pose.compose(delta_est)
+        """Advance to time t, integrating noisy odometry in the agent frame.
 
-        visible, cam = self.visible_landmarks(t)
-        if len(visible) < MIN_WORD_MATCHES:
+        The pose arithmetic runs on the float kernels; the returned frame
+        builds its landmark list and camera rows only when read.
+        """
+        prev_q, prev_t = self._true_inverse
+        self.true_pose = pose = self.script.pose_at(t)
+        q, d = pose_compose_f(prev_q, prev_t, *pose.floats())
+        length = np.array(d)
+        d_step = math.sqrt(float(length.dot(length)))
+        if d_step > 0 and (self.cfg.sigma_t > 0 or self.cfg.sigma_r > 0):
+            w = self._rng.normal(0.0, self.cfg.sigma_r * math.sqrt(d_step), 3)
+            v = self._rng.normal(0.0, self.cfg.sigma_t * math.sqrt(d_step), 3)
+            q, d = pose_compose_f(q, d, *se3_exp_f(w.tolist(), v.tolist()))
+        s = self.frame_scale
+        self.est_pose = Se3Pose.of_floats(*pose_compose_f(
+            *self.est_pose.floats(), q, (s * d[0], s * d[1], s * d[2])))
+
+        rows = self._visible_rows(t)
+        if len(rows) < MIN_WORD_MATCHES:
             self._weak_frames += 1
         else:
             self._weak_frames = 0
         lost_transition = self.localized and self._weak_frames >= LOST_FRAMES
-        return TrackerFrame(t, visible, cam, lost_transition)
+        return self._frame(t, rows, lost_transition)
 
     # -- keyframe spawning ------------------------------------------------------
 
     def should_spawn(self) -> bool:
         if self.last_kf_pose is None:
             return True
-        rel = self.last_kf_pose.inverse().compose(self.est_pose)
-        dist = math.sqrt(float(rel.translation.dot(rel.translation)))  # agent-frame units
-        angle = rel.rotation.angle()
-        return dist > SPAWN_DISTANCE or angle > math.radians(SPAWN_ANGLE_DEG)
+        q, t = pose_compose_f(*pose_inverse_f(*self.last_kf_pose.floats()),
+                              *self.est_pose.floats())
+        rel = np.array(t)
+        if math.sqrt(float(rel.dot(rel))) > SPAWN_DISTANCE:  # agent-frame units
+            return True
+        return quat_angle(np.array(q)) > math.radians(SPAWN_ANGLE_DEG)
 
     def spawn_keyframe(self, agent_id: int, t: float, frame: TrackerFrame,
                        active_map=None) -> tuple[KeyFrame, list[MapPoint]] | None:
@@ -311,7 +388,7 @@ class AgentTracker:
         copy of a point tracks that agent's own drifting frame, exactly the
         divergence the map alignment refiner exists to measure.
         """
-        if not frame.visible or not self.should_spawn():
+        if not frame.count or not self.should_spawn():
             return None
         counts = Counter(lm.word for lm in frame.visible)
         observed: set[int] = set()

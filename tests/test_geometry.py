@@ -11,11 +11,14 @@ from meshslam.geometry import (
     Rotation,
     Se3Pose,
     Sim3Transform,
-    _cross3,
+    _so3_coeffs,
+    pose_compose_f,
+    pose_inverse_f,
     quat_canonical,
     quat_mul,
     quat_rotate,
     se3_exp,
+    se3_exp_f,
     se3_log,
     vec3,
 )
@@ -192,8 +195,6 @@ class TestScalarKernels:
         ], axis=1)
         for i in range(len(a)):
             assert np.array_equal(quat_mul(a[i], b[i]), ref_mul[i])
-            u, v = a[i, 1:], b[i, 1:]
-            assert np.array_equal(_cross3(u, v), _cross3(u, v[None])[0])
 
 
 def numpy_cross(a, b):
@@ -226,7 +227,32 @@ def numpy_canonical(q):
     return q
 
 
+def numpy_mul(a, b):
+    """The quaternion product as numpy array arithmetic."""
+    aw, ax, ay, az = a[:, None]
+    bw, bx, by, bz = b[:, None]
+    return np.concatenate([aw * bw - ax * bx - ay * by - az * bz,
+                           aw * bx + ax * bw + ay * bz - az * by,
+                           aw * by - ax * bz + ay * bw + az * bx,
+                           aw * bz + ax * by - ay * bx + az * bw])
+
+
+def numpy_se3_exp(twist):
+    """se3_exp on numpy arrays: rotation vector, coefficient matrix, product."""
+    w, v = twist[:3], twist[3:]
+    angle = math.sqrt(float(np.dot(w, w)))
+    _, b, c = _so3_coeffs(angle)
+    k = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+    vmat = np.eye(3) + b * k + c * (k @ k)
+    if angle < 1e-12:
+        q = np.concatenate([[1.0], 0.5 * w])
+    else:
+        q = np.concatenate([[math.cos(0.5 * angle)], (math.sin(0.5 * angle) / angle) * w])
+    return numpy_canonical(q), vmat @ v
+
+
 def bits(a):
+    a = np.asarray(a)
     return a.dtype.str, a.shape, a.tobytes()
 
 
@@ -280,6 +306,41 @@ class TestFloatKernelsProperty:
             assert bits(quat_canonical(q)) == bits(want)
 
 
+class TestPoseKernels:
+    """The float pose kernels equal the same steps on numpy arrays bit for
+    bit: compose, inverse and the twist exponential the tracker chains."""
+
+    @staticmethod
+    def poses(rng, n):
+        for i in range(n):
+            q = numpy_canonical(rng.normal(size=4))
+            yield q, rng.uniform(-5, 5, 3) * 10.0 ** rng.integers(-3, 3)
+
+    def test_compose_and_inverse(self):
+        rng = np.random.default_rng(15)
+        for (aq, at), (bq, bt) in zip(self.poses(rng, 500), self.poses(rng, 500)):
+            q, t = pose_compose_f(aq.tolist(), at.tolist(), bq.tolist(), bt.tolist())
+            assert bits(q) == bits(numpy_canonical(numpy_mul(aq, bq)))
+            assert bits(t) == bits(numpy_rotate(aq, bt) + at)
+            q, t = pose_inverse_f(aq.tolist(), at.tolist())
+            qi = numpy_canonical(aq * np.array([1.0, -1.0, -1.0, -1.0]))
+            assert bits(q) == bits(qi)
+            assert bits(t) == bits(-numpy_rotate(qi, at))
+
+    def test_se3_exp(self):
+        rng = np.random.default_rng(16)
+        # from odometry-noise sizes down through both small-angle branches
+        for e in (0, -2, -4, -6, -13):
+            for _ in range(200):
+                twist = rng.normal(size=6) * np.array([10.0 ** e] * 3 + [1.0] * 3)
+                want_q, want_t = numpy_se3_exp(twist)
+                q, t = se3_exp_f(twist[:3].tolist(), twist[3:].tolist())
+                assert bits(q) == bits(want_q) and bits(t) == bits(want_t)
+                pose = se3_exp(twist)
+                assert bits(pose.rotation.q) == bits(want_q)
+                assert bits(pose.translation) == bits(want_t)
+
+
 def edge_rows(rng):
     """Random rows plus rows with w < 0, w == 0 exactly and signed zeros."""
     rows = rng.normal(size=(500, 4))
@@ -316,6 +377,14 @@ class TestRowKernels:
         b = quat_canonical(edge_rows(rng))
         want = np.array([quat_canonical(quat_mul(a, row)) for row in b])
         assert np.array_equal(quat_canonical(quat_mul(a, b)), want)
+
+    def test_quat_rotate_rows(self):
+        rng = np.random.default_rng(17)
+        q = quat_canonical(rng.normal(size=4))
+        for shape in ((500, 3), (4, 25, 3)):
+            p = rng.normal(size=shape)
+            want = np.array([quat_rotate(q, row) for row in p.reshape(-1, 3)])
+            assert bits(quat_rotate(q, p)) == bits(want.reshape(shape))
 
     def test_empty_rows(self):
         out = quat_canonical(quat_mul(np.array([1.0, 0, 0, 0]), np.zeros((0, 4))))

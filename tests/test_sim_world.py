@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import tracker_reference as ref
 
 from meshslam import sim_world
 from meshslam.config import AgentConfig, WorldConfig
@@ -369,3 +370,44 @@ class TestLossDetection:
         assert np.allclose(tr.est_pose.translation, 0)
         assert tr.assoc == {}
         assert 0.5 <= tr.frame_scale <= 2.0
+
+
+class TestLazyFrame:
+    """A frame builds its landmark list and camera rows on first read, from
+    its own tick's rows, table and shift: read after later ticks, or after
+    the true pose was set directly, it still equals the per-tick reference
+    bit for bit."""
+
+    def test_frames_read_late_match_reference(self):
+        lms = TestVisibility().grid_world()
+        tr = tracker(seed=6, landmarks=lms, waypoints=[[0, 0, 0], [6, 0, 0], [6, 5, 1]],
+                     fov_deg=100.0, range_m=3.0, sigma_t=0.02, sigma_r=0.02,
+                     frame_offset="random", scale_offset=None, blackouts=[(2.0, 3.0)])
+        rng = np.random.default_rng(3)
+        pairs = []
+        for i, t in enumerate(np.arange(0.1, 16.0, 0.1).tolist()):
+            twin = ref.twin(tr)
+            pairs.append((tr.step(t), ref.step(twin, t), tr.in_blackout(t)))
+            if i % 7 == 6:  # the view moves somewhere off the script
+                tr.true_pose = Se3Pose(Rotation.from_rotvec(rng.normal(size=3)),
+                                       rng.uniform(-5, 5, 3))
+        kinds = {"blackout": 0, "none in view": 0, "in view": 0}
+        for got, want, dark in pairs:
+            assert got.count == len(want.visible)
+            assert [lm.id for lm in got.visible] == [lm.id for lm in want.visible]
+            assert bits(got.cam_positions) == bits(want.cam_positions)
+            assert got.lost_transition == want.lost_transition
+            kinds["blackout" if dark else "in view" if want.visible else "none in view"] += 1
+        assert min(kinds.values()) > 0, kinds
+
+    def test_empty_world(self):
+        tr = tracker(seed=1, landmarks=[], sigma_t=0.02)
+        frames = [tr.step(0.1 * i) for i in range(1, 8)]
+        for frame in frames:
+            assert frame.count == 0 and frame.visible == []
+            assert bits(frame.cam_positions) == bits(np.zeros((0, 3)))
+        assert frames[-1].lost_transition
+
+
+def bits(a):
+    return a.dtype.str, a.shape, a.tobytes()
