@@ -331,6 +331,9 @@ class _Reader:
         self.off = 0
         self.prev = 0  # the last id read
         self.keyframes: list[KeyFrame] = []  # the keyframe records read
+        # point id -> the record indices at which it enters and leaves the
+        # keyframe records' observed ids, in pairs; see _read_keyframes
+        self.spans: dict[int, list[int | None]] = {}
 
     def _truncated(self, off: int, sizes: tuple[int, ...]) -> WireError:
         """The error for the first of `sizes`, laid out from `off`, that runs past the end."""
@@ -723,8 +726,14 @@ def _write_keyframes(out: _Writer, kfs: list[KeyFrame]) -> None:
 
 
 def _read_keyframes(r: _Reader) -> list[KeyFrame]:
-    """Keyframe records, each rebuilt from the record before it."""
+    """Keyframe records, each rebuilt from the record before it.
+
+    Records in ``r.spans`` the runs of records that hold each observed id,
+    as (first record, record after the last) pairs; a run still open after
+    the last record ends in None.
+    """
     kfs = r.keyframes = []
+    spans = r.spans
     words: dict[int, int] = {}
     ascending: list[int] = []  # the previous record's observed ids
     observed: set[int] = set()
@@ -745,6 +754,14 @@ def _read_keyframes(r: _Reader) -> list[KeyFrame]:
             ascending = [i for i in ascending if i not in gone]
         if added:
             ascending = sorted(ascending + added)  # two ascending runs: one merge
+        row = len(kfs)
+        for i in removed:
+            spans[i][-1] = row
+        for i in added:
+            if (runs := spans.get(i)) is None:
+                spans[i] = [row, None]
+            else:
+                runs += (row, None)
         observed = set(ascending)
         kfs.append(KeyFrame(uid, origin, ts, pose, words, observed))
     return kfs
@@ -780,7 +797,8 @@ def _write_points(out: _Writer, points: list[MapPoint]) -> None:
 
 
 def _read_points(r: _Reader) -> list[MapPoint]:
-    kfs = [(kf.id, kf.observed_points) for kf in r.keyframes]
+    kf_ids = [kf.id for kf in r.keyframes]
+    spans = r.spans
     points = []
     for _ in range(r.count()):
         uid = r.id()
@@ -789,8 +807,14 @@ def _read_points(r: _Reader) -> list[MapPoint]:
         word, r.off = r.varint(start)
         if word > _MAX_U32:
             raise WireError(f"word id {word} at offset {start} is above 2^32 - 1")
-        # the payload's keyframes that observe the point
-        mine = [kid for kid, observed in kfs if uid in observed]
+        # the payload's keyframes that observe the point, in record order
+        runs = spans.get(uid)
+        if runs is None:
+            mine = None
+        elif len(runs) == 2:
+            mine = kf_ids[runs[0]:runs[1]]
+        else:
+            mine = [kid for k in range(0, len(runs), 2) for kid in kf_ids[runs[k]:runs[k + 1]]]
         if mine:
             explicit = r.ids(mine.__contains__,
                              "observer {} at offset {} is implied by a keyframe of the payload")

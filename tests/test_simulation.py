@@ -502,9 +502,14 @@ def coop_rounds():
 @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(
     os.path.dirname(__file__), os.pardir, "scenarios", "*.yaml"))), ids=os.path.basename)
 def test_shipped_round_trip_fits_in_one_tick(path):
-    """A reply reaches the follower before its next tick (what the exactness of
-    alignment requests rests on) when twice the largest one-way latency is at
-    most dt."""
+    """``AgentRuntime._alignment_request_ids`` is exact only while an alignment
+    request and its reply both arrive within one tick: 2 x ``net.latency_ms``
+    high <= ``run.dt``.  The request names the points the follower may hold
+    when the reply comes, counting what this tick's drain can add; a reply
+    that arrives after a later tick's drain has brought in points the request
+    did not name makes the fit join fewer rows than a reply with the leader's
+    whole map would (1 round in 8 ``coop_loops`` runs at ``latency_ms: [10,
+    90]``), and the outputs then depend on which ids were requested."""
     cfg = load_scenario(path)
     assert 2 * cfg.net.latency_ms[1] <= 1000 * cfg.run.dt
 

@@ -129,6 +129,23 @@ class TestMessageRoundTrips:
         assert out.keyframes[0].id == 500
         assert out.points[0].observers == {500}
 
+    def test_observers_implied_by_runs_of_records(self):
+        # point 701 leaves the records at the third keyframe and returns at
+        # the fourth; 702 is seen by the last two only; 703 by none of them
+        observed = [{700, 701}, {700, 701}, {700}, {700, 701, 702}, {701, 702}]
+        kfs = [KeyFrame(500 + i, 2, float(i), Se3Pose.identity(), {3: 1}, ids)
+               for i, ids in enumerate(observed)]
+        points = [MapPoint(700, vec3(0, 0, 0), 3, {500, 501, 502, 503, 90}),
+                  MapPoint(701, vec3(1, 0, 0), 3, {500, 501, 503, 504}),
+                  MapPoint(702, vec3(2, 0, 0), 3, {503, 504, 950}),
+                  MapPoint(703, vec3(3, 0, 0), 3, {77})]
+        msg = FullMapMsg(3, 500, kfs, points)
+        frame = encode_frame(msg, 3)
+        out = decode_frame(frame)
+        assert [list(p.observers) for p in out.points] == [
+            list(set(sorted(p.observers))) for p in points]
+        assert plain(out) == plain(reference_decode(frame))
+
     def test_ids_travel_as_differences(self):
         """The worked example of README "Wire format"."""
         kfs = [KeyFrame(40, 0, 0.0, Se3Pose.identity(), {3: 1}, {38, 41}),
