@@ -268,6 +268,16 @@ class SystemManager:
         own = self.registry.group_of(self.agent_id)
         return [l for l in self.registry.leaders() if l not in own]
 
+    def _reachable(self, agents: list[int]) -> list[int]:
+        """The agents this replica knows to be in its own reachability component.
+
+        A frame sent to any other agent is dropped by the partition, so it is
+        not sent.
+        """
+        comp = self._component_of
+        own = comp[self.agent_id]
+        return [a for a in agents if comp[a] == own]
+
     def frame_aligned_peers(self) -> list[int]:
         """Peers whose maps share this agent's frame (backlogs keep growing)."""
         return sorted(b if a == self.agent_id else a
@@ -293,14 +303,14 @@ class SystemManager:
     # -- announcements ------------------------------------------------------
 
     def announce_keyframe_bow(self, kf_id: int, words: dict[int, int]) -> list[int]:
-        """Send the keyframe's word histogram to every other group leader.
+        """Send the keyframe's word histogram to every other reachable group leader.
 
         Returns the recipients; empty when this agent is not a leader (merge
         traffic is delegated to leaders) or currently lost.
         """
         if not self.is_leader() or self.self_lost:
             return []
-        recipients = self.other_leaders()
+        recipients = self._reachable(self.other_leaders())
         self.hooks.send(recipients, BowAnnounce(self.agent_id, kf_id, dict(words)))
         return recipients
 
@@ -383,12 +393,13 @@ class SystemManager:
         others = [a for a in self.agents if a != self.agent_id]
 
         def broadcast():
-            self.hooks.send(members, notice)
-            self.hooks.send(others, update)
+            self.hooks.send(self._reachable(members), notice)
+            self.hooks.send(self._reachable(others), update)
 
         # the notice carries the frame change; losing every copy would leave
         # a member permanently misaligned, so it is repeated a few times and
-        # receivers deduplicate on the merge id
+        # receivers deduplicate on the merge id; each repeat goes to the
+        # agents reachable at its own time
         broadcast()
         for k in range(1, NOTIFY_REPEATS):
             self.hooks.schedule(k * NOTIFY_SPACING, broadcast)

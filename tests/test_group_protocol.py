@@ -410,6 +410,21 @@ class TestAnnounceRecipients:
         kf = bus.maps[0].keyframes[100]
         assert mgr0.announce_keyframe_bow(kf.id, kf.words) == [1]
 
+    def test_unreachable_leaders_get_nothing(self):
+        bus = self.bus_with_maps(np.random.default_rng(33))
+        bus.partition([{0, 2}, {1}])
+        mgr0 = bus.managers[0]
+        kf = bus.maps[0].keyframes[100]
+        before = len(bus.trace)
+        assert mgr0.announce_keyframe_bow(kf.id, kf.words) == [2]
+        # the bus delivers at once, so agent 2's replies follow in the trace
+        assert [(s, d) for s, d, m in bus.trace[before:]
+                if isinstance(m, BowAnnounce) and s == 0] == [(0, 2)]
+        bus.partition([{0}, {1, 2}])
+        before = len(bus.trace)
+        assert mgr0.announce_keyframe_bow(kf.id, kf.words) == []
+        assert len(bus.trace) == before
+
     def test_non_leader_sends_nothing(self):
         bus = self.bus_with_maps(np.random.default_rng(32))
         for mgr in bus.managers.values():
@@ -565,6 +580,26 @@ class TestCompleteGroupMerge:
         for _, resend in bus.timers:  # the scheduled repeats of both merges
             resend()
         assert len(applied_at_2()) == 1
+
+    def test_each_repeat_goes_to_the_agents_reachable_then(self):
+        bus = self.bus([0, 1, 2, 3])
+        bus.partition([{0, 1, 2}, {3}])
+        bus.managers[2].complete_group_merge(1, Sim3Transform.identity(), 12)
+
+        def sent():
+            out = [(type(m).__name__, d) for s, d, m in bus.trace if s == 2]
+            bus.trace.clear()
+            return out
+
+        assert sent() == [("MergeNotify", 1), ("GroupUpdate", 0), ("GroupUpdate", 1)]
+        (_, first), (_, second) = bus.timers[:2]
+        bus.partition([{0, 3}, {1, 2}])
+        first()
+        assert sent() == [("MergeNotify", 1), ("GroupUpdate", 1)]
+        bus.partition([{0, 1, 2, 3}])
+        second()
+        assert sent() == [("MergeNotify", 1), ("GroupUpdate", 0), ("GroupUpdate", 1),
+                          ("GroupUpdate", 3)]
 
     def test_merge_with_own_group_changes_nothing(self):
         bus = self.bus([0, 1])
