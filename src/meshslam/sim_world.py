@@ -345,8 +345,8 @@ class AgentTracker:
         prev_q, prev_t = self._true_inverse
         self.true_pose = pose = self.script.pose_at(t)
         q, d = pose_compose_f(prev_q, prev_t, *pose.floats())
-        length = np.array(d)
-        d_step = math.sqrt(float(length.dot(length)))
+        moved = np.array(d)
+        d_step = math.sqrt(float(moved.dot(moved)))
         if d_step > 0 and (self.cfg.sigma_t > 0 or self.cfg.sigma_r > 0):
             w = self._rng.normal(0.0, self.cfg.sigma_r * math.sqrt(d_step), 3)
             v = self._rng.normal(0.0, self.cfg.sigma_t * math.sqrt(d_step), 3)
