@@ -162,7 +162,7 @@ def quat_rotate(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Rotate point(s) ``p`` (shape (..., 3)) by unit quaternion ``q``."""
     if p.ndim == 1:
         return np.array(quat_rotate_f(q.tolist(), p.tolist()))
-    return np.stack(quat_rotate_f(q.tolist(), np.moveaxis(p, -1, 0)), axis=-1)
+    return np.stack(quat_rotate_f(q.tolist(), (p[..., 0], p[..., 1], p[..., 2])), axis=-1)
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
