@@ -322,11 +322,10 @@ class AgentTracker:
         sq = rel * rel
         # np.linalg.norm(rel, axis=1): its row sum adds the columns in order
         dist = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
-        cosang = (rel @ self._view.forward) / np.where(dist > 0, dist, np.inf)
-        ok = (dist > 1e-9) & (dist <= self.cfg.range_m) & (
-            cosang >= math.cos(math.radians(self.cfg.fov_deg) / 2.0)
-        )
-        return np.flatnonzero(ok)
+        dot = rel @ self._view.forward
+        near = np.flatnonzero((dist > 1e-9) & (dist <= self.cfg.range_m))
+        cosang = dot[near] / dist[near]
+        return near[cosang >= math.cos(math.radians(self.cfg.fov_deg) / 2.0)]
 
     def _frame(self, t: float, rows: np.ndarray, lost_transition: bool) -> TrackerFrame:
         return TrackerFrame.of_rows(t, self.landmarks, rows, self._cam_table,
