@@ -161,7 +161,8 @@ def main(argv: list[str] | None = None) -> int:
     p_sim.add_argument("--seed", type=int, required=True, help="run seed in [0, 2^64 - 1]")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--check-invariants", action="store_true",
-                       help="assert protocol invariants after every event (slow)")
+                       help="assert protocol invariants after every event and "
+                            "every map's integrity at the end (slow)")
 
     p_eval = sub.add_parser("eval", help="trajectory error between two CSVs")
     p_eval.add_argument("--est", required=True, help="estimated trajectory CSV")

@@ -1,17 +1,21 @@
 """Per-agent map database.
 
-An :class:`AgentMap` holds keyframes, map points and the inverted visual-word
-index used for place recognition.  The covisibility graph is derived, not
-counted: ``KeyFrame.covisibility`` is recomputed on every read from the
-keyframe's observed points and their observers, through a back-reference to
-the map that holds the keyframe.  ``AgentMap.top_covisible`` keeps each
-keyframe's last ranking and reuses it while its validity key is unchanged:
-``(k, unlinks, len(observed_points), sum of observer counts over the present
-observed points)``, where ``unlinks`` counts the map's ``_unlink`` calls.  The
-key is exact because outside ``_unlink`` these sets only grow (``_link`` adds,
-``upsert_point`` creates fresh records, ``absorb`` adds disjoint ids), so
-equal sizes mean equal sets and so the same counts.  A :class:`MapDatabase`
-holds one shared map plus any private maps created while localization is lost.
+An :class:`AgentMap` holds keyframes and map points.  The covisibility graph
+is derived, not counted: ``KeyFrame.covisibility`` is recomputed on every read
+from the keyframe's observed points and their observers, through a
+back-reference to the map that holds the keyframe.
+``AgentMap.covisible_windows`` ranks every keyframe's neighbours in one array
+pass: each point gets a column of the map (a grow-only id -> column dict),
+each keyframe keeps the columns of its present observed points in
+``KeyFrame.columns``, and one product of the 0/1 keyframe-by-column matrix
+with its transpose gives every shared-point count.  A keyframe's columns are
+cleared only where its present observed points change: on insertion and on
+``absorb`` (the columns belong to the map), and in ``_link``/``_unlink`` when
+the point's observer set really changes.  The same places empty
+``AgentMap.derived``, which keeps the last pass (and merge detection's
+stacked histograms) while the map does not change.  ``check_integrity``
+recounts both.  A :class:`MapDatabase` holds one shared map plus any private
+maps created while localization is lost.
 
 Object ids are 128-bit integers derived deterministically from
 (run seed, agent id, per-agent counter) so that reruns are bit-identical.
@@ -79,13 +83,13 @@ class KeyFrame:
     observed_points: set[int] = field(default_factory=set)
     # the AgentMap holding this keyframe; set on insertion and on absorb
     owner: AgentMap | None = field(default=None, init=False, repr=False, compare=False)
-    # (validity key, ranking) of the last `AgentMap.top_covisible` read;
-    # cleared wherever `owner` is set
-    ranked: tuple[tuple, list[int]] | None = field(
+    # the owner's columns of the present observed points, filled by
+    # `AgentMap.covisible_windows`; None once they may have changed
+    columns: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False)
-    # `words` as (ascending ids, counts) int64 arrays, filled by
-    # `merge_detection.bow_similarities`; `words` is never mutated after
-    # construction, so this never goes stale
+    # `words` as (ascending ids, counts) int64 arrays, filled by merge
+    # detection's scoring; `words` is never mutated after construction, so
+    # this never goes stale
     histogram: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -113,7 +117,6 @@ class AgentMap:
     def __init__(self):
         self.keyframes: dict[int, KeyFrame] = {}
         self.points: dict[int, MapPoint] = {}
-        self.word_index: dict[int, set[int]] = {}
         self.points_by_word: dict[int, set[int]] = {}
         # point id -> keyframes waiting to observe it
         self.pending_point_links: dict[int, set[int]] = {}
@@ -121,8 +124,14 @@ class AgentMap:
         self.pending_kf_links: dict[int, set[int]] = {}
         # duplicate-merge redirects: discarded point id -> surviving id
         self.merged_into: dict[int, int] = {}
-        # `_unlink` calls so far: part of `top_covisible`'s validity key
-        self.unlinks = 0
+        # point id -> column of the incidence matrix; grow-only, so a column
+        # is never reused
+        self.columns: dict[int, int] = {}
+        # arrays derived from the keyframe rows and their columns, each stored
+        # with the row ids it was computed for: `covisible_windows` by k, and
+        # merge_detection's stacked histograms; emptied by every change to
+        # the keyframes or to a keyframe's columns
+        self.derived: dict[object, tuple] = {}
 
     # -- insertion -----------------------------------------------------
 
@@ -137,9 +146,8 @@ class AgentMap:
         for p in observed:
             self.upsert_point(p)
         self.keyframes[kf.id] = kf
-        kf.owner, kf.ranked = self, None
-        for w in kf.words:
-            self.word_index.setdefault(w, set()).add(kf.id)
+        kf.owner, kf.columns = self, None
+        self.derived.clear()
         # references may use ids that were locally folded into another point
         kf.observed_points = {self.resolve_point_id(pid)
                               for pid in kf.observed_points}
@@ -175,34 +183,54 @@ class AgentMap:
 
     # -- queries ---------------------------------------------------------
 
-    def query_visual_word_set(self, words: dict[int, int]) -> set[int]:
-        """Keyframes whose histogram shares at least one word id with the query."""
-        out: set[int] = set()
-        for w in words:
-            out |= self.word_index.get(w, set())
-        return out
+    def covisible_windows(self, k: int) -> tuple[list[int], np.ndarray]:
+        """Every keyframe's up to k neighbours by descending shared-point count, ties by id.
 
-    def top_covisible(self, kf_id: int, k: int) -> list[int]:
-        """Up to k neighbors by descending shared-point count, ties by id.
-
-        The ranking is reused until the keyframe's validity key changes (see
-        the module docstring).
+        Returns the keyframe ids in ascending order, which is the row order,
+        and an ``(n, k)`` array whose row i holds the rows of keyframe i's
+        neighbours, then -1 where fewer than k share a present point with it.
+        The pass is kept in ``derived`` until the map changes; the caller
+        gets copies.
         """
         if k < 0:
-            raise ValueError(f"top_covisible needs k >= 0, got k={k}")
-        if kf_id not in self.keyframes:
-            raise UnknownObjectError(f"keyframe {kf_id} not in map")
-        kf = self.keyframes[kf_id]
-        observations = 0
-        for pid in kf.observed_points:
-            p = self.points.get(pid)
-            if p is not None:
-                observations += len(p.observers)
-        key = (k, self.unlinks, len(kf.observed_points), observations)
-        if kf.ranked is None or kf.ranked[0] != key:
-            ranked = sorted(kf.covisibility.items(), key=lambda kv: (-kv[1], kv[0]))
-            kf.ranked = key, [kid for kid, _ in ranked[:k]]
-        return list(kf.ranked[1])
+            raise ValueError(f"covisible_windows needs k >= 0, got k={k}")
+        key = ("windows", k)
+        if key not in self.derived:
+            self.derived[key] = self._windows(k)
+        ids, top = self.derived[key]
+        return list(ids), top.copy()
+
+    def _windows(self, k: int) -> tuple[list[int], np.ndarray]:
+        """`covisible_windows` computed afresh.
+
+        Counts are integers below 2**24, exact in float32 in any summation
+        order, so the product does not depend on the BLAS kernel.
+        """
+        ids = sorted(self.keyframes)
+        columns, points = self.columns, self.points
+        rows = []
+        for kid in ids:
+            kf = self.keyframes[kid]
+            if kf.columns is None:
+                kf.columns = np.array([columns.setdefault(pid, len(columns))
+                                       for pid in kf.observed_points if pid in points],
+                                      dtype=np.intp)
+            rows.append(kf.columns)
+        incidence = np.zeros((len(ids), len(columns)), dtype=np.float32)
+        if rows:
+            incidence[np.repeat(np.arange(len(ids)), [len(r) for r in rows]),
+                      np.concatenate(rows)] = 1.0
+        counts = incidence @ incidence.T
+        np.fill_diagonal(counts, 0.0)
+        # ascending `most - count` is descending count; the sort is stable, so
+        # equal counts keep ascending ids, and on small integers it is a radix sort
+        most = int(counts.max(initial=0.0))
+        order = np.argsort((most - counts).astype(np.min_scalar_type(most)),
+                           axis=1, kind="stable")[:, :k]
+        top = np.full((len(ids), k), -1, dtype=np.intp)
+        top[:, :order.shape[1]] = np.where(
+            np.take_along_axis(counts, order, axis=1) > 0.0, order, -1)
+        return ids, top
 
     def covisibility_neighborhood(self, kf_id: int, depth: int) -> set[int]:
         """Keyframes within `depth` covisibility hops of kf_id (inclusive)."""
@@ -279,11 +307,11 @@ class AgentMap:
             raise DuplicateObjectError(f"maps share keyframe ids {sorted(overlap)[:3]}")
         self.keyframes.update(other.keyframes)
         for kf in other.keyframes.values():
-            kf.owner, kf.ranked = self, None
+            kf.owner, kf.columns = self, None
+        self.derived.clear()
         self.points.update(other.points)
         self.merged_into.update(other.merged_into)
-        for mine, theirs in ((self.word_index, other.word_index),
-                             (self.points_by_word, other.points_by_word),
+        for mine, theirs in ((self.points_by_word, other.points_by_word),
                              (self.pending_point_links, other.pending_point_links),
                              (self.pending_kf_links, other.pending_kf_links)):
             for key, ids in theirs.items():
@@ -302,28 +330,25 @@ class AgentMap:
 
     def _link(self, kid: int, pid: int) -> None:
         """Record that keyframe `kid` observes point `pid`."""
-        self.keyframes[kid].observed_points.add(pid)
-        self.points[pid].observers.add(kid)
+        kf, observers = self.keyframes[kid], self.points[pid].observers
+        kf.observed_points.add(pid)
+        if kid not in observers:
+            observers.add(kid)
+            kf.columns = None
+            self.derived.clear()
 
     def _unlink(self, kid: int, pid: int) -> None:
-        """Drop the observation of `pid` by `kid`.
-
-        The only place observations shrink, so it invalidates every cached
-        covisible ranking.
-        """
-        self.unlinks += 1
-        self.keyframes[kid].observed_points.discard(pid)
-        self.points[pid].observers.discard(kid)
+        """Drop the observation of `pid` by `kid`."""
+        kf, observers = self.keyframes[kid], self.points[pid].observers
+        kf.observed_points.discard(pid)
+        if kid in observers:
+            observers.discard(kid)
+            kf.columns = None
+            self.derived.clear()
 
     # -- integrity (used by tests and debug runs) ---------------------------
 
     def check_integrity(self) -> None:
-        rebuilt: dict[int, set[int]] = {}
-        for kid, kf in self.keyframes.items():
-            for w in kf.words:
-                rebuilt.setdefault(w, set()).add(kid)
-        live_index = {w: s for w, s in self.word_index.items() if s}
-        assert rebuilt == live_index, "inverted index out of sync"
         waiting = set().union(*self.pending_kf_links.values())
         for pid, p in self.points.items():
             assert p.observers or pid in waiting, f"point {pid} has no observers"
@@ -331,6 +356,9 @@ class AgentMap:
                 assert pid in self.keyframes[kid].observed_points
         for kid, kf in self.keyframes.items():
             assert kf.owner is self, f"keyframe {kid} points at another map"
+            assert kf.columns is None or sorted(kf.columns.tolist()) == sorted(
+                self.columns.get(pid, -1) for pid in kf.observed_points if pid in self.points
+            ), f"keyframe {kid} keeps stale covisibility columns"
             for pid in kf.observed_points:
                 assert (
                     pid in self.points or kid in self.pending_point_links.get(pid, set())
@@ -349,6 +377,12 @@ class AgentMap:
             assert kid not in self.keyframes, f"pending link to present keyframe {kid}"
             for pid in pids:
                 assert pid in self.points, f"absent point {pid} waits on keyframe {kid}"
+        ids = sorted(self.keyframes)
+        for key, (rows, *arrays) in self.derived.items():
+            assert rows == ids, f"derived {key} was computed for other keyframes"
+            if key[0] == "windows":
+                assert np.array_equal(arrays[0], self._windows(key[1])[1]), (
+                    f"derived {key} is stale")
 
 
 class MapDatabase:

@@ -492,6 +492,10 @@ class Simulation:
             self.queue.push(i * run.dt, partial(self._tick, i * run.dt))
         self._run_queue()
         self._finalize(run.duration)
+        if self.check_invariants:
+            for aid in self.agent_ids:
+                for m in self.runtimes[aid].db.maps:
+                    m.check_integrity()
         return SimulationResult(
             est_rows=self._estimated_trajectories(), gt_rows=self.gt_rows, log=self.log_book,
             net=self.net, duration=run.duration, runtimes=self.runtimes,

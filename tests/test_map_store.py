@@ -105,37 +105,24 @@ class TestInsertKeyframe:
             m.insert_keyframe(make_kf(1, [1]), [])
 
 
-class TestQueryVisualWordSet:
-    def test_empty_query(self):
-        m = AgentMap()
-        m.insert_keyframe(make_kf(1, [1, 2]), [])
-        assert m.query_visual_word_set({}) == set()
-
-    def test_matches_linear_scan(self):
-        rng = np.random.default_rng(0)
-        m = AgentMap()
-        for uid in range(1, 31):
-            words = rng.choice(50, size=rng.integers(1, 6), replace=False)
-            m.insert_keyframe(make_kf(uid, [int(w) for w in words]), [])
-        for _ in range(20):
-            q = {int(w): 1.0 for w in rng.choice(50, size=3, replace=False)}
-            expected = {
-                kid for kid, kf in m.keyframes.items()
-                if set(kf.words) & set(q)
-            }
-            assert m.query_visual_word_set(q) == expected
-
-    def test_unseen_words_empty(self):
-        m = AgentMap()
-        m.insert_keyframe(make_kf(1, [1, 2, 3]), [])
-        assert m.query_visual_word_set({99: 1.0, 100: 1.0}) == set()
+def windows(m, k):
+    """Each keyframe id's window, as ids, from one `covisible_windows` pass."""
+    ids, top = m.covisible_windows(k)
+    assert top.shape == (len(ids), k)
+    return {kid: [ids[r] for r in row if r >= 0] for kid, row in zip(ids, top.tolist())}
 
 
 class TestTopCovisible:
+    """Each keyframe's top-k window, read from `AgentMap.covisible_windows`."""
+
     def test_isolated_keyframe(self):
         m = AgentMap()
         m.insert_keyframe(make_kf(1, [1]), [])
-        assert m.top_covisible(1, 5) == []
+        assert windows(m, 5) == {1: []}
+
+    def test_empty_map(self):
+        ids, top = AgentMap().covisible_windows(5)
+        assert ids == [] and top.shape == (0, 5)
 
     def test_ranking_with_uuid_ties(self):
         m = AgentMap()
@@ -149,15 +136,15 @@ class TestTopCovisible:
             m.insert_keyframe(make_kf(uid, sub, observed=set(sub)), [])
         # sort oracle: by (-weight, uuid)
         oracle = [uid for uid, _ in sorted(shares.items(), key=lambda kv: (-kv[1], kv[0]))][:5]
-        assert m.top_covisible(10, 5) == oracle
-        assert m.top_covisible(10, 5) == [11, 12, 13, 14, 15]
+        assert windows(m, 5)[10] == oracle
+        assert windows(m, 5)[10] == [11, 12, 13, 14, 15]
 
     def test_k_larger_than_neighbors(self):
         m = AgentMap()
         p = make_point(100, [0, 0, 0], word=1, observers={1})
         m.insert_keyframe(make_kf(1, [1], observed={100}), [p])
         m.insert_keyframe(make_kf(2, [1], observed={100}), [])
-        assert m.top_covisible(1, 50) == [2]
+        assert windows(m, 50)[1] == [2]
 
     def two_covisible(self):
         m = AgentMap()
@@ -168,17 +155,21 @@ class TestTopCovisible:
 
     def test_k_zero_is_empty(self):
         m = self.two_covisible()
-        assert m.top_covisible(1, 0) == []
-        assert m.top_covisible(1, 1) == [2]
+        assert windows(m, 0) == {1: [], 2: []}
+        assert windows(m, 1) == {1: [2], 2: [1]}
 
     def test_negative_k_raises(self):
         with pytest.raises(ValueError, match="k=-1"):
-            self.two_covisible().top_covisible(1, -1)
+            self.two_covisible().covisible_windows(-1)
 
     def test_returned_list_is_a_copy(self):
         m = self.two_covisible()
-        m.top_covisible(1, 5).append(99)
-        assert m.top_covisible(1, 5) == [2]
+        ids, top = m.covisible_windows(5)
+        ids.append(99)
+        top[:] = 7
+        assert m.covisible_windows(5)[0] == [1, 2]
+        assert windows(m, 5) == {1: [2], 2: [1]}
+        m.check_integrity()
 
 
 class TestMergeMapPoints:
@@ -371,7 +362,7 @@ class TestPrivateMaps:
         db.merge_private_map(Sim3Transform.identity())
         assert moved.covisibility == {1: 1}
         assert db.shared_map.keyframes[1].covisibility == {10: 1}
-        assert db.shared_map.top_covisible(10, 5) == [1]
+        assert windows(db.shared_map, 5)[10] == [1]
         assert moved.owner is db.shared_map
         db.shared_map.check_integrity()
 
@@ -675,17 +666,19 @@ class RandomMapOps:
 
 
 class TestTopCovisibleCache:
-    """The cached ranking equals a fresh one after every kind of mutation."""
+    """`covisible_windows` equals a fresh ranking after every kind of
+    mutation, so no keyframe's columns and no kept pass outlive what they
+    were computed from."""
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(ops=st.lists(st.tuples(st.sampled_from(RandomMapOps.KINDS),
                                   st.integers(0, (1 << 32) - 1),
-                                  st.one_of(st.none(), st.just(5), st.integers(0, 6))),
+                                  st.one_of(st.none(), st.just(5), st.integers(0, 7))),
                         min_size=1, max_size=40))
     def test_ranking_matches_uncached(self, ops):
-        # rankings are read with k after some operations only (k None: no
-        # read), so a cached one may survive several mutations before it is
-        # read again; a keyframe keeps only its last k's ranking
+        # windows are read with k after some operations only (k None: no
+        # read), so a keyframe's columns and a kept pass may survive several
+        # mutations before they are read again; passes for several k coexist
         world = RandomMapOps()
         for kind, seed, k in ops:
             world.apply(kind, np.random.default_rng(seed))
@@ -693,8 +686,9 @@ class TestTopCovisibleCache:
                 continue
             for m in (world.shared, world.private):
                 m.check_integrity()
-                for kid in sorted(m.keyframes):
-                    assert m.top_covisible(kid, k) == uncached_top_covisible(m, kid, k)
+                got = windows(m, k)
+                assert got == {kid: uncached_top_covisible(m, kid, k) for kid in m.keyframes}
+                m.check_integrity()
 
     @staticmethod
     def drop_and_refill(m):
@@ -705,20 +699,64 @@ class TestTopCovisibleCache:
                           [make_point(100, [0, 0, 0], 1, {1}), make_point(101, [0, 0, 0], 1, {1})])
         m.insert_keyframe(make_kf(2, [1], observed={100, 101}), [])
         m.insert_keyframe(make_kf(3, [1]), [])
-        assert m.top_covisible(1, 5) == [2]
+        assert windows(m, 5)[1] == [2]
         m.merge_map_points(100, 101)
         m.upsert_point(make_point(102, [0, 0, 0], 1, {1, 3}))
 
     def test_unlink_invalidates_an_equal_size_ranking(self):
         m = AgentMap()
         self.drop_and_refill(m)
-        assert m.top_covisible(1, 5) == uncached_top_covisible(m, 1, 5) == [2, 3]
+        assert windows(m, 5)[1] == uncached_top_covisible(m, 1, 5) == [2, 3]
 
     def test_absorb_clears_rankings_of_moved_keyframes(self):
-        # the moved keyframe's ranking was keyed on the private map's count
-        # of drops, and the shared map's own count is still 0
+        # the moved keyframes' columns index the private map's columns, and
+        # the shared map assigns its own
         db = MapDatabase()
-        self.drop_and_refill(db.spawn_private_map())
+        db.shared_map.insert_keyframe(make_kf(9, [1], observed={90}),
+                                      [make_point(90, [0, 0, 0], 1, {9})])
+        windows(db.shared_map, 5)
+        private = db.spawn_private_map()
+        self.drop_and_refill(private)
+        windows(private, 5)
+        assert private.keyframes[1].columns is not None
         db.merge_private_map(Sim3Transform.identity())
-        assert db.shared_map.unlinks == 0
-        assert db.shared_map.top_covisible(1, 5) == [2, 3]
+        assert all(db.shared_map.keyframes[kid].columns is None for kid in (1, 2, 3))
+        assert not db.shared_map.derived
+        assert windows(db.shared_map, 5) == {1: [2, 3], 2: [1], 3: [1], 9: []}
+        db.shared_map.check_integrity()
+
+    def test_relink_that_changes_nothing_keeps_the_columns(self):
+        m = AgentMap()
+        m.insert_keyframe(make_kf(1, [1], observed={100}), [make_point(100, [0, 0, 0], 1, {1})])
+        m.insert_keyframe(make_kf(2, [1], observed={100}), [])
+        windows(m, 5)
+        kept, passes = m.keyframes[1].columns, dict(m.derived)
+        m.upsert_point(make_point(100, [0, 0, 0], 1, {1, 2}))
+        assert m.keyframes[1].columns is kept and m.derived == passes
+        m.upsert_point(make_point(101, [0, 0, 0], 1, {1}))
+        assert m.keyframes[1].columns is None and not m.derived
+        assert m.keyframes[2].columns is not None
+        assert windows(m, 5) == {1: [2], 2: [1]}
+
+    def test_integrity_catches_stale_columns(self):
+        m = AgentMap()
+        m.insert_keyframe(make_kf(1, [1], observed={100, 101}),
+                          [make_point(100, [0, 0, 0], 1, {1}), make_point(101, [0, 0, 0], 1, {1})])
+        windows(m, 5)
+        m.keyframes[1].columns = m.keyframes[1].columns[:1]
+        with pytest.raises(AssertionError, match="stale covisibility columns"):
+            m.check_integrity()
+
+    def test_integrity_catches_a_stale_pass(self):
+        m = AgentMap()
+        m.insert_keyframe(make_kf(1, [1], observed={100}), [make_point(100, [0, 0, 0], 1, {1})])
+        m.insert_keyframe(make_kf(2, [1], observed={100}), [])
+        windows(m, 5)
+        m.derived["windows", 5][1][:] = -1
+        with pytest.raises(AssertionError, match=r"derived \('windows', 5\) is stale"):
+            m.check_integrity()
+        m.derived.clear()
+        windows(m, 5)
+        m.derived["windows", 5] = [1], m.derived["windows", 5][1]
+        with pytest.raises(AssertionError, match="computed for other keyframes"):
+            m.check_integrity()

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -395,3 +398,57 @@ class TestTies:
             m = random_map(rng, max_kf=30, max_words=3)
             for q in ({0: 1}, {0: 1, 1: 1}, {0: 1, 1: 1, 2: 1}):
                 assert calculate_merge_score(m, q) == exhaustive_merge_score(m, q)
+
+
+# Builds one fixed dense map (every keyframe observes about 40% of 300
+# points) and prints its windows and the scores of 30 queries.
+DENSE_SCORING = """
+import numpy as np
+from meshslam.geometry import Se3Pose
+from meshslam.map_store import AgentMap, KeyFrame, MapPoint
+from meshslam.merge_detection import COVISIBLE_COUNT, calculate_merge_score, detect_merge
+
+rng = np.random.default_rng(2012)
+m = AgentMap()
+pids = list(range(10_000, 10_300))
+for kid in range(1, 151):
+    seen = pids if kid == 1 else [p for p in pids if rng.random() < 0.4]
+    pts = [MapPoint(p, np.zeros(3), p % 60, {1}) for p in pids] if kid == 1 else []
+    words = {int(w): int(rng.integers(1, 6)) for w in rng.choice(60, 12, replace=False)}
+    m.insert_keyframe(KeyFrame(kid, 0, 0.0, Se3Pose.identity(), words, set(seen)), pts)
+ids, top = m.covisible_windows(COVISIBLE_COUNT)
+print(ids, top.tolist())
+for q in [m.keyframes[kid].words for kid in range(1, 151, 10)] + [
+        {int(w): int(rng.integers(1, 9)) for w in rng.choice(60, 8, replace=False)}
+        for _ in range(15)]:
+    score, best = calculate_merge_score(m, q)
+    cand = detect_merge(m, q, 0.75)
+    print(score.hex(), best, cand and (cand.baseline.hex(), cand.best_match_kf))
+"""
+
+
+def test_scoring_does_not_depend_on_the_blas_core():
+    """Windows and scores of one dense map are identical under several
+    OpenBLAS cores.
+
+    The covisibility counts come from one float32 matrix product whose
+    kernel OpenBLAS picks per CPU core; the counts are integers below 2**24,
+    exact in any summation order, so every core must give the same windows
+    and, through them, the same score floats.  The runs use OpenBLAS's own
+    choice and three cores that any x86-64 CPU with AVX2 can run (a forced
+    core whose instructions the CPU lacks can crash).
+    ``OPENBLAS_CORETYPE`` does nothing on a numpy built without OpenBLAS,
+    where this test compares identical runs.
+    """
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outputs = {}
+    for core in ("default", "Haswell", "Sandybridge", "Prescott"):
+        run_env = env if core == "default" else dict(env, OPENBLAS_CORETYPE=core)
+        run = subprocess.run([sys.executable, "-c", DENSE_SCORING], env=run_env,
+                             capture_output=True, text=True, check=True)
+        outputs[core] = run.stdout
+    assert len(set(outputs.values())) == 1, {c: len(o) for c, o in outputs.items()}
+    assert len(outputs["default"].splitlines()) == 31
