@@ -191,7 +191,8 @@ def _read_rotation(r: _Reader) -> Rotation:
         with np.errstate(over="ignore"):
             rotation = Rotation.from_quat(*q)
     except ValueError as exc:
-        raise WireError(f"quaternion at offset {start} has zero or non-finite norm") from exc
+        raise WireError(
+            f"quaternion at offset {start} has zero, subnormal or non-finite norm") from exc
     if all(abs(a - b) <= 2.0 ** -50 for a, b in zip(rotation.q, q)):
         return Rotation(np.array(q))
     return rotation
