@@ -215,22 +215,12 @@ class TrackerFrame:
 
     __slots__ = ("time", "count", "lost_transition", "_visible", "_cam", "_rows")
 
-    def __init__(self, time: float, visible: list[Landmark], cam_positions: np.ndarray,
-                 lost_transition: bool):
-        self.time = time
-        self.count = len(visible)
-        self.lost_transition = lost_transition
-        self._visible, self._cam, self._rows = visible, cam_positions, None
-
-    @classmethod
-    def of_rows(cls, time: float, landmarks: list[Landmark], rows: np.ndarray,
-                table: np.ndarray, shift: tuple, lost_transition: bool) -> "TrackerFrame":
+    def __init__(self, time: float, landmarks: list[Landmark], rows: np.ndarray,
+                 table: np.ndarray, shift: tuple, lost_transition: bool):
         """The frame seeing ``landmarks[rows]`` at ``table[rows] + shift``."""
-        frame = cls.__new__(cls)
-        frame.time, frame.count, frame.lost_transition = time, len(rows), lost_transition
-        frame._visible = frame._cam = None
-        frame._rows = landmarks, rows, table, shift
-        return frame
+        self.time, self.count, self.lost_transition = time, len(rows), lost_transition
+        self._visible = self._cam = None
+        self._rows = landmarks, rows, table, shift
 
     def _build(self) -> None:
         landmarks, rows, table, shift = self._rows
@@ -328,8 +318,8 @@ class AgentTracker:
         return near[cosang >= math.cos(math.radians(self.cfg.fov_deg) / 2.0)]
 
     def _frame(self, t: float, rows: np.ndarray, lost_transition: bool) -> TrackerFrame:
-        return TrackerFrame.of_rows(t, self.landmarks, rows, self._cam_table,
-                                    self._true_inverse[1], lost_transition)
+        return TrackerFrame(t, self.landmarks, rows, self._cam_table,
+                            self._true_inverse[1], lost_transition)
 
     def visible_landmarks(self, t: float) -> tuple[list[Landmark], np.ndarray]:
         frame = self._frame(t, self._visible_rows(t), False)

@@ -20,7 +20,16 @@ import numpy as np
 from meshslam import sim_world
 from meshslam.geometry import Se3Pose, se3_exp
 from meshslam.map_store import KeyFrame, MapPoint
-from meshslam.sim_world import TrackerFrame
+
+
+@dataclasses.dataclass
+class Frame:
+    """What ``step`` saw at ``time``, as ``sim_world.TrackerFrame`` reports it."""
+
+    time: float
+    visible: list
+    cam_positions: np.ndarray
+    lost_transition: bool
 
 
 def visible_landmarks(tr, t):
@@ -65,7 +74,7 @@ def step(tr, t):
     else:
         tr._weak_frames = 0
     lost_transition = tr.localized and tr._weak_frames >= sim_world.LOST_FRAMES
-    return TrackerFrame(t, visible, cam, lost_transition)
+    return Frame(t, visible, cam, lost_transition)
 
 
 def should_spawn(tr):
