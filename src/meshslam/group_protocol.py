@@ -48,7 +48,7 @@ import numpy as np
 from .alignment import NoModelError, RansacParams, ransac_sim3
 from .geometry import Sim3Transform
 from .map_store import AgentMap, MapPoint
-from .merge_detection import ACCEPTANCE_FACTOR, detect_merge
+from .merge_detection import detect_merge
 from .net_sim import components
 from .wire import (
     BowAnnounce,
@@ -164,7 +164,6 @@ def attempt_full_merge(
     local_map: AgentMap,
     hint_kf_id: int,
     remote_by_word: dict[int, list[tuple[int, np.ndarray]]],
-    neighborhood_depth: int,
     ransac: RansacParams,
 ) -> tuple[Sim3Transform, int] | None:
     """Fit the transform taking the local frame onto the remote frame.
@@ -176,7 +175,7 @@ def attempt_full_merge(
     """
     if hint_kf_id not in local_map.keyframes:
         return None
-    kf_ids = local_map.covisibility_neighborhood(hint_kf_id, neighborhood_depth)
+    kf_ids = local_map.covisibility_neighborhood(hint_kf_id, NEIGHBORHOOD_DEPTH)
     point_ids: set[int] = set()
     for kid in kf_ids:
         point_ids |= local_map.keyframes[kid].observed_points
@@ -323,7 +322,7 @@ class SystemManager:
         state = self.state(self.agent_id, sender)
         if state != PeerState.UNMERGED or self._merge_busy():
             return  # handshake running, already merged, or peer unavailable
-        cand = detect_merge(self.shared_map(), msg.words, ACCEPTANCE_FACTOR)
+        cand = detect_merge(self.shared_map(), msg.words)
         if cand is None:
             return
         self.hooks.log("merge_detected", peer=sender, score=cand.score,
@@ -368,8 +367,7 @@ class SystemManager:
         if self._merge_busy():
             return  # serialized at the leader; the sender times out and retries
         result = attempt_full_merge(
-            self.shared_map(), msg.hint_kf,
-            points_by_word(msg.points), NEIGHBORHOOD_DEPTH,
+            self.shared_map(), msg.hint_kf, points_by_word(msg.points),
             RansacParams(seed=self.hooks.ransac_seed()),
         )
         if result is None:

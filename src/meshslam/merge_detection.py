@@ -5,7 +5,7 @@ query and adds the similarity of its five most covisible neighbours, keeping
 the best-scoring keyframe.  Acceptance compares that score against a dynamic
 baseline: the same scoring run again with the best match's own histogram as
 the query.  A merge is plausible when the query scores at least
-``acceptance_factor`` times what the map scores against itself around that
+``ACCEPTANCE_FACTOR`` times what the map scores against itself around that
 location.
 
 Histograms are word counts, the same integers on every agent that holds a
@@ -152,14 +152,11 @@ def dynamic_baseline(m: AgentMap, best_kf: int) -> float:
     return score
 
 
-def detect_merge(m: AgentMap, words: dict[int, int],
-                 acceptance_factor: float) -> MergeCandidate | None:
-    if not 0.0 < acceptance_factor <= 1.0:
-        raise ValueError("acceptance_factor must be in (0, 1]")
+def detect_merge(m: AgentMap, words: dict[int, int]) -> MergeCandidate | None:
     score, best_kf = calculate_merge_score(m, words)
     if best_kf is None:
         return None
     baseline = dynamic_baseline(m, best_kf)
-    if score >= acceptance_factor * baseline:
+    if score >= ACCEPTANCE_FACTOR * baseline:
         return MergeCandidate(score, best_kf, baseline)
     return None

@@ -65,7 +65,6 @@ from .alignment import (
 from .config import ScenarioConfig
 from .geometry import Sim3Transform
 from .group_protocol import (
-    NEIGHBORHOOD_DEPTH,
     ManagerHooks,
     SystemManager,
     attempt_full_merge,
@@ -73,7 +72,7 @@ from .group_protocol import (
 )
 from .map_sharing import BATCH_SIZE, DRAIN_BUDGET, DUP_RADIUS, SharingState
 from .map_store import MapDatabase, UuidGenerator, uuid_agent
-from .merge_detection import ACCEPTANCE_FACTOR, detect_merge
+from .merge_detection import detect_merge
 from .net_sim import Envelope, EventQueue, MeshNetwork
 from .sim_world import AgentTracker, generate_world
 from .wire import (
@@ -235,12 +234,12 @@ class AgentRuntime:
         shared = self.db.shared_map
         if not shared.keyframes:
             return
-        cand = detect_merge(shared, kf.words, ACCEPTANCE_FACTOR)
+        cand = detect_merge(shared, kf.words)
         if cand is None:
             return
         result = attempt_full_merge(
             self.db.active_map, kf.id, points_by_word(shared.points.values()),
-            NEIGHBORHOOD_DEPTH, RansacParams(seed=self._next_ransac_seed()),
+            RansacParams(seed=self._next_ransac_seed()),
         )
         if result is None:
             return

@@ -71,7 +71,6 @@ class TestAttemptFullMerge:
         remote_by_word = points_by_word(remote.points.values())
         result = attempt_full_merge(local, hint_kf_id=1,
                                     remote_by_word=remote_by_word,
-                                    neighborhood_depth=2,
                                     ransac=RansacParams(seed=5))
         assert result is not None
         t, inliers = result
@@ -88,8 +87,7 @@ class TestAttemptFullMerge:
                                     world_landmarks(rng, 10, word_base=100),
                                     kf_base=50, pt_base=5000)
         remote_by_word = points_by_word(remote.points.values())
-        assert attempt_full_merge(local, 1, remote_by_word, 2,
-                                  RansacParams(seed=1)) is None
+        assert attempt_full_merge(local, 1, remote_by_word, RansacParams(seed=1)) is None
 
     def test_outlier_correspondences_rejected(self):
         rng = np.random.default_rng(3)
@@ -105,7 +103,7 @@ class TestAttemptFullMerge:
         local = build_map_in_frame(frame_local, local_words, agent=1)
         remote = build_map_in_frame(Sim3Transform.identity(), remote_words,
                                     agent=0, kf_base=50, pt_base=5000)
-        result = attempt_full_merge(local, 1, points_by_word(remote.points.values()), 2,
+        result = attempt_full_merge(local, 1, points_by_word(remote.points.values()),
                                     RansacParams(seed=7, min_inliers=12))
         assert result is not None
         t, inliers = result

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meshslam import merge_detection
 from meshslam.map_store import AgentMap, KeyFrame, MapPoint, UnknownObjectError
 from meshslam.merge_detection import (
     COVISIBLE_COUNT,
@@ -184,7 +185,7 @@ class TestDetectMerge:
     def test_equal_histogram_accepted(self):
         m = AgentMap()
         m.insert_keyframe(make_kf(1, [1, 2]), [])
-        cand = detect_merge(m, {1: 3, 2: 3}, acceptance_factor=0.75)
+        cand = detect_merge(m, {1: 3, 2: 3})
         assert cand is not None
         assert cand.best_match_kf == 1
         assert cand.score == cand.baseline == 1.0
@@ -192,24 +193,20 @@ class TestDetectMerge:
     def test_disjoint_rejected(self):
         m = AgentMap()
         m.insert_keyframe(make_kf(1, [1, 2]), [])
-        assert detect_merge(m, {9: 1}, 0.75) is None
+        assert detect_merge(m, {9: 1}) is None
 
-    def test_threshold_arithmetic(self):
+    def test_threshold_arithmetic(self, monkeypatch):
         # single keyframe {w1}; query {w1: 1, w2: 1} scores 0.5, baseline 1.0
         m = AgentMap()
         m.insert_keyframe(make_kf(1, [1]), [])
         q = {1: 1, 2: 1}
-        assert detect_merge(m, q, acceptance_factor=0.75) is None
-        cand = detect_merge(m, q, acceptance_factor=0.4)
+        assert merge_detection.ACCEPTANCE_FACTOR == 0.75
+        assert detect_merge(m, q) is None
+        monkeypatch.setattr(merge_detection, "ACCEPTANCE_FACTOR", 0.4)
+        cand = detect_merge(m, q)
         assert cand is not None
         assert cand.score == 0.5
         assert cand.baseline == 1.0
-
-    def test_invalid_factor(self):
-        with pytest.raises(ValueError):
-            detect_merge(AgentMap(), {}, 0.0)
-        with pytest.raises(ValueError):
-            detect_merge(AgentMap(), {}, 1.5)
 
 
 def bare_kf(uid, words):
@@ -316,7 +313,7 @@ class TestScoringAcrossMutations:
                     for _ in range(3)]
         for q in queries:
             assert calculate_merge_score(m, q) == exhaustive_merge_score(m, q)
-            cand = detect_merge(m, q, acceptance_factor=0.75)
+            cand = detect_merge(m, q)
             got = None if cand is None else (cand.score, cand.best_match_kf, cand.baseline)
             assert got == exhaustive_detect_merge(m, q, 0.75)
 
@@ -422,7 +419,7 @@ for q in [m.keyframes[kid].words for kid in range(1, 151, 10)] + [
         {int(w): int(rng.integers(1, 9)) for w in rng.choice(60, 8, replace=False)}
         for _ in range(15)]:
     score, best = calculate_merge_score(m, q)
-    cand = detect_merge(m, q, 0.75)
+    cand = detect_merge(m, q)
     print(score.hex(), best, cand and (cand.baseline.hex(), cand.best_match_kf))
 """
 
