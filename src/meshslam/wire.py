@@ -102,7 +102,6 @@ import math
 import struct
 from dataclasses import dataclass, fields
 from enum import IntEnum
-from itertools import accumulate
 
 import numpy as np
 
@@ -245,8 +244,6 @@ _KF_RECORD = _KF_HEAD + _QUAT + _VEC3  # after the id, up to the histogram
 _SIM3 = _F64 + _QUAT + _VEC3
 _F64_BLOCK = np.dtype("<f8")
 _U16_BLOCK = np.dtype("<u2")
-# bytes.translate table: a one-byte gap g, as the step g + 1 between two ids
-_PLUS_ONE = bytes(range(1, 129)) + bytes(128)
 
 
 def _put_varint(out: bytearray, v: int) -> None:
@@ -254,6 +251,22 @@ def _put_varint(out: bytearray, v: int) -> None:
         out.append(v & 0x7F | 0x80)
         v >>= 7
     out.append(v)
+
+
+def _put_gaps(out: bytearray, ids: list[int], prev: int) -> None:
+    """Each of the ascending `ids` as the varint of its gap to the one before
+    it minus one, the first's to `prev`.
+
+    A gap below 0 raises ValueError from bytearray.append.
+    """
+    append = out.append
+    for uid in ids:
+        gap = uid - prev - 1
+        prev = uid
+        if gap < 0x80:  # the common case: one byte, no call
+            append(gap)
+        else:
+            _put_varint(out, gap)
 
 
 class _Writer(bytearray):
@@ -306,22 +319,14 @@ def _write_ids(out: _Writer, ids: list[int]) -> None:
     _put_varint(out, len(ids))
     if not ids:
         return
-    append = out.append
     try:
         _write_id(out, ids[0])
-        prev = ids[0]
-        for uid in ids[1:]:
-            gap = uid - prev - 1
-            prev = uid
-            if gap < 0x80:  # the common case: one byte, no call
-                append(gap)
-            else:
-                _put_varint(out, gap)
+        _put_gaps(out, ids[1:], ids[0])
     except ValueError:
-        # _write_id refuses a first id below 0, and bytearray.append the
-        # negative gap of an id that is not above the one before it
+        # _write_id refuses a first id below 0, and _put_gaps the negative
+        # gap of an id that is not above the one before it
         raise ValueError(_id_list_fault(ids)) from None
-    out.prev = prev
+    out.prev = ids[-1]
 
 
 class _Reader:
@@ -386,9 +391,24 @@ class _Reader:
             raise WireError(f"non-minimal varint at offset {start}")
         return value, off
 
+    def uint(self) -> int:
+        """The varint that comes next."""
+        off = self.off
+        if off < self.end and (v := self.data[off]) < 0x80:  # one byte, no call
+            self.off = off + 1
+            return v
+        v, self.off = self.varint(off)
+        return v
+
+    def step(self, prev: int) -> int:
+        """The id or word id after `prev` in an ascending list: `prev` + 1 +
+        the varint that comes next (`prev` is -1 before a first word id)."""
+        return prev + self.uint() + 1
+
     def count(self) -> int:
         """A list's varint count."""
         start = self.off
+        # uint() inlined here and in id(), which run once per record or list
         if start < self.end and (n := self.data[start]) < 0x80:
             self.off = start + 1
             return n
@@ -424,19 +444,11 @@ class _Reader:
             return []
         first = self.off
         uid = self.id()
-        data, end, off = self.data, self.end, self.off
-        # the common case: every gap after the first id is one byte
-        gaps = data[off:off + n - 1]
-        if len(gaps) == n - 1 and gaps.isascii():
-            ids = list(accumulate(gaps.translate(_PLUS_ONE), initial=uid))
-            if ids[-1] <= _MAX_ID and (bad is None or not any(map(bad, ids))):
-                self.off = off + n - 1
-                self.prev = ids[-1]
-                return ids
-        # otherwise one id at a time, so the first fault is the one raised
         if bad is not None and bad(uid):
             raise WireError(what.format(uid, first))
         ids = [uid]
+        # the steps inlined: id lists are the codec's hot path
+        data, end, off = self.data, self.end, self.off
         for _ in range(n - 1):
             start = off
             if off < end and (byte := data[off]) < 0x80:
@@ -543,44 +555,35 @@ def _write_words(out: bytearray, words: dict[int, int]) -> None:
     _put_rows(out, sorted(words.items()))
 
 
-def _read_words(r: _Reader) -> dict[int, int]:
-    n = r.count()
-    data, end, off = r.data, r.end, r.off
-    # the common case: every field is one byte and every check passes at once
-    # (positive counts within the total allow at most 65535 rows, so one-byte
-    # gaps keep every word id below 2^32)
-    rows = data[off:off + 2 * n]
-    if len(rows) == 2 * n and rows.isascii():
-        counts = rows[1::2]
-        if 0 not in counts and sum(counts) <= MAX_WORD_TOTAL:
-            r.off = off + 2 * n
-            # the first word id is its gap, each later one its gap + 1 above the last
-            return dict(zip(accumulate(rows[:1] + rows[2::2].translate(_PLUS_ONE)), counts))
-    # otherwise one inlined pass: a varint() call per row's two fields doubles the cost
-    words = {}
+def _read_rows(r: _Reader, old: dict[int, int], removed: list[int],
+               limit: float) -> dict[int, int]:
+    """Histogram rows, in ascending word order.
+
+    A row's word id is at most 2^32 - 1 and not in `removed`; its count is
+    positive, takes the rows' running total to at most `limit` and differs
+    from `old`'s count of the word.  A BowAnnounce's rows are its whole
+    histogram, with no `old` or `removed` and `limit` ``MAX_WORD_TOTAL``.
+    """
+    rows = {}
     word = -1
     total = 0
-    for _ in range(n):
-        start = off
-        if off < end and (byte := data[off]) < 0x80:
-            word += byte + 1
-            off += 1
-        else:
-            gap, off = r.varint(off)
-            word += gap + 1
+    for _ in range(r.count()):
+        start = r.off
+        word = r.step(word)
         if word > _MAX_U32:
             raise WireError(f"word id {word} at offset {start} is above 2^32 - 1")
-        start = off
-        if off < end and (count := data[off]) < 0x80:
-            off += 1
-        else:
-            count, off = r.varint(off)
+        if word in removed:
+            raise WireError(f"word {word} at offset {start} is both removed and counted")
+        start = r.off
+        count = r.uint()
         total += count
-        if count == 0 or total > MAX_WORD_TOTAL:
+        if count == 0 or total > limit:
             raise WireError(_word_fault(count, total, f"offset {start}"))
-        words[word] = count
-    r.off = off
-    return words
+        if count == old.get(word):
+            raise WireError(f"word count {count} at offset {start} equals the previous "
+                            "histogram's")
+        rows[word] = count
+    return rows
 
 
 def _write_word_delta(out: bytearray, old: dict[int, int], words: dict[int, int]) -> None:
@@ -597,97 +600,30 @@ def _write_word_delta(out: bytearray, old: dict[int, int], words: dict[int, int]
         _check_words(words)  # raises, naming the row in the whole histogram
     removed = sorted([w for w in old if w not in words])
     _put_varint(out, len(removed))
-    prev = -1
-    append = out.append
-    for word in removed:
-        gap = word - prev - 1
-        prev = word
-        if gap < 0x80:  # the common case: one byte, no call
-            append(gap)
-        else:
-            _put_varint(out, gap)
+    _put_gaps(out, removed, -1)
     _put_rows(out, rows)
 
 
 def _read_removed_words(r: _Reader, old: dict[int, int]) -> list[int]:
     """Ascending word ids that each name a word of `old`."""
-    n = r.count()
-    data, off = r.data, r.off
-    # the common case: every gap is one byte and names a word of `old`
-    gaps = data[off:off + n]
-    if len(gaps) == n and gaps.isascii():
-        removed = list(accumulate(gaps[:1] + gaps[1:].translate(_PLUS_ONE)))
-        if all(map(old.__contains__, removed)):
-            r.off = off + n
-            return removed
     removed = []
     word = -1
-    end = r.end
-    for _ in range(n):
-        start = off
-        if off < end and (byte := data[off]) < 0x80:
-            word += byte + 1
-            off += 1
-        else:
-            gap, off = r.varint(off)
-            word += gap + 1
+    for _ in range(r.count()):
+        start = r.off
+        word = r.step(word)
         if word not in old:
             raise WireError(f"removed word {word} at offset {start} is not in the previous "
                             "histogram")
         removed.append(word)
-    r.off = off
     return removed
-
-
-def _read_changed_rows(r: _Reader, old: dict[int, int], removed: list[int]) -> dict[int, int]:
-    """Rows of words not in `removed` whose counts are positive and differ from `old`'s."""
-    n = r.count()
-    data, end, off = r.data, r.end, r.off
-    # the common case: every field is one byte and every check passes at once
-    rows = data[off:off + 2 * n]
-    if len(rows) == 2 * n and rows.isascii():
-        counts = rows[1::2]
-        changed = dict(zip(accumulate(rows[:1] + rows[2::2].translate(_PLUS_ONE)), counts))
-        if (0 not in counts and (not n or next(reversed(changed)) <= _MAX_U32)
-                and changed.keys().isdisjoint(removed)
-                and changed.items().isdisjoint(old.items())):
-            r.off = off + 2 * n
-            return changed
-    # otherwise one row at a time, so the first fault is the one raised
-    changed = {}
-    word = -1
-    for _ in range(n):
-        start = off
-        if off < end and (byte := data[off]) < 0x80:
-            word += byte + 1
-            off += 1
-        else:
-            gap, off = r.varint(off)
-            word += gap + 1
-        if word > _MAX_U32:
-            raise WireError(f"word id {word} at offset {start} is above 2^32 - 1")
-        if word in removed:
-            raise WireError(f"word {word} at offset {start} is both removed and counted")
-        start = off
-        if off < end and (count := data[off]) < 0x80:
-            off += 1
-        else:
-            count, off = r.varint(off)
-        if count == 0:
-            raise WireError(f"word count 0 at offset {start} is not positive")
-        if count == old.get(word):
-            raise WireError(f"word count {count} at offset {start} equals the previous "
-                            "histogram's")
-        changed[word] = count
-    r.off = off
-    return changed
 
 
 def _read_word_delta(r: _Reader, old: dict[int, int]) -> dict[int, int]:
     """The histogram a word delta makes of `old`, in ascending word order."""
     start = r.off
     removed = _read_removed_words(r, old)
-    changed = _read_changed_rows(r, old, removed)
+    # the total is checked below, over the whole histogram
+    changed = _read_rows(r, old, removed, math.inf)
     words = dict(old)
     for word in removed:
         del words[word]
@@ -804,7 +740,7 @@ def _read_points(r: _Reader) -> list[MapPoint]:
         uid = r.id()
         pos = _read_finite(r, _VEC3, "position")
         start = r.off
-        word, r.off = r.varint(start)
+        word = r.uint()
         if word > _MAX_U32:
             raise WireError(f"word id {word} at offset {start} is above 2^32 - 1")
         # the payload's keyframes that observe the point, in record order
@@ -880,6 +816,7 @@ def _scalar(f: _Fields):
 
 _ID = (_write_id, _Reader.id)
 _IDS = (_write_ids, _Reader.ids)
+_WORDS = (_write_words, lambda r: _read_rows(r, {}, [], MAX_WORD_TOTAL))
 _KEYFRAMES = (_write_keyframes, _read_keyframes)
 _POINTS = (_write_points, _read_points)
 _ROSTER = (_write_roster, _read_roster)
@@ -888,8 +825,7 @@ _ROSTER = (_write_roster, _read_roster)
 # per dataclass field after `sender`, in declaration order.  This table is the
 # only place a message type is declared.
 _PAYLOADS = {
-    MessageType.BOW_ANNOUNCE: (BowAnnounce, CATEGORY_BOWS,
-                               (_ID, (_write_words, _read_words))),
+    MessageType.BOW_ANNOUNCE: (BowAnnounce, CATEGORY_BOWS, (_ID, _WORDS)),
     MessageType.FULL_MAP: (FullMapMsg, CATEGORY_FULL_MAP, (_ID, _KEYFRAMES, _POINTS)),
     MessageType.MERGE_NOTIFY: (MergeNotify, CATEGORY_CONTROL,
                                ((_write_sim3, _read_sim3), _ROSTER, _ROSTER, _scalar(_U64))),
