@@ -34,7 +34,10 @@ once per merge id, rosters only grow groups, and an agent's localization
 travels as an epoch that every manager keeps as a max-register.  A frame that
 fails to decode is dropped by its receiver and logged as ``frame_rejected``
 (its sender, its header's type tag or null when the header itself fails, and
-the error); the ledger has already counted it as received.
+the error); the ledger has already counted it as received.  So is a frame
+that decodes but names an agent it may not: a header sender other than the
+envelope's source, or a roster or transform roster member outside the
+scenario.  Either is dropped before any state changes.
 
 After the scripted duration ends, a quiescence barrier force-flushes the
 remaining outboxes toward merged peers and runs the event queue dry so that
@@ -453,17 +456,29 @@ class Simulation:
         self.net.deliver(env)
         try:
             msg = decode_frame(env.data)
+            error = self._foreign_agent(msg, env.src)
         except WireError as exc:
-            # the receiver drops a frame it cannot decode; the ledger has
-            # already counted it as received
+            error = str(exc)
+        if error is not None:
+            # the receiver drops the frame before any state changes; the
+            # ledger has already counted it as received
             try:
                 tag = decode_envelope(env.data)[0]
             except WireError:
                 tag = None
-            self.log(env.dst, "frame_rejected",
-                     {"sender": env.src, "type": tag, "error": str(exc)})
+            self.log(env.dst, "frame_rejected", {"sender": env.src, "type": tag, "error": error})
             return
         self.runtimes[env.dst].on_message(msg, now=self.now)
+
+    def _foreign_agent(self, msg, src: int) -> str | None:
+        """Why a decoded message from `src` names an agent it may not, or None."""
+        if msg.sender != src:
+            return f"header sender {msg.sender} is not the envelope's source {src}"
+        for name in ("roster", "transform_roster"):
+            unknown = set(getattr(msg, name, ())).difference(self.runtimes)
+            if unknown:
+                return f"{name} names agent {min(unknown)}, which is not in the scenario"
+        return None
 
     def _partition_change(self) -> None:
         components = self.net.reachability(self.now)

@@ -10,14 +10,23 @@ from meshslam import wire
 from meshslam.alignment import match_tagged
 from meshslam.ate import compute_ate
 from meshslam.config import load_scenario
-from meshslam.geometry import Se3Pose
+from meshslam.geometry import Rotation, Se3Pose, Sim3Transform
 from meshslam.group_protocol import PeerState
 from meshslam.map_sharing import QueueEntry
 from meshslam.map_store import KeyFrame, MapPoint
 from meshslam.merge_detection import bow_similarity
-from meshslam.net_sim import CATEGORIES
+from meshslam.net_sim import CATEGORIES, Envelope
 from meshslam.simulation import _RECEIVERS, Simulation
-from meshslam.wire import AlignmentRequest, LocalizationState, TaggedPoints
+from meshslam.wire import (
+    AlignmentRequest,
+    BowAnnounce,
+    GroupUpdate,
+    LocalizationState,
+    MergeNotify,
+    TaggedPoints,
+    encode_envelope,
+    encode_message,
+)
 
 from scenario_defs import (
     blackout_at_end,
@@ -625,6 +634,66 @@ class TestMessageDispatch:
     def test_event_log_never_steps_back_in_time(self, fixture, request):
         times = [e["time"] for e in request.getfixturevalue(fixture).log.entries]
         assert times == sorted(times)
+
+
+TURN = Sim3Transform(1.2, Rotation.from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.3),
+                     np.array([0.5, -1.0, 0.2]))
+
+
+def deliver(sim, msg, src=0, dst=1):
+    """Deliver `msg` from `src` to `dst` in a frame whose header names ``msg.sender``."""
+    mt, payload = encode_message(msg)
+    sim._deliver(Envelope(src, dst, int(mt), encode_envelope(mt, msg.sender, payload), sim.now))
+
+
+def replica(sim, aid=1):
+    """What a message could change at agent `aid`: its groups, epochs, map and sends."""
+    rt = sim.runtimes[aid]
+    mgr, m = rt.manager, rt.db.shared_map
+    return (sorted(map(sorted, mgr.registry.groups())), sorted(mgr.aligned), dict(mgr._epochs),
+            set(mgr.lost_agents), set(mgr._applied_merge_ids),
+            {k: (kf.pose.rotation.q.tobytes(), kf.pose.translation.tobytes())
+             for k, kf in m.keyframes.items()},
+            {k: p.position.tobytes() for k, p in m.points.items()},
+            sim.net.ledger.totals(sim.net.ledger.sent))
+
+
+class TestFramesNamingUnknownAgents:
+    """A frame that decodes but names an agent it may not is logged as
+    ``frame_rejected`` and dropped before any state changes; a later valid
+    message still applies."""
+
+    @pytest.mark.parametrize("msg, error", [
+        (GroupUpdate(0, [0, 99]), "roster names agent 99, which is not in the scenario"),
+        (MergeNotify(0, TURN, [0, 1, 99], [1], 5),
+         "roster names agent 99, which is not in the scenario"),
+        (MergeNotify(0, TURN, [0, 1], [1, 99], 5),
+         "transform_roster names agent 99, which is not in the scenario"),
+        (LocalizationState(99, 1), "header sender 99 is not the envelope's source 0"),
+        (BowAnnounce(99, 4, {3: 1, 8: 2}), "header sender 99 is not the envelope's source 0"),
+        (AlignmentRequest(99, [1, 2, 3]), "header sender 99 is not the envelope's source 0"),
+    ], ids=["group-update", "merge-notify-roster", "merge-notify-transform-roster",
+            "localization-state", "bow-announce", "alignment-request"])
+    def test_rejected_before_any_state_changes(self, msg, error):
+        # cooperation off: three unmerged maps, and nothing left in flight
+        sim = Simulation(coop_loops(cooperative=False, duration=2.0), seed=7)
+        sim.run()
+        assert sim.runtimes[1].db.shared_map.keyframes
+        before = replica(sim)
+        logged = len(sim.log_book.entries)
+        deliver(sim, msg)
+        assert replica(sim) == before
+        assert sim.log_book.entries[logged:] == [
+            {"time": round(sim.now, 9), "agent": 1, "event": "frame_rejected",
+             "detail": {"sender": 0, "type": int(encode_message(msg)[0]), "error": error}}]
+        # the same merge id, now with a valid roster, still applies
+        deliver(sim, MergeNotify(0, TURN, [0, 1], [1], 5))
+        after = replica(sim)
+        assert after[0] == [[0, 1], [2]]
+        assert after[4] == {5}
+        assert all(after[5][k] != pose for k, pose in before[5].items())
+        assert [e["event"] for e in sim.log_book.entries[logged + 1:]] == [
+            "merge_transform_applied"]
 
 
 class TestDeterminism:
