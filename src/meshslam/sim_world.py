@@ -33,9 +33,12 @@ The per-tick work is kept to what every tick needs:
   differently from a Python sum, which would move the last bits.  The
   distance norm's row sum is written as the column adds numpy's reduction
   performs, in its order.
-* Every tick computes the visibility mask, because the weak-frame count
-  needs it.  The visible ``Landmark`` list and the camera rows are built
-  only when read, which ``spawn_keyframe`` does once a keyframe is due.
+* The weak-frame test needs only whether MIN_WORD_MATCHES landmarks are in
+  view.  A scan keeps a bound on how far the agent may move along its
+  segment's optical axis before that can change; a tick within it skips
+  the scan.  The frame scans on first read and builds the visible
+  ``Landmark`` list and camera rows then, which ``spawn_keyframe`` does once
+  a keyframe is due, so which landmarks are seen never comes from the bound.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -207,36 +211,46 @@ class TrackerFrame:
     ``visible`` lists the landmarks in view in table order, ``count`` how
     many there are, and ``cam_positions`` holds their (n, 3) camera-frame
     positions, meters.  ``lost_transition`` is true when tracking was healthy
-    and just crossed the loss gate.  A tracker's frame builds ``visible`` and
-    ``cam_positions`` on first read from its tick's row indices, landmark
-    table and inverse translation, which later ticks replace but never
-    change; most ticks spawn no keyframe and never read them.
+    and just crossed the loss gate.  A tracker's frame keeps its tick's row
+    indices (or the scan finding them), landmark table and inverse
+    translation, which later ticks replace but never change, and scans and
+    builds the rest on first read; most ticks spawn no keyframe and never do.
     """
 
-    __slots__ = ("time", "count", "lost_transition", "_visible", "_cam", "_rows")
+    __slots__ = ("time", "lost_transition", "_rows", "_visible", "_cam", "_view")
 
-    def __init__(self, time: float, landmarks: list[Landmark], rows: np.ndarray,
-                 table: np.ndarray, shift: tuple, lost_transition: bool):
-        """The frame seeing ``landmarks[rows]`` at ``table[rows] + shift``."""
-        self.time, self.count, self.lost_transition = time, len(rows), lost_transition
-        self._visible = self._cam = None
-        self._rows = landmarks, rows, table, shift
+    def __init__(self, time: float, landmarks: list[Landmark], rows, table: np.ndarray,
+                 shift: tuple, lost_transition: bool):
+        """The frame seeing ``landmarks[rows]`` at ``table[rows] + shift``; rows may be a scan."""
+        self.time, self.lost_transition = time, lost_transition
+        self._rows, self._visible, self._cam = rows, None, None
+        self._view = landmarks, table, shift
+
+    def _scanned(self) -> np.ndarray:
+        if callable(self._rows):
+            self._rows = self._rows()
+        return self._rows
+
+    @property
+    def count(self) -> int:
+        return len(self._scanned())
 
     def _build(self) -> None:
-        landmarks, rows, table, shift = self._rows
+        rows = self._scanned()
+        landmarks, table, shift = self._view
         self._visible = [landmarks[i] for i in rows.tolist()]
         self._cam = table[rows] + shift
-        self._rows = None
+        self._view = None
 
     @property
     def visible(self) -> list[Landmark]:
-        if self._rows is not None:
+        if self._view is not None:
             self._build()
         return self._visible
 
     @property
     def cam_positions(self) -> np.ndarray:
-        if self._rows is not None:
+        if self._view is not None:
             self._build()
         return self._cam
 
@@ -276,6 +290,11 @@ class AgentTracker:
         self.localized = True
         self._weak_frames = 0
         self.last_kf_pose: Se3Pose | None = None
+        self._kf_inverse = None, None  # (last_kf_pose, its inverse as floats)
+        # (view, scan position, optical axis, reach) of the last scan: see _settle
+        self._reach = None
+        c = math.cos(math.radians(cfg.fov_deg) / 2.0)
+        self._cot = c / math.sqrt(1.0 - c * c) if c < 1.0 else None  # of half the FOV
         # landmark id -> map point uuid, per frame; shared-frame copy saved on loss
         self.assoc: dict[int, int] = {}
         self._shared_assoc: dict[int, int] = {}
@@ -304,15 +323,15 @@ class AgentTracker:
     def in_blackout(self, t: float) -> bool:
         return any(t0 <= t < t1 for t0, t1 in self.cfg.blackouts)
 
-    def _visible_rows(self, t: float) -> np.ndarray:
-        """Ascending indices of the landmarks in view at time t."""
+    def _visible_rows(self, t: float, position: np.ndarray, forward: np.ndarray) -> np.ndarray:
+        """Ascending indices of the landmarks in view at time t from `position` along `forward`."""
         if self.in_blackout(t) or len(self.landmarks) == 0:
             return _NO_ROWS
-        rel = self._lm_positions - self.true_pose.translation
+        rel = self._lm_positions - position
         sq = rel * rel
         # np.linalg.norm(rel, axis=1): its row sum adds the columns in order
         dist = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
-        dot = rel @ self._view.forward
+        dot = rel @ forward
         near = np.flatnonzero((dist > 1e-9) & (dist <= self.cfg.range_m))
         cosang = dot[near] / dist[near]
         return near[cosang >= math.cos(math.radians(self.cfg.fov_deg) / 2.0)]
@@ -321,19 +340,52 @@ class AgentTracker:
         return TrackerFrame(t, self.landmarks, rows, self._cam_table,
                             self._true_inverse[1], lost_transition)
 
-    def visible_landmarks(self, t: float) -> tuple[list[Landmark], np.ndarray]:
-        frame = self._frame(t, self._visible_rows(t), False)
-        return frame.visible, frame.cam_positions
+    def _settle(self, rows: np.ndarray, position: np.ndarray) -> None:
+        """Keep how far the agent may move from `position` along this view's
+        optical axis with at least MIN_WORD_MATCHES of `rows` still in view.
+
+        A move of s along the axis takes a landmark at forward offset u and
+        lateral offset l to u - s and l: it comes nearer and stays in the
+        cone of half-angle a for 0 <= s <= u - l cot(a).  The margin
+        1e-6 (1 + u) (1 + cot(a)) outweighs the rounding of the scan, of
+        these sums and of the segment's positions off the axis; a landmark
+        within 1e-6 (1 + range) of the range counts for nothing, as rounding
+        alone can move it out when s is near 0.
+        """
+        self._reach = None
+        k, cot, far = MIN_WORD_MATCHES, self._cot, self.cfg.range_m
+        if len(rows) < k or cot is None:
+            return
+        forward = self._view.forward
+        rel = self._lm_positions[rows] - position
+        u = rel @ forward
+        side = rel - u[:, None] * forward
+        limit = u - np.sqrt((side * side).sum(axis=1)) * cot - 1e-6 * (1.0 + u) * (1.0 + cot)
+        limits = sorted(limit[(rel * rel).sum(axis=1) <= (far - 1e-6 * (1.0 + far)) ** 2]
+                        .tolist(), reverse=True)
+        if len(limits) >= k:
+            self._reach = self._view, position.tolist(), forward.tolist(), limits[k - 1]
+
+    def _settled(self, t: float, position: list[float]) -> bool:
+        """Whether the bound `_settle` kept puts at least MIN_WORD_MATCHES
+        landmarks in view at time t from `position`, without a scan."""
+        if self._reach is None or self._reach[0] is not self._view or self.in_blackout(t):
+            return False
+        _, start, (fx, fy, fz), reach = self._reach
+        x, y, z = (p - p0 for p, p0 in zip(position, start))
+        return 0.0 <= x * fx + y * fy + z * fz <= reach
 
     def step(self, t: float) -> TrackerFrame:
         """Advance to time t, integrating noisy odometry in the agent frame.
 
-        The pose arithmetic runs on the float kernels; the returned frame
-        builds its landmark list and camera rows only when read.
+        The pose arithmetic runs on the float kernels.  A tick `_settled` is
+        healthy without a scan; others scan and renew the bound.  The frame
+        scans, if it has not, and builds its landmark list only when read.
         """
         prev_q, prev_t = self._true_inverse
         self.true_pose = pose = self.script.pose_at(t)
-        q, d = pose_compose_f(prev_q, prev_t, *pose.floats())
+        pose_q, pose_t = pose.floats()
+        q, d = pose_compose_f(prev_q, prev_t, pose_q, pose_t)
         moved = np.array(d)
         d_step = math.sqrt(float(moved.dot(moved)))
         if d_step > 0 and (self.cfg.sigma_t > 0 or self.cfg.sigma_r > 0):
@@ -344,11 +396,15 @@ class AgentTracker:
         self.est_pose = Se3Pose.of_floats(*pose_compose_f(
             *self.est_pose.floats(), q, (s * d[0], s * d[1], s * d[2])))
 
-        rows = self._visible_rows(t)
-        if len(rows) < MIN_WORD_MATCHES:
-            self._weak_frames += 1
-        else:
+        rows = partial(self._visible_rows, t, pose.translation, self._view.forward)
+        settled = self._settled(t, pose_t)
+        if not settled:
+            rows = rows()
+            self._settle(rows, pose.translation)
+        if settled or len(rows) >= MIN_WORD_MATCHES:
             self._weak_frames = 0
+        else:
+            self._weak_frames += 1
         lost_transition = self.localized and self._weak_frames >= LOST_FRAMES
         return self._frame(t, rows, lost_transition)
 
@@ -357,8 +413,9 @@ class AgentTracker:
     def should_spawn(self) -> bool:
         if self.last_kf_pose is None:
             return True
-        q, t = pose_compose_f(*pose_inverse_f(*self.last_kf_pose.floats()),
-                              *self.est_pose.floats())
+        if self._kf_inverse[0] is not self.last_kf_pose:
+            self._kf_inverse = self.last_kf_pose, pose_inverse_f(*self.last_kf_pose.floats())
+        q, t = pose_compose_f(*self._kf_inverse[1], *self.est_pose.floats())
         rel = np.array(t)
         if math.sqrt(float(rel.dot(rel))) > SPAWN_DISTANCE:  # agent-frame units
             return True
@@ -377,7 +434,7 @@ class AgentTracker:
         copy of a point tracks that agent's own drifting frame, exactly the
         divergence the map alignment refiner exists to measure.
         """
-        if not frame.count or not self.should_spawn():
+        if not self.should_spawn() or not frame.count:
             return None
         counts = Counter(lm.word for lm in frame.visible)
         observed: set[int] = set()

@@ -36,8 +36,8 @@ fails to decode is dropped by its receiver and logged as ``frame_rejected``
 (its sender, its header's type tag or null when the header itself fails, and
 the error); the ledger has already counted it as received.  So is a frame
 that decodes but names an agent it may not: a header sender other than the
-envelope's source, or a roster or transform roster member outside the
-scenario.  Either is dropped before any state changes.
+envelope's source, or a roster member, transform roster member or keyframe
+origin outside the scenario.  Either is dropped before any state changes.
 
 After the scripted duration ends, a quiescence barrier force-flushes the
 remaining outboxes toward merged peers and runs the event queue dry so that
@@ -474,8 +474,10 @@ class Simulation:
         """Why a decoded message from `src` names an agent it may not, or None."""
         if msg.sender != src:
             return f"header sender {msg.sender} is not the envelope's source {src}"
-        for name in ("roster", "transform_roster"):
-            unknown = set(getattr(msg, name, ())).difference(self.runtimes)
+        named = {name: getattr(msg, name, ()) for name in ("roster", "transform_roster")}
+        named["keyframe origin"] = [kf.origin_agent for kf in getattr(msg, "keyframes", ())]
+        for name, ids in named.items():
+            unknown = set(ids).difference(self.runtimes)
             if unknown:
                 return f"{name} names agent {min(unknown)}, which is not in the scenario"
         return None

@@ -25,6 +25,11 @@ def tracker(seed=0, waypoints=None, landmarks=None, **kw):
     return AgentTracker(cfg, lms, seed, UuidGenerator(seed, 0))
 
 
+def scan(tr, t):
+    """The frame of the full scan from ``tr``'s current true pose at time t."""
+    return tr._frame(t, tr._visible_rows(t, tr.true_pose.translation, tr._view.forward), False)
+
+
 @pytest.fixture
 def one_word_match(monkeypatch):
     """Any frame that sees a landmark counts as healthy."""
@@ -220,24 +225,22 @@ class TestVisibility:
         from meshslam.sim_world import Landmark
         lms = [Landmark(0, np.array([-1.0, 0, 0]), 0)]
         tr = tracker(landmarks=lms)
-        visible, _ = tr.visible_landmarks(0.0)
-        assert visible == []
+        assert scan(tr, 0.0).visible == []
 
     def test_in_front_visible(self):
         from meshslam.sim_world import Landmark
         lms = [Landmark(0, np.array([2.0, 0, 0]), 0)]
         tr = tracker(landmarks=lms)
-        visible, cam = tr.visible_landmarks(0.0)
-        assert [lm.id for lm in visible] == [0]
-        assert np.allclose(cam[0], [2, 0, 0], atol=1e-12)
+        frame = scan(tr, 0.0)
+        assert [lm.id for lm in frame.visible] == [0]
+        assert np.allclose(frame.cam_positions[0], [2, 0, 0], atol=1e-12)
 
     def test_matches_brute_force(self):
         lms = self.grid_world()
         tr = tracker(landmarks=lms, fov_deg=100.0, range_m=7.0)
         for t in np.linspace(0, 8, 17):
             tr.true_pose = tr.script.pose_at(float(t))
-            visible, _ = tr.visible_landmarks(float(t))
-            got = {lm.id for lm in visible}
+            got = {lm.id for lm in scan(tr, float(t)).visible}
             fwd = tr.true_pose.rotation.apply(np.array([1.0, 0, 0]))
             expect = set()
             for lm in lms:
@@ -253,8 +256,8 @@ class TestVisibility:
         from meshslam.sim_world import Landmark
         lms = [Landmark(0, np.array([2.0, 0, 0]), 0)]
         tr = tracker(landmarks=lms, blackouts=[(0.0, 5.0)])
-        assert tr.visible_landmarks(1.0)[0] == []
-        assert [lm.id for lm in tr.visible_landmarks(5.0)[0]] == [0]
+        assert scan(tr, 1.0).visible == []
+        assert [lm.id for lm in scan(tr, 5.0).visible] == [0]
 
 
 class TestKeyframeSpawning:

@@ -20,7 +20,9 @@ from meshslam.simulation import _RECEIVERS, Simulation
 from meshslam.wire import (
     AlignmentRequest,
     BowAnnounce,
+    FullMapMsg,
     GroupUpdate,
+    KeyFramePacket,
     LocalizationState,
     MergeNotify,
     TaggedPoints,
@@ -647,7 +649,8 @@ def deliver(sim, msg, src=0, dst=1):
 
 
 def replica(sim, aid=1):
-    """What a message could change at agent `aid`: its groups, epochs, map and sends."""
+    """What a message could change at agent `aid`: its groups, epochs, map, keyframe
+    queue and sends."""
     rt = sim.runtimes[aid]
     mgr, m = rt.manager, rt.db.shared_map
     return (sorted(map(sorted, mgr.registry.groups())), sorted(mgr.aligned), dict(mgr._epochs),
@@ -655,7 +658,12 @@ def replica(sim, aid=1):
             {k: (kf.pose.rotation.q.tobytes(), kf.pose.translation.tobytes())
              for k, kf in m.keyframes.items()},
             {k: p.position.tobytes() for k, p in m.points.items()},
-            sim.net.ledger.totals(sim.net.ledger.sent))
+            len(rt.sharing.queue), sim.net.ledger.totals(sim.net.ledger.sent))
+
+
+# a keyframe and its point from agent 99, which no scenario here has
+STRAY_KF = KeyFrame(777, 99, 1.0, Se3Pose.identity(), {3: 1}, {888})
+STRAY_POINT = MapPoint(888, np.array([1.0, 2.0, 0.5]), 3, {777})
 
 
 class TestFramesNamingUnknownAgents:
@@ -672,8 +680,13 @@ class TestFramesNamingUnknownAgents:
         (LocalizationState(99, 1), "header sender 99 is not the envelope's source 0"),
         (BowAnnounce(99, 4, {3: 1, 8: 2}), "header sender 99 is not the envelope's source 0"),
         (AlignmentRequest(99, [1, 2, 3]), "header sender 99 is not the envelope's source 0"),
+        (KeyFramePacket(0, [STRAY_KF], [STRAY_POINT]),
+         "keyframe origin names agent 99, which is not in the scenario"),
+        (FullMapMsg(0, 777, [STRAY_KF], [STRAY_POINT]),
+         "keyframe origin names agent 99, which is not in the scenario"),
     ], ids=["group-update", "merge-notify-roster", "merge-notify-transform-roster",
-            "localization-state", "bow-announce", "alignment-request"])
+            "localization-state", "bow-announce", "alignment-request", "keyframe-packet",
+            "full-map"])
     def test_rejected_before_any_state_changes(self, msg, error):
         # cooperation off: three unmerged maps, and nothing left in flight
         sim = Simulation(coop_loops(cooperative=False, duration=2.0), seed=7)
