@@ -37,19 +37,19 @@ def vec3(x: float, y: float, z: float) -> np.ndarray:
 # the value types wrap these kernels, and the tracker chains them through a
 # whole tick without building an array in between.
 #
-# Calls that sum several products stay numpy: the quaternion norm's
-# ``np.dot``, ``se3_exp``'s ``k @ k`` and ``vmat @ v``, ``quat_angle``'s dot,
-# the tracker's step length and spawn distance, and the visibility test's
-# ``rel @ forward``.  A library may add those terms in another order or fuse
-# them (pairwise, SIMD lanes, FMA), so a Python-float sum would differ in the
-# last bits.
+# Every sum of products is written out in one fixed left-to-right order: the
+# quaternion norm is ``w*w + x*x + y*y + z*z``, a vector norm
+# ``x*x + y*y + z*z``, and ``se3_exp``'s ``V v`` uses ``K K = w w^T - |w|^2 I``
+# rather than a matrix product.  A library dot or matrix product may add the
+# same terms in another order or fuse them (pairwise, SIMD lanes, FMA), and
+# which kernel runs depends on the CPU core BLAS picks, so the last bits of
+# every pose would too.  Element-wise arithmetic rounds each operation alone,
+# the same on any core.
 #
 # ``quat_mul`` and ``quat_rotate`` also take rows, (n, 4) and (..., 3): the
 # same kernel runs on the columns, so each row is bit-identical to the
-# single form.  ``quat_canonical`` has its own row form, whose norm comes
-# from ``np.vecdot``, which sums each row with the same dot kernel as the
-# single form's ``np.dot``; ``(q * q).sum(1)`` and ``einsum`` sum in another
-# order and differ in the last bits.
+# single form.  ``quat_canonical``'s row form sums the same squared columns
+# in the same order as the single form.
 # ---------------------------------------------------------------------------
 
 def quat_mul_f(a, b) -> tuple:
@@ -87,9 +87,15 @@ def _unit_f(q, n2: float) -> tuple:
 
 
 def quat_canonical_f(q) -> tuple:
-    """Unit-norm, sign-canonical q; the squared norm is numpy's dot."""
-    a = np.array(q)
-    return _unit_f(q, float(a.dot(a)))
+    """Unit-norm, sign-canonical q."""
+    w, x, y, z = q
+    return _unit_f(q, w * w + x * x + y * y + z * z)
+
+
+def norm3_f(v) -> float:
+    """The Euclidean norm of the 3-vector v, summed in order."""
+    x, y, z = v
+    return math.sqrt(x * x + y * y + z * z)
 
 
 def quat_rotate_f(q, p) -> tuple:
@@ -147,7 +153,8 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
 def quat_canonical(q: np.ndarray) -> np.ndarray:
     """Unit-norm, sign-canonical copy of q of shape (4,) or (n, 4)."""
     if q.ndim == 2:
-        n2 = np.vecdot(q, q)
+        w, x, y, z = q.T
+        n2 = w * w + x * x + y * y + z * z
         if not (np.isfinite(n2).all() and (n2 >= _TINY).all()):
             raise ValueError(_BAD_NORM)
         q = q / np.sqrt(n2)[:, None]
@@ -155,7 +162,7 @@ def quat_canonical(q: np.ndarray) -> np.ndarray:
         first = v[np.arange(len(v)), np.argmax(v != 0.0, axis=1)]
         flip = (w < 0.0) | ((w == 0.0) & (first < 0.0))
         return np.where(flip[:, None], -q, q)
-    return np.array(_unit_f(q.tolist(), float(np.dot(q, q))))
+    return np.array(quat_canonical_f(q.tolist()))
 
 
 def quat_rotate(q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -177,13 +184,14 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
 
 
 def quat_from_rotvec(v: np.ndarray) -> np.ndarray:
-    return np.array(_rotvec_quat_f(v.tolist(), math.sqrt(float(np.dot(v, v)))))
+    v = v.tolist()
+    return np.array(_rotvec_quat_f(v, norm3_f(v)))
 
 
-def quat_angle(q: np.ndarray) -> float:
-    """Rotation angle in [0, pi] of a canonical unit quaternion."""
-    n = math.sqrt(float(np.dot(q[1:], q[1:])))
-    return 2.0 * math.atan2(n, abs(float(q[0])))
+def quat_angle(q) -> float:
+    """Rotation angle in [0, pi] of a canonical unit quaternion, an array or
+    a float sequence."""
+    return 2.0 * math.atan2(norm3_f(q[1:]), abs(float(q[0])))
 
 
 def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
@@ -192,7 +200,7 @@ def quat_to_rotvec(q: np.ndarray) -> np.ndarray:
         raise DegenerateRotationError(
             f"rotation angle {angle:.9f} rad is within 1e-6 of pi"
         )
-    n = math.sqrt(float(np.dot(q[1:], q[1:])))
+    n = norm3_f(q[1:])
     if n < 1e-12:
         return 2.0 * np.asarray(q[1:], dtype=float)
     return np.asarray(q[1:], dtype=float) * (angle / n)
@@ -224,7 +232,7 @@ class Rotation:
     @staticmethod
     def from_axis_angle(axis: np.ndarray, angle: float) -> "Rotation":
         axis = np.asarray(axis, dtype=float)
-        axis = axis / np.linalg.norm(axis)
+        axis = axis / norm3_f(axis.tolist())
         return Rotation(quat_from_rotvec(axis * angle))
 
     @staticmethod
@@ -372,13 +380,22 @@ def _so3_coeffs(angle: float) -> tuple[float, float, float]:
 
 
 def se3_exp_f(w, v) -> tuple[tuple, tuple]:
-    """exp of the twist (w, v) as (quaternion, translation) floats."""
-    wa = np.array(w)
-    angle = math.sqrt(float(wa.dot(wa)))
+    """exp of the twist (w, v) as (quaternion, translation) floats.
+
+    The translation is ``V v`` with ``V = I + b K + c K K``, ``K`` the skew
+    matrix of w.  ``K v`` is ``w x v`` and ``K K v`` is
+    ``w (w . v) - |w|^2 v``, each summed in the order written.
+    """
+    wx, wy, wz = w
+    vx, vy, vz = v
+    n2 = wx * wx + wy * wy + wz * wz
+    angle = math.sqrt(n2)
     _, b, c = _so3_coeffs(angle)
-    k = _skew(w)
-    vmat = np.eye(3) + b * k + c * (k @ k)
-    return _rotvec_quat_f(w, angle), tuple((vmat @ np.array(v)).tolist())
+    wv = wx * vx + wy * vy + wz * vz
+    return _rotvec_quat_f(w, angle), (
+        vx + b * (wy * vz - wz * vy) + c * (wx * wv - n2 * vx),
+        vy + b * (wz * vx - wx * vz) + c * (wy * wv - n2 * vy),
+        vz + b * (wx * vy - wy * vx) + c * (wz * wv - n2 * vz))
 
 
 def se3_exp(twist: np.ndarray) -> Se3Pose:

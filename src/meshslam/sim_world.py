@@ -26,13 +26,13 @@ The per-tick work is kept to what every tick needs:
 * The odometry delta, the noise composition, the estimated pose update and
   the spawn test's relative pose run on ``geometry``'s float kernels, with
   the operations, in the order, of ``Se3Pose.compose``/``inverse`` and
-  ``se3_exp``.  Each sum of products stays the numpy call it was: the
-  quaternion norms' dot, the step length's and spawn distance's dot,
-  ``se3_exp``'s matrix products, ``quat_angle``'s dot and the visibility
-  test's ``rel @ forward``; a library may order or fuse those terms
-  differently from a Python sum, which would move the last bits.  The
-  distance norm's row sum is written as the column adds numpy's reduction
-  performs, in its order.
+  ``se3_exp``.  Every sum of products is written out in one fixed order,
+  as ``geometry`` does: the step length and spawn distance as
+  ``x*x + y*y + z*z`` on floats, and the visibility test's distances and
+  offsets along the optical axis as column products added left to right.
+  No BLAS call is left on the tick, so no pose, and no landmark's cone
+  test, depends on which kernel BLAS picks for the CPU or on how many
+  rows the landmark table has.
 * The weak-frame test needs only whether MIN_WORD_MATCHES landmarks are in
   view.  A scan keeps a bound on how far the agent may move along its
   segment's optical axis before that can change; a tick within it skips
@@ -52,8 +52,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import AgentConfig, WorldConfig
-from .geometry import (Rotation, Se3Pose, Sim3Transform, pose_compose_f, pose_inverse_f,
-                       quat_angle, quat_rotate_f, se3_exp_f, vec3)
+from .geometry import (Rotation, Se3Pose, Sim3Transform, norm3_f, pose_compose_f,
+                       pose_inverse_f, quat_angle, quat_rotate_f, se3_exp_f, vec3)
 from .map_store import KeyFrame, MapPoint, UuidGenerator
 
 # A keyframe spawns once the agent-frame pose has moved more than
@@ -118,17 +118,16 @@ _NO_ROWS = np.zeros(0, dtype=np.intp)
 def _rotation_facing(direction: np.ndarray) -> Rotation:
     """Rotation mapping the +x axis onto `direction`."""
     d = np.asarray(direction, dtype=float)
-    n = np.linalg.norm(d)
+    n = norm3_f(d.tolist())
     if n < 1e-12:
         return Rotation.identity()
     d = d / n
-    x = np.array([1.0, 0.0, 0.0])
-    c = float(np.dot(x, d))
+    c = float(d[0])  # +x . d
     if c > 1.0 - 1e-12:
         return Rotation.identity()
     if c < -1.0 + 1e-12:
         return Rotation.from_axis_angle(vec3(0, 0, 1), math.pi)
-    axis = np.cross(x, d)
+    axis = np.cross(_X_AXIS, d)
     return Rotation.from_axis_angle(axis, math.acos(max(-1.0, min(1.0, c))))
 
 
@@ -162,7 +161,7 @@ class TrajectoryScript:
         if n > 1:
             for i in range(n):
                 a, b = self.points[i], self.points[(i + 1) % n]
-                length = float(np.linalg.norm(b - a))
+                length = norm3_f((b - a).tolist())
                 if length > 1e-12:
                     segs.append(Segment.between(a, b, length, _rotation_facing(b - a)))
         self.total_length = sum(seg.length for seg in segs)
@@ -328,10 +327,10 @@ class AgentTracker:
         if self.in_blackout(t) or len(self.landmarks) == 0:
             return _NO_ROWS
         rel = self._lm_positions - position
-        sq = rel * rel
-        # np.linalg.norm(rel, axis=1): its row sum adds the columns in order
-        dist = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
-        dot = rel @ forward
+        x, y, z = rel[:, 0], rel[:, 1], rel[:, 2]
+        fx, fy, fz = forward.tolist()
+        dist = np.sqrt(x * x + y * y + z * z)
+        dot = x * fx + y * fy + z * fz
         near = np.flatnonzero((dist > 1e-9) & (dist <= self.cfg.range_m))
         cosang = dot[near] / dist[near]
         return near[cosang >= math.cos(math.radians(self.cfg.fov_deg) / 2.0)]
@@ -358,7 +357,8 @@ class AgentTracker:
             return
         forward = self._view.forward
         rel = self._lm_positions[rows] - position
-        u = rel @ forward
+        fx, fy, fz = forward.tolist()
+        u = rel[:, 0] * fx + rel[:, 1] * fy + rel[:, 2] * fz
         side = rel - u[:, None] * forward
         limit = u - np.sqrt((side * side).sum(axis=1)) * cot - 1e-6 * (1.0 + u) * (1.0 + cot)
         limits = sorted(limit[(rel * rel).sum(axis=1) <= (far - 1e-6 * (1.0 + far)) ** 2]
@@ -386,8 +386,7 @@ class AgentTracker:
         self.true_pose = pose = self.script.pose_at(t)
         pose_q, pose_t = pose.floats()
         q, d = pose_compose_f(prev_q, prev_t, pose_q, pose_t)
-        moved = np.array(d)
-        d_step = math.sqrt(float(moved.dot(moved)))
+        d_step = norm3_f(d)
         if d_step > 0 and (self.cfg.sigma_t > 0 or self.cfg.sigma_r > 0):
             w = self._rng.normal(0.0, self.cfg.sigma_r * math.sqrt(d_step), 3)
             v = self._rng.normal(0.0, self.cfg.sigma_t * math.sqrt(d_step), 3)
@@ -416,10 +415,9 @@ class AgentTracker:
         if self._kf_inverse[0] is not self.last_kf_pose:
             self._kf_inverse = self.last_kf_pose, pose_inverse_f(*self.last_kf_pose.floats())
         q, t = pose_compose_f(*self._kf_inverse[1], *self.est_pose.floats())
-        rel = np.array(t)
-        if math.sqrt(float(rel.dot(rel))) > SPAWN_DISTANCE:  # agent-frame units
+        if norm3_f(t) > SPAWN_DISTANCE:  # agent-frame units
             return True
-        return quat_angle(np.array(q)) > math.radians(SPAWN_ANGLE_DEG)
+        return quat_angle(q) > math.radians(SPAWN_ANGLE_DEG)
 
     def spawn_keyframe(self, agent_id: int, t: float, frame: TrackerFrame,
                        active_map=None) -> tuple[KeyFrame, list[MapPoint]] | None:

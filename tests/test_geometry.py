@@ -211,8 +211,10 @@ def numpy_rotate(q, p):
 
 
 def numpy_canonical(q):
-    """The single-quaternion canonical form as numpy array arithmetic."""
-    n2 = float(np.dot(q, q))
+    """The single-quaternion canonical form as numpy array arithmetic, the
+    squared norm added column by column in order."""
+    w, x, y, z = q[:, None]
+    n2 = float((w * w + x * x + y * y + z * z)[0])
     if not (math.isfinite(n2) and n2 >= np.finfo(float).tiny):
         raise ValueError("quaternion has zero, subnormal or non-finite norm")
     q = q / math.sqrt(n2)
@@ -238,17 +240,20 @@ def numpy_mul(a, b):
 
 
 def numpy_se3_exp(twist):
-    """se3_exp on numpy arrays: rotation vector, coefficient matrix, product."""
+    """se3_exp on numpy arrays, every sum added column by column in order:
+    the rotation vector's norm, then ``v + b K v + c (w (w . v) - |w|^2 v)``."""
     w, v = twist[:3], twist[3:]
-    angle = math.sqrt(float(np.dot(w, w)))
+    wx, wy, wz = w[:, None]
+    n2 = wx * wx + wy * wy + wz * wz
+    angle = math.sqrt(float(n2[0]))
     _, b, c = _so3_coeffs(angle)
-    k = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
-    vmat = np.eye(3) + b * k + c * (k @ k)
+    wv = wx * v[0] + wy * v[1] + wz * v[2]
+    t = v + b * numpy_cross(w, v[None])[0] + c * (w * wv - n2 * v)
     if angle < 1e-12:
         q = np.concatenate([[1.0], 0.5 * w])
     else:
         q = np.concatenate([[math.cos(0.5 * angle)], (math.sin(0.5 * angle) / angle) * w])
-    return numpy_canonical(q), vmat @ v
+    return numpy_canonical(q), t
 
 
 def bits(a):
@@ -263,6 +268,12 @@ COMPONENT = st.one_of(
     st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-320, 100)),
 )
 VEC3 = st.tuples(COMPONENT, COMPONENT, COMPONENT).map(np.array)
+# twist components from subnormal to 1e3: rotations of many turns included
+TWIST_COMPONENT = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-4.0, 4.0),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1.0, 1.0), st.integers(-320, 3)),
+)
 
 
 @st.composite
@@ -304,6 +315,21 @@ class TestFloatKernelsProperty:
                 assert str(got.value) == str(exc)
                 return
             assert bits(quat_canonical(q)) == bits(want)
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(twist=st.tuples(*[TWIST_COMPONENT] * 6).map(np.array))
+    def test_se3_exp_matches_the_matrix_form(self, twist):
+        # V v written as w x v and w (w . v) - |w|^2 v agrees with the
+        # matrix form (I + b K + c K K) v to within a few ulps of the
+        # twist's size; b and c come from the same angle in both, as the
+        # coefficients round differently for angles an ulp apart
+        w, v = twist[:3], twist[3:]
+        _, t = se3_exp_f(w.tolist(), v.tolist())
+        wx, wy, wz = w.tolist()
+        _, b, c = _so3_coeffs(math.sqrt(wx * wx + wy * wy + wz * wz))
+        k = np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
+        want = (np.eye(3) + b * k + c * (k @ k)) @ v
+        assert np.max(np.abs(np.array(t) - want)) <= 4e-15 * max(1.0, np.max(np.abs(twist)))
 
 
 class TestPoseKernels:

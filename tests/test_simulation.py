@@ -1,6 +1,9 @@
 import glob
+import json
 import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -709,6 +712,27 @@ class TestFramesNamingUnknownAgents:
             "merge_transform_applied"]
 
 
+# one process's short runs at seed 7: each scenario's ground truth, ledger
+# and (time, agent, event) sequence
+CORE_RUN = """
+import dataclasses, json, sys
+from meshslam import ate
+from meshslam.config import load_scenario
+from meshslam.simulation import Simulation
+out = {}
+for path in sys.argv[1:]:
+    cfg = load_scenario(path)
+    cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, duration=8.0))
+    result = Simulation(cfg, 7).run()
+    out[path] = {
+        "trajectory_gt.csv": ate.trajectory_to_csv(result.gt_rows),
+        "ledger.csv": result.net.ledger.to_csv(result.duration),
+        "events": "".join(f"{e['time']} {e['agent']} {e['event']}\\n"
+                          for e in map(json.loads, result.log.to_jsonl().splitlines()))}
+print(json.dumps(out))
+"""
+
+
 class TestDeterminism:
     def test_same_seed_same_event_trace(self):
         cfg = fig3_replay()
@@ -720,6 +744,38 @@ class TestDeterminism:
             assert a[0] == b[0] and a[1] == b[1]
             assert np.array_equal(a[2], b[2])
             assert np.array_equal(a[3], b[3])
+
+    def test_ground_truth_and_protocol_do_not_depend_on_the_blas_core(self):
+        """Short coop_loops and leader_failover runs at seed 7 write the same
+        trajectory_gt.csv and ledger.csv, and log the same (time, agent,
+        event) sequence, under OpenBLAS's own core and three forced ones.
+
+        The tracker and the world set-up add every sum of products in one
+        fixed order, so the ground truth has no BLAS call in it at all; the
+        protocol's decisions do not move with the last bits of the poses.
+        The forced cores are ones any x86-64 CPU with AVX2 can run (a forced
+        core whose instructions the CPU lacks can crash).
+        ``OPENBLAS_CORETYPE`` does nothing on a numpy built without OpenBLAS,
+        where this test compares identical runs.
+        """
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env.update(OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")])))
+        paths = [os.path.join(root, "scenarios", f"{name}.yaml")
+                 for name in ("coop_loops", "leader_failover")]
+        outputs = {}
+        for core in ("default", "Prescott", "Sandybridge", "Haswell"):
+            run_env = env if core == "default" else dict(env, OPENBLAS_CORETYPE=core)
+            run = subprocess.run([sys.executable, "-c", CORE_RUN, *paths], env=run_env,
+                                 capture_output=True, text=True, check=True)
+            outputs[core] = json.loads(run.stdout)
+        for core in ("Prescott", "Sandybridge", "Haswell"):
+            for path, files in outputs["default"].items():
+                for name, text in files.items():
+                    assert outputs[core][path][name] == text, (core, path, name)
+        for files in outputs["default"].values():
+            assert files["events"].count("group_merged") >= 1
 
     def test_different_seed_differs(self):
         r1 = Simulation(coop_loops(True, duration=8.0), seed=1).run()

@@ -267,22 +267,17 @@ def exact_depth(lm, p, forward, c, range_m):
     return min(Fraction(range_m) ** 2 - d2, u * u - Fraction(c) ** 2 * d2 if u > 0 else -1)
 
 
-@pytest.mark.parametrize("fov_deg, t2, radius, angle, along", [
-    (170.0, float(np.nextafter(2.0, 3.0)), (7.0, 7.0), (60.0, 80.0), 2e-15),
-    (0.0005, 2.5, (1.0, 6.0), (0.00025, 0.00025), 3e-5),
-], ids=["range-sphere", "narrow-cone"])
-def test_a_landmark_rounding_hides_settles_nothing(monkeypatch, fov_deg, t2, radius, angle,
-                                                    along):
-    """Rounding alone can hide a landmark that a tick's position has in view
-    in exact arithmetic: on the range sphere a rounding step ahead of the
-    scan, or at the edge of a narrow cone.  Of a seeded sequence, the one
-    deepest in view that the scan misses counts for nothing in the bound,
-    so the tick scans, as the reference does."""
-    monkeypatch.setattr(sim_world, "MIN_WORD_MATCHES", 1)
-    waypoints, range_m, t1 = [[0.0, 0.0, 0.0], [10.0, 7.0, 3.0]], 7.0, 2.0
-    script = TrajectoryScript(waypoints, 1.0)
+EDGE_WAYPOINTS, EDGE_RANGE, EDGE_T1 = [[0.0, 0.0, 0.0], [10.0, 7.0, 3.0]], 7.0, 2.0
+NARROW_CONE = 0.0005, 2.5, (1.0, 6.0), (0.00025, 0.00025), 3e-5
+
+
+def edge_landmarks(t2, radius, angle, along):
+    """A seeded sequence of 1,000 landmarks about the view from time t2 on the
+    first segment of EDGE_WAYPOINTS: at distances in `radius`, at angles
+    (degrees) in `angle` off the optical axis, moved up to `along` along it."""
+    script = TrajectoryScript(EDGE_WAYPOINTS, 1.0)
     f = script.segments[0].forward
-    p1, p2 = (script.pose_at(t).translation for t in (t1, t2))
+    p2 = script.pose_at(t2).translation
     e1 = np.cross(f, [0.0, 0.0, 1.0])
     e1 /= np.linalg.norm(e1)
     rng = np.random.default_rng(0)
@@ -293,21 +288,65 @@ def test_a_landmark_rounding_hides_settles_nothing(monkeypatch, fov_deg, t2, rad
         side = math.cos(phi) * e1 + math.sin(phi) * np.cross(f, e1)
         lms.append(Landmark(i, p2 + (r * math.cos(a) + rng.uniform(-along, along)) * f
                             + r * math.sin(a) * side, i))
+    return script, lms
+
+
+@pytest.mark.parametrize("fov_deg, t2, radius, angle, along", [
+    (170.0, float(np.nextafter(2.0, 3.0)), (7.0, 7.0), (60.0, 80.0), 2e-15),
+    NARROW_CONE,
+], ids=["range-sphere", "narrow-cone"])
+def test_a_landmark_rounding_hides_settles_nothing(monkeypatch, fov_deg, t2, radius, angle,
+                                                    along):
+    """Rounding alone can hide a landmark that a tick's position has in view
+    in exact arithmetic: on the range sphere a rounding step ahead of the
+    scan, or at the edge of a narrow cone.  Of a seeded sequence, the one
+    deepest in view that the scan misses counts for nothing in the bound,
+    so the tick scans, as the reference does."""
+    monkeypatch.setattr(sim_world, "MIN_WORD_MATCHES", 1)
+    script, lms = edge_landmarks(t2, radius, angle, along)
+    f = script.segments[0].forward
+    p1, p2 = (script.pose_at(t).translation for t in (EDGE_T1, t2))
 
     def alone(lm):
-        return sw.tracker(landmarks=[lm], waypoints=waypoints, fov_deg=fov_deg, range_m=range_m)
+        return sw.tracker(landmarks=[lm], waypoints=EDGE_WAYPOINTS, fov_deg=fov_deg,
+                          range_m=EDGE_RANGE)
 
-    hidden = [lm for lm in lms if len(alone(lm)._visible_rows(t1, p1, f))
+    hidden = [lm for lm in lms if len(alone(lm)._visible_rows(EDGE_T1, p1, f))
               and not len(alone(lm)._visible_rows(t2, p2, f))]
     c = math.cos(math.radians(fov_deg) / 2.0)
-    depth, lm = max((exact_depth(lm.position, p2, f, c, range_m), lm) for lm in hidden)
+    depth, lm = max((exact_depth(lm.position, p2, f, c, EDGE_RANGE), lm) for lm in hidden)
     assert depth > 0
     tr = alone(lm)
-    for t in (t1, t2):
+    for t in (EDGE_T1, t2):
         twin = ref.twin(tr)
         assert_frames_equal(tr.step(t), ref.step(twin, t))
         assert_trackers_equal(tr, twin)
     assert tr._weak_frames == 1
+
+
+def test_cone_edge_reads_the_same_from_any_table_size():
+    """Each landmark at the edge of a narrow cone is in view from a 1,000-row
+    landmark table exactly when it is from a table of itself alone, and the
+    reference agrees: the offset along the optical axis adds each row's
+    three products in one order, however many rows the table has."""
+    fov_deg, t, *edge = NARROW_CONE
+    script, lms = edge_landmarks(t, *edge)
+    pose = script.pose_at(t)
+
+    def tracker(landmarks):
+        return sw.tracker(landmarks=landmarks, waypoints=EDGE_WAYPOINTS, fov_deg=fov_deg,
+                          range_m=EDGE_RANGE)
+
+    def seen(landmarks):
+        return tracker(landmarks)._visible_rows(t, pose.translation,
+                                                script.segments[0].forward).tolist()
+
+    rows = seen(lms)
+    assert 0 < len(rows) < len(lms)
+    assert rows == [lm.id for lm in lms if seen([lm])]
+    full = tracker(lms)
+    full.true_pose = pose
+    assert [lm.id for lm in ref.visible_landmarks(full, t)[0]] == rows
 
 
 def test_coop_loops_ticks_mostly_skip_the_scan(monkeypatch):

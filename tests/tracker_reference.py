@@ -4,8 +4,10 @@ geometry: ``visible_landmarks``, ``step``, ``should_spawn`` and
 
 Every call rotates the visible landmarks and inverts the true pose afresh,
 computes the optical axis from the pose, and blends re-observed points one at
-a time.  Kept only as the reference that ``meshslam.sim_world`` must match bit
-for bit; ``twin`` and ``ShadowMap`` let it run beside a live tracker without
+a time.  Each sum of products is added left to right, as the package's are,
+so no result depends on the BLAS kernel or on the landmark table's size.
+Kept only as the reference that ``meshslam.sim_world`` must match bit for
+bit; ``twin`` and ``ShadowMap`` let it run beside a live tracker without
 touching the tracker's state or its map.
 """
 
@@ -32,15 +34,22 @@ class Frame:
     lost_transition: bool
 
 
+def norm(v):
+    """The norm of the 3-vector v, its squares added in order."""
+    x, y, z = v.tolist()
+    return math.sqrt(x * x + y * y + z * z)
+
+
 def visible_landmarks(tr, t):
     if tr.in_blackout(t) or len(tr.landmarks) == 0:
         return [], np.zeros((0, 3))
     positions = np.array([lm.position for lm in tr.landmarks])
     rel = positions - tr.true_pose.translation
     dist = np.linalg.norm(rel, axis=1)
-    forward = tr.true_pose.rotation.apply(np.array([1.0, 0.0, 0.0]))
+    fx, fy, fz = tr.true_pose.rotation.apply(np.array([1.0, 0.0, 0.0])).tolist()
     with np.errstate(invalid="ignore", divide="ignore"):
-        cosang = (rel @ forward) / np.where(dist > 0, dist, np.inf)
+        cosang = (rel[:, 0] * fx + rel[:, 1] * fy + rel[:, 2] * fz) / np.where(
+            dist > 0, dist, np.inf)
     ok = (dist > 1e-9) & (dist <= tr.cfg.range_m) & (
         cosang >= math.cos(math.radians(tr.cfg.fov_deg) / 2.0)
     )
@@ -58,7 +67,7 @@ def step(tr, t):
     prev_true = tr.true_pose
     tr.true_pose = tr.script.pose_at(t)
     delta = prev_true.inverse().compose(tr.true_pose)
-    d_step = float(np.linalg.norm(delta.translation))
+    d_step = norm(delta.translation)
     if d_step > 0 and (tr.cfg.sigma_t > 0 or tr.cfg.sigma_r > 0):
         noise = np.concatenate([
             tr._rng.normal(0.0, tr.cfg.sigma_r * math.sqrt(d_step), 3),
@@ -81,7 +90,7 @@ def should_spawn(tr):
     if tr.last_kf_pose is None:
         return True
     rel = tr.last_kf_pose.inverse().compose(tr.est_pose)
-    dist = float(np.linalg.norm(rel.translation))
+    dist = norm(rel.translation)
     angle = rel.rotation.angle()
     return (dist > sim_world.SPAWN_DISTANCE
             or angle > math.radians(sim_world.SPAWN_ANGLE_DEG))
