@@ -80,11 +80,11 @@ class SharingState:
             self.outbox(peer).add(kf_id, new_point_ids)
 
     def flush_outbox(self, agent_id: int, peer: int, m: AgentMap,
-                     batch_size: int, force: bool = False) -> KeyFramePacket | None:
+                     force: bool = False) -> KeyFramePacket | None:
         box = self.outboxes.get(peer)
         if box is None or not box.unsent_keyframes:
             return None
-        if not force and len(box.unsent_keyframes) < batch_size:
+        if not force and len(box.unsent_keyframes) < BATCH_SIZE:
             return None
         # the map's own objects: the packet is encoded as soon as it is sent
         kfs = [m.keyframes[k] for k in box.unsent_keyframes if k in m.keyframes]
@@ -114,19 +114,18 @@ class SharingState:
             entries[-1].points.extend(leftovers)
         self.queue.extend(entries)
 
-    def drain(self, m: AgentMap, budget: int, dup_radius: float) -> list[int]:
+    def drain(self, m: AgentMap, budget: int) -> list[int]:
         """Insert up to `budget` queued keyframes; returns the inserted ids."""
         inserted = []
         for _ in range(min(budget, len(self.queue))):
             entry = self.queue.popleft()
-            kid = insert_external_keyframe(m, entry, dup_radius)
+            kid = insert_external_keyframe(m, entry)
             if kid is not None:
                 inserted.append(kid)
         return inserted
 
 
-def _merge_duplicate_points(m: AgentMap, new_point_ids: list[int],
-                            dup_radius: float) -> int:
+def _merge_duplicate_points(m: AgentMap, new_point_ids: list[int]) -> int:
     """Fold arriving points into nearby local points with the same word id.
 
     The surviving point is always the lower id, making the choice identical
@@ -143,7 +142,7 @@ def _merge_duplicate_points(m: AgentMap, new_point_ids: list[int],
                 continue
             cand = m.points[cand_id]
             d = float(np.linalg.norm(cand.position - p.position))
-            if d <= dup_radius and (best is None or d < best[0]
+            if d <= DUP_RADIUS and (best is None or d < best[0]
                                     or (d == best[0] and cand_id < best[1])):
                 best = (d, cand_id)
         if best is not None:
@@ -153,8 +152,7 @@ def _merge_duplicate_points(m: AgentMap, new_point_ids: list[int],
     return merges
 
 
-def insert_external_keyframe(m: AgentMap, entry: QueueEntry,
-                             dup_radius: float) -> int | None:
+def insert_external_keyframe(m: AgentMap, entry: QueueEntry) -> int | None:
     """Run the insertion pipeline for one queued external keyframe.
 
     The entry's objects were decoded for this agent alone, so they move into
@@ -169,5 +167,5 @@ def insert_external_keyframe(m: AgentMap, entry: QueueEntry,
     # (insert_keyframe resolves references and parks the rest as pending)
     m.insert_keyframe(kf, entry.points)
     # step 4: duplicate map point merge by word id and spatial locality
-    _merge_duplicate_points(m, new_ids, dup_radius)
+    _merge_duplicate_points(m, new_ids)
     return kf.id

@@ -36,9 +36,9 @@ The per-tick work is kept to what every tick needs:
 * The weak-frame test needs only whether MIN_WORD_MATCHES landmarks are in
   view.  A scan keeps a bound on how far the agent may move along its
   segment's optical axis before that can change; a tick within it skips
-  the scan.  The frame scans on first read and builds the visible
-  ``Landmark`` list and camera rows then, which ``spawn_keyframe`` does once
-  a keyframe is due, so which landmarks are seen never comes from the bound.
+  the scan.  ``spawn_keyframe`` reads the visible ``Landmark`` list and camera
+  rows from ``seen``, which scans if the step did not, only once a keyframe
+  is due, so which landmarks are seen never comes from the bound.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -204,56 +203,6 @@ def _blend_positions(reobserved: list[tuple[MapPoint, int]], measured: np.ndarra
         reobserved = later
 
 
-class TrackerFrame:
-    """One tick's view: what the camera sees and whether tracking just broke.
-
-    ``visible`` lists the landmarks in view in table order, ``count`` how
-    many there are, and ``cam_positions`` holds their (n, 3) camera-frame
-    positions, meters.  ``lost_transition`` is true when tracking was healthy
-    and just crossed the loss gate.  A tracker's frame keeps its tick's row
-    indices (or the scan finding them), landmark table and inverse
-    translation, which later ticks replace but never change, and scans and
-    builds the rest on first read; most ticks spawn no keyframe and never do.
-    """
-
-    __slots__ = ("time", "lost_transition", "_rows", "_visible", "_cam", "_view")
-
-    def __init__(self, time: float, landmarks: list[Landmark], rows, table: np.ndarray,
-                 shift: tuple, lost_transition: bool):
-        """The frame seeing ``landmarks[rows]`` at ``table[rows] + shift``; rows may be a scan."""
-        self.time, self.lost_transition = time, lost_transition
-        self._rows, self._visible, self._cam = rows, None, None
-        self._view = landmarks, table, shift
-
-    def _scanned(self) -> np.ndarray:
-        if callable(self._rows):
-            self._rows = self._rows()
-        return self._rows
-
-    @property
-    def count(self) -> int:
-        return len(self._scanned())
-
-    def _build(self) -> None:
-        rows = self._scanned()
-        landmarks, table, shift = self._view
-        self._visible = [landmarks[i] for i in rows.tolist()]
-        self._cam = table[rows] + shift
-        self._view = None
-
-    @property
-    def visible(self) -> list[Landmark]:
-        if self._view is not None:
-            self._build()
-        return self._visible
-
-    @property
-    def cam_positions(self) -> np.ndarray:
-        if self._view is not None:
-            self._build()
-        return self._cam
-
-
 class AgentTracker:
     """Scripted motion, noisy scaled odometry, visibility, spawn and loss logic."""
 
@@ -314,6 +263,7 @@ class AgentTracker:
             entry = seg, seg.inverse.apply(self._lm_positions)
         self._view, self._cam_table = entry
         self._true_pose = pose
+        self._rows = None  # the scan of this pose, once step has made it
         # the pose's inverse as floats: (segment inverse, -inverse(translation))
         q = self._view.inverse.q.tolist()
         x, y, z = quat_rotate_f(q, pose.translation.tolist())
@@ -334,10 +284,6 @@ class AgentTracker:
         near = np.flatnonzero((dist > 1e-9) & (dist <= self.cfg.range_m))
         cosang = dot[near] / dist[near]
         return near[cosang >= math.cos(math.radians(self.cfg.fov_deg) / 2.0)]
-
-    def _frame(self, t: float, rows: np.ndarray, lost_transition: bool) -> TrackerFrame:
-        return TrackerFrame(t, self.landmarks, rows, self._cam_table,
-                            self._true_inverse[1], lost_transition)
 
     def _settle(self, rows: np.ndarray, position: np.ndarray) -> None:
         """Keep how far the agent may move from `position` along this view's
@@ -375,12 +321,13 @@ class AgentTracker:
         x, y, z = (p - p0 for p, p0 in zip(position, start))
         return 0.0 <= x * fx + y * fy + z * fz <= reach
 
-    def step(self, t: float) -> TrackerFrame:
-        """Advance to time t, integrating noisy odometry in the agent frame.
+    def step(self, t: float) -> bool:
+        """Advance to time t, integrating noisy odometry in the agent frame;
+        returns whether tracking was healthy and just crossed the loss gate.
 
         The pose arithmetic runs on the float kernels.  A tick `_settled` is
-        healthy without a scan; others scan and renew the bound.  The frame
-        scans, if it has not, and builds its landmark list only when read.
+        healthy without a scan; others scan, keep the rows for `seen` and
+        renew the bound.
         """
         prev_q, prev_t = self._true_inverse
         self.true_pose = pose = self.script.pose_at(t)
@@ -395,17 +342,23 @@ class AgentTracker:
         self.est_pose = Se3Pose.of_floats(*pose_compose_f(
             *self.est_pose.floats(), q, (s * d[0], s * d[1], s * d[2])))
 
-        rows = partial(self._visible_rows, t, pose.translation, self._view.forward)
-        settled = self._settled(t, pose_t)
-        if not settled:
-            rows = rows()
-            self._settle(rows, pose.translation)
-        if settled or len(rows) >= MIN_WORD_MATCHES:
+        if self._settled(t, pose_t):
             self._weak_frames = 0
         else:
-            self._weak_frames += 1
-        lost_transition = self.localized and self._weak_frames >= LOST_FRAMES
-        return self._frame(t, rows, lost_transition)
+            self._rows = rows = self._visible_rows(t, pose.translation, self._view.forward)
+            self._settle(rows, pose.translation)
+            self._weak_frames = 0 if len(rows) >= MIN_WORD_MATCHES else self._weak_frames + 1
+        return self.localized and self._weak_frames >= LOST_FRAMES
+
+    def seen(self, t: float) -> tuple[list[Landmark], np.ndarray]:
+        """The landmarks in view at time t from the true pose, in table order,
+        and their (n, 3) camera-frame positions, meters: from the rows `step`
+        kept for this pose, or from a scan now when it kept none."""
+        rows = self._rows
+        if rows is None:
+            rows = self._visible_rows(t, self._true_pose.translation, self._view.forward)
+        visible = [self.landmarks[i] for i in rows.tolist()]
+        return visible, self._cam_table[rows] + self._true_inverse[1]
 
     # -- keyframe spawning ------------------------------------------------------
 
@@ -419,9 +372,10 @@ class AgentTracker:
             return True
         return quat_angle(q) > math.radians(SPAWN_ANGLE_DEG)
 
-    def spawn_keyframe(self, agent_id: int, t: float, frame: TrackerFrame,
+    def spawn_keyframe(self, agent_id: int, t: float,
                        active_map=None) -> tuple[KeyFrame, list[MapPoint]] | None:
-        """Build a keyframe from the current view, or None when not due.
+        """Build a keyframe from what is `seen` at time t, or None when not due
+        (tested first, so most ticks scan nothing here) or nothing is in view.
 
         Thresholds are strict (>): spawning happens once agent-frame
         displacement since the last keyframe exceeds the spawn distance or
@@ -432,15 +386,18 @@ class AgentTracker:
         copy of a point tracks that agent's own drifting frame, exactly the
         divergence the map alignment refiner exists to measure.
         """
-        if not self.should_spawn() or not frame.count:
+        if not self.should_spawn():
             return None
-        counts = Counter(lm.word for lm in frame.visible)
+        visible, cam_positions = self.seen(t)
+        if not visible:
+            return None
+        counts = Counter(lm.word for lm in visible)
         observed: set[int] = set()
         new_points: list[MapPoint] = []
         reobserved: list[tuple[MapPoint, int]] = []  # (point, measured row)
         kf_id = self.uuids.next()
-        measured_rows = self.est_pose.apply(self.frame_scale * frame.cam_positions)
-        for row, lm in enumerate(frame.visible):
+        measured_rows = self.est_pose.apply(self.frame_scale * cam_positions)
+        for row, lm in enumerate(visible):
             pid = self.assoc.get(lm.id)
             if pid is not None and active_map is not None:
                 pid = active_map.resolve_point_id(pid)

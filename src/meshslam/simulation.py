@@ -73,7 +73,7 @@ from .group_protocol import (
     attempt_full_merge,
     points_by_word,
 )
-from .map_sharing import BATCH_SIZE, DRAIN_BUDGET, DUP_RADIUS, SharingState
+from .map_sharing import DRAIN_BUDGET, SharingState
 from .map_store import MapDatabase, UuidGenerator, uuid_agent
 from .merge_detection import detect_merge
 from .net_sim import Envelope, EventQueue, MeshNetwork
@@ -199,10 +199,9 @@ class AgentRuntime:
     # -- tick ----------------------------------------------------------------
 
     def on_tick(self, now: float) -> None:
-        frame = self.tracker.step(now)
-        if frame.lost_transition:
+        if self.tracker.step(now):
             self._handle_localization_loss()
-        spawn = self.tracker.spawn_keyframe(self.id, now, frame, self.db.active_map)
+        spawn = self.tracker.spawn_keyframe(self.id, now, self.db.active_map)
         if spawn is not None:
             kf, new_points = spawn
             self.db.active_map.insert_keyframe(kf, new_points)
@@ -223,7 +222,7 @@ class AgentRuntime:
         self._flush_outboxes()
 
     def end_of_tick(self, now: float) -> None:
-        self.sharing.drain(self.db.shared_map, DRAIN_BUDGET, DUP_RADIUS)
+        self.sharing.drain(self.db.shared_map, DRAIN_BUDGET)
 
     # -- localization loss and recovery ----------------------------------------
 
@@ -359,8 +358,7 @@ class AgentRuntime:
             return
         last = None  # (keyframe and point ids, encoding) of the last packet sent
         for peer in self.manager.merged_peers():
-            pkt = self.sharing.flush_outbox(
-                self.id, peer, self.db.shared_map, BATCH_SIZE, force=force)
+            pkt = self.sharing.flush_outbox(self.id, peer, self.db.shared_map, force=force)
             if pkt is None:
                 continue
             # outboxes often hold the same ids, and nothing changes the map
@@ -525,7 +523,7 @@ class Simulation:
         self._run_queue()
         for aid in self.agent_ids:
             rt = self.runtimes[aid]
-            rt.sharing.drain(rt.db.shared_map, len(rt.sharing.queue), DUP_RADIUS)
+            rt.sharing.drain(rt.db.shared_map, len(rt.sharing.queue))
 
     def _estimated_trajectories(self):
         rows = []

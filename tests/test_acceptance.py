@@ -20,12 +20,7 @@ from meshslam.net_sim import CATEGORIES
 from meshslam.pose_graph import OptimizerParams, graph_cost, optimize
 from meshslam.simulation import Simulation
 
-from scenario_defs import (
-    blackout_recovery,
-    coop_loops,
-    fig3_replay,
-    leader_failover,
-)
+from scenario_defs import coop_loops
 from test_merge_detection import exhaustive_merge_score, random_map
 from test_pose_graph import consistent_chain, pose, random_graph
 
@@ -106,9 +101,9 @@ def test_criterion_3_merge_score_oracle_equivalence():
             assert got_kf == want_kf
 
 
-def test_criterion_4_fig3_protocol_replay():
+def test_criterion_4_fig3_protocol_replay(fig3_result):
     with verdict(4, "staged 3-agent merge: {1,2} then {0,1,2}, closure holds"):
-        res = Simulation(fig3_replay(), seed=42, check_invariants=True).run()
+        res = fig3_result
         rosters = [e["detail"]["roster"] for e in res.log.named("group_merged")]
         assert rosters == [[1, 2], [0, 1, 2]]
         for aid in (0, 1, 2):
@@ -193,9 +188,9 @@ def test_criterion_7_end_to_end_cooperation():
         assert time.perf_counter() - start < 60.0
 
 
-def test_criterion_8_localization_loss_recovery():
+def test_criterion_8_localization_loss_recovery(blackout_result):
     with verdict(8, "3 s blackout: one private map, merged back, backlog flushed"):
-        res = Simulation(blackout_recovery(), seed=3, check_invariants=True).run()
+        res = blackout_result
         assert len(res.log.named("localization_lost")) == 1
         assert len(res.log.named("private_map_merged")) == 1
         assert len(res.log.named("localization_regained")) == 1
@@ -210,9 +205,9 @@ def test_criterion_8_localization_loss_recovery():
         assert private and private <= set(res.runtimes[0].db.shared_map.keyframes)
 
 
-def test_criterion_9_leader_failover():
+def test_criterion_9_leader_failover(failover_result):
     with verdict(9, "leader isolation re-elects next lowest; later merge works"):
-        res = Simulation(leader_failover(), seed=5, check_invariants=True).run()
+        res = failover_result
         parts = res.log.named("partition_change")
         assert parts and parts[0]["detail"]["components"] == [[0], [1, 2]]
         rosters = [e["detail"]["roster"] for e in res.log.named("group_merged")]
@@ -222,9 +217,9 @@ def test_criterion_9_leader_failover():
             assert res.runtimes[aid].manager.registry.leader_of(1) == 1
 
 
-def test_criterion_10_bandwidth_ledger():
+def test_criterion_10_bandwidth_ledger(coop_result):
     with verdict(10, "byte conservation per category; Fig-6 style categories"):
-        res = Simulation(coop_loops(True), seed=6).run()
+        res = coop_result
         led = res.net.ledger
         sent = led.totals(led.sent)
         received = led.totals(led.received)
@@ -255,7 +250,7 @@ def test_criterion_11_determinism(tmp_path):
             assert a == b, f"{name} differs between reruns"
 
 
-def test_criterion_12_idempotency_and_convergence():
+def test_criterion_12_idempotency_and_convergence(lossless_result):
     with verdict(12, "duplicate packets no-op; lossless sync equalizes maps"):
         # duplicate delivery leaves the map state identical
         m = AgentMap()
@@ -268,19 +263,18 @@ def test_criterion_12_idempotency_and_convergence():
             pose=Se3Pose(Rotation.identity(), np.array([0.5, 0, 0])),
             words={7: 1}, observed_points={2500})
         ext_pt = MapPoint(2500, np.array([1.01, 0, 0]), 7, {2000})
-        insert_external_keyframe(m, QueueEntry(1, ext_kf, [ext_pt]), 0.05)
+        insert_external_keyframe(m, QueueEntry(1, ext_kf, [ext_pt]))
         snap = (sorted(m.keyframes), sorted(m.points),
                 {k: sorted(p.observers) for k, p in m.points.items()},
                 {k: p.position.copy() for k, p in m.points.items()})
-        assert insert_external_keyframe(
-            m, QueueEntry(1, ext_kf, [ext_pt]), 0.05) is None
+        assert insert_external_keyframe(m, QueueEntry(1, ext_kf, [ext_pt])) is None
         assert snap[0] == sorted(m.keyframes)
         assert snap[1] == sorted(m.points)
         assert snap[2] == {k: sorted(p.observers) for k, p in m.points.items()}
         for k, pos in snap[3].items():
             assert np.array_equal(pos, m.points[k].position)
         # lossless cooperative run: identical keyframe id sets everywhere
-        res = Simulation(coop_loops(True, drop_prob=0.0), seed=4).run()
+        res = lossless_result
         sets = [frozenset(res.runtimes[a].db.shared_map.keyframes)
                 for a in (0, 1, 2)]
         assert sets[0] == sets[1] == sets[2]

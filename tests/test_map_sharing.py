@@ -134,7 +134,7 @@ class TestOutbox:
             m.insert_keyframe(KeyFrame(i, 0, float(i), Se3Pose.identity(),
                                        {i: 1}, set()), [])
             s.record_new_keyframe(i, [], peers=[5])
-        assert s.flush_outbox(0, 5, m, batch_size=5) is None
+        assert s.flush_outbox(0, 5, m) is None
         assert len(s.outbox(5).unsent_keyframes) == 4
 
     def test_flush_at_threshold_clears(self):
@@ -145,7 +145,7 @@ class TestOutbox:
             m.insert_keyframe(KeyFrame(i, 0, float(i), Se3Pose.identity(),
                                        {i: 1}, {100 + i}), [pt])
             s.record_new_keyframe(i, [100 + i], peers=[5])
-        pkt = s.flush_outbox(0, 5, m, batch_size=5)
+        pkt = s.flush_outbox(0, 5, m)
         assert pkt is not None
         assert len(pkt.keyframes) == 5 and len(pkt.points) == 5
         assert pkt.sender == 0
@@ -158,7 +158,7 @@ class TestOutbox:
         m.insert_keyframe(KeyFrame(0, 0, 0.0, Se3Pose.identity(),
                                    {1: 1}, set()), [])
         s.record_new_keyframe(0, [], peers=[5])
-        pkt = s.flush_outbox(0, 5, m, batch_size=5, force=True)
+        pkt = s.flush_outbox(0, 5, m, force=True)
         assert pkt is not None and len(pkt.keyframes) == 1
 
     def test_packet_lists_ids_in_first_recorded_order(self):
@@ -171,7 +171,7 @@ class TestOutbox:
         s.record_new_keyframe(3, [31, 30], peers=[5])
         s.record_new_keyframe(1, [10, 31], peers=[5])
         s.record_new_keyframe(3, [30], peers=[5])  # repeats keep their first place
-        pkt = s.flush_outbox(0, 5, m, batch_size=5, force=True)
+        pkt = s.flush_outbox(0, 5, m, force=True)
         assert [kf.id for kf in pkt.keyframes] == [3, 1]
         assert [p.id for p in pkt.points] == [31, 30, 10]
 
@@ -185,7 +185,7 @@ class TestInsertExternalKeyframe:
         rec = ext_keyframe(1000, [1, 2], observed=[2000, 2001])
         pts = [ext_point(2000, [1, 0, 0], 1, [1000]),
                ext_point(2001, [0, 1, 0], 2, [1000])]
-        kid = insert_external_keyframe(m, self.entry(rec, pts), 0.05)
+        kid = insert_external_keyframe(m, self.entry(rec, pts))
         assert kid == 1000
         assert set(m.keyframes) == {1000}
         assert set(m.points) == {2000, 2001}
@@ -198,7 +198,7 @@ class TestInsertExternalKeyframe:
                                    {7: 1}, {1500}), [local_pt])
         rec = ext_keyframe(2000, [7], observed=[2500])
         ext_pt = ext_point(2500, [1.02, 0, 0], 7, [2000])  # 0.02 away, same word
-        insert_external_keyframe(m, self.entry(rec, [ext_pt]), 0.05)
+        insert_external_keyframe(m, self.entry(rec, [ext_pt]))
         assert 1500 in m.points and 2500 not in m.points
         assert m.points[1500].observers == {10, 2000}
         assert m.keyframes[10].covisibility[2000] == 1
@@ -211,17 +211,17 @@ class TestInsertExternalKeyframe:
                                    {7: 1}, {1500}), [local_pt])
         rec = ext_keyframe(2000, [7], observed=[2500])
         ext_pt = ext_point(2500, [3.0, 0, 0], 7, [2000])
-        insert_external_keyframe(m, self.entry(rec, [ext_pt]), 0.05)
+        insert_external_keyframe(m, self.entry(rec, [ext_pt]))
         assert {1500, 2500} <= set(m.points)
 
     def test_redelivery_is_noop(self):
         m = AgentMap()
         rec = ext_keyframe(1000, [1], observed=[2000])
         pts = [ext_point(2000, [1, 0, 0], 1, [1000])]
-        insert_external_keyframe(m, self.entry(rec, pts), 0.05)
+        insert_external_keyframe(m, self.entry(rec, pts))
         snapshot = (sorted(m.keyframes), sorted(m.points),
                     {k: sorted(v.observers) for k, v in m.points.items()})
-        out = insert_external_keyframe(m, self.entry(rec, pts), 0.05)
+        out = insert_external_keyframe(m, self.entry(rec, pts))
         assert out is None
         assert snapshot == (sorted(m.keyframes), sorted(m.points),
                             {k: sorted(v.observers) for k, v in m.points.items()})
@@ -231,9 +231,9 @@ class TestInsertExternalKeyframe:
         m = AgentMap()
         first = ext_keyframe(1000, [1], observed=[2000])
         insert_external_keyframe(
-            m, self.entry(first, [ext_point(2000, [0, 0, 0], 1, [1000])]), 0.05)
+            m, self.entry(first, [ext_point(2000, [0, 0, 0], 1, [1000])]))
         second = ext_keyframe(1001, [1], observed=[2000])
-        insert_external_keyframe(m, self.entry(second, []), 0.05)
+        insert_external_keyframe(m, self.entry(second, []))
         assert m.points[2000].observers == {1000, 1001}
         assert m.keyframes[1000].covisibility[1001] == 1
         m.check_integrity()
@@ -241,11 +241,11 @@ class TestInsertExternalKeyframe:
     def test_missing_reference_parked_then_resolved(self):
         m = AgentMap()
         rec = ext_keyframe(1001, [1], observed=[2000])  # 2000 not delivered yet
-        insert_external_keyframe(m, self.entry(rec, []), 0.05)
+        insert_external_keyframe(m, self.entry(rec, []))
         assert 2000 in m.pending_point_links
         late = ext_keyframe(1000, [1], observed=[2000])
         insert_external_keyframe(
-            m, self.entry(late, [ext_point(2000, [0, 0, 0], 1, [1000])]), 0.05)
+            m, self.entry(late, [ext_point(2000, [0, 0, 0], 1, [1000])]))
         assert m.points[2000].observers == {1000, 1001}
         assert not m.pending_point_links
         m.check_integrity()
@@ -269,7 +269,7 @@ class TestInsertExternalKeyframe:
         before = pose_bytes()
         rec = ext_keyframe(2000, [3, 9], observed=[1503, 2500], pos=(0.3, 0.1, 0))
         insert_external_keyframe(
-            m, self.entry(rec, [ext_point(2500, [5, 5, 5], 9, [2000])]), 0.05)
+            m, self.entry(rec, [ext_point(2500, [5, 5, 5], 9, [2000])]))
         assert m.keyframes[2000].covisibility == {13: 1}
         after = pose_bytes()
         assert {k: after[k] for k in before} == before
@@ -282,13 +282,13 @@ class TestQueue:
         m = AgentMap()
         for i in range(10):
             s.queue.append(QueueEntry(1, ext_keyframe(1000 + i, [i], observed=[]), []))
-        inserted = s.drain(m, budget=3, dup_radius=0.05)
+        inserted = s.drain(m, budget=3)
         assert len(inserted) == 3
         assert len(s.queue) == 7
 
     def test_empty_queue_noop(self):
         s = SharingState()
-        assert s.drain(AgentMap(), 3, 0.05) == []
+        assert s.drain(AgentMap(), 3) == []
 
     def test_fifo_order_per_sender(self):
         s = SharingState()
@@ -301,7 +301,7 @@ class TestQueue:
         m = AgentMap()
         got = []
         while s.queue:
-            got += s.drain(m, 1, 0.05)
+            got += s.drain(m, 1)
         assert got == [1000, 1001, 1002, 1003]
 
     def test_points_ride_with_first_observer(self):

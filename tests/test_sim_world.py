@@ -25,11 +25,6 @@ def tracker(seed=0, waypoints=None, landmarks=None, **kw):
     return AgentTracker(cfg, lms, seed, UuidGenerator(seed, 0))
 
 
-def scan(tr, t):
-    """The frame of the full scan from ``tr``'s current true pose at time t."""
-    return tr._frame(t, tr._visible_rows(t, tr.true_pose.translation, tr._view.forward), False)
-
-
 @pytest.fixture
 def one_word_match(monkeypatch):
     """Any frame that sees a landmark counts as healthy."""
@@ -155,11 +150,12 @@ class TestBatchedMeasurement:
         lms = TestKeyframeSpawning().dense_world()
         tr = tracker(seed=4, landmarks=lms, frame_offset="random", scale_offset=None,
                      sigma_t=0.01, sigma_r=0.01)
-        for i in range(5):
-            frame = tr.step(i * 0.1)
-        assert len(frame.visible) > 10
-        want = [tr.est_pose.apply(tr.frame_scale * cam) for cam in frame.cam_positions]
-        _, new_points = tr.spawn_keyframe(0, frame.time, frame)
+        for t in (0.0, 0.1, 0.2, 0.3, 0.4):
+            tr.step(t)
+        visible, cam_positions = tr.seen(t)
+        assert len(visible) > 10
+        want = [tr.est_pose.apply(tr.frame_scale * cam) for cam in cam_positions]
+        _, new_points = tr.spawn_keyframe(0, t)
         assert len(new_points) == len(want)
         for p, w in zip(new_points, want):
             assert np.array_equal(p.position, w)
@@ -225,22 +221,22 @@ class TestVisibility:
         from meshslam.sim_world import Landmark
         lms = [Landmark(0, np.array([-1.0, 0, 0]), 0)]
         tr = tracker(landmarks=lms)
-        assert scan(tr, 0.0).visible == []
+        assert tr.seen(0.0)[0] == []
 
     def test_in_front_visible(self):
         from meshslam.sim_world import Landmark
         lms = [Landmark(0, np.array([2.0, 0, 0]), 0)]
         tr = tracker(landmarks=lms)
-        frame = scan(tr, 0.0)
-        assert [lm.id for lm in frame.visible] == [0]
-        assert np.allclose(frame.cam_positions[0], [2, 0, 0], atol=1e-12)
+        visible, cam_positions = tr.seen(0.0)
+        assert [lm.id for lm in visible] == [0]
+        assert np.allclose(cam_positions[0], [2, 0, 0], atol=1e-12)
 
     def test_matches_brute_force(self):
         lms = self.grid_world()
         tr = tracker(landmarks=lms, fov_deg=100.0, range_m=7.0)
         for t in np.linspace(0, 8, 17):
             tr.true_pose = tr.script.pose_at(float(t))
-            got = {lm.id for lm in scan(tr, float(t)).visible}
+            got = {lm.id for lm in tr.seen(float(t))[0]}
             fwd = tr.true_pose.rotation.apply(np.array([1.0, 0, 0]))
             expect = set()
             for lm in lms:
@@ -256,8 +252,8 @@ class TestVisibility:
         from meshslam.sim_world import Landmark
         lms = [Landmark(0, np.array([2.0, 0, 0]), 0)]
         tr = tracker(landmarks=lms, blackouts=[(0.0, 5.0)])
-        assert scan(tr, 1.0).visible == []
-        assert [lm.id for lm in scan(tr, 5.0).visible] == [0]
+        assert tr.seen(1.0)[0] == []
+        assert [lm.id for lm in tr.seen(5.0)[0]] == [0]
 
 
 class TestKeyframeSpawning:
@@ -273,8 +269,8 @@ class TestKeyframeSpawning:
         tr = tracker(landmarks=self.dense_world(), waypoints=[[0, 0, 0]])
         spawns = 0
         for i in range(50):
-            frame = tr.step(i * 0.1)
-            if tr.spawn_keyframe(0, frame.time, frame):
+            tr.step(i * 0.1)
+            if tr.spawn_keyframe(0, i * 0.1):
                 spawns += 1
         assert spawns == 1
 
@@ -284,10 +280,9 @@ class TestKeyframeSpawning:
         tr = tracker(landmarks=self.dense_world())
         spawn_times = []
         for i in range(0, 101):
-            frame = tr.step(i * 0.01)  # 1 cm steps
-            out = tr.spawn_keyframe(0, frame.time, frame)
-            if out:
-                spawn_times.append(round(frame.time, 3))
+            tr.step(i * 0.01)  # 1 cm steps
+            if tr.spawn_keyframe(0, i * 0.01):
+                spawn_times.append(round(i * 0.01, 3))
         assert len(spawn_times) == 4  # initial + 3
         assert spawn_times[0] == 0.0
         assert spawn_times[1:] == [0.31, 0.62, 0.93]
@@ -295,8 +290,8 @@ class TestKeyframeSpawning:
     @pytest.mark.usefixtures("one_word_match")
     def test_spin_in_place_spawns_at_angle_thresholds(self):
         tr = tracker(landmarks=self.dense_world(), waypoints=[[0, 0, 0]])
-        frame = tr.step(0.0)
-        assert tr.spawn_keyframe(0, 0.0, frame) is not None
+        tr.step(0.0)
+        assert tr.spawn_keyframe(0, 0.0) is not None
         spawns = []
         for deg in range(2, 51, 2):
             # drive the estimated heading directly: spin in place 2 degrees per step
@@ -304,19 +299,19 @@ class TestKeyframeSpawning:
                 Rotation.from_axis_angle(vec3(0, 0, 1), math.radians(deg)),
                 tr.est_pose.translation,
             )
-            if tr.spawn_keyframe(0, 0.0, frame):
+            if tr.spawn_keyframe(0, 0.0):
                 spawns.append(deg)
         assert spawns == [16, 32, 48]  # first steps strictly past each 15 deg gap
 
     @pytest.mark.usefixtures("one_word_match")
     def test_keyframe_contents(self):
         tr = tracker(landmarks=self.dense_world())
-        frame = tr.step(0.0)
-        kf, new_points = tr.spawn_keyframe(7, 0.0, frame)
+        tr.step(0.0)
+        kf, new_points = tr.spawn_keyframe(7, 0.0)
         assert kf.origin_agent == 7
         # one count per visible landmark, by word, in ascending word order
         want = {}
-        for lm in frame.visible:
+        for lm in tr.seen(0.0)[0]:
             want[lm.word] = want.get(lm.word, 0) + 1
         assert list(kf.words.items()) == sorted(want.items())
         assert all(type(c) is int for c in kf.words.values())
@@ -330,12 +325,12 @@ class TestKeyframeSpawning:
     @pytest.mark.usefixtures("one_word_match")
     def test_reobservation_extends_not_recreates(self):
         tr = tracker(landmarks=self.dense_world())
-        frame = tr.step(0.0)
-        kf1, new1 = tr.spawn_keyframe(0, 0.0, frame)
+        tr.step(0.0)
+        kf1, new1 = tr.spawn_keyframe(0, 0.0)
         # move a little and spawn again: most landmarks are re-associated
         for i in range(1, 40):
-            frame = tr.step(i * 0.01)
-        out = tr.spawn_keyframe(0, frame.time, frame)
+            tr.step(i * 0.01)
+        out = tr.spawn_keyframe(0, 39 * 0.01)
         assert out is not None
         kf2, new2 = out
         reobserved = kf2.observed_points & kf1.observed_points
@@ -348,8 +343,7 @@ class TestLossDetection:
         lms = TestKeyframeSpawning().dense_world()
         tr = tracker(landmarks=lms)
         for i in range(1, 100):
-            frame = tr.step(i * 0.1)
-            assert not frame.lost_transition
+            assert not tr.step(i * 0.1)
 
     def test_blackout_triggers_loss_after_l_frames(self, monkeypatch):
         monkeypatch.setattr(sim_world, "LOST_FRAMES", 5)
@@ -357,9 +351,8 @@ class TestLossDetection:
         tr = tracker(landmarks=lms, blackouts=[(1.0, 4.0)])
         transitions = []
         for i in range(1, 60):
-            frame = tr.step(i * 0.1)
-            if frame.lost_transition:
-                transitions.append(round(frame.time, 2))
+            if tr.step(i * 0.1):
+                transitions.append(round(i * 0.1, 2))
                 tr.enter_private_frame()
         assert transitions == [1.4]  # 5th weak frame: 1.0..1.4
 
@@ -375,41 +368,42 @@ class TestLossDetection:
         assert 0.5 <= tr.frame_scale <= 2.0
 
 
-class TestLazyFrame:
-    """A frame builds its landmark list and camera rows on first read, from
-    its own tick's rows, table and shift: read after later ticks, or after
-    the true pose was set directly, it still equals the per-tick reference
-    bit for bit."""
+class TestSeen:
+    """What ``seen`` reports right after each ``step``, from the rows the step
+    kept or from a scan of its own when the bound settled the tick, equals
+    the per-tick reference bit for bit, also on the step after the true pose
+    was set directly."""
 
-    def test_frames_read_late_match_reference(self):
+    def test_seen_after_each_step_matches_reference(self):
         lms = TestVisibility().grid_world()
         tr = tracker(seed=6, landmarks=lms, waypoints=[[0, 0, 0], [6, 0, 0], [6, 5, 1]],
                      fov_deg=100.0, range_m=3.0, sigma_t=0.02, sigma_r=0.02,
                      frame_offset="random", scale_offset=None, blackouts=[(2.0, 3.0)])
         rng = np.random.default_rng(3)
-        pairs = []
+        kinds = {"blackout": 0, "none in view": 0, "in view": 0}
         for i, t in enumerate(np.arange(0.1, 16.0, 0.1).tolist()):
             twin = ref.twin(tr)
-            pairs.append((tr.step(t), ref.step(twin, t), tr.in_blackout(t)))
+            want = ref.step(twin, t)
+            assert tr.step(t) == want.lost_transition
+            visible, cam_positions = tr.seen(t)
+            assert [lm.id for lm in visible] == [lm.id for lm in want.visible]
+            assert bits(cam_positions) == bits(want.cam_positions)
+            dark = tr.in_blackout(t)
+            kinds["blackout" if dark else "in view" if want.visible else "none in view"] += 1
             if i % 7 == 6:  # the view moves somewhere off the script
                 tr.true_pose = Se3Pose(Rotation.from_rotvec(rng.normal(size=3)),
                                        rng.uniform(-5, 5, 3))
-        kinds = {"blackout": 0, "none in view": 0, "in view": 0}
-        for got, want, dark in pairs:
-            assert got.count == len(want.visible)
-            assert [lm.id for lm in got.visible] == [lm.id for lm in want.visible]
-            assert bits(got.cam_positions) == bits(want.cam_positions)
-            assert got.lost_transition == want.lost_transition
-            kinds["blackout" if dark else "in view" if want.visible else "none in view"] += 1
         assert min(kinds.values()) > 0, kinds
 
     def test_empty_world(self):
         tr = tracker(seed=1, landmarks=[], sigma_t=0.02)
-        frames = [tr.step(0.1 * i) for i in range(1, 8)]
-        for frame in frames:
-            assert frame.count == 0 and frame.visible == []
-            assert bits(frame.cam_positions) == bits(np.zeros((0, 3)))
-        assert frames[-1].lost_transition
+        lost = []
+        for i in range(1, 8):
+            lost.append(tr.step(0.1 * i))
+            visible, cam_positions = tr.seen(0.1 * i)
+            assert visible == []
+            assert bits(cam_positions) == bits(np.zeros((0, 3)))
+        assert lost[-1]
 
 
 def bits(a):

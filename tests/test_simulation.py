@@ -38,18 +38,7 @@ from scenario_defs import (
     blackout_recovery,
     coop_loops,
     fig3_replay,
-    leader_failover,
 )
-
-
-@pytest.fixture(scope="module")
-def fig3_result():
-    return Simulation(fig3_replay(), seed=42, check_invariants=True).run()
-
-
-@pytest.fixture(scope="module")
-def blackout_result():
-    return Simulation(blackout_recovery(), seed=3, check_invariants=True).run()
 
 
 @pytest.fixture(scope="module")
@@ -57,11 +46,6 @@ def lossy_result():
     # every manager's invariants are checked after every event
     return Simulation(coop_loops(True, drop_prob=0.2), seed=3,
                       check_invariants=True).run()
-
-
-@pytest.fixture(scope="module")
-def failover_result():
-    return Simulation(leader_failover(), seed=5, check_invariants=True).run()
 
 
 class TestStagedThreeAgentMerge:
@@ -222,8 +206,8 @@ class TestCooperationEndToEnd:
         assert rep.rms_m <= repn.rms_m
         assert rep.rms_m < 0.5  # merged frame, drift-level error
 
-    def test_lossless_run_converges_keyframe_sets(self):
-        res = Simulation(coop_loops(True, drop_prob=0.0), seed=4).run()
+    def test_lossless_run_converges_keyframe_sets(self, lossless_result):
+        res = lossless_result
         id_sets = [frozenset(res.runtimes[a].db.shared_map.keyframes)
                    for a in (0, 1, 2)]
         assert id_sets[0] == id_sets[1] == id_sets[2]
@@ -235,8 +219,8 @@ class TestCooperationEndToEnd:
             assert not m.pending_kf_links
             m.check_integrity()
 
-    def test_ledger_conserved_and_categorized(self):
-        res = Simulation(coop_loops(True), seed=6).run()
+    def test_ledger_conserved_and_categorized(self, coop_result):
+        res = coop_result
         led = res.net.ledger
         sent = led.totals(led.sent)
         received = led.totals(led.received)

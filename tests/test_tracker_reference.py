@@ -31,6 +31,12 @@ def pose_bits(pose):
     return bits(pose.rotation.q), bits(pose.translation)
 
 
+def tick(tr, t):
+    """Step ``tr`` to time t; its loss flag and what it sees right after."""
+    lost_transition = tr.step(t)
+    return ref.Frame(t, *tr.seen(t), lost_transition)
+
+
 def assert_frames_equal(got, want):
     assert got.time == want.time
     assert [lm.id for lm in got.visible] == [lm.id for lm in want.visible]
@@ -75,17 +81,17 @@ class CheckedTracker(AgentTracker):
         twin = ref.twin(self)
         want = ref.step(twin, t)
         got = super().step(t)
-        assert_frames_equal(got, want)
+        assert_frames_equal(ref.Frame(t, *self.seen(t), got), want)
         assert_trackers_equal(self, twin)
         self.ticks += 1
         self.blackout_ticks += self.in_blackout(t)
         return got
 
-    def spawn_keyframe(self, agent_id, t, frame, active_map=None):
+    def spawn_keyframe(self, agent_id, t, active_map=None):
         twin = ref.twin(self)
         shadow = None if active_map is None else ref.ShadowMap(active_map)
-        want = ref.spawn_keyframe(twin, agent_id, t, frame, shadow)
-        got = super().spawn_keyframe(agent_id, t, frame, active_map)
+        want = ref.spawn_keyframe(twin, agent_id, t, shadow)
+        got = super().spawn_keyframe(agent_id, t, active_map)
         assert_spawns_equal(got, want)
         assert_trackers_equal(self, twin)
         for pid, point in (shadow.points.copies.items() if shadow else ()):
@@ -116,11 +122,10 @@ def test_shipped_scenario_ticks_match_reference(name, monkeypatch):
 def run_side_by_side(tr, times):
     for t in times:
         twin = ref.twin(tr)
-        frame = tr.step(t)
-        assert_frames_equal(frame, ref.step(twin, t))
+        assert_frames_equal(tick(tr, t), ref.step(twin, t))
         assert_trackers_equal(tr, twin)
-        want = ref.spawn_keyframe(twin, 0, t, frame)
-        assert_spawns_equal(tr.spawn_keyframe(0, t, frame), want)
+        want = ref.spawn_keyframe(twin, 0, t)
+        assert_spawns_equal(tr.spawn_keyframe(0, t), want)
         assert_trackers_equal(tr, twin)
 
 
@@ -147,13 +152,13 @@ def test_directly_set_true_pose_drives_the_view():
         for pose in (script_pose, script_pose.copy(),
                      Se3Pose(Rotation.from_rotvec(rng.normal(size=3)), rng.uniform(-5, 5, 3))):
             tr.true_pose = pose
-            got = sw.scan(tr, float(t))
+            visible, cam_positions = tr.seen(float(t))
             want = ref.visible_landmarks(tr, float(t))
-            assert [lm.id for lm in got.visible] == [lm.id for lm in want[0]]
-            assert bits(got.cam_positions) == bits(want[1])
+            assert [lm.id for lm in visible] == [lm.id for lm in want[0]]
+            assert bits(cam_positions) == bits(want[1])
         # the next odometry delta starts from the pose set last
         twin = ref.twin(tr)
-        assert_frames_equal(tr.step(float(t) + 0.1), ref.step(twin, float(t) + 0.1))
+        assert_frames_equal(tick(tr, float(t) + 0.1), ref.step(twin, float(t) + 0.1))
         assert_trackers_equal(tr, twin)
 
 
@@ -161,9 +166,10 @@ def test_two_landmarks_resolving_to_one_point_blend_in_order(monkeypatch):
     monkeypatch.setattr(sim_world, "MIN_WORD_MATCHES", 1)
     lms = sw.TestKeyframeSpawning().dense_world()
     tr = sw.tracker(seed=5, landmarks=lms)
-    frame = tr.step(0.1)
-    assert len(frame.visible) >= 4
-    a, b, c = (lm.id for lm in frame.visible[1:4])
+    tr.step(0.1)
+    visible, cam_positions = tr.seen(0.1)
+    assert len(visible) >= 4
+    a, b, c = (lm.id for lm in visible[1:4])
     uuids = UuidGenerator(99, 7)
     keep, gone, other = uuids.next(), uuids.next(), uuids.next()
     m = AgentMap()
@@ -173,15 +179,15 @@ def test_two_landmarks_resolving_to_one_point_blend_in_order(monkeypatch):
     tr.assoc = {a: keep, b: gone, c: other}
     twin = ref.twin(tr)
     shadow = ref.ShadowMap(m)
-    want = ref.spawn_keyframe(twin, 0, 0.1, frame, shadow)
-    got = tr.spawn_keyframe(0, 0.1, frame, m)
+    want = ref.spawn_keyframe(twin, 0, 0.1, shadow)
+    got = tr.spawn_keyframe(0, 0.1, m)
     assert_spawns_equal(got, want)
     assert_trackers_equal(tr, twin)
     assert tr.assoc[b] == keep
     for pid in (keep, other):
         assert bits(m.points[pid].position) == bits(shadow.points.copies[pid].position)
     # the shared point blends a's row, then b's
-    rows = tr.est_pose.apply(tr.frame_scale * frame.cam_positions)
+    rows = tr.est_pose.apply(tr.frame_scale * cam_positions)
     k = sim_world.POINT_UPDATE_BLEND
     first = (1.0 - k) * np.array([1.0, 2.0, 3.0]) + k * rows[1]
     assert bits(m.points[keep].position) == bits((1.0 - k) * first + k * rows[2])
@@ -215,8 +221,8 @@ def landmarks_on_edges(data, script, ticks, fov_deg, range_m):
 @given(st.data())
 def test_ticks_settled_without_a_scan_match_reference(data):
     """Whether a tick scans or is settled by the bound kept since the last
-    scan, its weak-frame count, loss flag and (read later) visible ids equal
-    the reference's: on loops that revisit a segment ahead of or behind the
+    scan, its weak-frame count, loss flag and visible ids equal the
+    reference's: on loops that revisit a segment ahead of or behind the
     last scan, or at its very position, through blackouts and losses."""
     coord = st.one_of(st.integers(-4, 4).map(float), st.floats(-4.0, 4.0))
     waypoints = data.draw(st.lists(st.lists(coord, min_size=3, max_size=3),
@@ -242,20 +248,17 @@ def test_ticks_settled_without_a_scan_match_reference(data):
     lms = landmarks_on_edges(data, script, ticks, fov_deg, range_m)
     tr = sw.tracker(landmarks=lms, waypoints=waypoints, speed=speed, fov_deg=fov_deg,
                     range_m=range_m, blackouts=blackouts)
-    frames = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim_world, "MIN_WORD_MATCHES", data.draw(st.integers(1, 3)))
         for t in times:
             twin = ref.twin(tr)
             want = ref.step(twin, t)
-            got = tr.step(t)
+            got = tick(tr, t)
             assert tr._weak_frames == twin._weak_frames
             assert got.lost_transition == want.lost_transition
-            frames.append((got, [lm.id for lm in want.visible]))
+            assert [lm.id for lm in got.visible] == [lm.id for lm in want.visible]
             if got.lost_transition:
                 tr.enter_private_frame()
-    for got, want in frames:
-        assert [lm.id for lm in got.visible] == want
 
 
 def exact_depth(lm, p, forward, c, range_m):
@@ -319,7 +322,7 @@ def test_a_landmark_rounding_hides_settles_nothing(monkeypatch, fov_deg, t2, rad
     tr = alone(lm)
     for t in (EDGE_T1, t2):
         twin = ref.twin(tr)
-        assert_frames_equal(tr.step(t), ref.step(twin, t))
+        assert_frames_equal(tick(tr, t), ref.step(twin, t))
         assert_trackers_equal(tr, twin)
     assert tr._weak_frames == 1
 
@@ -351,9 +354,9 @@ def test_cone_edge_reads_the_same_from_any_table_size():
 
 def test_coop_loops_ticks_mostly_skip_the_scan(monkeypatch):
     """On coop_loops at seed 7 the weak-frame test scans on under a tenth of
-    the ticks, and every other scan is a frame's whose keyframe was due, so
+    the ticks, and every other scan is a spawn's whose keyframe was due, so
     a bound that never settles a tick cannot pass unseen."""
-    counts = {"ticks": 0, "step scans": 0, "frame scans": 0, "due": 0}
+    counts = {"ticks": 0, "step scans": 0, "spawn scans": 0, "due": 0}
     stepping = []
     step, rows, should_spawn = (AgentTracker.step, AgentTracker._visible_rows,
                                 AgentTracker.should_spawn)
@@ -367,7 +370,7 @@ def test_coop_loops_ticks_mostly_skip_the_scan(monkeypatch):
             stepping.pop()
 
     def counted_rows(self, *args):
-        counts["step scans" if stepping else "frame scans"] += 1
+        counts["step scans" if stepping else "spawn scans"] += 1
         return rows(self, *args)
 
     def counted_should_spawn(self):
@@ -381,4 +384,86 @@ def test_coop_loops_ticks_mostly_skip_the_scan(monkeypatch):
     simulation.Simulation(load_scenario(os.path.join(SCENARIOS, "coop_loops.yaml")), 7).run()
     assert counts["ticks"] == 750
     assert 0 < counts["step scans"] < 0.1 * counts["ticks"], counts
-    assert counts["frame scans"] <= counts["due"], counts
+    assert counts["spawn scans"] <= counts["due"], counts
+
+
+@pytest.mark.parametrize("blackouts, min_matches", [([(1.0, 2.0)], 1), ([], 10**6)],
+                         ids=["blackout", "too-few-in-view"])
+def test_a_spawn_on_the_loss_tick_sees_that_tick(monkeypatch, blackouts, min_matches):
+    """On the tick that crosses the loss gate, step returns True; after
+    enter_private_frame, a spawn on that same tick is due and builds the
+    private map's first keyframe from that tick's view, as the reference
+    does: nothing in a blackout, every landmark in view otherwise."""
+    monkeypatch.setattr(sim_world, "MIN_WORD_MATCHES", min_matches)
+    tr = sw.tracker(seed=4, landmarks=sw.TestKeyframeSpawning().dense_world(),
+                    frame_offset="random", scale_offset=None, sigma_t=0.01, sigma_r=0.01,
+                    blackouts=blackouts)
+    losses = []
+    for t in [0.1 * i for i in range(1, 31)]:
+        twin = ref.twin(tr)
+        want = ref.step(twin, t)
+        lost = tr.step(t)
+        assert lost == want.lost_transition
+        if lost:
+            tr.enter_private_frame()
+        twin = ref.twin(tr)
+        spawn = tr.spawn_keyframe(0, t)
+        assert_spawns_equal(spawn, ref.spawn_keyframe(twin, 0, t))
+        assert_trackers_equal(tr, twin)
+        if lost:
+            losses.append((t, len(want.visible), spawn))
+    [(t, in_view, spawn)] = losses
+    if blackouts:
+        assert tr.in_blackout(t) and in_view == 0 and spawn is None
+    else:
+        assert in_view > 0 and spawn is not None
+        kf, points = spawn
+        assert kf.timestamp == t and len(kf.observed_points) == len(points) == in_view
+
+
+def test_b_a_settled_spawn_tick_scans_afresh(monkeypatch):
+    """A keyframe due on a tick the bound settled right after a scanned tick
+    comes from a scan of its own tick, not from the rows the scanned tick
+    kept: a landmark that came into range in between is in it."""
+    monkeypatch.setattr(sim_world, "MIN_WORD_MATCHES", 1)
+    near = [Landmark(i, np.array([3.0, y, 0.0]), word=i) for i, y in enumerate((-0.5, 0.0, 0.5))]
+    edge = Landmark(3, np.array([5.05, 0.0, 0.0]), word=3)  # in range from x >= 0.05
+    tr = sw.tracker(landmarks=near + [edge], range_m=5.0)
+    scans = []
+    rows = AgentTracker._visible_rows
+
+    def counted_rows(self, *args):
+        scans.append(args[0])
+        return rows(self, *args)
+
+    monkeypatch.setattr(AgentTracker, "_visible_rows", counted_rows)
+    assert not tr.step(0.0) and not tr.step(0.1)
+    assert scans == [0.0]  # the bound settled the second tick
+    twin = ref.twin(tr)
+    want = ref.spawn_keyframe(twin, 0, 0.1)
+    assert_spawns_equal(tr.spawn_keyframe(0, 0.1), want)
+    assert_trackers_equal(tr, twin)
+    assert scans == [0.0, 0.1]
+    assert len(want[0].observed_points) == 4
+
+
+def test_c_spawn_after_setting_the_true_pose_sees_the_new_pose():
+    """Setting the true pose drops the rows the last step kept: a spawn with
+    no step in between builds its keyframe from the new pose's view, for a
+    pose on another segment and a pose off the script."""
+    tr = sw.tracker(seed=2, landmarks=sw.TestVisibility().grid_world(),
+                    waypoints=[[0, 0, 0], [6, 0, 0], [6, 5, 1]], fov_deg=100.0, range_m=7.0,
+                    sigma_t=0.02, sigma_r=0.02, frame_offset="random", scale_offset=None)
+    rng = np.random.default_rng(4)
+    for t in (0.5, 1.5):
+        tr.step(t)
+        stepped = [lm.id for lm in tr.seen(t)[0]]
+        for pose in (tr.script.pose_at(t + 8.0),
+                     Se3Pose(Rotation.from_rotvec(rng.normal(size=3)), rng.uniform(-5, 5, 3))):
+            tr.true_pose = pose
+            tr.last_kf_pose = None
+            twin = ref.twin(tr)
+            want = ref.spawn_keyframe(twin, 0, t)
+            assert_spawns_equal(tr.spawn_keyframe(0, t), want)
+            assert_trackers_equal(tr, twin)
+            assert [lm.id for lm in ref.visible_landmarks(twin, t)[0]] != stepped

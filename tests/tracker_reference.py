@@ -26,7 +26,8 @@ from meshslam.map_store import KeyFrame, MapPoint
 
 @dataclasses.dataclass
 class Frame:
-    """What ``step`` saw at ``time``, as ``sim_world.TrackerFrame`` reports it."""
+    """What ``step`` saw at ``time``: ``AgentTracker.step``'s loss flag, and the
+    landmarks and camera rows ``AgentTracker.seen`` reports right after it."""
 
     time: float
     visible: list
@@ -96,18 +97,21 @@ def should_spawn(tr):
             or angle > math.radians(sim_world.SPAWN_ANGLE_DEG))
 
 
-def spawn_keyframe(tr, agent_id, t, frame, active_map=None):
-    if not frame.visible or not should_spawn(tr):
+def spawn_keyframe(tr, agent_id, t, active_map=None):
+    if not should_spawn(tr):
+        return None
+    visible, cam = visible_landmarks(tr, t)
+    if not visible:
         return None
     counts = {}
-    for lm in frame.visible:
+    for lm in visible:
         counts[lm.word] = counts.get(lm.word, 0) + 1
     observed = set()
     new_points = []
     kf_id = tr.uuids.next()
     blend = sim_world.POINT_UPDATE_BLEND
-    measured_rows = tr.est_pose.apply(tr.frame_scale * frame.cam_positions)
-    for lm, measured in zip(frame.visible, measured_rows):
+    measured_rows = tr.est_pose.apply(tr.frame_scale * cam)
+    for lm, measured in zip(visible, measured_rows):
         pid = tr.assoc.get(lm.id)
         if pid is not None and active_map is not None:
             pid = active_map.resolve_point_id(pid)
