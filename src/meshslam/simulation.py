@@ -88,6 +88,7 @@ from .wire import (
     KeyFramePacket,
     LocalizationState,
     MergeNotify,
+    MessageType,
     TaggedPoints,
     WireError,
     category_of,
@@ -356,16 +357,16 @@ class AgentRuntime:
     def _flush_outboxes(self, force: bool = False) -> None:
         if not self.scenario.run.cooperative:
             return
-        last = None  # (keyframe and point ids, encoding) of the last packet sent
+        last = None  # (keyframe and point ids, frame) of the last packet sent
         for peer in self.manager.merged_peers():
             pkt = self.sharing.flush_outbox(self.id, peer, self.db.shared_map, force=force)
             if pkt is None:
                 continue
             # outboxes often hold the same ids, and nothing changes the map
-            # between these sends, so an equal packet reuses the encoding
+            # between these sends, so an equal packet reuses the frame
             ids = ([kf.id for kf in pkt.keyframes], [p.id for p in pkt.points])
             if last is None or last[0] != ids:
-                last = ids, encode_message(pkt)
+                last = ids, self.sim.frame(self.id, pkt)
             self.sim.send_message(self.id, peer, pkt, last[1])
 
     # -- message dispatch -----------------------------------------------------------
@@ -418,19 +419,25 @@ class Simulation:
     def reachable(self, a: int, b: int) -> bool:
         return self.net.same_component(a, b, self.now)
 
-    def send_to_each(self, src: int, dsts: list[int], msg) -> None:
-        """Send `msg` to each of `dsts` in turn, encoded once."""
-        if dsts:
-            encoded = encode_message(msg)
-            for dst in dsts:
-                self.send_message(src, dst, msg, encoded)
+    @staticmethod
+    def frame(src: int, msg) -> tuple[MessageType, bytes]:
+        """`msg`'s type and the frame that carries it from `src`."""
+        msg_type, payload = encode_message(msg)
+        return msg_type, encode_envelope(msg_type, src, payload)
 
-    def send_message(self, src: int, dst: int, msg, encoded=None) -> None:
-        """Send `msg` to `dst` in an envelope of its own; `encoded` is
-        ``encode_message(msg)`` when the caller already made it."""
-        msg_type, payload = encoded or encode_message(msg)
-        env = Envelope(src=src, dst=dst, msg_type=int(msg_type),
-                       data=encode_envelope(msg_type, src, payload), send_time=self.now)
+    def send_to_each(self, src: int, dsts: list[int], msg) -> None:
+        """Send `msg` to each of `dsts` in turn, framed once."""
+        if dsts:
+            framed = self.frame(src, msg)
+            for dst in dsts:
+                self.send_message(src, dst, msg, framed)
+
+    def send_message(self, src: int, dst: int, msg, framed=None) -> None:
+        """Send `msg` to `dst`; `framed` is ``self.frame(src, msg)`` when the
+        caller already made it."""
+        msg_type, data = framed or self.frame(src, msg)
+        env = Envelope(src=src, dst=dst, msg_type=int(msg_type), data=data,
+                       send_time=self.now)
         self.net.send(env)
         if category_of(msg_type) not in _UNLOGGED_CATEGORIES:
             self.log(src, "send", {"type": msg_type.name.lower(), "dst": dst,

@@ -3,36 +3,36 @@
 Envelope layout (all multi-byte integers little-endian):
 
     magic   4 bytes  b"DVMS"
-    version u16      6
+    version u16      7
     type    u8       message type tag
     sender  u16      agent id
-    length  u32      payload byte count
-    payload
+    length  u32      byte count of the body
+    body             the payload up to its f64 values as one raw DEFLATE
+                     stream, then the payload's f64 values as they are
 
 The 13-byte header carries no sequence number: the one message whose order
 matters, a localization state, orders itself by its epoch.  Each message type
 is one ``_PAYLOADS`` row: its dataclass, its ledger category and the codecs
 of its payload, the dataclass fields after ``sender`` in declaration order.
-An alignment request is one id list, the points the follower's fit may read;
-the tagged points that answer it carry only those of them the leader holds.
-A localization state is its sender's epoch, a u32 counting the losses and
-recoveries it has declared (odd while it is lost); receivers keep the highest
-epoch per agent, so a late or repeated state changes nothing.
-Field codecs:
+Every f64 value of a payload comes after all its other fields, in field
+order.  An alignment request is one id list, the points the follower's fit
+may read; the tagged points that answer it carry only those of them the
+leader holds.  A localization state is its sender's epoch, a u32 counting
+the losses and recoveries it has declared (odd while it is lost); receivers
+keep the highest epoch per agent, so a late or repeated state changes
+nothing.  Field codecs, with what each puts among the f64 values:
 
     id         zigzag varint of its difference from the payload's last id
     ids        varint n + id (the first) + varint(id gap - 1)*(n - 1)
     words      varint n + (varint(word id gap - 1), varint(count))*n
-    word ids   varint n + varint(word id gap - 1)*n
-    keyframes  varint count + per keyframe: id, origin u16, timestamp f64,
-               pose 7*f64 (qw qx qy qz tx ty tz), then against the record
-               before it: word ids removed, words new or changed, ids of
-               observed points removed, ids added
-    points     varint count + per point: id, xyz 3*f64, varint word,
-               ids of the observers the payload's keyframes do not imply
-    sim3       scale f64, quaternion 4*f64, translation 3*f64
+    keyframes  varint count + per keyframe: id, origin u16, words, ids of
+               its observed points; f64: per keyframe, timestamp and pose
+               7*f64 (qw qx qy qz tx ty tz)
+    points     varint count + per point: id, varint word, ids of its
+               observers; f64: per point, xyz 3*f64
+    sim3       nothing; f64: scale, quaternion 4*f64, translation 3*f64
     roster     count u16 + agent id u16*
-    tagged     ids, then their n positions as one n*3 f64 block
+    tagged     ids; f64: their n positions as one n*3 block
 
 A varint is LEB128: an unsigned integer in groups of seven bits, lowest group
 first, one group per byte, the high bit set on every byte but the last.
@@ -50,58 +50,60 @@ request ids [5, 6, 10] are the varints 3 (the count), 10 (5 - 0, zigzagged),
 0 and 3; a keyframe record whose id is K, and whose first observed point is
 K - 2, writes that point as the varint 3.
 
-A payload's keyframes are consecutive spawns that see mostly the same words
-and points, so each keyframe record writes its histogram and its observed
-ids as differences from the record before it, the first from an empty
-histogram and an empty set.  The histogram is the word ids it no longer
-holds, then rows only for the words whose count is new or changed; the
-observed ids are one id list of those removed, then one of those added.
-A point record leaves out of its observer ids every keyframe of the same
-payload that observes the point: the decoder adds those back from the
-keyframe records it has read.  The encoder therefore requires each payload
-keyframe that observes a payload point to be among that point's observers,
-which the map a payload is cut from guarantees.  The decoder rebuilds each
-full ascending histogram and id list before it builds the dicts and sets,
-so a decoded object is what a self-contained record would have given.
+Every record is self-contained.  What consecutive keyframes and their points
+repeat (words, observed ids) is left to the compressor: the payload up to
+its f64 values travels as one raw DEFLATE stream (RFC 1951; no zlib header
+or checksum), written at level 6 with a 4 KiB window.  The f64 values follow
+the stream as they are: their low bits move with the floating-point details
+of a run (the OpenBLAS core moves the alignment fits), and inside the stream
+they would move the frame's size with them, so a frame's size depends only
+on what the protocol sends.  The stream ends itself, so the decoder needs no
+length between the two.  It reads any raw DEFLATE stream, with a window of
+up to 32 KiB, and asks zlib for at most ``MAX_PAYLOAD`` bytes (16 MiB) plus
+one.  The stream's bytes depend on the zlib that writes it; what it inflates
+to does not.
 
 Keyframes and map points travel as the map store's own KeyFrame and MapPoint
 objects.  Decoding always builds fresh objects, so an object never reaches a
 second agent by reference.  A histogram travels as the word counts its
 keyframe holds, and a quaternion that is canonical up to rounding is kept as
 sent (others are normalized and sign-canonicalized), so a keyframe decodes to
-what its sender held, bit for bit.  Observed and observer id sets are rebuilt
-in ascending order and decoded into sets built in that order; request and
+what its sender held, bit for bit.  Observed and observer id sets travel in
+ascending order and are decoded into sets built in that order; request and
 tagged point ids travel in the order given, which the encoder requires to be
 strictly ascending.  Keyframe and point records travel in the sender's order.
 
 Decoding is fail-closed: any structural problem raises WireError naming the
-byte offset (counted from the start of the payload for payload fields); no
-partially decoded object escapes.  A field or varint cut off by the end of
-the payload is a truncation naming where it starts.  Besides the layout, the
-decoder rejects, in payload order: non-minimal varints (a last byte 0x00
-after a continuation byte, so that every message has exactly one encoding),
-ids that a difference or a gap takes below 0 or above 2^128 - 1, list counts
-and word ids above 2^32 - 1, word counts of zero, histograms whose counts add
-up to more than ``MAX_WORD_TOTAL`` (65535; in a BowAnnounce the error names
-the count that crosses it, in a keyframe record the first byte of its
-histogram), removed word ids or ids that the record before does not hold,
-added ids that it does, rows whose count equals the record before's, words
-both removed and in a row, observers that the payload's keyframes imply,
-non-finite floats, quaternions of zero, subnormal or non-finite norm, and
-SIM(3) scales that are not positive.  The encoder raises ValueError on an id
-list that is not strictly ascending (naming the index of the first id that
-is not above the one before it), on ids or word ids outside the ranges
+byte offset; no partially decoded object escapes.  Header and stream offsets
+count from the start of the frame; payload field offsets count from the
+start of the payload, the inflated stream followed by the bytes after it.
+The stream is rejected when inflating it fails (naming the byte whose
+arrival shows the fault, and zlib's reason, for instance a back-reference to
+before the stream's start), when it does not end, and when it inflates past
+``MAX_PAYLOAD`` bytes.  A field or varint cut off by the end of the payload
+is a truncation naming where it starts.  Besides the layout, the decoder
+rejects, in payload order: non-minimal varints (a last byte 0x00 after a
+continuation byte, so that every message has exactly one payload), ids that
+a difference or a gap takes below 0 or above 2^128 - 1, list counts and word
+ids above 2^32 - 1, word counts of zero, histograms whose counts add up to
+more than ``MAX_WORD_TOTAL`` (65535; the error names the count that crosses
+it), non-finite floats, quaternions of zero, subnormal or non-finite norm,
+and SIM(3) scales that are not positive.  The encoder raises ValueError on
+an id list that is not strictly ascending (naming the index of the first id
+that is not above the one before it), on ids or word ids outside the ranges
 above, on a histogram whose counts are not positive or add up to more than
-``MAX_WORD_TOTAL``, and on a payload keyframe that observes a payload point
-that does not list it.
+``MAX_WORD_TOTAL``, and on a payload whose bytes before its f64 values are
+more than ``MAX_PAYLOAD``.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import zlib
 from dataclasses import dataclass, fields
 from enum import IntEnum
+from functools import partial
 
 import numpy as np
 
@@ -109,9 +111,14 @@ from .geometry import Rotation, Se3Pose, Sim3Transform
 from .map_store import KeyFrame, MapPoint
 
 MAGIC = b"DVMS"
-VERSION = 6
+VERSION = 7
 _HEADER = struct.Struct("<4sHBHI")
 HEADER_SIZE = _HEADER.size  # 13
+# the longest payload a frame may inflate to
+MAX_PAYLOAD = 1 << 24
+_LEVEL = 6          # zlib's default compression level
+_WRITE_WBITS = -12  # raw DEFLATE with a 4 KiB window: as small as the level's output needs
+_READ_WBITS = -15   # raw DEFLATE with the largest window, so any stream's distances resolve
 # the largest total of one histogram's word counts, so that any count fits a u16
 MAX_WORD_TOTAL = 0xFFFF
 _MAX_ID = (1 << 128) - 1  # ids are 128-bit uuids
@@ -227,9 +234,6 @@ class _Fields:
         self.size = self.struct.size
         self.sizes = tuple(struct.calcsize("<" + c) for c in codes)
 
-    def __add__(self, other: "_Fields") -> "_Fields":
-        return _Fields(*self.codes, *other.codes)
-
 
 _U16 = _Fields("H")
 _U32 = _Fields("I")
@@ -237,11 +241,10 @@ _U64 = _Fields("Q")
 _F64 = _Fields("d")
 _QUAT = _Fields("d", "d", "d", "d")
 _VEC3 = _Fields("d", "d", "d")
-_KF_HEAD = _Fields("H", "d")  # origin, timestamp
-# The writer packs in one call what the reader reads in parts: the reader
-# checks each part's values before it reads the next part.
-_KF_RECORD = _KF_HEAD + _QUAT + _VEC3  # after the id, up to the histogram
-_SIM3 = _F64 + _QUAT + _VEC3
+# A keyframe's timestamp and pose, or a SIM(3): the writer packs in one call
+# what the reader reads in parts (_F64, _QUAT, _VEC3), checking each part's
+# values before it reads the next.
+_EIGHT_F64 = _Fields(*"dddddddd")
 _F64_BLOCK = np.dtype("<f8")
 _U16_BLOCK = np.dtype("<u2")
 
@@ -253,37 +256,27 @@ def _put_varint(out: bytearray, v: int) -> None:
     out.append(v)
 
 
-def _put_gaps(out: bytearray, ids: list[int], prev: int) -> None:
-    """Each of the ascending `ids` as the varint of its gap to the one before
-    it minus one, the first's to `prev`.
-
-    A gap below 0 raises ValueError from bytearray.append.
-    """
-    append = out.append
-    for uid in ids:
-        gap = uid - prev - 1
-        prev = uid
-        if gap < 0x80:  # the common case: one byte, no call
-            append(gap)
-        else:
-            _put_varint(out, gap)
-
-
 class _Writer(bytearray):
-    """A payload being written, the last id it wrote (0 before the first) and
-    the keyframe records it carries (their points' records leave out the links
-    they imply).
+    """A payload's fields but its f64 values, being written; the last id it
+    wrote (0 before the first); and the f64 values, which follow them.
 
     A method looked up on a bytearray subclass costs more than on a bytearray,
     so the loops below bind ``out.append`` once.
     """
 
-    __slots__ = ("prev", "keyframes")
+    __slots__ = ("prev", "f64")
 
     def __init__(self):
         super().__init__()
         self.prev = 0
-        self.keyframes: list[KeyFrame] = []
+        self.f64 = bytearray()
+
+
+class Payload(bytes):
+    """A payload as ``encode_message`` writes it: its last ``f64_bytes`` bytes
+    are its f64 values, which ``encode_envelope`` leaves out of the stream."""
+
+    f64_bytes = 0
 
 
 def _write_id(out: _Writer, uid: int) -> None:
@@ -321,10 +314,18 @@ def _write_ids(out: _Writer, ids: list[int]) -> None:
         return
     try:
         _write_id(out, ids[0])
-        _put_gaps(out, ids[1:], ids[0])
+        append = out.append
+        prev = ids[0]
+        for uid in ids[1:]:
+            gap = uid - prev - 1
+            prev = uid
+            if gap < 0x80:  # the common case: one byte, no call
+                append(gap)  # a gap below 0 raises ValueError here
+            else:
+                _put_varint(out, gap)
     except ValueError:
-        # _write_id refuses a first id below 0, and _put_gaps the negative
-        # gap of an id that is not above the one before it
+        # _write_id refuses a first id below 0, and append the negative gap
+        # of an id that is not above the one before it
         raise ValueError(_id_list_fault(ids)) from None
     out.prev = ids[-1]
 
@@ -335,10 +336,6 @@ class _Reader:
         self.end = len(data)
         self.off = 0
         self.prev = 0  # the last id read
-        self.keyframes: list[KeyFrame] = []  # the keyframe records read
-        # point id -> the record indices at which it enters and leaves the
-        # keyframe records' observed ids, in pairs; see _read_keyframes
-        self.spans: dict[int, list[int | None]] = {}
 
     def _truncated(self, off: int, sizes: tuple[int, ...]) -> WireError:
         """The error for the first of `sizes`, laid out from `off`, that runs past the end."""
@@ -400,11 +397,6 @@ class _Reader:
         v, self.off = self.varint(off)
         return v
 
-    def step(self, prev: int) -> int:
-        """The id or word id after `prev` in an ascending list: `prev` + 1 +
-        the varint that comes next (`prev` is -1 before a first word id)."""
-        return prev + self.uint() + 1
-
     def count(self) -> int:
         """A list's varint count."""
         start = self.off
@@ -432,20 +424,12 @@ class _Reader:
         self.prev = uid
         return uid
 
-    def ids(self, bad=None, what: str = "") -> list[int]:
-        """An id list, ascending by construction.
-
-        With `bad`, the first id for which ``bad(id)`` is true raises
-        WireError(``what.format(id, offset)``), in payload order with the
-        list's other faults.
-        """
+    def ids(self) -> list[int]:
+        """An id list, ascending by construction."""
         n = self.count()
         if not n:
             return []
-        first = self.off
         uid = self.id()
-        if bad is not None and bad(uid):
-            raise WireError(what.format(uid, first))
         ids = [uid]
         # the steps inlined: id lists are the codec's hot path
         data, end, off = self.data, self.end, self.off
@@ -459,8 +443,6 @@ class _Reader:
                 uid += gap + 1
             if uid > _MAX_ID:
                 raise WireError(f"id {uid} at offset {start} is above 2^128 - 1")
-            if bad is not None and bad(uid):
-                raise WireError(what.format(uid, start))
             ids.append(uid)
         self.off = off
         self.prev = uid
@@ -477,16 +459,12 @@ class _Reader:
 # Map object codecs
 # ---------------------------------------------------------------------------
 
-def _check_finite(values, start: int, what: str) -> None:
-    for i, v in enumerate(values):
-        if not math.isfinite(v):
-            raise WireError(f"non-finite {what} {v} at offset {start + 8 * i}")
-
-
 def _read_finite(r: _Reader, f: _Fields, what: str) -> tuple:
     start = r.off
     values = r.read(f)
-    _check_finite(values, start, what)
+    for i, v in enumerate(values):
+        if not math.isfinite(v):
+            raise WireError(f"non-finite {what} {v} at offset {start + 8 * i}")
     return values
 
 
@@ -518,24 +496,20 @@ def _word_fault(count: int, total: int, where: str) -> str:
             f"to {total}, above {MAX_WORD_TOTAL}")
 
 
-def _check_words(words: dict[int, int]) -> None:
-    """A word id outside [0, 2^32 - 1], a count below 1, or one that takes the
-    total above ``MAX_WORD_TOTAL`` raises ValueError, a count naming its row's
-    index in ascending word order."""
-    if not words:
-        return
-    if min(words) < 0 or max(words) > _MAX_U32:
-        word = min(words) if min(words) < 0 else max(words)
+def _write_words(out: bytearray, words: dict[int, int]) -> None:
+    """Histogram rows.  A word id outside [0, 2^32 - 1], a count below 1, or
+    one that takes the total above ``MAX_WORD_TOTAL`` raises ValueError, a
+    count naming its row's index in ascending word order."""
+    rows = sorted(words.items())
+    if rows and (rows[0][0] < 0 or rows[-1][0] > _MAX_U32):
+        word = rows[0][0] if rows[0][0] < 0 else rows[-1][0]
         raise ValueError(f"word id {word} is outside [0, 2^32 - 1]")
-    if min(words.values()) < 1 or sum(words.values()) > MAX_WORD_TOTAL:
+    if rows and (min(words.values()) < 1 or sum(words.values()) > MAX_WORD_TOTAL):
         total = 0
-        for i, (_, count) in enumerate(sorted(words.items())):
+        for i, (_, count) in enumerate(rows):
             total += count
             if count < 1 or total > MAX_WORD_TOTAL:
                 raise ValueError(_word_fault(count, total, f"index {i}"))
-
-
-def _put_rows(out: bytearray, rows: list[tuple[int, int]]) -> None:
     _put_varint(out, len(rows))
     prev = -1
     append = out.append
@@ -550,220 +524,82 @@ def _put_rows(out: bytearray, rows: list[tuple[int, int]]) -> None:
             _put_varint(out, count)
 
 
-def _write_words(out: bytearray, words: dict[int, int]) -> None:
-    _check_words(words)
-    _put_rows(out, sorted(words.items()))
-
-
-def _read_rows(r: _Reader, old: dict[int, int], removed: list[int],
-               limit: float) -> dict[int, int]:
-    """Histogram rows, in ascending word order.
-
-    A row's word id is at most 2^32 - 1 and not in `removed`; its count is
-    positive, takes the rows' running total to at most `limit` and differs
-    from `old`'s count of the word.  A BowAnnounce's rows are its whole
-    histogram, with no `old` or `removed` and `limit` ``MAX_WORD_TOTAL``.
-    """
-    rows = {}
+def _read_words(r: _Reader) -> dict[int, int]:
+    """A histogram's rows, in ascending word order."""
+    words = {}
     word = -1
     total = 0
     for _ in range(r.count()):
         start = r.off
-        word = r.step(word)
+        word += r.uint() + 1
         if word > _MAX_U32:
             raise WireError(f"word id {word} at offset {start} is above 2^32 - 1")
-        if word in removed:
-            raise WireError(f"word {word} at offset {start} is both removed and counted")
         start = r.off
         count = r.uint()
         total += count
-        if count == 0 or total > limit:
+        if count == 0 or total > MAX_WORD_TOTAL:
             raise WireError(_word_fault(count, total, f"offset {start}"))
-        if count == old.get(word):
-            raise WireError(f"word count {count} at offset {start} equals the previous "
-                            "histogram's")
-        rows[word] = count
-    return rows
-
-
-def _write_word_delta(out: bytearray, old: dict[int, int], words: dict[int, int]) -> None:
-    """`words` against the histogram `old`: the word ids it drops, then the
-    rows whose count is new or changed.
-
-    The rows `old` holds were checked when it was written, so only the new
-    and changed rows and the total are checked here.
-    """
-    get = old.get
-    rows = sorted([(w, c) for w, c in words.items() if get(w) != c])
-    if (rows and (rows[0][0] < 0 or rows[-1][0] > _MAX_U32 or min(c for _, c in rows) < 1)
-            or sum(words.values()) > MAX_WORD_TOTAL):
-        _check_words(words)  # raises, naming the row in the whole histogram
-    removed = sorted([w for w in old if w not in words])
-    _put_varint(out, len(removed))
-    _put_gaps(out, removed, -1)
-    _put_rows(out, rows)
-
-
-def _read_removed_words(r: _Reader, old: dict[int, int]) -> list[int]:
-    """Ascending word ids that each name a word of `old`."""
-    removed = []
-    word = -1
-    for _ in range(r.count()):
-        start = r.off
-        word = r.step(word)
-        if word not in old:
-            raise WireError(f"removed word {word} at offset {start} is not in the previous "
-                            "histogram")
-        removed.append(word)
-    return removed
-
-
-def _read_word_delta(r: _Reader, old: dict[int, int]) -> dict[int, int]:
-    """The histogram a word delta makes of `old`, in ascending word order."""
-    start = r.off
-    removed = _read_removed_words(r, old)
-    # the total is checked below, over the whole histogram
-    changed = _read_rows(r, old, removed, math.inf)
-    words = dict(old)
-    for word in removed:
-        del words[word]
-    if not changed:
-        return words
-    added = not changed.keys() <= words.keys()
-    words.update(changed)
-    if added:  # new words were appended: put them in their place
-        words = dict(sorted(words.items()))
-    total = sum(words.values())
-    if total > MAX_WORD_TOTAL:
-        raise WireError(f"histogram at offset {start} adds up to {total}, "
-                        f"above {MAX_WORD_TOTAL}")
+        words[word] = count
     return words
 
 
 def _write_keyframes(out: _Writer, kfs: list[KeyFrame]) -> None:
-    """Keyframe records, each histogram and observed id set written against
-    the record before it (an empty one before the first)."""
     _put_varint(out, len(kfs))
-    out.keyframes = kfs
-    words: dict[int, int] = {}
-    observed: set[int] = set()
     for kf in kfs:
         _write_id(out, kf.id)
-        out += _KF_RECORD.struct.pack(
-            kf.origin_agent, kf.timestamp,
-            *kf.pose.rotation.q.tolist(), *kf.pose.translation.tolist())
-        _write_word_delta(out, words, kf.words)
-        now = set(kf.observed_points)
-        if len(now) != len(kf.observed_points):
-            raise ValueError(_id_list_fault(sorted(kf.observed_points)))
-        _write_ids(out, sorted(observed - now))
-        _write_ids(out, sorted(now - observed))
-        words, observed = kf.words, now
+        out += _U16.struct.pack(kf.origin_agent)
+        _write_words(out, kf.words)
+        _write_ids(out, sorted(kf.observed_points))
+        out.f64 += _EIGHT_F64.struct.pack(kf.timestamp, *kf.pose.rotation.q.tolist(),
+                                       *kf.pose.translation.tolist())
 
 
-def _read_keyframes(r: _Reader) -> list[KeyFrame]:
-    """Keyframe records, each rebuilt from the record before it.
-
-    Records in ``r.spans`` the runs of records that hold each observed id,
-    as (first record, record after the last) pairs; a run still open after
-    the last record ends in None.
-    """
-    kfs = r.keyframes = []
-    spans = r.spans
-    words: dict[int, int] = {}
-    ascending: list[int] = []  # the previous record's observed ids
-    observed: set[int] = set()
+def _read_keyframes(r: _Reader):
+    """The keyframe records' other fields; returns the function that reads
+    their f64 values and builds the keyframes."""
+    heads = []
     for _ in range(r.count()):
         uid = r.id()
-        start = r.off
-        origin, ts = r.read(_KF_HEAD)
-        _check_finite((ts,), start + 2, "timestamp")
-        pose = _read_pose(r)
-        words = _read_word_delta(r, words)
-        removed = r.ids(lambda i, held=observed: i not in held,
-                        "removed id {} at offset {} is not in the previous keyframe's observed ids")
-        added = r.ids(observed.__contains__,
-                      "added id {} at offset {} is already in the previous keyframe's "
-                      "observed ids")
-        if removed:
-            gone = set(removed)
-            ascending = [i for i in ascending if i not in gone]
-        if added:
-            ascending = sorted(ascending + added)  # two ascending runs: one merge
-        row = len(kfs)
-        for i in removed:
-            spans[i][-1] = row
-        for i in added:
-            if (runs := spans.get(i)) is None:
-                spans[i] = [row, None]
-            else:
-                runs += (row, None)
-        observed = set(ascending)
-        kfs.append(KeyFrame(uid, origin, ts, pose, words, observed))
-    return kfs
+        (origin,) = r.read(_U16)
+        heads.append((uid, origin, _read_words(r), set(r.ids())))
+
+    def build() -> list[KeyFrame]:
+        kfs = []
+        for uid, origin, words, observed in heads:
+            (ts,) = _read_finite(r, _F64, "timestamp")
+            kfs.append(KeyFrame(uid, origin, ts, _read_pose(r), words, observed))
+        return kfs
+    return build
 
 
 def _write_points(out: _Writer, points: list[MapPoint]) -> None:
-    """Point records; an observer list leaves out the payload's keyframes
-    that observe the point, which must be among its observers."""
     _put_varint(out, len(points))
-    ids = {p.id for p in points}
-    implied: dict[int, set[int]] = {}  # point id -> payload keyframes observing it
-    for kf in out.keyframes:
-        for pid in ids.intersection(kf.observed_points):
-            implied.setdefault(pid, set()).add(kf.id)
     for p in points:
         _write_id(out, p.id)
-        out += _VEC3.struct.pack(*p.position.tolist())
         if not 0 <= p.word <= _MAX_U32:
             raise ValueError(f"word id {p.word} is outside [0, 2^32 - 1]")
         _put_varint(out, p.word)
-        mine = implied.get(p.id)
-        if mine:
-            explicit = sorted(set(p.observers) - mine)
-            if len(explicit) + len(mine) != len(p.observers):
-                missing = mine.difference(p.observers)
-                if missing:
-                    raise ValueError(f"keyframe {min(missing)} of the payload observes point "
-                                     f"{p.id}, which does not list it as an observer")
-                raise ValueError(_id_list_fault(sorted(p.observers)))  # an id repeats
-            _write_ids(out, explicit)
-        else:
-            _write_ids(out, sorted(p.observers))
+        _write_ids(out, sorted(p.observers))
+        out.f64 += _VEC3.struct.pack(*p.position.tolist())
 
 
-def _read_points(r: _Reader) -> list[MapPoint]:
-    kf_ids = [kf.id for kf in r.keyframes]
-    spans = r.spans
-    points = []
+def _read_points(r: _Reader):
+    """The point records' other fields; returns the function that reads
+    their positions and builds the points."""
+    heads = []
     for _ in range(r.count()):
         uid = r.id()
-        pos = _read_finite(r, _VEC3, "position")
         start = r.off
         word = r.uint()
         if word > _MAX_U32:
             raise WireError(f"word id {word} at offset {start} is above 2^32 - 1")
-        # the payload's keyframes that observe the point, in record order
-        runs = spans.get(uid)
-        if runs is None:
-            mine = None
-        elif len(runs) == 2:
-            mine = kf_ids[runs[0]:runs[1]]
-        else:
-            mine = [kid for k in range(0, len(runs), 2) for kid in kf_ids[runs[k]:runs[k + 1]]]
-        if mine:
-            explicit = r.ids(mine.__contains__,
-                             "observer {} at offset {} is implied by a keyframe of the payload")
-            # a repeated keyframe id repeats here, and adds nothing to the set
-            observers = set(sorted(mine + explicit))
-        else:
-            observers = set(r.ids())
-        points.append(MapPoint(uid, np.array(pos), word, observers))
-    return points
+        heads.append((uid, word, set(r.ids())))
+    return lambda: [MapPoint(uid, np.array(_read_finite(r, _VEC3, "position")), word, observers)
+                    for uid, word, observers in heads]
 
 
-def _write_sim3(out: bytearray, t: Sim3Transform) -> None:
-    out += _SIM3.struct.pack(t.scale, *t.rotation.q.tolist(), *t.translation.tolist())
+def _write_sim3(out: _Writer, t: Sim3Transform) -> None:
+    out.f64 += _EIGHT_F64.struct.pack(t.scale, *t.rotation.q.tolist(), *t.translation.tolist())
 
 
 def _read_sim3(r: _Reader) -> Sim3Transform:
@@ -797,13 +633,14 @@ def _write_tagged(out: _Writer, points: tuple[list[int], np.ndarray]) -> None:
     ids, positions = points
     block = np.reshape(np.asarray(positions, _F64_BLOCK), (len(ids), 3))
     _write_ids(out, ids)
-    out += block.tobytes()
+    out.f64 += block.tobytes()
 
 
-def _read_tagged(r: _Reader) -> tuple[list[int], np.ndarray]:
+def _read_tagged(r: _Reader):
+    """The ids; returns the function that reads their positions."""
     ids = r.ids()
-    positions = r.array(_F64_BLOCK, 3 * len(ids), _check_positions)
-    return ids, positions.reshape(-1, 3).astype(float)
+    return lambda: (ids, r.array(_F64_BLOCK, 3 * len(ids), _check_positions)
+                    .reshape(-1, 3).astype(float))
 
 
 # ---------------------------------------------------------------------------
@@ -816,19 +653,22 @@ def _scalar(f: _Fields):
 
 _ID = (_write_id, _Reader.id)
 _IDS = (_write_ids, _Reader.ids)
-_WORDS = (_write_words, lambda r: _read_rows(r, {}, [], MAX_WORD_TOTAL))
+_WORDS = (_write_words, _read_words)
 _KEYFRAMES = (_write_keyframes, _read_keyframes)
 _POINTS = (_write_points, _read_points)
 _ROSTER = (_write_roster, _read_roster)
 
 # Each message type's dataclass, ledger category, and one (write, read) codec
-# per dataclass field after `sender`, in declaration order.  This table is the
-# only place a message type is declared.
+# per dataclass field after `sender`, in declaration order.  A field with f64
+# values writes them to ``out.f64``, and its read returns the function that
+# reads them once every field's other bytes are read.  This table is the only
+# place a message type is declared.
 _PAYLOADS = {
     MessageType.BOW_ANNOUNCE: (BowAnnounce, CATEGORY_BOWS, (_ID, _WORDS)),
     MessageType.FULL_MAP: (FullMapMsg, CATEGORY_FULL_MAP, (_ID, _KEYFRAMES, _POINTS)),
     MessageType.MERGE_NOTIFY: (MergeNotify, CATEGORY_CONTROL,
-                               ((_write_sim3, _read_sim3), _ROSTER, _ROSTER, _scalar(_U64))),
+                               ((_write_sim3, lambda r: partial(_read_sim3, r)), _ROSTER,
+                                _ROSTER, _scalar(_U64))),
     MessageType.KEYFRAME_PACKET: (KeyFramePacket, CATEGORY_KEYFRAMES, (_KEYFRAMES, _POINTS)),
     MessageType.ALIGNMENT_REQUEST: (AlignmentRequest, CATEGORY_ALIGNMENT, (_IDS,)),
     MessageType.TAGGED_POINTS: (TaggedPoints, CATEGORY_ALIGNMENT,
@@ -854,7 +694,9 @@ def encode_message(msg: Message) -> tuple[MessageType, bytes]:
     out = _Writer()
     for name, (write, _) in zip(names, _PAYLOADS[mt][2], strict=True):
         write(out, getattr(msg, name))
-    return mt, bytes(out)
+    payload = Payload(out + out.f64)
+    payload.f64_bytes = len(out.f64)
+    return mt, payload
 
 
 def decode_message(msg_type: int, sender: int, payload: bytes) -> Message:
@@ -864,6 +706,8 @@ def decode_message(msg_type: int, sender: int, payload: bytes) -> Message:
         raise WireError(f"unknown message type {msg_type}") from exc
     r = _Reader(payload)
     values = [read(r) for _, read in codecs]
+    # the f64 values follow every other field, in field order
+    values = [v() if callable(v) else v for v in values]
     r.done()
     return cls(sender, *values)
 
@@ -873,11 +717,50 @@ def decode_message(msg_type: int, sender: int, payload: bytes) -> Message:
 # ---------------------------------------------------------------------------
 
 def encode_envelope(msg_type: MessageType, sender: int, payload: bytes) -> bytes:
-    return _HEADER.pack(MAGIC, VERSION, int(msg_type), sender, len(payload)) + payload
+    """The header, the payload up to its f64 values as one raw DEFLATE stream,
+    then those values as they are (a ``Payload`` knows how many bytes they
+    take; any other bytes travel whole in the stream)."""
+    split = len(payload) - getattr(payload, "f64_bytes", 0)
+    if split > MAX_PAYLOAD:
+        raise ValueError(f"payload of {split} bytes before its f64 values is above "
+                         f"{MAX_PAYLOAD}")
+    body = zlib.compress(payload[:split], _LEVEL, _WRITE_WBITS) + payload[split:]
+    return _HEADER.pack(MAGIC, VERSION, int(msg_type), sender, len(body)) + body
+
+
+def _stream_fault(data: bytes, exc: zlib.error) -> WireError:
+    """The error for a stream that fails to inflate: zlib's reason, at the
+    first byte whose arrival makes inflating fail."""
+    d = zlib.decompressobj(_READ_WBITS)
+    for off in range(HEADER_SIZE, len(data)):
+        try:
+            d.decompress(data[off:off + 1])
+        except zlib.error:
+            break
+    # zlib's reason follows "Error -3 while decompressing data: "
+    return WireError(f"bad deflate stream at offset {off}: {str(exc).partition(': ')[2]}")
+
+
+def _inflate(data: bytes) -> bytes:
+    """The payload: what the stream after the header inflates to, then the
+    bytes after the stream."""
+    d = zlib.decompressobj(_READ_WBITS)
+    try:
+        payload = d.decompress(data[HEADER_SIZE:], MAX_PAYLOAD + 1)
+    except zlib.error as exc:
+        raise _stream_fault(data, exc) from None
+    if len(payload) > MAX_PAYLOAD:
+        raise WireError(f"deflate stream at offset {HEADER_SIZE} inflates past "
+                        f"{MAX_PAYLOAD} bytes")
+    if not d.eof:
+        raise WireError(f"deflate stream at offset {HEADER_SIZE} does not end "
+                        f"by offset {len(data)}")
+    return payload + d.unused_data
 
 
 def decode_envelope(data: bytes) -> tuple[int, int, bytes]:
-    """Returns (msg_type, sender, payload)."""
+    """Returns (msg_type, sender, payload): the stream inflated, then the
+    bytes after it."""
     if len(data) < HEADER_SIZE:
         raise WireError(
             f"truncated header: {len(data)} bytes, need {HEADER_SIZE} at offset 0"
@@ -892,7 +775,7 @@ def decode_envelope(data: bytes) -> tuple[int, int, bytes]:
             f"payload length field {length} does not match "
             f"{len(data) - HEADER_SIZE} bytes present (offset 9)"
         )
-    return msg_type, sender, data[HEADER_SIZE:]
+    return msg_type, sender, _inflate(data)
 
 
 def encode_frame(msg: Message, sender: int) -> bytes:

@@ -1,13 +1,17 @@
 #!/bin/sh
 # Regenerates tests/golden/ledger.sha256 from the current tree: the sha256 of
 # ledger.csv for each shipped scenario at seeds 1, 2, 3 and 7, headed by the
-# numpy version the runs used.  Run it from the repository root:
+# numpy version the runs used and the zlib that wrote the frames' DEFLATE
+# streams (a frame's size, and so the ledger, depends on it).  Run it from the
+# repository root:
 #
 #     sh tests/golden/ledger.sh
 #
-# CI installs that numpy version and checks the file at the end of its
-# shipped-scenario step.  A change that moves any ledger regenerates the file,
-# so its diff names the digests that changed.
+# CI installs that numpy version, prints the runtime zlib version (it cannot
+# pin zlib, so a runner whose zlib writes other streams fails the check
+# visibly) and checks the file at the end of its shipped-scenario step.  A
+# change that moves any ledger regenerates the file, so its diff names the
+# digests that changed.
 set -e
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
@@ -19,6 +23,7 @@ for s in blackout_recovery coop_loops fig3_replay leader_failover; do
 done
 {
   echo "# numpy $(python -c 'import numpy; print(numpy.__version__)')"
+  echo "# zlib $(python -c 'import zlib; print(zlib.ZLIB_RUNTIME_VERSION)')"
   echo "# regenerate: sh tests/golden/ledger.sh"
   (cd "$out" && sha256sum -- */*/ledger.csv)
 } > tests/golden/ledger.sha256

@@ -175,7 +175,7 @@ def test_criterion_6_pose_graph_optimizer():
 
 
 def test_criterion_7_end_to_end_cooperation():
-    with verdict(7, "coop ATE <= non-coop ATE for 5/5 seeds, < 60 s total"):
+    with verdict(7, "coop ATE <= non-coop ATE and < 0.5 m for 5/5 seeds, < 60 s total"):
         start = time.perf_counter()
         for seed in range(7, 12):
             res = Simulation(coop_loops(True), seed=seed).run()
@@ -185,6 +185,7 @@ def test_criterion_7_end_to_end_cooperation():
             resn = Simulation(coop_loops(False), seed=seed).run()
             noncoop = compute_ate(resn.est_rows, resn.gt_rows).rms_m
             assert coop <= noncoop, f"seed {seed}: {coop:.3f} > {noncoop:.3f}"
+            assert coop < 0.5, f"seed {seed}: {coop:.3f} m"  # merged frame, drift-level error
         assert time.perf_counter() - start < 60.0
 
 

@@ -16,6 +16,7 @@ from meshslam.wire import (
     decode_frame,
     encode_envelope,
     encode_frame,
+    encode_message,
 )
 
 
@@ -85,8 +86,10 @@ class TestWireRoundTrip:
     def test_empty_packet_header_only_size(self):
         pkt = KeyFramePacket(sender=1, keyframes=[], points=[])
         data = packet_frame(pkt)
-        # 13 byte envelope + keyframe count varint + point count varint
-        assert len(data) == 13 + 2
+        # keyframe count varint + point count varint, in a 13 byte envelope
+        # and compressed to 4 bytes
+        assert encode_message(pkt)[1] == b"\x00\x00"
+        assert len(data) == 13 + 4
         out = decode_frame(data)
         assert out.keyframes == [] and out.points == []
 

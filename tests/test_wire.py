@@ -3,7 +3,9 @@ import math
 import random
 import re
 import struct
+import tracemalloc
 import typing
+import zlib
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from meshslam.wire import (
     _PAYLOADS,
     CATEGORIES,
     HEADER_SIZE,
+    MAX_PAYLOAD,
     AlignmentRequest,
     BowAnnounce,
     FullMapMsg,
@@ -72,15 +75,17 @@ class TestMessageTable:
 class TestEnvelope:
     def test_header_fields(self):
         data = encode_envelope(MessageType.LOCALIZATION_STATE, sender=4, payload=b"\x07")
-        # magic, version 6, type 8, sender 4, payload length 1: 13 bytes, no sequence
-        assert data == b"DVMS" + bytes([6, 0, 8, 4, 0, 1, 0, 0, 0, 7])
+        # the payload as one raw DEFLATE stream, level 6, 4 KiB window
+        stream = zlib.compress(b"\x07", 6, -12)
+        # magic, version 7, type 8, sender 4, the stream's length: 13 bytes, no sequence
+        assert data == b"DVMS" + bytes([7, 0, 8, 4, 0, len(stream), 0, 0, 0]) + stream
         assert HEADER_SIZE == 13
         assert decode_envelope(data) == (int(MessageType.LOCALIZATION_STATE), 4, b"\x07")
 
     def test_version_check(self):
         data = bytearray(encode_envelope(MessageType.GROUP_UPDATE, 0, b""))
-        data[4] = 5  # the layout before keyframe records travelled as differences
-        with pytest.raises(WireError, match="^unsupported version 5 at offset 4$"):
+        data[4] = 6  # the uncompressed layout whose records travelled as differences
+        with pytest.raises(WireError, match="^unsupported version 6 at offset 4$"):
             decode_envelope(bytes(data))
 
     def test_unknown_type_rejected(self):
@@ -95,14 +100,139 @@ class TestEnvelope:
     def test_length_field_names_its_offset(self):
         data = encode_frame(LocalizationState(1, 2), 1)
         for frame in (data[:-1], data + b"\x00"):
-            message = (f"payload length field 4 does not match {len(frame) - 13} "
-                       "bytes present (offset 9)")
+            message = (f"payload length field {len(data) - 13} does not match "
+                       f"{len(frame) - 13} bytes present (offset 9)")
             with pytest.raises(WireError) as info:
                 decode_frame(frame)
             assert str(info.value) == message
             with pytest.raises(WireError) as ref:
                 wire_reference.decode_frame(frame)
             assert str(ref.value) == message
+
+
+def deflate_frame(stream, kind=MessageType.GROUP_UPDATE):
+    """A version 7 frame from sender 3 whose header announces `stream`, whatever it holds."""
+    return b"DVMS" + struct.pack("<HBHI", 7, kind, 3, len(stream)) + stream
+
+
+def assert_rejected(frame, message):
+    """Both decoders reject `frame` with exactly `message`."""
+    with pytest.raises(WireError) as info:
+        decode_frame(frame)
+    assert str(info.value) == message
+    with pytest.raises(WireError) as ref:
+        reference_decode(frame)
+    assert str(ref.value) == message
+
+
+class TestCompressedStream:
+    """Each fault of the DEFLATE layer names a frame offset, as the reference does."""
+
+    def test_inflating_past_the_bound_fails_before_it_holds_more(self):
+        # 1 MiB of zeros as byte-aligned blocks that refer to nothing before
+        # them, so that copies of them make one stream; then an empty last block
+        c = zlib.compressobj(6, zlib.DEFLATED, -12)
+        mib = c.compress(bytes(1 << 20)) + c.flush(zlib.Z_FULL_FLUSH)
+        frame = deflate_frame(mib * (4 * MAX_PAYLOAD >> 20) + b"\x03\x00")
+        tracemalloc.start()
+        try:
+            with pytest.raises(WireError) as info:
+                decode_frame(frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        message = f"deflate stream at offset 13 inflates past {MAX_PAYLOAD} bytes"
+        assert str(info.value) == message
+        # the bound plus one byte, and one joined copy of it: not the 4 x
+        # MAX_PAYLOAD that inflating the whole stream would hold
+        assert peak < 2 * MAX_PAYLOAD + (1 << 20)
+        with pytest.raises(WireError) as ref:
+            reference_decode(frame)
+        assert str(ref.value) == message
+        # a payload of the bound itself inflates
+        bound = deflate_frame(mib * (MAX_PAYLOAD >> 20) + b"\x03\x00")
+        assert decode_envelope(bound)[2] == bytes(MAX_PAYLOAD)
+        assert wire_reference.inflate(bound) == bytes(MAX_PAYLOAD)
+
+    def test_encoder_rejects_a_payload_past_the_bound(self):
+        with pytest.raises(ValueError, match=f"^payload of {MAX_PAYLOAD + 1} bytes before its "
+                                             f"f64 values is above {MAX_PAYLOAD}$"):
+            encode_envelope(MessageType.GROUP_UPDATE, 3, bytes(MAX_PAYLOAD + 1))
+
+    def test_stream_that_does_not_end(self):
+        mt, payload = encode_message(kf_packet())
+        # every byte of the payload, but no last block
+        c = zlib.compressobj(6, zlib.DEFLATED, -12)
+        frame = deflate_frame(c.compress(payload) + c.flush(zlib.Z_SYNC_FLUSH), mt)
+        assert_rejected(frame, f"deflate stream at offset 13 does not end by offset {len(frame)}")
+        # every cut of a whole frame's stream
+        stream = encode_frame(kf_packet(), 3)[HEADER_SIZE:-payload.f64_bytes]
+        for cut in range(len(stream)):
+            assert_rejected(deflate_frame(stream[:cut], mt),
+                            f"deflate stream at offset 13 does not end by offset {13 + cut}")
+
+    def test_bytes_after_the_stream_end_are_the_payloads_f64_values(self):
+        mt, payload = encode_message(kf_packet())
+        whole = encode_frame(kf_packet(), 3)
+        assert whole[-payload.f64_bytes:] == payload[-payload.f64_bytes:]
+        assert decode_envelope(whole)[2] == payload
+        # a byte more than the payload's fields take, or one less
+        assert_rejected(deflate_frame(whole[HEADER_SIZE:] + b"\x00", mt),
+                        f"trailing garbage: 1 bytes at offset {len(payload)}")
+        assert_rejected(deflate_frame(whole[HEADER_SIZE:-1], mt),
+                        f"truncated payload: need 8 bytes at offset {len(payload) - 8}, have 7")
+        # a message with no f64 values
+        stream = encode_frame(LocalizationState(1, 5), 1)[HEADER_SIZE:]
+        assert_rejected(deflate_frame(stream + b"\x03\x00", MessageType.LOCALIZATION_STATE),
+                        "trailing garbage: 2 bytes at offset 4")
+
+    def test_back_reference_further_than_the_window(self):
+        # written against a preset dictionary, the stream copies bytes from
+        # before its own start, which no decoder window holds
+        mt, payload = encode_message(kf_packet())
+        c = zlib.compressobj(6, zlib.DEFLATED, -12, zdict=payload)
+        frame = deflate_frame(c.compress(payload) + c.flush(), mt)
+        with pytest.raises(WireError) as info:
+            decode_frame(frame)
+        m = re.fullmatch(r"bad deflate stream at offset (\d+): invalid distance too far back",
+                         str(info.value))
+        assert m, str(info.value)
+        assert_rejected(frame, str(info.value))
+        # the named byte is the one whose arrival shows the fault
+        at = int(m.group(1))
+        assert_rejected(deflate_frame(frame[HEADER_SIZE:at], mt),
+                        f"deflate stream at offset 13 does not end by offset {at}")
+        d = zlib.decompressobj(-15)
+        d.decompress(frame[HEADER_SIZE:at])
+        with pytest.raises(zlib.error):
+            d.decompress(frame[at:at + 1])
+
+    def test_back_reference_within_a_32_kib_window(self):
+        # the encoder writes 4 KiB windows; the decoder reads any raw DEFLATE stream
+        block = random.Random(1).randbytes(6000)
+        frame = deflate_frame(zlib.compress(block * 2, 9, -15))
+        assert decode_envelope(frame)[2] == wire_reference.inflate(frame) == block * 2
+        assert_rejected(deflate_frame(zlib.compress(block * 2, 9, -15)[:-1]),
+                        f"deflate stream at offset 13 does not end by offset {len(frame) - 1}")
+
+    @pytest.mark.parametrize("stream, message", [
+        # a last block of the reserved type 3
+        pytest.param(b"\x07", "bad deflate stream at offset 13: invalid block type",
+                     id="reserved-block-type"),
+        # a stored block whose length 1 has a check of 0, not 0xfffe: the
+        # fault shows once the check's second byte arrives
+        pytest.param(b"\x01\x01\x00\x00\x00",
+                     "bad deflate stream at offset 17: invalid stored block lengths",
+                     id="stored-length-check"),
+        # a dynamic block that declares 31 + 1 distance codes; zlib reads the
+        # 14 bits of the three code counts at once, which end in the third byte
+        pytest.param(b"\x05\xff\xff",
+                     "bad deflate stream at offset 15: too many length or distance symbols",
+                     id="dynamic-symbol-counts"),
+        pytest.param(b"", "deflate stream at offset 13 does not end by offset 13", id="empty"),
+    ])
+    def test_bad_stream_names_the_byte_that_shows_it(self, stream, message):
+        assert_rejected(deflate_frame(stream), message)
 
 
 class TestMessageRoundTrips:
@@ -129,38 +259,22 @@ class TestMessageRoundTrips:
         assert out.keyframes[0].id == 500
         assert out.points[0].observers == {500}
 
-    def test_observers_implied_by_runs_of_records(self):
-        # point 701 leaves the records at the third keyframe and returns at
-        # the fourth; 702 is seen by the last two only; 703 by none of them
-        observed = [{700, 701}, {700, 701}, {700}, {700, 701, 702}, {701, 702}]
-        kfs = [KeyFrame(500 + i, 2, float(i), Se3Pose.identity(), {3: 1}, ids)
-               for i, ids in enumerate(observed)]
-        points = [MapPoint(700, vec3(0, 0, 0), 3, {500, 501, 502, 503, 90}),
-                  MapPoint(701, vec3(1, 0, 0), 3, {500, 501, 503, 504}),
-                  MapPoint(702, vec3(2, 0, 0), 3, {503, 504, 950}),
-                  MapPoint(703, vec3(3, 0, 0), 3, {77})]
-        msg = FullMapMsg(3, 500, kfs, points)
-        frame = encode_frame(msg, 3)
-        out = decode_frame(frame)
-        assert [list(p.observers) for p in out.points] == [
-            list(set(sorted(p.observers))) for p in points]
-        assert plain(out) == plain(reference_decode(frame))
-
     def test_ids_travel_as_differences(self):
         """The worked example of README "Wire format"."""
         kfs = [KeyFrame(40, 0, 0.0, Se3Pose.identity(), {3: 1}, {38, 41}),
                KeyFrame(42, 0, 0.0, Se3Pose.identity(), {3: 2}, {41, 43})]
         msg = KeyFramePacket(3, kfs, [MapPoint(41, vec3(0, 0, 0), 5, {40, 42})])
-        record = struct.pack("<Hd7d", 0, 0.0, 1.0, *[0.0] * 6)
+        pose = struct.pack("<8d", 0.0, 1.0, *[0.0] * 6)  # timestamp, identity pose
         assert encode_message(msg)[1] == (
-            bytes([2, 0x50]) + record      # keyframe 40
-            + bytes([0, 1, 3, 1])          # no word removed; word 3 counts 1
-            + bytes([0, 2, 3, 2])          # no id removed; 38 and 41 added
-            + bytes([0x02]) + record       # keyframe 42
-            + bytes([0, 1, 3, 2])          # no word removed; word 3 counts 2
-            + bytes([1, 7, 1, 10])         # 38 removed, 43 added
-            + bytes([1, 3]) + bytes(24)    # point 41
-            + bytes([5, 0]))               # word 5; observers 40 and 42 are implied
+            bytes([2, 0x50, 0, 0])         # two keyframes; keyframe 40, origin 0
+            + bytes([1, 3, 1])             # word 3 counts 1
+            + bytes([2, 3, 2])             # observes 38 and 41
+            + bytes([0x02, 0, 0])          # keyframe 42, origin 0
+            + bytes([1, 3, 2])             # word 3 counts 2
+            + bytes([2, 1, 1])             # observes 41 and 43
+            + bytes([1, 3])                # one point, 41
+            + bytes([5, 2, 1, 1])          # word 5; observed by 40 and 42
+            + pose + pose + bytes(24))     # the f64 values: both keyframes', the point's
         assert plain(self.roundtrip(msg)) == plain(msg)
 
     def test_merge_notify(self):
@@ -239,9 +353,9 @@ class TestMessageRoundTrips:
             encode_frame(LocalizationState(1, epoch), 1)
 
     def test_trailing_garbage_rejected(self):
-        data = encode_frame(LocalizationState(1, 5), 1)
-        # append a byte and fix the length field so only payload parsing trips
-        padded = data[:9] + (5).to_bytes(4, "little") + data[13:] + b"\x00"
+        mt, payload = encode_message(LocalizationState(1, 5))
+        # a byte after the payload, compressed with it, so only payload parsing trips
+        padded = encode_envelope(mt, 1, payload + b"\x00")
         with pytest.raises(WireError, match="^trailing garbage: 1 bytes at offset 4$"):
             decode_frame(padded)
         with pytest.raises(WireError, match="^trailing garbage: 1 bytes at offset 4$"):
@@ -249,16 +363,11 @@ class TestMessageRoundTrips:
 
 
 def corrupt(msg, fmt, old, new):
-    """Encode `msg`, overwrite the one packed copy of `old` with `new`.
+    """Encode `msg`, overwrite the one packed copy of `old` in its payload with `new`.
 
     Returns the frame and the payload offset of the overwritten bytes.
     """
-    data = bytearray(encode_frame(msg, 3))
-    packed = struct.pack(fmt, *old)
-    at = data.find(packed, HEADER_SIZE)
-    assert at >= 0 and data.find(packed, at + 1) < 0, "target bytes must be unique"
-    struct.pack_into(fmt, data, at, *new)
-    return bytes(data), at - HEADER_SIZE
+    return splice(msg, struct.pack(fmt, *old), struct.pack(fmt, *new))
 
 
 def varint(v):
@@ -404,11 +513,9 @@ class TestFailClosedValues:
                      id="bow-count-total-last"),
         pytest.param(kf_packet, [2, 3, 3, 5, 5], [2, 3, 0, 5, 5], 2,
                      "word count 0 at offset {} is not", id="kf-count-zero"),
-        # a keyframe's histogram, a delta, is checked once it is rebuilt: the
-        # error names the delta's first byte, its count of removed words
-        pytest.param(kf_packet, [0, 2, 3, 3, 5, 5], [0, 2, 3, 3, 5, *varint(65533)], 0,
-                     "histogram at offset {} adds up to 65536, above 65535",
-                     id="kf-count-total"),
+        pytest.param(kf_packet, [2, 3, 3, 5, 5], [2, 3, 3, 5, *varint(65533)], 4,
+                     "word count 65533 at offset {} takes the histogram's total to 65536, "
+                     "above 65535", id="kf-count-total"),
     ])
     def test_rejects_word_counts(self, make, old, new, named, message):
         frame, at = splice(make(), bytes(old), bytes(new))
@@ -416,48 +523,6 @@ class TestFailClosedValues:
             decode_frame(frame)
         with pytest.raises(WireError, match=message.format(at + named)):
             reference_decode(frame)
-
-    # keyframe records after the first are written against the record before
-    # them, and a point leaves out the observers the payload's keyframes imply
-    @pytest.mark.parametrize("make, message", [
-        pytest.param(lambda: map_frame([kf_record(zz(0), varint(0), words=bytes([0, 1, 3, 1])),
-                                        kf_record(zz(1), varint(0), words=bytes([1, 5, 0]))]),
-                     "removed word 5 at offset 142 is not in the previous histogram",
-                     id="removed-word-absent"),
-        pytest.param(lambda: map_frame([kf_record(zz(0), varint(1), zz(5)),
-                                        kf_record(zz(-4), varint(0), removed=varint(1) + zz(5))]),
-                     "removed id 6 at offset 143 is not in the previous keyframe's observed ids",
-                     id="removed-id-absent"),
-        pytest.param(lambda: map_frame([kf_record(zz(0), varint(1), zz(5)),
-                                        kf_record(zz(-4), varint(1), zz(4))]),
-                     "added id 5 at offset 144 is already in the previous keyframe's observed ids",
-                     id="added-id-present"),
-        pytest.param(lambda: map_frame([kf_record(zz(0), varint(0), words=bytes([0, 1, 3, 1])),
-                                        kf_record(zz(1), varint(0), words=bytes([0, 1, 3, 1]))]),
-                     "word count 1 at offset 144 equals the previous histogram's",
-                     id="count-unchanged"),
-        pytest.param(lambda: map_frame([kf_record(zz(0), varint(0), words=bytes([0, 1, 3, 1])),
-                                        kf_record(zz(1), varint(0), words=bytes([1, 3, 1, 3, 2]))]),
-                     "word 3 at offset 144 is both removed and counted",
-                     id="word-removed-and-counted"),
-        pytest.param(lambda: map_frame([
-            kf_record(zz(0), varint(0), words=bytes([0, 1, 3]) + varint(65000)),
-            kf_record(zz(1), varint(0), words=bytes([0, 1, 4]) + varint(600))]),
-                     "histogram at offset 143 adds up to 65600, above 65535",
-                     id="rebuilt-total-above"),
-        pytest.param(lambda: map_frame([kf_record(zz(0), varint(1), zz(5))],
-                                       [point_record(zz(0), varint(1), zz(-5))]),
-                     "observer 0 at offset 101 is implied by a keyframe of the payload",
-                     id="observer-implied"),
-    ])
-    def test_rejects_deltas_with_offset(self, make, message):
-        frame = make()
-        with pytest.raises(WireError) as info:
-            decode_frame(frame)
-        assert str(info.value) == message
-        with pytest.raises(WireError) as ref:
-            reference_decode(frame)
-        assert str(ref.value) == message
 
     def test_total_of_65535_is_accepted(self):
         frame, _ = splice(bow_announce(), bytes([2, 1, 1, 5, 3]),
@@ -548,17 +613,6 @@ class TestEncoderRejectsIdsNotAscending:
             encode_frame(KeyFramePacket(3, [], [point]), 3)
 
 
-def test_encoder_rejects_point_that_misses_an_observing_keyframe():
-    """A point's record leaves out the payload keyframes that observe it, so
-    the point must list each of them."""
-    kf = sample_keyframe()  # 500, observing 700 and 701
-    points = [MapPoint(700, vec3(0, 0, 0), 3, {500}), MapPoint(701, vec3(0, 0, 0), 3, {9})]
-    for msg in (KeyFramePacket(3, [kf], points), FullMapMsg(3, 500, [kf], points)):
-        with pytest.raises(ValueError, match="^keyframe 500 of the payload observes point 701, "
-                                             "which does not list it as an observer$"):
-            encode_frame(msg, 3)
-
-
 # ---------------------------------------------------------------------------
 # Varint id lists
 # ---------------------------------------------------------------------------
@@ -594,7 +648,6 @@ def test_id_lists_round_trip(ids):
     kf = sample_keyframe()
     kf.observed_points = set(ids)
     point = MapPoint(700, vec3(0, 0, 0), 3, set(ids))
-    # apart, so that no observer is implied by the payload's keyframe
     for pkt in (KeyFramePacket(3, [kf], []), KeyFramePacket(3, [], [point])):
         frame = encode_frame(pkt, 3)
         got = decode_frame(frame)
@@ -618,22 +671,28 @@ def zz(d):
     return varint(zigzag(d))
 
 
-def kf_record(uid, *added, words=b"\x00\x00", removed=b"\x00"):
-    """A keyframe record: id bytes `uid`, origin 0, timestamp 0, the identity
-    pose, the histogram delta `words` (none by default), then the observed id
-    lists `removed` (none by default) and `added`."""
-    return (uid + struct.pack("<Hd7d", 0, 0.0, 1.0, *[0.0] * 6) + words + removed
-            + b"".join(added))
+KF_F64 = struct.pack("<8d", 0.0, 1.0, *[0.0] * 6)  # timestamp 0, the identity pose
+
+
+def kf_record(uid, *observed, words=b"\x00"):
+    """A keyframe record's fields but its f64 values: id bytes `uid`, origin
+    0, the histogram `words` (empty by default), then the observed ids."""
+    return uid + struct.pack("<H", 0) + words + b"".join(observed)
 
 
 def point_record(uid, *observers):
-    """A point record: id bytes `uid`, position 0, word 0, then `observers`."""
-    return uid + bytes(24) + varint(0) + b"".join(observers)
+    """A point record's fields but its position: id bytes `uid`, word 0, then
+    `observers`."""
+    return uid + varint(0) + b"".join(observers)
 
 
-def map_frame(kfs=(), points=(), hint=None):
-    """A keyframe packet, or with `hint` a full map, of the given records."""
-    body = (varint(len(kfs)) + b"".join(kfs) + varint(len(points)) + b"".join(points))
+def map_frame(kfs=(), points=(), hint=None, f64=None):
+    """A keyframe packet, or with `hint` a full map, of the given records,
+    then the f64 values `f64`: by default timestamp 0 and the identity pose
+    per keyframe, then position 0 per point."""
+    if f64 is None:
+        f64 = KF_F64 * len(kfs) + bytes(24) * len(points)
+    body = varint(len(kfs)) + b"".join(kfs) + varint(len(points)) + b"".join(points) + f64
     if hint is None:
         return encode_envelope(MessageType.KEYFRAME_PACKET, 3, body)
     return encode_envelope(MessageType.FULL_MAP, 3, hint + body)
@@ -659,24 +718,24 @@ ID_POSITIONS = [
     pytest.param(map_frame([kf_record(zz(1), varint(0))], hint=zz(U128)),
                  f"id {U128 + 1} at offset 20 is above 2^128 - 1", id="keyframe-id-above"),
     pytest.param(map_frame([kf_record(zz(U128), varint(0)), kf_record(zz(-U128 - 1), varint(0))]),
-                 "id -1 at offset 90 is below 0", id="second-keyframe-id-below"),
+                 "id -1 at offset 24 is below 0", id="second-keyframe-id-below"),
     pytest.param(map_frame(points=[point_record(zz(-1), varint(0))]),
                  "id -1 at offset 2 is below 0", id="point-id-below"),
     pytest.param(map_frame(points=[point_record(zz(U128), varint(0)),
                                    point_record(zz(1), varint(0))]),
-                 f"id {U128 + 1} at offset 47 is above 2^128 - 1", id="point-id-above"),
+                 f"id {U128 + 1} at offset 23 is above 2^128 - 1", id="point-id-above"),
     pytest.param(map_frame([kf_record(zz(3), varint(1), zz(-4))]),
-                 "id -1 at offset 72 is below 0", id="observed-first-below"),
+                 "id -1 at offset 6 is below 0", id="observed-first-below"),
     pytest.param(map_frame([kf_record(zz(U128), varint(1), zz(1))]),
-                 f"id {U128 + 1} at offset 90 is above 2^128 - 1", id="observed-first-above"),
+                 f"id {U128 + 1} at offset 24 is above 2^128 - 1", id="observed-first-above"),
     pytest.param(map_frame([kf_record(zz(U128 - 9), varint(2), zz(0), varint(8))],
                            [point_record(zz(1), varint(0))]),
-                 f"id {U128 + 1} at offset 93 is above 2^128 - 1",
+                 f"id {U128 + 1} at offset 27 is above 2^128 - 1",
                  id="point-id-above-after-a-list"),
     pytest.param(map_frame(points=[point_record(zz(2), varint(1), zz(-3))]),
-                 "id -1 at offset 29 is below 0", id="observer-first-below"),
+                 "id -1 at offset 5 is below 0", id="observer-first-below"),
     pytest.param(map_frame(points=[point_record(zz(U128), varint(1), zz(1))]),
-                 f"id {U128 + 1} at offset 47 is above 2^128 - 1", id="observer-first-above"),
+                 f"id {U128 + 1} at offset 23 is above 2^128 - 1", id="observer-first-above"),
     pytest.param(ids_frame(MessageType.ALIGNMENT_REQUEST, varint(1), zz(-1)),
                  "id -1 at offset 1 is below 0", id="request-first-below"),
     pytest.param(ids_frame(MessageType.ALIGNMENT_REQUEST, varint(1), zz(U128 + 1)),
@@ -700,8 +759,8 @@ class TestVarintFaults:
                      "truncated payload: need 2 bytes at offset 2, have 1", id="cut-word-gap"),
         pytest.param(bow_frame(kf=b"\x80"),
                      "truncated payload: need 2 bytes at offset 0, have 1", id="cut-bow-id"),
-        pytest.param(map_frame(points=[point_record(zz(0))[:-1] + b"\x80"]),
-                     "truncated payload: need 2 bytes at offset 27, have 1", id="cut-point-word"),
+        pytest.param(map_frame(points=[point_record(zz(0))[:-1] + b"\x80"], f64=b""),
+                     "truncated payload: need 2 bytes at offset 3, have 1", id="cut-point-word"),
         pytest.param(tagged_frame(b"\x81\x00", varint(10), bytes(24)),
                      "non-minimal varint at offset 0", id="non-minimal-count"),
         pytest.param(tagged_frame(varint(2), varint(10), b"\xff\x80\x00", bytes(48)),
@@ -711,7 +770,7 @@ class TestVarintFaults:
         pytest.param(bow_frame(varint(0), kf=b"\x82\x80\x00"),
                      "non-minimal varint at offset 0", id="non-minimal-bow-id"),
         pytest.param(map_frame(points=[point_record(zz(0))[:-1] + b"\x81\x00"]),
-                     "non-minimal varint at offset 27", id="non-minimal-point-word"),
+                     "non-minimal varint at offset 3", id="non-minimal-point-word"),
         pytest.param(map_frame([b"\x80\x00"]),
                      "non-minimal varint at offset 1", id="non-minimal-keyframe-id"),
         pytest.param(encode_envelope(MessageType.KEYFRAME_PACKET, 3, b"\x80\x00\x00"),
@@ -729,7 +788,7 @@ class TestVarintFaults:
         pytest.param(bow_frame(varint(1 << 32)),
                      "list count 4294967296 at offset 1 is above 2^32 - 1", id="row-count-above"),
         pytest.param(map_frame(points=[point_record(zz(0))[:-1] + varint(1 << 32) + varint(0)]),
-                     "word id 4294967296 at offset 27 is above 2^32 - 1", id="point-word-above"),
+                     "word id 4294967296 at offset 3 is above 2^32 - 1", id="point-word-above"),
         pytest.param(encode_envelope(MessageType.FULL_MAP, 3, zz(0) + varint(0) + varint(1 << 32)),
                      "list count 4294967296 at offset 2 is above 2^32 - 1",
                      id="point-count-above"),
@@ -756,11 +815,11 @@ class TestVarintFaults:
         """Each id fault above, moved one step back into the range, decodes,
         and re-encodes to the same payload."""
         uid, at = map(int, re.match(r"id (-?\d+) at offset (\d+)", message).groups())
-        r = wire_reference._Reader(frame, HEADER_SIZE + at)
+        payload = decode_envelope(frame)[2]
+        r = wire_reference._Reader(payload, at)
         z = r.varint()
         d = z // 2 if z % 2 == 0 else -(z + 1) // 2
-        payload = (frame[HEADER_SIZE:HEADER_SIZE + at] + zz(d + 1 if uid < 0 else d - 1)
-                   + frame[r.off:])
+        payload = payload[:at] + zz(d + 1 if uid < 0 else d - 1) + payload[r.off:]
         mt = frame[6]
         out = decode_frame(encode_envelope(mt, 3, payload))
         assert plain(out) == plain(reference_decode(encode_envelope(mt, 3, payload)))
@@ -921,32 +980,22 @@ def documented_length(msg):
         last = ids[-1] if ids else last
         return n
 
-    def word_ids(rows):
-        return varint_len(len(rows)) + sum(
-            varint_len(b - a - 1) for a, b in zip([-1, *rows], rows))
-
     def words(hist):
-        return word_ids(sorted(hist)) + sum(varint_len(c) for c in hist.values())
+        rows = sorted(hist)
+        return varint_len(len(rows)) + sum(
+            varint_len(b - a - 1) + varint_len(hist[b]) for a, b in zip([-1, *rows], rows))
 
     if isinstance(msg, BowAnnounce):
         return one(msg.kf_id) + words(msg.words)
     if isinstance(msg, (FullMapMsg, KeyFramePacket)):
         n = one(msg.hint_kf) if isinstance(msg, FullMapMsg) else 0
         n += varint_len(len(msg.keyframes))
-        old_words, old_ids = {}, set()  # the record before's
         for kf in msg.keyframes:
-            now = set(kf.observed_points)
-            # id, origin u16, timestamp f64, pose 7 f64, the words removed and
-            # the rows new or changed, the observed ids removed and added
-            n += (one(kf.id) + 2 + 8 + 56
-                  + word_ids(sorted(w for w in old_words if w not in kf.words))
-                  + words({w: c for w, c in kf.words.items() if old_words.get(w) != c})
-                  + id_list(old_ids - now) + id_list(now - old_ids))
-            old_words, old_ids = kf.words, now
+            # id, origin u16, timestamp f64, pose 7 f64, histogram, observed ids
+            n += one(kf.id) + 2 + 8 + 56 + words(kf.words) + id_list(kf.observed_points)
         n += varint_len(len(msg.points))
         for p in msg.points:
-            implied = {kf.id for kf in msg.keyframes if p.id in kf.observed_points}
-            n += one(p.id) + 24 + varint_len(p.word) + id_list(set(p.observers) - implied)
+            n += one(p.id) + 24 + varint_len(p.word) + id_list(p.observers)
         return n
     if isinstance(msg, MergeNotify):
         return 64 + 2 + 2 * len(msg.roster) + 2 + 2 * len(msg.transform_roster) + 8
@@ -1034,19 +1083,6 @@ def word_rows(msg):
     return sum(len(kf.words) for kf in msg.keyframes)
 
 
-def delta_fields(msg):
-    """The words removed, the observed ids removed and the observers implied
-    that a keyframe packet or full map writes or leaves out."""
-    words, observed = {}, set()
-    removed_words = removed_ids = 0
-    for kf in msg.keyframes:
-        removed_words += len(words.keys() - kf.words.keys())
-        removed_ids += len(observed - kf.observed_points)
-        words, observed = kf.words, kf.observed_points
-    implied = sum(p.id in kf.observed_points for p in msg.points for kf in msg.keyframes)
-    return removed_words, removed_ids, implied
-
-
 TRUNCATED = re.compile(r"truncated payload: need (\d+) bytes at offset (\d+), have (\d+)")
 
 
@@ -1060,9 +1096,9 @@ class TestTruncationSweep:
             # cuts land in several word rows, past the first row's running total
             assert word_rows(msg) >= 2
         if kind in (MessageType.FULL_MAP, MessageType.KEYFRAME_PACKET):
-            # and in removed word and id lists, and in a point that leaves out
-            # an implied observer
-            assert all(delta_fields(msg))
+            # and in a keyframe's observed ids and a point's observers
+            assert any(kf.observed_points for kf in msg.keyframes)
+            assert any(p.observers for p in msg.points)
         mt, payload = encode_message(msg)
         for cut in range(len(payload)):
             frame = encode_envelope(mt, 3, payload[:cut])

@@ -1,19 +1,21 @@
 """The wire codec written one element at a time: one ``struct`` call and one
 slice per fixed field, one byte per varint step, one id or word row per loop
-step.
+step, one stream byte per inflate call.
 
 Kept only as the reference that the batched codec in ``meshslam.wire`` must
 match byte for byte and value for value on valid messages.  It follows the
-current layouts: a 13-byte version 6 header with no sequence number; every
-single id, record id and first id of a list as the zigzag varint of its
-difference from the last id the payload wrote; id lists and histograms as
-varint counts and varint gaps; keyframe and point counts and a point's word
-as varints; a keyframe record's histogram and observed ids written against
-the record before it, and a point record's observers without the payload's
-keyframes that observe it; alignment requests as an id list, tagged points
-as an id list and then a block of positions, group updates as a roster
-alone, localization states as a u32 epoch.  It checks what the codec checks,
-in header and payload order and with the same messages.
+current layouts: a 13-byte version 7 header with no sequence number, then the
+payload's other fields as one raw DEFLATE stream (level 6, 4 KiB window) and
+its f64 values after it; every f64 value of a payload after all its other
+fields, in field order; every single id, record id and first id of a list as
+the zigzag varint of its difference from the last id the payload wrote; id
+lists and histograms as varint counts and varint gaps; keyframe and point
+counts and a point's word as varints; self-contained keyframe records (full
+histogram, full observed ids) and point records (full observers); alignment
+requests as an id list, tagged points as an id list and then a block of
+positions, group updates as a roster alone, localization states as a u32
+epoch.  It checks what the codec checks, in header, stream and payload order
+and with the same messages.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
+import zlib
 
 import numpy as np
 
@@ -43,13 +46,14 @@ from meshslam.wire import (
 class _Writer:
     def __init__(self):
         self.parts: list[bytes] = []
+        self.floats: list[bytes] = []  # f64 values, which follow the other parts
         self.prev = 0  # the last id written
 
     def u8(self, v): self.parts.append(struct.pack("<B", v))
     def u16(self, v): self.parts.append(struct.pack("<H", v))
     def u32(self, v): self.parts.append(struct.pack("<I", v))
     def u64(self, v): self.parts.append(struct.pack("<Q", v))
-    def f64(self, v): self.parts.append(struct.pack("<d", v))
+    def f64(self, v): self.floats.append(struct.pack("<d", v))
 
     def varint(self, v):
         while True:
@@ -79,7 +83,7 @@ class _Writer:
             self.prev = ids[-1]
 
     def getvalue(self) -> bytes:
-        return b"".join(self.parts)
+        return b"".join(self.parts + self.floats)
 
 
 class _Reader:
@@ -140,9 +144,7 @@ class _Reader:
         self.prev = self._checked(self.prev + (z // 2 if z % 2 == 0 else -(z + 1) // 2), start)
         return self.prev
 
-    def ids(self, bad=lambda uid: False, what=""):
-        """An id list; the first id for which `bad` is true raises
-        WireError(``what.format(id, offset)``)."""
+    def ids(self):
         ids = []
         for i in range(self.count()):
             start = self.off
@@ -150,8 +152,6 @@ class _Reader:
                 ids.append(self.id())
             else:
                 ids.append(self._checked(ids[-1] + self.varint() + 1, start))
-            if bad(ids[-1]):
-                raise WireError(what.format(ids[-1], start))
         if ids:
             self.prev = ids[-1]
         return ids
@@ -233,124 +233,49 @@ def _read_words(r: _Reader) -> dict[int, int]:
     return words
 
 
-def _write_word_delta(w: _Writer, old: dict[int, int], words: dict[int, int]) -> None:
-    """The word ids `words` drops from `old`, then the rows whose count is new
-    or changed."""
-    removed = sorted(word for word in old if word not in words)
-    w.varint(len(removed))
-    for i, word in enumerate(removed):
-        w.varint(word - (removed[i - 1] if i else -1) - 1)
-    _write_words(w, {word: c for word, c in words.items() if old.get(word) != c})
-
-
-def _read_word_delta(r: _Reader, old: dict[int, int]) -> dict[int, int]:
-    start = r.off
-    removed = set()
-    word = -1
-    for _ in range(r.count()):
-        at = r.off
-        word += r.varint() + 1
-        if word not in old:
-            raise WireError(f"removed word {word} at offset {at} is not in the previous histogram")
-        removed.add(word)
-    changed = {}
-    word = -1
-    for _ in range(r.count()):
-        at = r.off
-        word += r.varint() + 1
-        if word > 0xFFFFFFFF:
-            raise WireError(f"word id {word} at offset {at} is above 2^32 - 1")
-        if word in removed:
-            raise WireError(f"word {word} at offset {at} is both removed and counted")
-        at = r.off
-        count = r.varint()
-        if count == 0:
-            raise WireError(f"word count 0 at offset {at} is not positive")
-        if count == old.get(word):
-            raise WireError(f"word count {count} at offset {at} equals the previous histogram's")
-        changed[word] = count
-    words = {word: c for word, c in old.items() if word not in removed}
-    words.update(changed)
-    total = sum(words.values())
-    if total > 65535:
-        raise WireError(f"histogram at offset {start} adds up to {total}, above 65535")
-    return dict(sorted(words.items()))
-
-
-def _write_keyframes(w: _Writer, kfs) -> None:
+def _write_map_body(w: _Writer, kfs, points) -> None:
     w.varint(len(kfs))
-    words, observed = {}, set()
     for kf in kfs:
         w.id(kf.id)
         w.u16(kf.origin_agent)
+        _write_words(w, kf.words)
+        w.ids(sorted(kf.observed_points))
         w.f64(kf.timestamp)
         _write_pose(w, kf.pose)
-        _write_word_delta(w, words, kf.words)
-        now = set(kf.observed_points)
-        w.ids(sorted(observed - now))
-        w.ids(sorted(now - observed))
-        words, observed = kf.words, now
-
-
-def _read_keyframes(r: _Reader) -> list[KeyFrame]:
-    kfs = []
-    words, observed = {}, set()
-    for _ in range(r.count()):
-        uid = r.id()
-        origin = r.u16()
-        ts = _read_finite(r, 1, "timestamp")[0]
-        pose = _read_pose(r)
-        words = _read_word_delta(r, words)
-        removed = r.ids(lambda i: i not in observed,
-                        "removed id {} at offset {} is not in the previous keyframe's observed ids")
-        added = r.ids(lambda i: i in observed,
-                      "added id {} at offset {} is already in the previous keyframe's observed ids")
-        observed = set(sorted(observed.difference(removed).union(added)))
-        kfs.append(KeyFrame(uid, origin, ts, pose, words, observed))
-    return kfs
-
-
-def _observing(kfs, pid) -> set[int]:
-    """The ids of the keyframe records of `kfs` that observe point `pid`."""
-    return {kf.id for kf in kfs if pid in kf.observed_points}
-
-
-def _write_points(w: _Writer, points, kfs) -> None:
     w.varint(len(points))
     for p in points:
         w.id(p.id)
-        for v in p.position:
-            w.f64(float(v))
         if not 0 <= p.word <= 0xFFFFFFFF:
             raise ValueError(f"word id {p.word} is outside [0, 2^32 - 1]")
         w.varint(p.word)
-        w.ids(sorted(set(p.observers) - _observing(kfs, p.id)))
+        w.ids(sorted(p.observers))
+        for v in p.position:
+            w.f64(float(v))
 
 
-def _read_points(r: _Reader, kfs) -> list[MapPoint]:
-    points = []
+def _read_map_body(r: _Reader):
+    """Every record's other fields, then every record's f64 values."""
+    kf_heads = []
     for _ in range(r.count()):
         uid = r.id()
-        pos = np.array(_read_finite(r, 3, "position"))
+        origin = r.u16()
+        words = _read_words(r)
+        kf_heads.append((uid, origin, words, set(r.ids())))
+    point_heads = []
+    for _ in range(r.count()):
+        uid = r.id()
         start = r.off
         word = r.varint()
         if word > 0xFFFFFFFF:
             raise WireError(f"word id {word} at offset {start} is above 2^32 - 1")
-        implied = _observing(kfs, uid)
-        explicit = r.ids(lambda i: i in implied,
-                         "observer {} at offset {} is implied by a keyframe of the payload")
-        points.append(MapPoint(uid, pos, word, set(sorted(implied.union(explicit)))))
-    return points
-
-
-def _write_map_body(w: _Writer, kfs, points) -> None:
-    _write_keyframes(w, kfs)
-    _write_points(w, points, kfs)
-
-
-def _read_map_body(r: _Reader):
-    kfs = _read_keyframes(r)
-    return kfs, _read_points(r, kfs)
+        point_heads.append((uid, word, set(r.ids())))
+    kfs = []
+    for uid, origin, words, observed in kf_heads:
+        ts = _read_finite(r, 1, "timestamp")[0]
+        kfs.append(KeyFrame(uid, origin, ts, _read_pose(r), words, observed))
+    points = [MapPoint(uid, np.array(_read_finite(r, 3, "position")), word, observers)
+              for uid, word, observers in point_heads]
+    return kfs, points
 
 
 def _write_sim3(w: _Writer, t: Sim3Transform) -> None:
@@ -378,15 +303,20 @@ def _read_sim3(r: _Reader) -> Sim3Transform:
 # ---------------------------------------------------------------------------
 
 def encode_message(msg: Message) -> tuple[MessageType, bytes]:
+    mt, w = _write(msg)
+    return mt, w.getvalue()
+
+
+def _write(msg: Message) -> tuple[MessageType, _Writer]:
     w = _Writer()
     if isinstance(msg, BowAnnounce):
         w.id(msg.kf_id)
         _write_words(w, msg.words)
-        return MessageType.BOW_ANNOUNCE, w.getvalue()
+        return MessageType.BOW_ANNOUNCE, w
     if isinstance(msg, FullMapMsg):
         w.id(msg.hint_kf)
         _write_map_body(w, msg.keyframes, msg.points)
-        return MessageType.FULL_MAP, w.getvalue()
+        return MessageType.FULL_MAP, w
     if isinstance(msg, MergeNotify):
         _write_sim3(w, msg.transform)
         w.u16(len(msg.roster))
@@ -396,28 +326,28 @@ def encode_message(msg: Message) -> tuple[MessageType, bytes]:
         for aid in msg.transform_roster:
             w.u16(aid)
         w.u64(msg.merge_id)
-        return MessageType.MERGE_NOTIFY, w.getvalue()
+        return MessageType.MERGE_NOTIFY, w
     if isinstance(msg, KeyFramePacket):
         _write_map_body(w, msg.keyframes, msg.points)
-        return MessageType.KEYFRAME_PACKET, w.getvalue()
+        return MessageType.KEYFRAME_PACKET, w
     if isinstance(msg, AlignmentRequest):
         w.ids(msg.ids)
-        return MessageType.ALIGNMENT_REQUEST, w.getvalue()
+        return MessageType.ALIGNMENT_REQUEST, w
     if isinstance(msg, TaggedPoints):
         ids, positions = msg.points
         w.ids(ids)
         for pos in positions:
             for v in pos:
                 w.f64(float(v))
-        return MessageType.TAGGED_POINTS, w.getvalue()
+        return MessageType.TAGGED_POINTS, w
     if isinstance(msg, GroupUpdate):
         w.u16(len(msg.roster))
         for aid in msg.roster:
             w.u16(aid)
-        return MessageType.GROUP_UPDATE, w.getvalue()
+        return MessageType.GROUP_UPDATE, w
     if isinstance(msg, LocalizationState):
         w.u32(msg.epoch)
-        return MessageType.LOCALIZATION_STATE, w.getvalue()
+        return MessageType.LOCALIZATION_STATE, w
     raise TypeError(f"unknown message {type(msg).__name__}")
 
 
@@ -438,10 +368,10 @@ def decode_message(msg_type: int, sender: int, payload: bytes) -> Message:
         r.done()
         return FullMapMsg(sender, hint, kfs, points)
     if mt == MessageType.MERGE_NOTIFY:
-        t = _read_sim3(r)
         roster = [r.u16() for _ in range(r.u16())]
         transform_roster = [r.u16() for _ in range(r.u16())]
         merge_id = r.u64()
+        t = _read_sim3(r)  # f64 values only, after the other fields
         r.done()
         return MergeNotify(sender, t, roster, transform_roster, merge_id)
     if mt == MessageType.KEYFRAME_PACKET:
@@ -471,16 +401,43 @@ def decode_message(msg_type: int, sender: int, payload: bytes) -> Message:
 # Envelope
 # ---------------------------------------------------------------------------
 
+MAX_PAYLOAD = 1 << 24
+
+
 def encode_frame(msg: Message, sender: int) -> bytes:
-    """Magic, version u16, type u8, sender u16, payload length u32, payload."""
-    mt, payload = encode_message(msg)
+    """Magic, version u16, type u8, sender u16, body length u32, then the
+    body: the payload's other fields as one raw DEFLATE stream, then its f64
+    values."""
+    mt, payload = _write(msg)
+    body = zlib.compress(b"".join(payload.parts), 6, -12) + b"".join(payload.floats)
     w = _Writer()
     w.parts.append(b"DVMS")
-    w.u16(6)
+    w.u16(7)
     w.u8(mt)
     w.u16(sender)
-    w.u32(len(payload))
-    return w.getvalue() + payload
+    w.u32(len(body))
+    return w.getvalue() + body
+
+
+def inflate(data: bytes) -> bytes:
+    """The payload: the stream after the header, fed to zlib one byte at a
+    time and asking it for no more than one byte past the bound, then the
+    bytes after the stream."""
+    d = zlib.decompressobj(-15)
+    parts, size, off = [], 0, 13
+    while off < len(data) and not d.eof:
+        try:
+            parts.append(d.decompress(data[off:off + 1], MAX_PAYLOAD + 1 - size))
+        except zlib.error as exc:
+            raise WireError(f"bad deflate stream at offset {off}: "
+                            f"{str(exc).partition(': ')[2]}") from None
+        size += len(parts[-1])
+        if size > MAX_PAYLOAD:
+            raise WireError(f"deflate stream at offset 13 inflates past {MAX_PAYLOAD} bytes")
+        off += 1
+    if not d.eof:
+        raise WireError(f"deflate stream at offset 13 does not end by offset {len(data)}")
+    return b"".join(parts) + data[off:]
 
 
 def decode_frame(data: bytes) -> Message:
@@ -491,12 +448,10 @@ def decode_frame(data: bytes) -> Message:
     if magic != b"DVMS":
         raise WireError(f"bad magic {magic!r} at offset 0")
     version = r.u16()
-    if version != 6:
+    if version != 7:
         raise WireError(f"unsupported version {version} at offset 4")
     msg_type, sender, length = r.u8(), r.u16(), r.u32()
     if len(data) != 13 + length:
         raise WireError(f"payload length field {length} does not match "
                         f"{len(data) - 13} bytes present (offset 9)")
-    return decode_message(msg_type, sender, data[13:])
-
-
+    return decode_message(msg_type, sender, inflate(data))
