@@ -422,8 +422,8 @@ class Simulation:
     @staticmethod
     def frame(src: int, msg) -> tuple[MessageType, bytes]:
         """`msg`'s type and the frame that carries it from `src`."""
-        msg_type, payload = encode_message(msg)
-        return msg_type, encode_envelope(msg_type, src, payload)
+        msg_type, payload, f64_bytes = encode_message(msg)
+        return msg_type, encode_envelope(msg_type, src, payload, f64_bytes)
 
     def send_to_each(self, src: int, dsts: list[int], msg) -> None:
         """Send `msg` to each of `dsts` in turn, framed once."""

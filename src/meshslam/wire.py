@@ -58,10 +58,12 @@ the stream as they are: their low bits move with the floating-point details
 of a run (the OpenBLAS core moves the alignment fits), and inside the stream
 they would move the frame's size with them, so a frame's size depends only
 on what the protocol sends.  The stream ends itself, so the decoder needs no
-length between the two.  It reads any raw DEFLATE stream, with a window of
-up to 32 KiB, and asks zlib for at most ``MAX_PAYLOAD`` bytes (16 MiB) plus
-one.  The stream's bytes depend on the zlib that writes it; what it inflates
-to does not.
+length between the two, and every byte after it is an f64 value: a field
+reads its f64 values from those bytes and its other bytes from the stream,
+so a frame that carries f64 values inside its stream fails to decode.  The
+decoder reads any raw DEFLATE stream, with a window of up to 32 KiB, and
+asks zlib for at most ``MAX_PAYLOAD`` bytes (16 MiB) plus one.  The stream's
+bytes depend on the zlib that writes it; what it inflates to does not.
 
 Keyframes and map points travel as the map store's own KeyFrame and MapPoint
 objects.  Decoding always builds fresh objects, so an object never reaches a
@@ -81,8 +83,10 @@ The stream is rejected when inflating it fails (naming the byte whose
 arrival shows the fault, and zlib's reason, for instance a back-reference to
 before the stream's start), when it does not end, and when it inflates past
 ``MAX_PAYLOAD`` bytes.  A field or varint cut off by the end of the payload
-is a truncation naming where it starts.  Besides the layout, the decoder
-rejects, in payload order: non-minimal varints (a last byte 0x00 after a
+is a truncation naming where it starts; the f64 values end where the
+payload does, and the other fields where the stream does.  Besides the
+layout, the decoder rejects, in field order and each record's f64 values
+after its other fields: non-minimal varints (a last byte 0x00 after a
 continuation byte, so that every message has exactly one payload), ids that
 a difference or a gap takes below 0 or above 2^128 - 1, list counts and word
 ids above 2^32 - 1, word counts of zero, histograms whose counts add up to
@@ -103,7 +107,6 @@ import struct
 import zlib
 from dataclasses import dataclass, fields
 from enum import IntEnum
-from functools import partial
 
 import numpy as np
 
@@ -117,7 +120,9 @@ HEADER_SIZE = _HEADER.size  # 13
 # the longest payload a frame may inflate to
 MAX_PAYLOAD = 1 << 24
 _LEVEL = 6          # zlib's default compression level
-_WRITE_WBITS = -12  # raw DEFLATE with a 4 KiB window: as small as the level's output needs
+# raw DEFLATE with a 4 KiB window: over the frames of the seed-7 benchmark
+# ensembles it writes no more bytes than a 32 KiB window, at the same CPU
+_WRITE_WBITS = -12
 _READ_WBITS = -15   # raw DEFLATE with the largest window, so any stream's distances resolve
 # the largest total of one histogram's word counts, so that any count fits a u16
 MAX_WORD_TOTAL = 0xFFFF
@@ -272,13 +277,6 @@ class _Writer(bytearray):
         self.f64 = bytearray()
 
 
-class Payload(bytes):
-    """A payload as ``encode_message`` writes it: its last ``f64_bytes`` bytes
-    are its f64 values, which ``encode_envelope`` leaves out of the stream."""
-
-    f64_bytes = 0
-
-
 def _write_id(out: _Writer, uid: int) -> None:
     """`uid` as the zigzag varint of its difference from the last id written."""
     if not 0 <= uid <= _MAX_ID:
@@ -331,10 +329,14 @@ def _write_ids(out: _Writer, ids: list[int]) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    """The bytes of `data` from `off` to `end`; offsets count from the start
+    of `data`.  A payload's reader holds the reader of its f64 values as
+    ``f64``, as ``_Writer`` holds them."""
+
+    def __init__(self, data: bytes, off: int, end: int):
         self.data = data
-        self.end = len(data)
-        self.off = 0
+        self.end = end
+        self.off = off
         self.prev = 0  # the last id read
 
     def _truncated(self, off: int, sizes: tuple[int, ...]) -> WireError:
@@ -356,7 +358,7 @@ class _Reader:
     def array(self, dtype: np.dtype, n: int, check=None) -> np.ndarray:
         """n back-to-back `dtype` values as one array.
 
-        When the payload ends first, the values that fit still go through
+        When the bytes end first, the values that fit still go through
         ``check(values, offset_of_first)`` before the truncation is raised, so
         errors surface in payload order.
         """
@@ -554,22 +556,16 @@ def _write_keyframes(out: _Writer, kfs: list[KeyFrame]) -> None:
                                        *kf.pose.translation.tolist())
 
 
-def _read_keyframes(r: _Reader):
-    """The keyframe records' other fields; returns the function that reads
-    their f64 values and builds the keyframes."""
-    heads = []
+def _read_keyframes(r: _Reader) -> list[KeyFrame]:
+    kfs = []
     for _ in range(r.count()):
         uid = r.id()
         (origin,) = r.read(_U16)
-        heads.append((uid, origin, _read_words(r), set(r.ids())))
-
-    def build() -> list[KeyFrame]:
-        kfs = []
-        for uid, origin, words, observed in heads:
-            (ts,) = _read_finite(r, _F64, "timestamp")
-            kfs.append(KeyFrame(uid, origin, ts, _read_pose(r), words, observed))
-        return kfs
-    return build
+        words = _read_words(r)
+        observed = set(r.ids())
+        (ts,) = _read_finite(r.f64, _F64, "timestamp")
+        kfs.append(KeyFrame(uid, origin, ts, _read_pose(r.f64), words, observed))
+    return kfs
 
 
 def _write_points(out: _Writer, points: list[MapPoint]) -> None:
@@ -583,19 +579,18 @@ def _write_points(out: _Writer, points: list[MapPoint]) -> None:
         out.f64 += _VEC3.struct.pack(*p.position.tolist())
 
 
-def _read_points(r: _Reader):
-    """The point records' other fields; returns the function that reads
-    their positions and builds the points."""
-    heads = []
+def _read_points(r: _Reader) -> list[MapPoint]:
+    points = []
     for _ in range(r.count()):
         uid = r.id()
         start = r.off
         word = r.uint()
         if word > _MAX_U32:
             raise WireError(f"word id {word} at offset {start} is above 2^32 - 1")
-        heads.append((uid, word, set(r.ids())))
-    return lambda: [MapPoint(uid, np.array(_read_finite(r, _VEC3, "position")), word, observers)
-                    for uid, word, observers in heads]
+        observers = set(r.ids())
+        points.append(MapPoint(uid, np.array(_read_finite(r.f64, _VEC3, "position")), word,
+                               observers))
+    return points
 
 
 def _write_sim3(out: _Writer, t: Sim3Transform) -> None:
@@ -603,13 +598,14 @@ def _write_sim3(out: _Writer, t: Sim3Transform) -> None:
 
 
 def _read_sim3(r: _Reader) -> Sim3Transform:
-    start = r.off
-    (scale,) = _read_finite(r, _F64, "scale")
+    v = r.f64
+    start = v.off
+    (scale,) = _read_finite(v, _F64, "scale")
     if scale <= 0.0:
         raise WireError(f"non-positive scale {scale} at offset {start}")
-    rotation = _read_rotation(r)
+    rotation = _read_rotation(v)
     return Sim3Transform(
-        scale, rotation, np.array(_read_finite(r, _VEC3, "translation"), dtype=float)
+        scale, rotation, np.array(_read_finite(v, _VEC3, "translation"), dtype=float)
     )
 
 
@@ -636,11 +632,10 @@ def _write_tagged(out: _Writer, points: tuple[list[int], np.ndarray]) -> None:
     out.f64 += block.tobytes()
 
 
-def _read_tagged(r: _Reader):
-    """The ids; returns the function that reads their positions."""
+def _read_tagged(r: _Reader) -> tuple[list[int], np.ndarray]:
     ids = r.ids()
-    return lambda: (ids, r.array(_F64_BLOCK, 3 * len(ids), _check_positions)
-                    .reshape(-1, 3).astype(float))
+    positions = r.f64.array(_F64_BLOCK, 3 * len(ids), _check_positions)
+    return ids, positions.reshape(-1, 3).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -660,14 +655,13 @@ _ROSTER = (_write_roster, _read_roster)
 
 # Each message type's dataclass, ledger category, and one (write, read) codec
 # per dataclass field after `sender`, in declaration order.  A field with f64
-# values writes them to ``out.f64``, and its read returns the function that
-# reads them once every field's other bytes are read.  This table is the only
-# place a message type is declared.
+# values writes them to ``out.f64`` and reads them from ``r.f64``.  This table
+# is the only place a message type is declared.
 _PAYLOADS = {
     MessageType.BOW_ANNOUNCE: (BowAnnounce, CATEGORY_BOWS, (_ID, _WORDS)),
     MessageType.FULL_MAP: (FullMapMsg, CATEGORY_FULL_MAP, (_ID, _KEYFRAMES, _POINTS)),
     MessageType.MERGE_NOTIFY: (MergeNotify, CATEGORY_CONTROL,
-                               ((_write_sim3, lambda r: partial(_read_sim3, r)), _ROSTER,
+                               ((_write_sim3, _read_sim3), _ROSTER,
                                 _ROSTER, _scalar(_U64))),
     MessageType.KEYFRAME_PACKET: (KeyFramePacket, CATEGORY_KEYFRAMES, (_KEYFRAMES, _POINTS)),
     MessageType.ALIGNMENT_REQUEST: (AlignmentRequest, CATEGORY_ALIGNMENT, (_IDS,)),
@@ -686,7 +680,9 @@ def category_of(msg_type: int) -> str:
     return _PAYLOADS[MessageType(msg_type)][1]
 
 
-def encode_message(msg: Message) -> tuple[MessageType, bytes]:
+def encode_message(msg: Message) -> tuple[MessageType, bytes, int]:
+    """The message's type, its payload, and the byte count of the f64 values
+    that end the payload."""
     try:
         mt, names = _TYPE_OF[type(msg)]
     except KeyError:
@@ -694,21 +690,21 @@ def encode_message(msg: Message) -> tuple[MessageType, bytes]:
     out = _Writer()
     for name, (write, _) in zip(names, _PAYLOADS[mt][2], strict=True):
         write(out, getattr(msg, name))
-    payload = Payload(out + out.f64)
-    payload.f64_bytes = len(out.f64)
-    return mt, payload
+    return mt, bytes(out) + out.f64, len(out.f64)
 
 
-def decode_message(msg_type: int, sender: int, payload: bytes) -> Message:
+def decode_message(msg_type: int, sender: int, payload: bytes, f64_bytes: int = 0) -> Message:
+    """The message whose payload's last `f64_bytes` bytes are its f64 values."""
     try:
         cls, _, codecs = _PAYLOADS[MessageType(msg_type)]
     except ValueError as exc:
         raise WireError(f"unknown message type {msg_type}") from exc
-    r = _Reader(payload)
+    split = len(payload) - f64_bytes
+    r = _Reader(payload, 0, split)
+    r.f64 = _Reader(payload, split, len(payload))
     values = [read(r) for _, read in codecs]
-    # the f64 values follow every other field, in field order
-    values = [v() if callable(v) else v for v in values]
     r.done()
+    r.f64.done()
     return cls(sender, *values)
 
 
@@ -716,11 +712,11 @@ def decode_message(msg_type: int, sender: int, payload: bytes) -> Message:
 # Envelope
 # ---------------------------------------------------------------------------
 
-def encode_envelope(msg_type: MessageType, sender: int, payload: bytes) -> bytes:
-    """The header, the payload up to its f64 values as one raw DEFLATE stream,
-    then those values as they are (a ``Payload`` knows how many bytes they
-    take; any other bytes travel whole in the stream)."""
-    split = len(payload) - getattr(payload, "f64_bytes", 0)
+def encode_envelope(msg_type: MessageType, sender: int, payload: bytes,
+                    f64_bytes: int = 0) -> bytes:
+    """The header, the payload up to its last `f64_bytes` bytes (its f64
+    values) as one raw DEFLATE stream, then those bytes as they are."""
+    split = len(payload) - f64_bytes
     if split > MAX_PAYLOAD:
         raise ValueError(f"payload of {split} bytes before its f64 values is above "
                          f"{MAX_PAYLOAD}")
@@ -741,9 +737,9 @@ def _stream_fault(data: bytes, exc: zlib.error) -> WireError:
     return WireError(f"bad deflate stream at offset {off}: {str(exc).partition(': ')[2]}")
 
 
-def _inflate(data: bytes) -> bytes:
-    """The payload: what the stream after the header inflates to, then the
-    bytes after the stream."""
+def _inflate(data: bytes) -> tuple[bytes, int]:
+    """The payload, what the stream after the header inflates to and then the
+    bytes after the stream, and the count of those bytes."""
     d = zlib.decompressobj(_READ_WBITS)
     try:
         payload = d.decompress(data[HEADER_SIZE:], MAX_PAYLOAD + 1)
@@ -755,12 +751,12 @@ def _inflate(data: bytes) -> bytes:
     if not d.eof:
         raise WireError(f"deflate stream at offset {HEADER_SIZE} does not end "
                         f"by offset {len(data)}")
-    return payload + d.unused_data
+    return payload + d.unused_data, len(d.unused_data)
 
 
-def decode_envelope(data: bytes) -> tuple[int, int, bytes]:
-    """Returns (msg_type, sender, payload): the stream inflated, then the
-    bytes after it."""
+def decode_envelope(data: bytes) -> tuple[int, int, bytes, int]:
+    """Returns (msg_type, sender, payload, f64_bytes): the payload is the
+    stream inflated, then the `f64_bytes` bytes after it."""
     if len(data) < HEADER_SIZE:
         raise WireError(
             f"truncated header: {len(data)} bytes, need {HEADER_SIZE} at offset 0"
@@ -775,14 +771,13 @@ def decode_envelope(data: bytes) -> tuple[int, int, bytes]:
             f"payload length field {length} does not match "
             f"{len(data) - HEADER_SIZE} bytes present (offset 9)"
         )
-    return msg_type, sender, _inflate(data)
+    return msg_type, sender, *_inflate(data)
 
 
 def encode_frame(msg: Message, sender: int) -> bytes:
-    msg_type, payload = encode_message(msg)
-    return encode_envelope(msg_type, sender, payload)
+    msg_type, payload, f64_bytes = encode_message(msg)
+    return encode_envelope(msg_type, sender, payload, f64_bytes)
 
 
 def decode_frame(data: bytes) -> Message:
-    msg_type, sender, payload = decode_envelope(data)
-    return decode_message(msg_type, sender, payload)
+    return decode_message(*decode_envelope(data))

@@ -111,7 +111,7 @@ class TestWireRoundTrip:
         with pytest.raises(WireError, match="offset"):
             decode_frame(data[:40] + b"")  # declared length mismatch
         # payload-internal truncation: rebuild envelope around cut payload
-        _, _, payload = decode_envelope(data)
+        _, _, payload, _ = decode_envelope(data)
         cut = payload[:len(payload) // 2]
         refit = encode_envelope(MessageType.KEYFRAME_PACKET, 1, cut)
         with pytest.raises(WireError, match="offset"):

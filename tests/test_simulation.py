@@ -557,7 +557,7 @@ class TestMessageDispatch:
                 if len(tampered) < 2:
                     if tampered:
                         # the payload's last varint now runs past its end
-                        mt, src, payload = wire.decode_envelope(env.data)
+                        mt, src, payload, _ = wire.decode_envelope(env.data)
                         env.data = wire.encode_envelope(
                             mt, src, payload[:-1] + bytes([payload[-1] ^ 0x80]))
                     else:
@@ -623,8 +623,9 @@ TURN = Sim3Transform(1.2, Rotation.from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.
 
 def deliver(sim, msg, src=0, dst=1):
     """Deliver `msg` from `src` to `dst` in a frame whose header names ``msg.sender``."""
-    mt, payload = encode_message(msg)
-    sim._deliver(Envelope(src, dst, int(mt), encode_envelope(mt, msg.sender, payload), sim.now))
+    mt, payload, f64_bytes = encode_message(msg)
+    sim._deliver(Envelope(src, dst, int(mt), encode_envelope(mt, msg.sender, payload, f64_bytes),
+                          sim.now))
 
 
 def replica(sim, aid=1):

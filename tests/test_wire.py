@@ -80,7 +80,7 @@ class TestEnvelope:
         # magic, version 7, type 8, sender 4, the stream's length: 13 bytes, no sequence
         assert data == b"DVMS" + bytes([7, 0, 8, 4, 0, len(stream), 0, 0, 0]) + stream
         assert HEADER_SIZE == 13
-        assert decode_envelope(data) == (int(MessageType.LOCALIZATION_STATE), 4, b"\x07")
+        assert decode_envelope(data) == (int(MessageType.LOCALIZATION_STATE), 4, b"\x07", 0)
 
     def test_version_check(self):
         data = bytearray(encode_envelope(MessageType.GROUP_UPDATE, 0, b""))
@@ -152,7 +152,7 @@ class TestCompressedStream:
         # a payload of the bound itself inflates
         bound = deflate_frame(mib * (MAX_PAYLOAD >> 20) + b"\x03\x00")
         assert decode_envelope(bound)[2] == bytes(MAX_PAYLOAD)
-        assert wire_reference.inflate(bound) == bytes(MAX_PAYLOAD)
+        assert wire_reference.inflate(bound) == (bytes(MAX_PAYLOAD), 0)
 
     def test_encoder_rejects_a_payload_past_the_bound(self):
         with pytest.raises(ValueError, match=f"^payload of {MAX_PAYLOAD + 1} bytes before its "
@@ -160,22 +160,25 @@ class TestCompressedStream:
             encode_envelope(MessageType.GROUP_UPDATE, 3, bytes(MAX_PAYLOAD + 1))
 
     def test_stream_that_does_not_end(self):
-        mt, payload = encode_message(kf_packet())
+        mt, payload, f64_bytes = encode_message(kf_packet())
         # every byte of the payload, but no last block
         c = zlib.compressobj(6, zlib.DEFLATED, -12)
         frame = deflate_frame(c.compress(payload) + c.flush(zlib.Z_SYNC_FLUSH), mt)
         assert_rejected(frame, f"deflate stream at offset 13 does not end by offset {len(frame)}")
         # every cut of a whole frame's stream
-        stream = encode_frame(kf_packet(), 3)[HEADER_SIZE:-payload.f64_bytes]
+        stream = encode_frame(kf_packet(), 3)[HEADER_SIZE:-f64_bytes]
         for cut in range(len(stream)):
             assert_rejected(deflate_frame(stream[:cut], mt),
                             f"deflate stream at offset 13 does not end by offset {13 + cut}")
 
     def test_bytes_after_the_stream_end_are_the_payloads_f64_values(self):
-        mt, payload = encode_message(kf_packet())
+        mt, payload, f64_bytes = encode_message(kf_packet())
         whole = encode_frame(kf_packet(), 3)
-        assert whole[-payload.f64_bytes:] == payload[-payload.f64_bytes:]
-        assert decode_envelope(whole)[2] == payload
+        assert whole[-f64_bytes:] == payload[-f64_bytes:]
+        assert decode_envelope(whole) == (mt, 3, payload, f64_bytes)
+        # the f64 values inside the stream: the first is missing after it
+        assert_rejected(encode_envelope(mt, 3, payload),
+                        f"truncated payload: need 8 bytes at offset {len(payload)}, have 0")
         # a byte more than the payload's fields take, or one less
         assert_rejected(deflate_frame(whole[HEADER_SIZE:] + b"\x00", mt),
                         f"trailing garbage: 1 bytes at offset {len(payload)}")
@@ -189,7 +192,7 @@ class TestCompressedStream:
     def test_back_reference_further_than_the_window(self):
         # written against a preset dictionary, the stream copies bytes from
         # before its own start, which no decoder window holds
-        mt, payload = encode_message(kf_packet())
+        mt, payload, _ = encode_message(kf_packet())
         c = zlib.compressobj(6, zlib.DEFLATED, -12, zdict=payload)
         frame = deflate_frame(c.compress(payload) + c.flush(), mt)
         with pytest.raises(WireError) as info:
@@ -211,7 +214,7 @@ class TestCompressedStream:
         # the encoder writes 4 KiB windows; the decoder reads any raw DEFLATE stream
         block = random.Random(1).randbytes(6000)
         frame = deflate_frame(zlib.compress(block * 2, 9, -15))
-        assert decode_envelope(frame)[2] == wire_reference.inflate(frame) == block * 2
+        assert decode_envelope(frame)[2:] == wire_reference.inflate(frame) == (block * 2, 0)
         assert_rejected(deflate_frame(zlib.compress(block * 2, 9, -15)[:-1]),
                         f"deflate stream at offset 13 does not end by offset {len(frame) - 1}")
 
@@ -345,7 +348,7 @@ class TestMessageRoundTrips:
             assert self.roundtrip(LocalizationState(1, epoch)) == LocalizationState(3, epoch)
             # the epoch alone, as a u32
             assert encode_message(LocalizationState(1, epoch)) == (
-                MessageType.LOCALIZATION_STATE, epoch.to_bytes(4, "little"))
+                MessageType.LOCALIZATION_STATE, epoch.to_bytes(4, "little"), 0)
 
     @pytest.mark.parametrize("epoch", [-1, 1 << 32])
     def test_encoder_rejects_epoch_outside_u32(self, epoch):
@@ -353,7 +356,7 @@ class TestMessageRoundTrips:
             encode_frame(LocalizationState(1, epoch), 1)
 
     def test_trailing_garbage_rejected(self):
-        mt, payload = encode_message(LocalizationState(1, 5))
+        mt, payload, _ = encode_message(LocalizationState(1, 5))
         # a byte after the payload, compressed with it, so only payload parsing trips
         padded = encode_envelope(mt, 1, payload + b"\x00")
         with pytest.raises(WireError, match="^trailing garbage: 1 bytes at offset 4$"):
@@ -399,10 +402,10 @@ def splice(msg, old: bytes, new: bytes):
 
     Returns the frame and the payload offset of the replaced bytes.
     """
-    mt, payload = encode_message(msg)
+    mt, payload, f64_bytes = encode_message(msg)
     at = payload.find(old)
     assert at >= 0 and payload.find(old, at + 1) < 0, "target bytes must be unique"
-    return encode_envelope(mt, 3, payload[:at] + new + payload[at + len(old):]), at
+    return encode_envelope(mt, 3, payload[:at] + new + payload[at + len(old):], f64_bytes), at
 
 
 def kf_packet():
@@ -636,12 +639,12 @@ ID_LISTS = st.one_of(
 def test_id_lists_round_trip(ids):
     positions = np.arange(3.0 * len(ids)).reshape(-1, 3)
     msg = TaggedPoints(1, (ids, positions))
-    mt, payload = encode_message(msg)
-    assert payload == wire_reference.encode_message(msg)[1]
+    mt, payload, f64_bytes = encode_message(msg)
+    assert (payload, f64_bytes) == wire_reference.encode_message(msg)[1:]
     # the count's varint, the first id's zigzag difference from 0, one varint
     # per later gap minus one, the positions
-    assert len(payload) == ids_len(ids, 0) + 24 * len(ids)
-    out = decode_frame(encode_envelope(mt, 3, payload))
+    assert len(payload) == ids_len(ids, 0) + f64_bytes and f64_bytes == 24 * len(ids)
+    out = decode_frame(encode_envelope(mt, 3, payload, f64_bytes))
     assert out.points[0] == ids and np.array_equal(out.points[1], positions)
     # observed and observer sets are built from the ascending list, so their
     # iteration order is that of a set built from it
@@ -657,8 +660,9 @@ def test_id_lists_round_trip(ids):
         assert encode_frame(got, 3) == frame
 
 
-def tagged_frame(*parts):
-    return encode_envelope(MessageType.TAGGED_POINTS, 3, b"".join(parts))
+def tagged_frame(*parts, f64=b""):
+    """A TaggedPoints frame: `parts`, then the f64 values `f64`."""
+    return encode_envelope(MessageType.TAGGED_POINTS, 3, b"".join(parts) + f64, len(f64))
 
 
 def bow_frame(*parts, kf=b"\x00"):
@@ -694,8 +698,8 @@ def map_frame(kfs=(), points=(), hint=None, f64=None):
         f64 = KF_F64 * len(kfs) + bytes(24) * len(points)
     body = varint(len(kfs)) + b"".join(kfs) + varint(len(points)) + b"".join(points) + f64
     if hint is None:
-        return encode_envelope(MessageType.KEYFRAME_PACKET, 3, body)
-    return encode_envelope(MessageType.FULL_MAP, 3, hint + body)
+        return encode_envelope(MessageType.KEYFRAME_PACKET, 3, body, len(f64))
+    return encode_envelope(MessageType.FULL_MAP, 3, hint + body, len(f64))
 
 
 def ids_frame(kind, *parts):
@@ -740,9 +744,9 @@ ID_POSITIONS = [
                  "id -1 at offset 1 is below 0", id="request-first-below"),
     pytest.param(ids_frame(MessageType.ALIGNMENT_REQUEST, varint(1), zz(U128 + 1)),
                  f"id {U128 + 1} at offset 1 is above 2^128 - 1", id="request-first-above"),
-    pytest.param(tagged_frame(varint(1), zz(-1), bytes(24)),
+    pytest.param(tagged_frame(varint(1), zz(-1), f64=bytes(24)),
                  "id -1 at offset 1 is below 0", id="tagged-first-below"),
-    pytest.param(tagged_frame(varint(1), zz(U128 + 1), bytes(24)),
+    pytest.param(tagged_frame(varint(1), zz(U128 + 1), f64=bytes(24)),
                  f"id {U128 + 1} at offset 1 is above 2^128 - 1", id="first-id-above"),
 ]
 
@@ -761,11 +765,11 @@ class TestVarintFaults:
                      "truncated payload: need 2 bytes at offset 0, have 1", id="cut-bow-id"),
         pytest.param(map_frame(points=[point_record(zz(0))[:-1] + b"\x80"], f64=b""),
                      "truncated payload: need 2 bytes at offset 3, have 1", id="cut-point-word"),
-        pytest.param(tagged_frame(b"\x81\x00", varint(10), bytes(24)),
+        pytest.param(tagged_frame(b"\x81\x00", varint(10), f64=bytes(24)),
                      "non-minimal varint at offset 0", id="non-minimal-count"),
-        pytest.param(tagged_frame(varint(2), varint(10), b"\xff\x80\x00", bytes(48)),
+        pytest.param(tagged_frame(varint(2), varint(10), b"\xff\x80\x00", f64=bytes(48)),
                      "non-minimal varint at offset 2", id="non-minimal-id-gap"),
-        pytest.param(tagged_frame(varint(1), b"\x8a\x00", bytes(24)),
+        pytest.param(tagged_frame(varint(1), b"\x8a\x00", f64=bytes(24)),
                      "non-minimal varint at offset 1", id="non-minimal-first-id"),
         pytest.param(bow_frame(varint(0), kf=b"\x82\x80\x00"),
                      "non-minimal varint at offset 0", id="non-minimal-bow-id"),
@@ -781,7 +785,7 @@ class TestVarintFaults:
                      "non-minimal varint at offset 2", id="non-minimal-word-gap"),
         pytest.param(bow_frame(varint(1), b"\x01", b"\x82\x00"),
                      "non-minimal varint at offset 3", id="non-minimal-word-count"),
-        pytest.param(tagged_frame(varint(2), varint(BIG), varint(0), bytes(48)),
+        pytest.param(tagged_frame(varint(2), varint(BIG), varint(0), f64=bytes(48)),
                      f"id {U128 + 1} at offset 20 is above 2^128 - 1", id="later-id-above"),
         pytest.param(tagged_frame(varint(1 << 32)),
                      "list count 4294967296 at offset 0 is above 2^32 - 1", id="id-count-above"),
@@ -815,15 +819,15 @@ class TestVarintFaults:
         """Each id fault above, moved one step back into the range, decodes,
         and re-encodes to the same payload."""
         uid, at = map(int, re.match(r"id (-?\d+) at offset (\d+)", message).groups())
-        payload = decode_envelope(frame)[2]
+        mt, _, payload, f64_bytes = decode_envelope(frame)
         r = wire_reference._Reader(payload, at)
         z = r.varint()
         d = z // 2 if z % 2 == 0 else -(z + 1) // 2
         payload = payload[:at] + zz(d + 1 if uid < 0 else d - 1) + payload[r.off:]
-        mt = frame[6]
-        out = decode_frame(encode_envelope(mt, 3, payload))
-        assert plain(out) == plain(reference_decode(encode_envelope(mt, 3, payload)))
-        assert encode_message(out) == (mt, payload)
+        frame = encode_envelope(mt, 3, payload, f64_bytes)
+        out = decode_frame(frame)
+        assert plain(out) == plain(reference_decode(frame))
+        assert encode_message(out) == (mt, payload, f64_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -1047,25 +1051,25 @@ def test_shipped_traffic_round_trips(monkeypatch):
     sent = []
 
     def capture(msg):
-        mt, payload = real(msg)
+        encoded = real(msg)
         # the sender's map moves on after a send, so its objects are compared as sent
-        sent.append((mt, msg.sender, payload, plain(msg, sort_dicts=True),
+        sent.append((encoded, msg.sender, plain(msg, sort_dicts=True),
                      wire_reference.encode_message(msg), documented_length(msg)))
-        return mt, payload
+        return encoded
 
     monkeypatch.setattr(simulation, "encode_message", capture)
     blackout = scenario_defs.blackout_recovery()
     blackout.run.duration = 23.0  # the private map re-merges at 22.1 s
     for cfg in (scenario_defs.coop_loops(duration=8.0), blackout):
         Simulation(cfg, 7).run()
-    assert {mt for mt, *_ in sent} == set(MessageType)
+    assert {encoded[0] for encoded, *_ in sent} == set(MessageType)
     agents_named = set()
-    for mt, sender, payload, want, ref, length in sent:
-        out = decode_message(mt, sender, payload)
+    for encoded, sender, want, ref, length in sent:
+        mt, payload, f64_bytes = encoded
+        out = decode_message(mt, sender, payload, f64_bytes)
         assert plain(out, sort_dicts=True) == want
         assert ascending_sets(out)
-        assert encode_message(out) == (mt, payload)
-        assert ref == (mt, payload)
+        assert encode_message(out) == ref == encoded
         assert len(payload) == length
         if isinstance(out, KeyFramePacket):
             ids = [kf.id for kf in out.keyframes] + [p.id for p in out.points]
@@ -1099,9 +1103,11 @@ class TestTruncationSweep:
             # and in a keyframe's observed ids and a point's observers
             assert any(kf.observed_points for kf in msg.keyframes)
             assert any(p.observers for p in msg.points)
-        mt, payload = encode_message(msg)
+        mt, payload, f64_bytes = encode_message(msg)
+        split = len(payload) - f64_bytes
         for cut in range(len(payload)):
-            frame = encode_envelope(mt, 3, payload[:cut])
+            # the cut payload's f64 values are those left after the split
+            frame = encode_envelope(mt, 3, payload[:cut], max(0, cut - split))
             with pytest.raises(WireError) as info:
                 decode_frame(frame)
             m = TRUNCATED.fullmatch(str(info.value))
@@ -1111,7 +1117,7 @@ class TestTruncationSweep:
             with pytest.raises(WireError) as ref:
                 reference_decode(frame)
             assert str(info.value) == str(ref.value)
-        frame = encode_envelope(mt, 3, payload)
+        frame = encode_envelope(mt, 3, payload, f64_bytes)
         assert plain(decode_frame(frame)) == plain(reference_decode(frame))
 
 
@@ -1164,22 +1170,28 @@ def assert_well_formed(msg):
 
 
 EDIT = st.tuples(st.sampled_from(["flip", "insert", "cut"]),
-                 st.integers(0, 1 << 16), st.integers(1, 255))
+                 st.integers(0, 1 << 16), st.integers(0, 255))
 
 
-@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
 @given(kind=st.sampled_from(list(MessageType)), seed=st.integers(0, 1 << 32),
-       refit=st.booleans(), edits=st.lists(EDIT, min_size=1, max_size=4))
-def test_mutated_frames_fail_closed(kind, seed, refit, edits):
+       target=st.sampled_from(["payload", "body", "frame"]),
+       edits=st.lists(EDIT, min_size=1, max_size=4))
+def test_mutated_frames_fail_closed(kind, seed, target, edits):
     """Byte flips, insertions and cuts either raise WireError or decode to a
     well-formed message equal to what the reference decoder makes of them.
     A rejected frame is rejected by the reference with the same message.
 
-    With ``refit`` the edits hit the payload and the envelope is rebuilt
-    around it, so they reach the payload parser instead of the length check.
+    The edits hit the payload ``encode_message`` writes, which is then framed
+    with as many f64 bytes after the stream as the message had (or all of it,
+    when fewer are left), so they reach the payload parser; or the body after
+    the header, whose length field is then set to match, so they reach the
+    DEFLATE stream and the split; or the whole frame, header included.
     """
-    frame = encode_frame(random_message(kind, seed), 3)
-    data = bytearray(frame[HEADER_SIZE:] if refit else frame)
+    msg = random_message(kind, seed)
+    _, payload, f64_bytes = encode_message(msg)
+    frame = encode_frame(msg, 3)
+    data = bytearray({"payload": payload, "body": frame[HEADER_SIZE:], "frame": frame}[target])
     for op, pos, byte in edits:
         at = pos % (len(data) + 1)
         if op == "flip" and at < len(data):
@@ -1188,12 +1200,14 @@ def test_mutated_frames_fail_closed(kind, seed, refit, edits):
             data.insert(at, byte)
         elif op == "cut":
             del data[at:]
-    if refit:
-        data = encode_envelope(kind, 3, bytes(data))
+    if target == "payload":
+        data = encode_envelope(kind, 3, bytes(data), min(f64_bytes, len(data)))
+    elif target == "body":
+        data = frame[:9] + struct.pack("<I", len(data)) + data
     try:
         out = decode_frame(bytes(data))
     except WireError as exc:
-        # both decoders check every field in payload order
+        # both decoders check every field in the same order
         with pytest.raises(WireError) as ref:
             reference_decode(bytes(data))
         assert str(ref.value) == str(exc)

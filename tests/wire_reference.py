@@ -14,8 +14,9 @@ counts and a point's word as varints; self-contained keyframe records (full
 histogram, full observed ids) and point records (full observers); alignment
 requests as an id list, tagged points as an id list and then a block of
 positions, group updates as a roster alone, localization states as a u32
-epoch.  It checks what the codec checks, in header, stream and payload order
-and with the same messages.
+epoch.  It checks what the codec checks, in header, stream and field order
+(a record's f64 values, read from the bytes after the stream, after its
+other fields) and with the same messages.
 """
 
 from __future__ import annotations
@@ -87,16 +88,17 @@ class _Writer:
 
 
 class _Reader:
-    def __init__(self, data: bytes, offset: int = 0):
+    def __init__(self, data: bytes, offset: int = 0, end: int | None = None):
         self.data = data
         self.off = offset
+        self.end = len(data) if end is None else end
         self.prev = 0  # the last id read
 
     def _take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
+        if self.off + n > self.end:
             raise WireError(
                 f"truncated payload: need {n} bytes at offset {self.off}, "
-                f"have {len(self.data) - self.off}"
+                f"have {self.end - self.off}"
             )
         out = self.data[self.off:self.off + n]
         self.off += n
@@ -112,7 +114,7 @@ class _Reader:
         start = self.off
         value = 0
         for shift in itertools.count(0, 7):
-            if self.off == len(self.data):
+            if self.off == self.end:
                 raise WireError(f"truncated payload: need {self.off - start + 1} bytes "
                                 f"at offset {start}, have {self.off - start}")
             byte = self.data[self.off]
@@ -157,9 +159,9 @@ class _Reader:
         return ids
 
     def done(self) -> None:
-        if self.off != len(self.data):
+        if self.off != self.end:
             raise WireError(
-                f"trailing garbage: {len(self.data) - self.off} bytes at offset {self.off}"
+                f"trailing garbage: {self.end - self.off} bytes at offset {self.off}"
             )
 
 
@@ -254,27 +256,25 @@ def _write_map_body(w: _Writer, kfs, points) -> None:
 
 
 def _read_map_body(r: _Reader):
-    """Every record's other fields, then every record's f64 values."""
-    kf_heads = []
+    """Each record's other fields, then its f64 values from ``r.f64``."""
+    kfs = []
     for _ in range(r.count()):
         uid = r.id()
         origin = r.u16()
         words = _read_words(r)
-        kf_heads.append((uid, origin, words, set(r.ids())))
-    point_heads = []
+        observed = set(r.ids())
+        ts = _read_finite(r.f64, 1, "timestamp")[0]
+        kfs.append(KeyFrame(uid, origin, ts, _read_pose(r.f64), words, observed))
+    points = []
     for _ in range(r.count()):
         uid = r.id()
         start = r.off
         word = r.varint()
         if word > 0xFFFFFFFF:
             raise WireError(f"word id {word} at offset {start} is above 2^32 - 1")
-        point_heads.append((uid, word, set(r.ids())))
-    kfs = []
-    for uid, origin, words, observed in kf_heads:
-        ts = _read_finite(r, 1, "timestamp")[0]
-        kfs.append(KeyFrame(uid, origin, ts, _read_pose(r), words, observed))
-    points = [MapPoint(uid, np.array(_read_finite(r, 3, "position")), word, observers)
-              for uid, word, observers in point_heads]
+        observers = set(r.ids())
+        points.append(MapPoint(uid, np.array(_read_finite(r.f64, 3, "position")), word,
+                               observers))
     return kfs, points
 
 
@@ -302,9 +302,9 @@ def _read_sim3(r: _Reader) -> Sim3Transform:
 # Message <-> payload
 # ---------------------------------------------------------------------------
 
-def encode_message(msg: Message) -> tuple[MessageType, bytes]:
+def encode_message(msg: Message) -> tuple[MessageType, bytes, int]:
     mt, w = _write(msg)
-    return mt, w.getvalue()
+    return mt, w.getvalue(), 8 * len(w.floats)
 
 
 def _write(msg: Message) -> tuple[MessageType, _Writer]:
@@ -351,50 +351,46 @@ def _write(msg: Message) -> tuple[MessageType, _Writer]:
     raise TypeError(f"unknown message {type(msg).__name__}")
 
 
-def decode_message(msg_type: int, sender: int, payload: bytes) -> Message:
+def decode_message(msg_type: int, sender: int, payload: bytes, f64_bytes: int = 0) -> Message:
+    """The message whose payload ends in `f64_bytes` bytes of f64 values,
+    which its fields read, in field order, from a reader of their own."""
     try:
         mt = MessageType(msg_type)
     except ValueError as exc:
         raise WireError(f"unknown message type {msg_type}") from exc
-    r = _Reader(payload)
+    split = len(payload) - f64_bytes
+    r = _Reader(payload, 0, split)
+    r.f64 = _Reader(payload, split)
+    message = _read(mt, sender, r)
+    r.done()
+    r.f64.done()
+    return message
+
+
+def _read(mt: MessageType, sender: int, r: _Reader) -> Message:
     if mt == MessageType.BOW_ANNOUNCE:
         kf_id = r.id()
-        words = _read_words(r)
-        r.done()
-        return BowAnnounce(sender, kf_id, words)
+        return BowAnnounce(sender, kf_id, _read_words(r))
     if mt == MessageType.FULL_MAP:
         hint = r.id()
-        kfs, points = _read_map_body(r)
-        r.done()
-        return FullMapMsg(sender, hint, kfs, points)
+        return FullMapMsg(sender, hint, *_read_map_body(r))
     if mt == MessageType.MERGE_NOTIFY:
+        t = _read_sim3(r.f64)
         roster = [r.u16() for _ in range(r.u16())]
         transform_roster = [r.u16() for _ in range(r.u16())]
-        merge_id = r.u64()
-        t = _read_sim3(r)  # f64 values only, after the other fields
-        r.done()
-        return MergeNotify(sender, t, roster, transform_roster, merge_id)
+        return MergeNotify(sender, t, roster, transform_roster, r.u64())
     if mt == MessageType.KEYFRAME_PACKET:
-        kfs, points = _read_map_body(r)
-        r.done()
-        return KeyFramePacket(sender, kfs, points)
+        return KeyFramePacket(sender, *_read_map_body(r))
     if mt == MessageType.ALIGNMENT_REQUEST:
-        ids = r.ids()
-        r.done()
-        return AlignmentRequest(sender, ids)
+        return AlignmentRequest(sender, r.ids())
     if mt == MessageType.TAGGED_POINTS:
         ids = r.ids()
         # one value at a time: a non-finite value is named before a later truncation
-        values = [_read_finite(r, 1, "position")[0] for _ in range(3 * len(ids))]
-        r.done()
+        values = [_read_finite(r.f64, 1, "position")[0] for _ in range(3 * len(ids))]
         return TaggedPoints(sender, (ids, np.array(values, dtype=float).reshape(-1, 3)))
     if mt == MessageType.GROUP_UPDATE:
-        roster = [r.u16() for _ in range(r.u16())]
-        r.done()
-        return GroupUpdate(sender, roster)
-    epoch = r.u32()
-    r.done()
-    return LocalizationState(sender, epoch)
+        return GroupUpdate(sender, [r.u16() for _ in range(r.u16())])
+    return LocalizationState(sender, r.u32())
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +415,10 @@ def encode_frame(msg: Message, sender: int) -> bytes:
     return w.getvalue() + body
 
 
-def inflate(data: bytes) -> bytes:
-    """The payload: the stream after the header, fed to zlib one byte at a
-    time and asking it for no more than one byte past the bound, then the
-    bytes after the stream."""
+def inflate(data: bytes) -> tuple[bytes, int]:
+    """The payload, the stream after the header fed to zlib one byte at a
+    time and asking it for no more than one byte past the bound and then the
+    bytes after the stream, and the count of those bytes."""
     d = zlib.decompressobj(-15)
     parts, size, off = [], 0, 13
     while off < len(data) and not d.eof:
@@ -437,7 +433,7 @@ def inflate(data: bytes) -> bytes:
         off += 1
     if not d.eof:
         raise WireError(f"deflate stream at offset 13 does not end by offset {len(data)}")
-    return b"".join(parts) + data[off:]
+    return b"".join(parts) + data[off:], len(data) - off
 
 
 def decode_frame(data: bytes) -> Message:
@@ -454,4 +450,4 @@ def decode_frame(data: bytes) -> Message:
     if len(data) != 13 + length:
         raise WireError(f"payload length field {length} does not match "
                         f"{len(data) - 13} bytes present (offset 9)")
-    return decode_message(msg_type, sender, inflate(data))
+    return decode_message(msg_type, sender, *inflate(data))
