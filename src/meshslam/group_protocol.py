@@ -203,6 +203,10 @@ class ManagerHooks:
     so `send` must encode the message before the map changes again; the
     receiver decodes fresh objects and never holds the sender's.  `send`
     delivers one message to each recipient in turn, so it encodes it once.
+
+    Map history needs no hook: the agent's keyframe log goes to `merged_peers`
+    (localized group members in a direct aligned pair with it), each from a
+    cursor that starts at 0, so a peer that joins is sent the whole log.
     """
 
     send: Callable[[list[int], object], None]  # (recipients, message dataclass)
@@ -210,10 +214,6 @@ class ManagerHooks:
     schedule: Callable[[float, Callable[[], None]], None]
     apply_map_transform: Callable[[Sim3Transform], None]
     ransac_seed: Callable[[], int]
-    # called with agents that newly joined this agent's group, so the owner
-    # can queue its map history toward them (the full map exchange only
-    # moved the lower leader's map one way)
-    on_peers_merged: Callable[[list[int]], None] = lambda peers: None
 
 
 class SystemManager:
@@ -277,16 +277,16 @@ class SystemManager:
         own = comp[self.agent_id]
         return [a for a in agents if comp[a] == own]
 
-    def frame_aligned_peers(self) -> list[int]:
-        """Peers whose maps share this agent's frame (backlogs keep growing)."""
-        return sorted(b if a == self.agent_id else a
-                      for a, b in self.aligned if self.agent_id in (a, b))
-
     def merged_peers(self) -> list[int]:
+        """Where this agent's keyframe log goes: localized group members in a
+        direct `aligned` pair with it.  A member joined only through a chain of
+        merges is left out (CHANGES.md's FOUND line on `frame_aligned_peers`
+        sizes the gap); ROADMAP item 19 widens this to the whole group."""
+        me = self.agent_id
         if self.self_lost:
             return []
-        return sorted(p for p in self.registry.group_of(self.agent_id)
-                      if p != self.agent_id and p not in self.lost_agents)
+        return sorted(p for p in self.registry.group_of(me) if p != me
+                      and p not in self.lost_agents and _pair(me, p) in self.aligned)
 
     def _merge_busy(self) -> bool:
         """True while this agent has an outstanding merge handshake.
@@ -425,17 +425,12 @@ class SystemManager:
         which also keeps members cut off by a partition out of the group
         until the link heals.
         """
-        before = self.registry.group_of(self.agent_id)
         union = set(roster)
         for g in self.registry.groups():
             if union & g:
                 union |= g
         self.aligned.update(combinations(sorted(union), 2))
         self._regroup()
-        if self.agent_id in union:
-            gained = sorted(union - before - {self.agent_id})
-            if gained:
-                self.hooks.on_peers_merged(gained)
 
     # -- localization loss ------------------------------------------------------
 

@@ -1,15 +1,17 @@
 """Incremental peer-to-peer map sharing.
 
-Each agent keeps, per merged peer, an outbox of keyframe and map point ids it
-has not sent yet.  Once the outbox reaches the batch threshold the map's own
-keyframes and points are packed into a keyframe packet, which is encoded the
-moment it is sent, and the outbox is cleared.  Received packets are queued
-and drained when the agent has spare cycles; insertion of one external
-keyframe runs the four-step pipeline: pop, move into the local map (same
-coordinate frame), relink by id, then merge duplicate map points by word and
-radius.  No pose is refined on insertion: every agent holds the same
-keyframe poses up to a whole-map SIM(3), so a pose graph over the new
-keyframe's covisibility window has zero residual by construction.
+Each agent appends the keyframes it shares, with their point ids, to one
+log, and keeps per peer a cursor at the first entry not sent; a cursor starts
+at 0, so a peer that joins is sent the whole log.  Once a peer's unsent tail
+reaches the batch threshold the map's own objects are packed into a keyframe
+packet, encoded the moment it is sent, and the cursor moves to the log's end.
+Received packets are queued and drained when the agent has spare cycles;
+insertion of one external keyframe runs the four-step pipeline: pop, move
+into the local map (same coordinate frame), relink by id, then merge
+duplicate map points by word and radius.  No pose is refined on insertion:
+every agent holds the same keyframe poses up to a whole-map SIM(3), so a pose
+graph over the new keyframe's covisibility window has zero residual by
+construction.
 
 Insertion is idempotent: a redelivered packet finds its keyframe ids already
 present and skips them.  Nothing resends a lost packet, so a keyframe whose
@@ -18,8 +20,8 @@ packet was dropped stays missing from the receiver's map.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import defaultdict, deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,32 +31,15 @@ from .wire import KeyFramePacket
 from .pose_graph import build_local_window, optimize  # noqa: F401
 from .wire import decode_frame  # noqa: F401
 
-__all__ = ["Outbox", "SharingState", "insert_external_keyframe"]
+__all__ = ["SharingState", "insert_external_keyframe"]
 
-# An outbox is cut into a packet once it holds BATCH_SIZE keyframes.
+# A peer's unsent log entries are cut into a packet once there are BATCH_SIZE.
 BATCH_SIZE = 5
 # Arriving map points merge into a local point of the same word within
 # DUP_RADIUS, in map units.
 DUP_RADIUS = 0.05
 # External keyframes an agent inserts per tick.
 DRAIN_BUDGET = 3
-
-
-@dataclass
-class Outbox:
-    """Unsent ids in the order first recorded: dict keys, so a repeat is found
-    without a scan and keeps its place."""
-
-    unsent_keyframes: dict[int, None] = field(default_factory=dict)
-    unsent_points: dict[int, None] = field(default_factory=dict)
-
-    def add(self, kf_id: int, point_ids: list[int]) -> None:
-        self.unsent_keyframes[kf_id] = None
-        self.unsent_points.update(dict.fromkeys(point_ids))
-
-    def clear(self) -> None:
-        self.unsent_keyframes = {}
-        self.unsent_points = {}
 
 
 @dataclass
@@ -65,31 +50,31 @@ class QueueEntry:
 
 
 class SharingState:
-    """Outboxes toward merged peers plus the inbound external keyframe queue."""
+    """The shared-keyframe log, its per-peer send cursors and the inbound queue."""
 
     def __init__(self):
-        self.outboxes: dict[int, Outbox] = {}
+        # (keyframe id, point ids) per shared keyframe, in the order shared
+        self.log: list[tuple[int, list[int]]] = []
+        # per peer, the index of the first log entry it has not been sent
+        self.cursors: defaultdict[int, int] = defaultdict(int)
         self.queue: deque[QueueEntry] = deque()
 
-    def outbox(self, peer: int) -> Outbox:
-        return self.outboxes.setdefault(peer, Outbox())
-
-    def record_new_keyframe(self, kf_id: int, new_point_ids: list[int],
-                            peers: list[int]) -> None:
-        for peer in sorted(peers):
-            self.outbox(peer).add(kf_id, new_point_ids)
+    def record_new_keyframe(self, kf_id: int, new_point_ids: list[int]) -> None:
+        self.log.append((kf_id, new_point_ids))
 
     def flush_outbox(self, agent_id: int, peer: int, m: AgentMap,
                      force: bool = False) -> KeyFramePacket | None:
-        box = self.outboxes.get(peer)
-        if box is None or not box.unsent_keyframes:
+        """Pack the log entries `peer` has not been sent, once there are
+        BATCH_SIZE (any under `force`), and move its cursor past them.  Points
+        come in order of first appearance; those folded away are skipped."""
+        unsent = self.log[self.cursors[peer]:]
+        if not unsent or (not force and len(unsent) < BATCH_SIZE):
             return None
-        if not force and len(box.unsent_keyframes) < BATCH_SIZE:
-            return None
+        self.cursors[peer] = len(self.log)
         # the map's own objects: the packet is encoded as soon as it is sent
-        kfs = [m.keyframes[k] for k in box.unsent_keyframes if k in m.keyframes]
-        pts = [m.points[p] for p in box.unsent_points if p in m.points]
-        box.clear()
+        kfs = [m.keyframes[k] for k, _ in unsent if k in m.keyframes]
+        point_ids = dict.fromkeys(p for _, ids in unsent for p in ids)
+        pts = [m.points[p] for p in point_ids if p in m.points]
         if not kfs:
             return None
         return KeyFramePacket(sender=agent_id, keyframes=kfs, points=pts)

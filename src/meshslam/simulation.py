@@ -9,9 +9,10 @@ scenario and seed reproduces the exact event trace.
 
 Per tick, in ascending agent id order, each agent advances its tracker,
 handles localization loss, spawns keyframes (into the shared or private
-map), announces, schedules alignment rounds, and flushes outboxes.  At the
-end of the tick every agent drains a bounded number of queued external
-keyframes, modeling spare compute.
+map), appends each keyframe it shares to its keyframe log and announces it,
+schedules alignment rounds, and sends each merged peer its unsent log tail
+once that is a full batch.  At the end of the tick every agent drains a
+bounded number of queued external keyframes, modeling spare compute.
 
 An alignment round is a follower's request, sent from its tick, and its
 leader's reply.  The request names the points the follower's fit may read:
@@ -39,9 +40,9 @@ that decodes but names an agent it may not: a header sender other than the
 envelope's source, or a roster member, transform roster member or keyframe
 origin outside the scenario.  Either is dropped before any state changes.
 
-After the scripted duration ends, a quiescence barrier force-flushes the
-remaining outboxes toward merged peers and runs the event queue dry so that
-evaluation sees converged maps.
+After the scripted duration ends, a quiescence barrier sends every merged
+peer whatever of the log it has not been sent, however short, and runs the
+event queue dry so that evaluation sees converged maps.
 """
 
 from __future__ import annotations
@@ -155,7 +156,6 @@ class AgentRuntime:
             schedule=sim.schedule_timer,
             apply_map_transform=self.apply_frame_transform,
             ransac_seed=self._next_ransac_seed,
-            on_peers_merged=self._queue_history_for_new_peers,
         )
         self.manager = SystemManager(
             self.id, [a.id for a in scenario.agents], hooks,
@@ -175,28 +175,6 @@ class AgentRuntime:
         if self.tracker.localized:
             self.tracker.apply_frame_transform(t)
 
-    def _queue_history_for_new_peers(self, peers: list[int]) -> None:
-        """Queue this agent's own map history toward agents that just joined.
-
-        The full map exchange moves only the lower leader's map to the
-        merging leader; everything this agent originated must still reach
-        the rest of the newly joined group through regular keyframe sharing.
-        """
-        m = self.db.shared_map
-        self._queue_own_keyframes(
-            [kid for kid, kf in m.keyframes.items() if kf.origin_agent == self.id], peers)
-
-    def _queue_own_keyframes(self, kf_ids, peers: list[int]) -> None:
-        """Queue own keyframes of the shared map toward `peers`, in ascending id
-        (spawn) order, each with its own present points in ascending order."""
-        if not self.scenario.run.cooperative or not peers:
-            return
-        m = self.db.shared_map
-        for kf_id in sorted(kf_ids):
-            own_points = [pid for pid in sorted(m.keyframes[kf_id].observed_points)
-                          if pid in m.points and uuid_agent(pid) == self.id]
-            self.sharing.record_new_keyframe(kf_id, own_points, peers)
-
     # -- tick ----------------------------------------------------------------
 
     def on_tick(self, now: float) -> None:
@@ -210,15 +188,11 @@ class AgentRuntime:
                 "kf": str(kf.id), "points": len(new_points),
                 "private": not self.tracker.localized,
             })
-            if self.tracker.localized:
-                if self.scenario.run.cooperative:
-                    self.sharing.record_new_keyframe(
-                        kf.id, [p.id for p in new_points],
-                        self.manager.frame_aligned_peers(),
-                    )
-                    self.manager.announce_keyframe_bow(kf.id, kf.words)
-            else:
+            if not self.tracker.localized:
                 self._try_private_remerge(kf)
+            elif self.scenario.run.cooperative:
+                self.sharing.record_new_keyframe(kf.id, [p.id for p in new_points])
+                self.manager.announce_keyframe_bow(kf.id, kf.words)
         self._alignment_tick(now)
         self._flush_outboxes()
 
@@ -251,7 +225,11 @@ class AgentRuntime:
         self.db.merge_private_map(transform)
         self.tracker.rejoin_shared_frame(transform)
         self.manager.declare_localization_regained()
-        self._queue_own_keyframes(private_kfs, self.manager.frame_aligned_peers())
+        # private keyframes join the log in spawn order, with their own points
+        for kf_id in sorted(private_kfs):
+            self.sharing.record_new_keyframe(kf_id, [
+                pid for pid in sorted(shared.keyframes[kf_id].observed_points)
+                if pid in shared.points and uuid_agent(pid) == self.id])
         self.sim.log(self.id, "private_map_merged", {
             "keyframes": len(private_kfs), "inliers": inliers,
             "scale": transform.scale,
@@ -260,7 +238,7 @@ class AgentRuntime:
     # -- alignment refinement -----------------------------------------------------
 
     def _alignment_tick(self, now: float) -> None:
-        if not self.scenario.run.cooperative or not self.tracker.localized:
+        if not self.tracker.localized:
             return
         group = self.manager.registry.group_of(self.id)
         if len(group) < 2 or self.manager.is_leader():
@@ -355,19 +333,16 @@ class AgentRuntime:
     # -- sharing ----------------------------------------------------------------
 
     def _flush_outboxes(self, force: bool = False) -> None:
-        if not self.scenario.run.cooperative:
-            return
-        last = None  # (keyframe and point ids, frame) of the last packet sent
+        # peers flushed from one cursor get the same packet, and nothing
+        # changes the map between these sends, so they share one frame
+        frames = {}
         for peer in self.manager.merged_peers():
+            start = self.sharing.cursors[peer]
             pkt = self.sharing.flush_outbox(self.id, peer, self.db.shared_map, force=force)
-            if pkt is None:
-                continue
-            # outboxes often hold the same ids, and nothing changes the map
-            # between these sends, so an equal packet reuses the frame
-            ids = ([kf.id for kf in pkt.keyframes], [p.id for p in pkt.points])
-            if last is None or last[0] != ids:
-                last = ids, self.sim.frame(self.id, pkt)
-            self.sim.send_message(self.id, peer, pkt, last[1])
+            if pkt is not None:
+                if start not in frames:
+                    frames[start] = self.sim.frame(self.id, pkt)
+                self.sim.send_message(self.id, peer, pkt, frames[start])
 
     # -- message dispatch -----------------------------------------------------------
 
@@ -523,7 +498,7 @@ class Simulation:
         )
 
     def _finalize(self, duration: float) -> None:
-        """Quiescence barrier: flush outstanding shares and run the queue dry."""
+        """Quiescence barrier: send every unsent log tail and run the queue dry."""
         self.now = duration
         for aid in self.agent_ids:
             self.runtimes[aid]._flush_outboxes(force=True)

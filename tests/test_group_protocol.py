@@ -525,10 +525,10 @@ class TestLocalizationMessages:
             assert mgr.state(0, 1) == PeerState.PEER_LOCALIZATION_LOST
             assert mgr.state(0, 2) == PeerState.MERGED
 
-    def test_frame_aligned_peers_include_lost(self):
+    def test_merged_peers_leave_out_a_lost_aligned_peer(self):
         bus = TestPartitionHandling().merged_trio()
         bus.managers[1].declare_localization_lost()
-        assert bus.managers[0].frame_aligned_peers() == [1, 2]
+        assert (0, 1) in bus.managers[0].aligned
         assert bus.managers[0].merged_peers() == [2]
 
 
@@ -602,24 +602,27 @@ class TestCompleteGroupMerge:
     def test_merge_with_own_group_changes_nothing(self):
         bus = self.bus([0, 1])
         bus.managers[1].complete_group_merge(0, Sim3Transform.identity(), 12)
-        merged = []
-        bus.managers[1].hooks.on_peers_merged = merged.append
         bus.managers[1].complete_group_merge(0, Sim3Transform.identity(), 12)
         for mgr in bus.managers.values():
             assert mgr.registry.groups() == [frozenset({0, 1})]
             assert mgr.aligned == {(0, 1)}
-        assert merged == []
         rosters = [(d["roster"], d["leader"]) for _, e, d in bus.events if e == "group_merged"]
         assert rosters[-1] == ([0, 1], 0)
 
-    def test_on_peers_merged_names_each_new_peer_once(self):
+    def test_merged_peers_need_a_direct_aligned_pair(self):
         bus = self.bus([0, 1, 2])
-        merged = {aid: [] for aid in bus.managers}
-        for aid, mgr in bus.managers.items():
-            mgr.hooks.on_peers_merged = merged[aid].append
-        bus.managers[2].complete_group_merge(1, Sim3Transform.identity(), 12)
         bus.managers[1].complete_group_merge(0, Sim3Transform.identity(), 12)
-        assert merged == {0: [[1, 2]], 1: [[2], [0]], 2: [[1], [0]]}
+        bus.partition([{0}, {1, 2}])
+        bus.managers[2].complete_group_merge(1, Sim3Transform.identity(), 12)
+        bus.deliver(2, 0, GroupUpdate(2, [1, 2]))  # a late copy from across the cut
+        bus.partition([{0, 1, 2}])
+        mgr = bus.managers[0]
+        assert mgr.registry.group_of(0) == frozenset({0, 1, 2})
+        assert (0, 2) not in mgr.aligned
+        # agent 2 joined agent 0's group through agent 1 only, so agent 0 sends
+        # it no keyframes; ROADMAP item 19 widens the recipients to the group
+        assert mgr.merged_peers() == [1]
+        assert bus.managers[1].merged_peers() == [0, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from meshslam.geometry import Rotation, Se3Pose
 from meshslam.map_store import AgentMap, KeyFrame, MapPoint
 from meshslam.map_sharing import (
+    BATCH_SIZE,
     QueueEntry,
     SharingState,
     insert_external_keyframe,
@@ -118,65 +119,54 @@ class TestWireRoundTrip:
             decode_frame(refit)
 
 
-class TestOutbox:
-    def test_record_without_peers_is_noop(self):
-        s = SharingState()
-        s.record_new_keyframe(1, [10], peers=[])
-        assert s.outboxes == {}
+def logged_map(entries):
+    """A map holding each (keyframe id, point ids) entry, and a state whose
+    log lists them in that order."""
+    s, m = SharingState(), AgentMap()
+    for kid, pids in entries:
+        pts = [MapPoint(pid, np.zeros(3), word=pid // 10, observers={kid})
+               for pid in pids if pid not in m.points]
+        m.insert_keyframe(KeyFrame(kid, 0, 0.0, Se3Pose.identity(),
+                                   {kid: 1}, set(pids)), pts)
+        s.record_new_keyframe(kid, pids)
+    return s, m
 
-    def test_record_to_two_peers(self):
-        s = SharingState()
-        s.record_new_keyframe(1, [10, 11], peers=[2, 3])
-        assert list(s.outbox(2).unsent_keyframes) == [1]
-        assert list(s.outbox(3).unsent_points) == [10, 11]
 
-    def test_flush_below_threshold(self):
-        s = SharingState()
-        m = AgentMap()
-        for i in range(4):
-            m.insert_keyframe(KeyFrame(i, 0, float(i), Se3Pose.identity(),
-                                       {i: 1}, set()), [])
-            s.record_new_keyframe(i, [], peers=[5])
+class TestLog:
+    def test_short_tail_sends_nothing(self):
+        s, m = logged_map([(i, []) for i in range(BATCH_SIZE - 1)])
         assert s.flush_outbox(0, 5, m) is None
-        assert len(s.outbox(5).unsent_keyframes) == 4
+        assert s.cursors[5] == 0
 
-    def test_flush_at_threshold_clears(self):
-        s = SharingState()
-        m = AgentMap()
-        for i in range(5):
-            pt = MapPoint(100 + i, np.zeros(3), word=i, observers={i})
-            m.insert_keyframe(KeyFrame(i, 0, float(i), Se3Pose.identity(),
-                                       {i: 1}, {100 + i}), [pt])
-            s.record_new_keyframe(i, [100 + i], peers=[5])
+    def test_full_batch_sends_one_packet_once(self):
+        s, m = logged_map([(i, [100 + i]) for i in range(BATCH_SIZE)])
         pkt = s.flush_outbox(0, 5, m)
-        assert pkt is not None
-        assert len(pkt.keyframes) == 5 and len(pkt.points) == 5
         assert pkt.sender == 0
-        assert not s.outbox(5).unsent_keyframes
-        assert not s.outbox(5).unsent_points
+        assert [kf.id for kf in pkt.keyframes] == list(range(BATCH_SIZE))
+        assert [p.id for p in pkt.points] == [100 + i for i in range(BATCH_SIZE)]
+        assert s.flush_outbox(0, 5, m) is None
+        assert s.flush_outbox(0, 5, m, force=True) is None
 
-    def test_force_flush_ignores_threshold(self):
-        s = SharingState()
-        m = AgentMap()
-        m.insert_keyframe(KeyFrame(0, 0, 0.0, Se3Pose.identity(),
-                                   {1: 1}, set()), [])
-        s.record_new_keyframe(0, [], peers=[5])
+    def test_force_sends_a_single_entry(self):
+        s, m = logged_map([(0, [])])
         pkt = s.flush_outbox(0, 5, m, force=True)
-        assert pkt is not None and len(pkt.keyframes) == 1
+        assert [kf.id for kf in pkt.keyframes] == [0]
 
-    def test_packet_lists_ids_in_first_recorded_order(self):
-        s = SharingState()
-        m = AgentMap()
-        for kid, pids in ((3, [31, 30]), (1, [10])):
-            pts = [MapPoint(pid, np.zeros(3), word=pid, observers={kid}) for pid in pids]
-            m.insert_keyframe(KeyFrame(kid, 0, 0.0, Se3Pose.identity(),
-                                       {kid: 1}, set(pids)), pts)
-        s.record_new_keyframe(3, [31, 30], peers=[5])
-        s.record_new_keyframe(1, [10, 31], peers=[5])
-        s.record_new_keyframe(3, [30], peers=[5])  # repeats keep their first place
+    def test_peer_first_flushed_late_gets_the_whole_log(self):
+        s, m = logged_map([(i, [100 + i]) for i in range(2 * BATCH_SIZE + 1)])
+        assert len(s.flush_outbox(0, 5, m).keyframes) == 2 * BATCH_SIZE + 1
+        s.record_new_keyframe(99, [])
+        m.insert_keyframe(KeyFrame(99, 0, 0.0, Se3Pose.identity(), {99: 1}, set()), [])
+        pkt = s.flush_outbox(0, 6, m)  # a cursor starts at 0
+        assert [kf.id for kf in pkt.keyframes] == list(range(2 * BATCH_SIZE + 1)) + [99]
+        assert [kf.id for kf in s.flush_outbox(0, 5, m, force=True).keyframes] == [99]
+
+    def test_points_in_first_appearance_order_without_folded_ones(self):
+        s, m = logged_map([(3, [31, 30]), (1, [10, 31, 12]), (4, [30, 11])])
+        m.merge_map_points(10, 12)  # 12 is folded into 10
         pkt = s.flush_outbox(0, 5, m, force=True)
-        assert [kf.id for kf in pkt.keyframes] == [3, 1]
-        assert [p.id for p in pkt.points] == [31, 30, 10]
+        assert [kf.id for kf in pkt.keyframes] == [3, 1, 4]
+        assert [p.id for p in pkt.points] == [31, 30, 10, 11]
 
 
 class TestInsertExternalKeyframe:

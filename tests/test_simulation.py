@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from meshslam import simulation, wire
+from meshslam import map_sharing, simulation, wire
 from meshslam.alignment import match_tagged
 from meshslam.config import load_scenario
 from meshslam.geometry import Rotation, Se3Pose, Sim3Transform
@@ -126,12 +126,8 @@ class TestBlackoutRecovery:
         sim = Simulation(blackout_recovery(), seed=3)
         rt = sim.runtimes[1]
         created = []  # (private keyframe id, ids of the points it created), spawn order
-        remerges = []  # the outboxes just before and just after the remerge
+        remerges = []  # the log just before and just after the remerge, and its recipients
         spawn, remerge = rt.tracker.spawn_keyframe, rt._try_private_remerge
-
-        def outboxes():
-            return {peer: (list(box.unsent_keyframes), list(box.unsent_points))
-                    for peer, box in rt.sharing.outboxes.items()}
 
         def record_spawn(*args):
             out = spawn(*args)
@@ -140,22 +136,24 @@ class TestBlackoutRecovery:
             return out
 
         def watch_remerge(kf):
-            before = outboxes()
+            before = list(rt.sharing.log)
             remerge(kf)
             if rt.db.private_map is None:
-                remerges.append((before, outboxes()))
+                remerges.append((before, list(rt.sharing.log), rt.manager.merged_peers()))
 
         rt.tracker.spawn_keyframe = record_spawn
         rt._try_private_remerge = watch_remerge
         sim.run()
         assert len(remerges) == 1 and created
-        before, after = remerges[0]
+        before, after, recipients = remerges[0]
         kf_ids = [kid for kid, _ in created]
         assert kf_ids == sorted(kf_ids)
-        assert set(after) == {0}
-        kfs_before, points_before = before.get(0, ([], []))
-        assert after[0] == (kfs_before + kf_ids,
-                            points_before + [pid for _, pids in created for pid in pids])
+        assert recipients == [0]
+        assert after[:len(before)] == before
+        tail = after[len(before):]
+        assert [kid for kid, _ in tail] == kf_ids
+        assert list(dict.fromkeys(pid for _, pids in tail for pid in pids)) == [
+            pid for _, pids in created for pid in pids]
 
     def test_peer_states_cycle(self, blackout_result):
         res = blackout_result
@@ -230,6 +228,22 @@ class TestCooperationEndToEnd:
         for aid in (0, 1, 2):
             group = res.runtimes[aid].manager.registry.group_of(aid)
             assert group == frozenset({aid})
+
+    def test_no_packet_carries_a_keyframe_its_receiver_holds(self, monkeypatch):
+        # each peer's cursor only moves forward, so no keyframe is sent twice
+        insert = map_sharing.insert_external_keyframe
+        calls, held = [], []
+
+        def counted(m, entry):
+            kid = insert(m, entry)
+            calls.append(entry.keyframe.id)
+            if kid is None:
+                held.append(entry.keyframe.id)
+            return kid
+
+        monkeypatch.setattr(map_sharing, "insert_external_keyframe", counted)
+        Simulation(coop_loops(duration=10.0), seed=7).run()
+        assert calls and held == []
 
     def test_lossy_run_keeps_invariants_through_handshake_timeouts(self, lossy_result):
         assert lossy_result.log.named("merge_handshake_timeout")
