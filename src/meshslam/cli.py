@@ -50,13 +50,16 @@ def run_scenario(scenario_path: str, seed: int, out_dir: str,
     with open(os.path.join(out_dir, "events.jsonl"), "w", newline="") as fh:
         fh.write(result.log.to_jsonl())
 
+    ate_path = os.path.join(out_dir, "ate.json")
     try:
         report = compute_ate(result.est_rows, result.gt_rows)
-        with open(os.path.join(out_dir, "ate.json"), "w") as fh:
+        with open(ate_path, "w") as fh:
             fh.write(report.to_json())
         print(f"rms ate: {report.rms_m:.4f} m over {report.length_m:.1f} m "
               f"combined trajectory ({report.n_pairs} pose pairs)")
     except (TooFewAssociationsError, DegenerateInputError) as exc:
+        if os.path.exists(ate_path):  # an earlier run's report is not this run's
+            os.remove(ate_path)
         print(f"ate skipped: {exc}", file=sys.stderr)
     merges = result.log.named("group_merged")
     print(f"merges: {[e['detail']['roster'] for e in merges]}")
@@ -126,25 +129,20 @@ def report_command(ledger_path: str) -> int:
     agents = sorted({agent for _, agent in rows})
     print(f"{'category':<16}{'agent':>6}{'sent KB':>12}{'recv KB':>12}"
           f"{'drop KB':>12}{'avg KB/s':>12}")
-    totals = {"sent": 0, "recv": 0, "drop": 0, "rate": 0.0}
+
+    def line(label, agent, sent, recv, drop, rate):
+        print(f"{label:<16}{agent:>6}{sent / 1000:>12.1f}{recv / 1000:>12.1f}"
+              f"{drop / 1000:>12.1f}{rate:>12.2f}")
+
+    totals = [0, 0, 0, 0.0]
     for cat in CATEGORIES:
         for agent in agents:
             r = rows.get((cat, agent))
-            if r is None:
-                continue
-            sent = r["bytes_sent"]
-            recv = r["bytes_received"]
-            drop = r["bytes_dropped"]
-            rate = r["avg_kbps"]
-            totals["sent"] += sent
-            totals["recv"] += recv
-            totals["drop"] += drop
-            totals["rate"] += rate
-            print(f"{cat:<16}{agent:>6}{sent / 1000:>12.1f}{recv / 1000:>12.1f}"
-                  f"{drop / 1000:>12.1f}{rate:>12.2f}")
-    print(f"{'Total':<16}{'':>6}{totals['sent'] / 1000:>12.1f}"
-          f"{totals['recv'] / 1000:>12.1f}{totals['drop'] / 1000:>12.1f}"
-          f"{totals['rate']:>12.2f}")
+            if r is not None:
+                values = [r["bytes_sent"], r["bytes_received"], r["bytes_dropped"], r["avg_kbps"]]
+                totals = [t + v for t, v in zip(totals, values)]
+                line(cat, agent, *values)
+    line("Total", "", *totals)
     return 0
 
 

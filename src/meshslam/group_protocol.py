@@ -199,10 +199,9 @@ def attempt_full_merge(
 class ManagerHooks:
     """The agent-side services a manager calls.
 
-    A full map message carries the shared map's own keyframes and points,
-    so `send` must encode the message before the map changes again; the
-    receiver decodes fresh objects and never holds the sender's.  `send`
-    delivers one message to each recipient in turn, so it encodes it once.
+    A full map message carries copies of the shared map's points without
+    observers, and none of its keyframes.  `send` delivers one message to
+    each recipient in turn, so it encodes it once.
 
     Map history needs no hook: the agent's keyframe log goes to `merged_peers`
     (localized group members in a direct aligned pair with it), each from a
@@ -280,8 +279,8 @@ class SystemManager:
     def merged_peers(self) -> list[int]:
         """Where this agent's keyframe log goes: localized group members in a
         direct `aligned` pair with it.  A member joined only through a chain of
-        merges is left out (CHANGES.md's FOUND line on `frame_aligned_peers`
-        sizes the gap); ROADMAP item 19 widens this to the whole group."""
+        merges is left out; ROADMAP item 19 widens this to the whole group, and
+        CHANGES.md's FOUND line on widening `merged_peers()` measures its cost."""
         me = self.agent_id
         if self.self_lost:
             return []
@@ -349,12 +348,11 @@ class SystemManager:
                 self.hooks.log("merge_handshake_timeout", peer=peer)
 
         self.hooks.schedule(HANDSHAKE_TIMEOUT, expire)
-        # the map's own objects, in ascending id order; `send` encodes them
+        # what the peer's fit reads: each point's id, position and word
         m = self.shared_map()
-        kfs = [m.keyframes[k] for k in sorted(m.keyframes)]
-        points = [m.points[p] for p in sorted(m.points)]
-        self.hooks.send([peer], FullMapMsg(self.agent_id, hint_kf, kfs, points))
-        self.hooks.log("full_map_sent", peer=peer, keyframes=len(kfs))
+        points = [MapPoint(p.id, p.position, p.word) for _, p in sorted(m.points.items())]
+        self.hooks.send([peer], FullMapMsg(self.agent_id, hint_kf, points))
+        self.hooks.log("full_map_sent", peer=peer, keyframes=len(m.keyframes))
 
     # -- full map reception (the higher-id leader merges) ---------------------
 

@@ -3,7 +3,7 @@
 Envelope layout (all multi-byte integers little-endian):
 
     magic   4 bytes  b"DVMS"
-    version u16      7
+    version u16      8
     type    u8       message type tag
     sender  u16      agent id
     length  u32      byte count of the body
@@ -15,12 +15,13 @@ matters, a localization state, orders itself by its epoch.  Each message type
 is one ``_PAYLOADS`` row: its dataclass, its ledger category and the codecs
 of its payload, the dataclass fields after ``sender`` in declaration order.
 Every f64 value of a payload comes after all its other fields, in field
-order.  An alignment request is one id list, the points the follower's fit
-may read; the tagged points that answer it carry only those of them the
-leader holds.  A localization state is its sender's epoch, a u32 counting
-the losses and recoveries it has declared (odd while it is lost); receivers
-keep the highest epoch per agent, so a late or repeated state changes
-nothing.  Field codecs, with what each puts among the f64 values:
+order.  A full map is a hint id and the sender's points without observers,
+all the merge fit reads.  An alignment request is one id list, the points
+the follower's fit may read; the tagged points that answer it carry only
+those of them the leader holds.  A localization state is its sender's epoch,
+a u32 counting the losses and recoveries it has declared (odd while it is
+lost); receivers keep the highest epoch per agent, so a late or repeated
+state changes nothing.  Field codecs, with what each puts among the f64 values:
 
     id         zigzag varint of its difference from the payload's last id
     ids        varint n + id (the first) + varint(id gap - 1)*(n - 1)
@@ -114,7 +115,7 @@ from .geometry import Rotation, Se3Pose, Sim3Transform
 from .map_store import KeyFrame, MapPoint
 
 MAGIC = b"DVMS"
-VERSION = 7
+VERSION = 8
 _HEADER = struct.Struct("<4sHBHI")
 HEADER_SIZE = _HEADER.size  # 13
 # the longest payload a frame may inflate to
@@ -171,8 +172,7 @@ class BowAnnounce:
 class FullMapMsg:
     sender: int
     hint_kf: int
-    keyframes: list[KeyFrame]
-    points: list[MapPoint]
+    points: list[MapPoint]  # copies without observers, ascending by id
 
 
 @dataclass
@@ -659,7 +659,7 @@ _ROSTER = (_write_roster, _read_roster)
 # is the only place a message type is declared.
 _PAYLOADS = {
     MessageType.BOW_ANNOUNCE: (BowAnnounce, CATEGORY_BOWS, (_ID, _WORDS)),
-    MessageType.FULL_MAP: (FullMapMsg, CATEGORY_FULL_MAP, (_ID, _KEYFRAMES, _POINTS)),
+    MessageType.FULL_MAP: (FullMapMsg, CATEGORY_FULL_MAP, (_ID, _POINTS)),
     MessageType.MERGE_NOTIFY: (MergeNotify, CATEGORY_CONTROL,
                                ((_write_sim3, _read_sim3), _ROSTER,
                                 _ROSTER, _scalar(_U64))),

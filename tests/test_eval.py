@@ -270,6 +270,20 @@ class TestCli:
         assert "ate skipped: covariance rank below 2" in capsys.readouterr().err
         assert (out / "events.jsonl").exists() and not (out / "ate.json").exists()
 
+    def test_sim_that_skips_ate_removes_an_earlier_runs_report(self, tmp_path, capsys):
+        """A run whose ATE is skipped leaves no ate.json in its output
+        directory, not even the one an earlier run wrote there."""
+        turn = tmp_path / "turn.yaml"
+        turn.write_text("agents:\n  - id: 0\n    waypoints: [[0, 0, 0], [1, 0, 0], [1, 1, 0]]\n")
+        out = tmp_path / "out"
+        assert cli_main(["sim", "--scenario", str(turn), "--seed", "1", "--out", str(out)]) == 0
+        assert (out / "ate.json").exists()
+        capsys.readouterr()
+        code, again = self.collinear_run(tmp_path)
+        assert code == 0 and again == out
+        assert "ate skipped: covariance rank below 2" in capsys.readouterr().err
+        assert (out / "events.jsonl").exists() and not (out / "ate.json").exists()
+
     def test_eval_collinear_trajectory_error(self, tmp_path, capsys):
         _, out = self.collinear_run(tmp_path)
         capsys.readouterr()

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -20,6 +21,8 @@ from meshslam.wire import (
     GroupUpdate,
     LocalizationState,
     MergeNotify,
+    decode_frame,
+    encode_frame,
 )
 
 
@@ -324,8 +327,25 @@ class TestProtocolFlow:
         bus.dropped.add(FullMapMsg)
         bus.managers[1]._start_full_map_exchange(2, hint_kf=200)
         [msg] = [m for (_, _, m) in bus.trace if isinstance(m, FullMapMsg)]
-        assert [kf.id for kf in msg.keyframes] == sorted(m1.keyframes)
         assert [p.id for p in msg.points] == sorted(m1.points)
+
+    def test_full_map_carries_what_the_fit_reads(self):
+        """A full map carries no keyframes and no observers, and decodes to
+        the word table the receiver's fit would build from the sender's map."""
+        bus, shared, frames = three_agent_bus(np.random.default_rng(17))
+        m1 = bus.maps[1]
+        bus.dropped.add(FullMapMsg)
+        bus.managers[1]._start_full_map_exchange(2, hint_kf=200)
+        [msg] = [m for (_, _, m) in bus.trace if isinstance(m, FullMapMsg)]
+        assert [f.name for f in dataclasses.fields(msg)] == ["sender", "hint_kf", "points"]
+        assert all(p.observers == set() for p in msg.points)
+        assert all(m1.points[p.id].observers for p in msg.points)  # the map's own keep theirs
+        out = decode_frame(encode_frame(msg, 1))
+
+        def table(points):
+            return {w: [(i, pos.tobytes()) for i, pos in rows]
+                    for w, rows in points_by_word(points).items()}
+        assert table(out.points) == table(m1.points.values())
 
     def test_non_leader_announce_is_noop(self):
         rng = np.random.default_rng(13)

@@ -22,7 +22,6 @@ from meshslam.simulation import _RECEIVERS, Simulation
 from meshslam.wire import (
     AlignmentRequest,
     BowAnnounce,
-    FullMapMsg,
     GroupUpdate,
     KeyFramePacket,
     LocalizationState,
@@ -676,11 +675,8 @@ class TestFramesNamingUnknownAgents:
         (AlignmentRequest(99, [1, 2, 3]), "header sender 99 is not the envelope's source 0"),
         (KeyFramePacket(0, [STRAY_KF], [STRAY_POINT]),
          "keyframe origin names agent 99, which is not in the scenario"),
-        (FullMapMsg(0, 777, [STRAY_KF], [STRAY_POINT]),
-         "keyframe origin names agent 99, which is not in the scenario"),
     ], ids=["group-update", "merge-notify-roster", "merge-notify-transform-roster",
-            "localization-state", "bow-announce", "alignment-request", "keyframe-packet",
-            "full-map"])
+            "localization-state", "bow-announce", "alignment-request", "keyframe-packet"])
     def test_rejected_before_any_state_changes(self, msg, error):
         # cooperation off: three unmerged maps, and nothing left in flight
         sim = Simulation(coop_loops(cooperative=False, duration=2.0), seed=7)

@@ -77,15 +77,15 @@ class TestEnvelope:
         data = encode_envelope(MessageType.LOCALIZATION_STATE, sender=4, payload=b"\x07")
         # the payload as one raw DEFLATE stream, level 6, 4 KiB window
         stream = zlib.compress(b"\x07", 6, -12)
-        # magic, version 7, type 8, sender 4, the stream's length: 13 bytes, no sequence
-        assert data == b"DVMS" + bytes([7, 0, 8, 4, 0, len(stream), 0, 0, 0]) + stream
+        # magic, version 8, type 8, sender 4, the stream's length: 13 bytes, no sequence
+        assert data == b"DVMS" + bytes([8, 0, 8, 4, 0, len(stream), 0, 0, 0]) + stream
         assert HEADER_SIZE == 13
         assert decode_envelope(data) == (int(MessageType.LOCALIZATION_STATE), 4, b"\x07", 0)
 
     def test_version_check(self):
         data = bytearray(encode_envelope(MessageType.GROUP_UPDATE, 0, b""))
-        data[4] = 6  # the uncompressed layout whose records travelled as differences
-        with pytest.raises(WireError, match="^unsupported version 6 at offset 4$"):
+        data[4] = 7  # the layout whose full maps carried keyframes and observer lists
+        with pytest.raises(WireError, match="^unsupported version 7 at offset 4$"):
             decode_envelope(bytes(data))
 
     def test_unknown_type_rejected(self):
@@ -111,8 +111,8 @@ class TestEnvelope:
 
 
 def deflate_frame(stream, kind=MessageType.GROUP_UPDATE):
-    """A version 7 frame from sender 3 whose header announces `stream`, whatever it holds."""
-    return b"DVMS" + struct.pack("<HBHI", 7, kind, 3, len(stream)) + stream
+    """A version 8 frame from sender 3 whose header announces `stream`, whatever it holds."""
+    return b"DVMS" + struct.pack("<HBHI", 8, kind, 3, len(stream)) + stream
 
 
 def assert_rejected(frame, message):
@@ -252,15 +252,13 @@ class TestMessageRoundTrips:
         assert encode_message(msg)[1] == varint(2 * 12345) + bytes([2, 1, 1, 5, 3])
 
     def test_full_map(self):
-        msg = FullMapMsg(
-            sender=3, hint_kf=999,
-            keyframes=[sample_keyframe()],
-            points=[MapPoint(700, vec3(0.1, 0.2, 0.3), 3, {500})],
-        )
+        msg = FullMapMsg(sender=3, hint_kf=999, points=[MapPoint(700, vec3(0.1, 0.2, 0.3), 3)])
         out = self.roundtrip(msg)
-        assert out.hint_kf == 999
-        assert out.keyframes[0].id == 500
-        assert out.points[0].observers == {500}
+        assert plain(out) == plain(msg)
+        # the hint's difference from 0; one point: its difference from the
+        # hint, its word and an empty observer list; then its position
+        assert encode_message(msg)[1] == (zz(999) + bytes([1]) + zz(700 - 999) + bytes([3, 0])
+                                          + struct.pack("<3d", 0.1, 0.2, 0.3))
 
     def test_ids_travel_as_differences(self):
         """The worked example of README "Wire format"."""
@@ -570,7 +568,7 @@ class TestEncoderRejectsWordCounts:
     (AlignmentRequest(3, [4, 1 << 128]), f"id {1 << 128} is outside"),
     (AlignmentRequest(3, [-1, 1 << 128]), "id -1 is outside"),
     (BowAnnounce(3, -1, {}), "id -1 is outside"),
-    (FullMapMsg(3, 1 << 128, [], []), f"id {1 << 128} is outside"),
+    (FullMapMsg(3, 1 << 128, []), f"id {1 << 128} is outside"),
     (KeyFramePacket(3, [sample_keyframe(-5)], []), "id -5 is outside"),
     (KeyFramePacket(3, [], [MapPoint(1 << 128, vec3(0, 0, 0), 0, set())]),
      f"id {1 << 128} is outside"),
@@ -691,14 +689,16 @@ def point_record(uid, *observers):
 
 
 def map_frame(kfs=(), points=(), hint=None, f64=None):
-    """A keyframe packet, or with `hint` a full map, of the given records,
-    then the f64 values `f64`: by default timestamp 0 and the identity pose
-    per keyframe, then position 0 per point."""
+    """A keyframe packet of the given records, or with `hint` a full map of
+    the given point records, then the f64 values `f64`: by default timestamp
+    0 and the identity pose per keyframe, then position 0 per point."""
     if f64 is None:
         f64 = KF_F64 * len(kfs) + bytes(24) * len(points)
-    body = varint(len(kfs)) + b"".join(kfs) + varint(len(points)) + b"".join(points) + f64
+    body = varint(len(points)) + b"".join(points) + f64
     if hint is None:
+        body = varint(len(kfs)) + b"".join(kfs) + body
         return encode_envelope(MessageType.KEYFRAME_PACKET, 3, body, len(f64))
+    assert not kfs  # a full map carries no keyframes
     return encode_envelope(MessageType.FULL_MAP, 3, hint + body, len(f64))
 
 
@@ -717,10 +717,15 @@ ID_POSITIONS = [
     pytest.param(map_frame(hint=zz(-1)), "id -1 at offset 0 is below 0", id="hint-below"),
     pytest.param(map_frame(hint=zz(U128 + 1)), f"id {U128 + 1} at offset 0 is above 2^128 - 1",
                  id="hint-above"),
-    pytest.param(map_frame([kf_record(zz(-6), varint(0))], hint=zz(5)),
-                 "id -1 at offset 2 is below 0", id="keyframe-id-below"),
-    pytest.param(map_frame([kf_record(zz(1), varint(0))], hint=zz(U128)),
-                 f"id {U128 + 1} at offset 20 is above 2^128 - 1", id="keyframe-id-above"),
+    pytest.param(map_frame([kf_record(zz(-1), varint(0))]),
+                 "id -1 at offset 1 is below 0", id="keyframe-id-below"),
+    pytest.param(map_frame([kf_record(zz(U128 + 1), varint(0))]),
+                 f"id {U128 + 1} at offset 1 is above 2^128 - 1", id="keyframe-id-above"),
+    pytest.param(map_frame(points=[point_record(zz(-6), varint(0))], hint=zz(5)),
+                 "id -1 at offset 2 is below 0", id="point-id-below-after-hint"),
+    pytest.param(map_frame(points=[point_record(zz(1), varint(0))], hint=zz(U128)),
+                 f"id {U128 + 1} at offset 20 is above 2^128 - 1",
+                 id="point-id-above-after-hint"),
     pytest.param(map_frame([kf_record(zz(U128), varint(0)), kf_record(zz(-U128 - 1), varint(0))]),
                  "id -1 at offset 24 is below 0", id="second-keyframe-id-below"),
     pytest.param(map_frame(points=[point_record(zz(-1), varint(0))]),
@@ -793,8 +798,8 @@ class TestVarintFaults:
                      "list count 4294967296 at offset 1 is above 2^32 - 1", id="row-count-above"),
         pytest.param(map_frame(points=[point_record(zz(0))[:-1] + varint(1 << 32) + varint(0)]),
                      "word id 4294967296 at offset 3 is above 2^32 - 1", id="point-word-above"),
-        pytest.param(encode_envelope(MessageType.FULL_MAP, 3, zz(0) + varint(0) + varint(1 << 32)),
-                     "list count 4294967296 at offset 2 is above 2^32 - 1",
+        pytest.param(encode_envelope(MessageType.FULL_MAP, 3, zz(0) + varint(1 << 32)),
+                     "list count 4294967296 at offset 1 is above 2^32 - 1",
                      id="point-count-above"),
         pytest.param(bow_frame(varint(1), varint(1 << 32), varint(1)),
                      "word id 4294967296 at offset 2 is above 2^32 - 1", id="word-id-above"),
@@ -928,7 +933,7 @@ def _request(rnd):
 
 MAKERS = {
     MessageType.BOW_ANNOUNCE: lambda rnd: BowAnnounce(3, _uuid(rnd), _words(rnd)),
-    MessageType.FULL_MAP: lambda rnd: FullMapMsg(3, _uuid(rnd), *_map(rnd)),
+    MessageType.FULL_MAP: lambda rnd: FullMapMsg(3, _uuid(rnd), _map(rnd)[1]),
     MessageType.MERGE_NOTIFY: lambda rnd: MergeNotify(
         3, Sim3Transform(rnd.uniform(0.1, 10.0), _rotation(rnd), _vec(rnd)),
         _roster(rnd), _roster(rnd), rnd.getrandbits(64)),
@@ -968,6 +973,11 @@ def plain(x, sort_dicts=False):
     return x
 
 
+def keyframes_of(msg):
+    """A map message's keyframes: a full map carries none."""
+    return [] if isinstance(msg, FullMapMsg) else msg.keyframes
+
+
 def documented_length(msg):
     """A message's payload length by the layout the ``wire`` docstring gives."""
     last = 0  # the last id written
@@ -992,9 +1002,8 @@ def documented_length(msg):
     if isinstance(msg, BowAnnounce):
         return one(msg.kf_id) + words(msg.words)
     if isinstance(msg, (FullMapMsg, KeyFramePacket)):
-        n = one(msg.hint_kf) if isinstance(msg, FullMapMsg) else 0
-        n += varint_len(len(msg.keyframes))
-        for kf in msg.keyframes:
+        n = one(msg.hint_kf) if isinstance(msg, FullMapMsg) else varint_len(len(msg.keyframes))
+        for kf in keyframes_of(msg):
             # id, origin u16, timestamp f64, pose 7 f64, histogram, observed ids
             n += one(kf.id) + 2 + 8 + 56 + words(kf.words) + id_list(kf.observed_points)
         n += varint_len(len(msg.points))
@@ -1035,7 +1044,7 @@ def ascending_sets(msg):
     """Whether each id set of a decoded message was built in ascending order."""
     if not isinstance(msg, (FullMapMsg, KeyFramePacket)):
         return True
-    sets = [kf.observed_points for kf in msg.keyframes] + [p.observers for p in msg.points]
+    sets = [kf.observed_points for kf in keyframes_of(msg)] + [p.observers for p in msg.points]
     return all(list(ids) == list(set(sorted(ids))) for ids in sets)
 
 
@@ -1078,7 +1087,7 @@ def test_shipped_traffic_round_trips(monkeypatch):
     assert frozenset({0, 1}) in agents_named  # a packet names ids of both agents
 
 
-WORD_KINDS = (MessageType.BOW_ANNOUNCE, MessageType.FULL_MAP, MessageType.KEYFRAME_PACKET)
+WORD_KINDS = (MessageType.BOW_ANNOUNCE, MessageType.KEYFRAME_PACKET)
 
 
 def word_rows(msg):
@@ -1099,9 +1108,11 @@ class TestTruncationSweep:
         if kind in WORD_KINDS:
             # cuts land in several word rows, past the first row's running total
             assert word_rows(msg) >= 2
-        if kind in (MessageType.FULL_MAP, MessageType.KEYFRAME_PACKET):
-            # and in a keyframe's observed ids and a point's observers
+        if kind == MessageType.KEYFRAME_PACKET:
+            # and in a keyframe's observed ids
             assert any(kf.observed_points for kf in msg.keyframes)
+        if kind in (MessageType.FULL_MAP, MessageType.KEYFRAME_PACKET):
+            # and in a point's observers
             assert any(p.observers for p in msg.points)
         mt, payload, f64_bytes = encode_message(msg)
         split = len(payload) - f64_bytes
@@ -1146,7 +1157,7 @@ def assert_well_formed(msg):
     if isinstance(msg, BowAnnounce):
         assert_words(msg.words)
     if isinstance(msg, (FullMapMsg, KeyFramePacket)):
-        for kf in msg.keyframes:
+        for kf in keyframes_of(msg):
             assert math.isfinite(kf.timestamp)
             assert_rotation(kf.pose.rotation)
             assert_finite(kf.pose.translation)

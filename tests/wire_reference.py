@@ -4,19 +4,20 @@ step, one stream byte per inflate call.
 
 Kept only as the reference that the batched codec in ``meshslam.wire`` must
 match byte for byte and value for value on valid messages.  It follows the
-current layouts: a 13-byte version 7 header with no sequence number, then the
+current layouts: a 13-byte version 8 header with no sequence number, then the
 payload's other fields as one raw DEFLATE stream (level 6, 4 KiB window) and
 its f64 values after it; every f64 value of a payload after all its other
 fields, in field order; every single id, record id and first id of a list as
 the zigzag varint of its difference from the last id the payload wrote; id
 lists and histograms as varint counts and varint gaps; keyframe and point
 counts and a point's word as varints; self-contained keyframe records (full
-histogram, full observed ids) and point records (full observers); alignment
-requests as an id list, tagged points as an id list and then a block of
-positions, group updates as a roster alone, localization states as a u32
-epoch.  It checks what the codec checks, in header, stream and field order
-(a record's f64 values, read from the bytes after the stream, after its
-other fields) and with the same messages.
+histogram, full observed ids) and point records (full observers); full maps
+as a hint id and point records alone; alignment requests as an id list,
+tagged points as an id list and then a block of positions, group updates as
+a roster alone, localization states as a u32 epoch.  It checks what the
+codec checks, in header, stream and field order (a record's f64 values, read
+from the bytes after the stream, after its other fields) and with the same
+messages.
 """
 
 from __future__ import annotations
@@ -169,14 +170,6 @@ class _Reader:
 # Map object codecs
 # ---------------------------------------------------------------------------
 
-def _write_pose(w: _Writer, pose: Se3Pose) -> None:
-    q = pose.rotation.q
-    for v in (q[0], q[1], q[2], q[3]):
-        w.f64(float(v))
-    for v in pose.translation:
-        w.f64(float(v))
-
-
 def _read_finite(r: _Reader, n: int, what: str) -> list[float]:
     start = r.off
     vals = [r.f64() for _ in range(n)]
@@ -235,15 +228,18 @@ def _read_words(r: _Reader) -> dict[int, int]:
     return words
 
 
-def _write_map_body(w: _Writer, kfs, points) -> None:
+def _write_keyframes(w: _Writer, kfs) -> None:
     w.varint(len(kfs))
     for kf in kfs:
         w.id(kf.id)
         w.u16(kf.origin_agent)
         _write_words(w, kf.words)
         w.ids(sorted(kf.observed_points))
-        w.f64(kf.timestamp)
-        _write_pose(w, kf.pose)
+        for v in (kf.timestamp, *kf.pose.rotation.q, *kf.pose.translation):
+            w.f64(float(v))
+
+
+def _write_points(w: _Writer, points) -> None:
     w.varint(len(points))
     for p in points:
         w.id(p.id)
@@ -255,7 +251,7 @@ def _write_map_body(w: _Writer, kfs, points) -> None:
             w.f64(float(v))
 
 
-def _read_map_body(r: _Reader):
+def _read_keyframes(r: _Reader) -> list[KeyFrame]:
     """Each record's other fields, then its f64 values from ``r.f64``."""
     kfs = []
     for _ in range(r.count()):
@@ -265,6 +261,10 @@ def _read_map_body(r: _Reader):
         observed = set(r.ids())
         ts = _read_finite(r.f64, 1, "timestamp")[0]
         kfs.append(KeyFrame(uid, origin, ts, _read_pose(r.f64), words, observed))
+    return kfs
+
+
+def _read_points(r: _Reader) -> list[MapPoint]:
     points = []
     for _ in range(r.count()):
         uid = r.id()
@@ -275,16 +275,7 @@ def _read_map_body(r: _Reader):
         observers = set(r.ids())
         points.append(MapPoint(uid, np.array(_read_finite(r.f64, 3, "position")), word,
                                observers))
-    return kfs, points
-
-
-def _write_sim3(w: _Writer, t: Sim3Transform) -> None:
-    w.f64(t.scale)
-    q = t.rotation.q
-    for v in (q[0], q[1], q[2], q[3]):
-        w.f64(float(v))
-    for v in t.translation:
-        w.f64(float(v))
+    return points
 
 
 def _read_sim3(r: _Reader) -> Sim3Transform:
@@ -315,10 +306,12 @@ def _write(msg: Message) -> tuple[MessageType, _Writer]:
         return MessageType.BOW_ANNOUNCE, w
     if isinstance(msg, FullMapMsg):
         w.id(msg.hint_kf)
-        _write_map_body(w, msg.keyframes, msg.points)
+        _write_points(w, msg.points)
         return MessageType.FULL_MAP, w
     if isinstance(msg, MergeNotify):
-        _write_sim3(w, msg.transform)
+        t = msg.transform
+        for v in (t.scale, *t.rotation.q, *t.translation):
+            w.f64(float(v))
         w.u16(len(msg.roster))
         for aid in msg.roster:
             w.u16(aid)
@@ -328,7 +321,8 @@ def _write(msg: Message) -> tuple[MessageType, _Writer]:
         w.u64(msg.merge_id)
         return MessageType.MERGE_NOTIFY, w
     if isinstance(msg, KeyFramePacket):
-        _write_map_body(w, msg.keyframes, msg.points)
+        _write_keyframes(w, msg.keyframes)
+        _write_points(w, msg.points)
         return MessageType.KEYFRAME_PACKET, w
     if isinstance(msg, AlignmentRequest):
         w.ids(msg.ids)
@@ -373,14 +367,15 @@ def _read(mt: MessageType, sender: int, r: _Reader) -> Message:
         return BowAnnounce(sender, kf_id, _read_words(r))
     if mt == MessageType.FULL_MAP:
         hint = r.id()
-        return FullMapMsg(sender, hint, *_read_map_body(r))
+        return FullMapMsg(sender, hint, _read_points(r))
     if mt == MessageType.MERGE_NOTIFY:
         t = _read_sim3(r.f64)
         roster = [r.u16() for _ in range(r.u16())]
         transform_roster = [r.u16() for _ in range(r.u16())]
         return MergeNotify(sender, t, roster, transform_roster, r.u64())
     if mt == MessageType.KEYFRAME_PACKET:
-        return KeyFramePacket(sender, *_read_map_body(r))
+        kfs = _read_keyframes(r)
+        return KeyFramePacket(sender, kfs, _read_points(r))
     if mt == MessageType.ALIGNMENT_REQUEST:
         return AlignmentRequest(sender, r.ids())
     if mt == MessageType.TAGGED_POINTS:
@@ -408,7 +403,7 @@ def encode_frame(msg: Message, sender: int) -> bytes:
     body = zlib.compress(b"".join(payload.parts), 6, -12) + b"".join(payload.floats)
     w = _Writer()
     w.parts.append(b"DVMS")
-    w.u16(7)
+    w.u16(8)
     w.u8(mt)
     w.u16(sender)
     w.u32(len(body))
@@ -444,7 +439,7 @@ def decode_frame(data: bytes) -> Message:
     if magic != b"DVMS":
         raise WireError(f"bad magic {magic!r} at offset 0")
     version = r.u16()
-    if version != 7:
+    if version != 8:
         raise WireError(f"unsupported version {version} at offset 4")
     msg_type, sender, length = r.u8(), r.u16(), r.u32()
     if len(data) != 13 + length:
