@@ -283,5 +283,5 @@ class AimdState:
         self.next_due = now + self.interval
 
     def skip(self, now: float) -> None:
-        """Round could not run (leader unreachable); retry at the same interval."""
+        """The leader's reply did not come in time; retry at the same interval."""
         self.next_due = now + self.interval

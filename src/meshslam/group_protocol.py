@@ -229,18 +229,25 @@ class SystemManager:
         self.aligned: set[tuple[int, int]] = set()
         # reachability component of each agent at the last partition change
         self._component_of: dict[int, int] = {a: 0 for a in self.agents}
-        self._regroup()
         # this agent's full map exchanges awaiting a merge, pair -> epoch
         self._handshakes: dict[tuple[int, int], int] = {}
+        self._regroup()
         self._handshake_counter = 0
         self._merge_counter = 0
         self._applied_merge_ids: set[int] = set()
 
     def _regroup(self) -> None:
-        """Rebuild the groups: components of the aligned pairs within reachability."""
+        """Rebuild the groups: components of the aligned pairs within reachability.
+
+        A handshake lives only while its pair is in one component and not yet
+        in one group, so the others are dropped here.
+        """
         comp = self._component_of
         self.registry = GroupRegistry(components(
             self.agents, (p for p in self.aligned if comp[p[0]] == comp[p[1]])))
+        self._handshakes = {
+            (a, b): epoch for (a, b), epoch in self._handshakes.items()
+            if comp[a] == comp[b] and b not in self.registry.group_of(a)}
 
     # -- views -----------------------------------------------------------
 
@@ -295,8 +302,7 @@ class SystemManager:
         handed to the other peer.  Merge traffic is serialized per agent;
         the rejected side times out and retries on a later announcement.
         """
-        return any(self.state(*key) == PeerState.MERGE_IN_PROGRESS
-                   for key in self._handshakes)
+        return bool(self._handshakes)
 
     # -- announcements ------------------------------------------------------
 
@@ -341,11 +347,9 @@ class SystemManager:
 
         def expire():
             if self._handshakes.get(key) != epoch:
-                return  # dropped by a partition change or superseded
-            timed_out = self.state(*key) == PeerState.MERGE_IN_PROGRESS
+                return  # merged, dropped by a partition change, or superseded
             del self._handshakes[key]
-            if timed_out:
-                self.hooks.log("merge_handshake_timeout", peer=peer)
+            self.hooks.log("merge_handshake_timeout", peer=peer)
 
         self.hooks.schedule(HANDSHAKE_TIMEOUT, expire)
         # what the peer's fit reads: each point's id, position and word
@@ -466,10 +470,8 @@ class SystemManager:
         another component are dropped, so those pairs read unreachable and,
         once the link heals, unmerged.
         """
-        comp_of = self._component_of = {a: i for i, c in enumerate(reachable) for a in c}
+        self._component_of = {a: i for i, c in enumerate(reachable) for a in c}
         self._regroup()
-        self._handshakes = {key: epoch for key, epoch in self._handshakes.items()
-                            if comp_of[key[0]] == comp_of[key[1]]}
 
     # -- invariants (exercised by tests and debug runs) --------------------------
 

@@ -72,11 +72,9 @@ class SharingState:
             return None
         self.cursors[peer] = len(self.log)
         # the map's own objects: the packet is encoded as soon as it is sent
-        kfs = [m.keyframes[k] for k, _ in unsent if k in m.keyframes]
+        kfs = [m.keyframes[k] for k, _ in unsent]
         point_ids = dict.fromkeys(p for _, ids in unsent for p in ids)
         pts = [m.points[p] for p in point_ids if p in m.points]
-        if not kfs:
-            return None
         return KeyFramePacket(sender=agent_id, keyframes=kfs, points=pts)
 
     def enqueue_packet(self, packet: KeyFramePacket) -> None:

@@ -257,10 +257,6 @@ class AgentRuntime:
         if now < self.aimd.next_due:
             return
         lead = self.manager.registry.leader_of(self.id)
-        if not self.sim.reachable(self.id, lead):
-            self.aimd.skip(now)
-            self.sim.log(self.id, "alignment_skipped", {"leader": lead})
-            return
         self.sim.send_message(self.id, lead,
                               AlignmentRequest(self.id, self._alignment_request_ids()))
         self._align_request_time = now
@@ -390,9 +386,6 @@ class Simulation:
 
     def schedule_timer(self, delay: float, fn) -> None:
         self.queue.push(self.now + delay, fn)
-
-    def reachable(self, a: int, b: int) -> bool:
-        return self.net.same_component(a, b, self.now)
 
     @staticmethod
     def frame(src: int, msg) -> tuple[MessageType, bytes]:

@@ -367,6 +367,19 @@ class TestProtocolFlow:
         assert mgr1.state(1, 2) == PeerState.UNMERGED
         assert bus.timeouts() == [(1, {"peer": 2})]
 
+    def test_merged_handshake_is_dropped_and_its_timer_silent(self):
+        bus, shared, frames = three_agent_bus(np.random.default_rng(10))
+        kf2 = bus.maps[2].keyframes[200]
+        bus.managers[2].announce_keyframe_bow(kf2.id, kf2.words)
+        mgr1 = bus.managers[1]
+        assert mgr1.registry.group_of(1) == frozenset({1, 2})
+        assert mgr1._handshakes == {} and not mgr1._merge_busy()
+        timeout_timers = [f for d, f in bus.timers if d == 5.0]
+        assert timeout_timers
+        for expire in timeout_timers:
+            expire()
+        assert bus.timeouts() == []
+
 
 class TestHandshakeAcrossPartition:
     def lost_full_map(self, seed):

@@ -282,23 +282,6 @@ class TestCooperationEndToEnd:
 
 
 class TestAlignmentScheduling:
-    def test_unreachable_leader_skips_and_reschedules(self):
-        sim = Simulation(coop_loops(True, drop_prob=0.0), seed=1)
-        rt = sim.runtimes[1]
-        rt.manager._absorb_roster([0, 1])
-        sim.now = 10.0
-        rt._alignment_tick(10.0)          # first call arms the schedule
-        assert rt.aimd is not None
-        rt.aimd.next_due = 10.0
-        interval_before = rt.aimd.interval
-        sim.reachable = lambda a, b: False
-        rt._alignment_tick(10.0)
-        assert rt._align_request_time is None  # no request went out
-        assert rt.aimd.interval == interval_before
-        assert rt.aimd.next_due == 10.0 + interval_before
-        assert sim.log_book.named("alignment_skipped")
-
-
     def test_reply_from_another_agent_leaves_the_round_in_flight(self):
         sim = Simulation(coop_loops(True, drop_prob=0.0), seed=1)
         rt = sim.runtimes[1]
