@@ -9,10 +9,9 @@ output, exactly as per-sample ``rng.choice(n, 3, replace=False)`` calls
 would; every hypothesis is solved as one batch (one SVD call over all
 samples, with ``kabsch_umeyama``'s degenerate cases as masks), scored in
 blocks of ``SCORE_BLOCK`` hypotheses, and the best inlier set is refit with
-``kabsch_umeyama``.  ``match_tagged`` joins two id-tagged point blocks once
-per alignment round, so the fit and its residuals read the same rows.  The
-AIMD schedule decides how often a follower re-aligns against its group
-leader: interval + 1 after a good round, interval / 2 after a bad one.
+``kabsch_umeyama``.  The AIMD schedule decides how often a follower re-aligns
+against its group leader: interval + 1 after a good round, interval / 2 after
+a bad one.
 """
 
 from __future__ import annotations
@@ -153,23 +152,6 @@ def sample_triples(seed: int, n: int, k: int) -> np.ndarray:
         out[rows, j] = out[:, pos]
         out[:, pos] = swapped
     return out
-
-
-def match_tagged(
-    src: tuple[list[int], np.ndarray], dst: tuple[list[int], np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of two id-tagged point blocks that share an id.
-
-    A block is (ids, (len(ids), 3) positions).  ``src``'s ids ascend, so the
-    matched rows come in ascending id order.  Returns the matched ``src``
-    rows and ``dst`` rows, the input of ``ransac_sim3``.
-    """
-    src_ids, src_pos = src
-    dst_ids, dst_pos = dst
-    row_of = {uid: i for i, uid in enumerate(dst_ids)}
-    src_rows = [i for i, uid in enumerate(src_ids) if uid in row_of]
-    dst_rows = [row_of[src_ids[i]] for i in src_rows]
-    return src_pos[src_rows], dst_pos[dst_rows]
 
 
 def ransac_sim3(

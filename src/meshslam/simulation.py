@@ -15,19 +15,13 @@ once that is a full batch.  At the end of the tick every agent drains a
 bounded number of queued external keyframes, modeling spare compute.
 
 An alignment round is a follower's request, sent from its tick, and its
-leader's reply.  The request names the points the follower's fit may read:
-those its own keyframes observe, and those that tick's drain can make its
-own, namely the points of its queued external keyframes and the present
-points of their words (a duplicate-point merge keeps the lower id of two
-points of one word).  The leader answers with the named points it holds.
-Until the follower's next tick only that drain changes which points its
-keyframes observe (messages queue keyframes, move the whole map or change
-rosters), so a reply that arrives before then gives the fit the same rows
-as the leader's whole map would.  That holds when twice the largest one-way
-latency does not exceed dt (two uniform latency draws add up to it with
-probability zero): every shipped scenario and benchmark workload keeps the
-round trip within 2 x 50 ms, at dt = 100 ms.  A later reply still fits, on
-the points named, without those the follower came to observe meanwhile.
+leader's reply.  The request names the follower's own points, the present
+points its own keyframes observe; the leader answers with the named points
+it holds, and the follower fits the rows whose points it still holds.  A
+present point never stops being own (only a duplicate-point merge removes an
+observation, and it deletes that point), so a reply fits the same rows
+however late it arrives; points the follower came to observe meanwhile wait
+for its next round.
 
 Messages carry no sequence number, and each is handled as it arrives.  A
 late or repeated message cannot undo a newer one: merge notices are applied
@@ -62,7 +56,6 @@ from .alignment import (
     NoModelError,
     RansacParams,
     inlier_rmse,
-    match_tagged,
     ransac_sim3,
     well_aligned,
 )
@@ -258,25 +251,9 @@ class AgentRuntime:
             return
         lead = self.manager.registry.leader_of(self.id)
         self.sim.send_message(self.id, lead,
-                              AlignmentRequest(self.id, self._alignment_request_ids()))
+                              AlignmentRequest(self.id, sorted(self._own_points())))
         self._align_request_time = now
         self._align_leader = lead
-
-    def _alignment_request_ids(self) -> list[int]:
-        """The ascending ids of the points the fit may read when the reply arrives.
-
-        These are this agent's own points and those this tick's drain can make
-        its own: a queued point may list this agent's keyframes as observers
-        or absorb one of its points, and the drain may fold it into a present
-        point of its word.
-        """
-        by_word = self.db.shared_map.points_by_word
-        wanted = self._own_points()
-        queued = [p for entry in self.sharing.queue for p in entry.points]
-        wanted.update(p.id for p in queued)
-        for word in {p.word for p in queued}:
-            wanted.update(by_word.get(word, ()))
-        return sorted(wanted)
 
     def _own_points(self) -> set[int]:
         """The present points this agent's own keyframes observe.
@@ -304,10 +281,13 @@ class AgentRuntime:
         if msg.sender != self._align_leader:
             return  # a late answer from an agent this round did not ask
         self._align_request_time = None
-        m = self.db.shared_map
-        local_ids = sorted(self._own_points())
-        local = np.array([m.points[pid].position for pid in local_ids]).reshape(-1, 3)
-        src, dst = match_tagged((local_ids, local), msg.points)
+        # the rows of the requested points still held: a present point never
+        # stops being own, so these are this agent's own points the leader holds
+        points = self.db.shared_map.points
+        ids, dst = msg.points
+        rows = [i for i, pid in enumerate(ids) if pid in points]
+        src = np.array([points[ids[i]].position for i in rows]).reshape(-1, 3)
+        dst = dst[rows]
         try:
             transform, inliers = ransac_sim3(src, dst, RansacParams(seed=self._next_ransac_seed()))
         except NoModelError:

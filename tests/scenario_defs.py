@@ -1,14 +1,18 @@
 """Scenario configurations shared by the integration and acceptance tests."""
 
 import math
+import os
 
 from meshslam.config import (
     AgentConfig,
     RunConfig,
     ScenarioConfig,
     WorldConfig,
+    load_scenario,
 )
-from meshslam.net_sim import NetworkConfig, PartitionWindow
+from meshslam.net_sim import NetworkConfig
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 def loop(cx, cy, r, n=8, z=0.5):
@@ -35,75 +39,32 @@ def coop_loops(cooperative=True, duration=25.0, drop_prob=0.05,
     )
 
 
+def shipped(name):
+    """The scenario shipped as ``scenarios/<name>.yaml``."""
+    return load_scenario(os.path.join(SCENARIOS, f"{name}.yaml"))
+
+
 def fig3_replay():
     """Two agents sharing the center room merge first; the third wanders in.
 
     Expected merge order: roster {1, 2} with leader 1, then {0, 1, 2} with
     final leader 0.
     """
-    return ScenarioConfig(
-        world=WorldConfig(landmarks=420,
-                          regions=[[-6, -6, 0, 6, 6, 2.2], [8, -6, 0, 16, 6, 2.2]],
-                          vocab_size=1500, cell_size=0.8),
-        agents=[
-            AgentConfig(id=0, speed=1.0, sigma_t=0.004, sigma_r=0.001,
-                        fov_deg=100, range_m=7.0,
-                        waypoints=[[12, 0, 0.5], [12, 3, 0.5], [9, 3, 0.5],
-                                   [2, 2, 0.5], [0, -2, 0.5], [4, -3, 0.5],
-                                   [9, -2, 0.5]]),
-            AgentConfig(id=1, waypoints=loop(0, 0, 3.5), speed=1.0,
-                        sigma_t=0.004, sigma_r=0.001, fov_deg=100, range_m=7.0),
-            AgentConfig(id=2, waypoints=loop(0.4, 0.3, 3.2), speed=1.0,
-                        sigma_t=0.004, sigma_r=0.001, fov_deg=100, range_m=7.0),
-        ],
-        net=NetworkConfig(latency_ms=(5.0, 20.0), drop_prob=0.0),
-        run=RunConfig(duration=16.0, dt=0.1),
-    )
+    return shipped("fig3_replay")
 
 
 def blackout_recovery():
     """Two merged agents; one goes blind for three seconds mid-run."""
-    return ScenarioConfig(
-        world=WorldConfig(landmarks=300, regions=[[-7, -7, 0, 7, 7, 2.2]],
-                          vocab_size=900, cell_size=0.8),
-        agents=[
-            AgentConfig(id=0, waypoints=loop(0, 0, 4.0), speed=1.0,
-                        sigma_t=0.005, sigma_r=0.001, fov_deg=100, range_m=7.0),
-            AgentConfig(id=1, waypoints=loop(0.4, 0.4, 3.6), speed=1.0,
-                        sigma_t=0.005, sigma_r=0.001, fov_deg=100, range_m=7.0,
-                        blackouts=[(10.0, 13.0)]),
-        ],
-        net=NetworkConfig(latency_ms=(5.0, 20.0), drop_prob=0.0),
-        run=RunConfig(duration=28.0, dt=0.1),
-    )
+    return shipped("blackout_recovery")
 
 
 def blackout_at_end():
     """Blackout with no revisit before the run ends: the private map persists."""
     cfg = blackout_recovery()
-    cfg.agents[1].blackouts = [(10.0, 13.0)]
     cfg.run = RunConfig(duration=14.0, dt=0.1)
     return cfg
 
 
 def leader_failover():
     """Lowest-id agent isolated mid-run; the others merge without it."""
-    return ScenarioConfig(
-        world=WorldConfig(landmarks=420,
-                          regions=[[-6, -6, 0, 6, 6, 2.2], [8, -6, 0, 16, 6, 2.2]],
-                          vocab_size=1500, cell_size=0.8),
-        agents=[
-            AgentConfig(id=0, waypoints=loop(0, 0, 3.5), speed=1.0,
-                        sigma_t=0.004, sigma_r=0.001, fov_deg=100, range_m=7.0),
-            AgentConfig(id=1, waypoints=loop(0.4, 0.3, 3.2), speed=1.0,
-                        sigma_t=0.004, sigma_r=0.001, fov_deg=100, range_m=7.0),
-            AgentConfig(id=2, speed=1.0, sigma_t=0.004, sigma_r=0.001,
-                        fov_deg=100, range_m=7.0,
-                        waypoints=[[12, 0, 0.5], [12, 3, 0.5], [9, 3, 0.5],
-                                   [2, 2, 0.5], [0, -2, 0.5], [4, -3, 0.5],
-                                   [9, -2, 0.5]]),
-        ],
-        net=NetworkConfig(latency_ms=(5.0, 20.0), drop_prob=0.0,
-                          partitions=[PartitionWindow(6.0, 30.0, [(0, 1), (0, 2)])]),
-        run=RunConfig(duration=20.0, dt=0.1),
-    )
+    return shipped("leader_failover")

@@ -12,7 +12,6 @@ from meshslam.alignment import (
     aimd_next,
     inlier_rmse,
     kabsch_umeyama,
-    match_tagged,
     ransac_sim3,
     sample_triples,
     well_aligned,
@@ -159,10 +158,9 @@ class TestRansacSim3:
         assert transform_error(t, true, probes) < 10 * params.inlier_threshold
 
     def test_two_shared_ids_raises(self):
-        src = ([1, 2, 5], np.array([np.zeros(3), np.ones(3), np.full(3, 2.0)]))
-        dst = ([1, 2, 9], np.array([np.zeros(3), np.ones(3), np.full(3, 3.0)]))
+        rows = np.array([np.zeros(3), np.ones(3)])
         with pytest.raises(NoModelError, match="only 2 shared ids"):
-            ransac_sim3(*match_tagged(src, dst), RansacParams())
+            ransac_sim3(rows, rows, RansacParams())
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(9)
@@ -220,31 +218,6 @@ class TestRansacSim3:
         t2, _ = ransac_sim3(corrected, leader_pts, RansacParams(seed=5))
         moved = np.linalg.norm(t2.apply(corrected) - corrected, axis=1)
         assert np.max(moved) < 1e-9 + 10 * 0.003
-
-
-class TestMatchTagged:
-    def test_rows_of_shared_ids_in_ascending_order(self):
-        src_pos = np.arange(15.0).reshape(5, 3)
-        dst_pos = -np.arange(12.0).reshape(4, 3)
-        a, b = match_tagged(([1, 3, 5, 7, 9], src_pos), ([9, 2, 3, 7], dst_pos))
-        assert np.array_equal(a, src_pos[[1, 3, 4]])
-        assert np.array_equal(b, dst_pos[[2, 3, 0]])
-
-    def test_same_rows_as_a_dict_join(self):
-        rng = np.random.default_rng(15)
-        src_ids = sorted(rng.choice(1 << 40, 50, replace=False).tolist())
-        dst_ids = src_ids[::2] + rng.choice(1 << 40, 20).tolist()  # not sorted
-        src_pos, dst_pos = rng.normal(size=(50, 3)), rng.normal(size=(len(dst_ids), 3))
-        a, b = match_tagged((src_ids, src_pos), (dst_ids, dst_pos))
-        src_map, dst_map = dict(zip(src_ids, src_pos)), dict(zip(dst_ids, dst_pos))
-        common = sorted(src_map.keys() & dst_map.keys())
-        assert len(common) == 25
-        assert np.array_equal(a, [src_map[u] for u in common])
-        assert np.array_equal(b, [dst_map[u] for u in common])
-
-    def test_nothing_shared(self):
-        a, b = match_tagged(([1, 2], np.zeros((2, 3))), ([], np.empty((0, 3))))
-        assert a.shape == b.shape == (0, 3)
 
 
 # n = 2**31 + 1 rejects about half of the words of its largest bounds

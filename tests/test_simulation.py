@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from meshslam import map_sharing, simulation, wire
-from meshslam.alignment import match_tagged
 from meshslam.config import load_scenario
 from meshslam.geometry import Rotation, Se3Pose, Sim3Transform
 from meshslam.group_protocol import PeerState
@@ -366,7 +365,7 @@ class TestAlignmentExchange:
         [round_] = sim.log_book.named("alignment_round")
         assert round_["detail"] == {"ok": False, "reason": "no_model", "shared_points": 0}
 
-    def test_request_names_own_queued_and_queued_word_points(self):
+    def test_request_names_exactly_the_own_present_points(self):
         sim = Simulation(coop_loops(True, drop_prob=0.0), seed=1)
         rt, leader = follower_due(sim)
         m = rt.db.shared_map
@@ -376,61 +375,80 @@ class TestAlignmentExchange:
                           [point(102, 2.0, [12], word=4), point(106, 6.0, [12], word=5)])
         m.insert_keyframe(keyframe(13, 1, [103]), [point(103, 3.0, [13], word=3)])
         rt.sharing.queue.append(QueueEntry(2, keyframe(14, 2, [90, 104]), [
-            point(90, 0.5, [14], word=6), point(104, 4.0, [14], word=5)]))
-        rt.sharing.queue.append(QueueEntry(2, keyframe(15, 2, [105]),
-                                           [point(105, 5.0, [15], word=7)]))
+            point(90, 0.5, [14, 11], word=6), point(104, 4.0, [14], word=5)]))
         sent = recording_sends(sim)
         rt._alignment_tick(10.0)
-        # own keyframes 11 and 13 observe 100, 101 and 103; the queue holds 90,
-        # 104 and 105; 106 is another agent's point of queued point 104's word;
-        # 102 is another agent's point of no queued point's word
-        assert sent == [(1, leader.id, AlignmentRequest(1, [90, 100, 101, 103, 104, 105, 106]))]
+        # own keyframes 11 and 13 observe 100, 101 and 103; another agent's
+        # points 102 and 106 and the queued points 90 and 104 are not named,
+        # though the drain would link 90 to keyframe 11
+        assert sent == [(1, leader.id, AlignmentRequest(1, [100, 101, 103]))]
 
-    def test_queued_point_an_own_point_folds_into_is_requested(self):
+    def test_reply_row_of_a_point_folded_away_is_skipped(self, monkeypatch):
         # between request and reply the drain inserts a queued keyframe whose
         # point 100 lies within DUP_RADIUS of own point 200: the lower id
-        # survives, so the follower's own keyframe observes 100 when the reply
-        # arrives, and the reply must carry it
+        # survives, so 200 is gone when the reply carries it
+        fits = recording_fits(monkeypatch)
         sim = Simulation(coop_loops(True, drop_prob=0.0), seed=1)
         rt, leader = follower_due(sim)
-        rt.db.shared_map.insert_keyframe(keyframe(11, 1, [200]), [point(200, 1.0, [11])])
+        rt.db.shared_map.insert_keyframe(
+            keyframe(11, 1, [200, 300]), [point(200, 1.0, [11]), point(300, 5.0, [11], word=8)])
         rt.sharing.queue.append(QueueEntry(0, keyframe(9, 0, [100]), [point(100, 1.01, [9])]))
+        leader.db.shared_map.insert_keyframe(keyframe(9, 0, [100]), [point(100, 1.0, [9])])
         leader.db.shared_map.insert_keyframe(
-            keyframe(9, 0, [100]), [point(100, 1.0, [9])])
-        leader.db.shared_map.insert_keyframe(
-            keyframe(11, 1, [200]), [point(200, 1.02, [11])])
+            keyframe(11, 1, [200, 300]), [point(200, 1.02, [11]), point(300, 5.5, [11], word=8)])
         sent = recording_sends(sim)
         rt._alignment_tick(10.0)
         rt.end_of_tick(10.0)              # the drain folds 200 into 100
-        assert rt.db.shared_map.keyframes[11].observed_points == {100}
+        assert rt.db.shared_map.keyframes[11].observed_points == {100, 300}
         sim._run_queue()
         request, reply = (msg for _, _, msg in sent)
-        assert request.ids == [100, 200] and reply.points[0] == [100, 200]
+        assert request.ids == [200, 300] and reply.points[0] == [200, 300]
+        [(src, dst)] = fits
+        assert src.tolist() == [[5.0, 0.0, 0.0]] and dst.tolist() == [[5.5, 0.0, 0.0]]
         [round_] = sim.log_book.named("alignment_round")
         assert round_["detail"]["shared_points"] == 1
 
-    def test_present_point_a_queued_point_folds_into_is_requested(self):
-        # queued point 200 lists own keyframe 11 as an observer, and the drain
-        # folds it into present point 100 of its word, which no own keyframe
-        # observed when the request went out
+    @pytest.mark.parametrize("late_ticks", [0, 3])
+    def test_late_reply_fits_the_same_rows_as_a_prompt_one(self, monkeypatch, late_ticks):
+        # while the reply is in flight, each tick's drain gives own keyframe 11
+        # a further point: a queued point that lists it as an observer
+        fits = recording_fits(monkeypatch)
         sim = Simulation(coop_loops(True, drop_prob=0.0), seed=1)
         rt, leader = follower_due(sim)
-        m = rt.db.shared_map
-        m.insert_keyframe(keyframe(9, 0, [100]), [point(100, 1.0, [9])])
-        m.insert_keyframe(keyframe(11, 1, [300]), [point(300, 5.0, [11], word=8)])
-        rt.sharing.queue.append(QueueEntry(2, keyframe(12, 2, [200]),
-                                           [point(200, 1.01, [12, 11])]))
-        for kid, pid, x in ((9, 100, 1.0), (12, 200, 1.02)):
-            leader.db.shared_map.insert_keyframe(keyframe(kid, 0, [pid]), [point(pid, x, [kid])])
+        mine = [point(200 + i, float(i), [11], word=10 + i) for i in range(12)]
+        rt.db.shared_map.insert_keyframe(keyframe(11, 1, [p.id for p in mine]), mine)
+        theirs = [point(p.id, 2 * p.position[0] + 1, [11], word=p.word) for p in mine]
+        leader.db.shared_map.insert_keyframe(keyframe(11, 1, [p.id for p in theirs]), theirs)
+        for i in range(3):
+            pid = 400 + i
+            rt.sharing.queue.append(QueueEntry(0, keyframe(20 + i, 0, [pid]), [
+                point(pid, 50.0 + i, [20 + i, 11], word=50 + i)]))
+            leader.db.shared_map.insert_keyframe(
+                keyframe(20 + i, 0, [pid]), [point(pid, 101.0 + 2 * i, [20 + i])])
+        rt.sharing.drain = lambda m, budget, drain=rt.sharing.drain: drain(m, 1)
         sent = recording_sends(sim)
         rt._alignment_tick(10.0)
-        rt.end_of_tick(10.0)              # the drain folds 200 into 100
-        assert m.keyframes[11].observed_points == {100, 300}
+        for k in range(late_ticks):
+            rt.end_of_tick(10.0 + 0.1 * k)
+        assert len(rt._own_points()) == 12 + late_ticks
         sim._run_queue()
-        request, reply = (msg for _, _, msg in sent)
-        assert request.ids == [100, 200, 300] and reply.points[0] == [100, 200]
-        [round_] = sim.log_book.named("alignment_round")
-        assert round_["detail"]["shared_points"] == 1
+        [request, _] = (msg for _, _, msg in sent)
+        assert request.ids == [p.id for p in mine]
+        [(src, dst)] = fits
+        assert src.tolist() == [[float(i), 0.0, 0.0] for i in range(12)]
+        assert dst.tolist() == [[2.0 * i + 1, 0.0, 0.0] for i in range(12)]
+
+
+def recording_fits(monkeypatch):
+    """Record the (src, dst) rows of every alignment fit, and still fit them."""
+    fits = []
+    fit = simulation.ransac_sim3
+
+    def record(src, dst, params):
+        fits.append((src.copy(), dst.copy()))
+        return fit(src, dst, params)
+    monkeypatch.setattr(simulation, "ransac_sim3", record)
+    return fits
 
 
 def own_present_points(rt):
@@ -440,81 +458,35 @@ def own_present_points(rt):
                    for pid in kf.observed_points if pid in m.points})
 
 
-@pytest.fixture(scope="module")
-def coop_rounds():
-    """The shipped 25 s `coop_loops` run at seed 7, recording for each request
-    the points its follower's own keyframes observed and those its queue held
-    or shared a word with, and for each round the rows `match_tagged` joins
-    from the reply and from a reply with every leader point, as leaders sent
-    before requests named their ids."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "coop_loops.yaml")
-    sim = Simulation(load_scenario(path), seed=7)
-    requests, rounds, full_replies = [], [], {}
-    send = sim.send_message
+def test_round_trips_above_dt_keep_the_maps_whole():
+    """Latencies up to 190 ms, so a reply can come after the follower's next
+    tick (dt = 100 ms): the maps stay whole, the ledger balances, the agents
+    end in one group, and every request names its follower's own points."""
+    sim = Simulation(coop_loops(True, latency=(10.0, 190.0)), seed=3, check_invariants=True)
+    requests, send = [], sim.send_message
 
-    def record_send(src, dst, msg, encoded=None):
+    def record(src, dst, msg, framed=None):
         if isinstance(msg, AlignmentRequest):
-            m = sim.runtimes[src].db.shared_map
-            own = set(own_present_points(sim.runtimes[src]))
-            drainable = {pid for entry in sim.runtimes[src].sharing.queue for p in entry.points
-                      for pid in (p.id, *m.points_by_word.get(p.word, ()))}
-            requests.append((msg, own, drainable))
-        send(src, dst, msg, encoded)
-    sim.send_message = record_send
-
-    for rt in sim.runtimes.values():
-        def answer(msg, rt=rt, reply=rt.on_alignment_request):
-            points = rt.db.shared_map.points
-            ids = sorted(points)
-            full_replies[msg.sender] = (
-                ids, np.array([points[pid].position for pid in ids]).reshape(-1, 3))
-            reply(msg)
-
-        def fit(msg, now, rt=rt, fit_=rt.on_tagged_points):
-            if rt._align_request_time is not None and msg.sender == rt._align_leader:
-                m = rt.db.shared_map
-                local_ids = own_present_points(rt)
-                local = (local_ids, np.array([m.points[pid].position
-                                              for pid in local_ids]).reshape(-1, 3))
-                rounds.append((match_tagged(local, msg.points),
-                               match_tagged(local, full_replies[rt.id])))
-            fit_(msg, now)
-        rt.on_alignment_request, rt.on_tagged_points = answer, fit
-    result = sim.run()
-    return requests, rounds, result
-
-
-@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(
-    os.path.dirname(__file__), os.pardir, "scenarios", "*.yaml"))), ids=os.path.basename)
-def test_shipped_round_trip_fits_in_one_tick(path):
-    """``AgentRuntime._alignment_request_ids`` is exact only while an alignment
-    request and its reply both arrive within one tick: 2 x ``net.latency_ms``
-    high <= ``run.dt``.  The request names the points the follower may hold
-    when the reply comes, counting what this tick's drain can add; a reply
-    that arrives after a later tick's drain has brought in points the request
-    did not name makes the fit join fewer rows than a reply with the leader's
-    whole map would (1 round in 8 ``coop_loops`` runs at ``latency_ms: [10,
-    90]``), and the outputs then depend on which ids were requested."""
-    cfg = load_scenario(path)
-    assert 2 * cfg.net.latency_ms[1] <= 1000 * cfg.run.dt
-
-
-class TestAlignmentRoundsAgainstFullReplies:
-    def test_every_request_names_own_and_queued_points(self, coop_rounds):
-        requests, _, _ = coop_rounds
-        assert len(requests) >= 10
-        for msg, own, drainable in requests:
-            assert msg.ids == sorted(own | drainable)
-        assert any(drainable - own for _, own, drainable in requests)
-
-    def test_every_round_matches_the_rows_of_the_full_reply(self, coop_rounds):
-        _, rounds, result = coop_rounds
-        assert len(rounds) == len(result.log.named("alignment_round")) >= 10
-        for (src, dst), (full_src, full_dst) in rounds:
-            assert src.shape == full_src.shape and dst.shape == full_dst.shape
-            assert src.tobytes() == full_src.tobytes()
-            assert dst.tobytes() == full_dst.tobytes()
-        assert sum(len(src) > 0 for (src, _), _ in rounds) >= 10
+            requests.append((sim.now, src, msg.ids, own_present_points(sim.runtimes[src])))
+        send(src, dst, msg, framed)
+    sim.send_message = record
+    res = sim.run()
+    for rt in res.runtimes.values():
+        for m in rt.db.maps:
+            m.check_integrity()
+        assert rt.manager.registry.group_of(rt.id) == frozenset({0, 1, 2})
+    led = res.net.ledger
+    sent, received, dropped = (led.totals(x) for x in (led.sent, led.received, led.dropped))
+    for cat in CATEGORIES:
+        assert sent[cat] == received[cat] + dropped[cat]
+    assert len(requests) >= 10
+    assert all(ids == own for _, _, ids, own in requests)
+    rounds = res.log.named("alignment_round")
+    assert len(rounds) >= 10
+    # some reply came more than one tick after its request
+    assert any(r["time"] - max(t for t, src, _, _ in requests
+                               if src == r["agent"] and t <= r["time"]) > 0.1
+               for r in rounds)
 
 
 class TestMessageDispatch:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import random
 import re
 import struct
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import scenario_defs
 import wire_reference
 
-from meshslam import simulation
+from meshslam import simulation, wire
 from meshslam.geometry import Rotation, Se3Pose, Sim3Transform, vec3
 from meshslam.map_store import KeyFrame, MapPoint, make_uuid, uuid_agent
 from meshslam.simulation import Simulation
@@ -87,6 +88,12 @@ class TestEnvelope:
         data[4] = 7  # the layout whose full maps carried keyframes and observer lists
         with pytest.raises(WireError, match="^unsupported version 7 at offset 4$"):
             decode_envelope(bytes(data))
+
+    def test_readme_names_the_accepted_version(self):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(path) as f:
+            text = " ".join(f.read().split())
+        assert f"A frame of any version but {wire.VERSION} is rejected at offset 4." in text
 
     def test_unknown_type_rejected(self):
         data = encode_envelope(MessageType.GROUP_UPDATE, 0, b"")
