@@ -380,6 +380,22 @@ class TestProtocolFlow:
             expire()
         assert bus.timeouts() == []
 
+    def test_handshake_dropped_when_a_roster_joins_its_pair(self):
+        # agent 1's full map to 2 is lost; a group update from a merge made
+        # elsewhere then puts 1 and 2 in one group before the timer fires
+        bus, shared, frames = three_agent_bus(np.random.default_rng(17))
+        bus.dropped.add(FullMapMsg)
+        mgr1 = bus.managers[1]
+        mgr1._start_full_map_exchange(2, hint_kf=200)
+        assert mgr1._merge_busy()
+        expire = bus.timers[-1][1]
+        mgr1.on_group_update(GroupUpdate(sender=0, roster=[0, 1, 2]))
+        mgr1.check_invariants()
+        assert mgr1.state(1, 2) == PeerState.MERGED
+        assert mgr1._handshakes == {} and not mgr1._merge_busy()
+        expire()
+        assert bus.timeouts() == []
+
 
 class TestHandshakeAcrossPartition:
     def lost_full_map(self, seed):

@@ -489,6 +489,80 @@ def test_round_trips_above_dt_keep_the_maps_whole():
                for r in rounds)
 
 
+@pytest.fixture(scope="module")
+def shipped_rounds():
+    """The shipped 25 s `coop_loops` run at seed 7, recording each request
+    sent with its follower's own present points; each request answered with
+    the positions its leader held of the requested ids, and the reply; each
+    round with the reply it fits, the follower's point positions and own
+    points at that moment; and the rows each round fitted."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "coop_loops.yaml")
+    sim = Simulation(load_scenario(path), seed=7)
+    requests, replies, tagged, rounds, fits = [], [], [], [], []
+    send = sim.send_message
+
+    def record_send(src, dst, msg, framed=None):
+        if isinstance(msg, AlignmentRequest):
+            requests.append((msg, own_present_points(sim.runtimes[src])))
+        elif isinstance(msg, TaggedPoints):
+            tagged.append(msg)
+        send(src, dst, msg, framed)
+    sim.send_message = record_send
+
+    for rt in sim.runtimes.values():
+        def answer(msg, rt=rt, answer_=rt.on_alignment_request):
+            m = rt.db.shared_map
+            replies.append((msg.ids, {pid: m.points[pid].position.copy()
+                                      for pid in msg.ids if pid in m.points}))
+            answer_(msg)
+
+        def fit(msg, now, rt=rt, fit_=rt.on_tagged_points):
+            if rt._align_request_time is not None and msg.sender == rt._align_leader:
+                points = rt.db.shared_map.points
+                rounds.append((msg.points, {pid: points[pid].position.copy() for pid in points},
+                               set(own_present_points(rt))))
+            fit_(msg, now)
+        rt.on_alignment_request, rt.on_tagged_points = answer, fit
+
+    fit_rows = simulation.ransac_sim3
+
+    def record_fit(src, dst, params):
+        fits.append((src.copy(), dst.copy()))
+        return fit_rows(src, dst, params)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "ransac_sim3", record_fit)
+        result = sim.run()
+    return requests, list(zip(replies, tagged, strict=True)), rounds, fits, result
+
+
+class TestShippedAlignmentRounds:
+    def test_every_request_names_the_own_present_points(self, shipped_rounds):
+        requests = shipped_rounds[0]
+        assert len(requests) >= 10
+        for msg, own in requests:
+            assert msg.ids == own
+
+    def test_every_reply_carries_the_requested_points_its_leader_holds(self, shipped_rounds):
+        replies = shipped_rounds[1]
+        assert len(replies) >= 10
+        for (requested, held), msg in replies:
+            ids, positions = msg.points
+            assert ids == [pid for pid in requested if pid in held]
+            assert positions.tobytes() == np.array(
+                [held[pid] for pid in ids]).reshape(-1, 3).tobytes()
+
+    def test_every_round_fits_own_points_of_the_reply_still_held(self, shipped_rounds):
+        _, _, rounds, fits, result = shipped_rounds
+        assert len(rounds) == len(fits) == len(result.log.named("alignment_round")) >= 10
+        for ((ids, dst), points, own), (src_fit, dst_fit) in zip(rounds, fits):
+            kept = [i for i, pid in enumerate(ids) if pid in points]
+            assert {ids[i] for i in kept} <= own
+            assert src_fit.tobytes() == np.array(
+                [points[ids[i]] for i in kept]).reshape(-1, 3).tobytes()
+            assert dst_fit.tobytes() == dst[kept].tobytes()
+        assert sum(len(src) > 0 for src, _ in fits) >= 10
+
+
 class TestMessageDispatch:
     def test_every_message_class_has_one_receiver(self):
         classes = [cls for cls, _, _ in wire._PAYLOADS.values()]
